@@ -5,8 +5,9 @@ replay.  Every run writes <out>.manifest.json recording the resolved
 parameters; `localis replay <manifest>` reruns the command and reproduces the
 output files byte-for-byte.
 
-Exit codes: 0 ok, 2 usage error, 3 numerical guard (inconsistent profile,
-unobserved conditioning event, failed oracle check).
+Exit codes: 0 ok, 2 usage error (argparse errors and invalid parameter
+values), 3 numerical guard (inconsistent profile, unobserved conditioning
+event, failed oracle check).  Any other exception is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -62,6 +63,21 @@ class UsageError(ValueError):
     pass
 
 
+def _checked(build, *args, **kwargs):
+    """Build from user-supplied values; their ValueError is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _float_list(text: str, flag: str) -> list:
+    try:
+        return [float(x) for x in text.split(",") if x != ""]
+    except ValueError as exc:
+        raise UsageError(f"{flag} must be a comma list of numbers") from exc
+
+
 # ---------------------------------------------------------------------------
 # Spec parsing
 # ---------------------------------------------------------------------------
@@ -80,7 +96,7 @@ def _build_factor(params: dict):
         spec = {"kind": "const", "params": {"bit": int(kind[-1])}}
     else:
         raise UsageError(f"unknown factor: {kind!r}")
-    return factor_from_spec(spec)
+    return _checked(factor_from_spec, spec)
 
 
 def _build_host(params: dict):
@@ -88,19 +104,19 @@ def _build_host(params: dict):
     if host == "regular-tree":
         if params.get("d") is None:
             raise UsageError("host 'regular-tree' requires --d")
-        return RegularTreeHost(params["d"])
+        return _checked(RegularTreeHost, params["d"])
     if host == "pgw":
         if params.get("lam") is None:
             raise UsageError("host 'pgw' requires --lam")
-        return PGWTreeHost(params["lam"])
+        return _checked(PGWTreeHost, params["lam"])
     if host == "config-model":
         if params.get("n") is None or params.get("d") is None:
             raise UsageError("host 'config-model' requires --n and --d")
-        return ConfigModelHost(params["n"], params["d"])
+        return _checked(ConfigModelHost, params["n"], params["d"])
     if host == "er":
         if params.get("n") is None or params.get("lam") is None:
             raise UsageError("host 'er' requires --n and --lam")
-        return ErdosRenyiHost(params["n"], params["lam"])
+        return _checked(ErdosRenyiHost, params["n"], params["lam"])
     raise UsageError(f"unknown host: {host!r}")
 
 
@@ -162,7 +178,8 @@ def cmd_density(params: dict):
 
 
 def _coupling_config(params: dict, p: float) -> CouplingConfig:
-    return CouplingConfig(
+    return _checked(
+        CouplingConfig,
         p=p,
         k=params["k"],
         factor=_build_factor(params),
@@ -175,7 +192,7 @@ def _coupling_config(params: dict, p: float) -> CouplingConfig:
 
 
 def cmd_scan_p(params: dict):
-    grid = [float(x) for x in params["grid"].split(",") if x != ""]
+    grid = _float_list(params["grid"], "--grid")
     if not grid or any(not 0.0 <= p <= 1.0 for p in grid):
         raise UsageError("grid must be a comma list of values in [0, 1]")
     cfg = _coupling_config(params, grid[0])
@@ -228,13 +245,13 @@ def cmd_stability(params: dict):
 
 
 def cmd_bounds(params: dict):
-    alpha = [float(x) for x in params["alpha"].split(",") if x != ""]
+    alpha = _float_list(params["alpha"], "--alpha")
     if not alpha:
         raise UsageError("--alpha must be a comma list of values")
     k = len(alpha)
     d = params.get("d")
-    if d is None:
-        raise UsageError("bounds requires --d")
+    if d is None or d < 1:
+        raise UsageError("bounds requires --d >= 1")
     scale = math.log(d) / d
     profile = DensityProfile.symmetric(k, alpha, scale)
     measure = rho_to_pi(profile)
@@ -268,8 +285,8 @@ def cmd_bounds(params: dict):
 
 def cmd_oracle_check(params: dict):
     n, d = params["n"], params["d"]
-    if n is None or d is None:
-        raise UsageError("oracle-check requires --n and --d")
+    if n is None or d is None or n < 1 or d < 1:
+        raise UsageError("oracle-check requires --n >= 1 and --d >= 1")
     if n * d % 2:
         raise UsageError("n*d must be even")
     tol = params["tol"]
@@ -306,6 +323,8 @@ def cmd_pgw_transfer(params: dict):
         d = params["d"]
     else:
         raise UsageError("pgw-transfer requires --d or --schedule-u")
+    if d < 2:
+        raise UsageError(f"pgw-transfer needs d >= 2, got {d}")
     factor = _build_factor(params)
     rep = transfer_density(
         factor, lam, d, params["trials"], params["seed"], params["workers"]
@@ -440,11 +459,13 @@ def main(argv=None) -> int:
     command = args.command
     started = time.time()
     try:
+        if params.get("trials", 1) < 1:
+            raise UsageError("--trials must be >= 1")
         outputs, trials = COMMANDS.get(command, cmd_replay)(params)
     except (ProfileError, ConditioningError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, TypeError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if command != "replay":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import Factor, apply_factor, neighborhood
+from .factors import Factor, _project_bits, apply_factor, neighborhood
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
@@ -25,6 +25,7 @@ from .graphs import (
     PGWTreeHost,
     RegularTreeHost,
     TreeLabels,
+    ball_is_tree,
     non_tree_ball_mask,
     sample_config_model,
     sample_er,
@@ -62,13 +63,9 @@ class CouplingConfig:
 
 def host_scale(host) -> float:
     """Normalisation (log d)/d resp. (log lam)/lam used for alpha values."""
-    if isinstance(host, RegularTreeHost):
+    if isinstance(host, (RegularTreeHost, ConfigModelHost)):
         return math.log(host.d) / host.d
-    if isinstance(host, ConfigModelHost):
-        return math.log(host.d) / host.d
-    if isinstance(host, PGWTreeHost):
-        return math.log(host.lam) / host.lam
-    if isinstance(host, ErdosRenyiHost):
+    if isinstance(host, (PGWTreeHost, ErdosRenyiHost)):
         return math.log(host.lam) / host.lam
     raise TypeError(f"unsupported host: {host!r}")
 
@@ -157,9 +154,7 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
     """
     host = _tree_host(cfg.host)
     f = cfg.factor
-    streams = list(copy_streams) if copy_streams is not None else list(range(1, cfg.k + 1))
-    if len(streams) != cfg.k:
-        raise ValueError("copy_streams must have length k")
+    streams = _copy_streams(cfg.k, copy_streams)
 
     def one(t: int):
         tree = LazyTree(host, f.radius, trial_state(cfg.seed, t))
@@ -167,25 +162,34 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
         return np.cumprod(bits).astype(np.float64)
 
     rows = run_trials(one, cfg.trials, cfg.workers)
-    means = rows.mean(axis=0)
-    ses = np.array([mean_stderr(rows[:, i])[1] for i in range(cfg.k)])
+    return _prefix_estimate(cfg, rows)
+
+
+def _copy_streams(k: int, copy_streams) -> list:
+    streams = list(copy_streams) if copy_streams is not None else list(range(1, k + 1))
+    if len(streams) != k:
+        raise ValueError("copy_streams must have length k")
+    return streams
+
+
+def _prefix_estimate(cfg: CouplingConfig, prefix: np.ndarray) -> IntersectionEstimate:
+    """Means and standard errors of per-trial prefix-intersection rows."""
+    means = prefix.mean(axis=0)
+    ses = np.array([mean_stderr(prefix[:, i])[1] for i in range(cfg.k)])
     return IntersectionEstimate(
-        cfg.k, cfg.trials, means, ses, host_scale(host), cfg.p, prefix_rows=rows
+        cfg.k, cfg.trials, means, ses, host_scale(cfg.host), cfg.p, prefix_rows=prefix
     )
 
 
 # ---------------------------------------------------------------------------
-# Configuration-model host
+# Graph hosts (configuration model and Erdos-Renyi)
 # ---------------------------------------------------------------------------
 
 
-def _project_bits(f: Factor, g: MultiGraph, ok: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Copy projection given a precomputed tree-neighbourhood mask."""
-    bits = np.zeros(g.n, dtype=bool)
-    for v in np.flatnonzero(ok):
-        nb = neighborhood(g, int(v), f.radius, labels)
-        bits[v] = bool(apply_factor(f, nb))
-    return bits
+def _sample_graph(host, state: int) -> MultiGraph:
+    if isinstance(host, ConfigModelHost):
+        return sample_config_model(host.n, host.d, state)
+    return sample_er(host.n, host.lam, state)
 
 
 def _profile_row(copy_bits: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -199,53 +203,6 @@ def _profile_row(copy_bits: np.ndarray, n: int, k: int) -> np.ndarray:
                 inter &= copy_bits[i]
         row[mask] = inter.sum() / n
     return row
-
-
-def coupled_graph_intersections(cfg: CouplingConfig, copy_streams=None):
-    """Coupled copies on configuration-model graphs.
-
-    Per trial: sample the graph, X0, S and fresh labels, project every copy,
-    and record the full density profile over copy subsets plus the non-tree
-    vertex fraction of the graph.
-
-    Returns (IntersectionEstimate, ProfileSamples, mean non-tree fraction).
-    """
-    host = cfg.host
-    if not isinstance(host, ConfigModelHost):
-        raise TypeError(f"expected ConfigModelHost, got {host!r}")
-    f, k, n = cfg.factor, cfg.k, host.n
-    streams = list(copy_streams) if copy_streams is not None else list(range(1, k + 1))
-
-    def one(t: int):
-        st = trial_state(cfg.seed, t)
-        g = sample_config_model(n, host.d, fold(st, 1))
-        rng = state_rng(fold(st, 2))
-        x0 = uniform_labels(rng, n)
-        in_s = rng.random(n) < cfg.p
-        fresh = {s: uniform_labels(rng, n) for s in range(1, k + 1)}
-        ok = ~non_tree_ball_mask(g, f.radius + 1)
-        copy_bits = []
-        for s in streams:
-            labels = np.where(in_s, fresh[s], x0)
-            copy_bits.append(_project_bits(f, g, ok, labels))
-        row = _profile_row(copy_bits, n, k)
-        return np.concatenate([row, [1.0 - ok.mean()]])
-
-    rows = run_trials(one, cfg.trials, cfg.workers)
-    profiles = ProfileSamples(k, rows[:, : 1 << k])
-    prefix_cols = [(1 << i) - 1 for i in range(1, k + 1)]
-    prefix = rows[:, prefix_cols]
-    means = prefix.mean(axis=0)
-    ses = np.array([mean_stderr(prefix[:, i])[1] for i in range(k)])
-    est = IntersectionEstimate(
-        k, cfg.trials, means, ses, host_scale(host), cfg.p, prefix_rows=prefix
-    )
-    return est, profiles, float(rows[:, -1].mean())
-
-
-# ---------------------------------------------------------------------------
-# Erdos-Renyi host
-# ---------------------------------------------------------------------------
 
 
 def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
@@ -274,48 +231,68 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
     return out
 
 
-def coupled_er_intersections(cfg: CouplingConfig, copy_streams=None):
-    """Coupled copies on Erdos-Renyi graphs.
+def _coupled_graph_rows(cfg: CouplingConfig, host_type, copy_streams) -> np.ndarray:
+    """Per-trial rows [rho(T) for all T..., non-tree vertex fraction of g].
 
-    Per trial: sample g, S and labellings; build per-copy resampled graphs
-    with independent induced subgraphs on S; project the factor (vertices
-    with a non-tree (radius+1)-neighbourhood map to 0) and record profiles.
-
-    Returns (IntersectionEstimate, ProfileSamples).
+    Per trial: sample g, X0, S and fresh labels; on the Erdos-Renyi host,
+    build per-copy graphs whose induced subgraphs on S are resampled; project
+    every copy (vertices with a non-tree (radius+1)-neighbourhood map to 0).
     """
     host = cfg.host
-    if not isinstance(host, ErdosRenyiHost):
-        raise TypeError(f"expected ErdosRenyiHost, got {host!r}")
+    if not isinstance(host, host_type):
+        raise TypeError(f"expected {host_type.__name__}, got {host!r}")
     f, k, n = cfg.factor, cfg.k, host.n
-    streams = list(copy_streams) if copy_streams is not None else list(range(1, k + 1))
+    streams = _copy_streams(k, copy_streams)
+
+    def tree_like(g: MultiGraph) -> np.ndarray:
+        return ~non_tree_ball_mask(g, f.radius + 1)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
-        g = sample_er(n, host.lam, fold(st, 1))
+        g = _sample_graph(host, fold(st, 1))
         rng = state_rng(fold(st, 2))
         x0 = uniform_labels(rng, n)
         in_s = rng.random(n) < cfg.p
-        S = np.flatnonzero(in_s)
         fresh = {s: uniform_labels(rng, n) for s in range(1, k + 1)}
-        copies = er_resample_graphs(g, S, host.lam, k, fold(st, 3))
-        copy_bits = []
-        for s in streams:
-            gi = copies[s - 1]
-            labels = np.where(in_s, fresh[s], x0)
-            ok = ~non_tree_ball_mask(gi, f.radius + 1)
-            copy_bits.append(_project_bits(f, gi, ok, labels))
-        return _profile_row(copy_bits, n, k)
+        if host_type is ErdosRenyiHost:
+            copies = er_resample_graphs(g, np.flatnonzero(in_s), host.lam, k, fold(st, 3))
+            oks = [tree_like(gi) for gi in copies]
+        else:
+            copies, oks = [g] * k, [tree_like(g)] * k
+        copy_bits = [
+            _project_bits(f, copies[s - 1], oks[s - 1], np.where(in_s, fresh[s], x0))
+            for s in streams
+        ]
+        row = _profile_row(copy_bits, n, k)
+        return np.concatenate([row, [1.0 - oks[0].mean()]])
 
-    rows = run_trials(one, cfg.trials, cfg.workers)
-    profiles = ProfileSamples(k, rows)
-    prefix_cols = [(1 << i) - 1 for i in range(1, k + 1)]
-    prefix = rows[:, prefix_cols]
-    means = prefix.mean(axis=0)
-    ses = np.array([mean_stderr(prefix[:, i])[1] for i in range(k)])
-    est = IntersectionEstimate(
-        k, cfg.trials, means, ses, host_scale(host), cfg.p, prefix_rows=prefix
-    )
-    return est, profiles
+    return run_trials(one, cfg.trials, cfg.workers)
+
+
+def _graph_estimates(cfg: CouplingConfig, rows: np.ndarray) -> tuple:
+    profiles = ProfileSamples(cfg.k, rows[:, : 1 << cfg.k])
+    prefix = rows[:, [(1 << i) - 1 for i in range(1, cfg.k + 1)]]
+    return _prefix_estimate(cfg, prefix), profiles
+
+
+def coupled_graph_intersections(cfg: CouplingConfig, copy_streams=None):
+    """Coupled copies on configuration-model graphs: the full density profile
+    over copy subsets plus the non-tree vertex fraction of the graph.
+
+    Returns (IntersectionEstimate, ProfileSamples, mean non-tree fraction).
+    """
+    rows = _coupled_graph_rows(cfg, ConfigModelHost, copy_streams)
+    return (*_graph_estimates(cfg, rows), float(rows[:, -1].mean()))
+
+
+def coupled_er_intersections(cfg: CouplingConfig, copy_streams=None):
+    """Coupled copies on Erdos-Renyi graphs, each copy with its own induced
+    subgraph on S.
+
+    Returns (IntersectionEstimate, ProfileSamples).
+    """
+    rows = _coupled_graph_rows(cfg, ErdosRenyiHost, copy_streams)
+    return _graph_estimates(cfg, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -390,31 +367,12 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return one
 
-    if isinstance(host, ConfigModelHost):
+    if isinstance(host, (ConfigModelHost, ErdosRenyiHost)):
+        er = isinstance(host, ErdosRenyiHost)
 
         def one(t: int):
             st = trial_state(cfg.seed, t)
-            g = sample_config_model(host.n, host.d, fold(st, 1))
-            rng = state_rng(fold(st, 2))
-            x0 = uniform_labels(rng, host.n)
-            in_s = rng.random(host.n) < cfg.p
-            root = int(rng.integers(host.n))
-            if not _graph_root_bit(f, g, root, x0):
-                return [0.0, -1.0]
-            cnt = 0
-            for j in range(1, cfg.inner_trials + 1):
-                fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), host.n)
-                labels = np.where(in_s, fresh, x0)
-                cnt += _graph_root_bit(f, g, root, labels)
-            return [1.0, float(cnt)]
-
-        return one
-
-    if isinstance(host, ErdosRenyiHost):
-
-        def one(t: int):
-            st = trial_state(cfg.seed, t)
-            g = sample_er(host.n, host.lam, fold(st, 1))
+            g = _sample_graph(host, fold(st, 1))
             rng = state_rng(fold(st, 2))
             x0 = uniform_labels(rng, host.n)
             in_s = rng.random(host.n) < cfg.p
@@ -426,7 +384,10 @@ def _stability_trial_fn(cfg: CouplingConfig):
             for j in range(1, cfg.inner_trials + 1):
                 fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), host.n)
                 labels = np.where(in_s, fresh, x0)
-                gj = er_resample_graphs(g, S, host.lam, 1, fold(st, 0x2000 + j))[0]
+                if er:
+                    gj = er_resample_graphs(g, S, host.lam, 1, fold(st, 0x2000 + j))[0]
+                else:
+                    gj = g
                 cnt += _graph_root_bit(f, gj, root, labels)
             return [1.0, float(cnt)]
 
@@ -436,8 +397,6 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
 
 def _graph_root_bit(f: Factor, g: MultiGraph, root: int, labels: np.ndarray) -> int:
-    from .graphs import ball_is_tree
-
     if not ball_is_tree(g, root, f.radius + 1):
         return 0
     nb = neighborhood(g, root, f.radius, labels)

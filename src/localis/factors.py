@@ -5,6 +5,15 @@ bounded radius and returning a {0, 1} inclusion bit.  Rules are written
 against a minimal rooted-view protocol (root, neighbors(v), label(v),
 order_key(v)), so one implementation serves materialised neighbourhoods and
 lazily generated trees alike.
+
+Radius contract: a rule of radius r calls neighbors(v) only for vertices v
+at depth < r, so it reads labels and structure at depth <= r and nothing
+beyond.  In a BFS ball the neighbours of a depth-j vertex lie at depth
+j - 1, j or j + 1, so a view generated deeper than r presents the rule with
+exactly the same reads as the ball cut at r, and apply_factor passes it
+through unchanged.  The threshold rule reads only neighbors(root); the
+percolation-round rule reaches neighbors(v) only while first-success rounds
+strictly decrease from at most k, hence at depth <= k < k + 1.
 """
 
 from __future__ import annotations
@@ -162,41 +171,15 @@ def lauer_wormald(p: float, k: int) -> Factor:
 # ---------------------------------------------------------------------------
 
 
-class _TruncatedView:
-    """Restrict a materialised rooted view to a smaller radius."""
-
-    __slots__ = ("base", "radius")
-
-    def __init__(self, base, radius: int):
-        self.base = base
-        self.radius = radius
-
-    @property
-    def root(self):
-        return self.base.root
-
-    def neighbors(self, v):
-        depths = self.base.depths
-        return [w for w in self.base.neighbors(v) if depths[w] <= self.radius]
-
-    def label(self, v):
-        return self.base.label(v)
-
-    def order_key(self, v):
-        return self.base.order_key(v)
-
-
 def apply_factor(f: Factor, nb) -> int:
-    """Evaluate f on nb truncated to f.radius.  Pure and deterministic."""
+    """Evaluate f on a rooted view of radius >= f.radius.  Pure and
+    deterministic; deeper views need no cut (see the radius contract)."""
     radius = getattr(nb, "radius", None)
     if radius is not None and radius < f.radius:
         raise ValueError(
             f"neighbourhood radius {radius} is smaller than factor radius {f.radius}"
         )
-    view = nb
-    if radius is not None and radius > f.radius:
-        view = _TruncatedView(nb, f.radius)
-    bit = f.rule(view)
+    bit = f.rule(nb)
     if bit not in (0, 1):
         raise RuntimeError(f"factor rule returned {bit!r}, expected 0 or 1")
     return int(bit)
@@ -243,6 +226,15 @@ class IndependentSetSample:
         return [(u, v) for u, v in self.graph.edges if bits[u] and bits[v]]
 
 
+def _project_bits(f: Factor, g: MultiGraph, ok: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Factor bits on the vertices flagged in `ok` (tree-like balls); 0 elsewhere."""
+    bits = np.zeros(g.n, dtype=bool)
+    for v in np.flatnonzero(ok):
+        nb = neighborhood(g, int(v), f.radius, labels)
+        bits[v] = bool(apply_factor(f, nb))
+    return bits
+
+
 def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> IndependentSetSample:
     """Project a tree factor onto a finite graph.
 
@@ -252,11 +244,7 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
     labels = np.asarray(labels, dtype=np.uint64)
     if labels.shape != (g.n,):
         raise ValueError(f"labels must have shape ({g.n},)")
-    bits = np.zeros(g.n, dtype=bool)
-    bad = non_tree_ball_mask(g, f.radius + 1)
-    for v in np.flatnonzero(~bad):
-        nb = neighborhood(g, int(v), f.radius, labels)
-        bits[v] = bool(apply_factor(f, nb))
+    bits = _project_bits(f, g, ~non_tree_ball_mask(g, f.radius + 1), labels)
     sample = IndependentSetSample(g, bits)
     viol = sample.violations()
     if viol:

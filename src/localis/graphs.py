@@ -345,95 +345,31 @@ def count_non_tree_vertices(g: MultiGraph, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TruncatedTree:
-    """Breadth-first sampled rooted tree cut at a fixed radius.
+def _build_tree(counts_per_level, r: int, rng) -> RootedNeighborhood:
+    """Breadth-first sampled rooted tree cut at radius r.
 
-    Depth-r vertices are boundary-flagged: their offspring were not generated
-    and their recorded child count is 0.
+    Vertex ids follow BFS order, so edge w-1 joins parent(w) to w.  Depth-r
+    vertices are the boundary: their offspring are not generated, and their
+    degree inside the window, len(adj[v]), counts only the parent edge.
     """
-
-    nb: RootedNeighborhood
-    parents: np.ndarray
-    child_counts: np.ndarray
-    boundary: np.ndarray
-    kind: str
-    params: dict
-
-    # -- rooted-view protocol, delegated to the neighbourhood -----------------
-
-    @property
-    def root(self) -> int:
-        return 0
-
-    @property
-    def radius(self) -> int:
-        return self.nb.radius
-
-    @property
-    def depths(self) -> np.ndarray:
-        return self.nb.depths
-
-    @property
-    def n(self) -> int:
-        return self.nb.n
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.nb.labels
-
-    @property
-    def edges(self) -> list:
-        return self.nb.edges
-
-    def neighbors(self, v: int) -> list:
-        return self.nb.adj[v]
-
-    def label(self, v: int) -> int:
-        return int(self.nb.labels[v])
-
-    def order_key(self, v: int) -> int:
-        return v
-
-    def degree(self, v: int) -> int:
-        """Known degree inside the generated window (parent edge included)."""
-        return int(self.child_counts[v]) + (0 if v == 0 else 1)
-
-
-def _build_tree(counts_per_level, r: int, rng, kind: str, params: dict) -> TruncatedTree:
-    parents = [-1]
     depths = [0]
-    child_counts = []
+    edges = []
     level = [0]
     for depth in range(r):
-        counts = counts_per_level(level, depth)
-        child_counts.extend(int(c) for c in counts)
         nxt = []
-        for v, c in zip(level, counts):
+        for v, c in zip(level, counts_per_level(level)):
             for _ in range(int(c)):
-                w = len(parents)
-                parents.append(v)
+                w = len(depths)
+                edges.append((v, w))
                 depths.append(depth + 1)
                 nxt.append(w)
         level = nxt
-    child_counts.extend(0 for _ in level)  # boundary vertices, not generated
-    n = len(parents)
-    edges = [(parents[v], v) for v in range(1, n)]
+    n = len(depths)
     labels = uniform_labels(rng, n)
-    depths = np.asarray(depths, dtype=np.int64)
-    nb = RootedNeighborhood(n, edges, labels, r, depths)
-    boundary = depths == r
-    return TruncatedTree(
-        nb,
-        np.asarray(parents, dtype=np.int64),
-        np.asarray(child_counts, dtype=np.int64),
-        boundary,
-        kind,
-        params,
-    )
+    return RootedNeighborhood(n, edges, labels, r, np.asarray(depths, dtype=np.int64))
 
 
-def sample_regular_tree(d: int, r: int, seed) -> TruncatedTree:
+def sample_regular_tree(d: int, r: int, seed) -> RootedNeighborhood:
     """Rooted d-regular tree to depth r: the root has d children, every other
     internal vertex d-1. Structure is deterministic; labels are random."""
     if d < 2:
@@ -442,13 +378,13 @@ def sample_regular_tree(d: int, r: int, seed) -> TruncatedTree:
         raise ValueError("need r >= 0")
     rng = np.random.default_rng(seed)
 
-    def counts(level, depth):
+    def counts(level):
         return [d if v == 0 else d - 1 for v in level]
 
-    return _build_tree(counts, r, rng, "regular", {"d": d})
+    return _build_tree(counts, r, rng)
 
 
-def sample_pgw_tree(lam: float, r: int, seed) -> TruncatedTree:
+def sample_pgw_tree(lam: float, r: int, seed) -> RootedNeighborhood:
     """Galton-Watson tree with Poisson(lam) offspring, generated to depth r."""
     if lam <= 0:
         raise ValueError("need lam > 0")
@@ -456,10 +392,10 @@ def sample_pgw_tree(lam: float, r: int, seed) -> TruncatedTree:
         raise ValueError("need r >= 0")
     rng = np.random.default_rng(seed)
 
-    def counts(level, depth):
+    def counts(level):
         return rng.poisson(lam, size=len(level)) if level else []
 
-    return _build_tree(counts, r, rng, "pgw", {"lambda": lam})
+    return _build_tree(counts, r, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import DensityEstimate, Factor, estimate_tree_density
-from .graphs import RegularTreeHost, TruncatedTree, sample_pgw_tree
+from .graphs import RegularTreeHost, RootedNeighborhood, sample_pgw_tree
 from .parallel import mean_stderr, run_trials
 from .rng import CHILD_TAG, LABEL_TAG, fold, trial_state
 
@@ -34,24 +34,18 @@ from .rng import CHILD_TAG, LABEL_TAG, fold, trial_state
 # ---------------------------------------------------------------------------
 # Stage 1: edge removal
 # ---------------------------------------------------------------------------
+#
+# Trees are RootedNeighborhoods with BFS vertex ids, so edge w-1 joins
+# parent(w) to w and the edge between neighbours v and w has id max(v, w) - 1.
+# A vertex's degree inside the generated window is len(adj[v]); boundary
+# vertices (depth == radius) have unknown true degree.
 
 
-def _incident_edges(tree: TruncatedTree, v: int, children: list) -> list:
-    """(edge_id, other_endpoint) pairs; edge id w-1 joins parents[w] to w."""
-    out = [(w - 1, w) for w in children]
-    if v != 0:
-        out.append((v - 1, int(tree.parents[v])))
-    return out
+def _edge_id(v: int, w: int) -> int:
+    return max(v, w) - 1
 
 
-def _children_of(tree: TruncatedTree) -> list:
-    kids = [[] for _ in range(tree.n)]
-    for w in range(1, tree.n):
-        kids[int(tree.parents[w])].append(w)
-    return kids
-
-
-def edge_removal_stage(tree: TruncatedTree, x_labels: np.ndarray, d: int) -> np.ndarray:
+def edge_removal_stage(tree: RootedNeighborhood, x_labels: np.ndarray, d: int) -> np.ndarray:
     """Boolean mask over tree edges: removed iff marked by either endpoint.
 
     A vertex of known degree exceeding d marks the edges to the degree-d
@@ -61,34 +55,28 @@ def edge_removal_stage(tree: TruncatedTree, x_labels: np.ndarray, d: int) -> np.
     """
     x_labels = np.asarray(x_labels, dtype=np.uint64)
     marks = np.zeros(max(tree.n - 1, 0), dtype=bool)
-    kids = _children_of(tree)
-    for v in range(tree.n):
-        if tree.boundary[v]:
+    interior = tree.depths < tree.radius
+    for v in np.flatnonzero(interior):
+        v = int(v)
+        nbrs = tree.adj[v]
+        excess = len(nbrs) - d
+        if excess <= 0:
             continue
-        deg = tree.degree(v)
-        if deg <= d:
-            continue
-        incident = _incident_edges(tree, v, kids[v])
-        ranked = sorted(
-            incident, key=lambda ew: (int(x_labels[ew[1]]), ew[1]), reverse=True
-        )
-        for eid, _ in ranked[: deg - d]:
-            marks[eid] = True
+        ranked = sorted(nbrs, key=lambda w: (int(x_labels[w]), w), reverse=True)
+        for w in ranked[:excess]:
+            marks[_edge_id(v, w)] = True
     # post: surviving degree <= d wherever the degree is known
-    surv = _surviving_degrees(tree, marks, kids)
-    interior = ~tree.boundary
-    if np.any(surv[interior] > d):
+    if np.any(_surviving_degrees(tree, marks)[interior] > d):
         raise AssertionError("edge removal left an interior vertex above degree d")
     return marks
 
 
-def _surviving_degrees(tree: TruncatedTree, removed: np.ndarray, kids=None) -> np.ndarray:
-    kids = kids if kids is not None else _children_of(tree)
-    deg = np.zeros(tree.n, dtype=np.int64)
-    for w in range(1, tree.n):
-        if not removed[w - 1]:
-            deg[w] += 1
-            deg[int(tree.parents[w])] += 1
+def _surviving_degrees(tree: RootedNeighborhood, removed: np.ndarray) -> np.ndarray:
+    deg = np.array([len(nbrs) for nbrs in tree.adj], dtype=np.int64)
+    for eid in np.flatnonzero(removed):
+        u, w = tree.edges[eid]
+        deg[u] -= 1
+        deg[w] -= 1
     return deg
 
 
@@ -119,23 +107,20 @@ class FilledForest:
     actually reaches.
     """
 
-    def __init__(self, tree: TruncatedTree, removed: np.ndarray, d: int, y_state: int):
+    def __init__(self, tree: RootedNeighborhood, removed: np.ndarray, d: int, y_state: int):
         self.tree = tree
         self.removed = np.asarray(removed, dtype=bool)
         self.d = d
         self.y_state = y_state
-        kids = _children_of(tree)
-        adj = [[] for _ in range(tree.n)]
-        for w in range(1, tree.n):
-            if not self.removed[w - 1]:
-                adj[w].append(int(tree.parents[w]))
-                adj[int(tree.parents[w])].append(w)
-        self.surviving_adj = adj
+        cut = set(np.flatnonzero(self.removed).tolist())
+        self.surviving_adj = [
+            [w for w in nbrs if _edge_id(v, w) not in cut]
+            for v, nbrs in enumerate(tree.adj)
+        ]
         self.deficiency = np.array(
-            [d - len(adj[v]) for v in range(tree.n)], dtype=np.int64
+            [d - len(nbrs) for nbrs in self.surviving_adj], dtype=np.int64
         )
-        interior = ~tree.boundary
-        if np.any(self.deficiency[interior] < 0):
+        if np.any(self.deficiency[tree.depths < tree.radius] < 0):
             raise AssertionError("cannot fill: an interior vertex exceeds degree d")
 
     def _label(self, handle) -> int:
@@ -146,37 +131,34 @@ class FilledForest:
     def _attach_root(self, v: int, slot: int) -> _AttachNode:
         return _AttachNode(fold(fold(fold(self.y_state, 0xA77), v), slot), v)
 
-    def ball_view(self, center: int, radius: int) -> "_BallView":
-        """Materialise the radius-ball around an original vertex.
+    def ball_view(self, center: int, radius: int) -> RootedNeighborhood:
+        """Materialise the radius-ball around an original vertex, with vertex
+        ids in BFS order.
 
         Interior vertices of the ball are checked to have degree exactly d.
         """
-        adj = {}
-        labels = {}
-        depth = {center: 0}
-        order = {center: 0}
-        queue = [center]
-        qi = 0
-        while qi < len(queue):
-            h = queue[qi]
-            qi += 1
-            labels[h] = self._label(h)
-            if depth[h] == radius:
-                adj.setdefault(h, [])
+        handles = [center]
+        depths = [0]
+        edges = []
+        seen = {center}
+        for i, h in enumerate(handles):
+            if depths[i] == radius:
                 continue
             nbrs = self._neighbors(h)
-            adj[h] = nbrs
-            for w in nbrs:
-                if w not in depth:
-                    depth[w] = depth[h] + 1
-                    order[w] = len(order)
-                    queue.append(w)
-        for h in queue:
-            if depth[h] < radius and len(adj[h]) != self.d:
+            if len(nbrs) != self.d:
                 raise AssertionError(
-                    f"filled forest not {self.d}-regular at depth {depth[h]}"
+                    f"filled forest not {self.d}-regular at depth {depths[i]}"
                 )
-        return _BallView(center, adj, labels, order, radius)
+            for w in nbrs:
+                if w not in seen:
+                    seen.add(w)
+                    edges.append((i, len(handles)))
+                    handles.append(w)
+                    depths.append(depths[i] + 1)
+        labels = np.array([self._label(h) for h in handles], dtype=np.uint64)
+        return RootedNeighborhood(
+            len(handles), edges, labels, radius, np.asarray(depths, dtype=np.int64)
+        )
 
     def _neighbors(self, handle) -> list:
         if isinstance(handle, _AttachNode):
@@ -189,30 +171,9 @@ class FilledForest:
         attach = [self._attach_root(v, s) for s in range(int(self.deficiency[v]))]
         return list(self.surviving_adj[v]) + attach
 
-class _BallView:
-    """Rooted-view adapter over a materialised filled-forest ball."""
-
-    __slots__ = ("root", "_adj", "_labels", "_order", "radius")
-
-    def __init__(self, root, adj, labels, order, radius):
-        self.root = root
-        self._adj = adj
-        self._labels = labels
-        self._order = order
-        self.radius = radius
-
-    def neighbors(self, h):
-        return self._adj[h]
-
-    def label(self, h):
-        return self._labels[h]
-
-    def order_key(self, h):
-        return self._order[h]
-
 
 def filling_out_stage(
-    tree: TruncatedTree, removed: np.ndarray, d: int, y_state: int
+    tree: RootedNeighborhood, removed: np.ndarray, d: int, y_state: int
 ) -> FilledForest:
     """Attach pendant (d-1)-ary trees until every vertex has degree d and
     relabel with fresh labels derived from y_state."""
@@ -228,7 +189,7 @@ def filling_out_stage(
 class TransferTrace:
     """One realisation of the three-stage construction."""
 
-    tree: TruncatedTree
+    tree: RootedNeighborhood
     removed: np.ndarray
     forest: FilledForest
     iprime_root: int
@@ -236,8 +197,8 @@ class TransferTrace:
     event_ok: bool  # root and all its neighbours have degree <= d
 
 
-def _root_incident_removed(tree: TruncatedTree, removed: np.ndarray) -> bool:
-    return any(removed[w - 1] for w in range(1, tree.n) if tree.parents[w] == 0)
+def _incident_removed(tree: RootedNeighborhood, removed: np.ndarray, v: int) -> bool:
+    return any(removed[_edge_id(v, w)] for w in tree.adj[v])
 
 
 def inclusion_stage(f: Factor, forest: FilledForest) -> tuple:
@@ -245,7 +206,7 @@ def inclusion_stage(f: Factor, forest: FilledForest) -> tuple:
     final bit of J at the root)."""
     view = forest.ball_view(0, f.radius)
     iprime = int(f.rule(view))
-    j = iprime and not _root_incident_removed(forest.tree, forest.removed)
+    j = iprime and not _incident_removed(forest.tree, forest.removed, 0)
     return iprime, int(j)
 
 
@@ -258,12 +219,7 @@ def j_bit_at(f: Factor, forest: FilledForest, v: int) -> int:
     view = forest.ball_view(v, f.radius)
     if not f.rule(view):
         return 0
-    tree = forest.tree
-    kids = [w for w in range(1, tree.n) if tree.parents[w] == v]
-    incident = [w - 1 for w in kids]
-    if v != 0:
-        incident.append(v - 1)
-    return 0 if any(forest.removed[e] for e in incident) else 1
+    return 0 if _incident_removed(forest.tree, forest.removed, v) else 1
 
 
 def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:
@@ -277,10 +233,7 @@ def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:
     removed = edge_removal_stage(tree, tree.labels, d)
     forest = filling_out_stage(tree, removed, d, fold(state, 2))
     iprime, j = inclusion_stage(f, forest)
-    root_kids = [w for w in range(1, tree.n) if tree.parents[w] == 0]
-    event_ok = tree.degree(0) <= d and all(
-        tree.degree(w) <= d for w in root_kids
-    )
+    event_ok = all(len(tree.adj[w]) <= d for w in [0] + tree.adj[0])
     return TransferTrace(tree, removed, forest, iprime, j, event_ok)
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from localis.cli import main
 from localis.io import load_manifest
 
@@ -58,6 +60,33 @@ def test_density_usage_error(tmp_path):
     code = run(["density", "--factor", "lw", "--host", "regular-tree",
                 "--d", "3", "--trials", "10", "--out", out])
     assert code == 2  # lw requires --lw-p and --lw-k
+
+
+def test_invalid_values_are_usage_errors(tmp_path):
+    out = str(tmp_path / "x.csv")
+    for args in (
+        ["density", "--host", "regular-tree", "--d", "3", "--trials", "0"],
+        ["density", "--host", "regular-tree", "--d", "1", "--trials", "5"],
+        ["density", "--host", "er", "--n", "5", "--lam", "10", "--trials", "5"],
+        ["density", "--factor", "lw", "--lw-p", "2", "--lw-k", "3",
+         "--host", "regular-tree", "--d", "3", "--trials", "5"],
+        ["stability", "--host", "regular-tree", "--d", "3", "--k", "0",
+         "--p", "0.5", "--trials", "5"],
+        ["scan-p", "--host", "regular-tree", "--d", "3", "--grid", "0,x"],
+    ):
+        assert run(args + ["--out", out]) == 2, args
+
+
+def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
+    import localis.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("internal defect")
+
+    monkeypatch.setattr(cli, "estimate_tree_density", broken)
+    with pytest.raises(TypeError, match="internal defect"):
+        run(["density", "--host", "regular-tree", "--d", "3", "--trials", "5",
+             "--out", str(tmp_path / "x.csv")])
 
 
 # ---------------------------------------------------------------------------

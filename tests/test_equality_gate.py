@@ -1,0 +1,86 @@
+"""Equality gate: pinned commands must keep writing the same bytes.
+
+Each command is small (well under a second) and covers one host path: the
+PGW transfer for threshold and LW, graph-host density and projection, the
+configuration-model and Erdos-Renyi couplings (stability and scan-p), and
+lazy-tree LW density.  The sha256 digests were recorded before the rooted
+views and the graph-host coupling bodies were merged; a refactor that moves
+any random stream or changes any output byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from localis.cli import main
+
+GOLDEN = {
+    "transfer_threshold": (
+        ["pgw-transfer", "--factor", "threshold", "--lam", "20", "--d", "28",
+         "--trials", "300", "--seed", "3"],
+        "520fd45c9800872b095f3067bbe88657ddd7fba886a38bc5b50740aa7acf7266",
+    ),
+    "transfer_lw": (
+        ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
+         "--lam", "4", "--d", "6", "--trials", "200", "--seed", "4"],
+        "b9fca9ac13fa0e908cace33e7f99a6608bf68c5272be672e6f1fe6053f3d5d7f",
+    ),
+    "density_config_threshold": (
+        ["density", "--factor", "threshold", "--host", "config-model",
+         "--n", "300", "--d", "3", "--trials", "10", "--seed", "5"],
+        "e0332e87576fb2ab3a532a05a09a7eca6b768e83b68623e65a03560d52308b51",
+    ),
+    "density_er_threshold": (
+        ["density", "--factor", "threshold", "--host", "er",
+         "--n", "300", "--lam", "3", "--trials", "10", "--seed", "6"],
+        "122c535c33908e2b6bc25d22ca2fd445d1c30119978bb87d13185b8d7132eea6",
+    ),
+    "density_config_lw": (
+        ["density", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
+         "--host", "config-model", "--n", "2000", "--d", "3",
+         "--trials", "3", "--seed", "7"],
+        "0c5e834e11e6472259177908ab3213b85e9033653aef9fec7bdd0222993c71b4",
+    ),
+    "stability_er": (
+        ["stability", "--factor", "threshold", "--host", "er", "--n", "100",
+         "--lam", "2", "--k", "2", "--p", "0.5", "--trials", "80",
+         "--inner-trials", "10", "--seed", "8"],
+        "575eaa9b8dada31b295e51e24e0dae1e020e72cf1801d07d1e9735a1a64923a1",
+    ),
+    "stability_config": (
+        ["stability", "--factor", "threshold", "--host", "config-model",
+         "--n", "100", "--d", "3", "--k", "2", "--p", "0.5", "--trials", "80",
+         "--inner-trials", "10", "--seed", "9"],
+        "07751cf0c667e4e247f6d680fba7ac71befe89b26fb70780e9992dd139aacbfe",
+    ),
+    "scan_config": (
+        ["scan-p", "--factor", "threshold", "--host", "config-model",
+         "--n", "60", "--d", "3", "--k", "2", "--grid", "0,0.5,1",
+         "--trials", "40", "--inner-trials", "6", "--seed", "10"],
+        "ffc82be77ca49758d706399ac1da25fbe774a1449b414460105454648634ef80",
+    ),
+    "scan_er": (
+        ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60",
+         "--lam", "2", "--k", "2", "--grid", "0,0.5,1",
+         "--trials", "40", "--inner-trials", "6", "--seed", "11"],
+        "c0f388bfe9db45d36af226407809c5f589a8b040e9ad6c203b2ecb9f43f2ef04",
+    ),
+    "density_tree_lw": (
+        ["density", "--factor", "lw", "--lw-p", "0.1", "--lw-k", "8",
+         "--host", "regular-tree", "--d", "3", "--trials", "500", "--seed", "12"],
+        "d1ba41fa91d7b0e38bca54ab3d9b4f37462cc9c9ce9fa892cbf641903a87f5ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pinned_command_output_bytes(tmp_path, name):
+    argv, digest = GOLDEN[name]
+    assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    outputs = sorted(
+        p for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")
+    )
+    h = hashlib.sha256()
+    for path in outputs:
+        h.update(path.read_bytes())
+    assert h.hexdigest() == digest, [p.name for p in outputs]

@@ -128,9 +128,9 @@ def test_lw_matches_round_simulation():
         f = lauer_wormald(p, k)
         kind = trial % 3
         if kind == 0:
-            nb = sample_regular_tree(3, k + 1, int(rng.integers(1 << 30))).nb
+            nb = sample_regular_tree(3, k + 1, int(rng.integers(1 << 30)))
         elif kind == 1:
-            nb = sample_pgw_tree(2.0, k + 1, int(rng.integers(1 << 30))).nb
+            nb = sample_pgw_tree(2.0, k + 1, int(rng.integers(1 << 30)))
         else:
             g = sample_config_model(8, 3, int(rng.integers(1 << 30)))
             nb = neighborhood(g, 0, k + 1, uniform_labels(rng, 8))
@@ -175,7 +175,7 @@ def test_id_permutation_invariance():
     f = lauer_wormald(0.3, 2)
     for _ in range(50):
         t = sample_regular_tree(3, 3, int(rng.integers(1 << 30)))
-        bit = apply_factor(f, t.nb)
+        bit = apply_factor(f, t)
         perm = np.concatenate([[0], 1 + rng.permutation(t.n - 1)])
         edges = sorted(
             (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in t.edges
@@ -185,6 +185,23 @@ def test_id_permutation_invariance():
         g = MultiGraph(t.n, edges)
         nb2 = neighborhood(g, 0, 3, labels)
         assert apply_factor(f, nb2) == bit
+
+
+def _alter_beyond(g, labels, root, r, rng):
+    """(g, labels) changed only beyond distance r of root: fresh labels at
+    distance > r, a loop at each such vertex, and a pendant vertex on every
+    vertex at distance exactly r."""
+    ball = neighborhood(g, root, g.n, labels)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[ball.source_vertices] = ball.depths
+    far = np.flatnonzero((dist > r) | (dist < 0))
+    rim = np.flatnonzero(dist == r)
+    labels2 = np.asarray(labels, dtype=np.uint64).copy()
+    labels2[far] = uniform_labels(rng, far.size)
+    edges = list(g.edges) + [(int(u), int(u)) for u in far]
+    edges += [(int(u), g.n + i) for i, u in enumerate(rim)]
+    labels2 = np.concatenate([labels2, uniform_labels(rng, rim.size)])
+    return MultiGraph(g.n + rim.size, sorted(edges)), labels2
 
 
 def test_locality_labels_beyond_radius():
@@ -197,8 +214,27 @@ def test_locality_labels_beyond_radius():
         far = np.flatnonzero(t.depths == 4)
         labels = t.labels.copy()
         labels[far] = uniform_labels(rng, far.size)
-        nb2 = t.nb.with_labels(labels)
+        nb2 = t.with_labels(labels)
         assert apply_factor(f, nb2) == bit
+    # nor structure: a ball generated deeper than r, with other labels and
+    # edges beyond r, gives the bit of the same ball extracted at exactly r
+    for f in (threshold_factor(), lauer_wormald(0.3, 2)):
+        r = f.radius
+        for host in ("regular", "pgw", "config"):
+            for _ in range(10):
+                seed = int(rng.integers(1 << 30))
+                if host == "config":
+                    g = sample_config_model(40, 3, seed)
+                    labels = uniform_labels(rng, g.n)
+                else:
+                    sample = sample_regular_tree if host == "regular" else sample_pgw_tree
+                    t = sample(3, r + 2, seed)
+                    g, labels = MultiGraph(t.n, t.edges), t.labels
+                g2, labels2 = _alter_beyond(g, labels, 0, r, rng)
+                deep = neighborhood(g2, 0, r + 2, labels2)
+                exact = neighborhood(g, 0, r, labels)
+                assert deep.radius > f.radius == exact.radius
+                assert apply_factor(f, deep) == apply_factor(f, exact), (host, f.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -120,19 +120,20 @@ def test_regular_tree_counts():
     assert sample_regular_tree(3, 2, 0).n == 10  # 1 + 3 + 6
     assert sample_regular_tree(4, 3, 0).n == 53  # 1 + 4 + 12 + 36
     t = sample_regular_tree(3, 2, 0)
-    assert t.degree(0) == 3
-    assert all(t.degree(v) == 3 for v in range(t.n) if not t.boundary[v])
+    assert len(t.adj[0]) == 3
+    assert all(len(t.adj[v]) == 3 for v in range(t.n) if t.depths[v] < t.radius)
+    assert all(len(t.adj[v]) == 1 for v in range(t.n) if t.depths[v] == t.radius)
 
 
 def test_pgw_root_boundary():
     t = sample_pgw_tree(2.0, 0, 0)
-    assert t.n == 1 and bool(t.boundary[0])
+    assert t.n == 1 and t.depths[0] == t.radius
 
 
 def test_pgw_root_degree_mean():
     trials = 100_000
     rng = np.random.default_rng(11)
-    degs = np.array([sample_pgw_tree(2.0, 1, rng).child_counts[0] for _ in range(trials)])
+    degs = np.array([len(sample_pgw_tree(2.0, 1, rng).adj[0]) for _ in range(trials)])
     se = math.sqrt(2.0 / trials)  # Poisson variance = lam
     assert_within_sigma(degs.mean(), 2.0, se, context="pgw mean root degree")
 
@@ -141,7 +142,7 @@ def test_pgw_childless_probability():
     trials = 100_000
     rng = np.random.default_rng(13)
     zero = np.array(
-        [sample_pgw_tree(1.0, 3, rng).child_counts[0] == 0 for _ in range(trials)]
+        [len(sample_pgw_tree(1.0, 3, rng).adj[0]) == 0 for _ in range(trials)]
     )
     target = math.exp(-1.0)
     assert_within_sigma(
@@ -153,7 +154,7 @@ def test_pgw_offspring_chi_square():
     # offspring distribution matches Poisson(2) by chi-square at the 1% level
     lam, trials = 2.0, 100_000
     rng = np.random.default_rng(17)
-    degs = np.array([sample_pgw_tree(lam, 1, rng).child_counts[0] for _ in range(trials)])
+    degs = np.array([len(sample_pgw_tree(lam, 1, rng).adj[0]) for _ in range(trials)])
     cap = 9  # bins 0..8 plus the merged tail, all expected counts >= 5
     observed = np.bincount(np.minimum(degs, cap), minlength=cap + 1)
     pmf = np.array([math.exp(-lam) * lam**j / math.factorial(j) for j in range(cap)])
@@ -165,7 +166,7 @@ def test_pgw_offspring_chi_square():
 def test_tree_determinism():
     a = sample_pgw_tree(2.5, 3, 999)
     b = sample_pgw_tree(2.5, 3, 999)
-    assert a.nb.to_json() == b.nb.to_json()
+    assert a.to_json() == b.to_json()
 
 
 # ---------------------------------------------------------------------------

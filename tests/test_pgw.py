@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from localis.factors import constant_factor, threshold_factor
-from localis.graphs import (
-    RootedNeighborhood,
-    TruncatedTree,
-    sample_pgw_tree,
-    sample_regular_tree,
-)
+from localis.graphs import RootedNeighborhood, sample_pgw_tree, sample_regular_tree
 from localis.pgw_transfer import (
     edge_removal_stage,
     event_E_lower_bound,
@@ -28,19 +23,15 @@ from conftest import assert_within_sigma, binomial_se
 
 
 def make_tree(parents, labels, radius):
-    parents = np.asarray(parents, dtype=np.int64)
+    # BFS-ordered parents: edge w-1 joins parents[w] to w
     n = len(parents)
     depths = np.zeros(n, dtype=np.int64)
     for v in range(1, n):
         depths[v] = depths[parents[v]] + 1
-    child_counts = np.zeros(n, dtype=np.int64)
-    for v in range(1, n):
-        child_counts[parents[v]] += 1
-    edges = [(int(parents[v]), v) for v in range(1, n)]
-    nb = RootedNeighborhood(
+    edges = [(parents[v], v) for v in range(1, n)]
+    return RootedNeighborhood(
         n, edges, np.asarray(labels, dtype=np.uint64), radius, depths
     )
-    return TruncatedTree(nb, parents, child_counts, depths == radius, "pgw", {})
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +84,8 @@ def test_removal_caps_degrees():
         for w in range(1, t.n):
             if not removed[w - 1]:
                 surv[w] += 1
-                surv[int(t.parents[w])] += 1
-        assert np.all(surv[~t.boundary] <= 4)
+                surv[t.edges[w - 1][0]] += 1
+        assert np.all(surv[t.depths < t.radius] <= 4)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +96,10 @@ def test_removal_caps_degrees():
 def test_fill_regular_tree_unchanged():
     t = sample_regular_tree(3, 2, 3)
     forest = filling_out_stage(t, np.zeros(t.n - 1, dtype=bool), 3, 12345)
-    assert np.all(forest.deficiency[~t.boundary] == 0)
+    assert np.all(forest.deficiency[t.depths < t.radius] == 0)
     view = forest.ball_view(0, 2)
-    assert len(view._adj) == t.n  # same ball as the original tree
+    assert view.n == t.n  # same ball as the original tree
+    assert view.edges == t.edges
 
 
 def test_fill_isolated_root_matches_regular_counts():
@@ -118,7 +110,7 @@ def test_fill_isolated_root_matches_regular_counts():
     for r in (1, 2, 3):
         view = forest.ball_view(0, r)
         expected = sample_regular_tree(3, r, 0).n
-        assert len(view._labels) == expected
+        assert view.n == expected
 
 
 def test_fill_components_independent():
@@ -126,8 +118,10 @@ def test_fill_components_independent():
     t = make_tree([-1, 0], [5, 9], radius=1)
     forest = filling_out_stage(t, np.array([True]), 3, 7)
     view = forest.ball_view(0, 1)
-    assert 1 not in view._adj[0]  # the removed edge never reappears
-    assert len(view._adj[0]) == 3
+    label_1 = forest.ball_view(1, 0).label(0)
+    # the removed edge never reappears: vertex 1 is not a neighbour of the root
+    assert label_1 not in [view.label(w) for w in view.neighbors(0)]
+    assert len(view.neighbors(0)) == 3
 
 
 def test_fill_labels_fresh():
@@ -135,7 +129,7 @@ def test_fill_labels_fresh():
     forest = filling_out_stage(t, np.zeros(t.n - 1, dtype=bool), 3, 11)
     view = forest.ball_view(0, 2)
     original = set(int(x) for x in t.labels)
-    assert all(int(lbl) not in original for lbl in view._labels.values())
+    assert all(int(lbl) not in original for lbl in view.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +155,7 @@ def test_inclusion_root_incident_removal_forces_zero():
     for _ in range(200):
         trace = transfer_trace(f, 6.0, 3, int(rng.integers(1 << 30)))
         assert trace.iprime_root == 1
-        root_removed = any(
-            trace.removed[w - 1]
-            for w in range(1, trace.tree.n)
-            if trace.tree.parents[w] == 0
-        )
+        root_removed = any(trace.removed[w - 1] for w in trace.tree.adj[0])
         assert trace.j_root == (0 if root_removed else 1)
         seen_removed = seen_removed or root_removed
     assert seen_removed
@@ -202,7 +192,7 @@ def test_j_independent_within_window():
             if tree.depths[v] <= window
         }
         for w in range(1, tree.n):
-            u = int(tree.parents[w])
+            u = tree.edges[w - 1][0]
             if w in bits and u in bits and bits[w] and bits[u]:
                 adjacent_in_j += 1
     assert adjacent_in_j == 0
