@@ -231,12 +231,14 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
     return out
 
 
-def _coupled_graph_rows(cfg: CouplingConfig, host_type, copy_streams) -> np.ndarray:
-    """Per-trial rows [rho(T) for all T..., non-tree vertex fraction of g].
+def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
+    """(IntersectionEstimate, ProfileSamples, per-trial rows) on a graph host.
 
     Per trial: sample g, X0, S and fresh labels; on the Erdos-Renyi host,
     build per-copy graphs whose induced subgraphs on S are resampled; project
     every copy (vertices with a non-tree (radius+1)-neighbourhood map to 0).
+    A row is [rho(T) for all T..., non-tree vertex fraction of copy 1's graph,
+    which is g itself on the configuration model].
     """
     host = cfg.host
     if not isinstance(host, host_type):
@@ -266,13 +268,10 @@ def _coupled_graph_rows(cfg: CouplingConfig, host_type, copy_streams) -> np.ndar
         row = _profile_row(copy_bits, n, k)
         return np.concatenate([row, [1.0 - oks[0].mean()]])
 
-    return run_trials(one, cfg.trials, cfg.workers)
-
-
-def _graph_estimates(cfg: CouplingConfig, rows: np.ndarray) -> tuple:
-    profiles = ProfileSamples(cfg.k, rows[:, : 1 << cfg.k])
-    prefix = rows[:, [(1 << i) - 1 for i in range(1, cfg.k + 1)]]
-    return _prefix_estimate(cfg, prefix), profiles
+    rows = run_trials(one, cfg.trials, cfg.workers)
+    profiles = ProfileSamples(k, rows[:, : 1 << k])
+    prefix = rows[:, [(1 << i) - 1 for i in range(1, k + 1)]]
+    return _prefix_estimate(cfg, prefix), profiles, rows
 
 
 def coupled_graph_intersections(cfg: CouplingConfig, copy_streams=None):
@@ -281,8 +280,8 @@ def coupled_graph_intersections(cfg: CouplingConfig, copy_streams=None):
 
     Returns (IntersectionEstimate, ProfileSamples, mean non-tree fraction).
     """
-    rows = _coupled_graph_rows(cfg, ConfigModelHost, copy_streams)
-    return (*_graph_estimates(cfg, rows), float(rows[:, -1].mean()))
+    est, profiles, rows = _coupled_graph(cfg, ConfigModelHost, copy_streams)
+    return est, profiles, float(rows[:, -1].mean())
 
 
 def coupled_er_intersections(cfg: CouplingConfig, copy_streams=None):
@@ -291,8 +290,7 @@ def coupled_er_intersections(cfg: CouplingConfig, copy_streams=None):
 
     Returns (IntersectionEstimate, ProfileSamples).
     """
-    rows = _coupled_graph_rows(cfg, ErdosRenyiHost, copy_streams)
-    return _graph_estimates(cfg, rows)
+    return _coupled_graph(cfg, ErdosRenyiHost, copy_streams)[:2]
 
 
 # ---------------------------------------------------------------------------
