@@ -212,23 +212,33 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
     re-drawn independently per copy with probability lam/n, so each copy is
     again Erdos-Renyi(n, lam/n) marginally.
     """
+    copy = _er_resampler(g, S, lam)
+    base = trial_state(seed, 0x5E5A)
+    return [copy(fold(base, i)) for i in range(k)]
+
+
+def _er_resampler(g: MultiGraph, S, lam: float):
+    """copy(state) -> g with the pairs inside SxS redrawn from `state`.
+
+    The sorted S, the edges of g kept by every copy and the SxS pair list
+    depend only on (g, S), so they are built once here, not once per copy.
+    """
     n = g.n
     S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
     in_s = np.zeros(n, dtype=bool)
     in_s[S] = True
+    in_s = in_s.tolist()
     kept = [(u, v) for u, v in g.edges if not (in_s[u] and in_s[v])]
-    out = []
-    base = trial_state(seed, 0x5E5A)
-    m = S.size
-    iu, iv = np.triu_indices(m, k=1) if m >= 2 else (np.array([], int), np.array([], int))
-    for i in range(k):
-        rng = state_rng(fold(base, i))
-        mask = rng.random(iu.size) < lam / n
-        fresh = [(int(S[a]), int(S[b])) for a, b in zip(iu[mask], iv[mask])]
-        out.append(
-            MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam})
-        )
-    return out
+    iu, iv = np.triu_indices(S.size, k=1)
+    su, sv = S[iu], S[iv]
+    q = lam / n
+
+    def copy(state: int) -> MultiGraph:
+        mask = state_rng(state).random(su.size) < q
+        fresh = list(zip(su[mask].tolist(), sv[mask].tolist()))
+        return MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam})
+
+    return copy
 
 
 def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
@@ -378,14 +388,14 @@ def _stability_trial_fn(cfg: CouplingConfig):
             root = int(rng.integers(host.n))
             if not _graph_root_bit(f, g, root, x0):
                 return [0.0, -1.0]
+            resample = _er_resampler(g, S, host.lam) if er else None
             cnt = 0
             for j in range(1, cfg.inner_trials + 1):
                 fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), host.n)
                 labels = np.where(in_s, fresh, x0)
-                if er:
-                    gj = er_resample_graphs(g, S, host.lam, 1, fold(st, 0x2000 + j))[0]
-                else:
-                    gj = g
+                gj = g
+                if er:  # copy 0 of er_resample_graphs(g, S, lam, 1, fold(st, 0x2000 + j))
+                    gj = resample(fold(trial_state(fold(st, 0x2000 + j), 0x5E5A), 0))
                 cnt += _graph_root_bit(f, gj, root, labels)
             return [1.0, float(cnt)]
 

@@ -126,12 +126,6 @@ class MultiGraph:
         return json.dumps(payload, sort_keys=True)
 
 
-def multigraph_from_json(text: str) -> MultiGraph:
-    data = json.loads(text)
-    edges = [tuple(e) for e in data["edges"]]
-    return MultiGraph(data["n"], edges, data["model"], data.get("params", {}))
-
-
 def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     """Uniformly random pairing of the n*d half-edges, glued into edges.
 
@@ -154,10 +148,9 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     perm = rng.permutation(n * d)
     pairs = np.sort(perm.reshape(-1, 2), axis=1)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    edges = sorted(
-        (min(int(a) // d, int(b) // d), max(int(a) // d, int(b) // d))
-        for a, b in pairs
-    )
+    lo, hi = pairs[:, 0] // d, pairs[:, 1] // d  # rows are sorted: lo <= hi
+    order = np.lexsort((hi, lo))
+    edges = list(zip(lo[order].tolist(), hi[order].tolist()))
     return MultiGraph(n, edges, model="config", params={"d": d}, d=d, pairing=pairs)
 
 
@@ -437,6 +430,7 @@ class LazyTree:
             raise TypeError(f"unsupported tree host: {host!r}")
         self.radius = radius
         self.root = _LazyNode(state, 0, None)
+        self.coupled = None  # per-node values of coupled copies, see TreeLabels
 
     def _offspring_count(self, node: _LazyNode) -> int:
         if self.kind == "regular":
@@ -469,14 +463,24 @@ class TreeLabels:
     percolated set S (density p, a fixed function of the tree's node states)
     and keeps the base labels elsewhere.  All copies over one tree share S
     and X0, which realises the coupled family of label vectors.
+
+    A coupled family reads the same nodes once per copy, so copies >= 1
+    memoise each node's copy-independent values (the percolation draw, the
+    base state and the X0 label) in a dict on the tree, made when the first
+    coupled view is; a later copy then folds once per node in S and not at
+    all elsewhere.  Copy 0 is read once per tree (single-copy density, the
+    LW rule), so it stores nothing and computes its labels directly.
     """
 
-    __slots__ = ("tree", "copy", "cut")
+    __slots__ = ("tree", "copy", "cut", "memo")
 
     def __init__(self, tree: LazyTree, copy: int = 0, p: float = 0.0):
         self.tree = tree
         self.copy = copy
         self.cut = percolation_cut(p)
+        if copy and tree.coupled is None:
+            tree.coupled = {}
+        self.memo = tree.coupled if copy else None
 
     @property
     def root(self):
@@ -489,14 +493,18 @@ class TreeLabels:
     def neighbors(self, node) -> list:
         return self.tree.neighbors(node)
 
-    def in_resample_set(self, node) -> bool:
-        return fold(node.state, PERC_TAG) < self.cut
-
     def label(self, node) -> int:
-        base = fold(node.state, LABEL_TAG)
-        if self.copy and self.in_resample_set(node):
+        memo = self.memo
+        if memo is None:
+            return fold(fold(node.state, LABEL_TAG), 0)
+        values = memo.get(node)
+        if values is None:
+            base = fold(node.state, LABEL_TAG)
+            values = memo[node] = (fold(node.state, PERC_TAG), base, fold(base, 0))
+        perc, base, x0 = values
+        if perc < self.cut:
             return fold(base, self.copy)
-        return fold(base, 0)
+        return x0
 
     def order_key(self, node) -> int:
         return node.state

@@ -4,6 +4,11 @@ Every sampler in the package consumes 64-bit states that are pure functions
 of (seed, trial, position).  Results are therefore reproducible bit-for-bit,
 and trials can be generated independently, in any order, across processes.
 
+`fold` caches the mix of its integer tag in a bounded LRU table (1024
+entries): the hot loops fold a few constant tags (label, percolation, copy
+ids) millions of times, while trial indices pass through once each and
+must not grow the table without bound.
+
 Labels are 64-bit unsigned integers interpreted as dyadic rationals in
 [0, 1).  Comparisons between labels break the (probability ~2^-64) ties with
 a secondary vertex key, so the effective label order is always total.
@@ -11,6 +16,7 @@ a secondary vertex key, so the effective label order is always total.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +30,8 @@ PERC_TAG = 0x02
 OFFSPRING_TAG = 0x03
 CHILD_TAG = 0x100
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer, a bijective 64-bit mixer."""
@@ -33,9 +41,14 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=1024)
+def _tag_mix(data: int) -> int:
+    return mix64(data + GOLDEN)
+
+
 def fold(state: int, data: int) -> int:
     """Derive a child state from a state and an integer tag."""
-    return mix64((state ^ mix64((data + GOLDEN) & MASK64)) & MASK64)
+    return mix64(state ^ _tag_mix(data))
 
 
 def trial_state(seed: int, trial: int) -> int:
@@ -54,7 +67,11 @@ def uniform_labels(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def label_unit(label):
-    """Map 64-bit labels (scalar or array) to dyadic rationals in [0, 1)."""
+    """Map 64-bit labels (scalar or array) to floats in [0, 1].
+
+    The conversion rounds to 53 bits, so the top 2^10 labels
+    (>= 2^64 - 2^10) map to 1.0; every other label maps below 1.
+    """
     if isinstance(label, np.ndarray):
         return label.astype(np.float64) * 2.0**-64
     return int(label) * 2.0**-64
@@ -71,7 +88,9 @@ def first_success_round(label: int, p: float) -> int:
     """Index >= 1 of the first success in a Bernoulli(p) round sequence.
 
     The round is a deterministic function of the single 64-bit label via the
-    geometric inverse CDF, so P(round = i) = (1-p)^(i-1) * p exactly.
+    geometric inverse CDF, so P(round = i) = (1-p)^(i-1) * p exactly.  The
+    top 2^10 labels, whose unit value rounds to 1.0, take the round of the
+    largest float below 1.
     """
     if p >= 1.0:
         return 1
@@ -80,6 +99,8 @@ def first_success_round(label: int, p: float) -> int:
     u = label * 2.0**-64
     if u < p:
         return 1
+    if u == 1.0:
+        u = _BELOW_ONE
     return 1 + int(math.log1p(-u) / math.log1p(-p))
 
 

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localis.coupling import (
     ConditioningError,
     CouplingConfig,
+    _er_resampler,
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
@@ -19,10 +22,12 @@ from localis.factors import constant_factor, estimate_tree_density, threshold_fa
 from localis.graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
+    MultiGraph,
     RegularTreeHost,
     sample_er,
 )
 from localis.profiles import binom_sum
+from localis.rng import fold, state_rng, trial_state
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -153,6 +158,42 @@ def test_er_resample_p0_identity():
     assert copies[1].edges == g.edges
 
 
+def _er_resample_per_copy(g, S, lam, k, seed) -> list:
+    """er_resample_graphs as first written: S, the kept edges and the SxS
+    pairs rebuilt on every call."""
+    n = g.n
+    S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
+    in_s = np.zeros(n, dtype=bool)
+    in_s[S] = True
+    kept = [(u, v) for u, v in g.edges if not (in_s[u] and in_s[v])]
+    out = []
+    base = trial_state(seed, 0x5E5A)
+    m = S.size
+    iu, iv = np.triu_indices(m, k=1) if m >= 2 else (np.array([], int), np.array([], int))
+    for i in range(k):
+        rng = state_rng(fold(base, i))
+        mask = rng.random(iu.size) < lam / n
+        fresh = [(int(S[a]), int(S[b])) for a, b in zip(iu[mask], iv[mask])]
+        out.append(MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam}))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    size=st.sampled_from([0, 1, 2, 7, 40]),
+    seed=st.integers(min_value=0, max_value=1 << 32),
+)
+def test_er_resampler_matches_the_per_copy_rebuild(size, seed):
+    n, lam = 40, 3.0
+    g = sample_er(n, lam, seed)
+    S = np.random.default_rng(seed).permutation(n)[:size]  # unsorted on purpose
+    want = _er_resample_per_copy(g, S, lam, 3, seed + 1)
+    got = er_resample_graphs(g, S, lam, 3, seed + 1)
+    assert [c.edges for c in got] == [c.edges for c in want]
+    assert _er_resampler(g, S, lam)(fold(trial_state(seed + 1, 0x5E5A), 0)).edges == want[0].edges
+    assert all(type(x) is int for c in got for e in c.edges for x in e)
+
+
 def test_er_resample_full_independence():
     # S = [n], k = 2: presence of a fixed pair across copies is uncorrelated
     n, lam, trials = 30, 3.0, 10_000
@@ -276,6 +317,17 @@ def test_stability_workers_deterministic():
     cfg8.workers = 4
     b = estimate_stability(cfg8)
     assert a.moments == b.moments
+
+
+@pytest.mark.parametrize("host", [ErdosRenyiHost(100, 2.0), ConfigModelHost(100, 3)])
+def test_stability_workers_deterministic_on_graph_hosts(host):
+    cfg = CouplingConfig(p=0.5, k=3, factor=F, host=host, trials=40, inner_trials=10,
+                         seed=31)
+    a = estimate_stability(cfg)
+    b = estimate_stability(replace(cfg, workers=2))
+    assert a.accepted == b.accepted > 0
+    assert a.moments == b.moments
+    assert np.array_equal(a.q_values, b.q_values)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Each command is small (well under a second) and covers one host path: the
 PGW transfer for threshold and LW, graph-host density and projection, the
-configuration-model and Erdos-Renyi couplings (stability and scan-p), and
-lazy-tree LW density.  The sha256 digests were recorded before the rooted
-views and the graph-host coupling bodies were merged; a refactor that moves
-any random stream or changes any output byte fails here.
+configuration-model and Erdos-Renyi couplings (stability and scan-p), the
+tree-host couplings (stability on T3, scan-p on PGW(3)) and lazy-tree LW
+density.  The first ten sha256 digests were recorded before the rooted views
+and the graph-host coupling bodies were merged, the two tree-host ones
+before the lazy-tree labels were memoised; a refactor that moves any random
+stream or changes any output byte fails here.
 """
 
 import hashlib
@@ -64,6 +66,18 @@ GOLDEN = {
          "--lam", "2", "--k", "2", "--grid", "0,0.5,1",
          "--trials", "40", "--inner-trials", "6", "--seed", "11"],
         "c0f388bfe9db45d36af226407809c5f589a8b040e9ad6c203b2ecb9f43f2ef04",
+    ),
+    "stability_tree": (
+        ["stability", "--factor", "threshold", "--host", "regular-tree",
+         "--d", "3", "--k", "3", "--p", "0.5", "--trials", "300",
+         "--inner-trials", "60", "--seed", "13"],
+        "552f6d8151f1d0253bb14401d6130ade5bc828387cf7e5311e1acc948fd1486a",
+    ),
+    "scan_pgw": (
+        ["scan-p", "--factor", "threshold", "--host", "pgw", "--lam", "3",
+         "--k", "3", "--grid", "0,0.5,1", "--trials", "200",
+         "--inner-trials", "30", "--seed", "14"],
+        "ea848649c2d8a4ab962f5baba32f6103abc53f3e3cd55d3b324ef02e15bf269a",
     ),
     "density_tree_lw": (
         ["density", "--factor", "lw", "--lw-p", "0.1", "--lw-k", "8",

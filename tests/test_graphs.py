@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from localis.graphs import (
+    LazyTree,
     MultiGraph,
+    PGWTreeHost,
+    RegularTreeHost,
+    TreeLabels,
     count_non_tree_vertices,
     neighborhood,
     sample_config_model,
@@ -13,6 +18,8 @@ from localis.graphs import (
     sample_pgw_tree,
     sample_regular_tree,
 )
+
+from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -54,6 +61,39 @@ def test_config_determinism():
     b = sample_config_model(20, 3, 12345)
     assert a.to_json() == b.to_json()
     assert np.array_equal(a.pairing, b.pairing)
+
+
+def _config_edges_generator(pairs: np.ndarray, d: int) -> list:
+    """Configuration-model edges as first built: one Python tuple per pair."""
+    return sorted(
+        (min(int(a) // d, int(b) // d), max(int(a) // d, int(b) // d))
+        for a, b in pairs
+    )
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=1 << 32),
+)
+def test_config_edges_match_the_generator(n, d, seed):
+    if n * d % 2:
+        n += 1
+    g = sample_config_model(n, d, seed)
+    assert g.edges == _config_edges_generator(g.pairing, d)
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
+def test_config_edges_match_the_generator_with_loops_and_multi_edges():
+    loops = multi = 0
+    for n, d in ((1, 2), (2, 1), (2, 3), (3, 2), (4, 3), (6, 1), (5, 4)):
+        for seed in range(40):
+            g = sample_config_model(n, d, seed)
+            assert g.edges == _config_edges_generator(g.pairing, d)
+            loops += any(u == v for u, v in g.edges)
+            multi += len(set(g.edges)) < len(g.edges)
+    assert loops and multi
 
 
 def test_config_pairing_uniform():
@@ -167,6 +207,52 @@ def test_tree_determinism():
     a = sample_pgw_tree(2.5, 3, 999)
     b = sample_pgw_tree(2.5, 3, 999)
     assert a.to_json() == b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Lazy-tree labels
+# ---------------------------------------------------------------------------
+
+
+def _walk(tree: LazyTree, depth: int) -> list:
+    nodes, frontier = [tree.root], [tree.root]
+    for _ in range(depth):
+        frontier = [w for v in frontier for w in tree.children(v)]
+        nodes += frontier
+    return nodes
+
+
+def _coupled_label(node, copy: int, p: float) -> int:
+    base = fold(node.state, LABEL_TAG)
+    in_s = fold(node.state, PERC_TAG) < percolation_cut(p)
+    return fold(base, copy if in_s else 0)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("host", [RegularTreeHost(3), PGWTreeHost(2.0)])
+@settings(deadline=None)
+@given(
+    state=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    copies=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8),
+)
+def test_tree_labels_match_the_formula_in_any_read_order(host, p, state, copies):
+    # copies are read in the drawn order and then reversed, repeats included,
+    # so copy 0 is read before, after and between coupled copies
+    tree = LazyTree(host, 2, state)
+    nodes = _walk(tree, 2)
+    for c in copies + copies[::-1]:
+        view = TreeLabels(tree, copy=c, p=p)
+        assert [view.label(v) for v in nodes] == [_coupled_label(v, c, p) for v in nodes]
+
+
+def test_tree_labels_copy_zero_stores_nothing():
+    tree = LazyTree(RegularTreeHost(3), 3, 12345)
+    view = TreeLabels(tree, p=0.5)
+    for v in _walk(tree, 3):
+        view.label(v)
+    assert tree.coupled is None
+    TreeLabels(tree, copy=2, p=0.5).label(tree.root)
+    assert list(tree.coupled) == [tree.root]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from localis.rng import (
+    GOLDEN,
     MASK64,
     first_success_round,
     fold,
@@ -38,6 +40,27 @@ def test_fold_and_trial_state_spread():
     assert fold(1, 2) != fold(2, 1)
 
 
+def _fold_formula(state: int, data: int) -> int:
+    """fold as first written: both mixes recomputed on every call."""
+    return mix64((state ^ mix64((data + GOLDEN) & MASK64)) & MASK64)
+
+
+@settings(deadline=None)
+@given(
+    state=st.integers(min_value=0, max_value=1 << 70),
+    data=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+)
+def test_fold_matches_uncached_formula(state, data):
+    assert fold(state, data) == _fold_formula(state, data)
+    assert fold(state, data) == _fold_formula(state, data)  # a cached tag mix
+
+
+def test_fold_matches_formula_at_edges():
+    for state in (0, 1, MASK64, 1 << 64, (1 << 64) + 5, 1 << 100):
+        for data in (0, 1, -1, -GOLDEN, MASK64 - GOLDEN + 1, MASK64, 1 << 64, 1 << 80):
+            assert fold(state, data) == _fold_formula(state, data)
+
+
 def test_label_unit_range():
     rng = np.random.default_rng(0)
     labels = uniform_labels(rng, 1000)
@@ -63,6 +86,23 @@ def test_first_success_round_law():
             float((rounds == i).mean()), target, binomial_se(target, n),
             context=f"geometric pmf at {i}",
         )
+
+
+def test_first_success_round_at_the_top_labels():
+    # the top 2^10 labels have unit value 1.0; they take the round of the
+    # largest float below 1, and every lower label keeps its own round
+    p = 0.3
+    below_one = math.nextafter(1.0, 0.0)
+    top = 1 + int(math.log1p(-below_one) / math.log1p(-p))
+    assert first_success_round(MASK64, p) == top
+    assert first_success_round((1 << 64) - (1 << 10), p) == top
+    label = MASK64 - 1024
+    u = label * 2.0**-64
+    assert u < 1.0
+    assert first_success_round(label, p) == 1 + int(math.log1p(-u) / math.log1p(-p))
+    assert first_success_round(label, p) <= top
+    assert label_unit(MASK64) == 1.0
+    assert label_unit(MASK64 - 1024) < 1.0
 
 
 def test_poisson_from_unit_moments():
