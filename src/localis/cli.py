@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,14 +29,7 @@ from .factors import (
     factor_spec,
     project_to_graph,
 )
-from .graphs import (
-    ConfigModelHost,
-    ErdosRenyiHost,
-    PGWTreeHost,
-    RegularTreeHost,
-    sample_config_model,
-    sample_er,
-)
+from .graphs import HOSTS, ConfigModelHost, sample_config_model, sample_er
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
 from .parallel import mean_stderr, run_trials
 from .profiles import (
@@ -100,34 +94,19 @@ def _build_factor(params: dict):
 
 
 def _build_host(params: dict):
-    host = params["host"]
-    if host == "regular-tree":
-        if params.get("d") is None:
-            raise UsageError("host 'regular-tree' requires --d")
-        return _checked(RegularTreeHost, params["d"])
-    if host == "pgw":
-        if params.get("lam") is None:
-            raise UsageError("host 'pgw' requires --lam")
-        return _checked(PGWTreeHost, params["lam"])
-    if host == "config-model":
-        if params.get("n") is None or params.get("d") is None:
-            raise UsageError("host 'config-model' requires --n and --d")
-        return _checked(ConfigModelHost, params["n"], params["d"])
-    if host == "er":
-        if params.get("n") is None or params.get("lam") is None:
-            raise UsageError("host 'er' requires --n and --lam")
-        return _checked(ErdosRenyiHost, params["n"], params["lam"])
-    raise UsageError(f"unknown host: {host!r}")
+    name = params["host"]
+    cls = HOSTS.get(name)
+    if cls is None:
+        raise UsageError(f"unknown host: {name!r}")
+    keys = [f.name for f in fields(cls)]
+    if any(params.get(key) is None for key in keys):
+        flags = " and ".join(f"--{key}" for key in keys)
+        raise UsageError(f"host {name!r} requires {flags}")
+    return _checked(cls, *(params[key] for key in keys))
 
 
 def _host_columns(host):
-    if isinstance(host, RegularTreeHost):
-        return "regular-tree", host.d, 0
-    if isinstance(host, PGWTreeHost):
-        return "pgw", host.lam, 0
-    if isinstance(host, ConfigModelHost):
-        return "config-model", host.d, host.n
-    return "er", host.lam, host.n
+    return host.name, host.degree, getattr(host, "n", 0)
 
 
 def _emit(params: dict, path: str, header: list, rows: list) -> str:
@@ -148,7 +127,7 @@ def cmd_density(params: dict):
     factor = _build_factor(params)
     host = _build_host(params)
     trials, seed, workers = params["trials"], params["seed"], params["workers"]
-    if isinstance(host, (RegularTreeHost, PGWTreeHost)):
+    if host.tree:
         est = estimate_tree_density(factor, host, trials, seed, workers)
         mean, stderr = est.mean, est.stderr
     else:
@@ -196,6 +175,13 @@ def cmd_scan_p(params: dict):
     if not grid or any(not 0.0 <= p <= 1.0 for p in grid):
         raise UsageError("grid must be a comma list of values in [0, 1]")
     cfg = _coupling_config(params, grid[0])
+    degree = cfg.host.degree
+    if degree == 0 or (degree == 1 and cfg.k >= 2):
+        # host_scale takes log(degree); alpha divides by it, 0 at degree 1
+        raise UsageError(
+            f"scan-p needs a mean degree above 0, and other than 1 when "
+            f"--k >= 2; got {degree:g} with --k {cfg.k}"
+        )
     result = scan_p(cfg, grid)
     hostname, d_or_lam, n = _host_columns(cfg.host)
     inter_rows, stab_rows, binom_rows = [], [], []
@@ -391,9 +377,7 @@ def _add_factor(sp):
 
 
 def _add_host(sp):
-    sp.add_argument("--host",
-                    choices=["regular-tree", "pgw", "config-model", "er"],
-                    default="regular-tree")
+    sp.add_argument("--host", choices=list(HOSTS), default="regular-tree")
     sp.add_argument("--d", type=int)
     sp.add_argument("--lam", type=float)
     sp.add_argument("--n", type=int)

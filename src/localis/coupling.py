@@ -22,8 +22,6 @@ from .graphs import (
     ErdosRenyiHost,
     LazyTree,
     MultiGraph,
-    PGWTreeHost,
-    RegularTreeHost,
     TreeLabels,
     ball_is_tree,
     non_tree_ball_mask,
@@ -31,8 +29,8 @@ from .graphs import (
     sample_er,
 )
 from .parallel import mean_stderr, run_trials
-from .profiles import DensityProfile, binom_sum
-from .rng import fold, percolation_cut, state_rng, trial_state, uniform_labels
+from .profiles import binom_sum
+from .rng import fold, state_rng, trial_state, uniform_labels
 
 
 class ConditioningError(RuntimeError):
@@ -63,11 +61,7 @@ class CouplingConfig:
 
 def host_scale(host) -> float:
     """Normalisation (log d)/d resp. (log lam)/lam used for alpha values."""
-    if isinstance(host, (RegularTreeHost, ConfigModelHost)):
-        return math.log(host.d) / host.d
-    if isinstance(host, (PGWTreeHost, ErdosRenyiHost)):
-        return math.log(host.lam) / host.lam
-    raise TypeError(f"unsupported host: {host!r}")
+    return math.log(host.degree) / host.degree
 
 
 @dataclass
@@ -104,12 +98,6 @@ class ProfileSamples:
     k: int
     rows: np.ndarray  # (trials, 2^k)
 
-    def mean_profile(self) -> DensityProfile:
-        return DensityProfile(self.k, self.rows.mean(axis=0))
-
-    def subset_mean(self, mask: int) -> tuple:
-        return mean_stderr(self.rows[:, mask])
-
 
 @dataclass
 class StabilityEstimate:
@@ -126,22 +114,9 @@ class StabilityEstimate:
         return self.moments[m]
 
 
-def percolate(n: int, p: float, seed) -> np.ndarray:
-    """Bernoulli-p subset of range(n); returns the sorted selected ids."""
-    percolation_cut(p)  # validates p
-    rng = np.random.default_rng(seed)
-    return np.flatnonzero(rng.random(n) < p)
-
-
 # ---------------------------------------------------------------------------
 # Tree host
 # ---------------------------------------------------------------------------
-
-
-def _tree_host(host):
-    if isinstance(host, (RegularTreeHost, PGWTreeHost)):
-        return host
-    raise TypeError(f"expected a tree host, got {host!r}")
 
 
 def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> IntersectionEstimate:
@@ -150,9 +125,10 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
     Per trial: sample a tree at the factor's radius, draw X0 and the subset S
     once, evaluate the root bit of every copy, and record the running prefix
     products.  copy_streams permutes which fresh-label stream each copy uses
-    (an exchangeability knob; the default is 1..k).
+    (an exchangeability knob; the default is 1..k).  LazyTree raises
+    TypeError on a graph host.
     """
-    host = _tree_host(cfg.host)
+    host = cfg.host
     f = cfg.factor
     streams = _copy_streams(cfg.k, copy_streams)
 
@@ -361,7 +337,7 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
 def _stability_trial_fn(cfg: CouplingConfig):
     f = cfg.factor
     host = cfg.host
-    if isinstance(host, (RegularTreeHost, PGWTreeHost)):
+    if host.tree:
 
         def one(t: int):
             tree = LazyTree(host, f.radius, trial_state(cfg.seed, t))
@@ -375,33 +351,30 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return one
 
-    if isinstance(host, (ConfigModelHost, ErdosRenyiHost)):
-        er = isinstance(host, ErdosRenyiHost)
+    er = isinstance(host, ErdosRenyiHost)
 
-        def one(t: int):
-            st = trial_state(cfg.seed, t)
-            g = _sample_graph(host, fold(st, 1))
-            rng = state_rng(fold(st, 2))
-            x0 = uniform_labels(rng, host.n)
-            in_s = rng.random(host.n) < cfg.p
-            S = np.flatnonzero(in_s)
-            root = int(rng.integers(host.n))
-            if not _graph_root_bit(f, g, root, x0):
-                return [0.0, -1.0]
-            resample = _er_resampler(g, S, host.lam) if er else None
-            cnt = 0
-            for j in range(1, cfg.inner_trials + 1):
-                fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), host.n)
-                labels = np.where(in_s, fresh, x0)
-                gj = g
-                if er:  # copy 0 of er_resample_graphs(g, S, lam, 1, fold(st, 0x2000 + j))
-                    gj = resample(fold(trial_state(fold(st, 0x2000 + j), 0x5E5A), 0))
-                cnt += _graph_root_bit(f, gj, root, labels)
-            return [1.0, float(cnt)]
+    def one(t: int):
+        st = trial_state(cfg.seed, t)
+        g = _sample_graph(host, fold(st, 1))
+        rng = state_rng(fold(st, 2))
+        x0 = uniform_labels(rng, host.n)
+        in_s = rng.random(host.n) < cfg.p
+        S = np.flatnonzero(in_s)
+        root = int(rng.integers(host.n))
+        if not _graph_root_bit(f, g, root, x0):
+            return [0.0, -1.0]
+        resample = _er_resampler(g, S, host.lam) if er else None
+        cnt = 0
+        for j in range(1, cfg.inner_trials + 1):
+            fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), host.n)
+            labels = np.where(in_s, fresh, x0)
+            gj = g
+            if er:  # copy 0 of er_resample_graphs(g, S, lam, 1, fold(st, 0x2000 + j))
+                gj = resample(fold(trial_state(fold(st, 0x2000 + j), 0x5E5A), 0))
+            cnt += _graph_root_bit(f, gj, root, labels)
+        return [1.0, float(cnt)]
 
-        return one
-
-    raise TypeError(f"unsupported host: {host!r}")
+    return one
 
 
 def _graph_root_bit(f: Factor, g: MultiGraph, root: int, labels: np.ndarray) -> int:
@@ -418,13 +391,11 @@ def _graph_root_bit(f: Factor, g: MultiGraph, root: int, labels: np.ndarray) -> 
 
 def run_intersections(cfg: CouplingConfig, copy_streams=None) -> IntersectionEstimate:
     """Dispatch the coupled-intersection estimator by host kind."""
-    if isinstance(cfg.host, (RegularTreeHost, PGWTreeHost)):
+    if cfg.host.tree:
         return coupled_tree_intersections(cfg, copy_streams)
-    if isinstance(cfg.host, ConfigModelHost):
-        return coupled_graph_intersections(cfg, copy_streams)[0]
     if isinstance(cfg.host, ErdosRenyiHost):
         return coupled_er_intersections(cfg, copy_streams)[0]
-    raise TypeError(f"unsupported host: {cfg.host!r}")
+    return coupled_graph_intersections(cfg, copy_streams)[0]
 
 
 @dataclass

@@ -28,8 +28,6 @@ import numpy as np
 from .graphs import (
     LazyTree,
     MultiGraph,
-    PGWTreeHost,
-    RegularTreeHost,
     TreeLabels,
     neighborhood,
     non_tree_ball_mask,
@@ -266,13 +264,12 @@ def estimate_tree_density(
     sampled trees with fresh labels.
 
     Args:
-        host: RegularTreeHost(d) or PGWTreeHost(lam); trees are generated at
-            radius exactly f.radius (the rule never reads beyond it).
+        host: RegularTreeHost(d) or PGWTreeHost(lam) (LazyTree raises
+            TypeError on any other host); trees are generated at radius
+            exactly f.radius (the rule never reads beyond it).
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if not isinstance(host, (RegularTreeHost, PGWTreeHost)):
-        raise TypeError(f"unsupported host: {host!r}")
 
     def one(t: int):
         tree = LazyTree(host, f.radius, trial_state(seed, t))

@@ -5,6 +5,13 @@ truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
 rooted neighbourhoods and the non-tree-neighbourhood count used by the
 tree-to-graph projection.
 
+A host descriptor (RegularTreeHost, PGWTreeHost, ConfigModelHost,
+ErdosRenyiHost; HOSTS maps names to classes) carries what the rest of the
+package asks of a host: `name` (the CLI name), `tree` (whether runs sample
+lazy trees or finite graphs), `degree` (d or lam, with its own type) and,
+on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
+tree node.
+
 All samplers are pure functions of (seed, parameters): identical inputs
 produce byte-identical structures under serialisation.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .rng import (
     LABEL_TAG,
     OFFSPRING_TAG,
     PERC_TAG,
+    POISSON_LAM_MAX,
     fold,
     label_unit,
     percolation_cut,
@@ -38,25 +47,47 @@ from .rng import (
 @dataclass(frozen=True)
 class RegularTreeHost:
     d: int
+    name: ClassVar[str] = "regular-tree"
+    tree: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"regular tree host needs d >= 2, got {self.d}")
 
+    @property
+    def degree(self) -> int:
+        return self.d
+
+    def offspring(self, depth: int, state: int) -> int:
+        return self.d if depth == 0 else self.d - 1
+
 
 @dataclass(frozen=True)
 class PGWTreeHost:
     lam: float
+    name: ClassVar[str] = "pgw"
+    tree: ClassVar[bool] = True
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"PGW host needs lam > 0, got {self.lam}")
+        if not 0 < self.lam <= POISSON_LAM_MAX:
+            raise ValueError(
+                f"PGW host needs 0 < lam <= {POISSON_LAM_MAX:g}, got {self.lam}"
+            )
+
+    @property
+    def degree(self) -> float:
+        return self.lam
+
+    def offspring(self, depth: int, state: int) -> int:
+        return poisson_from_unit(label_unit(fold(state, OFFSPRING_TAG)), self.lam)
 
 
 @dataclass(frozen=True)
 class ConfigModelHost:
     n: int
     d: int
+    name: ClassVar[str] = "config-model"
+    tree: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or (self.n * self.d) % 2:
@@ -65,11 +96,17 @@ class ConfigModelHost:
                 f"got n={self.n}, d={self.d}"
             )
 
+    @property
+    def degree(self) -> int:
+        return self.d
+
 
 @dataclass(frozen=True)
 class ErdosRenyiHost:
     n: int
     lam: float
+    name: ClassVar[str] = "er"
+    tree: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.n < 1 or not 0.0 <= self.lam <= self.n:
@@ -77,6 +114,16 @@ class ErdosRenyiHost:
                 f"Erdos-Renyi host needs n >= 1 and 0 <= lam <= n; "
                 f"got n={self.n}, lam={self.lam}"
             )
+
+    @property
+    def degree(self) -> float:
+        return self.lam
+
+
+HOSTS = {
+    host.name: host
+    for host in (RegularTreeHost, PGWTreeHost, ConfigModelHost, ErdosRenyiHost)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +465,12 @@ class LazyTree:
     """
 
     def __init__(self, host, radius: int, state: int):
-        if isinstance(host, RegularTreeHost):
-            self.kind = "regular"
-            self.d = host.d
-            self.lam = None
-        elif isinstance(host, PGWTreeHost):
-            self.kind = "pgw"
-            self.d = None
-            self.lam = host.lam
-        else:
+        if not host.tree:
             raise TypeError(f"unsupported tree host: {host!r}")
+        self.offspring = host.offspring
         self.radius = radius
         self.root = _LazyNode(state, 0, None)
         self.coupled = None  # per-node values of coupled copies, see TreeLabels
-
-    def _offspring_count(self, node: _LazyNode) -> int:
-        if self.kind == "regular":
-            return self.d if node.depth == 0 else self.d - 1
-        u = label_unit(fold(node.state, OFFSPRING_TAG))
-        return poisson_from_unit(u, self.lam)
 
     def children(self, node: _LazyNode) -> list:
         if node.children is None:
@@ -445,7 +479,7 @@ class LazyTree:
             else:
                 node.children = [
                     _LazyNode(fold(node.state, CHILD_TAG + j), node.depth + 1, node)
-                    for j in range(self._offspring_count(node))
+                    for j in range(self.offspring(node.depth, node.state))
                 ]
         return node.children
 

@@ -55,29 +55,26 @@ def edge_removal_stage(tree: RootedNeighborhood, x_labels: np.ndarray, d: int) -
     """
     x_labels = np.asarray(x_labels, dtype=np.uint64)
     marks = np.zeros(max(tree.n - 1, 0), dtype=bool)
-    interior = tree.depths < tree.radius
-    for v in np.flatnonzero(interior):
-        v = int(v)
+    above = []  # interior vertices whose degree exceeds d
+    for v in np.flatnonzero(tree.depths < tree.radius).tolist():
         nbrs = tree.adj[v]
         excess = len(nbrs) - d
         if excess <= 0:
             continue
+        above.append(v)
         ranked = sorted(nbrs, key=lambda w: (int(x_labels[w]), w), reverse=True)
         for w in ranked[:excess]:
             marks[_edge_id(v, w)] = True
-    # post: surviving degree <= d wherever the degree is known
-    if np.any(_surviving_degrees(tree, marks)[interior] > d):
+    # post: surviving degree <= d wherever the degree is known; removal only
+    # lowers degrees, so only the vertices that started above d can fail it
+    if any(len(_surviving(tree, marks, v)) > d for v in above):
         raise AssertionError("edge removal left an interior vertex above degree d")
     return marks
 
 
-def _surviving_degrees(tree: RootedNeighborhood, removed: np.ndarray) -> np.ndarray:
-    deg = np.array([len(nbrs) for nbrs in tree.adj], dtype=np.int64)
-    for eid in np.flatnonzero(removed):
-        u, w = tree.edges[eid]
-        deg[u] -= 1
-        deg[w] -= 1
-    return deg
+def _surviving(tree: RootedNeighborhood, removed: np.ndarray, v: int) -> list:
+    """Neighbours of v whose edge to v was not removed, in tree.adj order."""
+    return [w for w in tree.adj[v] if not removed[_edge_id(v, w)]]
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +100,9 @@ class FilledForest:
     vertex reaches degree d.  All labels (original vertices and attachments)
     are fresh, independent of the removal-stage labels.
 
-    Attachments are generated lazily, only to the depth a requested ball
-    actually reaches.
+    Surviving neighbours and attachments are derived lazily, only for the
+    vertices a requested ball actually reaches; ball_view checks the degree
+    of every vertex it expands.
     """
 
     def __init__(self, tree: RootedNeighborhood, removed: np.ndarray, d: int, y_state: int):
@@ -112,16 +110,6 @@ class FilledForest:
         self.removed = np.asarray(removed, dtype=bool)
         self.d = d
         self.y_state = y_state
-        cut = set(np.flatnonzero(self.removed).tolist())
-        self.surviving_adj = [
-            [w for w in nbrs if _edge_id(v, w) not in cut]
-            for v, nbrs in enumerate(tree.adj)
-        ]
-        self.deficiency = np.array(
-            [d - len(nbrs) for nbrs in self.surviving_adj], dtype=np.int64
-        )
-        if np.any(self.deficiency[tree.depths < tree.radius] < 0):
-            raise AssertionError("cannot fill: an interior vertex exceeds degree d")
 
     def _label(self, handle) -> int:
         if isinstance(handle, _AttachNode):
@@ -168,8 +156,8 @@ class FilledForest:
             ]
             return [handle.parent] + kids
         v = int(handle)
-        attach = [self._attach_root(v, s) for s in range(int(self.deficiency[v]))]
-        return list(self.surviving_adj[v]) + attach
+        kept = _surviving(self.tree, self.removed, v)
+        return kept + [self._attach_root(v, s) for s in range(self.d - len(kept))]
 
 
 def filling_out_stage(

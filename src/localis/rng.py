@@ -30,6 +30,9 @@ PERC_TAG = 0x02
 OFFSPRING_TAG = 0x03
 CHILD_TAG = 0x100
 
+# largest lam poisson_from_unit accepts, keeping e^-lam far from underflow
+POISSON_LAM_MAX = 600.0
+
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
@@ -107,11 +110,13 @@ def first_success_round(label: int, p: float) -> int:
 def poisson_from_unit(u: float, lam: float) -> int:
     """Poisson(lam) sample from one uniform in [0, 1) via inverse CDF.
 
-    Exact up to float accumulation; intended for lam up to a few hundred
+    Exact up to float accumulation; lam must not exceed POISSON_LAM_MAX
     (e^-lam must not underflow).
     """
-    if lam > 600.0:
-        raise ValueError("inverse-CDF Poisson sampling supports lam <= 600")
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(
+            f"inverse-CDF Poisson sampling supports lam <= {POISSON_LAM_MAX:g}"
+        )
     pmf = math.exp(-lam)
     cdf = pmf
     j = 0

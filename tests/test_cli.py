@@ -1,10 +1,15 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from localis import cli
 from localis.cli import main
+from localis.coupling import host_scale
+from localis.graphs import HOSTS, ErdosRenyiHost, PGWTreeHost
 from localis.io import load_manifest
+from localis.rng import POISSON_LAM_MAX
 
 
 def run(args):
@@ -87,6 +92,99 @@ def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="internal defect"):
         run(["density", "--host", "regular-tree", "--d", "3", "--trials", "5",
              "--out", str(tmp_path / "x.csv")])
+
+
+# ---------------------------------------------------------------------------
+# hosts
+# ---------------------------------------------------------------------------
+
+# The host table as cli spelled it out per host before the host classes
+# carried their own name and degree: (cli name, flags, the class's field
+# values, the missing-flag message, host columns, host scale).
+HOST_TABLE = [
+    ("regular-tree", ["--d", "3"], (3,), "host 'regular-tree' requires --d",
+     ("regular-tree", 3, 0), math.log(3) / 3),
+    ("pgw", ["--lam", "2.5"], (2.5,), "host 'pgw' requires --lam",
+     ("pgw", 2.5, 0), math.log(2.5) / 2.5),
+    ("config-model", ["--n", "10", "--d", "3"], (10, 3),
+     "host 'config-model' requires --n and --d",
+     ("config-model", 3, 10), math.log(3) / 3),
+    ("er", ["--n", "10", "--lam", "2.5"], (10, 2.5), "host 'er' requires --n and --lam",
+     ("er", 2.5, 10), math.log(2.5) / 2.5),
+]
+
+
+def _host_params(name, flags):
+    params = {"host": name, "d": None, "lam": None, "n": None}
+    for flag, value in zip(flags[::2], flags[1::2]):
+        params[flag[2:]] = float(value) if flag == "--lam" else int(value)
+    return params
+
+
+def test_every_host_name_builds_its_class():
+    assert sorted(HOSTS) == sorted(row[0] for row in HOST_TABLE)
+    for name, flags, values, _, _, _ in HOST_TABLE:
+        host = cli._build_host(_host_params(name, flags))
+        assert type(host) is HOSTS[name] and host.name == name
+        assert tuple(getattr(host, f.name) for f in dataclasses.fields(host)) == values
+        assert host.tree == (name in ("regular-tree", "pgw"))
+
+
+def test_missing_host_flags_keep_their_messages(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for name, flags, _, message, _, _ in HOST_TABLE:
+        for drop in range(0, len(flags), 2):
+            partial = flags[:drop] + flags[drop + 2:]
+            code = run(["density", "--host", name, *partial, "--trials", "5",
+                        "--out", out])
+            assert code == 2, (name, partial)
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+    with pytest.raises(cli.UsageError, match="unknown host: 'torus'"):
+        cli._build_host({"host": "torus"})
+
+
+def test_host_columns_and_scale_match_the_old_table():
+    for name, flags, _, _, columns, scale in HOST_TABLE:
+        host = cli._build_host(_host_params(name, flags))
+        got = cli._host_columns(host)
+        assert got == columns
+        assert [type(x) for x in got] == [type(x) for x in columns]  # d_or_lam bytes
+        assert host_scale(host) == scale
+    # the degree keeps whatever type the host was built with
+    assert cli._host_columns(ErdosRenyiHost(10, 2)) == ("er", 2, 10)
+    assert type(cli._host_columns(ErdosRenyiHost(10, 2))[1]) is int
+    assert type(cli._host_columns(PGWTreeHost(3))[1]) is int
+
+
+def test_pgw_lam_above_the_poisson_limit_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for args in (
+        ["density", "--host", "pgw", "--lam", "700", "--trials", "5"],
+        ["stability", "--host", "pgw", "--lam", "700", "--p", "0.5",
+         "--trials", "5", "--inner-trials", "2"],
+    ):
+        assert run(args + ["--out", out]) == 2, args
+        assert "lam <= 600" in capsys.readouterr().err
+    assert PGWTreeHost(POISSON_LAM_MAX).lam == 600.0
+    with pytest.raises(ValueError):
+        PGWTreeHost(math.nextafter(POISSON_LAM_MAX, math.inf))
+
+
+def test_scan_p_rejects_degree_zero_and_degree_one_with_k_above_one(tmp_path):
+    out = str(tmp_path / "scan")
+    small = ["--grid", "0,1", "--trials", "20", "--inner-trials", "5", "--out", out]
+    for host in (
+        ["--host", "er", "--n", "20", "--lam", "0"],
+        ["--host", "er", "--n", "20", "--lam", "1", "--k", "2"],
+        ["--host", "config-model", "--n", "20", "--d", "1", "--k", "2"],
+        ["--host", "pgw", "--lam", "1", "--k", "2"],
+    ):
+        assert run(["scan-p", *host, *small]) == 2, host
+    for host in (
+        ["--host", "er", "--n", "20", "--lam", "0.5", "--k", "2"],
+        ["--host", "pgw", "--lam", "1", "--k", "1"],
+    ):
+        assert run(["scan-p", *host, *small]) == 0, host
 
 
 # ---------------------------------------------------------------------------

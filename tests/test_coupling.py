@@ -15,13 +15,13 @@ from localis.coupling import (
     er_resample_graphs,
     estimate_stability,
     find_p_for_moment,
-    percolate,
     scan_p,
 )
 from localis.factors import constant_factor, estimate_tree_density, threshold_factor
 from localis.graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
+    LazyTree,
     MultiGraph,
     RegularTreeHost,
     sample_er,
@@ -38,22 +38,6 @@ T3 = RegularTreeHost(3)
 def tree_cfg(p, k=3, trials=20_000, seed=0, inner=200):
     return CouplingConfig(p=p, k=k, factor=F, host=T3, trials=trials,
                           inner_trials=inner, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# percolate
-# ---------------------------------------------------------------------------
-
-
-def test_percolate_endpoints():
-    assert percolate(100, 0.0, 1).size == 0
-    assert np.array_equal(percolate(100, 1.0, 1), np.arange(100))
-
-
-def test_percolate_binomial():
-    n, p = 100_000, 0.3
-    frac = percolate(n, p, 7).size / n
-    assert_within_sigma(frac, p, binomial_se(p, n), context="percolate")
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +99,16 @@ def test_binom_stats_at_endpoints():
         assert stat >= -1e-9, f"k=2 binomial statistic negative at p={p}"
     est = coupled_tree_intersections(tree_cfg(0.0, k=3, trials=30_000, seed=9))
     assert binom_sum(est.alphas(3)) >= -1e-9
+
+
+@pytest.mark.parametrize("host", [ConfigModelHost(10, 3), ErdosRenyiHost(10, 2.0)])
+def test_tree_paths_reject_graph_hosts(host):
+    with pytest.raises(TypeError):
+        LazyTree(host, 1, 0)
+    with pytest.raises(TypeError):
+        estimate_tree_density(F, host, 5)
+    with pytest.raises(TypeError):
+        coupled_tree_intersections(replace(tree_cfg(0.5, trials=5), host=host))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +210,8 @@ def test_er_resample_marginal_moments():
     counts = np.empty(trials)
     for t in range(trials):
         g = sample_er(n, lam, rng)
-        S = percolate(n, 0.6, int(rng.integers(1 << 30)))
+        in_s = np.random.default_rng(int(rng.integers(1 << 30))).random(n) < 0.6
+        S = np.flatnonzero(in_s)
         counts[t] = len(er_resample_graphs(g, S, lam, 1, int(rng.integers(1 << 30)))[0].edges)
     pairs = n * (n - 1) // 2
     p = lam / n

@@ -6,6 +6,7 @@ import pytest
 from localis.factors import constant_factor, threshold_factor
 from localis.graphs import RootedNeighborhood, sample_pgw_tree, sample_regular_tree
 from localis.pgw_transfer import (
+    FilledForest,
     edge_removal_stage,
     event_E_lower_bound,
     event_E_probability,
@@ -96,10 +97,75 @@ def test_removal_caps_degrees():
 def test_fill_regular_tree_unchanged():
     t = sample_regular_tree(3, 2, 3)
     forest = filling_out_stage(t, np.zeros(t.n - 1, dtype=bool), 3, 12345)
-    assert np.all(forest.deficiency[t.depths < t.radius] == 0)
     view = forest.ball_view(0, 2)
     assert view.n == t.n  # same ball as the original tree
     assert view.edges == t.edges
+
+
+class EagerForest(FilledForest):
+    """Reference: the filled forest built eagerly, with the surviving
+    adjacency and deficiency of every vertex computed up front."""
+
+    def __init__(self, tree, removed, d, y_state):
+        super().__init__(tree, removed, d, y_state)
+        cut = set(np.flatnonzero(self.removed).tolist())
+        self.surviving_adj = [
+            [w for w in nbrs if max(v, w) - 1 not in cut]
+            for v, nbrs in enumerate(tree.adj)
+        ]
+        self.deficiency = np.array(
+            [d - len(nbrs) for nbrs in self.surviving_adj], dtype=np.int64
+        )
+
+    def _neighbors(self, handle):
+        if not isinstance(handle, int):
+            return super()._neighbors(handle)
+        attach = [self._attach_root(handle, s) for s in range(int(self.deficiency[handle]))]
+        return list(self.surviving_adj[handle]) + attach
+
+
+def _assert_same_ball(forest, reference, v, r):
+    got, want = forest.ball_view(v, r), reference.ball_view(v, r)
+    assert (got.n, got.edges, got.radius) == (want.n, want.edges, want.radius)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.depths, want.depths)
+
+
+@pytest.mark.parametrize("lam,d", [(3.0, 4), (6.0, 5)])
+def test_ball_view_matches_the_eager_forest_on_removal_masks(lam, d):
+    rng = np.random.default_rng(31)
+    for _ in range(15):
+        t = sample_pgw_tree(lam, 4, int(rng.integers(1 << 30)))
+        removed = edge_removal_stage(t, t.labels, d)
+        y_state = int(rng.integers(1 << 62))
+        forest = filling_out_stage(t, removed, d, y_state)
+        reference = EagerForest(t, removed, d, y_state)
+        for v in [0] + t.adj[0]:
+            for r in (0, 1, 2):
+                _assert_same_ball(forest, reference, v, r)
+
+
+def test_ball_view_matches_the_eager_forest_on_random_masks():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        t = sample_pgw_tree(4.0, 4, int(rng.integers(1 << 30)))
+        removed = rng.random(t.n - 1) < rng.choice([0.1, 0.5, 0.9])
+        # d at least every surviving degree, so every ball is fillable
+        d = max(2, max(len(nbrs) for nbrs in EagerForest(t, removed, 0, 0).surviving_adj))
+        y_state = int(rng.integers(1 << 62))
+        forest = filling_out_stage(t, removed, d, y_state)
+        reference = EagerForest(t, removed, d, y_state)
+        for v in [0] + t.adj[0]:
+            for r in (0, 1, 2):
+                _assert_same_ball(forest, reference, v, r)
+
+
+def test_fill_rejects_an_interior_vertex_above_d():
+    # a star with 5 children cannot be filled to degree 3 without removals
+    t = make_tree([-1, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 6], radius=1)
+    with pytest.raises(AssertionError):
+        forest = filling_out_stage(t, np.zeros(t.n - 1, dtype=bool), 3, 5)
+        forest.ball_view(0, 1)
 
 
 def test_fill_isolated_root_matches_regular_counts():
