@@ -2,8 +2,10 @@
 
 Subcommands: density, scan-p, stability, bounds, oracle-check, pgw-transfer,
 replay.  Every run writes <out>.manifest.json recording the resolved
-parameters; `localis replay <manifest>` reruns the command and reproduces the
-output files byte-for-byte.
+parameters, plus a `metrics` block (the effective worker count) that, like
+the wall-clock time, is not part of the byte-stable contract;
+`localis replay <manifest>` reruns the command and reproduces the output
+files byte-for-byte.
 
 Exit codes: 0 ok, 2 usage error (argparse errors and invalid parameter
 values), 3 numerical guard (inconsistent profile, unobserved conditioning
@@ -31,7 +33,7 @@ from .factors import (
 )
 from .graphs import HOSTS, ConfigModelHost, sample_config_model, sample_er
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
-from .parallel import mean_stderr, run_trials
+from .parallel import effective_workers, mean_stderr, run_trials
 from .profiles import (
     DensityProfile,
     ProfileError,
@@ -341,9 +343,15 @@ def cmd_replay(params: dict):
     outputs, trials = fn(replay_params)
     write_manifest(
         replay_params["out"], command, replay_params, outputs, __version__,
-        0.0, trials,
+        0.0, trials, _run_metrics(replay_params, trials),
     )
     return outputs, trials
+
+
+def _run_metrics(params: dict, trials) -> dict:
+    """The manifest's `metrics` block: run facts outside the byte-stable
+    contract.  Every run_trials call of a command uses its --trials."""
+    return {"workers_effective": effective_workers(trials or 1, params.get("workers", 1))}
 
 
 COMMANDS = {
@@ -455,7 +463,7 @@ def main(argv=None) -> int:
     if command != "replay":
         write_manifest(
             params["out"], command, params, outputs, __version__,
-            time.time() - started, trials,
+            time.time() - started, trials, _run_metrics(params, trials),
         )
     return 0
 

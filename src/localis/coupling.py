@@ -21,9 +21,13 @@ from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
     LazyTree,
+    LocalGraph,
     MultiGraph,
     TreeLabels,
     ball_is_tree,
+    er_edge_arrays,
+    local_config_model,
+    local_simple_graph,
     non_tree_ball_mask,
     sample_config_model,
     sample_er,
@@ -201,20 +205,49 @@ def _er_resampler(g: MultiGraph, S, lam: float):
     """
     n = g.n
     S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
+    su, sv = _s_pairs(S)
     in_s = np.zeros(n, dtype=bool)
     in_s[S] = True
     in_s = in_s.tolist()
     kept = [(u, v) for u, v in g.edges if not (in_s[u] and in_s[v])]
-    iu, iv = np.triu_indices(S.size, k=1)
-    su, sv = S[iu], S[iv]
     q = lam / n
 
     def copy(state: int) -> MultiGraph:
-        mask = state_rng(state).random(su.size) < q
-        fresh = list(zip(su[mask].tolist(), sv[mask].tolist()))
+        fu, fv = _redraw(state, su, sv, q)
+        fresh = list(zip(fu.tolist(), fv.tolist()))
         return MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam})
 
     return copy
+
+
+def _local_er_resampler(n: int, us, vs, in_s: np.ndarray, lam: float):
+    """copy(state) -> LocalGraph: what _er_resampler's copy(state) builds for
+    the graph with edges (us, vs) and S = the vertices flagged in in_s.
+
+    The kept edges' incidences are built once, lazily, and shared by every
+    copy; a copy adds only its redrawn SxS edges.
+    """
+    inside = in_s[us] & in_s[vs]
+    kept = local_simple_graph(n, us[~inside], vs[~inside])
+    su, sv = _s_pairs(np.flatnonzero(in_s))
+    q = lam / n
+
+    def copy(state: int) -> LocalGraph:
+        return kept.union(local_simple_graph(n, *_redraw(state, su, sv, q)))
+
+    return copy
+
+
+def _s_pairs(S: np.ndarray) -> tuple:
+    """The pairs inside SxS, S sorted, as arrays (su, sv) in sorted order."""
+    iu, iv = np.triu_indices(S.size, k=1)
+    return S[iu], S[iv]
+
+
+def _redraw(state: int, su: np.ndarray, sv: np.ndarray, q: float) -> tuple:
+    """The SxS pairs one copy keeps: each with probability q."""
+    mask = state_rng(state).random(su.size) < q
+    return su[mask], sv[mask]
 
 
 def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
@@ -310,6 +343,13 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
     Erdos-Renyi host, edges inside SxS) inner_trials times; the inner success
     fraction is one Q sample.  Moment estimates are jackknife-corrected.
 
+    On graph hosts a trial reads only the root's (radius+1)-ball, through a
+    LocalGraph over the sampler's arrays; the draws are those of
+    sample_config_model, sample_er and er_resample_graphs, so the estimates
+    are those of the whole graphs.  On the configuration model the graph is
+    the same for every inner trial, so the root's ball is found once per
+    outer trial and each inner trial relabels only the ball's vertices.
+
     Raises ConditioningError when no outer trial is accepted.
     """
     if moments is None:
@@ -351,37 +391,49 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return one
 
+    n = host.n
     er = isinstance(host, ErdosRenyiHost)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
-        g = _sample_graph(host, fold(st, 1))
         rng = state_rng(fold(st, 2))
-        x0 = uniform_labels(rng, host.n)
-        in_s = rng.random(host.n) < cfg.p
-        S = np.flatnonzero(in_s)
-        root = int(rng.integers(host.n))
-        if not _graph_root_bit(f, g, root, x0):
+        x0 = uniform_labels(rng, n)
+        in_s = rng.random(n) < cfg.p
+        root = int(rng.integers(n))
+        if er:
+            us, vs = er_edge_arrays(n, host.lam, fold(st, 1))
+            g = local_simple_graph(n, us, vs)
+        else:
+            g = local_config_model(n, host.d, fold(st, 1))
+        nb = _root_ball(f, g, root, x0)
+        if nb is None or apply_factor(f, nb) != 1:
             return [0.0, -1.0]
-        resample = _er_resampler(g, S, host.lam) if er else None
+        if er:
+            resample = _local_er_resampler(n, us, vs, in_s, host.lam)
+        else:  # g is the same for every inner trial: relabel its ball only
+            src = nb.source_vertices
+            x0_ball, s_ball = x0[src], in_s[src]
         cnt = 0
         for j in range(1, cfg.inner_trials + 1):
-            fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), host.n)
-            labels = np.where(in_s, fresh, x0)
-            gj = g
+            fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), n)
             if er:  # copy 0 of er_resample_graphs(g, S, lam, 1, fold(st, 0x2000 + j))
                 gj = resample(fold(trial_state(fold(st, 0x2000 + j), 0x5E5A), 0))
-            cnt += _graph_root_bit(f, gj, root, labels)
+                nb_j = _root_ball(f, gj, root, np.where(in_s, fresh, x0))
+            else:
+                nb_j = nb.with_labels(np.where(s_ball, fresh[src], x0_ball))
+            if nb_j is not None:
+                cnt += apply_factor(f, nb_j)
         return [1.0, float(cnt)]
 
     return one
 
 
-def _graph_root_bit(f: Factor, g: MultiGraph, root: int, labels: np.ndarray) -> int:
+def _root_ball(f: Factor, g, root: int, labels: np.ndarray):
+    """The root's f.radius ball with its labels, or None when the root's
+    (f.radius + 1)-ball is not a tree (the projection then gives bit 0)."""
     if not ball_is_tree(g, root, f.radius + 1):
-        return 0
-    nb = neighborhood(g, root, f.radius, labels)
-    return apply_factor(f, nb)
+        return None
+    return neighborhood(g, root, f.radius, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
 rooted neighbourhoods and the non-tree-neighbourhood count used by the
 tree-to-graph projection.
 
+The BFS (ball_is_tree, neighborhood) reads a graph through `n` and
+`adj[u]` alone.  MultiGraph builds every adjacency list up front, for
+whole-graph work (projection, the non-tree mask); LocalGraph builds a list
+when it is first read, so a per-root trial (graph-host stability) costs the
+root's ball plus the sampler's draw, which local_config_model and
+er_edge_arrays share with sample_config_model and sample_er.
+
 A host descriptor (RegularTreeHost, PGWTreeHost, ConfigModelHost,
 ErdosRenyiHost; HOSTS maps names to classes) carries what the rest of the
 package asks of a host: `name` (the CLI name), `tree` (whether runs sample
@@ -187,12 +194,7 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
         MultiGraph with `pairing` holding the sampled matching as a sorted
         (nd/2, 2) array of half-edge indices.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if (n * d) % 2 != 0:
-        raise ValueError("n*d must be even for a perfect half-edge pairing")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n * d)
+    perm = _config_permutation(n, d, seed)
     pairs = np.sort(perm.reshape(-1, 2), axis=1)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     lo, hi = pairs[:, 0] // d, pairs[:, 1] // d  # rows are sorted: lo <= hi
@@ -201,8 +203,26 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     return MultiGraph(n, edges, model="config", params={"d": d}, d=d, pairing=pairs)
 
 
+def _config_permutation(n: int, d: int, seed) -> np.ndarray:
+    """The configuration model's one draw: positions 2i and 2i+1 of the
+    returned permutation of the n*d half-edges are paired."""
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if (n * d) % 2 != 0:
+        raise ValueError("n*d must be even for a perfect half-edge pairing")
+    return np.random.default_rng(seed).permutation(n * d)
+
+
 def sample_er(n: int, lam: float, seed) -> MultiGraph:
     """Erdos-Renyi graph: each pair independently present with probability lam/n."""
+    us, vs = er_edge_arrays(n, lam, seed)
+    return MultiGraph(n, list(zip(us.tolist(), vs.tolist())), model="er",
+                      params={"lambda": lam})
+
+
+def er_edge_arrays(n: int, lam: float, seed) -> tuple:
+    """The edges sample_er(n, lam, seed) draws, as arrays (us, vs) with
+    us < vs, in sorted order."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 <= lam <= n:
@@ -210,8 +230,83 @@ def sample_er(n: int, lam: float, seed) -> MultiGraph:
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < lam / n
-    edges = [(int(u), int(v)) for u, v in zip(iu[mask], iv[mask])]
-    return MultiGraph(n, edges, model="er", params={"lambda": lam})
+    return iu[mask], iv[mask]
+
+
+class _Incidences(dict):
+    """adj[u] = read(u), computed on the first read of u and kept."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, u):
+        inc = self[u] = self.read(u)
+        return inc
+
+
+class LocalGraph:
+    """A graph on vertices 0..n-1 whose incidence lists are built when read.
+
+    `adj[u]` is the sorted (neighbour, edge_id) list a MultiGraph of the same
+    edges holds at u, up to the edge ids: here too an id names one edge and
+    is shared by its two incidences, but the ids differ.  ball_is_tree and
+    neighborhood read only `n` and `adj`, and their results do not depend on
+    which ids are used, so on a LocalGraph they cost the ball they walk,
+    not the graph.
+    """
+
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, read):
+        self.n = n
+        self.adj = _Incidences(read)
+
+    def union(self, other: "LocalGraph") -> "LocalGraph":
+        """The graph with the edges of both (their edge ids must differ)."""
+
+        def read(u):
+            extra = other.adj[u]
+            return sorted(self.adj[u] + extra) if extra else self.adj[u]
+
+        return LocalGraph(self.n, read)
+
+
+def local_config_model(n: int, d: int, seed) -> LocalGraph:
+    """The graph sample_config_model(n, d, seed) draws, read on demand.
+
+    Half-edge h sits at position inv[h] of the drawn permutation; its
+    partner sits at position inv[h] ^ 1, and the pair's index inv[h] >> 1 is
+    the edge id.  A loop gives two incidences with one id, as in MultiGraph.
+    """
+    perm = _config_permutation(n, d, seed)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+
+    def read(u):
+        pos = inv[u * d : u * d + d]
+        return sorted(zip((perm[pos ^ 1] // d).tolist(), (pos >> 1).tolist()))
+
+    return LocalGraph(n, read)
+
+
+def local_simple_graph(n: int, us: np.ndarray, vs: np.ndarray) -> LocalGraph:
+    """The simple graph with edges us[i] - vs[i] (us < vs, no repeated pair),
+    read on demand; edge u - v (u < v) has id u * n + v."""
+    src = np.concatenate([us, vs])
+    dst = np.concatenate([vs, us])
+    order = np.lexsort((dst, src))
+    dst = dst[order].tolist()
+    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+
+    def read(u):
+        return [
+            (w, u * n + w if u < w else w * n + u) for w in dst[start[u] : start[u + 1]]
+        ]
+
+    return LocalGraph(n, read)
 
 
 def enumerate_config_graphs(n: int, d: int):
@@ -303,10 +398,11 @@ class RootedNeighborhood:
         return json.dumps(payload, sort_keys=True)
 
 
-def neighborhood(g: MultiGraph, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
+def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
     """Induced subgraph on vertices within distance r of v, rooted at v.
 
     Carries the restriction of `labels` (uint64 array indexed by vertex id).
+    `g` is a MultiGraph or a LocalGraph; only g.n and g.adj are read.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph")
@@ -340,11 +436,12 @@ def neighborhood(g: MultiGraph, v: int, r: int, labels: np.ndarray) -> RootedNei
     )
 
 
-def ball_is_tree(g: MultiGraph, v: int, radius: int) -> bool:
+def ball_is_tree(g, v: int, radius: int) -> bool:
     """Whether the induced subgraph on the radius-ball around v is acyclic.
 
     Loops, parallel edges and cycles inside the ball all count as non-tree.
-    Early-exits on the first cycle evidence.
+    Early-exits on the first cycle evidence.  `g` is a MultiGraph or a
+    LocalGraph; only g.adj is read.
     """
     seen = {v: 0}
     used = set()

@@ -2,8 +2,9 @@
 
 Floats are rendered with 17 significant digits so artifacts round-trip
 exactly; replaying a manifest therefore reproduces output files
-byte-for-byte (the manifest itself records wall-clock time and is not part
-of the byte-stable contract).
+byte-for-byte (the manifest itself records wall-clock time and a `metrics`
+block of run facts, such as the effective worker count, and is not part of
+the byte-stable contract).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def manifest_path(out: str) -> str:
 
 def write_manifest(
     out: str, command: str, params: dict, outputs: list, version: str,
-    wall_clock_s: float, trials=None,
+    wall_clock_s: float, trials=None, metrics=None,
 ) -> str:
     payload = {
         "command": command,
@@ -51,6 +52,7 @@ def write_manifest(
         "outputs": [os.path.basename(p) for p in outputs],
         "version": version,
         "wall_clock_s": wall_clock_s,
+        "metrics": metrics or {},
     }
     path = manifest_path(out)
     write_json(path, payload)

@@ -5,7 +5,9 @@ in trial order, so the aggregate is identical for any worker count: per-trial
 randomness is keyed by (seed, trial), never by the chunking.
 
 Parallelism uses fork-based multiprocessing so closures survive without
-pickling; on platforms without fork the loop silently runs sequentially.
+pickling.  A run with fewer than 4 trials per worker, or on a platform
+without fork, runs in-process; effective_workers says which happens, and the
+CLI records it in the run manifest.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
     """Evaluate fn(t) for t in range(trials); returns a (trials, width) array."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    workers = max(1, int(workers or 1))
-    if workers == 1 or trials < 4 * workers or not _fork_available():
+    workers = effective_workers(trials, workers)
+    if workers == 1:
         return np.asarray([fn(t) for t in range(trials)], dtype=np.float64)
 
     global _WORK
@@ -42,6 +44,15 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
     finally:
         _WORK = None
     return np.vstack(parts)
+
+
+def effective_workers(trials: int, workers: int) -> int:
+    """Processes run_trials(fn, trials, workers) uses: 1 (in-process) when
+    there are fewer than 4 trials per worker or fork is missing."""
+    workers = max(1, int(workers or 1))
+    if workers == 1 or trials < 4 * workers or not _fork_available():
+        return 1
+    return workers
 
 
 def _fork_available() -> bool:

@@ -9,6 +9,7 @@ from localis.cli import main
 from localis.coupling import host_scale
 from localis.graphs import HOSTS, ErdosRenyiHost, PGWTreeHost
 from localis.io import load_manifest
+from localis.parallel import _fork_available, effective_workers
 from localis.rng import POISSON_LAM_MAX
 
 
@@ -41,6 +42,33 @@ def test_density_command_and_replay(tmp_path):
     out2 = str(tmp_path / "dens2.csv")
     assert run(["replay", out + ".manifest.json", "--out", out2]) == 0
     assert read(out) == read(out2)
+
+
+def test_manifest_records_the_effective_worker_count(tmp_path):
+    # 10 trials are fewer than 4 per worker at --workers 8: run_trials stays
+    # in-process, and the manifest says so
+    out = str(tmp_path / "w.csv")
+    args = ["density", "--factor", "threshold", "--host", "regular-tree", "--d", "3",
+            "--seed", "5", "--workers", "8"]
+    assert run(args + ["--trials", "10", "--out", out]) == 0
+    assert load_manifest(out + ".manifest.json")["metrics"] == {"workers_effective": 1}
+    out2 = str(tmp_path / "w2.csv")
+    assert run(["replay", out + ".manifest.json", "--out", out2]) == 0
+    assert read(out2) == read(out)
+    assert load_manifest(out2 + ".manifest.json")["metrics"] == {"workers_effective": 1}
+    out3 = str(tmp_path / "w3.csv")
+    assert run(["bounds", "--alpha", "1,0.8", "--d", "100", "--out", out3]) == 0
+    assert load_manifest(out3 + ".manifest.json")["metrics"] == {"workers_effective": 1}
+
+
+def test_effective_workers_matches_the_run_trials_rule():
+    forks = 2 if _fork_available() else 1
+    assert effective_workers(10, 8) == 1
+    assert effective_workers(31, 8) == 1
+    assert effective_workers(32, 8) == (8 if forks == 2 else 1)
+    assert effective_workers(8, 2) == forks
+    assert effective_workers(1000, 1) == 1
+    assert effective_workers(1000, 0) == 1
 
 
 def test_density_const0(tmp_path):

@@ -9,6 +9,8 @@ from localis.coupling import (
     ConditioningError,
     CouplingConfig,
     _er_resampler,
+    _jackknife_moment,
+    _local_er_resampler,
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
@@ -24,6 +26,9 @@ from localis.graphs import (
     LazyTree,
     MultiGraph,
     RegularTreeHost,
+    ball_is_tree,
+    er_edge_arrays,
+    neighborhood,
     sample_er,
 )
 from localis.profiles import binom_sum
@@ -188,6 +193,25 @@ def test_er_resampler_matches_the_per_copy_rebuild(size, seed):
     assert all(type(x) is int for c in got for e in c.edges for x in e)
 
 
+@pytest.mark.parametrize("n,lam,p", [(12, 3.0, 0.5), (30, 2.0, 0.3), (30, 4.0, 1.0), (20, 2.0, 0.0)])
+def test_local_er_copies_match_er_resample_graphs(n, lam, p):
+    # the root-ball reader of each resampled copy against the whole copy
+    for seed in range(4):
+        in_s = np.random.default_rng(seed).random(n) < p
+        g = sample_er(n, lam, seed)
+        copies = er_resample_graphs(g, np.flatnonzero(in_s), lam, 3, seed + 100)
+        copy = _local_er_resampler(n, *er_edge_arrays(n, lam, seed), in_s, lam)
+        base = trial_state(seed + 100, 0x5E5A)
+        labels = np.random.default_rng(seed).integers(0, 1 << 64, size=n, dtype=np.uint64)
+        for i, whole in enumerate(copies):
+            local = copy(fold(base, i))
+            for v in range(n):
+                for r in (1, 2, 3):
+                    assert ball_is_tree(local, v, r) == ball_is_tree(whole, v, r)
+                    assert (neighborhood(local, v, r, labels).to_json()
+                            == neighborhood(whole, v, r, labels).to_json())
+
+
 def test_er_resample_full_independence():
     # S = [n], k = 2: presence of a fixed pair across copies is uncorrelated
     n, lam, trials = 30, 3.0, 10_000
@@ -303,6 +327,56 @@ def test_stability_config_host_runs():
                          trials=120, inner_trials=50, seed=25)
     est = estimate_stability(cfg)
     assert est.accepted > 0
+
+
+@pytest.mark.parametrize("host", [ErdosRenyiHost(60, 2.0), ConfigModelHost(60, 3)])
+def test_stability_graph_hosts_p0_constant_one(host):
+    # S is empty: every inner trial repeats the accepted outer trial
+    cfg = CouplingConfig(p=0.0, k=3, factor=F, host=host, trials=200, inner_trials=20,
+                         seed=32)
+    est = estimate_stability(cfg)
+    assert est.accepted > 0
+    assert np.all(est.q_values == 1.0)
+    for m, (val, _) in est.moments.items():
+        assert val == 1.0, m
+
+
+def test_stability_config_p1_moments():
+    # all labels fresh on the same graph, whose accepted root has a tree
+    # 2-ball with 3 distinct neighbours: Q = 1/4 on every accepted trial
+    cfg = CouplingConfig(p=1.0, k=3, factor=F, host=ConfigModelHost(200, 3),
+                         trials=1000, inner_trials=200, seed=33)
+    est = estimate_stability(cfg)
+    assert est.accepted > 100
+    for m in (1, 2):
+        val, se = est.moments[m]
+        # inner-trial binomial noise contributes O(1/inner) on top of se
+        assert_within_sigma(val, 0.25**m, se, 2.0 / cfg.inner_trials,
+                            context=f"config p=1 moment {m}")
+
+
+def test_stability_er_p1_moments():
+    # S is every vertex: each inner trial is a fresh graph with fresh labels,
+    # so Q is the acceptance probability on every trial, and the inner
+    # trials are independent of the outer ones
+    cfg = CouplingConfig(p=1.0, k=3, factor=F, host=ErdosRenyiHost(60, 2.0),
+                         trials=3000, inner_trials=20, seed=34)
+    est = estimate_stability(cfg)
+    dens, dens_se = est.density
+    m1, se1 = est.moments[1]
+    m2, se2 = est.moments[2]
+    assert_within_sigma(m1, dens, se1, dens_se, context="er p=1 moment 1")
+    assert_within_sigma(m2, dens**2, se2, 2 * dens * dens_se, context="er p=1 moment 2")
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("q", [0.0, 0.13, 0.5, 0.9, 1.0])
+def test_jackknife_moment_is_unbiased_up_to_order_two(n, q):
+    # summed over the exact Binomial(n, q) law of the inner success count
+    pmf = [math.comb(n, c) * q**c * (1 - q) ** (n - c) for c in range(n + 1)]
+    for m in (0, 1, 2):
+        mean = sum(w * _jackknife_moment(c, n, m) for c, w in enumerate(pmf))
+        assert abs(mean - q**m) <= 1e-12, (n, q, m)
 
 
 def test_stability_workers_deterministic():

@@ -11,7 +11,11 @@ from localis.graphs import (
     PGWTreeHost,
     RegularTreeHost,
     TreeLabels,
+    ball_is_tree,
     count_non_tree_vertices,
+    er_edge_arrays,
+    local_config_model,
+    local_simple_graph,
     neighborhood,
     sample_config_model,
     sample_er,
@@ -304,6 +308,64 @@ def test_neighborhood_stable_and_relabelling_equivalent():
     assert nb1.to_json() == nb1_again.to_json()
     assert sorted(zip(nb1.depths, nb1.labels)) == sorted(zip(nb2.depths, nb2.labels))
     assert len(nb1.edges) == len(nb2.edges)
+
+
+# ---------------------------------------------------------------------------
+# Root balls read from the samplers' arrays (LocalGraph)
+# ---------------------------------------------------------------------------
+
+
+def ball_readings(g, labels) -> list:
+    """Per vertex and radius 1..3: the tree verdict and the rooted ball."""
+    return [
+        (ball_is_tree(g, v, r), neighborhood(g, v, r, labels).to_json())
+        for v in range(g.n)
+        for r in (1, 2, 3)
+    ]
+
+
+def test_local_config_balls_match_the_multigraph():
+    loops = multi = 0
+    for d in (2, 3):
+        for n in range(2, 13):
+            if n * d % 2:
+                continue
+            for seed in range(6):
+                g = sample_config_model(n, d, seed)
+                labels = np.random.default_rng(seed).integers(
+                    0, 1 << 64, size=n, dtype=np.uint64
+                )
+                local = local_config_model(n, d, seed)
+                assert ball_readings(local, labels) == ball_readings(g, labels)
+                loops += any(u == v for u, v in g.edges)
+                multi += len(set(g.edges)) < len(g.edges)
+    assert loops and multi
+
+
+@pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 2.0), (8, 2.0), (15, 4.0), (30, 3.0)])
+def test_local_er_balls_match_the_multigraph(n, lam):
+    for seed in range(5):
+        g = sample_er(n, lam, seed)
+        labels = np.random.default_rng(seed).integers(0, 1 << 64, size=n, dtype=np.uint64)
+        local = local_simple_graph(n, *er_edge_arrays(n, lam, seed))
+        assert ball_readings(local, labels) == ball_readings(g, labels)
+
+
+def test_local_graph_reads_only_the_ball():
+    n, d = 1000, 3
+    for seed in range(5):
+        g = local_config_model(n, d, seed)
+        ball_is_tree(g, 7, 2)
+        assert len(g.adj) <= 1 + d + d * (d - 1)  # vertices within distance 2
+        neighborhood(g, 7, 1, np.zeros(n, dtype=np.uint64))
+        assert len(g.adj) <= 1 + d + d * (d - 1)
+
+
+def test_local_graph_union_matches_the_multigraph():
+    a, b = [(0, 1), (1, 2)], [(0, 2), (2, 3)]
+    local = local_simple_graph(4, *np.array(a).T).union(local_simple_graph(4, *np.array(b).T))
+    labels = np.arange(4, dtype=np.uint64)
+    assert ball_readings(local, labels) == ball_readings(MultiGraph(4, sorted(a + b)), labels)
 
 
 # ---------------------------------------------------------------------------
