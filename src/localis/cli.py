@@ -33,7 +33,7 @@ from .factors import (
 )
 from .graphs import HOSTS, ConfigModelHost, sample_config_model, sample_er
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
-from .parallel import effective_workers, mean_stderr, run_trials
+from .parallel import effective_workers, mean_stderr, per_trial, run_trials
 from .profiles import (
     DensityProfile,
     ProfileError,
@@ -143,7 +143,7 @@ def cmd_density(params: dict):
             sample = project_to_graph(factor, g, labels)
             return [sample.bits.mean()]
 
-        rows = run_trials(one, trials, workers)
+        rows = run_trials(per_trial(one), trials, workers)
         mean, stderr = mean_stderr(rows[:, 0])
     row = [
         factor.kind,

@@ -7,6 +7,13 @@ subgraph on S is additionally resampled per copy).  Estimated are the
 prefix-intersection densities, the full density profile over copy subsets,
 and the stability: the conditional probability that the root keeps its
 inclusion bit when S is re-randomised, given it was included.
+
+On tree hosts a factor of radius <= 1 runs as arrays over blocks of trials
+(graphs.TreeStars, the factor's star_rule): every copy of every trial in a
+block at once for the intersections; for the stability, the outer trials
+of a block at once and then, per accepted trial, its inner copies 1..J as
+one array.  Larger radii walk one LazyTree per trial.  Both give the rows
+the per-trial LazyTree/TreeLabels evaluation gives.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .graphs import (
     LocalGraph,
     MultiGraph,
     TreeLabels,
+    TreeStars,
     ball_is_tree,
     er_edge_arrays,
     local_config_model,
@@ -32,9 +40,9 @@ from .graphs import (
     sample_config_model,
     sample_er,
 )
-from .parallel import mean_stderr, run_trials
+from .parallel import mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
-from .rng import fold, state_rng, trial_state, uniform_labels
+from .rng import fold, state_rng, trial_state, trial_state_np, uniform_labels
 
 
 class ConditioningError(RuntimeError):
@@ -129,24 +137,38 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
     Per trial: sample a tree at the factor's radius, draw X0 and the subset S
     once, evaluate the root bit of every copy, and record the running prefix
     products.  copy_streams permutes which fresh-label stream each copy uses
-    (an exchangeability knob; the default is 1..k).  LazyTree raises
-    TypeError on a graph host.
+    (an exchangeability knob; the default is 1..k).  TreeStars and LazyTree
+    raise TypeError on a graph host.
     """
     host = cfg.host
     f = cfg.factor
     streams = _copy_streams(cfg.k, copy_streams)
+    if f.radius <= 1:
 
-    def one(t: int):
-        tree = LazyTree(host, f.radius, trial_state(cfg.seed, t))
-        bits = [f.rule(TreeLabels(tree, copy=s, p=cfg.p)) for s in streams]
-        return np.cumprod(bits).astype(np.float64)
+        def block(lo: int, hi: int):
+            stars = TreeStars(
+                host, f.radius, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p
+            )
+            bits = [f.star_rule(stars.labels(s), stars.states, stars.valid) for s in streams]
+            return np.cumprod(np.stack(bits, axis=1), axis=1)
 
-    rows = run_trials(one, cfg.trials, cfg.workers)
+    else:
+
+        def one(t: int):
+            tree = LazyTree(host, f.radius, trial_state(cfg.seed, t))
+            bits = [f.rule(TreeLabels(tree, copy=s, p=cfg.p)) for s in streams]
+            return np.cumprod(bits).astype(np.float64)
+
+        block = per_trial(one)
+
+    rows = run_trials(block, cfg.trials, cfg.workers)
     return _prefix_estimate(cfg, rows)
 
 
 def _copy_streams(k: int, copy_streams) -> list:
-    streams = list(copy_streams) if copy_streams is not None else list(range(1, k + 1))
+    streams = (
+        [int(s) for s in copy_streams] if copy_streams is not None else list(range(1, k + 1))
+    )
     if len(streams) != k:
         raise ValueError("copy_streams must have length k")
     return streams
@@ -287,7 +309,7 @@ def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
         row = _profile_row(copy_bits, n, k)
         return np.concatenate([row, [1.0 - oks[0].mean()]])
 
-    rows = run_trials(one, cfg.trials, cfg.workers)
+    rows = run_trials(per_trial(one), cfg.trials, cfg.workers)
     profiles = ProfileSamples(k, rows[:, : 1 << k])
     prefix = rows[:, [(1 << i) - 1 for i in range(1, k + 1)]]
     return _prefix_estimate(cfg, prefix), profiles, rows
@@ -354,8 +376,7 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
     """
     if moments is None:
         moments = list(range(cfg.k))
-    one = _stability_trial_fn(cfg)
-    rows = run_trials(one, cfg.trials, cfg.workers)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials, cfg.workers)
     accepted = rows[:, 0] == 1.0
     n_acc = int(accepted.sum())
     if n_acc == 0:
@@ -375,8 +396,26 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
 
 
 def _stability_trial_fn(cfg: CouplingConfig):
+    """Block function of the stability rows [accepted, inner successes]
+    ([0, -1] for a rejected outer trial)."""
     f = cfg.factor
     host = cfg.host
+    if host.tree and f.radius <= 1:
+        copies = np.arange(1, cfg.inner_trials + 1, dtype=np.uint64)[:, None]
+
+        def block(lo: int, hi: int):
+            stars = TreeStars(
+                host, f.radius, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p
+            )
+            keys, valid = stars.states, stars.valid
+            rows = np.tile([0.0, -1.0], (hi - lo, 1))
+            for i in np.flatnonzero(f.star_rule(stars.labels(), keys, valid)):
+                inner = f.star_rule(stars.labels(copies, i), keys[i], valid[i])
+                rows[i] = 1.0, np.count_nonzero(inner)
+            return rows
+
+        return block
+
     if host.tree:
 
         def one(t: int):
@@ -389,7 +428,7 @@ def _stability_trial_fn(cfg: CouplingConfig):
             )
             return [1.0, float(cnt)]
 
-        return one
+        return per_trial(one)
 
     n = host.n
     er = isinstance(host, ErdosRenyiHost)
@@ -425,7 +464,7 @@ def _stability_trial_fn(cfg: CouplingConfig):
                 cnt += apply_factor(f, nb_j)
         return [1.0, float(cnt)]
 
-    return one
+    return per_trial(one)
 
 
 def _root_ball(f: Factor, g, root: int, labels: np.ndarray):

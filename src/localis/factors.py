@@ -6,6 +6,14 @@ against a minimal rooted-view protocol (root, neighbors(v), label(v),
 order_key(v)), so one implementation serves materialised neighbourhoods and
 lazily generated trees alike.
 
+A factor of radius <= 1 (threshold, constant) also carries its rule in array
+form, star_rule(labels, keys, valid), over the root stars of a block of
+trees (graphs.TreeStars): column 0 is the root, the other columns its
+neighbours, `valid` masks the columns that are no node.  On tree hosts the
+radius selects the path: radius <= 1 runs as arrays over blocks of trials,
+larger radii (the percolation-round rule) walk one LazyTree per trial.  The
+two agree bit for bit: star_rule returns what rule returns on each star.
+
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
 beyond.  In a BFS ball the neighbours of a depth-j vertex lie at depth
@@ -29,11 +37,12 @@ from .graphs import (
     LazyTree,
     MultiGraph,
     TreeLabels,
+    TreeStars,
     neighborhood,
     non_tree_ball_mask,
 )
-from .parallel import mean_stderr, run_trials
-from .rng import first_success_round, trial_state
+from .parallel import mean_stderr, per_trial, run_trials
+from .rng import first_success_round, trial_state, trial_state_np
 
 
 @dataclass(frozen=True)
@@ -42,13 +51,20 @@ class Factor:
 
     The rule reads only vertices within `radius` of the root and is invariant
     under vertex-id relabelling; ids enter only as tie-breaks for the
-    measure-zero event of equal labels.
+    measure-zero event of equal labels.  A factor of radius <= 1 carries
+    star_rule, the rule's array form over root stars (see the module
+    docstring).
     """
 
     kind: str
     radius: int
     params: dict = field(default_factory=dict)
     rule: Callable = None
+    star_rule: Callable = None
+
+    def __post_init__(self):
+        if self.radius <= 1 and self.star_rule is None:
+            raise ValueError("a factor of radius <= 1 needs a star_rule")
 
 
 def factor_spec(f: Factor) -> dict:
@@ -71,7 +87,10 @@ def factor_from_spec(spec: dict) -> Factor:
 def constant_factor(bit: int) -> Factor:
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    return Factor("const", 0, {"bit": bit}, rule=lambda view: bit)
+    return Factor(
+        "const", 0, {"bit": bit}, rule=lambda view: bit,
+        star_rule=lambda labels, keys, valid: np.full(labels.shape[:-1], bool(bit)),
+    )
 
 
 def _threshold_rule(view) -> int:
@@ -83,10 +102,21 @@ def _threshold_rule(view) -> int:
     return 1
 
 
+def _threshold_star(labels, keys, valid) -> np.ndarray:
+    """_threshold_rule over stars: the root survives unless a neighbour's
+    (label, key) is lexicographically at most the root's."""
+    root_label, root_key = labels[..., :1], keys[..., :1]
+    nbr_label, nbr_key = labels[..., 1:], keys[..., 1:]
+    below = (nbr_label < root_label) | ((nbr_label == root_label) & (nbr_key <= root_key))
+    return ~(below & valid[..., 1:]).any(axis=-1)
+
+
 def threshold_factor() -> Factor:
     """Radius-1 rule: include the root iff its label is the strict minimum of
     its closed 1-neighbourhood.  Density 1/(d+1) on the d-regular tree."""
-    return Factor("greedy-threshold", 1, {}, rule=_threshold_rule)
+    return Factor(
+        "greedy-threshold", 1, {}, rule=_threshold_rule, star_rule=_threshold_star
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +294,30 @@ def estimate_tree_density(
     sampled trees with fresh labels.
 
     Args:
-        host: RegularTreeHost(d) or PGWTreeHost(lam) (LazyTree raises
-            TypeError on any other host); trees are generated at radius
+        host: RegularTreeHost(d) or PGWTreeHost(lam) (TreeStars and LazyTree
+            raise TypeError on any other host); trees are generated at radius
             exactly f.radius (the rule never reads beyond it).
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    rows = run_trials(_tree_density_fn(f, host, seed), trials, workers)
+    mean, stderr = mean_stderr(rows[:, 0])
+    return DensityEstimate(mean, stderr, trials)
+
+
+def _tree_density_fn(f: Factor, host, seed: int):
+    """Block function of the root bits of trials lo..hi-1: root stars as
+    arrays at radius <= 1, one LazyTree per trial beyond."""
+    if f.radius <= 1:
+
+        def block(lo: int, hi: int):
+            stars = TreeStars(host, f.radius, trial_state_np(seed, np.arange(lo, hi)))
+            return f.star_rule(stars.labels(), stars.states, stars.valid)
+
+        return block
 
     def one(t: int):
         tree = LazyTree(host, f.radius, trial_state(seed, t))
         return [float(f.rule(TreeLabels(tree)))]
 
-    rows = run_trials(one, trials, workers)
-    mean, stderr = mean_stderr(rows[:, 0])
-    return DensityEstimate(mean, stderr, trials)
+    return per_trial(one)

@@ -19,6 +19,11 @@ lazy trees or finite graphs), `degree` (d or lam, with its own type) and,
 on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
 tree node.
 
+A rule of radius <= 1 reads only the root's star, so TreeStars gives the
+stars of a whole block of lazy trees as arrays (states and the labels of
+any coupled copy, bit-equal to LazyTree and TreeLabels); larger radii walk
+a LazyTree.
+
 All samplers are pure functions of (seed, parameters): identical inputs
 produce byte-identical structures under serialisation.
 """
@@ -35,10 +40,12 @@ import numpy as np
 from .rng import (
     CHILD_TAG,
     LABEL_TAG,
+    MASK64,
     OFFSPRING_TAG,
     PERC_TAG,
     POISSON_LAM_MAX,
     fold,
+    fold_np,
     label_unit,
     percolation_cut,
     poisson_from_unit,
@@ -228,9 +235,12 @@ def er_edge_arrays(n: int, lam: float, seed) -> tuple:
     if not 0.0 <= lam <= n:
         raise ValueError(f"need 0 <= lam <= n, got lam={lam}, n={n}")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < lam / n
-    return iu[mask], iv[mask]
+    flat = np.flatnonzero(rng.random(n * (n - 1) // 2) < lam / n)
+    # pair (u, v), u < v, has flat index start[u] + v - u - 1 in triu order
+    u = np.arange(n, dtype=np.int64)
+    start = u * (2 * n - u - 1) // 2
+    us = np.searchsorted(start, flat, side="right") - 1
+    return us, flat - start[us] + us + 1
 
 
 class _Incidences(dict):
@@ -639,3 +649,50 @@ class TreeLabels:
 
     def order_key(self, node) -> int:
         return node.state
+
+
+class TreeStars:
+    """The root stars of a block of lazy trees, with their labels, as arrays.
+
+    For the root states in `roots`, row i describes LazyTree(host, radius,
+    roots[i]) with radius <= 1: column 0 is the root and column 1 + j its
+    child j (none at radius 0).  `states` holds the node states, `valid`
+    which columns are nodes: PGW stars are ragged, and the columns past a
+    root's child count hold states of no node.  Child counts come from
+    host.offspring, one call per root.
+
+    labels(copy, at) is the array form of TreeLabels(tree, copy, p).label
+    over the rows `at`: equal bit for bit, so a radius <= 1 rule evaluated
+    on these arrays reads exactly what it reads on the lazy trees.  `copy`
+    is an int, or a column of copy ids giving one row of labels per copy.
+    """
+
+    def __init__(self, host, radius: int, roots: np.ndarray, p: float = 0.0):
+        if not host.tree:
+            raise TypeError(f"unsupported tree host: {host!r}")
+        if radius > 1:
+            raise ValueError(f"tree stars cover radius <= 1, got {radius}")
+        roots = np.asarray(roots, dtype=np.uint64)
+        counts = np.zeros(roots.size, dtype=np.int64)
+        if radius:
+            counts[:] = [host.offspring(0, s) for s in roots.tolist()]
+        slots = np.arange(int(counts.max(initial=0)))
+        kids = fold_np(roots[:, None], CHILD_TAG + slots.astype(np.uint64))
+        self.states = np.concatenate([roots[:, None], kids], axis=1)
+        self.valid = np.concatenate(
+            [np.ones((roots.size, 1), dtype=bool), slots < counts[:, None]], axis=1
+        )
+        self.base = fold_np(self.states, LABEL_TAG)
+        self.x0 = fold_np(self.base, 0)
+        cut = percolation_cut(p)
+        if cut == 0:
+            self.in_s = np.zeros(self.states.shape, dtype=bool)
+        elif cut > MASK64:  # p = 1: every node, and 2^64 fits no uint64
+            self.in_s = np.ones(self.states.shape, dtype=bool)
+        else:
+            self.in_s = fold_np(self.states, PERC_TAG) < np.uint64(cut)
+
+    def labels(self, copy=0, at=Ellipsis) -> np.ndarray:
+        if isinstance(copy, int) and copy == 0:
+            return self.x0[at]
+        return np.where(self.in_s[at], fold_np(self.base[at], copy), self.x0[at])

@@ -1,13 +1,18 @@
 """Deterministic trial-parallel execution.
 
-Per-trial work is a function trial_index -> 1-D stat row.  Rows are collected
-in trial order, so the aggregate is identical for any worker count: per-trial
-randomness is keyed by (seed, trial), never by the chunking.
+Work is a block function fn(lo, hi) -> the stat rows of trials lo..hi-1, one
+row per trial; a per-trial function t -> row becomes one through
+per_trial.  run_trials cuts range(trials) into blocks of at most BLOCK
+trials, so the arrays a vectorised block function builds stay bounded
+whatever the trial count, and stacks the rows in trial order.  Per-trial
+randomness is keyed by (seed, trial), never by the blocks or the worker
+count, so the aggregate is identical for any worker count.
 
 Parallelism uses fork-based multiprocessing so closures survive without
-pickling.  A run with fewer than 4 trials per worker, or on a platform
-without fork, runs in-process; effective_workers says which happens, and the
-CLI records it in the run manifest.
+pickling; each worker evaluates whole blocks.  A run with fewer than 4
+trials per worker, or on a platform without fork, runs in-process;
+effective_workers says which happens, and the CLI records it in the run
+manifest.
 """
 
 from __future__ import annotations
@@ -17,30 +22,40 @@ import os
 
 import numpy as np
 
+BLOCK = 1024  # most trials one call of a block function evaluates
+
 _WORK = None
 
 
-def _run_chunk(bounds):
-    lo, hi = bounds
-    return np.asarray([_WORK(t) for t in range(lo, hi)], dtype=np.float64)
+def _rows(fn, lo: int, hi: int) -> np.ndarray:
+    return np.asarray(fn(lo, hi), dtype=np.float64).reshape(hi - lo, -1)
+
+
+def _run_block(bounds):
+    return _rows(_WORK, *bounds)
+
+
+def per_trial(fn):
+    """The block function of a per-trial function fn(t) -> row."""
+    return lambda lo, hi: [fn(t) for t in range(lo, hi)]
 
 
 def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
-    """Evaluate fn(t) for t in range(trials); returns a (trials, width) array."""
+    """Rows of the block function fn over range(trials), in trial order;
+    returns a (trials, width) array."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     workers = effective_workers(trials, workers)
+    step = BLOCK if workers == 1 else min(BLOCK, max(1, trials // (4 * workers)))
+    bounds = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     if workers == 1:
-        return np.asarray([fn(t) for t in range(trials)], dtype=np.float64)
+        return np.vstack([_rows(fn, lo, hi) for lo, hi in bounds])
 
     global _WORK
-    chunk = max(1, trials // (4 * workers))
-    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     _WORK = fn
     try:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.map(_run_chunk, bounds)
+        with mp.get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_run_block, bounds)
     finally:
         _WORK = None
     return np.vstack(parts)

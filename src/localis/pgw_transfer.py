@@ -27,7 +27,7 @@ import numpy as np
 
 from .factors import DensityEstimate, Factor, estimate_tree_density
 from .graphs import RegularTreeHost, RootedNeighborhood, sample_pgw_tree
-from .parallel import mean_stderr, run_trials
+from .parallel import mean_stderr, per_trial, run_trials
 from .rng import CHILD_TAG, LABEL_TAG, fold, trial_state
 
 
@@ -262,7 +262,7 @@ def transfer_density(
         trace = transfer_trace(f, lam, d, trial_state(seed, t))
         return [float(trace.j_root), float(trace.event_ok)]
 
-    rows = run_trials(one, trials, workers)
+    rows = run_trials(per_trial(one), trials, workers)
     density_j, se_j = mean_stderr(rows[:, 0])
     p_mc, se_event = mean_stderr(rows[:, 1])
     density_i: DensityEstimate = estimate_tree_density(

@@ -9,6 +9,10 @@ entries): the hot loops fold a few constant tags (label, percolation, copy
 ids) millions of times, while trial indices pass through once each and
 must not grow the table without bound.
 
+fold_np and trial_state_np are their array forms over uint64 arrays, equal
+to the scalar functions element by element; the trial-batched tree paths
+fold whole blocks of trials with them.
+
 Labels are 64-bit unsigned integers interpreted as dyadic rationals in
 [0, 1).  Comparisons between labels break the (probability ~2^-64) ties with
 a secondary vertex key, so the effective label order is always total.
@@ -60,8 +64,10 @@ def trial_state(seed: int, trial: int) -> int:
 
 
 def state_rng(state: int) -> np.random.Generator:
-    """NumPy generator keyed by a 64-bit state."""
-    return np.random.default_rng(state & MASK64)
+    """NumPy generator keyed by a 64-bit state: the stream
+    np.random.default_rng(state & MASK64) gives, built without its
+    argument dispatch."""
+    return np.random.Generator(np.random.PCG64(state & MASK64))
 
 
 def uniform_labels(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -141,3 +147,22 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
     z *= _NP_M2
     z ^= z >> np.uint64(31)
     return z
+
+
+_NP_GOLDEN = np.uint64(GOLDEN)
+
+
+def fold_np(state, data) -> np.ndarray:
+    """Array form of fold: fold(s, x) for each pair of the broadcast uint64
+    arrays `state` and `data`.  `data` may also be a Python int of any size,
+    as in fold."""
+    if isinstance(data, int):
+        tag = np.uint64(_tag_mix(data))
+    else:
+        tag = mix64_np(np.asarray(data, dtype=np.uint64) + _NP_GOLDEN)
+    return mix64_np(np.asarray(state, dtype=np.uint64) ^ tag)
+
+
+def trial_state_np(seed: int, trials) -> np.ndarray:
+    """Array form of trial_state: the states of the given trial indices."""
+    return fold_np(fold(0x5EED5EED5EED5EED, seed), trials)

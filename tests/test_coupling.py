@@ -11,6 +11,7 @@ from localis.coupling import (
     _er_resampler,
     _jackknife_moment,
     _local_er_resampler,
+    _stability_trial_fn,
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
@@ -25,12 +26,16 @@ from localis.graphs import (
     ErdosRenyiHost,
     LazyTree,
     MultiGraph,
+    PGWTreeHost,
     RegularTreeHost,
+    TreeLabels,
     ball_is_tree,
     er_edge_arrays,
     neighborhood,
     sample_er,
 )
+from localis import parallel
+from localis.parallel import run_trials
 from localis.profiles import binom_sum
 from localis.rng import fold, state_rng, trial_state
 
@@ -104,6 +109,83 @@ def test_binom_stats_at_endpoints():
         assert stat >= -1e-9, f"k=2 binomial statistic negative at p={p}"
     est = coupled_tree_intersections(tree_cfg(0.0, k=3, trials=30_000, seed=9))
     assert binom_sum(est.alphas(3)) >= -1e-9
+
+
+# The per-trial LazyTree/TreeLabels evaluation, kept as the reference for the
+# trial-batched radius <= 1 path.
+
+
+def _scalar_prefix_rows(cfg, streams) -> list:
+    rows = []
+    for t in range(cfg.trials):
+        tree = LazyTree(cfg.host, cfg.factor.radius, trial_state(cfg.seed, t))
+        bits = [cfg.factor.rule(TreeLabels(tree, copy=s, p=cfg.p)) for s in streams]
+        rows.append(np.cumprod(bits).astype(np.float64).tolist())
+    return rows
+
+
+def _scalar_stability_rows(cfg) -> list:
+    rows = []
+    for t in range(cfg.trials):
+        tree = LazyTree(cfg.host, cfg.factor.radius, trial_state(cfg.seed, t))
+        if cfg.factor.rule(TreeLabels(tree, copy=0, p=cfg.p)) != 1:
+            rows.append([0.0, -1.0])
+            continue
+        cnt = sum(
+            cfg.factor.rule(TreeLabels(tree, copy=j, p=cfg.p))
+            for j in range(1, cfg.inner_trials + 1)
+        )
+        rows.append([1.0, float(cnt)])
+    return rows
+
+
+BATCH_HOSTS = [RegularTreeHost(d) for d in range(2, 7)] + [PGWTreeHost(0.5), PGWTreeHost(3.0)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("host", BATCH_HOSTS)
+def test_tree_prefix_rows_match_the_lazy_tree_rows(host, p):
+    cfg = CouplingConfig(p=p, k=3, factor=F, host=host, trials=300, seed=42)
+    for streams in (None, [3, 1, 2], [2, 5, 4]):
+        est = coupled_tree_intersections(cfg, copy_streams=streams)
+        ref = _scalar_prefix_rows(cfg, streams or [1, 2, 3])
+        assert est.prefix_rows.tolist() == ref
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("host", BATCH_HOSTS)
+def test_tree_stability_rows_match_the_lazy_tree_rows(host, p):
+    cfg = CouplingConfig(p=p, k=2, factor=F, host=host, trials=150, inner_trials=25,
+                         seed=43)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    assert rows.tolist() == _scalar_stability_rows(cfg)
+    assert (rows[:, 0] == 1.0).any()
+
+
+def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
+    cfg = CouplingConfig(p=0.3, k=3, factor=F, host=PGWTreeHost(2.0), trials=2500,
+                         inner_trials=12, seed=44)
+    whole = [
+        coupled_tree_intersections(cfg).prefix_rows,
+        run_trials(_stability_trial_fn(cfg), cfg.trials),
+        estimate_tree_density(F, cfg.host, cfg.trials, seed=44).mean,
+    ]
+    monkeypatch.setattr(parallel, "BLOCK", 7)  # 358 blocks, the last one short
+    cut = [
+        coupled_tree_intersections(cfg).prefix_rows,
+        run_trials(_stability_trial_fn(cfg), cfg.trials),
+        estimate_tree_density(F, cfg.host, cfg.trials, seed=44).mean,
+    ]
+    assert np.array_equal(whole[0], cut[0])
+    assert np.array_equal(whole[1], cut[1])
+    assert whole[2] == cut[2]
+
+
+def test_tree_intersections_workers_deterministic():
+    cfg = tree_cfg(0.4, trials=3000, seed=45)
+    a = coupled_tree_intersections(cfg)
+    b = coupled_tree_intersections(replace(cfg, workers=2))
+    assert np.array_equal(a.prefix_rows, b.prefix_rows)
 
 
 @pytest.mark.parametrize("host", [ConfigModelHost(10, 3), ErdosRenyiHost(10, 2.0)])

@@ -3,11 +3,13 @@
 Each command is small (well under a second) and covers one host path: the
 PGW transfer for threshold and LW, graph-host density and projection, the
 configuration-model and Erdos-Renyi couplings (stability and scan-p), the
-tree-host couplings (stability on T3, scan-p on PGW(3)) and lazy-tree LW
-density.  The first ten sha256 digests were recorded before the rooted views
-and the graph-host coupling bodies were merged, the two tree-host ones
-before the lazy-tree labels were memoised; a refactor that moves any random
-stream or changes any output byte fails here.
+tree-host couplings (stability on T3 and PGW(2.5), scan-p on PGW(3) and T4),
+threshold density on T3 and on PGW(0.7) (where half the roots have no
+children) and lazy-tree LW density.  The first ten sha256 digests were
+recorded before the rooted views and the graph-host coupling bodies were
+merged, the two tree-host ones before the lazy-tree labels were memoised, the
+last four before radius <= 1 factors ran as arrays over blocks of trials; a
+refactor that moves any random stream or changes any output byte fails here.
 """
 
 import hashlib
@@ -83,6 +85,28 @@ GOLDEN = {
         ["density", "--factor", "lw", "--lw-p", "0.1", "--lw-k", "8",
          "--host", "regular-tree", "--d", "3", "--trials", "500", "--seed", "12"],
         "d1ba41fa91d7b0e38bca54ab3d9b4f37462cc9c9ce9fa892cbf641903a87f5ec",
+    ),
+    "density_tree_threshold": (
+        ["density", "--factor", "threshold", "--host", "regular-tree", "--d", "3",
+         "--trials", "3000", "--seed", "15"],
+        "4c7274f7b0aaedce4d3bfe1e96c4205878876f9759b42e864eb9301cde086dd8",
+    ),
+    "density_pgw_threshold": (
+        ["density", "--factor", "threshold", "--host", "pgw", "--lam", "0.7",
+         "--trials", "3000", "--seed", "16"],
+        "3c8ce1b33a00711e7ded95450e9dd8413ff5b68ff2829ec68b295dd7cb40e14f",
+    ),
+    "scan_tree_d4": (
+        ["scan-p", "--factor", "threshold", "--host", "regular-tree", "--d", "4",
+         "--k", "3", "--grid", "0,0.5,1", "--trials", "200", "--inner-trials", "30",
+         "--seed", "17"],
+        "ba0617a76e5ff74337cfd463e4b4de969c6a35865fde008fb3377293b06f39ec",
+    ),
+    "stability_pgw": (
+        ["stability", "--factor", "threshold", "--host", "pgw", "--lam", "2.5",
+         "--k", "3", "--p", "0.5", "--trials", "300", "--inner-trials", "40",
+         "--seed", "18"],
+        "968f2abf8accf6991fba09fc6b25f44ae3b3bf13c72bd9ea0d2878c4aa590ecd",
     ),
 }
 

@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from localis.factors import (
+    Factor,
+    _threshold_rule,
+    _tree_density_fn,
     apply_factor,
     beta_formula,
     constant_factor,
@@ -15,6 +19,7 @@ from localis.factors import (
     threshold_factor,
 )
 from localis.graphs import (
+    LazyTree,
     MultiGraph,
     PGWTreeHost,
     RegularTreeHost,
@@ -22,8 +27,9 @@ from localis.graphs import (
     sample_config_model,
     sample_pgw_tree,
     sample_regular_tree,
+    TreeLabels,
 )
-from localis.rng import first_success_round, uniform_labels
+from localis.rng import MASK64, first_success_round, trial_state, uniform_labels
 
 from conftest import assert_within_sigma, unit_to_label
 
@@ -86,6 +92,69 @@ def test_apply_factor_radius_guard():
     nb = star([0.5], 0.1, radius=0)
     with pytest.raises(ValueError):
         apply_factor(threshold_factor(), nb)
+
+
+class _KeyedStar:
+    """Rooted-view star: root 0 and leaves 1..m with given labels and keys."""
+
+    root = 0
+
+    def __init__(self, labels, keys):
+        self.labels, self.keys = labels, keys
+
+    def neighbors(self, v):
+        return list(range(1, len(self.labels))) if v == 0 else [0]
+
+    def label(self, v):
+        return self.labels[v]
+
+    def order_key(self, v):
+        return self.keys[v]
+
+
+def test_threshold_star_rule_matches_the_rule_on_hand_built_stars():
+    # every star with up to 2 leaves over labels and keys in {0, 1, MASK64}:
+    # tied labels are broken by the key, a leafless root survives, and the
+    # padding of shorter stars (labels 0 and keys 0, below every root) is
+    # masked out
+    values = (0, 1, MASK64)
+    stars = [
+        (labels, keys)
+        for m in range(3)
+        for labels in itertools.product(values, repeat=m + 1)
+        for keys in itertools.product(values, repeat=m + 1)
+    ]
+    width = 3
+    lab = np.zeros((len(stars), width), dtype=np.uint64)
+    key = np.zeros((len(stars), width), dtype=np.uint64)
+    valid = np.zeros((len(stars), width), dtype=bool)
+    for i, (labels, keys) in enumerate(stars):
+        lab[i, : len(labels)] = labels
+        key[i, : len(keys)] = keys
+        valid[i, : len(labels)] = True
+    got = threshold_factor().star_rule(lab, key, valid)
+    want = [_threshold_rule(_KeyedStar(*star)) == 1 for star in stars]
+    assert got.tolist() == want
+    assert got[0] and want[0]  # the leafless star
+    # a tie on the label goes to the smaller key
+    tie = threshold_factor().star_rule(
+        np.array([[5, 5]], dtype=np.uint64), np.array([[2, 3]], dtype=np.uint64),
+        np.ones((1, 2), dtype=bool),
+    )
+    assert tie.tolist() == [True]
+
+
+def test_constant_star_rule():
+    lab = np.zeros((4, 3), dtype=np.uint64)
+    valid = np.ones((4, 3), dtype=bool)
+    for bit in (0, 1):
+        assert constant_factor(bit).star_rule(lab, lab, valid).tolist() == [bool(bit)] * 4
+
+
+def test_small_radius_factors_need_a_star_rule():
+    with pytest.raises(ValueError):
+        Factor("custom", 1, {}, rule=lambda view: 1)
+    Factor("custom", 2, {}, rule=lambda view: 1)
 
 
 def test_factor_spec_roundtrip():
@@ -325,6 +394,24 @@ def test_density_lw_below_limit():
     assert est.mean < 0.375 + 3 * est.stderr
     assert est.mean > 0.3
     assert est.mean < 0.456  # known ceiling for any independent set density at d=3
+
+
+def _scalar_density_rows(f, host, seed: int, trials: int) -> list:
+    """The per-trial LazyTree/TreeLabels evaluation, kept as the reference."""
+    return [
+        [float(f.rule(TreeLabels(LazyTree(host, f.radius, trial_state(seed, t)))))]
+        for t in range(trials)
+    ]
+
+
+@pytest.mark.parametrize(
+    "host",
+    [RegularTreeHost(d) for d in range(2, 7)] + [PGWTreeHost(0.5), PGWTreeHost(3.0)],
+)
+@pytest.mark.parametrize("f", [threshold_factor(), constant_factor(1)])
+def test_density_rows_match_the_lazy_tree_rows(host, f):
+    rows = np.asarray(_tree_density_fn(f, host, 41)(0, 500), dtype=np.float64)
+    assert rows.reshape(500, 1).tolist() == _scalar_density_rows(f, host, 41, 500)
 
 
 def test_density_workers_deterministic():

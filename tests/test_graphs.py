@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from localis.graphs import (
+    ConfigModelHost,
     LazyTree,
     MultiGraph,
     PGWTreeHost,
     RegularTreeHost,
     TreeLabels,
+    TreeStars,
     ball_is_tree,
     count_non_tree_vertices,
     er_edge_arrays,
@@ -23,7 +25,7 @@ from localis.graphs import (
     sample_regular_tree,
 )
 
-from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut
+from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -154,6 +156,24 @@ def test_er_determinism():
     assert sample_er(30, 2.0, 5).to_json() == sample_er(30, 2.0, 5).to_json()
 
 
+def _er_edges_by_triu(n: int, lam: float, seed) -> tuple:
+    """er_edge_arrays as first written: the drawn mask indexes triu_indices."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < lam / n
+    return iu[mask], iv[mask]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+@pytest.mark.parametrize("seed", [0, 1, 17, 12345])
+def test_er_edge_arrays_match_the_triu_mapping(n, seed):
+    for lam in (0.0, min(2.0, n), float(n)):
+        us, vs = er_edge_arrays(n, lam, seed)
+        ref_us, ref_vs = _er_edges_by_triu(n, lam, seed)
+        assert us.dtype == ref_us.dtype and vs.dtype == ref_vs.dtype
+        assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs)
+
+
 # ---------------------------------------------------------------------------
 # Trees
 # ---------------------------------------------------------------------------
@@ -247,6 +267,39 @@ def test_tree_labels_match_the_formula_in_any_read_order(host, p, state, copies)
     for c in copies + copies[::-1]:
         view = TreeLabels(tree, copy=c, p=p)
         assert [view.label(v) for v in nodes] == [_coupled_label(v, c, p) for v in nodes]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("radius", [0, 1])
+@pytest.mark.parametrize(
+    "host", [RegularTreeHost(2), RegularTreeHost(5), PGWTreeHost(0.5), PGWTreeHost(3.0)]
+)
+def test_tree_stars_match_the_lazy_trees(host, radius, p):
+    roots = np.array([trial_state(3, t) for t in range(200)], dtype=np.uint64)
+    stars = TreeStars(host, radius, roots, p)
+    copies = np.arange(1, 5, dtype=np.uint64)[:, None]
+    for i, state in enumerate(roots.tolist()):
+        tree = LazyTree(host, radius, state)
+        nodes = [tree.root] + tree.children(tree.root)
+        width = len(nodes)
+        assert stars.valid[i].tolist() == [True] * width + [False] * (
+            stars.states.shape[1] - width
+        )
+        assert stars.states[i, :width].tolist() == [v.state for v in nodes]
+        for c in (0, 1, 3):
+            view = TreeLabels(tree, copy=c, p=p)
+            assert stars.labels(c)[i, :width].tolist() == [view.label(v) for v in nodes]
+        inner = stars.labels(copies, i)
+        for j, c in enumerate(copies[:, 0].tolist()):
+            view = TreeLabels(tree, copy=c, p=p)
+            assert inner[j, :width].tolist() == [view.label(v) for v in nodes]
+
+
+def test_tree_stars_reject_graph_hosts_and_deeper_radii():
+    with pytest.raises(TypeError):
+        TreeStars(ConfigModelHost(10, 3), 1, np.arange(3, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        TreeStars(RegularTreeHost(3), 2, np.arange(3, dtype=np.uint64))
 
 
 def test_tree_labels_copy_zero_stores_nothing():

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from localis.rng import (
@@ -8,12 +9,15 @@ from localis.rng import (
     MASK64,
     first_success_round,
     fold,
+    fold_np,
     label_unit,
     mix64,
     mix64_np,
     percolation_cut,
     poisson_from_unit,
+    state_rng,
     trial_state,
+    trial_state_np,
     uniform_labels,
 )
 
@@ -59,6 +63,32 @@ def test_fold_matches_formula_at_edges():
     for state in (0, 1, MASK64, 1 << 64, (1 << 64) + 5, 1 << 100):
         for data in (0, 1, -1, -GOLDEN, MASK64 - GOLDEN + 1, MASK64, 1 << 64, 1 << 80):
             assert fold(state, data) == _fold_formula(state, data)
+
+
+def test_fold_np_matches_fold():
+    states = np.array([0, 1, 12345, 1 << 63, MASK64], dtype=np.uint64)
+    data = np.array([0, 1, 0x100, MASK64 - GOLDEN + 1, MASK64], dtype=np.uint64)
+    table = fold_np(states[:, None], data)
+    assert table.dtype == np.uint64 and table.shape == (5, 5)
+    for i, s in enumerate(states.tolist()):
+        for j, x in enumerate(data.tolist()):
+            assert int(table[i, j]) == fold(s, x)
+    # an int tag of any size, as fold takes it
+    for x in (0, 2, -1, -GOLDEN, 1 << 64, 1 << 80):
+        assert fold_np(states, x).tolist() == [fold(s, x) for s in states.tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 1 << 70])
+def test_trial_state_np_matches_trial_state(seed):
+    trials = np.arange(2000)
+    assert trial_state_np(seed, trials).tolist() == [trial_state(seed, t) for t in range(2000)]
+
+
+@pytest.mark.parametrize("state", [0, 1, (1 << 63) + 5, MASK64])
+def test_state_rng_matches_default_rng(state):
+    ours = uniform_labels(state_rng(state), 64)
+    ref = uniform_labels(np.random.default_rng(state & MASK64), 64)
+    assert np.array_equal(ours, ref)
 
 
 def test_label_unit_range():
