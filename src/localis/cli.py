@@ -15,6 +15,7 @@ event, failed oracle check).  Any other exception is a defect and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -111,6 +112,13 @@ def _host_columns(host):
     return host.name, host.degree, getattr(host, "n", 0)
 
 
+def _coupling_row(cfg: CouplingConfig, p: float, i: int, estimate: tuple) -> list:
+    """One COUPLING_HEADER row: statistic i at p, estimate = (mean, stderr)."""
+    hostname, d_or_lam, n = _host_columns(cfg.host)
+    return [hostname, cfg.factor.kind, d_or_lam, n, p, cfg.k, i, *estimate,
+            cfg.trials, cfg.seed]
+
+
 def _emit(params: dict, path: str, header: list, rows: list) -> str:
     if params.get("format", "csv") == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -185,20 +193,12 @@ def cmd_scan_p(params: dict):
             f"--k >= 2; got {degree:g} with --k {cfg.k}"
         )
     result = scan_p(cfg, grid)
-    hostname, d_or_lam, n = _host_columns(cfg.host)
+    _, d_or_lam, n = _host_columns(cfg.host)
     inter_rows, stab_rows, binom_rows = [], [], []
     for row in result.rows:
         for i in range(1, cfg.k + 1):
-            m, se = row.intersections.density(i)
-            inter_rows.append(
-                [hostname, cfg.factor.kind, d_or_lam, n, row.p, cfg.k, i,
-                 m, se, cfg.trials, cfg.seed]
-            )
-            m, se = row.stability.moment(i - 1)
-            stab_rows.append(
-                [hostname, cfg.factor.kind, d_or_lam, n, row.p, cfg.k, i,
-                 m, se, cfg.trials, cfg.seed]
-            )
+            inter_rows.append(_coupling_row(cfg, row.p, i, row.intersections.density(i)))
+            stab_rows.append(_coupling_row(cfg, row.p, i, row.stability.moment(i - 1)))
         for name, val in sorted(row.binom_stats.items()):
             binom_rows.append([n, d_or_lam, cfg.k, f"{name}@p={fmt(row.p)}", val])
     binom_rows.append(
@@ -219,14 +219,7 @@ def cmd_stability(params: dict):
         raise UsageError("--p must lie in [0, 1]")
     cfg = _coupling_config(params, p)
     est = estimate_stability(cfg)
-    hostname, d_or_lam, n = _host_columns(cfg.host)
-    rows = []
-    for i in range(1, cfg.k + 1):
-        m, se = est.moment(i - 1)
-        rows.append(
-            [hostname, cfg.factor.kind, d_or_lam, n, p, cfg.k, i,
-             m, se, cfg.trials, cfg.seed]
-        )
+    rows = [_coupling_row(cfg, p, i, est.moment(i - 1)) for i in range(1, cfg.k + 1)]
     out = params["out"]
     _emit(params, out, COUPLING_HEADER, rows)
     return [out], params["trials"]
@@ -334,13 +327,20 @@ def cmd_pgw_transfer(params: dict):
 
 
 def cmd_replay(params: dict):
-    manifest = load_manifest(params["manifest"])
-    command = manifest["command"]
+    path = params["manifest"]
+    try:
+        manifest = load_manifest(path)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise UsageError(f"manifest {path} names no known command: {command!r}")
+    if not isinstance(manifest.get("params"), dict):
+        raise UsageError(f"manifest {path} has no params")
     replay_params = dict(manifest["params"])
     if params.get("out"):
         replay_params["out"] = params["out"]
-    fn = COMMANDS[command]
-    outputs, trials = fn(replay_params)
+    outputs, trials = COMMANDS[command](replay_params)
     write_manifest(
         replay_params["out"], command, replay_params, outputs, __version__,
         0.0, trials, _run_metrics(replay_params, trials),
@@ -391,7 +391,10 @@ def _add_host(sp):
     sp.add_argument("--n", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it as it
+    is, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="localis",
         description="Local-algorithm independent set simulation toolkit",

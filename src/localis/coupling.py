@@ -8,12 +8,9 @@ prefix-intersection densities, the full density profile over copy subsets,
 and the stability: the conditional probability that the root keeps its
 inclusion bit when S is re-randomised, given it was included.
 
-On tree hosts a factor of radius <= 1 runs as arrays over blocks of trials
-(graphs.TreeStars, the factor's star_rule): every copy of every trial in a
-block at once for the intersections; for the stability, the outer trials
-of a block at once and then, per accepted trial, its inner copies 1..J as
-one array.  Larger radii walk one LazyTree per trial.  Both give the rows
-the per-trial LazyTree/TreeLabels evaluation gives.
+On tree hosts every copy is evaluated by factors.TreeBlock over a block of
+trials: the stability takes copy 0 of the block's outer trials, then the
+inner copies 1..J of each accepted trial.
 """
 
 from __future__ import annotations
@@ -23,15 +20,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import Factor, _project_bits, apply_factor, neighborhood
+from .factors import Factor, TreeBlock, _project_bits, apply_factor, neighborhood
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
-    LazyTree,
     LocalGraph,
     MultiGraph,
-    TreeLabels,
-    TreeStars,
     ball_is_tree,
     er_edge_arrays,
     local_config_model,
@@ -137,29 +131,15 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
     Per trial: sample a tree at the factor's radius, draw X0 and the subset S
     once, evaluate the root bit of every copy, and record the running prefix
     products.  copy_streams permutes which fresh-label stream each copy uses
-    (an exchangeability knob; the default is 1..k).  TreeStars and LazyTree
-    raise TypeError on a graph host.
+    (an exchangeability knob; the default is 1..k).  TreeBlock raises
+    TypeError on a graph host.
     """
-    host = cfg.host
-    f = cfg.factor
-    streams = _copy_streams(cfg.k, copy_streams)
-    if f.radius <= 1:
+    streams = np.array(_copy_streams(cfg.k, copy_streams), dtype=np.uint64)[:, None]
 
-        def block(lo: int, hi: int):
-            stars = TreeStars(
-                host, f.radius, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p
-            )
-            bits = [f.star_rule(stars.labels(s), stars.states, stars.valid) for s in streams]
-            return np.cumprod(np.stack(bits, axis=1), axis=1)
-
-    else:
-
-        def one(t: int):
-            tree = LazyTree(host, f.radius, trial_state(cfg.seed, t))
-            bits = [f.rule(TreeLabels(tree, copy=s, p=cfg.p)) for s in streams]
-            return np.cumprod(bits).astype(np.float64)
-
-        block = per_trial(one)
+    def block(lo: int, hi: int):
+        states = trial_state_np(cfg.seed, np.arange(lo, hi))
+        bits = TreeBlock(cfg.factor, cfg.host, states, cfg.p).bits(streams)
+        return np.cumprod(bits, axis=0).T
 
     rows = run_trials(block, cfg.trials, cfg.workers)
     return _prefix_estimate(cfg, rows)
@@ -400,35 +380,17 @@ def _stability_trial_fn(cfg: CouplingConfig):
     ([0, -1] for a rejected outer trial)."""
     f = cfg.factor
     host = cfg.host
-    if host.tree and f.radius <= 1:
+    if host.tree:
         copies = np.arange(1, cfg.inner_trials + 1, dtype=np.uint64)[:, None]
 
         def block(lo: int, hi: int):
-            stars = TreeStars(
-                host, f.radius, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p
-            )
-            keys, valid = stars.states, stars.valid
+            trees = TreeBlock(f, host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
             rows = np.tile([0.0, -1.0], (hi - lo, 1))
-            for i in np.flatnonzero(f.star_rule(stars.labels(), keys, valid)):
-                inner = f.star_rule(stars.labels(copies, i), keys[i], valid[i])
-                rows[i] = 1.0, np.count_nonzero(inner)
+            for i in np.flatnonzero(trees.bits(0)):
+                rows[i] = 1.0, np.count_nonzero(trees.bits(copies, i))
             return rows
 
         return block
-
-    if host.tree:
-
-        def one(t: int):
-            tree = LazyTree(host, f.radius, trial_state(cfg.seed, t))
-            if f.rule(TreeLabels(tree, copy=0, p=cfg.p)) != 1:
-                return [0.0, -1.0]
-            cnt = sum(
-                f.rule(TreeLabels(tree, copy=j, p=cfg.p))
-                for j in range(1, cfg.inner_trials + 1)
-            )
-            return [1.0, float(cnt)]
-
-        return per_trial(one)
 
     n = host.n
     er = isinstance(host, ErdosRenyiHost)

@@ -9,10 +9,12 @@ lazily generated trees alike.
 A factor of radius <= 1 (threshold, constant) also carries its rule in array
 form, star_rule(labels, keys, valid), over the root stars of a block of
 trees (graphs.TreeStars): column 0 is the root, the other columns its
-neighbours, `valid` masks the columns that are no node.  On tree hosts the
-radius selects the path: radius <= 1 runs as arrays over blocks of trials,
-larger radii (the percolation-round rule) walk one LazyTree per trial.  The
-two agree bit for bit: star_rule returns what rule returns on each star.
+neighbours, `valid` masks the columns that are no node.  star_rule returns
+what rule returns on each star, bit for bit.
+
+TreeBlock is the one evaluator of a factor on tree hosts, and the radius
+rule lives there alone: radius <= 1 runs star_rule on a block's TreeStars,
+larger radii (the percolation-round rule) walk one LazyTree per trial.
 
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
@@ -41,8 +43,8 @@ from .graphs import (
     neighborhood,
     non_tree_ball_mask,
 )
-from .parallel import mean_stderr, per_trial, run_trials
-from .rng import first_success_round, trial_state, trial_state_np
+from .parallel import mean_stderr, run_trials
+from .rng import first_success_round, trial_state_np
 
 
 @dataclass(frozen=True)
@@ -281,8 +283,50 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo density on trees
+# Evaluation on trees
 # ---------------------------------------------------------------------------
+
+
+class TreeBlock:
+    """The factor's root bits on a block of lazy trees, for any coupled copy.
+
+    Row t is the tree LazyTree(host, f.radius, states[t]); bits(copies, row)
+    gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row.
+    The factor's radius chooses how, here and nowhere else: radius <= 1
+    runs star_rule on the block's TreeStars, all rows and copies at once;
+    larger radii walk one LazyTree per row, built once per call for all of
+    that row's copies.  Both give what the per-tree rule gives, bit for bit.
+    TreeStars and LazyTree raise TypeError on a graph host.
+    """
+
+    def __init__(self, f: Factor, host, states: np.ndarray, p: float = 0.0):
+        self.f, self.host, self.p = f, host, p
+        if f.radius <= 1:
+            self.stars = TreeStars(host, f.radius, states, p)
+        else:
+            self.stars = None
+            self.states = np.asarray(states, dtype=np.uint64).tolist()
+
+    def bits(self, copies, row=None) -> np.ndarray:
+        """Root bits of `copies`, an int copy id or a column of copy ids
+        (shape (J, 1), as TreeStars.labels takes), on the int row `row`, or
+        on every row when None.  Bool array of shape (), (J,), (rows,) or
+        (J, rows); a row's bits index its stars as views."""
+        stars = self.stars
+        if stars is not None:
+            at = Ellipsis if row is None else row
+            if row is None and not isinstance(copies, int):
+                copies = copies[..., None]  # labels of shape (J, rows, columns)
+            return self.f.star_rule(stars.labels(copies, at), stars.states[at], stars.valid[at])
+        f, p, single = self.f, self.p, isinstance(copies, int)
+        ids = [copies] if single else copies[:, 0].tolist()
+        states = self.states if row is None else [self.states[row]]
+        trees = (LazyTree(self.host, f.radius, s) for s in states)
+        rows = [[f.rule(TreeLabels(t, copy=c, p=p)) for c in ids] for t in trees]
+        out = np.array(rows, dtype=bool).T
+        out = out[0] if single else out
+        return out if row is None else out[..., 0]
+
 
 DensityEstimate = namedtuple("DensityEstimate", ["mean", "stderr", "trials"])
 
@@ -294,9 +338,9 @@ def estimate_tree_density(
     sampled trees with fresh labels.
 
     Args:
-        host: RegularTreeHost(d) or PGWTreeHost(lam) (TreeStars and LazyTree
-            raise TypeError on any other host); trees are generated at radius
-            exactly f.radius (the rule never reads beyond it).
+        host: RegularTreeHost(d) or PGWTreeHost(lam) (TypeError on any other
+            host); trees are generated at radius exactly f.radius (the rule
+            never reads beyond it).
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -306,18 +350,5 @@ def estimate_tree_density(
 
 
 def _tree_density_fn(f: Factor, host, seed: int):
-    """Block function of the root bits of trials lo..hi-1: root stars as
-    arrays at radius <= 1, one LazyTree per trial beyond."""
-    if f.radius <= 1:
-
-        def block(lo: int, hi: int):
-            stars = TreeStars(host, f.radius, trial_state_np(seed, np.arange(lo, hi)))
-            return f.star_rule(stars.labels(), stars.states, stars.valid)
-
-        return block
-
-    def one(t: int):
-        tree = LazyTree(host, f.radius, trial_state(seed, t))
-        return [float(f.rule(TreeLabels(tree)))]
-
-    return per_trial(one)
+    """Block function of the root bits of trials lo..hi-1."""
+    return lambda lo, hi: TreeBlock(f, host, trial_state_np(seed, np.arange(lo, hi))).bits(0)

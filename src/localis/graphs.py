@@ -19,10 +19,9 @@ lazy trees or finite graphs), `degree` (d or lam, with its own type) and,
 on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
 tree node.
 
-A rule of radius <= 1 reads only the root's star, so TreeStars gives the
-stars of a whole block of lazy trees as arrays (states and the labels of
-any coupled copy, bit-equal to LazyTree and TreeLabels); larger radii walk
-a LazyTree.
+TreeStars gives the root stars of a block of lazy trees as arrays (states
+and the labels of any coupled copy, bit-equal to LazyTree and TreeLabels);
+factors.TreeBlock says when they are used.
 
 All samplers are pure functions of (seed, parameters): identical inputs
 produce byte-identical structures under serialisation.

@@ -44,6 +44,51 @@ def test_density_command_and_replay(tmp_path):
     assert read(out) == read(out2)
 
 
+def test_consecutive_main_calls_leak_no_flag_values(tmp_path):
+    # main parses with one parser per process; a flag set in one call must
+    # not reach the params of the next
+    assert cli.build_parser() is cli.build_parser()
+    first = str(tmp_path / "pgw.csv")
+    assert run(["density", "--host", "pgw", "--lam", "3", "--trials", "10",
+                "--out", first]) == 0
+    assert load_manifest(first + ".manifest.json")["params"]["lam"] == 3.0
+    for args in (["stability", "--p", "0.5", "--k", "2", "--inner-trials", "5"],
+                 ["density"]):
+        out = str(tmp_path / (args[0] + ".csv"))
+        assert run(args + ["--host", "regular-tree", "--d", "3", "--trials", "10",
+                           "--out", out]) == 0
+        params = load_manifest(out + ".manifest.json")["params"]
+        assert params["lam"] is None and params["host"] == "regular-tree", args
+
+
+BAD_MANIFESTS = {
+    "missing": None,
+    "unreadable": "directory",
+    "not-json": b"{",
+    "not-utf8": b"\xff\xfe",
+    "not-an-object": [1, 2],
+    "no-command": {"params": {}},
+    "unknown-command": {"command": "nope", "params": {}},
+    "replay-command": {"command": "replay", "params": {"manifest": "x"}},
+    "no-params": {"command": "density"},
+    "params-not-an-object": {"command": "density", "params": [1]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_replay_of_a_bad_manifest_is_a_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "run.manifest.json"
+    content = BAD_MANIFESTS[case]
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    assert run(["replay", str(path), "--out", str(tmp_path / "again.csv")]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_manifest_records_the_effective_worker_count(tmp_path):
     # 10 trials are fewer than 4 per worker at --workers 8: run_trials stays
     # in-process, and the manifest says so

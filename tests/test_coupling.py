@@ -20,7 +20,12 @@ from localis.coupling import (
     find_p_for_moment,
     scan_p,
 )
-from localis.factors import constant_factor, estimate_tree_density, threshold_factor
+from localis.factors import (
+    constant_factor,
+    estimate_tree_density,
+    lauer_wormald,
+    threshold_factor,
+)
 from localis.graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
@@ -111,8 +116,8 @@ def test_binom_stats_at_endpoints():
     assert binom_sum(est.alphas(3)) >= -1e-9
 
 
-# The per-trial LazyTree/TreeLabels evaluation, kept as the reference for the
-# trial-batched radius <= 1 path.
+# The per-trial LazyTree/TreeLabels evaluation, kept as the reference for
+# factors.TreeBlock (star arrays at radius <= 1, the lazy-tree walk beyond).
 
 
 def _scalar_prefix_rows(cfg, streams) -> list:
@@ -140,52 +145,59 @@ def _scalar_stability_rows(cfg) -> list:
 
 
 BATCH_HOSTS = [RegularTreeHost(d) for d in range(2, 7)] + [PGWTreeHost(0.5), PGWTreeHost(3.0)]
+LW = lauer_wormald(0.3, 2)
+# one factor per path and radius: threshold (1) and constant (0) on star
+# arrays, LW (3) on the lazy-tree walk
+ROW_FACTORS = [F, constant_factor(1), LW]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("host", BATCH_HOSTS)
 def test_tree_prefix_rows_match_the_lazy_tree_rows(host, p):
-    cfg = CouplingConfig(p=p, k=3, factor=F, host=host, trials=300, seed=42)
-    for streams in (None, [3, 1, 2], [2, 5, 4]):
-        est = coupled_tree_intersections(cfg, copy_streams=streams)
-        ref = _scalar_prefix_rows(cfg, streams or [1, 2, 3])
-        assert est.prefix_rows.tolist() == ref
+    for f in ROW_FACTORS:
+        cfg = CouplingConfig(p=p, k=3, factor=f, host=host, trials=300, seed=42)
+        for streams in (None, [3, 1, 2], [2, 5, 4]):
+            est = coupled_tree_intersections(cfg, copy_streams=streams)
+            ref = _scalar_prefix_rows(cfg, streams or [1, 2, 3])
+            assert est.prefix_rows.tolist() == ref, (f.kind, streams)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("host", BATCH_HOSTS)
 def test_tree_stability_rows_match_the_lazy_tree_rows(host, p):
-    cfg = CouplingConfig(p=p, k=2, factor=F, host=host, trials=150, inner_trials=25,
-                         seed=43)
-    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
-    assert rows.tolist() == _scalar_stability_rows(cfg)
-    assert (rows[:, 0] == 1.0).any()
+    for f in ROW_FACTORS:
+        cfg = CouplingConfig(p=p, k=2, factor=f, host=host, trials=150, inner_trials=25,
+                             seed=43)
+        rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+        assert rows.tolist() == _scalar_stability_rows(cfg), f.kind
+        assert (rows[:, 0] == 1.0).any(), f.kind
 
 
 def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
-    cfg = CouplingConfig(p=0.3, k=3, factor=F, host=PGWTreeHost(2.0), trials=2500,
-                         inner_trials=12, seed=44)
-    whole = [
-        coupled_tree_intersections(cfg).prefix_rows,
-        run_trials(_stability_trial_fn(cfg), cfg.trials),
-        estimate_tree_density(F, cfg.host, cfg.trials, seed=44).mean,
-    ]
+    def rows(f):
+        cfg = CouplingConfig(p=0.3, k=3, factor=f, host=PGWTreeHost(2.0), trials=2500,
+                             inner_trials=12, seed=44)
+        return [
+            coupled_tree_intersections(cfg).prefix_rows,
+            run_trials(_stability_trial_fn(cfg), cfg.trials),
+            estimate_tree_density(f, cfg.host, cfg.trials, seed=44).mean,
+        ]
+
+    whole = [rows(f) for f in (F, LW)]
     monkeypatch.setattr(parallel, "BLOCK", 7)  # 358 blocks, the last one short
-    cut = [
-        coupled_tree_intersections(cfg).prefix_rows,
-        run_trials(_stability_trial_fn(cfg), cfg.trials),
-        estimate_tree_density(F, cfg.host, cfg.trials, seed=44).mean,
-    ]
-    assert np.array_equal(whole[0], cut[0])
-    assert np.array_equal(whole[1], cut[1])
-    assert whole[2] == cut[2]
+    for f, (prefix, stability, density) in zip((F, LW), whole):
+        cut = rows(f)
+        assert np.array_equal(prefix, cut[0]), f.kind
+        assert np.array_equal(stability, cut[1]), f.kind
+        assert density == cut[2], f.kind
 
 
 def test_tree_intersections_workers_deterministic():
-    cfg = tree_cfg(0.4, trials=3000, seed=45)
-    a = coupled_tree_intersections(cfg)
-    b = coupled_tree_intersections(replace(cfg, workers=2))
-    assert np.array_equal(a.prefix_rows, b.prefix_rows)
+    for f in (F, LW):
+        cfg = replace(tree_cfg(0.4, trials=3000, seed=45), factor=f)
+        a = coupled_tree_intersections(cfg)
+        b = coupled_tree_intersections(replace(cfg, workers=2))
+        assert np.array_equal(a.prefix_rows, b.prefix_rows), f.kind
 
 
 @pytest.mark.parametrize("host", [ConfigModelHost(10, 3), ErdosRenyiHost(10, 2.0)])
@@ -462,12 +474,12 @@ def test_jackknife_moment_is_unbiased_up_to_order_two(n, q):
 
 
 def test_stability_workers_deterministic():
-    cfg = tree_cfg(0.4, trials=600, inner=60, seed=26)
-    a = estimate_stability(cfg)
-    cfg8 = tree_cfg(0.4, trials=600, inner=60, seed=26)
-    cfg8.workers = 4
-    b = estimate_stability(cfg8)
-    assert a.moments == b.moments
+    for f in (F, LW):
+        cfg = replace(tree_cfg(0.4, trials=600, inner=60, seed=26), factor=f)
+        a = estimate_stability(cfg)
+        b = estimate_stability(replace(cfg, workers=4))
+        assert a.moments == b.moments, f.kind
+        assert np.array_equal(a.q_values, b.q_values), f.kind
 
 
 @pytest.mark.parametrize("host", [ErdosRenyiHost(100, 2.0), ConfigModelHost(100, 3)])

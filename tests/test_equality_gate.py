@@ -5,10 +5,12 @@ PGW transfer for threshold and LW, graph-host density and projection, the
 configuration-model and Erdos-Renyi couplings (stability and scan-p), the
 tree-host couplings (stability on T3 and PGW(2.5), scan-p on PGW(3) and T4),
 threshold density on T3 and on PGW(0.7) (where half the roots have no
-children) and lazy-tree LW density.  The first ten sha256 digests were
-recorded before the rooted views and the graph-host coupling bodies were
-merged, the two tree-host ones before the lazy-tree labels were memoised, the
-last four before radius <= 1 factors ran as arrays over blocks of trials; a
+children), lazy-tree LW density, and the LW tree-host couplings (stability
+on T3, scan-p on PGW(2)).  The first ten sha256 digests were recorded before
+the rooted views and the graph-host coupling bodies were merged, the two
+tree-host ones before the lazy-tree labels were memoised, the next four
+before radius <= 1 factors ran as arrays over blocks of trials, the two LW
+coupling ones before one tree evaluator took over every tree-host path; a
 refactor that moves any random stream or changes any output byte fails here.
 """
 
@@ -107,6 +109,18 @@ GOLDEN = {
          "--k", "3", "--p", "0.5", "--trials", "300", "--inner-trials", "40",
          "--seed", "18"],
         "968f2abf8accf6991fba09fc6b25f44ae3b3bf13c72bd9ea0d2878c4aa590ecd",
+    ),
+    "stability_tree_lw": (
+        ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
+         "--host", "regular-tree", "--d", "3", "--k", "3", "--p", "0.5",
+         "--trials", "400", "--inner-trials", "40", "--seed", "19"],
+        "48fd26240dec621ca1ca35d6fbf47c87b54bdd8f0b25e29e160672eae1ac5817",
+    ),
+    "scan_pgw_lw": (
+        ["scan-p", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2", "--host", "pgw",
+         "--lam", "2", "--k", "3", "--grid", "0,0.5,1", "--trials", "300",
+         "--inner-trials", "20", "--seed", "20"],
+        "b34bbbc3c1724a41844913bc7597ed15857eff7c77ea24703f2791d3482d91a6",
     ),
 }
 

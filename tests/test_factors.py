@@ -408,7 +408,7 @@ def _scalar_density_rows(f, host, seed: int, trials: int) -> list:
     "host",
     [RegularTreeHost(d) for d in range(2, 7)] + [PGWTreeHost(0.5), PGWTreeHost(3.0)],
 )
-@pytest.mark.parametrize("f", [threshold_factor(), constant_factor(1)])
+@pytest.mark.parametrize("f", [threshold_factor(), constant_factor(1), lauer_wormald(0.3, 2)])
 def test_density_rows_match_the_lazy_tree_rows(host, f):
     rows = np.asarray(_tree_density_fn(f, host, 41)(0, 500), dtype=np.float64)
     assert rows.reshape(500, 1).tolist() == _scalar_density_rows(f, host, 41, 500)
