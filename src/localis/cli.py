@@ -3,9 +3,10 @@
 Subcommands: density, scan-p, stability, bounds, oracle-check, pgw-transfer,
 replay.  Every run writes <out>.manifest.json recording the resolved
 parameters, plus a `metrics` block (the effective worker count) that, like
-the wall-clock time, is not part of the byte-stable contract;
-`localis replay <manifest>` reruns the command and reproduces the output
-files byte-for-byte.
+the wall-clock time, is not part of the byte-stable contract.  There is one
+run path: `localis replay <manifest>` parses the command line the manifest
+records and runs it as if typed, so it reproduces the output files
+byte-for-byte, and an unknown parameter or invalid value is a usage error.
 
 Exit codes: 0 ok, 2 usage error (argparse errors and invalid parameter
 values), 3 numerical guard (inconsistent profile, unobserved conditioning
@@ -83,26 +84,22 @@ def _float_list(text: str, flag: str) -> list:
 def _build_factor(params: dict):
     kind = params["factor"]
     if kind == "lw":
-        if params.get("lw_p") is None or params.get("lw_k") is None:
+        if params["lw_p"] is None or params["lw_k"] is None:
             raise UsageError("factor 'lw' requires --lw-p and --lw-k")
         spec = {"kind": "lauer-wormald",
                 "params": {"p": params["lw_p"], "k": params["lw_k"]}}
     elif kind == "threshold":
         spec = {"kind": "greedy-threshold", "params": {}}
-    elif kind in ("const0", "const1"):
+    else:  # const0 or const1
         spec = {"kind": "const", "params": {"bit": int(kind[-1])}}
-    else:
-        raise UsageError(f"unknown factor: {kind!r}")
     return _checked(factor_from_spec, spec)
 
 
 def _build_host(params: dict):
     name = params["host"]
-    cls = HOSTS.get(name)
-    if cls is None:
-        raise UsageError(f"unknown host: {name!r}")
+    cls = HOSTS[name]
     keys = [f.name for f in fields(cls)]
-    if any(params.get(key) is None for key in keys):
+    if any(params[key] is None for key in keys):
         flags = " and ".join(f"--{key}" for key in keys)
         raise UsageError(f"host {name!r} requires {flags}")
     return _checked(cls, *(params[key] for key in keys))
@@ -120,7 +117,7 @@ def _coupling_row(cfg: CouplingConfig, p: float, i: int, estimate: tuple) -> lis
 
 
 def _emit(params: dict, path: str, header: list, rows: list) -> str:
-    if params.get("format", "csv") == "json":
+    if params["format"] == "json":
         payload = [dict(zip(header, row)) for row in rows]
         write_json(path, payload)
     else:
@@ -230,8 +227,8 @@ def cmd_bounds(params: dict):
     if not alpha:
         raise UsageError("--alpha must be a comma list of values")
     k = len(alpha)
-    d = params.get("d")
-    if d is None or d < 1:
+    d = params["d"]
+    if d < 1:
         raise UsageError("bounds requires --d >= 1")
     scale = math.log(d) / d
     profile = DensityProfile.symmetric(k, alpha, scale)
@@ -249,7 +246,7 @@ def cmd_bounds(params: dict):
         "leading_term": leading,
         "gap": gap,
     }
-    if params.get("self_test"):
+    if params["self_test"]:
         dp = DensityProfile(1, np.array([1.0, 0.5]))
         exact = expected_Z_total(dp, 2, 2)
         brute = mean_brute_force_Z(dp, 2, 2)
@@ -266,10 +263,12 @@ def cmd_bounds(params: dict):
 
 def cmd_oracle_check(params: dict):
     n, d = params["n"], params["d"]
-    if n is None or d is None or n < 1 or d < 1:
+    if n < 1 or d < 1:
         raise UsageError("oracle-check requires --n >= 1 and --d >= 1")
     if n * d % 2:
         raise UsageError("n*d must be even")
+    if n * d > 14:  # the enumeration visits (n*d - 1)!! <= 13!! = 135135 pairings
+        raise UsageError(f"oracle-check enumerates every pairing: n*d <= 14, got {n * d}")
     tol = params["tol"]
     rows = []
     worst = 0.0
@@ -292,15 +291,15 @@ def cmd_oracle_check(params: dict):
 
 def cmd_pgw_transfer(params: dict):
     lam = params["lam"]
-    if lam is None or lam <= 0:
+    if lam <= 0:
         raise UsageError("pgw-transfer requires --lam > 0")
-    if params.get("schedule_u") is not None:
+    if params["schedule_u"] is not None:
         u = params["schedule_u"]
         if not 0.5 < u < 1.0:
             raise UsageError("--schedule-u must lie strictly between 1/2 and 1")
         schedule_tail_bound(100, u)  # validates the same window
         d = math.ceil(lam + lam**u)
-    elif params.get("d") is not None:
+    elif params["d"] is not None:
         d = params["d"]
     else:
         raise UsageError("pgw-transfer requires --d or --schedule-u")
@@ -310,7 +309,7 @@ def cmd_pgw_transfer(params: dict):
     rep = transfer_density(
         factor, lam, d, params["trials"], params["seed"], params["workers"]
     )
-    if params.get("check_event_mc"):
+    if params["check_event_mc"]:
         z = abs(rep.p_event_mc - rep.p_event_exact) / max(rep.stderr_event, 1e-12)
         if z > 3.0:
             raise ProfileError(
@@ -324,28 +323,6 @@ def cmd_pgw_transfer(params: dict):
     out = params["out"]
     _emit(params, out, header, [row])
     return [out], params["trials"]
-
-
-def cmd_replay(params: dict):
-    path = params["manifest"]
-    try:
-        manifest = load_manifest(path)
-    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
-        raise UsageError(f"cannot read manifest {path}: {exc}") from exc
-    command = manifest.get("command") if isinstance(manifest, dict) else None
-    if not isinstance(command, str) or command not in COMMANDS:
-        raise UsageError(f"manifest {path} names no known command: {command!r}")
-    if not isinstance(manifest.get("params"), dict):
-        raise UsageError(f"manifest {path} has no params")
-    replay_params = dict(manifest["params"])
-    if params.get("out"):
-        replay_params["out"] = params["out"]
-    outputs, trials = COMMANDS[command](replay_params)
-    write_manifest(
-        replay_params["out"], command, replay_params, outputs, __version__,
-        0.0, trials, _run_metrics(replay_params, trials),
-    )
-    return outputs, trials
 
 
 def _run_metrics(params: dict, trials) -> dict:
@@ -447,27 +424,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replay_args(parser: argparse.ArgumentParser, path: str, out) -> argparse.Namespace:
+    """Parse the command line a manifest records: `--key-with-dashes=value`
+    per param (str(float) round-trips), a True switch bare, None and False
+    omitted, and `--out` replaced by `out` when given."""
+    try:
+        manifest = load_manifest(path)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise UsageError(f"manifest {path} names no known command: {command!r}")
+    recorded = manifest.get("params")
+    if not isinstance(recorded, dict):
+        raise UsageError(f"manifest {path} has no params")
+    if out:
+        recorded = {**recorded, "out": out}
+    argv = [command]
+    for key, value in recorded.items():
+        flag = "--" + key.replace("_", "-")
+        if "--help".startswith(flag):
+            continue  # no param, and --help would exit 0; reported below
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")  # the = form keeps "-3" a value
+    args = parser.parse_args(argv)
+    # argparse takes an unambiguous prefix for a flag; a key must be a dest
+    unknown = sorted(recorded.keys() - vars(args).keys())
+    if unknown:
+        raise UsageError(f"manifest {path} records unknown params: {unknown}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k != "command"}
-    command = args.command
     started = time.time()
     try:
+        if args.command == "replay":
+            args = _replay_args(parser, args.manifest, args.out)
+        params = {k: v for k, v in vars(args).items() if k != "command"}
         if params.get("trials", 1) < 1:
             raise UsageError("--trials must be >= 1")
-        outputs, trials = COMMANDS.get(command, cmd_replay)(params)
+        outputs, trials = COMMANDS[args.command](params)
     except (ProfileError, ConditioningError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if command != "replay":
-        write_manifest(
-            params["out"], command, params, outputs, __version__,
-            time.time() - started, trials, _run_metrics(params, trials),
-        )
+    write_manifest(
+        params["out"], args.command, params, outputs, __version__,
+        time.time() - started, trials, _run_metrics(params, trials),
+    )
     return 0
 
 

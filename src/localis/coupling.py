@@ -192,18 +192,8 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
 
     Every copy keeps all edges of g not inside SxS; pairs within SxS are
     re-drawn independently per copy with probability lam/n, so each copy is
-    again Erdos-Renyi(n, lam/n) marginally.
-    """
-    copy = _er_resampler(g, S, lam)
-    base = trial_state(seed, 0x5E5A)
-    return [copy(fold(base, i)) for i in range(k)]
-
-
-def _er_resampler(g: MultiGraph, S, lam: float):
-    """copy(state) -> g with the pairs inside SxS redrawn from `state`.
-
-    The sorted S, the edges of g kept by every copy and the SxS pair list
-    depend only on (g, S), so they are built once here, not once per copy.
+    again Erdos-Renyi(n, lam/n) marginally.  The sorted S, the kept edges and
+    the SxS pair list depend only on (g, S), so they are built once.
     """
     n = g.n
     S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
@@ -212,19 +202,18 @@ def _er_resampler(g: MultiGraph, S, lam: float):
     in_s[S] = True
     in_s = in_s.tolist()
     kept = [(u, v) for u, v in g.edges if not (in_s[u] and in_s[v])]
-    q = lam / n
-
-    def copy(state: int) -> MultiGraph:
-        fu, fv = _redraw(state, su, sv, q)
+    base = trial_state(seed, 0x5E5A)
+    copies = []
+    for i in range(k):
+        fu, fv = _redraw(fold(base, i), su, sv, lam / n)
         fresh = list(zip(fu.tolist(), fv.tolist()))
-        return MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam})
-
-    return copy
+        copies.append(MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam}))
+    return copies
 
 
 def _local_er_resampler(n: int, us, vs, in_s: np.ndarray, lam: float):
-    """copy(state) -> LocalGraph: what _er_resampler's copy(state) builds for
-    the graph with edges (us, vs) and S = the vertices flagged in in_s.
+    """copy(state) -> LocalGraph: the copy er_resample_graphs draws from
+    `state` for the graph with edges (us, vs) and S = the vertices in in_s.
 
     The kept edges' incidences are built once, lazily, and shared by every
     copy; a copy adds only its redrawn SxS edges.

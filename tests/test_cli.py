@@ -17,6 +17,14 @@ def run(args):
     return main(args)
 
 
+def exit_code(args):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read(path):
     with open(path) as fh:
         return fh.read()
@@ -87,6 +95,63 @@ def test_replay_of_a_bad_manifest_is_a_usage_error(tmp_path, capsys, case):
         path.write_text(json.dumps(content))
     assert run(["replay", str(path), "--out", str(tmp_path / "again.csv")]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+# A replay parses the command line its manifest records, so its params get
+# the checks a typed command line gets: (manifest, the error it must print).
+TREE_DENSITY = {"factor": "threshold", "host": "regular-tree", "d": 3, "trials": 5}
+INVALID_PARAMS = {
+    "empty": ({}, "usage error: host 'regular-tree' requires --d"),
+    "trials-zero": ({**TREE_DENSITY, "trials": 0}, "usage error: --trials must be >= 1"),
+    "trials-not-an-int": ({**TREE_DENSITY, "trials": "abc"},
+                          "argument --trials: invalid int value: 'abc'"),
+    "d-not-an-int": ({**TREE_DENSITY, "d": 3.5}, "argument --d: invalid int value: '3.5'"),
+    "unknown-key": ({**TREE_DENSITY, "bogus": 1}, "unrecognized arguments: --bogus=1"),
+    "key-a-prefix-of-a-flag": ({"d": 3, "tri": 5}, "records unknown params: ['tri']"),
+    "help": ({**TREE_DENSITY, "help": True}, "records unknown params: ['help']"),
+    "unknown-host": ({**TREE_DENSITY, "host": "torus"},
+                     "argument --host: invalid choice: 'torus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PARAMS))
+def test_replay_checks_params_like_a_command_line(tmp_path, capsys, case):
+    params, message = INVALID_PARAMS[case]
+    path = tmp_path / "run.manifest.json"
+    path.write_text(json.dumps({"command": "density", "params": params}))
+    assert exit_code(["replay", str(path), "--out", str(tmp_path / "again.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "again.csv").exists()
+
+
+# One command line per kind of flag: a float and a switch, a switch alone,
+# underscore dests with a non-default format, a comma list, a negative value.
+REPLAYED = {
+    "pgw-transfer": ["pgw-transfer", "--lam", "10", "--schedule-u", "0.75",
+                     "--check-event-mc", "--trials", "4000", "--seed", "7"],
+    "bounds": ["bounds", "--alpha", "1,0.8", "--d", "100", "--self-test"],
+    "density-lw-json": ["density", "--factor", "lw", "--lw-p", "0.02", "--lw-k", "250",
+                        "--format", "json", "--d", "3", "--trials", "50"],
+    "scan-p": ["scan-p", "--inner-trials", "30", "--grid", "0,0.5,1", "--d", "3",
+               "--k", "2", "--trials", "100"],
+    "negative-seed": ["density", "--seed=-3", "--d", "3", "--trials", "50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAYED))
+def test_replay_rebuilds_the_outputs_and_the_params(tmp_path, case):
+    out, again = str(tmp_path / "run"), str(tmp_path / "again")
+    assert run(REPLAYED[case] + ["--out", out]) == 0
+    assert run(["replay", out + ".manifest.json", "--out", again]) == 0
+    first, second = (load_manifest(o + ".manifest.json") for o in (out, again))
+    assert second["command"] == first["command"]
+    # dumped, so that 3 and 3.0 differ
+    assert (json.dumps(second["params"], sort_keys=True)
+            == json.dumps({**first["params"], "out": again}, sort_keys=True))
+    assert len(first["outputs"]) == len(second["outputs"])
+    for name, replayed in zip(first["outputs"], second["outputs"]):
+        assert read(tmp_path / replayed) == read(tmp_path / name), name
 
 
 def test_manifest_records_the_effective_worker_count(tmp_path):
@@ -212,8 +277,6 @@ def test_missing_host_flags_keep_their_messages(tmp_path, capsys):
                         "--out", out])
             assert code == 2, (name, partial)
             assert capsys.readouterr().err == f"usage error: {message}\n"
-    with pytest.raises(cli.UsageError, match="unknown host: 'torus'"):
-        cli._build_host({"host": "torus"})
 
 
 def test_host_columns_and_scale_match_the_old_table():
@@ -355,6 +418,14 @@ def test_oracle_check_passes(tmp_path):
     lines = read(out).strip().splitlines()
     worst = float(lines[-1].split(",")[-1])
     assert worst <= 1e-9
+
+
+def test_oracle_check_rejects_sizes_beyond_the_enumeration(tmp_path, capsys):
+    # (n*d - 1)!! pairings: 17!! is about 3.4e7 at (6, 3), 29!! at (15, 2)
+    out = str(tmp_path / "oc.csv")
+    for n, d in ((15, 2), (6, 3)):
+        assert run(["oracle-check", "--n", str(n), "--d", str(d), "--out", out]) == 2
+        assert f"n*d <= 14, got {n * d}" in capsys.readouterr().err
 
 
 def test_oracle_check_guard_on_impossible_tolerance(tmp_path):
