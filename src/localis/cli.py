@@ -33,7 +33,7 @@ from .factors import (
     factor_spec,
     project_to_graph,
 )
-from .graphs import HOSTS, ConfigModelHost, sample_config_model, sample_er
+from .graphs import HOSTS, ConfigModelHost, PGWTreeHost, sample_config_model, sample_er
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
 from .parallel import effective_workers, mean_stderr, per_trial, run_trials
 from .profiles import (
@@ -47,7 +47,7 @@ from .profiles import (
     rate_bound,
     rho_to_pi,
 )
-from .pgw_transfer import schedule_tail_bound, transfer_density
+from .pgw_transfer import transfer_density
 from .rng import fold, state_rng, trial_state, uniform_labels
 
 COUPLING_HEADER = [
@@ -234,7 +234,7 @@ def cmd_bounds(params: dict):
     profile = DensityProfile.symmetric(k, alpha, scale)
     measure = rho_to_pi(profile)
     rep = entropies(measure)
-    leading, gap = asymptotic_rate(alpha, k, d)
+    leading, gap = _checked(asymptotic_rate, alpha, k, d)
     report = {
         "k": k,
         "d": d,
@@ -290,14 +290,11 @@ def cmd_oracle_check(params: dict):
 
 
 def cmd_pgw_transfer(params: dict):
-    lam = params["lam"]
-    if lam <= 0:
-        raise UsageError("pgw-transfer requires --lam > 0")
+    lam = _checked(PGWTreeHost, params["lam"]).lam  # 0 < lam <= POISSON_LAM_MAX
     if params["schedule_u"] is not None:
         u = params["schedule_u"]
         if not 0.5 < u < 1.0:
             raise UsageError("--schedule-u must lie strictly between 1/2 and 1")
-        schedule_tail_bound(100, u)  # validates the same window
         d = math.ceil(lam + lam**u)
     elif params["d"] is not None:
         d = params["d"]

@@ -15,6 +15,7 @@ inner copies 1..J of each accepted trial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,12 +25,8 @@ from .factors import Factor, TreeBlock, _project_bits, apply_factor, neighborhoo
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
-    LocalGraph,
     MultiGraph,
     ball_is_tree,
-    er_edge_arrays,
-    local_config_model,
-    local_simple_graph,
     non_tree_ball_mask,
     sample_config_model,
     sample_er,
@@ -192,53 +189,38 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
 
     Every copy keeps all edges of g not inside SxS; pairs within SxS are
     re-drawn independently per copy with probability lam/n, so each copy is
-    again Erdos-Renyi(n, lam/n) marginally.  The sorted S, the kept edges and
-    the SxS pair list depend only on (g, S), so they are built once.
+    again Erdos-Renyi(n, lam/n) marginally.  The copies are read on demand:
+    they share the kept edges' incidence lists and add only their redrawn
+    SxS edges.  What depends on (g, S) alone is kept for the last (g, S), so
+    the stability loop, calling this once per inner trial, builds it once.
     """
-    n = g.n
-    S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
-    su, sv = _s_pairs(S)
-    in_s = np.zeros(n, dtype=bool)
-    in_s[S] = True
-    in_s = in_s.tolist()
-    kept = [(u, v) for u, v in g.edges if not (in_s[u] and in_s[v])]
+    S = np.sort(np.asarray(S, dtype=np.int64))
+    kept, su, sv = _kept_graph(g, S.tobytes(), lam)
     base = trial_state(seed, 0x5E5A)
     copies = []
-    for i in range(k):
-        fu, fv = _redraw(fold(base, i), su, sv, lam / n)
-        fresh = list(zip(fu.tolist(), fv.tolist()))
-        copies.append(MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam}))
+    for i in range(k):  # copy i keeps each SxS pair with probability lam/n
+        mask = state_rng(fold(base, i)).random(su.size) < lam / g.n
+        copies.append(kept.with_edges(su[mask], sv[mask]))
     return copies
 
 
-def _local_er_resampler(n: int, us, vs, in_s: np.ndarray, lam: float):
-    """copy(state) -> LocalGraph: the copy er_resample_graphs draws from
-    `state` for the graph with edges (us, vs) and S = the vertices in in_s.
+@functools.lru_cache(maxsize=1)
+def _kept_graph(g: MultiGraph, s_bytes: bytes, lam: float) -> tuple:
+    """(g without the edges inside SxS, the SxS pairs as arrays (su, sv) in
+    sorted order), for S the sorted int64 vertices in s_bytes."""
+    S = np.frombuffer(s_bytes, dtype=np.int64)
+    in_s = set(S.tolist())
 
-    The kept edges' incidences are built once, lazily, and shared by every
-    copy; a copy adds only its redrawn SxS edges.
-    """
-    inside = in_s[us] & in_s[vs]
-    kept = local_simple_graph(n, us[~inside], vs[~inside])
-    su, sv = _s_pairs(np.flatnonzero(in_s))
-    q = lam / n
+    def read(u):
+        inc = g.adj[u]
+        return [(w, e) for w, e in inc if w not in in_s] if u in in_s else inc
 
-    def copy(state: int) -> LocalGraph:
-        return kept.union(local_simple_graph(n, *_redraw(state, su, sv, q)))
-
-    return copy
-
-
-def _s_pairs(S: np.ndarray) -> tuple:
-    """The pairs inside SxS, S sorted, as arrays (su, sv) in sorted order."""
+    kept = MultiGraph(
+        g.n, model="er", params={"lambda": lam}, read=read,
+        make_edges=lambda: [(u, v) for u, v in g.edges if not (u in in_s and v in in_s)],
+    )
     iu, iv = np.triu_indices(S.size, k=1)
-    return S[iu], S[iv]
-
-
-def _redraw(state: int, su: np.ndarray, sv: np.ndarray, q: float) -> tuple:
-    """The SxS pairs one copy keeps: each with probability q."""
-    mask = state_rng(state).random(su.size) < q
-    return su[mask], sv[mask]
+    return kept, S[iu], S[iv]
 
 
 def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
@@ -334,12 +316,13 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
     Erdos-Renyi host, edges inside SxS) inner_trials times; the inner success
     fraction is one Q sample.  Moment estimates are jackknife-corrected.
 
-    On graph hosts a trial reads only the root's (radius+1)-ball, through a
-    LocalGraph over the sampler's arrays; the draws are those of
-    sample_config_model, sample_er and er_resample_graphs, so the estimates
-    are those of the whole graphs.  On the configuration model the graph is
-    the same for every inner trial, so the root's ball is found once per
-    outer trial and each inner trial relabels only the ball's vertices.
+    On graph hosts a trial samples its graph with sample_config_model or
+    sample_er, and each Erdos-Renyi inner trial takes its copy from
+    er_resample_graphs; these graphs compute a vertex's incidences when it
+    is first read, so a trial costs the draws plus the root's
+    (radius+1)-ball.  On the configuration model the graph is the same for
+    every inner trial, so the root's ball is found once per outer trial and
+    each inner trial relabels only the ball's vertices.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -390,24 +373,20 @@ def _stability_trial_fn(cfg: CouplingConfig):
         x0 = uniform_labels(rng, n)
         in_s = rng.random(n) < cfg.p
         root = int(rng.integers(n))
-        if er:
-            us, vs = er_edge_arrays(n, host.lam, fold(st, 1))
-            g = local_simple_graph(n, us, vs)
-        else:
-            g = local_config_model(n, host.d, fold(st, 1))
+        g = _sample_graph(host, fold(st, 1))
         nb = _root_ball(f, g, root, x0)
         if nb is None or apply_factor(f, nb) != 1:
             return [0.0, -1.0]
         if er:
-            resample = _local_er_resampler(n, us, vs, in_s, host.lam)
+            S = np.flatnonzero(in_s)
         else:  # g is the same for every inner trial: relabel its ball only
             src = nb.source_vertices
             x0_ball, s_ball = x0[src], in_s[src]
         cnt = 0
         for j in range(1, cfg.inner_trials + 1):
             fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), n)
-            if er:  # copy 0 of er_resample_graphs(g, S, lam, 1, fold(st, 0x2000 + j))
-                gj = resample(fold(trial_state(fold(st, 0x2000 + j), 0x5E5A), 0))
+            if er:
+                gj = er_resample_graphs(g, S, host.lam, 1, fold(st, 0x2000 + j))[0]
                 nb_j = _root_ball(f, gj, root, np.where(in_s, fresh, x0))
             else:
                 nb_j = nb.with_labels(np.where(s_ball, fresh[src], x0_ball))

@@ -251,9 +251,11 @@ class IndependentSetSample:
         return np.flatnonzero(self.bits)
 
     def violations(self) -> list:
-        """Edges with both endpoints included (a loop reports its vertex twice)."""
-        bits = self.bits
-        return [(u, v) for u, v in self.graph.edges if bits[u] and bits[v]]
+        """Edges with both endpoints included, as (u, v) with u <= v (a loop
+        reports its vertex twice), found from the members' incidences."""
+        bits, adj = self.bits.tolist(), self.graph.adj
+        edges = {e: (u, w) for u in self.members.tolist() for w, e in adj[u] if u <= w and bits[w]}
+        return list(edges.values())
 
 
 def _project_bits(f: Factor, g: MultiGraph, ok: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -5,19 +5,19 @@ truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
 rooted neighbourhoods and the non-tree-neighbourhood count used by the
 tree-to-graph projection.
 
-The BFS (ball_is_tree, neighborhood) reads a graph through `n` and
-`adj[u]` alone.  MultiGraph builds every adjacency list up front, for
-whole-graph work (projection, the non-tree mask); LocalGraph builds a list
-when it is first read, so a per-root trial (graph-host stability) costs the
-root's ball plus the sampler's draw, which local_config_model and
-er_edge_arrays share with sample_config_model and sample_er.
+MultiGraph is the one graph type.  The BFS (ball_is_tree, neighborhood)
+reads a graph through `n` and `adj[u]` alone, and a MultiGraph computes
+adj[u] when u is first read, from arrays made once per graph (an explicit
+edge list, the configuration model's half-edge permutation, er_edge_arrays).
+So a per-root trial (graph-host stability) costs the root's ball plus the
+sampler's draw, and whole-graph work (projection) one read per vertex.
 
 A host descriptor (RegularTreeHost, PGWTreeHost, ConfigModelHost,
 ErdosRenyiHost; HOSTS maps names to classes) carries what the rest of the
 package asks of a host: `name` (the CLI name), `tree` (whether runs sample
 lazy trees or finite graphs), `degree` (d or lam, with its own type) and,
 on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
-tree node.
+tree node (of each node, given an array of states).
 
 TreeStars gives the root stars of a block of lazy trees as arrays (states
 and the labels of any coupled copy, bit-equal to LazyTree and TreeLabels);
@@ -29,10 +29,11 @@ produce byte-identical structures under serialisation.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -91,7 +92,9 @@ class PGWTreeHost:
     def degree(self) -> float:
         return self.lam
 
-    def offspring(self, depth: int, state: int) -> int:
+    def offspring(self, depth: int, state):
+        if isinstance(state, np.ndarray):  # a uint64 array of states
+            return poisson_from_unit(label_unit(fold_np(state, OFFSPRING_TAG)), self.lam)
         return poisson_from_unit(label_unit(fold(state, OFFSPRING_TAG)), self.lam)
 
 
@@ -144,34 +147,78 @@ HOSTS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class _Incidences(dict):
+    """adj[u] = read(u), computed on the first read of u and kept."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def __missing__(self, u):
+        inc = self[u] = self.read(u)
+        return inc
+
+
+@dataclass(eq=False)
 class MultiGraph:
     """Undirected multigraph on vertices 0..n-1; loops and parallel edges allowed.
 
     `adj[v]` lists (neighbour, edge_id) incidences sorted for deterministic
     traversal; a loop at v contributes two entries at v, so len(adj[v]) is the
-    half-edge endpoint count of v.
+    half-edge endpoint count of v.  An edge id only names an edge: its two
+    incidences share it.  adj[v] = read(v) is computed when v is first read.
+
+    MultiGraph(n, edges) takes an explicit edge list; the samplers pass `read`
+    and `make_edges`, and `edges` (sorted pairs u <= v) and `pairing` are
+    computed when first read.
     """
 
     n: int
-    edges: list
+    edge_list: InitVar[list | None] = None
     model: str = "explicit"
     params: dict = field(default_factory=dict)
-    d: int | None = None
-    pairing: np.ndarray | None = None  # configuration model half-edge matching
-    adj: list = field(init=False, repr=False)
+    read: Callable = field(default=None, repr=False)
+    make_edges: Callable = field(default=None, repr=False)
+    make_pairing: Callable = field(default=None, repr=False)
+    adj: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
-        adj = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        for lst in adj:
-            lst.sort()
-        self.adj = adj
+    def __post_init__(self, edge_list):
+        if edge_list is not None:
+            self.__dict__["edges"] = edge_list  # what the edges property returns
+            e = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+            self.read = _edge_array_read(self.n, e[:, 0], e[:, 1])
+        self.adj = _Incidences(self.read)
 
-    def endpoint_degrees(self) -> np.ndarray:
-        return np.array([len(lst) for lst in self.adj], dtype=np.int64)
+    @functools.cached_property
+    def edges(self) -> list:
+        return self.make_edges()
+
+    @functools.cached_property
+    def pairing(self) -> np.ndarray | None:
+        """The configuration model's half-edge matching (None on other graphs)."""
+        return self.make_pairing() if self.make_pairing else None
+
+    def with_edges(self, us: np.ndarray, vs: np.ndarray) -> "MultiGraph":
+        """This graph plus the edges us[i] - vs[i], read on demand: a vertex
+        they do not touch keeps this graph's incidence list.  Added edge i
+        has id ~i, so this graph's ids must be >= 0."""
+        added = _edge_array_read(self.n, us, vs)
+
+        def read(u):
+            extra = [(w, ~e) for w, e in added(u)]
+            return sorted(self.adj[u] + extra) if extra else self.adj[u]
+
+        return MultiGraph(
+            self.n, model=self.model, params=self.params, read=read,
+            make_edges=lambda: sorted(self.edges + list(zip(us.tolist(), vs.tolist()))),
+        )
+
+    def read_all(self) -> list:
+        """Read every vertex; adj becomes the list of their incidence lists,
+        which a whole-graph pass indexes faster than the dict."""
+        if not isinstance(self.adj, list):
+            adj, read = self.adj, self.read
+            self.adj = [adj[v] if v in adj else read(v) for v in range(self.n)]
+        return self.adj
 
     def neighbors(self, v: int) -> list:
         return [w for w, _ in self.adj[v]]
@@ -186,10 +233,33 @@ class MultiGraph:
         return json.dumps(payload, sort_keys=True)
 
 
+def _incidence_read(start, nbr: np.ndarray, eid: np.ndarray):
+    """The read of arrays grouped by vertex: u's incidences are (nbr[i],
+    eid[i]) for i in start[u]:start[u + 1], sliced when u is read."""
+
+    def read(u):
+        lo, hi = start[u], start[u + 1]
+        return sorted(zip(nbr[lo:hi].tolist(), eid[lo:hi].tolist())) if lo < hi else []
+
+    return read
+
+
+def _edge_array_read(n: int, us: np.ndarray, vs: np.ndarray):
+    """The read of the graph with edges us[i] - vs[i]; edge i has id i."""
+    src = np.concatenate([us, vs])
+    order = np.argsort(src)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    nbr = np.concatenate([vs, us])[order]
+    return _incidence_read(start.tolist(), nbr, order % max(us.size, 1))
+
+
 def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     """Uniformly random pairing of the n*d half-edges, glued into edges.
 
     Half-edge h belongs to vertex h // d.  Loops and parallel edges are kept.
+    h sits at position inv[h] of the drawn permutation, its partner at
+    inv[h] ^ 1, and the pair index inv[h] >> 1 is the edge id.
 
     Args:
         n: vertex count (>= 1).
@@ -197,33 +267,40 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
         seed: int seed or numpy Generator.
 
     Returns:
-        MultiGraph with `pairing` holding the sampled matching as a sorted
+        MultiGraph whose `pairing` is the sampled matching as a sorted
         (nd/2, 2) array of half-edge indices.
     """
-    perm = _config_permutation(n, d, seed)
-    pairs = np.sort(perm.reshape(-1, 2), axis=1)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    lo, hi = pairs[:, 0] // d, pairs[:, 1] // d  # rows are sorted: lo <= hi
-    order = np.lexsort((hi, lo))
-    edges = list(zip(lo[order].tolist(), hi[order].tolist()))
-    return MultiGraph(n, edges, model="config", params={"d": d}, d=d, pairing=pairs)
-
-
-def _config_permutation(n: int, d: int, seed) -> np.ndarray:
-    """The configuration model's one draw: positions 2i and 2i+1 of the
-    returned permutation of the n*d half-edges are paired."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even for a perfect half-edge pairing")
-    return np.random.default_rng(seed).permutation(n * d)
+    perm = np.random.default_rng(seed).permutation(n * d)  # pairs 2i, 2i + 1
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    read = _incidence_read(range(0, n * d + 1, d), perm[inv ^ 1] // d, inv >> 1)
+
+    def edges():
+        ends = np.sort(perm.reshape(-1, 2) // d, axis=1)
+        lo, hi = ends[np.lexsort((ends[:, 1], ends[:, 0]))].T
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    def pairing():
+        pairs = np.sort(perm.reshape(-1, 2), axis=1)
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+    return MultiGraph(
+        n, model="config", params={"d": d}, read=read, make_edges=edges,
+        make_pairing=pairing,
+    )
 
 
 def sample_er(n: int, lam: float, seed) -> MultiGraph:
     """Erdos-Renyi graph: each pair independently present with probability lam/n."""
     us, vs = er_edge_arrays(n, lam, seed)
-    return MultiGraph(n, list(zip(us.tolist(), vs.tolist())), model="er",
-                      params={"lambda": lam})
+    return MultiGraph(
+        n, model="er", params={"lambda": lam}, read=_edge_array_read(n, us, vs),
+        make_edges=lambda: list(zip(us.tolist(), vs.tolist())),
+    )
 
 
 def er_edge_arrays(n: int, lam: float, seed) -> tuple:
@@ -240,82 +317,6 @@ def er_edge_arrays(n: int, lam: float, seed) -> tuple:
     start = u * (2 * n - u - 1) // 2
     us = np.searchsorted(start, flat, side="right") - 1
     return us, flat - start[us] + us + 1
-
-
-class _Incidences(dict):
-    """adj[u] = read(u), computed on the first read of u and kept."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, read):
-        super().__init__()
-        self.read = read
-
-    def __missing__(self, u):
-        inc = self[u] = self.read(u)
-        return inc
-
-
-class LocalGraph:
-    """A graph on vertices 0..n-1 whose incidence lists are built when read.
-
-    `adj[u]` is the sorted (neighbour, edge_id) list a MultiGraph of the same
-    edges holds at u, up to the edge ids: here too an id names one edge and
-    is shared by its two incidences, but the ids differ.  ball_is_tree and
-    neighborhood read only `n` and `adj`, and their results do not depend on
-    which ids are used, so on a LocalGraph they cost the ball they walk,
-    not the graph.
-    """
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n: int, read):
-        self.n = n
-        self.adj = _Incidences(read)
-
-    def union(self, other: "LocalGraph") -> "LocalGraph":
-        """The graph with the edges of both (their edge ids must differ)."""
-
-        def read(u):
-            extra = other.adj[u]
-            return sorted(self.adj[u] + extra) if extra else self.adj[u]
-
-        return LocalGraph(self.n, read)
-
-
-def local_config_model(n: int, d: int, seed) -> LocalGraph:
-    """The graph sample_config_model(n, d, seed) draws, read on demand.
-
-    Half-edge h sits at position inv[h] of the drawn permutation; its
-    partner sits at position inv[h] ^ 1, and the pair's index inv[h] >> 1 is
-    the edge id.  A loop gives two incidences with one id, as in MultiGraph.
-    """
-    perm = _config_permutation(n, d, seed)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-
-    def read(u):
-        pos = inv[u * d : u * d + d]
-        return sorted(zip((perm[pos ^ 1] // d).tolist(), (pos >> 1).tolist()))
-
-    return LocalGraph(n, read)
-
-
-def local_simple_graph(n: int, us: np.ndarray, vs: np.ndarray) -> LocalGraph:
-    """The simple graph with edges us[i] - vs[i] (us < vs, no repeated pair),
-    read on demand; edge u - v (u < v) has id u * n + v."""
-    src = np.concatenate([us, vs])
-    dst = np.concatenate([vs, us])
-    order = np.lexsort((dst, src))
-    dst = dst[order].tolist()
-    start = np.searchsorted(src[order], np.arange(n + 1)).tolist()
-
-    def read(u):
-        return [
-            (w, u * n + w if u < w else w * n + u) for w in dst[start[u] : start[u + 1]]
-        ]
-
-    return LocalGraph(n, read)
 
 
 def enumerate_config_graphs(n: int, d: int):
@@ -341,7 +342,7 @@ def enumerate_config_graphs(n: int, d: int):
 
     for pairing in rec(list(range(m)), []):
         edges = sorted((min(a // d, b // d), max(a // d, b // d)) for a, b in pairing)
-        yield MultiGraph(n, edges, model="config", params={"d": d}, d=d)
+        yield MultiGraph(n, edges, model="config", params={"d": d})
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +412,11 @@ def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
     """Induced subgraph on vertices within distance r of v, rooted at v.
 
     Carries the restriction of `labels` (uint64 array indexed by vertex id).
-    `g` is a MultiGraph or a LocalGraph; only g.n and g.adj are read.
+    Only g.n and g.adj are read.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph")
+    adj = g.adj
     order = {v: 0}
     depths = [0]
     queue = deque([v])
@@ -423,7 +425,7 @@ def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
         du = depths[order[u]]
         if du == r:
             continue
-        for w, _ in g.adj[u]:
+        for w, _ in adj[u]:
             if w not in order:
                 order[w] = len(order)
                 depths.append(du + 1)
@@ -431,7 +433,7 @@ def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
     edges = []
     seen_eids = set()
     for u in order:
-        for w, eid in g.adj[u]:
+        for w, eid in adj[u]:
             if eid in seen_eids or w not in order:
                 continue
             seen_eids.add(eid)
@@ -449,16 +451,16 @@ def ball_is_tree(g, v: int, radius: int) -> bool:
     """Whether the induced subgraph on the radius-ball around v is acyclic.
 
     Loops, parallel edges and cycles inside the ball all count as non-tree.
-    Early-exits on the first cycle evidence.  `g` is a MultiGraph or a
-    LocalGraph; only g.adj is read.
+    Early-exits on the first cycle evidence.  Only g.adj is read.
     """
+    adj = g.adj
     seen = {v: 0}
     used = set()
     queue = deque([v])
     while queue:
         u = queue.popleft()
         du = seen[u]
-        for w, eid in g.adj[u]:
+        for w, eid in adj[u]:
             if w == u:
                 return False  # loop, always inside the ball
             if eid in used:
@@ -475,6 +477,7 @@ def ball_is_tree(g, v: int, radius: int) -> bool:
 
 def non_tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
     """Boolean mask of vertices whose radius-ball is not a tree."""
+    g.read_all()
     return np.array([not ball_is_tree(g, v, radius) for v in range(g.n)], dtype=bool)
 
 
@@ -658,7 +661,7 @@ class TreeStars:
     child j (none at radius 0).  `states` holds the node states, `valid`
     which columns are nodes: PGW stars are ragged, and the columns past a
     root's child count hold states of no node.  Child counts come from
-    host.offspring, one call per root.
+    one host.offspring call over all roots.
 
     labels(copy, at) is the array form of TreeLabels(tree, copy, p).label
     over the rows `at`: equal bit for bit, so a radius <= 1 rule evaluated
@@ -674,7 +677,7 @@ class TreeStars:
         roots = np.asarray(roots, dtype=np.uint64)
         counts = np.zeros(roots.size, dtype=np.int64)
         if radius:
-            counts[:] = [host.offspring(0, s) for s in roots.tolist()]
+            counts[:] = host.offspring(0, roots)
         slots = np.arange(int(counts.max(initial=0)))
         kids = fold_np(roots[:, None], CHILD_TAG + slots.astype(np.uint64))
         self.states = np.concatenate([roots[:, None], kids], axis=1)

@@ -28,7 +28,7 @@ import numpy as np
 from .factors import DensityEstimate, Factor, estimate_tree_density
 from .graphs import RegularTreeHost, RootedNeighborhood, sample_pgw_tree
 from .parallel import mean_stderr, per_trial, run_trials
-from .rng import CHILD_TAG, LABEL_TAG, fold, trial_state
+from .rng import CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, trial_state
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,8 @@ def _poisson_pmf_iter(lam: float):
 
 
 def poisson_cdf(lam: float, m: int) -> float:
-    """P(Poisson(lam) <= m), exact summation."""
+    """P(Poisson(lam) <= m), exact summation; lam <= POISSON_LAM_MAX."""
+    check_poisson_lam(lam)
     if m < 0:
         return 0.0
     acc = 0.0
@@ -337,6 +338,7 @@ def event_E_probability(
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
+    check_poisson_lam(lam)
     if d < 1:
         raise ValueError("need d >= 1")
     if mode == "exact":

@@ -20,6 +20,7 @@ a secondary vertex key, so the effective label order is always total.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -113,25 +114,38 @@ def first_success_round(label: int, p: float) -> int:
     return 1 + int(math.log1p(-u) / math.log1p(-p))
 
 
-def poisson_from_unit(u: float, lam: float) -> int:
-    """Poisson(lam) sample from one uniform in [0, 1) via inverse CDF.
+def poisson_from_unit(u, lam: float):
+    """Poisson(lam) sample from a uniform in [0, 1), or an array of them,
+    via inverse CDF: the least j with u < P(X <= j), at most cap(lam).
 
-    Exact up to float accumulation; lam must not exceed POISSON_LAM_MAX
-    (e^-lam must not underflow).
+    Exact up to float accumulation; lam must not exceed POISSON_LAM_MAX.
     """
+    cdf, cdf_np = _poisson_cdf_table(lam)
+    if isinstance(u, np.ndarray):
+        return np.searchsorted(cdf_np, u, side="right")
+    return bisect.bisect_right(cdf, u)
+
+
+def check_poisson_lam(lam: float) -> None:
+    """Poisson sums start from e^-lam, which must not underflow."""
     if lam > POISSON_LAM_MAX:
-        raise ValueError(
-            f"inverse-CDF Poisson sampling supports lam <= {POISSON_LAM_MAX:g}"
-        )
+        raise ValueError(f"Poisson sums need lam <= {POISSON_LAM_MAX:g}, got {lam}")
+
+
+@functools.lru_cache(maxsize=64)
+def _poisson_cdf_table(lam: float) -> tuple:
+    """P(X <= j) for j < cap = int(lam + 12 sqrt(lam) + 30), summed pmf by
+    pmf in this float order, as a tuple and a read-only array (the cache
+    shares them).  Searching it gives the count of entries <= u, at most cap."""
+    check_poisson_lam(lam)
     pmf = math.exp(-lam)
-    cdf = pmf
-    j = 0
-    cap = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-    while u >= cdf and j < cap:
-        j += 1
+    cdf = [pmf]
+    for j in range(1, int(lam + 12.0 * math.sqrt(lam) + 30.0)):
         pmf *= lam / j
-        cdf += pmf
-    return j
+        cdf.append(cdf[-1] + pmf)
+    cdf_np = np.array(cdf)
+    cdf_np.flags.writeable = False
+    return tuple(cdf), cdf_np
 
 
 _NP_M1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -216,6 +216,8 @@ def test_invalid_values_are_usage_errors(tmp_path):
         ["stability", "--host", "regular-tree", "--d", "3", "--k", "0",
          "--p", "0.5", "--trials", "5"],
         ["scan-p", "--host", "regular-tree", "--d", "3", "--grid", "0,x"],
+        # within the profile's tolerance, but increasing for asymptotic_rate
+        ["bounds", "--alpha", "1,1.00000000001", "--d", "1000"],
     ):
         assert run(args + ["--out", out]) == 2, args
 
@@ -298,6 +300,7 @@ def test_pgw_lam_above_the_poisson_limit_is_a_usage_error(tmp_path, capsys):
         ["density", "--host", "pgw", "--lam", "700", "--trials", "5"],
         ["stability", "--host", "pgw", "--lam", "700", "--p", "0.5",
          "--trials", "5", "--inner-trials", "2"],
+        ["pgw-transfer", "--lam", "601", "--d", "700", "--trials", "4"],
     ):
         assert run(args + ["--out", out]) == 2, args
         assert "lam <= 600" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from localis.coupling import (
     ConditioningError,
     CouplingConfig,
     _jackknife_moment,
-    _local_er_resampler,
     _stability_trial_fn,
     coupled_er_intersections,
     coupled_graph_intersections,
@@ -34,7 +33,6 @@ from localis.graphs import (
     RegularTreeHost,
     TreeLabels,
     ball_is_tree,
-    er_edge_arrays,
     neighborhood,
     sample_er,
 )
@@ -287,20 +285,19 @@ def test_er_resampler_matches_the_per_copy_rebuild(size, seed):
 
 @pytest.mark.parametrize("n,lam,p", [(12, 3.0, 0.5), (30, 2.0, 0.3), (30, 4.0, 1.0), (20, 2.0, 0.0)])
 def test_local_er_copies_match_er_resample_graphs(n, lam, p):
-    # the root-ball reader of each resampled copy against the whole copy
+    # every ball of each copy, read on demand, against the copy rebuilt whole
     for seed in range(4):
         in_s = np.random.default_rng(seed).random(n) < p
         g = sample_er(n, lam, seed)
-        copies = er_resample_graphs(g, np.flatnonzero(in_s), lam, 3, seed + 100)
-        copy = _local_er_resampler(n, *er_edge_arrays(n, lam, seed), in_s, lam)
-        base = trial_state(seed + 100, 0x5E5A)
+        S = np.flatnonzero(in_s)
+        copies = er_resample_graphs(g, S, lam, 3, seed + 100)
+        wholes = _er_resample_per_copy(g, S, lam, 3, seed + 100)
         labels = np.random.default_rng(seed).integers(0, 1 << 64, size=n, dtype=np.uint64)
-        for i, whole in enumerate(copies):
-            local = copy(fold(base, i))
+        for copy, whole in zip(copies, wholes):
             for v in range(n):
                 for r in (1, 2, 3):
-                    assert ball_is_tree(local, v, r) == ball_is_tree(whole, v, r)
-                    assert (neighborhood(local, v, r, labels).to_json()
+                    assert ball_is_tree(copy, v, r) == ball_is_tree(whole, v, r)
+                    assert (neighborhood(copy, v, r, labels).to_json()
                             == neighborhood(whole, v, r, labels).to_json())
 
 

@@ -5,13 +5,18 @@ PGW transfer for threshold and LW, graph-host density and projection, the
 configuration-model and Erdos-Renyi couplings (stability and scan-p), the
 tree-host couplings (stability on T3 and PGW(2.5), scan-p on PGW(3) and T4),
 threshold density on T3 and on PGW(0.7) (where half the roots have no
-children), lazy-tree LW density, and the LW tree-host couplings (stability
-on T3, scan-p on PGW(2)).  The first ten sha256 digests were recorded before
-the rooted views and the graph-host coupling bodies were merged, the two
-tree-host ones before the lazy-tree labels were memoised, the next four
-before radius <= 1 factors ran as arrays over blocks of trials, the two LW
-coupling ones before one tree evaluator took over every tree-host path; a
-refactor that moves any random stream or changes any output byte fails here.
+children), lazy-tree LW density, the LW tree-host couplings (stability
+on T3, scan-p on PGW(2)), and the LW graph-host couplings (stability on the
+configuration model, scan-p on Erdos-Renyi), whose radius-3 tree checks walk
+further through the graphs' incidence lists than the threshold rule's.  The
+first ten sha256 digests were recorded before the rooted views and the
+graph-host coupling bodies were merged, the two tree-host ones before the
+lazy-tree labels were memoised, the next four before radius <= 1 factors ran
+as arrays over blocks of trials, the two LW tree-host coupling ones before
+one tree evaluator took over every tree-host path, the two LW graph-host
+ones before the graph types were merged into one whose incidence lists are
+read on demand; a refactor that moves any random stream or changes any
+output byte fails here.
 """
 
 import hashlib
@@ -121,6 +126,18 @@ GOLDEN = {
          "--lam", "2", "--k", "3", "--grid", "0,0.5,1", "--trials", "300",
          "--inner-trials", "20", "--seed", "20"],
         "b34bbbc3c1724a41844913bc7597ed15857eff7c77ea24703f2791d3482d91a6",
+    ),
+    "stability_config_lw": (
+        ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1",
+         "--host", "config-model", "--n", "200", "--d", "3", "--k", "2", "--p", "0.5",
+         "--trials", "80", "--inner-trials", "8", "--seed", "14"],
+        "1b326b9bbfab75d3f4f1dac7288c426c6baca759be8a5603eb42dad5f25358ad",
+    ),
+    "scan_er_lw": (
+        ["scan-p", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1", "--host", "er",
+         "--n", "60", "--lam", "2", "--k", "2", "--grid", "0,0.5,1", "--trials", "30",
+         "--inner-trials", "6", "--seed", "15"],
+        "be8262dd5786993bf98bede2b393739ac85896d6b8668791d5d0acdc15a231a8",
     ),
 }
 

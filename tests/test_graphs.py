@@ -16,8 +16,6 @@ from localis.graphs import (
     ball_is_tree,
     count_non_tree_vertices,
     er_edge_arrays,
-    local_config_model,
-    local_simple_graph,
     neighborhood,
     sample_config_model,
     sample_er,
@@ -59,7 +57,7 @@ def test_config_odd_total_rejected():
 def test_config_endpoint_degrees():
     for seed in range(30):
         g = sample_config_model(8, 3, seed)
-        assert np.all(g.endpoint_degrees() == 3)
+        assert [len(g.adj[v]) for v in range(8)] == [3] * 8
 
 
 def test_config_determinism():
@@ -364,7 +362,7 @@ def test_neighborhood_stable_and_relabelling_equivalent():
 
 
 # ---------------------------------------------------------------------------
-# Root balls read from the samplers' arrays (LocalGraph)
+# Incidence lists read on demand from the samplers' draws
 # ---------------------------------------------------------------------------
 
 
@@ -378,6 +376,8 @@ def ball_readings(g, labels) -> list:
 
 
 def test_local_config_balls_match_the_multigraph():
+    # the sampler's graph, read from its half-edge permutation, against the
+    # graph of its explicit edge list
     loops = multi = 0
     for d in (2, 3):
         for n in range(2, 13):
@@ -388,8 +388,8 @@ def test_local_config_balls_match_the_multigraph():
                 labels = np.random.default_rng(seed).integers(
                     0, 1 << 64, size=n, dtype=np.uint64
                 )
-                local = local_config_model(n, d, seed)
-                assert ball_readings(local, labels) == ball_readings(g, labels)
+                whole = MultiGraph(n, g.edges)
+                assert ball_readings(g, labels) == ball_readings(whole, labels)
                 loops += any(u == v for u, v in g.edges)
                 multi += len(set(g.edges)) < len(g.edges)
     assert loops and multi
@@ -400,14 +400,15 @@ def test_local_er_balls_match_the_multigraph(n, lam):
     for seed in range(5):
         g = sample_er(n, lam, seed)
         labels = np.random.default_rng(seed).integers(0, 1 << 64, size=n, dtype=np.uint64)
-        local = local_simple_graph(n, *er_edge_arrays(n, lam, seed))
-        assert ball_readings(local, labels) == ball_readings(g, labels)
+        assert g.edges == list(zip(*(a.tolist() for a in er_edge_arrays(n, lam, seed))))
+        whole = MultiGraph(n, g.edges)
+        assert ball_readings(g, labels) == ball_readings(whole, labels)
 
 
 def test_local_graph_reads_only_the_ball():
     n, d = 1000, 3
     for seed in range(5):
-        g = local_config_model(n, d, seed)
+        g = sample_config_model(n, d, seed)
         ball_is_tree(g, 7, 2)
         assert len(g.adj) <= 1 + d + d * (d - 1)  # vertices within distance 2
         neighborhood(g, 7, 1, np.zeros(n, dtype=np.uint64))
@@ -416,9 +417,12 @@ def test_local_graph_reads_only_the_ball():
 
 def test_local_graph_union_matches_the_multigraph():
     a, b = [(0, 1), (1, 2)], [(0, 2), (2, 3)]
-    local = local_simple_graph(4, *np.array(a).T).union(local_simple_graph(4, *np.array(b).T))
+    first = MultiGraph(4, a)
+    union = first.with_edges(*np.array(b).T)
     labels = np.arange(4, dtype=np.uint64)
-    assert ball_readings(local, labels) == ball_readings(MultiGraph(4, sorted(a + b)), labels)
+    assert ball_readings(union, labels) == ball_readings(MultiGraph(4, sorted(a + b)), labels)
+    assert union.edges == sorted(a + b)
+    assert union.adj[1] is first.adj[1]  # no edge of b at 1: the list is shared
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from localis.pgw_transfer import (
     transfer_density,
     transfer_trace,
 )
+from localis.rng import POISSON_LAM_MAX
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -322,6 +323,16 @@ def test_event_probability_monotone_in_d():
 def test_event_probability_limits():
     assert event_E_probability(1.0, 50) > 1 - 1e-10
     assert event_E_probability(5.0, 1) < 0.05
+
+
+def test_exact_poisson_sums_reject_lam_above_the_limit():
+    # e^-lam underflows near lam = 745: the sums gave 1.71 at (745, 800), 0 at (800, 900)
+    assert 0.0 < event_E_probability(POISSON_LAM_MAX, 700) <= 1.0
+    for lam, d in ((math.nextafter(POISSON_LAM_MAX, math.inf), 700), (745, 800), (800, 900)):
+        with pytest.raises(ValueError, match="lam <= 600"):
+            event_E_probability(lam, d)
+        with pytest.raises(ValueError, match="lam <= 600"):
+            poisson_cdf(lam, d)
 
 
 def test_event_exact_vs_mc():

@@ -145,3 +145,40 @@ def test_poisson_from_unit_moments():
     assert_within_sigma(
         float(draws.var()), lam, 3.0 * lam / math.sqrt(n), context="poisson var"
     )
+
+
+def _poisson_loop(u: float, lam: float) -> int:
+    """poisson_from_unit as first written: the cdf summed pmf by pmf until
+    it exceeds u, or the cap."""
+    pmf = math.exp(-lam)
+    cdf = pmf
+    j = 0
+    cap = int(lam + 12.0 * math.sqrt(lam) + 30.0)
+    while u >= cdf and j < cap:
+        j += 1
+        pmf *= lam / j
+        cdf += pmf
+    return j
+
+
+@pytest.mark.parametrize("lam", [0.7, 3.0, 50.0, 600.0])
+def test_poisson_table_matches_the_loop(lam):
+    cap = int(lam + 12.0 * math.sqrt(lam) + 30.0)
+    pmf = math.exp(-lam)
+    cdfs = [pmf]
+    for j in range(1, cap):
+        pmf *= lam / j
+        cdfs.append(cdfs[-1] + pmf)
+    units = [0.0, 1.0, math.nextafter(1.0, 0.0)]
+    for c in cdfs:  # every exact cdf value and its float neighbours
+        units += [c, math.nextafter(c, 0.0), math.nextafter(c, 2.0)]
+    units += np.random.default_rng(int(lam * 10)).random(2000).tolist()
+    units = [u for u in units if 0.0 <= u <= 1.0]
+    want = [_poisson_loop(u, lam) for u in units]
+    assert [poisson_from_unit(u, lam) for u in units] == want
+    got = poisson_from_unit(np.array(units), lam)
+    assert got.tolist() == want
+    assert all(type(x) is int for x in (poisson_from_unit(u, lam) for u in units[:5]))
+    # u = 1.0 gives the cap unless the summed cdf rounds above 1 first (lam 50)
+    assert poisson_from_unit(1.0, lam) == _poisson_loop(1.0, lam) <= cap
+    assert max(want) <= cap
