@@ -15,8 +15,13 @@ lazy-tree labels were memoised, the next four before radius <= 1 factors ran
 as arrays over blocks of trials, the two LW tree-host coupling ones before
 one tree evaluator took over every tree-host path, the two LW graph-host
 ones before the graph types were merged into one whose incidence lists are
-read on demand; a refactor that moves any random stream or changes any
-output byte fails here.
+read on demand, and the last five before the subset-lattice transforms of
+the profile calculus were vectorised: the entropy bound report (with its
+exact-count self-test) at k = 3 and k = 5, the exact-count oracle check, an
+Erdos-Renyi scan at k = 4 (profile rows over 16 copy subsets), and LW
+stability on the configuration model with 23 accepted outer trials, where
+`stability_config_lw` accepts only 2.  A refactor that moves any random
+stream or changes any output byte fails here.
 """
 
 import hashlib
@@ -138,6 +143,30 @@ GOLDEN = {
          "--n", "60", "--lam", "2", "--k", "2", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "6", "--seed", "15"],
         "be8262dd5786993bf98bede2b393739ac85896d6b8668791d5d0acdc15a231a8",
+    ),
+    "bounds_self_test": (
+        ["bounds", "--alpha", "1.2,0.8,0.5", "--d", "1000", "--self-test"],
+        "8af8de557ee988460ed9128e5a40082a3c5ce63a7ae33fb7f69513c8d7527476",
+    ),
+    "bounds_k5": (
+        ["bounds", "--alpha", "1,0.5,0.25,0.125,0.0625", "--d", "1000"],
+        "e8996693f82102a28fad6d7f81c34c582b1f54dc476e54904095badf40935a17",
+    ),
+    "oracle_check": (
+        ["oracle-check", "--n", "4", "--d", "2"],
+        "62b1327636dac2bd5d376e90ef7819a95b914cda037c2839e03b7745e095318d",
+    ),
+    "scan_er_k4": (
+        ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60", "--lam", "2",
+         "--k", "4", "--grid", "0,0.5,1", "--trials", "30", "--inner-trials", "4",
+         "--seed", "23"],
+        "e72c77dc925e7d6022560d9618a0091f073bd69c023e467f4c16a21a98a3b56e",
+    ),
+    "stability_config_lw_accepting": (
+        ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
+         "--host", "config-model", "--n", "2000", "--d", "3", "--k", "2", "--p", "0.5",
+         "--trials", "200", "--inner-trials", "8", "--seed", "22"],
+        "8df922dcf54fef6dae917b1c0f1efc2f442cfe4e866efe3142e53895f526a0d6",
     ),
 }
 
