@@ -37,6 +37,7 @@ from .graphs import HOSTS, ConfigModelHost, PGWTreeHost, sample_config_model, sa
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
 from .parallel import effective_workers, mean_stderr, per_trial, run_trials
 from .profiles import (
+    _MAX_K,
     DensityProfile,
     ProfileError,
     asymptotic_rate,
@@ -189,6 +190,8 @@ def cmd_scan_p(params: dict):
             f"scan-p needs a mean degree above 0, and other than 1 when "
             f"--k >= 2; got {degree:g} with --k {cfg.k}"
         )
+    if not cfg.host.tree and cfg.k > _MAX_K:  # a graph-host trial keeps 2^k rho values
+        raise UsageError(f"scan-p on a graph host needs --k <= {_MAX_K}, got {cfg.k}")
     result = scan_p(cfg, grid)
     _, d_or_lam, n = _host_columns(cfg.host)
     inter_rows, stab_rows, binom_rows = [], [], []

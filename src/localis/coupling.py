@@ -10,7 +10,8 @@ inclusion bit when S is re-randomised, given it was included.
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
-inner copies 1..J of each accepted trial.
+inner copies 1..J of each accepted trial.  Graph-host profile rows over the
+copy subsets come from profiles.signatures and profiles.density_row.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .graphs import (
     sample_er,
 )
 from .parallel import mean_stderr, per_trial, run_trials
-from .profiles import binom_sum
+from .profiles import binom_sum, density_row, signatures
 from .rng import fold, state_rng, trial_state, trial_state_np, uniform_labels
 
 
@@ -171,19 +172,6 @@ def _sample_graph(host, state: int) -> MultiGraph:
     return sample_er(host.n, host.lam, state)
 
 
-def _profile_row(copy_bits: np.ndarray, n: int, k: int) -> np.ndarray:
-    """rho(T) for all T as a dense bitmask-indexed row; rho(empty) = 1."""
-    row = np.empty(1 << k, dtype=np.float64)
-    row[0] = 1.0
-    for mask in range(1, 1 << k):
-        inter = np.ones(n, dtype=bool)
-        for i in range(k):
-            if mask >> i & 1:
-                inter &= copy_bits[i]
-        row[mask] = inter.sum() / n
-    return row
-
-
 def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
     """k copies of g with the induced subgraph on S independently resampled.
 
@@ -257,7 +245,7 @@ def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
             _project_bits(f, copies[s - 1], oks[s - 1], np.where(in_s, fresh[s], x0))
             for s in streams
         ]
-        row = _profile_row(copy_bits, n, k)
+        row = density_row(signatures(copy_bits), k)
         return np.concatenate([row, [1.0 - oks[0].mean()]])
 
     rows = run_trials(per_trial(one), cfg.trials, cfg.workers)

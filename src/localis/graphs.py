@@ -10,7 +10,7 @@ reads a graph through `n` and `adj[u]` alone, and a MultiGraph computes
 adj[u] when u is first read, from arrays made once per graph (an explicit
 edge list, the configuration model's half-edge permutation, er_edge_arrays).
 So a per-root trial (graph-host stability) costs the root's ball plus the
-sampler's draw, and whole-graph work (projection) one read per vertex.
+sampler's draw, and whole-graph work (projection) one pass over the arrays.
 
 A host descriptor (RegularTreeHost, PGWTreeHost, ConfigModelHost,
 ErdosRenyiHost; HOSTS maps names to classes) carries what the rest of the
@@ -215,7 +215,12 @@ class MultiGraph:
     def read_all(self) -> list:
         """Read every vertex; adj becomes the list of their incidence lists,
         which a whole-graph pass indexes faster than the dict."""
-        if not isinstance(self.adj, list):
+        if isinstance(self.adj, list):
+            return self.adj
+        grouped = getattr(self.read, "__self__", None)
+        if isinstance(grouped, _GroupedArrays):
+            self.adj = grouped.read_all()
+        else:
             adj, read = self.adj, self.read
             self.adj = [adj[v] if v in adj else read(v) for v in range(self.n)]
         return self.adj
@@ -233,15 +238,23 @@ class MultiGraph:
         return json.dumps(payload, sort_keys=True)
 
 
-def _incidence_read(start, nbr: np.ndarray, eid: np.ndarray):
-    """The read of arrays grouped by vertex: u's incidences are (nbr[i],
-    eid[i]) for i in start[u]:start[u + 1], sliced when u is read."""
+class _GroupedArrays:
+    """Incidences grouped by vertex, u's at start[u]:start[u + 1].  A graph's
+    `read` is the bound `read` (as fast to call as a closure); read_all
+    slices every vertex's list from one tolist of the whole arrays."""
 
-    def read(u):
-        lo, hi = start[u], start[u + 1]
-        return sorted(zip(nbr[lo:hi].tolist(), eid[lo:hi].tolist())) if lo < hi else []
+    def __init__(self, start, nbr: np.ndarray, eid: np.ndarray):
+        self.start, self.nbr, self.eid = start, nbr, eid
 
-    return read
+    def read(self, u):
+        lo, hi = self.start[u], self.start[u + 1]
+        if lo == hi:  # most vertices of a with_edges addition
+            return []
+        return sorted(zip(self.nbr[lo:hi].tolist(), self.eid[lo:hi].tolist()))
+
+    def read_all(self) -> list:
+        pairs = list(zip(self.nbr.tolist(), self.eid.tolist()))
+        return [sorted(pairs[lo:hi]) for lo, hi in zip(self.start, self.start[1:])]
 
 
 def _edge_array_read(n: int, us: np.ndarray, vs: np.ndarray):
@@ -251,7 +264,7 @@ def _edge_array_read(n: int, us: np.ndarray, vs: np.ndarray):
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=start[1:])
     nbr = np.concatenate([vs, us])[order]
-    return _incidence_read(start.tolist(), nbr, order % max(us.size, 1))
+    return _GroupedArrays(start.tolist(), nbr, order % max(us.size, 1)).read
 
 
 def sample_config_model(n: int, d: int, seed) -> MultiGraph:
@@ -277,7 +290,7 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     perm = np.random.default_rng(seed).permutation(n * d)  # pairs 2i, 2i + 1
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    read = _incidence_read(range(0, n * d + 1, d), perm[inv ^ 1] // d, inv >> 1)
+    read = _GroupedArrays(range(0, n * d + 1, d), perm[inv ^ 1] // d, inv >> 1).read
 
     def edges():
         ends = np.sort(perm.reshape(-1, 2) // d, axis=1)

@@ -1,7 +1,7 @@
 """Exact combinatorics of k-tuples of independent sets.
 
 A k-tuple of vertex subsets induces three linked objects over the subset
-lattice of [k] (subsets are dense bitmask-indexed arrays of length 2^k):
+lattice of [k]:
 
   density profile  rho(T) = |intersection of the sets indexed by T| / n,
   partition measure pi(T) = mass of vertices lying in exactly the sets in T,
@@ -13,6 +13,15 @@ independent set).  This module provides the transforms, the entropies and
 their maximum-entropy bound, the exact expected-count formulas for the
 configuration model and the Erdos-Renyi model, their asymptotic rate
 decomposition, and exhaustive brute-force oracles for tiny instances.
+
+Bitmask layout: subset T of [k] is the integer with bit i set for i in T; a
+lattice function is a dense array indexed by T, a cell-pair function a
+2^k x 2^k array, and a vertex's membership signature is the T of the sets
+holding it.  Only the lattice primitives know this layout: popcounts,
+superset_sum (zeta and Moebius), disjoint (the mask of disjoint cell
+pairs), cell_sizes, forced_pairs, signatures and density_row.  Cells are
+walked one at a time only by the exact oracles and by the two float sums
+whose order fixes their last bits (Hhat in entropies, log_expected_Z).
 """
 
 from __future__ import annotations
@@ -39,8 +48,91 @@ def _check_k(k: int) -> None:
         raise ProfileError(f"k must lie in 1..{_MAX_K}, got {k}")
 
 
-def _popcounts(k: int) -> np.ndarray:
-    return np.array([bin(m).count("1") for m in range(1 << k)], dtype=np.int64)
+# ---------------------------------------------------------------------------
+# Lattice primitives
+# ---------------------------------------------------------------------------
+
+
+def popcounts(k: int) -> np.ndarray:
+    """|T| for every T in 0..2^k - 1."""
+    pc = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        pc = np.concatenate([pc, pc + 1])
+    return pc
+
+
+def _bit_halves(a: np.ndarray):
+    """Per bit b: aligned views of the cells T without b and of T | b."""
+    for b in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << b)
+        yield v[:, 0], v[:, 1]
+
+
+def superset_sum(a, sign: int = 1) -> np.ndarray:
+    """out(T) = sum over supersets T' of T of sign^|T' \\ T| a(T'): zeta for
+    sign 1, Moebius for -1.  A pass per bit reads only cells it does not
+    write, so each cell sees the operations of the cell-by-cell loop.  As
+    full ^ T == full - T, superset_sum(a[::-1]) sums a over the T' disjoint
+    from T."""
+    out = np.array(a)  # a contiguous copy, dtype kept
+    op = np.add if sign > 0 else np.subtract
+    for lo, hi in _bit_halves(out):
+        op(lo, hi, out=lo)
+    return out
+
+
+def disjoint(k: int) -> np.ndarray:
+    """The 2^k x 2^k mask of cell pairs (T, T') with T & T' empty."""
+    idx = np.arange(1 << k)
+    return (idx[:, None] & idx) == 0
+
+
+def _integral(x: np.ndarray, what: str, support: np.ndarray | None = None) -> np.ndarray:
+    """x rounded to int64.  Raises at the first entry in row-major order that
+    is not integral or, given a support mask, is nonzero outside it; `what`
+    formats an entry's name from its index."""
+    r = np.round(x)
+    off = np.abs(x - r) > 1e-9
+    bad = off if support is None else off | (~support & (r != 0))
+    if bad.any():
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), x.shape))
+        if off[at]:
+            raise ProfileError(f"{what.format(*at)} = {x[at]} is not integral")
+        raise ProfileError("support violated at ({:#b},{:#b})".format(*at))
+    return r.astype(np.int64)
+
+
+def cell_sizes(measure: PartitionMeasure, n: int) -> np.ndarray:
+    """The cell sizes n*pi(T) as int64, each integral, summing to n."""
+    cells = _integral(n * measure.pi, "n*pi({:#b})")
+    if cells.sum() != n:
+        raise ProfileError("cell sizes must sum to n")
+    return cells
+
+
+def forced_pairs(cells) -> int:
+    """The unordered vertex pairs whose membership signatures intersect,
+    sum_T C(c_T, 2) over nonempty T plus c_T c_T' over unordered intersecting
+    cell pairs, counted as all pairs less the disjoint ones: sum_T c_T w(T)
+    ordered, with w the disjoint cells' size, less u = v in the empty cell."""
+    c = np.asarray(cells, dtype=np.int64)
+    n = int(c.sum())
+    disjoint_ordered = int(c @ superset_sum(c[::-1])) - int(c[0])
+    return n * (n - 1) // 2 - disjoint_ordered // 2
+
+
+def signatures(members) -> np.ndarray:
+    """Each vertex's membership signature (bit i set when set i holds it),
+    from k boolean rows over the vertices."""
+    members = np.asarray(members, dtype=np.int64)
+    return (members << np.arange(len(members))[:, None]).sum(axis=0)
+
+
+def density_row(sig: np.ndarray, k: int) -> np.ndarray:
+    """rho(T) for every T of the k-tuple with these membership signatures:
+    the vertices whose signature contains T, over n; rho(empty) = 1."""
+    _check_k(k)
+    return superset_sum(np.bincount(sig, minlength=1 << k)) / sig.size
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +158,13 @@ class DensityProfile:
             raise ProfileError("rho(empty) must equal 1")
         if np.any(rho < -_NEG_TOL) or np.any(rho > 1 + 1e-12):
             raise ProfileError("rho values must lie in [0, 1]")
-        for mask in range(1 << self.k):
-            for b in range(self.k):
-                if not mask >> b & 1 and rho[mask | 1 << b] > rho[mask] + 1e-12:
-                    raise ProfileError(
-                        f"rho not monotone under superset at T={mask:#b}"
-                    )
+        rising = np.zeros(rho.shape, dtype=bool)  # T with rho(T + one bit) > rho(T)
+        for (lo, hi), (lo_rising, _) in zip(_bit_halves(rho), _bit_halves(rising)):
+            lo_rising |= hi > lo + 1e-12
+        if rising.any():
+            raise ProfileError(
+                f"rho not monotone under superset at T={int(np.argmax(rising)):#b}"
+            )
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "rho": {str(m): float(v) for m, v in enumerate(self.rho)}}
@@ -90,11 +183,8 @@ class DensityProfile:
         vals = list(by_cardinality)
         if len(vals) != k:
             raise ProfileError("need one value per cardinality 1..k")
-        rho = np.empty(1 << k)
-        pc = _popcounts(k)
+        rho = scale * beta_on_subsets(vals, k)
         rho[0] = 1.0
-        for m in range(1, 1 << k):
-            rho[m] = scale * vals[pc[m] - 1]
         return cls(k, rho)
 
 
@@ -119,15 +209,7 @@ class PartitionMeasure:
     def weights(self) -> np.ndarray:
         """w(T) = sum of pi over cells disjoint from T (= subset sum over the
         complement); w(empty) = 1."""
-        k = self.k
-        z = self.pi.copy()
-        for b in range(k):
-            bit = 1 << b
-            for m in range(1 << k):
-                if m & bit:
-                    z[m] += z[m ^ bit]
-        full = (1 << k) - 1
-        return z[[full ^ m for m in range(1 << k)]]
+        return superset_sum(self.pi[::-1])
 
 
 @dataclass(frozen=True)
@@ -158,12 +240,12 @@ class EdgeProfile:
             raise ProfileError("M must sum to 1")
         if np.max(np.abs(M - M.T)) > 1e-12:
             raise ProfileError("M must be symmetric")
-        for a in range(size):
-            for b in range(size):
-                if a & b and M[a, b] > _NEG_TOL:
-                    raise ProfileError(
-                        f"support violated: M({a:#b},{b:#b}) > 0 with intersecting index sets"
-                    )
+        outside = ~disjoint(self.k) & (M > _NEG_TOL)
+        if outside.any():
+            a, b = divmod(int(np.argmax(outside)), size)
+            raise ProfileError(
+                f"support violated: M({a:#b},{b:#b}) > 0 with intersecting index sets"
+            )
 
     def marginal(self) -> PartitionMeasure:
         return PartitionMeasure(self.k, self.M.sum(axis=1))
@@ -174,9 +256,9 @@ class EdgeProfile:
         total = n * d
         if counts.sum() != total:
             raise ProfileError("edge counts must sum to n*d")
-        for a in range(1 << k):
-            if counts[a, a] % 2:
-                raise ProfileError(f"diagonal count at T={a:#b} must be even")
+        odd = np.flatnonzero(np.diagonal(counts) % 2)
+        if odd.size:
+            raise ProfileError(f"diagonal count at T={int(odd[0]):#b} must be even")
         return cls(k, counts / total, counts=counts, n=n, d=d)
 
 
@@ -191,70 +273,46 @@ def rho_to_pi(profile: DensityProfile) -> PartitionMeasure:
     Rejects inputs whose transform has a negative cell: such a rho corresponds
     to no tuple of sets.
     """
-    k = profile.k
-    a = profile.rho.copy()
-    for b in range(k):
-        bit = 1 << b
-        for m in range(1 << k):
-            if not m & bit:
-                a[m] -= a[m | bit]
+    a = superset_sum(profile.rho, -1)
     if np.any(a < -_NEG_TOL):
         worst = int(np.argmin(a))
         raise ProfileError(
             f"inconsistent density profile: pi({worst:#b}) = {a[worst]:.3e} < 0"
         )
-    return PartitionMeasure(k, np.maximum(a, 0.0))
+    return PartitionMeasure(profile.k, np.maximum(a, 0.0))
 
 
 def pi_to_rho(measure: PartitionMeasure) -> DensityProfile:
     """rho(T) = sum of pi over supersets of T (inverse of rho_to_pi)."""
-    k = measure.k
-    a = measure.pi.copy()
-    for b in range(k):
-        bit = 1 << b
-        for m in range(1 << k):
-            if not m & bit:
-                a[m] += a[m | bit]
-    return DensityProfile(k, a)
+    return DensityProfile(measure.k, superset_sum(measure.pi))
+
+
+def _cardinality_sum(values, sign: int) -> np.ndarray:
+    """superset_sum of a symmetric profile, indexed by |T| = 1..k:
+    out_j = sum_{i >= j} sign^(i-j) C(k-j, i-j) values_i."""
+    v = list(values)
+    k = len(v)
+    return np.array([
+        sum(sign ** (i - j) * math.comb(k - j, i - j) * v[i - 1] for i in range(j, k + 1))
+        for j in range(1, k + 1)
+    ])
 
 
 def alpha_to_beta(alpha) -> np.ndarray:
     """Cardinality-indexed Moebius transform for symmetric profiles:
     beta_j = sum_{i >= j} (-1)^(i-j) C(k-j, i-j) alpha_i, j = 1..k."""
-    alpha = list(alpha)
-    k = len(alpha)
-    return np.array(
-        [
-            sum(
-                (-1) ** (i - j) * math.comb(k - j, i - j) * alpha[i - 1]
-                for i in range(j, k + 1)
-            )
-            for j in range(1, k + 1)
-        ]
-    )
+    return _cardinality_sum(alpha, -1)
 
 
 def beta_to_alpha(beta) -> np.ndarray:
     """Inverse transform: alpha_j = sum_{i >= j} C(k-j, i-j) beta_i."""
-    beta = list(beta)
-    k = len(beta)
-    return np.array(
-        [
-            sum(math.comb(k - j, i - j) * beta[i - 1] for i in range(j, k + 1))
-            for j in range(1, k + 1)
-        ]
-    )
+    return _cardinality_sum(beta, 1)
 
 
 def beta_on_subsets(beta, k: int) -> np.ndarray:
-    """Expand cardinality-indexed beta values to the full subset lattice
-    (entry 0, the empty set, is set to 0)."""
-    beta = list(beta)
-    out = np.zeros(1 << k)
-    pc = _popcounts(k)
-    for m in range(1, 1 << k):
-        out[m] = beta[pc[m] - 1]
-    return out
+    """Expand cardinality-indexed beta values to the full subset lattice,
+    out(T) = beta_|T| (entry 0, the empty set, is set to 0)."""
+    return np.concatenate([[0.0], np.asarray(beta, dtype=np.float64)])[popcounts(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +460,6 @@ def _log_double_factorial_odd(m: int) -> float:
     return _log_factorial(m) - half * math.log(2.0) - _log_factorial(half)
 
 
-def _integral(x: float, what: str) -> int:
-    r = round(x)
-    if abs(x - r) > 1e-9:
-        raise ProfileError(f"{what} = {x} is not integral")
-    return int(r)
-
-
 def log_expected_Z(profile: DensityProfile, edge_profile: EdgeProfile, n: int, d: int) -> float:
     """Exact log expected number of ordered partitions with the given cell
     sizes and edge counts under a uniform pairing of the n*d half-edges.
@@ -421,41 +472,27 @@ def log_expected_Z(profile: DensityProfile, edge_profile: EdgeProfile, n: int, d
     k = profile.k
     if edge_profile.k != k:
         raise ProfileError("profile and edge profile must share k")
-    measure = rho_to_pi(profile)
     size = 1 << k
-    cells = [_integral(n * measure.pi[m], f"n*pi({m:#b})") for m in range(size)]
-    if sum(cells) != n:
-        raise ProfileError("cell sizes must sum to n")
-    counts = np.empty((size, size), dtype=np.int64)
-    for a in range(size):
-        for b in range(size):
-            counts[a, b] = _integral(
-                n * d * edge_profile.M[a, b], f"n*d*M({a:#b},{b:#b})"
-            )
-            if a & b and counts[a, b]:
-                raise ProfileError(f"support violated at ({a:#b},{b:#b})")
-    for a in range(size):
-        if counts[a].sum() != d * cells[a]:
+    cells = cell_sizes(rho_to_pi(profile), n)
+    counts = _integral(n * d * edge_profile.M, "n*d*M({:#b},{:#b})", disjoint(k))
+    rows, budgets, diagonal = counts.sum(axis=1), d * cells, np.diagonal(counts)
+    bad = (rows != budgets) | (diagonal % 2 == 1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        if rows[a] != budgets[a]:
             raise ProfileError(
                 f"row marginal mismatch at T={a:#b}: "
-                f"{counts[a].sum()} half-edges vs {d * cells[a]}"
+                f"{rows[a]} half-edges vs {budgets[a]}"
             )
-        if counts[a, a] % 2:
-            raise ProfileError(f"n*d*M(T,T) odd at T={a:#b}")
+        raise ProfileError(f"n*d*M(T,T) odd at T={a:#b}")
 
+    cells = cells.tolist()
     log_val = _log_factorial(n) - math.fsum(_log_factorial(c) for c in cells)
-    for a in range(size):
+    for a in range(size):  # a running sum: its order fixes the last bits
         log_val += _log_factorial(d * cells[a])
         log_val -= math.fsum(_log_factorial(int(c)) for c in counts[a])
-    log_val += 0.5 * math.fsum(
-        _log_factorial(int(counts[a, b]))
-        for a in range(size)
-        for b in range(size)
-        if a != b
-    )
-    log_val += math.fsum(
-        _log_double_factorial_odd(int(counts[a, a])) for a in range(size)
-    )
+    log_val += 0.5 * math.fsum(map(_log_factorial, counts[~np.eye(size, dtype=bool)].tolist()))
+    log_val += math.fsum(map(_log_double_factorial_odd, diagonal.tolist()))
     log_val -= _log_double_factorial_odd(n * d)
     return log_val
 
@@ -467,16 +504,10 @@ def compatible_edge_profiles(
     symmetric, supported on disjoint index pairs, rows summing to the cell
     half-edge budgets, even diagonal.  Depth-first with row-budget pruning."""
     k = profile.k
-    measure = rho_to_pi(profile)
     size = 1 << k
-    cells = [_integral(n * measure.pi[m], f"n*pi({m:#b})") for m in range(size)]
-    budgets = [d * c for c in cells]
-    off_pairs = [
-        (a, b)
-        for a in range(size)
-        for b in range(a + 1, size)
-        if not a & b
-    ]
+    budgets = (d * cell_sizes(rho_to_pi(profile), n)).tolist()
+    off_a, off_b = np.nonzero(np.triu(disjoint(k), 1))  # row-major order
+    off_pairs = list(zip(off_a.tolist(), off_b.tolist()))
 
     counts = np.zeros((size, size), dtype=np.int64)
     remaining = list(budgets)
@@ -538,21 +569,9 @@ def er_log_expected_Z(profile: DensityProfile, n: int, lam: float) -> float:
     product of cell sizes.  Exact (an equality) for k = 1."""
     if lam >= n:
         raise ProfileError("need lam < n")
-    k = profile.k
-    measure = rho_to_pi(profile)
-    size = 1 << k
-    cells = [_integral(n * measure.pi[m], f"n*pi({m:#b})") for m in range(size)]
-    if sum(cells) != n:
-        raise ProfileError("cell sizes must sum to n")
-    forced = 0
-    for m in range(1, size):
-        forced += cells[m] * (cells[m] - 1) // 2
-    for a in range(1, size):
-        for b in range(a + 1, size):
-            if a & b:
-                forced += cells[a] * cells[b]
-    log_multinomial = _log_factorial(n) - math.fsum(_log_factorial(c) for c in cells)
-    return log_multinomial + forced * math.log1p(-lam / n)
+    cells = cell_sizes(rho_to_pi(profile), n)
+    log_multinomial = _log_factorial(n) - math.fsum(map(_log_factorial, cells.tolist()))
+    return log_multinomial + forced_pairs(cells) * math.log1p(-lam / n)
 
 
 def intersection_edge_count(sets, n: int):
@@ -563,26 +582,14 @@ def intersection_edge_count(sets, n: int):
     sum_T C(|cell_T|, 2) + sum over unordered intersecting cell pairs of
     |cell_T| |cell_T'|.  Returns (lhs, rhs); they agree for every tuple.
     """
-    k = len(sets)
-    sig = [0] * n
-    for i, s in enumerate(sets):
-        for v in s:
-            sig[v] |= 1 << i
+    sig = signatures([np.isin(np.arange(n), list(s)) for s in sets]).tolist()
     lhs = sum(
         1
         for u in range(n)
         for v in range(u + 1, n)
         if sig[u] & sig[v]
     )
-    cells = [0] * (1 << k)
-    for v in range(n):
-        cells[sig[v]] += 1
-    rhs = sum(c * (c - 1) // 2 for m, c in enumerate(cells) if m)
-    for a in range(1, 1 << k):
-        for b in range(a + 1, 1 << k):
-            if a & b:
-                rhs += cells[a] * cells[b]
-    return lhs, rhs
+    return lhs, forced_pairs(np.bincount(sig, minlength=1 << len(sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +641,7 @@ def brute_force_Z(graphs, profile: DensityProfile) -> int:
         raise ProfileError("graphs must share a vertex set")
     if n > 14 or k > 2:
         raise ProfileError("brute force guarded to n <= 14 and k <= 2")
-    targets = [
-        _integral(n * profile.rho[m], f"n*rho({m:#b})") for m in range(1 << k)
-    ]
+    targets = _integral(n * profile.rho, "n*rho({:#b})").tolist()
     pools = [independent_subsets(g) for g in gs]
     if k == 1:
         return sum(1 for m in pools[0] if bin(m).count("1") == targets[1])
@@ -673,21 +678,14 @@ def profile_from_sets(g: MultiGraph, sets):
     membership cells (a loop contributes two endpoints to its cell)."""
     k = len(sets)
     n = g.n
-    sig = np.zeros(n, dtype=np.int64)
-    for i, s in enumerate(sets):
-        for v in s:
-            sig[v] |= 1 << i
-    rho = np.empty(1 << k)
-    rho[0] = 1.0
-    for m in range(1, 1 << k):
-        rho[m] = np.count_nonzero(sig & m == m) / n
+    sig = signatures([np.isin(np.arange(n), list(s)) for s in sets])
     cells = np.bincount(sig, minlength=1 << k)
     counts = np.zeros((1 << k, 1 << k), dtype=np.int64)
     for u, v in g.edges:
         counts[sig[u], sig[v]] += 1
         counts[sig[v], sig[u]] += 1
     total = counts.sum()
-    profile = DensityProfile(k, rho)
+    profile = DensityProfile(k, density_row(sig, k))
     measure = PartitionMeasure(k, cells / n)
     edge_profile = EdgeProfile(k, counts / total, counts=counts, n=n, d=None)
     return profile, measure, edge_profile
@@ -711,10 +709,7 @@ def jensen_equality_profile(k: int):
     pi = np.zeros(size)
     M = np.zeros((size, size))
     singles = [1 << i for i in range(k)]
-    for s in singles:
-        pi[s] = 1.0 / k
-    for a in singles:
-        for b in singles:
-            if a != b:
-                M[a, b] = 1.0 / (k * (k - 1))
+    pi[singles] = 1.0 / k
+    M[np.ix_(singles, singles)] = 1.0 / (k * (k - 1))
+    M[singles, singles] = 0.0
     return PartitionMeasure(k, pi), EdgeProfile(k, M)

@@ -326,6 +326,20 @@ def test_scan_p_rejects_degree_zero_and_degree_one_with_k_above_one(tmp_path):
         assert run(["scan-p", *host, *small]) == 0, host
 
 
+def test_scan_p_on_a_graph_host_caps_k_at_the_profile_lattice(tmp_path, capsys):
+    out = str(tmp_path / "scan")
+    small = ["--grid", "0.5", "--trials", "2", "--inner-trials", "1", "--out", out]
+    for k in ("21", "70"):
+        for host in (
+            ["--host", "er", "--n", "10", "--lam", "2"],
+            ["--host", "config-model", "--n", "10", "--d", "3"],
+        ):
+            assert run(["scan-p", *host, "--k", k, *small]) == 2, (host, k)
+            assert f"--k <= 20, got {k}" in capsys.readouterr().err
+    # tree hosts keep no profile row, so any k runs
+    assert run(["scan-p", "--host", "regular-tree", "--d", "3", "--k", "21", *small]) == 0
+
+
 # ---------------------------------------------------------------------------
 # scan-p and stability
 # ---------------------------------------------------------------------------

@@ -418,6 +418,15 @@ def test_stability_config_host_runs():
     assert est.accepted > 0
 
 
+def test_config_lw_stability_gate_command_accepts_enough_outer_trials():
+    # the config-model LW stability command pinned in the equality gate
+    # (stability_config_lw_accepting) must keep exercising the inner loop
+    cfg = CouplingConfig(p=0.5, k=2, factor=lauer_wormald(0.3, 2),
+                         host=ConfigModelHost(2000, 3), trials=200, inner_trials=8,
+                         seed=22)
+    assert estimate_stability(cfg).accepted >= 20
+
+
 @pytest.mark.parametrize("host", [ErdosRenyiHost(60, 2.0), ConfigModelHost(60, 3)])
 def test_stability_graph_hosts_p0_constant_one(host):
     # S is empty: every inner trial repeats the accepted outer trial

@@ -425,6 +425,31 @@ def test_local_graph_union_matches_the_multigraph():
     assert union.adj[1] is first.adj[1]  # no edge of b at 1: the list is shared
 
 
+def test_read_all_equals_the_per_vertex_reads():
+    # grouped-array graphs build every incidence list in one pass; each list
+    # must equal the vertex's own read, loops and parallel edges included
+    graphs = [
+        MultiGraph(4, [(0, 0), (0, 1), (0, 1), (2, 2), (1, 3)]),
+        MultiGraph(3, []),
+    ]
+    graphs += [sample_config_model(n, d, seed)
+               for d in (2, 3) for n in (2, 4, 6, 8, 12) for seed in range(4)]
+    graphs += [sample_er(n, lam, seed)
+               for n, lam in ((1, 0.0), (8, 2.0), (30, 3.0)) for seed in range(3)]
+    loops = multi = 0
+    for g in graphs:
+        reads = [g.read(v) for v in range(g.n)]
+        g.adj[0]  # a vertex read before the whole-graph pass
+        assert g.read_all() == reads
+        assert g.read_all() is g.adj
+        loops += any(u == v for u, v in g.edges)
+        multi += len(set(g.edges)) < len(g.edges)
+    assert loops and multi
+    # copies with added edges keep the per-vertex read
+    union = graphs[0].with_edges(np.array([1, 3]), np.array([2, 3]))
+    assert union.read_all() == [union.read(v) for v in range(union.n)]
+
+
 # ---------------------------------------------------------------------------
 # Non-tree neighbourhood counts
 # ---------------------------------------------------------------------------

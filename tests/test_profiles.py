@@ -18,19 +18,24 @@ from localis.profiles import (
     binom_sum,
     brute_force_Z,
     compatible_edge_profiles,
+    density_row,
     entropies,
     er_log_expected_Z,
     expected_Z_total,
+    forced_pairs,
     intersection_edge_count,
     jensen_equality_profile,
     log_expected_Z,
     max_entropy_check,
     mean_brute_force_Z,
     pi_to_rho,
+    popcounts,
     profile_from_sets,
     rate_bound,
     rho_to_pi,
     s_k,
+    signatures,
+    superset_sum,
 )
 from localis.rng import uniform_labels
 
@@ -438,3 +443,275 @@ def test_brute_force_guard():
     g = MultiGraph(15, [])
     with pytest.raises(ProfileError):
         brute_force_Z(g, DensityProfile(1, np.array([1.0, 0.2])))
+
+
+# ---------------------------------------------------------------------------
+# lattice primitives against the cell-by-cell loops they replaced
+# ---------------------------------------------------------------------------
+# Each reference is the loop the profile calculus ran before its transforms
+# and checks went through the primitives; outputs and error messages must
+# stay exactly equal.
+
+
+def ref_rho_to_pi(rho, k):
+    a = rho.copy()
+    for b in range(k):
+        bit = 1 << b
+        for m in range(1 << k):
+            if not m & bit:
+                a[m] -= a[m | bit]
+    if np.any(a < -1e-12):
+        worst = int(np.argmin(a))
+        return f"inconsistent density profile: pi({worst:#b}) = {a[worst]:.3e} < 0"
+    return np.maximum(a, 0.0)
+
+
+def ref_pi_to_rho(pi, k):
+    a = pi.copy()
+    for b in range(k):
+        bit = 1 << b
+        for m in range(1 << k):
+            if not m & bit:
+                a[m] += a[m | bit]
+    return a
+
+
+def ref_weights(pi, k):
+    z = pi.copy()
+    for b in range(k):
+        bit = 1 << b
+        for m in range(1 << k):
+            if m & bit:
+                z[m] += z[m ^ bit]
+    full = (1 << k) - 1
+    return z[[full ^ m for m in range(1 << k)]]
+
+
+def ref_profile_row(copy_bits, n, k):
+    row = np.empty(1 << k, dtype=np.float64)
+    row[0] = 1.0
+    for mask in range(1, 1 << k):
+        inter = np.ones(n, dtype=bool)
+        for i in range(k):
+            if mask >> i & 1:
+                inter &= copy_bits[i]
+        row[mask] = inter.sum() / n
+    return row
+
+
+def ref_forced_pairs(cells):
+    size = len(cells)
+    forced = 0
+    for m in range(1, size):
+        forced += cells[m] * (cells[m] - 1) // 2
+    for a in range(1, size):
+        for b in range(a + 1, size):
+            if a & b:
+                forced += cells[a] * cells[b]
+    return forced
+
+
+def ref_monotone_error(rho, k):
+    for mask in range(1 << k):
+        for b in range(k):
+            if not mask >> b & 1 and rho[mask | 1 << b] > rho[mask] + 1e-12:
+                return f"rho not monotone under superset at T={mask:#b}"
+    return None
+
+
+def ref_support_error(M, k):
+    size = 1 << k
+    for a in range(size):
+        for b in range(size):
+            if a & b and M[a, b] > 1e-12:
+                return (
+                    f"support violated: M({a:#b},{b:#b}) > 0 with intersecting index sets"
+                )
+    return None
+
+
+def ref_diagonal_error(counts, k):
+    for a in range(1 << k):
+        if counts[a, a] % 2:
+            return f"diagonal count at T={a:#b} must be even"
+    return None
+
+
+def outcome(build):
+    """build()'s result, or its ProfileError's message."""
+    try:
+        return build()
+    except ProfileError as exc:
+        return str(exc)
+
+
+def same(got, want):
+    if isinstance(want, str) or want is None:
+        return got == want
+    return np.array_equal(got, want)
+
+
+LATTICE_KS = range(1, 11)
+
+
+def test_popcounts_and_cardinality_expansion():
+    for k in range(0, 11):
+        want = np.array([bin(m).count("1") for m in range(1 << k)])
+        assert np.array_equal(popcounts(k), want)
+    rng = np.random.default_rng(40)
+    for k in LATTICE_KS:
+        beta = rng.normal(size=k)
+        want = np.zeros(1 << k)
+        for m in range(1, 1 << k):
+            want[m] = beta[bin(m).count("1") - 1]
+        assert np.array_equal(beta_on_subsets(beta, k), want)
+
+
+def test_moebius_transforms_equal_the_cell_loops():
+    rng = np.random.default_rng(41)
+    for k in LATTICE_KS:
+        for _ in range(30):
+            pi = rng.dirichlet(np.ones(1 << k))
+            rho = ref_pi_to_rho(pi, k)
+            assert np.array_equal(pi_to_rho(PartitionMeasure(k, pi)).rho, rho)
+            assert np.array_equal(PartitionMeasure(k, pi).weights(), ref_weights(pi, k))
+            assert np.array_equal(
+                rho_to_pi(DensityProfile(k, rho)).pi, ref_rho_to_pi(rho, k)
+            )
+            raw = rng.normal(size=1 << k)  # the transforms alone, on any array
+            assert np.array_equal(superset_sum(raw), ref_pi_to_rho(raw, k))
+            assert np.array_equal(superset_sum(raw[::-1]), ref_weights(raw, k))
+
+
+def test_rho_to_pi_names_the_same_worst_cell():
+    # symmetric profiles at scale log(d)/d, as `bounds` builds them: many are
+    # monotone but inconsistent, and the error names the argmin cell
+    rng = np.random.default_rng(42)
+    rejected = 0
+    for k in LATTICE_KS:
+        for _ in range(20):
+            alpha = np.sort(rng.uniform(0, 3, size=k))[::-1]
+            d = int(rng.choice([10, 100, 10**4]))
+            prof = DensityProfile.symmetric(k, alpha, math.log(d) / d)
+            want = ref_rho_to_pi(prof.rho, k)
+            got = outcome(lambda: rho_to_pi(prof).pi)
+            assert same(got, want), (k, alpha, d)
+            rejected += isinstance(want, str)
+    assert rejected >= 20
+
+
+def test_density_profile_monotonicity_names_the_same_cell():
+    rng = np.random.default_rng(43)
+    rejected = 0
+    for k in LATTICE_KS:
+        for _ in range(20):
+            rho = ref_pi_to_rho(rng.dirichlet(np.ones(1 << k)), k)
+            for m in rng.integers(1, 1 << k, size=int(rng.integers(0, 4))):
+                rho[m] = rng.uniform(0, 1)  # may break monotonicity
+            want = ref_monotone_error(rho, k)
+            got = outcome(lambda: DensityProfile(k, rho).rho)
+            assert same(got, rho if want is None else want), k
+            rejected += want is not None
+    assert 20 <= rejected <= 180
+    # at the tolerance: 5e-12 above a subset's value fails, 1e-13 passes
+    for eps, want in ((5e-12, "rho not monotone under superset at T=0b1"), (1e-13, None)):
+        rho = np.array([1.0, 0.5, 0.5, 0.5 + eps])
+        assert ref_monotone_error(rho, 2) == want
+        assert same(outcome(lambda: DensityProfile(2, rho).rho), rho if want is None else want)
+
+
+def random_edge_profile(rng, k):
+    """A symmetric M on disjoint cell pairs, with probability 1/2 one
+    intersecting pair (and its mirror) made positive."""
+    size = 1 << k
+    idx = np.arange(size)
+    M = np.triu(rng.random((size, size)) * ((idx[:, None] & idx) == 0))
+    if rng.random() < 0.5:
+        a, b = rng.integers(1, size, size=2)
+        while not a & b:
+            a, b = rng.integers(1, size, size=2)
+        M[min(a, b), max(a, b)] = rng.uniform(0.1, 1)
+    M = M + np.triu(M, 1).T
+    return M / M.sum()
+
+
+def test_edge_profile_support_names_the_same_pair():
+    rng = np.random.default_rng(44)
+    rejected = 0
+    for k in LATTICE_KS:
+        for _ in range(4 if k < 9 else 1):
+            M = random_edge_profile(rng, k)
+            want = ref_support_error(M, k)
+            got = outcome(lambda: EdgeProfile(k, M).M)
+            assert same(got, M if want is None else want), k
+            rejected += want is not None
+    assert 5 <= rejected <= 29
+
+
+def test_edge_count_diagonal_names_the_same_cell():
+    rng = np.random.default_rng(45)
+    rejected = 0
+    for k in LATTICE_KS:
+        size = 1 << k
+        idx = np.arange(size)
+        for _ in range(10):
+            # supported on disjoint pairs; the empty cell's loop count is even
+            upper = np.triu(rng.integers(0, 3, size=(size, size)), 1)
+            counts = (upper + upper.T) * ((idx[:, None] & idx) == 0)
+            counts[0, 0] = 2 * rng.integers(1, 3)
+            for m in rng.choice(size, size=int(rng.integers(0, 3)), replace=False):
+                counts[m, m] += 1  # an odd diagonal count
+            total = int(counts.sum())  # taken as n*d with n = total, d = 1
+            want = ref_diagonal_error(counts, k)
+            got = outcome(lambda: EdgeProfile.from_counts(k, counts, total, 1).counts)
+            if want is None:
+                assert np.array_equal(got, counts)
+            else:
+                assert got == want
+            rejected += want is not None
+    assert 20 <= rejected <= 90
+
+
+def test_density_row_equals_the_per_subset_loop():
+    rng = np.random.default_rng(46)
+    for k in LATTICE_KS:
+        for _ in range(10):
+            n = int(rng.integers(1, 60))
+            bits = [rng.random(n) < rng.uniform(0, 1) for _ in range(k)]
+            assert np.array_equal(
+                density_row(signatures(bits), k), ref_profile_row(bits, n, k)
+            )
+
+
+def test_forced_pairs_equals_the_cell_pair_loop():
+    rng = np.random.default_rng(47)
+    for k in LATTICE_KS:
+        for _ in range(10):
+            cells = rng.integers(0, 6, size=1 << k) * (rng.random(1 << k) < 0.5)
+            assert forced_pairs(cells) == ref_forced_pairs(cells.tolist())
+
+
+def test_er_log_expected_Z_uses_the_same_forced_count():
+    rng = np.random.default_rng(48)
+    for k in range(1, 6):
+        n = 1 << k + 1
+        cells = rng.multinomial(n, np.ones(1 << k) / (1 << k))
+        prof = pi_to_rho(PartitionMeasure(k, cells / n))
+        lam = 2.0
+        log_multinomial = math.lgamma(n + 1) - math.fsum(
+            math.lgamma(c + 1) for c in cells.tolist()
+        )
+        want = log_multinomial + ref_forced_pairs(cells.tolist()) * math.log1p(-lam / n)
+        assert er_log_expected_Z(prof, n, lam) == want
+
+
+def test_round_trip_at_the_lattice_cap():
+    k = 20
+    rng = np.random.default_rng(49)
+    pi = rng.dirichlet(np.ones(1 << k))
+    prof = pi_to_rho(PartitionMeasure(k, pi))
+    back = rho_to_pi(prof)
+    assert np.max(np.abs(back.pi - pi)) <= 1e-12
+    assert np.max(np.abs(pi_to_rho(back).rho - prof.rho)) <= 1e-12
+    with pytest.raises(ProfileError, match="1..20"):
+        DensityProfile(k + 1, np.ones(1 << (k + 1)))
