@@ -42,6 +42,7 @@ from .profiles import (
     ProfileError,
     asymptotic_rate,
     binom_sum,
+    check_alpha,
     entropies,
     expected_Z_total,
     mean_brute_force_Z,
@@ -227,8 +228,9 @@ def cmd_stability(params: dict):
 
 def cmd_bounds(params: dict):
     alpha = _float_list(params["alpha"], "--alpha")
-    if not alpha:
-        raise UsageError("--alpha must be a comma list of values")
+    if not 1 <= len(alpha) <= _MAX_K:
+        raise UsageError(f"--alpha must be a comma list of 1..{_MAX_K} values")
+    _checked(check_alpha, alpha)
     k = len(alpha)
     d = params["d"]
     if d < 1:
@@ -273,6 +275,8 @@ def cmd_oracle_check(params: dict):
     if n * d > 14:  # the enumeration visits (n*d - 1)!! <= 13!! = 135135 pairings
         raise UsageError(f"oracle-check enumerates every pairing: n*d <= 14, got {n * d}")
     tol = params["tol"]
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {tol}")
     rows = []
     worst = 0.0
     for m in range(n + 1):

@@ -16,7 +16,6 @@ copy subsets come from profiles.signatures and profiles.density_row.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -28,9 +27,11 @@ from .graphs import (
     ErdosRenyiHost,
     MultiGraph,
     ball_is_tree,
+    incidence_arrays,
     non_tree_ball_mask,
     sample_config_model,
     sample_er,
+    triangle_pairs,
 )
 from .parallel import mean_stderr, per_trial, run_trials
 from .profiles import binom_sum, density_row, signatures
@@ -177,38 +178,34 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
 
     Every copy keeps all edges of g not inside SxS; pairs within SxS are
     re-drawn independently per copy with probability lam/n, so each copy is
-    again Erdos-Renyi(n, lam/n) marginally.  The copies are read on demand:
-    they share the kept edges' incidence lists and add only their redrawn
-    SxS edges.  What depends on (g, S) alone is kept for the last (g, S), so
-    the stability loop, calling this once per inner trial, builds it once.
+    again Erdos-Renyi(n, lam/n) marginally.  Copy i draws one uniform per
+    pair of the sorted S, in triangle_pairs order, from the stream
+    _copy_state(seed, i), and lists its edges sorted.
     """
+    return list(_er_copies(g, S, lam, [_copy_state(seed, i) for i in range(k)]))
+
+
+def _copy_state(seed, i: int) -> int:
+    """The stream state of copy i of er_resample_graphs(..., seed)."""
+    return fold(trial_state(seed, 0x5E5A), i)
+
+
+def _er_copies(g: MultiGraph, S, lam: float, states):
+    """Yield the copy of er_resample_graphs drawn from each stream state:
+    g's edges outside SxS, filtered once, merged with the redrawn pairs."""
     S = np.sort(np.asarray(S, dtype=np.int64))
-    kept, su, sv = _kept_graph(g, S.tobytes(), lam)
-    base = trial_state(seed, 0x5E5A)
-    copies = []
-    for i in range(k):  # copy i keeps each SxS pair with probability lam/n
-        mask = state_rng(fold(base, i)).random(su.size) < lam / g.n
-        copies.append(kept.with_edges(su[mask], sv[mask]))
-    return copies
-
-
-@functools.lru_cache(maxsize=1)
-def _kept_graph(g: MultiGraph, s_bytes: bytes, lam: float) -> tuple:
-    """(g without the edges inside SxS, the SxS pairs as arrays (su, sv) in
-    sorted order), for S the sorted int64 vertices in s_bytes."""
-    S = np.frombuffer(s_bytes, dtype=np.int64)
-    in_s = set(S.tolist())
-
-    def read(u):
-        inc = g.adj[u]
-        return [(w, e) for w, e in inc if w not in in_s] if u in in_s else inc
-
-    kept = MultiGraph(
-        g.n, model="er", params={"lambda": lam}, read=read,
-        make_edges=lambda: [(u, v) for u, v in g.edges if not (u in in_s and v in in_s)],
-    )
-    iu, iv = np.triu_indices(S.size, k=1)
-    return kept, S[iu], S[iv]
+    n = g.n
+    in_s = np.zeros(n, dtype=bool)
+    in_s[S] = True
+    us, vs = g.edge_array.T
+    kept = (us * n + vs)[~(in_s[us] & in_s[vs])]  # edge (u, v) as u * n + v
+    for state in states:  # each SxS pair is kept with probability lam/n
+        drawn = state_rng(state).random(S.size * (S.size - 1) // 2) < lam / n
+        a, b = triangle_pairs(S.size, drawn.nonzero()[0])
+        merged = np.concatenate((kept, S[a] * n + S[b]))
+        merged.sort()
+        start, nbr, eid = incidence_arrays(n, *np.divmod(merged, n))
+        yield MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
 
 
 def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
@@ -305,10 +302,11 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
     fraction is one Q sample.  Moment estimates are jackknife-corrected.
 
     On graph hosts a trial samples its graph with sample_config_model or
-    sample_er, and each Erdos-Renyi inner trial takes its copy from
-    er_resample_graphs; these graphs compute a vertex's incidences when it
-    is first read, so a trial costs the draws plus the root's
-    (radius+1)-ball.  On the configuration model the graph is the same for
+    sample_er, and each Erdos-Renyi inner trial takes the copy that
+    er_resample_graphs(g, S, lam, 1, its seed) would return, from edges of g
+    outside SxS filtered once per outer trial; these graphs sort a vertex's
+    incidences when it is first read, so a trial costs the draws, one pass
+    over the graph's arrays and the root's (radius+1)-ball.  On the configuration model the graph is the same for
     every inner trial, so the root's ball is found once per outer trial and
     each inner trial relabels only the ball's vertices.
 
@@ -365,8 +363,9 @@ def _stability_trial_fn(cfg: CouplingConfig):
         nb = _root_ball(f, g, root, x0)
         if nb is None or apply_factor(f, nb) != 1:
             return [0.0, -1.0]
-        if er:
-            S = np.flatnonzero(in_s)
+        if er:  # every inner trial's copy keeps the same edges of g
+            copies = _er_copies(g, np.flatnonzero(in_s), host.lam, (
+                _copy_state(fold(st, 0x2000 + j), 0) for j in range(1, cfg.inner_trials + 1)))
         else:  # g is the same for every inner trial: relabel its ball only
             src = nb.source_vertices
             x0_ball, s_ball = x0[src], in_s[src]
@@ -374,8 +373,7 @@ def _stability_trial_fn(cfg: CouplingConfig):
         for j in range(1, cfg.inner_trials + 1):
             fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), n)
             if er:
-                gj = er_resample_graphs(g, S, host.lam, 1, fold(st, 0x2000 + j))[0]
-                nb_j = _root_ball(f, gj, root, np.where(in_s, fresh, x0))
+                nb_j = _root_ball(f, next(copies), root, np.where(in_s, fresh, x0))
             else:
                 nb_j = nb.with_labels(np.where(s_ball, fresh[src], x0_ball))
             if nb_j is not None:

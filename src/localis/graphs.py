@@ -5,12 +5,14 @@ truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
 rooted neighbourhoods and the non-tree-neighbourhood count used by the
 tree-to-graph projection.
 
-MultiGraph is the one graph type.  The BFS (ball_is_tree, neighborhood)
-reads a graph through `n` and `adj[u]` alone, and a MultiGraph computes
-adj[u] when u is first read, from arrays made once per graph (an explicit
-edge list, the configuration model's half-edge permutation, er_edge_arrays).
-So a per-root trial (graph-host stability) costs the root's ball plus the
-sampler's draw, and whole-graph work (projection) one pass over the arrays.
+MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
+arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
+edge list (explicit graphs, er_edge_arrays, Erdos-Renyi copies) or straight
+from the configuration model's half-edge permutation.  The BFS
+(ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
+and adj[u] is sorted from the arrays when u is first read.  So a per-root
+trial (graph-host stability) costs the root's ball plus the draw, and
+whole-graph work (projection) one pass over the arrays.
 
 A host descriptor (RegularTreeHost, PGWTreeHost, ConfigModelHost,
 ErdosRenyiHost; HOSTS maps names to classes) carries what the rest of the
@@ -33,7 +35,7 @@ import functools
 import json
 from collections import deque
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -148,13 +150,18 @@ HOSTS = {
 
 
 class _Incidences(dict):
-    """adj[u] = read(u), computed on the first read of u and kept."""
+    """adj[u]: u's (neighbour, edge id) pairs, sliced from the grouped arrays
+    and sorted on the first read of u, then kept."""
 
-    def __init__(self, read):
-        self.read = read
+    def __init__(self, start, nbr: np.ndarray, eid: np.ndarray):
+        self.start, self.nbr, self.eid = start, nbr, eid
 
     def __missing__(self, u):
-        inc = self[u] = self.read(u)
+        lo, hi = self.start[u], self.start[u + 1]
+        if lo == hi:
+            inc = self[u] = []
+        else:
+            inc = self[u] = sorted(zip(self.nbr[lo:hi].tolist(), self.eid[lo:hi].tolist()))
         return inc
 
 
@@ -162,67 +169,69 @@ class _Incidences(dict):
 class MultiGraph:
     """Undirected multigraph on vertices 0..n-1; loops and parallel edges allowed.
 
-    `adj[v]` lists (neighbour, edge_id) incidences sorted for deterministic
-    traversal; a loop at v contributes two entries at v, so len(adj[v]) is the
-    half-edge endpoint count of v.  An edge id only names an edge: its two
-    incidences share it.  adj[v] = read(v) is computed when v is first read.
+    The graph is its grouped incidence arrays: vertex u's incidences sit at
+    positions start[u]:start[u + 1] (`start` a sequence of n + 1 ints),
+    position h holding the neighbour nbr[h] and the edge id eid[h].  Edge
+    ids run over 0..m-1 and each names the two incidences of one edge; a
+    loop at v gives both of them to v.  Everything else is derived from these
+    arrays when first read:
 
-    MultiGraph(n, edges) takes an explicit edge list; the samplers pass `read`
-    and `make_edges`, and `edges` (sorted pairs u <= v) and `pairing` are
-    computed when first read.
+    - adj[v], v's (neighbour, edge id) pairs sorted for deterministic
+      traversal, per vertex (read_all makes every list in one pass);
+    - edge_array and edges, each edge once as (u, v) with u <= v, in edge-id
+      order, except that a configuration-model graph lists them sorted;
+    - pairing, the half-edge matching: each edge's two positions (h, h'),
+      h < h', lexsorted.  On sample_config_model's graphs, whose position h
+      is half-edge h, this is the sampled matching.
+
+    MultiGraph(n, edges) takes an explicit edge list, edge i with id i; the
+    samplers pass `start`, `nbr` and `eid`.
     """
 
     n: int
     edge_list: InitVar[list | None] = None
     model: str = "explicit"
     params: dict = field(default_factory=dict)
-    read: Callable = field(default=None, repr=False)
-    make_edges: Callable = field(default=None, repr=False)
-    make_pairing: Callable = field(default=None, repr=False)
+    start: Sequence = field(default=None, repr=False)
+    nbr: np.ndarray = field(default=None, repr=False)
+    eid: np.ndarray = field(default=None, repr=False)
     adj: dict = field(init=False, repr=False)
 
     def __post_init__(self, edge_list):
         if edge_list is not None:
-            self.__dict__["edges"] = edge_list  # what the edges property returns
-            e = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
-            self.read = _edge_array_read(self.n, e[:, 0], e[:, 1])
-        self.adj = _Incidences(self.read)
+            ends = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+            self.start, self.nbr, self.eid = incidence_arrays(self.n, ends[:, 0], ends[:, 1])
+        self.adj = _Incidences(self.start, self.nbr, self.eid)
+
+    def _halves(self) -> np.ndarray:
+        """(m, 2): the two positions of edge i, in increasing order, in row i."""
+        return np.argsort(self.eid, kind="stable").reshape(-1, 2)
+
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """`edges` as an (m, 2) int64 array."""
+        ends = np.repeat(np.arange(self.n), np.diff(self.start))[self._halves()]
+        if self.model == "config":  # ids follow the drawn permutation
+            ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        return ends
 
     @functools.cached_property
     def edges(self) -> list:
-        return self.make_edges()
+        return list(zip(self.edge_array[:, 0].tolist(), self.edge_array[:, 1].tolist()))
 
     @functools.cached_property
-    def pairing(self) -> np.ndarray | None:
-        """The configuration model's half-edge matching (None on other graphs)."""
-        return self.make_pairing() if self.make_pairing else None
-
-    def with_edges(self, us: np.ndarray, vs: np.ndarray) -> "MultiGraph":
-        """This graph plus the edges us[i] - vs[i], read on demand: a vertex
-        they do not touch keeps this graph's incidence list.  Added edge i
-        has id ~i, so this graph's ids must be >= 0."""
-        added = _edge_array_read(self.n, us, vs)
-
-        def read(u):
-            extra = [(w, ~e) for w, e in added(u)]
-            return sorted(self.adj[u] + extra) if extra else self.adj[u]
-
-        return MultiGraph(
-            self.n, model=self.model, params=self.params, read=read,
-            make_edges=lambda: sorted(self.edges + list(zip(us.tolist(), vs.tolist()))),
-        )
+    def pairing(self) -> np.ndarray:
+        pairs = self._halves()
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
     def read_all(self) -> list:
-        """Read every vertex; adj becomes the list of their incidence lists,
-        which a whole-graph pass indexes faster than the dict."""
+        """Read every vertex from one tolist of the arrays; adj becomes the
+        list of their incidence lists, which a whole-graph pass indexes
+        faster than the dict."""
         if isinstance(self.adj, list):
             return self.adj
-        grouped = getattr(self.read, "__self__", None)
-        if isinstance(grouped, _GroupedArrays):
-            self.adj = grouped.read_all()
-        else:
-            adj, read = self.adj, self.read
-            self.adj = [adj[v] if v in adj else read(v) for v in range(self.n)]
+        pairs = list(zip(self.nbr.tolist(), self.eid.tolist()))
+        self.adj = [sorted(pairs[lo:hi]) for lo, hi in zip(self.start, self.start[1:])]
         return self.adj
 
     def neighbors(self, v: int) -> list:
@@ -238,41 +247,21 @@ class MultiGraph:
         return json.dumps(payload, sort_keys=True)
 
 
-class _GroupedArrays:
-    """Incidences grouped by vertex, u's at start[u]:start[u + 1].  A graph's
-    `read` is the bound `read` (as fast to call as a closure); read_all
-    slices every vertex's list from one tolist of the whole arrays."""
-
-    def __init__(self, start, nbr: np.ndarray, eid: np.ndarray):
-        self.start, self.nbr, self.eid = start, nbr, eid
-
-    def read(self, u):
-        lo, hi = self.start[u], self.start[u + 1]
-        if lo == hi:  # most vertices of a with_edges addition
-            return []
-        return sorted(zip(self.nbr[lo:hi].tolist(), self.eid[lo:hi].tolist()))
-
-    def read_all(self) -> list:
-        pairs = list(zip(self.nbr.tolist(), self.eid.tolist()))
-        return [sorted(pairs[lo:hi]) for lo, hi in zip(self.start, self.start[1:])]
-
-
-def _edge_array_read(n: int, us: np.ndarray, vs: np.ndarray):
-    """The read of the graph with edges us[i] - vs[i]; edge i has id i."""
-    src = np.concatenate([us, vs])
-    order = np.argsort(src)
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
-    nbr = np.concatenate([vs, us])[order]
-    return _GroupedArrays(start.tolist(), nbr, order % max(us.size, 1)).read
+def incidence_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> tuple:
+    """(start, nbr, eid) of the graph on 0..n-1 whose edge i is us[i] - vs[i]."""
+    src = np.concatenate((us, vs))  # incidence j is an end of edge j % m
+    order = src.argsort(kind="stable")
+    start = [0] + np.bincount(src, minlength=n).cumsum().tolist()
+    return start, np.concatenate((vs, us))[order], order % max(us.size, 1)
 
 
 def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     """Uniformly random pairing of the n*d half-edges, glued into edges.
 
-    Half-edge h belongs to vertex h // d.  Loops and parallel edges are kept.
-    h sits at position inv[h] of the drawn permutation, its partner at
-    inv[h] ^ 1, and the pair index inv[h] >> 1 is the edge id.
+    Half-edge h belongs to vertex h // d and is incidence position h.  h sits
+    at position inv[h] of the drawn permutation, its partner at inv[h] ^ 1,
+    and the pair index inv[h] >> 1 is the edge id.  Loops and parallel edges
+    are kept.
 
     Args:
         n: vertex count (>= 1).
@@ -290,30 +279,25 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     perm = np.random.default_rng(seed).permutation(n * d)  # pairs 2i, 2i + 1
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    read = _GroupedArrays(range(0, n * d + 1, d), perm[inv ^ 1] // d, inv >> 1).read
-
-    def edges():
-        ends = np.sort(perm.reshape(-1, 2) // d, axis=1)
-        lo, hi = ends[np.lexsort((ends[:, 1], ends[:, 0]))].T
-        return list(zip(lo.tolist(), hi.tolist()))
-
-    def pairing():
-        pairs = np.sort(perm.reshape(-1, 2), axis=1)
-        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
     return MultiGraph(
-        n, model="config", params={"d": d}, read=read, make_edges=edges,
-        make_pairing=pairing,
+        n, model="config", params={"d": d}, start=range(0, n * d + 1, d),
+        nbr=perm[inv ^ 1] // d, eid=inv >> 1,
     )
 
 
 def sample_er(n: int, lam: float, seed) -> MultiGraph:
     """Erdos-Renyi graph: each pair independently present with probability lam/n."""
-    us, vs = er_edge_arrays(n, lam, seed)
-    return MultiGraph(
-        n, model="er", params={"lambda": lam}, read=_edge_array_read(n, us, vs),
-        make_edges=lambda: list(zip(us.tolist(), vs.tolist())),
-    )
+    start, nbr, eid = incidence_arrays(n, *er_edge_arrays(n, lam, seed))
+    return MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
+
+
+def triangle_pairs(m: int, flat: np.ndarray) -> tuple:
+    """The pairs (a, b), a < b < m, at the indices `flat` of the row-major
+    order of all such pairs, as int64 arrays (a, b)."""
+    a = np.arange(m, dtype=np.int64)
+    start = a * (2 * m - 1 - a) // 2  # pair (a, b) has index start[a] + b - a - 1
+    us = start[1:].searchsorted(flat, side="right")  # start[0] = 0 <= every index
+    return us, flat - (start - a - 1)[us]
 
 
 def er_edge_arrays(n: int, lam: float, seed) -> tuple:
@@ -324,12 +308,7 @@ def er_edge_arrays(n: int, lam: float, seed) -> tuple:
     if not 0.0 <= lam <= n:
         raise ValueError(f"need 0 <= lam <= n, got lam={lam}, n={n}")
     rng = np.random.default_rng(seed)
-    flat = np.flatnonzero(rng.random(n * (n - 1) // 2) < lam / n)
-    # pair (u, v), u < v, has flat index start[u] + v - u - 1 in triu order
-    u = np.arange(n, dtype=np.int64)
-    start = u * (2 * n - u - 1) // 2
-    us = np.searchsorted(start, flat, side="right") - 1
-    return us, flat - start[us] + us + 1
+    return triangle_pairs(n, (rng.random(n * (n - 1) // 2) < lam / n).nonzero()[0])
 
 
 def enumerate_config_graphs(n: int, d: int):

@@ -154,6 +154,8 @@ class DensityProfile:
         object.__setattr__(self, "rho", rho)
         if rho.shape != (1 << self.k,):
             raise ProfileError(f"rho must have 2^{self.k} entries")
+        if not np.isfinite(rho).all():
+            raise ProfileError("rho values must be finite")
         if abs(rho[0] - 1.0) > 1e-12:
             raise ProfileError("rho(empty) must equal 1")
         if np.any(rho < -_NEG_TOL) or np.any(rho > 1 + 1e-12):
@@ -201,6 +203,8 @@ class PartitionMeasure:
         object.__setattr__(self, "pi", pi)
         if pi.shape != (1 << self.k,):
             raise ProfileError(f"pi must have 2^{self.k} entries")
+        if not np.isfinite(pi).all():
+            raise ProfileError("pi values must be finite")
         if np.any(pi < -_NEG_TOL):
             raise ProfileError("negative partition mass")
         if abs(pi.sum() - 1.0) > 1e-9:
@@ -234,6 +238,8 @@ class EdgeProfile:
         size = 1 << self.k
         if M.shape != (size, size):
             raise ProfileError(f"M must be {size}x{size}")
+        if not np.isfinite(M).all():
+            raise ProfileError("edge-profile entries must be finite")
         if np.any(M < -_NEG_TOL):
             raise ProfileError("negative edge-profile entry")
         if abs(M.sum() - 1.0) > 1e-9:
@@ -254,6 +260,8 @@ class EdgeProfile:
     def from_counts(cls, k: int, counts: np.ndarray, n: int, d: int) -> "EdgeProfile":
         counts = np.asarray(counts, dtype=np.int64)
         total = n * d
+        if total < 1:
+            raise ProfileError(f"edge counts need n*d >= 1, got n={n}, d={d}")
         if counts.sum() != total:
             raise ProfileError("edge counts must sum to n*d")
         odd = np.flatnonzero(np.diagonal(counts) % 2)
@@ -407,6 +415,16 @@ def rate_bound(measure: PartitionMeasure, d: int) -> float:
     return rep.h_pi + 0.5 * d * rep.h_hat
 
 
+def check_alpha(alpha) -> None:
+    """Raise ValueError unless alpha_1..alpha_k are finite, non-negative and
+    non-increasing (each up to 1e-12)."""
+    a = np.asarray(alpha, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("alpha must be finite")
+    if np.any(a < -1e-12) or np.any(a[:-1] < a[1:] - 1e-12):
+        raise ValueError("alpha must be non-negative and non-increasing")
+
+
 def asymptotic_rate(alpha, k: int, d: int, c_k: float | None = None):
     """Leading term binom_sum(alpha) * log(d)^2 / (2d) of the rate bound for a
     symmetric profile at scale log(d)/d, and the remainder.
@@ -417,10 +435,7 @@ def asymptotic_rate(alpha, k: int, d: int, c_k: float | None = None):
     alpha = list(alpha)
     if len(alpha) != k:
         raise ValueError("need one alpha per cardinality 1..k")
-    if any(a < -1e-12 for a in alpha) or any(
-        alpha[i] < alpha[i + 1] - 1e-12 for i in range(k - 1)
-    ):
-        raise ValueError("alpha must be non-negative and non-increasing")
+    check_alpha(alpha)
     scale = math.log(d) / d
     profile = DensityProfile.symmetric(k, alpha, scale)
     measure = rho_to_pi(profile)

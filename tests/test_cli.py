@@ -218,6 +218,17 @@ def test_invalid_values_are_usage_errors(tmp_path):
         ["scan-p", "--host", "regular-tree", "--d", "3", "--grid", "0,x"],
         # within the profile's tolerance, but increasing for asymptotic_rate
         ["bounds", "--alpha", "1,1.00000000001", "--d", "1000"],
+        # alpha is checked before any profile is built
+        ["bounds", "--alpha", "0.5,1", "--d", "1000"],
+        ["bounds", "--alpha", "0.2,1.5", "--d", "1000"],
+        ["bounds", "--alpha", "-0.1", "--d", "1000"],
+        ["bounds", "--alpha", ",".join(["0.1"] * 21), "--d", "1000"],
+        ["bounds", "--alpha", "nan", "--d", "1000"],
+        ["bounds", "--alpha", "1,nan", "--d", "1000"],
+        ["bounds", "--alpha", "inf,1", "--d", "1000"],
+        ["oracle-check", "--n", "4", "--d", "3", "--tol", "nan"],
+        ["oracle-check", "--n", "4", "--d", "3", "--tol", "-1"],
+        ["oracle-check", "--n", "4", "--d", "3", "--tol", "inf"],
     ):
         assert run(args + ["--out", out]) == 2, args
 
@@ -422,11 +433,20 @@ def test_bounds_report(tmp_path):
     assert report["self_test"]["relative_error"] < 1e-9
 
 
-def test_bounds_malformed_profile_guard(tmp_path):
+def test_bounds_malformed_profile_guard(tmp_path, capsys):
     out = str(tmp_path / "bounds.json")
-    # increasing alpha violates monotonicity of the density profile
-    code = run(["bounds", "--alpha", "0.2,1.5", "--d", "1000", "--out", out])
+    # a valid alpha whose profile has a negative partition cell
+    code = run(["bounds", "--alpha", "1.5,0.5,0.1,0.02,0.004,0.001", "--d", "100000",
+                "--out", out])
     assert code == 3
+    assert "pi(0b1) = -2.084e-05 < 0" in capsys.readouterr().err
+
+
+def test_bounds_accepts_alpha_at_the_lattice_cap(tmp_path):
+    out = str(tmp_path / "bounds.json")
+    assert run(["bounds", "--alpha", ",".join(["0.01"] * 20), "--d", "1000",
+                "--out", out]) == 0
+    assert json.loads(read(out))["k"] == 20
 
 
 def test_oracle_check_passes(tmp_path):

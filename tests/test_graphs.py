@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from localis.graphs import (
     sample_er,
     sample_pgw_tree,
     sample_regular_tree,
+    triangle_pairs,
 )
+from localis.coupling import er_resample_graphs
 
 from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state
 
@@ -416,38 +419,167 @@ def test_local_graph_reads_only_the_ball():
 
 
 def test_local_graph_union_matches_the_multigraph():
-    a, b = [(0, 1), (1, 2)], [(0, 2), (2, 3)]
-    first = MultiGraph(4, a)
-    union = first.with_edges(*np.array(b).T)
-    labels = np.arange(4, dtype=np.uint64)
-    assert ball_readings(union, labels) == ball_readings(MultiGraph(4, sorted(a + b)), labels)
-    assert union.edges == sorted(a + b)
-    assert union.adj[1] is first.adj[1]  # no edge of b at 1: the list is shared
+    # an Erdos-Renyi copy is the kept graph (g less its SxS edges) merged
+    # with the redrawn SxS pairs: the same graph as the union built by hand
+    g = MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)], model="er")
+    S = np.array([3, 1, 2])  # unsorted on purpose; (1, 2), (1, 3), (2, 3) redrawn
+    union = er_resample_graphs(g, S, 5.0, 1, 0)[0]  # lam / n = 1: every SxS pair
+    want = sorted([(0, 1), (3, 4)] + [(1, 2), (1, 3), (2, 3)])
+    assert union.edges == want
+    labels = np.arange(5, dtype=np.uint64)
+    assert ball_readings(union, labels) == ball_readings(MultiGraph(5, want), labels)
+    kept = er_resample_graphs(g, S, 0.0, 1, 0)[0]  # lam = 0 redraws nothing
+    assert kept.edges == [(0, 1), (3, 4)]
+    assert ball_readings(kept, labels) == ball_readings(MultiGraph(5, kept.edges), labels)
 
 
-def test_read_all_equals_the_per_vertex_reads():
-    # grouped-array graphs build every incidence list in one pass; each list
-    # must equal the vertex's own read, loops and parallel edges included
-    graphs = [
-        MultiGraph(4, [(0, 0), (0, 1), (0, 1), (2, 2), (1, 3)]),
-        MultiGraph(3, []),
+# References: the constructions that MultiGraph's arrays replaced.
+
+
+def _perm(n: int, d: int, seed: int) -> np.ndarray:
+    """The half-edge permutation sample_config_model(n, d, seed) draws."""
+    return np.random.default_rng(seed).permutation(n * d)
+
+
+def _config_edges_by_perm(perm: np.ndarray, d: int) -> list:
+    """sample_config_model's edges() closure as first written."""
+    ends = np.sort(perm.reshape(-1, 2) // d, axis=1)
+    lo, hi = ends[np.lexsort((ends[:, 1], ends[:, 0]))].T
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _config_pairing_by_perm(perm: np.ndarray) -> np.ndarray:
+    """sample_config_model's pairing() closure as first written."""
+    pairs = np.sort(perm.reshape(-1, 2), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _reads_from_edges(n: int, edges) -> list:
+    """Every vertex's incidence list, edge i of `edges` with id i, as the
+    per-vertex read of an explicit graph computed it."""
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    return [sorted(inc) for inc in adj]
+
+
+def _graph_cases() -> list:
+    """(name, factory) pairs; each factory builds a fresh copy of one graph."""
+    cases = [
+        ("explicit", lambda: MultiGraph(4, [(0, 0), (0, 1), (0, 1), (2, 2), (1, 3)])),
+        ("explicit-reversed", lambda: MultiGraph(5, [(3, 1), (4, 0), (2, 2), (1, 3), (0, 4)])),
+        ("empty", lambda: MultiGraph(3, [])),
+        ("one vertex", lambda: MultiGraph(1, [(0, 0)])),
     ]
-    graphs += [sample_config_model(n, d, seed)
-               for d in (2, 3) for n in (2, 4, 6, 8, 12) for seed in range(4)]
-    graphs += [sample_er(n, lam, seed)
-               for n, lam in ((1, 0.0), (8, 2.0), (30, 3.0)) for seed in range(3)]
+    cases += [(f"config {n} {d} {seed}", functools.partial(sample_config_model, n, d, seed))
+              for d in (1, 2, 3) for n in (2, 4, 6, 8, 12) for seed in range(4)
+              if n * d % 2 == 0]
+    cases += [(f"er {n} {lam} {seed}", functools.partial(sample_er, n, lam, seed))
+              for n, lam in ((1, 0.0), (2, 2.0), (8, 2.0), (30, 3.0)) for seed in range(3)]
+    cases += [(f"er copy {n} {lam_s} {seed}", functools.partial(_er_copy, n, lam, p, seed, lam_s))
+              for n, lam, p, seed in ((12, 3.0, 0.5, 0), (30, 2.0, 0.3, 1), (20, 4.0, 1.0, 2))
+              for lam_s in (lam, 0.0)]  # a resampled copy, and the kept graph alone
+    return cases
+
+
+def _er_copy(n: int, lam: float, p: float, seed: int, lam_s: float) -> MultiGraph:
+    """Copy 1 of sample_er(n, lam, seed) with SxS redrawn at lam_s, for S a
+    Bernoulli(p) set; lam_s = 0 redraws nothing and leaves the kept graph."""
+    S = np.flatnonzero(np.random.default_rng(seed).random(n) < p)
+    return er_resample_graphs(sample_er(n, lam, seed), S, lam_s, 2, seed + 7)[1]
+
+
+def test_multigraph_stores_no_callables():
+    for _, make in _graph_cases():
+        g = make()
+        assert not [name for name, value in vars(g).items() if callable(value)]
+
+
+def test_config_edges_and_pairing_equal_the_perm_closures():
     loops = multi = 0
-    for g in graphs:
-        reads = [g.read(v) for v in range(g.n)]
-        g.adj[0]  # a vertex read before the whole-graph pass
-        assert g.read_all() == reads
-        assert g.read_all() is g.adj
+    for n, d in ((1, 2), (2, 1), (2, 3), (3, 2), (4, 3), (6, 1), (5, 4), (40, 3)):
+        for seed in range(40):
+            g = sample_config_model(n, d, seed)
+            perm = _perm(n, d, seed)
+            assert g.edges == _config_edges_by_perm(perm, d)
+            assert g.pairing.dtype == np.int64
+            assert np.array_equal(g.pairing, _config_pairing_by_perm(perm))
+            assert np.array_equal(g.edge_array, np.array(g.edges, dtype=np.int64).reshape(-1, 2))
+            loops += any(u == v for u, v in g.edges)
+            multi += len(set(g.edges)) < len(g.edges)
+    assert loops and multi
+
+
+def test_explicit_edges_keep_the_given_order():
+    # each edge is listed as (min, max), in the order given
+    edges = [(3, 1), (4, 0), (2, 2), (1, 3), (0, 4)]
+    g = MultiGraph(5, edges)
+    assert g.edges == [(min(e), max(e)) for e in edges]
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert MultiGraph(5, np.array(edges)).edges == g.edges
+
+
+def test_reads_equal_read_all_edges_pairing_and_every_ball():
+    loops = multi = 0
+    for name, make in _graph_cases():
+        g = make()
+        reads = [g.adj[v] for v in range(g.n)]
+        # the per-vertex reads are the incidence lists of the edge list, with
+        # this graph's edge ids: relabel the ids in the order edges lists them
+        ids = {}
+        for v, inc in enumerate(reads):
+            for w, e in inc:
+                ids.setdefault(e, []).append((v, w))
+        assert sorted(len(x) for x in ids.values()) == [2] * len(g.edges), name
+        by_edge = sorted(((min(v, w), max(v, w)), e) for e, ((v, w), _) in ids.items())
+        assert [uv for uv, _ in by_edge] == sorted(g.edges), name
+        if g.model != "config":  # edge ids follow the order edges lists
+            assert reads == _reads_from_edges(g.n, g.edges), name
+        # pairing: half-edge positions grouped by vertex, glued into edges
+        owner = np.repeat(np.arange(g.n), [len(inc) for inc in reads])
+        assert sorted(map(tuple, owner[g.pairing].tolist())) == sorted(g.edges), name
+        assert np.array_equal(np.sort(g.pairing.ravel()), np.arange(2 * len(g.edges))), name
+        # read_all, from one tolist, on a fresh copy and after a first read
+        assert make().read_all() == reads, name
+        h = make()
+        h.adj[0]
+        assert h.read_all() == reads and h.read_all() is h.adj, name
+        labels = np.random.default_rng(len(name)).integers(0, 1 << 64, size=g.n, dtype=np.uint64)
+        assert ball_readings(g, labels) == ball_readings(MultiGraph(g.n, g.edges), labels), name
         loops += any(u == v for u, v in g.edges)
         multi += len(set(g.edges)) < len(g.edges)
     assert loops and multi
-    # copies with added edges keep the per-vertex read
-    union = graphs[0].with_edges(np.array([1, 3]), np.array([2, 3]))
-    assert union.read_all() == [union.read(v) for v in range(union.n)]
+
+
+def test_read_all_equals_the_per_vertex_reads():
+    # read_all builds every incidence list in one pass; each list must equal
+    # the vertex's own read on a fresh copy, loops and parallel edges included
+    loops = multi = 0
+    for name, make in _graph_cases():
+        g = make()
+        assert g.read_all() == [make().adj[v] for v in range(g.n)], name
+        loops += any(u == v for u, v in g.edges)
+        multi += len(set(g.edges)) < len(g.edges)
+    assert loops and multi
+
+
+def _triu_pairs(m: int, flat: np.ndarray) -> tuple:
+    """The SxS pair mapping as first written: the flat index into triu_indices."""
+    iu, iv = np.triu_indices(m, k=1)
+    return iu[flat], iv[flat]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 40])
+def test_triangle_pairs_equal_the_triu_indices(m):
+    total = m * (m - 1) // 2
+    rng = np.random.default_rng(m)
+    for flat in (np.arange(total), np.flatnonzero(rng.random(total) < 0.3),
+                 np.array([], dtype=np.int64)):
+        a, b = triangle_pairs(m, flat)
+        ref_a, ref_b = _triu_pairs(m, flat)
+        assert a.dtype == np.int64 and b.dtype == np.int64
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,38 @@ def test_edge_profile_validation():
         EdgeProfile(1, np.array([[0.5, 0.2], [0.2, 0.0]]))
 
 
+# Every check below was a comparison that NaN fails, so NaN passed them all.
+
+
+def test_partition_measure_rejects_nan():
+    with pytest.raises(ProfileError, match="finite"):
+        PartitionMeasure(1, [math.nan, math.nan])
+    with pytest.raises(ProfileError, match="finite"):
+        PartitionMeasure(2, [0.5, 0.5, 0.0, math.inf])
+
+
+def test_density_profile_rejects_nan():
+    with pytest.raises(ProfileError, match="finite"):
+        DensityProfile(1, [1.0, math.nan])
+    with pytest.raises(ProfileError, match="finite"):
+        DensityProfile(2, [1.0, 0.5, math.nan, 0.1])
+
+
+def test_edge_profile_rejects_nan():
+    M = np.zeros((2, 2))
+    M[0, 0] = math.nan
+    with pytest.raises(ProfileError, match="finite"):
+        EdgeProfile(1, M)
+
+
+def test_edge_profile_from_counts_needs_an_edge_endpoint():
+    with np.errstate(all="raise"):  # no division is attempted
+        with pytest.raises(ProfileError, match="n\\*d >= 1"):
+            EdgeProfile.from_counts(1, np.zeros((2, 2)), 0, 1)
+        with pytest.raises(ProfileError, match="n\\*d >= 1"):
+            EdgeProfile.from_counts(1, np.zeros((2, 2)), 3, 0)
+
+
 # ---------------------------------------------------------------------------
 # exact expected counts: configuration model
 # ---------------------------------------------------------------------------
@@ -355,6 +387,13 @@ def test_asymptotic_rate_zero_and_scaling():
     # and the leading term is linear in it
     assert abs(lead1 / binom_sum([1.0, 1.0]) * binom_sum([0.5, 0.75 * 0.5])
                - asymptotic_rate([0.5, 0.375], 2, 1000)[0]) <= 1e-15
+
+
+def test_asymptotic_rate_rejects_bad_alpha():
+    for alpha, match in (([math.nan], "finite"), ([1.0, math.inf], "finite"),
+                         ([-0.1], "non-negative"), ([0.5, 1.0], "non-increasing")):
+        with pytest.raises(ValueError, match=match):
+            asymptotic_rate(alpha, len(alpha), 1000)
 
 
 def test_asymptotic_rate_gap_calibrated():
