@@ -191,8 +191,6 @@ def cmd_scan_p(params: dict):
             f"scan-p needs a mean degree above 0, and other than 1 when "
             f"--k >= 2; got {degree:g} with --k {cfg.k}"
         )
-    if not cfg.host.tree and cfg.k > _MAX_K:  # a graph-host trial keeps 2^k rho values
-        raise UsageError(f"scan-p on a graph host needs --k <= {_MAX_K}, got {cfg.k}")
     result = scan_p(cfg, grid)
     _, d_or_lam, n = _host_columns(cfg.host)
     inter_rows, stab_rows, binom_rows = [], [], []
@@ -298,15 +296,15 @@ def cmd_oracle_check(params: dict):
 
 def cmd_pgw_transfer(params: dict):
     lam = _checked(PGWTreeHost, params["lam"]).lam  # 0 < lam <= POISSON_LAM_MAX
+    if (params["d"] is None) == (params["schedule_u"] is None):
+        raise UsageError("pgw-transfer requires exactly one of --d and --schedule-u")
     if params["schedule_u"] is not None:
         u = params["schedule_u"]
         if not 0.5 < u < 1.0:
             raise UsageError("--schedule-u must lie strictly between 1/2 and 1")
         d = math.ceil(lam + lam**u)
-    elif params["d"] is not None:
-        d = params["d"]
     else:
-        raise UsageError("pgw-transfer requires --d or --schedule-u")
+        d = params["d"]
     if d < 2:
         raise UsageError(f"pgw-transfer needs d >= 2, got {d}")
     factor = _build_factor(params)

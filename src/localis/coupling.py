@@ -4,14 +4,14 @@ One coupling trial fixes a host structure, a base labelling X0 and a
 Bernoulli-p vertex subset S, then builds k correlated copies: copy i uses
 fresh labels Xi on S and X0 elsewhere (for the Erdos-Renyi host, the induced
 subgraph on S is additionally resampled per copy).  Estimated are the
-prefix-intersection densities, the full density profile over copy subsets,
-and the stability: the conditional probability that the root keeps its
-inclusion bit when S is re-randomised, given it was included.
+prefix-intersection densities (on every host a trial's row, a running
+product over the copies' bits) and the stability: the conditional
+probability that the root keeps its inclusion bit when S is re-randomised,
+given it was included.
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
-inner copies 1..J of each accepted trial.  Graph-host profile rows over the
-copy subsets come from profiles.signatures and profiles.density_row.
+inner copies 1..J of its accepted trials, at most INNER_BLOCK pairs a call.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ from .graphs import (
     triangle_pairs,
 )
 from .parallel import mean_stderr, per_trial, run_trials
-from .profiles import binom_sum, density_row, signatures
+from .profiles import binom_sum
 from .rng import fold, state_rng, trial_state, trial_state_np, uniform_labels
+
+
+INNER_BLOCK = 1 << 14  # most (outer, inner) pairs one tree-stability bits call takes
 
 
 class ConditioningError(RuntimeError):
@@ -97,14 +100,6 @@ class IntersectionEstimate:
 
 
 @dataclass
-class ProfileSamples:
-    """Per-trial density profiles rho(T) over all copy subsets T."""
-
-    k: int
-    rows: np.ndarray  # (trials, 2^k)
-
-
-@dataclass
 class StabilityEstimate:
     """Nested Monte Carlo estimates of the stability moments E*[Q^m]."""
 
@@ -155,6 +150,9 @@ def _copy_streams(k: int, copy_streams) -> list:
 
 def _prefix_estimate(cfg: CouplingConfig, prefix: np.ndarray) -> IntersectionEstimate:
     """Means and standard errors of per-trial prefix-intersection rows."""
+    # column-major like the tree blocks' cumprod(...).T: mean(axis=0) then sums
+    # each column pairwise, not row by row, and so rounds the same last bits
+    prefix = np.asfortranarray(prefix)
     means = prefix.mean(axis=0)
     ses = np.array([mean_stderr(prefix[:, i])[1] for i in range(cfg.k)])
     return IntersectionEstimate(
@@ -209,13 +207,13 @@ def _er_copies(g: MultiGraph, S, lam: float, states):
 
 
 def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
-    """(IntersectionEstimate, ProfileSamples, per-trial rows) on a graph host.
+    """(IntersectionEstimate, mean non-tree fraction) on a graph host.
 
     Per trial: sample g, X0, S and fresh labels; on the Erdos-Renyi host,
     build per-copy graphs whose induced subgraphs on S are resampled; project
     every copy (vertices with a non-tree (radius+1)-neighbourhood map to 0).
-    A row is [rho(T) for all T..., non-tree vertex fraction of copy 1's graph,
-    which is g itself on the configuration model].
+    A row is [the k prefix-intersection densities..., non-tree vertex
+    fraction of copy 1's graph, which is g itself on the configuration model].
     """
     host = cfg.host
     if not isinstance(host, host_type):
@@ -242,32 +240,24 @@ def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
             _project_bits(f, copies[s - 1], oks[s - 1], np.where(in_s, fresh[s], x0))
             for s in streams
         ]
-        row = density_row(signatures(copy_bits), k)
-        return np.concatenate([row, [1.0 - oks[0].mean()]])
+        prefix = np.cumprod(copy_bits, axis=0).sum(axis=1) / n
+        return np.concatenate([prefix, [1.0 - oks[0].mean()]])
 
     rows = run_trials(per_trial(one), cfg.trials, cfg.workers)
-    profiles = ProfileSamples(k, rows[:, : 1 << k])
-    prefix = rows[:, [(1 << i) - 1 for i in range(1, k + 1)]]
-    return _prefix_estimate(cfg, prefix), profiles, rows
+    return _prefix_estimate(cfg, rows[:, :k]), float(rows[:, k].mean())
 
 
 def coupled_graph_intersections(cfg: CouplingConfig, copy_streams=None):
-    """Coupled copies on configuration-model graphs: the full density profile
-    over copy subsets plus the non-tree vertex fraction of the graph.
-
-    Returns (IntersectionEstimate, ProfileSamples, mean non-tree fraction).
-    """
-    est, profiles, rows = _coupled_graph(cfg, ConfigModelHost, copy_streams)
-    return est, profiles, float(rows[:, -1].mean())
+    """Coupled copies on configuration-model graphs: (IntersectionEstimate,
+    mean non-tree vertex fraction of g)."""
+    return _coupled_graph(cfg, ConfigModelHost, copy_streams)
 
 
 def coupled_er_intersections(cfg: CouplingConfig, copy_streams=None):
     """Coupled copies on Erdos-Renyi graphs, each copy with its own induced
-    subgraph on S.
-
-    Returns (IntersectionEstimate, ProfileSamples).
-    """
-    return _coupled_graph(cfg, ErdosRenyiHost, copy_streams)[:2]
+    subgraph on S: (IntersectionEstimate, mean non-tree vertex fraction of
+    copy 1's graph)."""
+    return _coupled_graph(cfg, ErdosRenyiHost, copy_streams)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +334,12 @@ def _stability_trial_fn(cfg: CouplingConfig):
         def block(lo: int, hi: int):
             trees = TreeBlock(f, host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
             rows = np.tile([0.0, -1.0], (hi - lo, 1))
-            for i in np.flatnonzero(trees.bits(0)):
-                rows[i] = 1.0, np.count_nonzero(trees.bits(copies, i))
+            acc = np.flatnonzero(trees.bits(0))
+            rows[acc, 0] = 1.0
+            step = max(1, INNER_BLOCK // cfg.inner_trials)  # accepted rows per bits call
+            for i in range(0, acc.size, step):
+                part = acc[i : i + step]
+                rows[part, 1] = np.count_nonzero(trees.bits(copies, part), axis=0)
             return rows
 
         return block

@@ -292,7 +292,7 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
 class TreeBlock:
     """The factor's root bits on a block of lazy trees, for any coupled copy.
 
-    Row t is the tree LazyTree(host, f.radius, states[t]); bits(copies, row)
+    Row t is the tree LazyTree(host, f.radius, states[t]); bits(copies, rows)
     gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row.
     The factor's radius chooses how, here and nowhere else: radius <= 1
     runs star_rule on the block's TreeStars, all rows and copies at once;
@@ -309,25 +309,24 @@ class TreeBlock:
             self.stars = None
             self.states = np.asarray(states, dtype=np.uint64).tolist()
 
-    def bits(self, copies, row=None) -> np.ndarray:
+    def bits(self, copies, rows=None) -> np.ndarray:
         """Root bits of `copies`, an int copy id or a column of copy ids
-        (shape (J, 1), as TreeStars.labels takes), on the int row `row`, or
-        on every row when None.  Bool array of shape (), (J,), (rows,) or
-        (J, rows); a row's bits index its stars as views."""
+        (shape (J, 1), as TreeStars.labels takes), on the rows of the index
+        array `rows`, or on every row when None.  Bool array of shape (R,)
+        or (J, R) for R selected rows."""
         stars = self.stars
         if stars is not None:
-            at = Ellipsis if row is None else row
-            if row is None and not isinstance(copies, int):
-                copies = copies[..., None]  # labels of shape (J, rows, columns)
+            at = Ellipsis if rows is None else rows
+            if not isinstance(copies, int):
+                copies = copies[..., None]  # labels of shape (J, R, columns)
             return self.f.star_rule(stars.labels(copies, at), stars.states[at], stars.valid[at])
         f, p, single = self.f, self.p, isinstance(copies, int)
         ids = [copies] if single else copies[:, 0].tolist()
-        states = self.states if row is None else [self.states[row]]
+        states = self.states if rows is None else [self.states[i] for i in rows]
         trees = (LazyTree(self.host, f.radius, s) for s in states)
-        rows = [[f.rule(TreeLabels(t, copy=c, p=p)) for c in ids] for t in trees]
-        out = np.array(rows, dtype=bool).T
-        out = out[0] if single else out
-        return out if row is None else out[..., 0]
+        out = [[f.rule(TreeLabels(t, copy=c, p=p)) for c in ids] for t in trees]
+        out = np.array(out, dtype=bool).reshape(len(states), len(ids)).T
+        return out[0] if single else out
 
 
 DensityEstimate = namedtuple("DensityEstimate", ["mean", "stderr", "trials"])

@@ -184,8 +184,9 @@ class MultiGraph:
       h < h', lexsorted.  On sample_config_model's graphs, whose position h
       is half-edge h, this is the sampled matching.
 
-    MultiGraph(n, edges) takes an explicit edge list, edge i with id i; the
-    samplers pass `start`, `nbr` and `eid`.
+    MultiGraph(n, edges) takes an explicit edge list, edge i with id i, and
+    raises ValueError when an endpoint lies outside 0..n-1; the samplers
+    pass `start`, `nbr` and `eid`.
     """
 
     n: int
@@ -200,6 +201,9 @@ class MultiGraph:
     def __post_init__(self, edge_list):
         if edge_list is not None:
             ends = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+            if ends.size and not 0 <= ends.min() <= ends.max() < self.n:
+                u, v = ends[((ends < 0) | (ends >= self.n)).any(axis=1)][0].tolist()
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}")
             self.start, self.nbr, self.eid = incidence_arrays(self.n, ends[:, 0], ends[:, 1])
         self.adj = _Incidences(self.start, self.nbr, self.eid)
 

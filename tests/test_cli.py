@@ -337,18 +337,21 @@ def test_scan_p_rejects_degree_zero_and_degree_one_with_k_above_one(tmp_path):
         assert run(["scan-p", *host, *small]) == 0, host
 
 
-def test_scan_p_on_a_graph_host_caps_k_at_the_profile_lattice(tmp_path, capsys):
+def test_scan_p_on_a_graph_host_runs_above_the_profile_lattice_cap(tmp_path):
+    # a coupled trial keeps k prefix densities on every host, not 2^k profile
+    # cells, so --k 21 runs where the dense lattices stop at k = 20
     out = str(tmp_path / "scan")
-    small = ["--grid", "0.5", "--trials", "2", "--inner-trials", "1", "--out", out]
-    for k in ("21", "70"):
-        for host in (
-            ["--host", "er", "--n", "10", "--lam", "2"],
-            ["--host", "config-model", "--n", "10", "--d", "3"],
-        ):
-            assert run(["scan-p", *host, "--k", k, *small]) == 2, (host, k)
-            assert f"--k <= 20, got {k}" in capsys.readouterr().err
-    # tree hosts keep no profile row, so any k runs
-    assert run(["scan-p", "--host", "regular-tree", "--d", "3", "--k", "21", *small]) == 0
+    for host in (
+        ["--host", "er", "--n", "200", "--lam", "2"],
+        ["--host", "config-model", "--n", "200", "--d", "3"],
+        ["--host", "regular-tree", "--d", "3"],
+    ):
+        # seed 0 accepts an outer stability trial at both p on every host
+        assert run(["scan-p", *host, "--k", "21", "--grid", "0,1", "--trials", "20",
+                    "--inner-trials", "2", "--seed", "0", "--out", out]) == 0, host
+        rows = [line.split(",") for line in read(out + ".intersections.csv").splitlines()[1:]]
+        for p in ("0", "1"):
+            assert [int(r[6]) for r in rows if r[4] == p] == list(range(1, 22)), (host, p)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +507,10 @@ def test_pgw_transfer_requires_d_or_schedule(tmp_path):
     out = str(tmp_path / "pgw.csv")
     code = run(["pgw-transfer", "--factor", "threshold", "--lam", "10",
                 "--trials", "10", "--out", out])
+    assert code == 2
+    # both given: one of them would have to be ignored
+    code = run(["pgw-transfer", "--factor", "threshold", "--lam", "10", "--d", "14",
+                "--schedule-u", "0.75", "--trials", "10", "--out", out])
     assert code == 2
 
 

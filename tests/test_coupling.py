@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from localis.coupling import (
     er_resample_graphs,
     estimate_stability,
     find_p_for_moment,
+    run_intersections,
     scan_p,
 )
 from localis.factors import (
@@ -36,7 +38,7 @@ from localis.graphs import (
     neighborhood,
     sample_er,
 )
-from localis import parallel
+from localis import coupling, parallel
 from localis.parallel import run_trials
 from localis.profiles import binom_sum
 from localis.rng import fold, state_rng, trial_state
@@ -182,6 +184,7 @@ def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
 
     whole = [rows(f) for f in (F, LW)]
     monkeypatch.setattr(parallel, "BLOCK", 7)  # 358 blocks, the last one short
+    monkeypatch.setattr(coupling, "INNER_BLOCK", 30)  # 2 accepted rows per bits call
     for f, (prefix, stability, density) in zip((F, LW), whole):
         cut = rows(f)
         assert np.array_equal(prefix, cut[0]), f.kind
@@ -215,10 +218,11 @@ def test_tree_paths_reject_graph_hosts(host):
 def test_graph_coupling_profiles():
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ConfigModelHost(300, 3),
                          trials=80, seed=10)
-    est, profiles, bfrac = coupled_graph_intersections(cfg)
-    # p=0 copies equal is covered below; here: exchangeability across equal-size T
-    rows = profiles.rows
-    diff = rows[:, 0b01] - rows[:, 0b10]
+    est, bfrac = coupled_graph_intersections(cfg)
+    # p=0 copies equal is covered below; here: exchangeability of the copies,
+    # |I1| with copy 1 on stream 1 against copy 1 on stream 2, trial by trial
+    rev, _ = coupled_graph_intersections(cfg, copy_streams=[2, 1])
+    diff = est.prefix_rows[:, 0] - rev.prefix_rows[:, 0]
     se = float(np.std(diff, ddof=1) / math.sqrt(len(diff)))
     assert abs(diff.mean()) <= 3 * se + 1e-12
     # projection loss bracket: tree density * (1 - B/n) <= mean <= tree density
@@ -230,10 +234,9 @@ def test_graph_coupling_profiles():
 def test_graph_coupling_p0_equal_copies():
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ConfigModelHost(120, 3),
                          trials=40, seed=11)
-    est, profiles, _ = coupled_graph_intersections(cfg)
-    rows = profiles.rows
-    assert np.array_equal(rows[:, 0b01], rows[:, 0b11])
-    assert np.array_equal(rows[:, 0b10], rows[:, 0b11])
+    for streams in ([1, 2], [2, 1]):  # |I1| == |I1&I2| whichever copy is first
+        rows = coupled_graph_intersections(cfg, copy_streams=streams)[0].prefix_rows
+        assert np.array_equal(rows[:, 0], rows[:, 1]), streams
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +340,27 @@ def test_er_resample_marginal_moments():
 def test_er_coupling_p0_and_monotone():
     cfg = CouplingConfig(p=0.0, k=3, factor=F, host=ErdosRenyiHost(120, 2.0),
                          trials=40, seed=16)
-    est, profiles = coupled_er_intersections(cfg)
-    rows = profiles.rows
-    assert np.array_equal(rows[:, 0b001], rows[:, 0b111])
+    rows = coupled_er_intersections(cfg)[0].prefix_rows
+    assert np.array_equal(rows[:, 0], rows[:, -1])
     cfg2 = CouplingConfig(p=0.6, k=3, factor=F, host=ErdosRenyiHost(120, 2.0),
                           trials=40, seed=17)
-    est2, profiles2 = coupled_er_intersections(cfg2)
-    prefix = est2.prefix_rows
+    prefix = coupled_er_intersections(cfg2)[0].prefix_rows
     assert np.all(np.diff(prefix, axis=1) <= 1e-12)
+
+
+def test_graph_host_intersections_keep_no_subset_lattice_row():
+    # a graph-host trial keeps its k prefix densities, not a 2^k profile row
+    # (2^16 float64 cells are 512 KiB a trial, 4 MiB over these 8 trials)
+    cfg = CouplingConfig(p=0.5, k=16, factor=F, host=ErdosRenyiHost(30, 2.0),
+                         trials=8, seed=24)
+    run_intersections(replace(cfg, k=2, trials=1))  # one-time allocations
+    tracemalloc.start()
+    try:
+        run_intersections(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_er_coupling_p1_product():

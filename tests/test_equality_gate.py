@@ -20,7 +20,10 @@ the profile calculus were vectorised: the entropy bound report (with its
 exact-count self-test) at k = 3 and k = 5, the exact-count oracle check, an
 Erdos-Renyi scan at k = 4 (profile rows over 16 copy subsets), and LW
 stability on the configuration model with 23 accepted outer trials, where
-`stability_config_lw` accepts only 2.  A refactor that moves any random
+`stability_config_lw` accepts only 2.  The last one, a configuration-model
+scan at k = 6, was recorded while graph-host coupled trials still kept a
+profile row over all 64 copy subsets, before they kept only the k prefix
+densities.  A refactor that moves any random
 stream or changes any output byte fails here.
 """
 
@@ -167,6 +170,12 @@ GOLDEN = {
          "--host", "config-model", "--n", "2000", "--d", "3", "--k", "2", "--p", "0.5",
          "--trials", "200", "--inner-trials", "8", "--seed", "22"],
         "8df922dcf54fef6dae917b1c0f1efc2f442cfe4e866efe3142e53895f526a0d6",
+    ),
+    "scan_config_k6": (
+        ["scan-p", "--factor", "threshold", "--host", "config-model", "--n", "60",
+         "--d", "3", "--k", "6", "--grid", "0,0.5,1", "--trials", "30",
+         "--inner-trials", "4", "--seed", "24"],
+        "343683b1e3443b6f63c3eb4b607d129739975c829a690fa09105afcf2f1233fb",
     ),
 }
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -518,6 +519,18 @@ def test_explicit_edges_keep_the_given_order():
     assert g.edges == [(min(e), max(e)) for e in edges]
     assert all(type(x) is int for e in g.edges for x in e)
     assert MultiGraph(5, np.array(edges)).edges == g.edges
+
+
+@pytest.mark.parametrize("edges,bad", [
+    ([(0, 5)], "(0, 5)"),
+    ([(0, 1), (3, 2)], "(3, 2)"),
+    ([(1, 2), (0, -1), (2, 7)], "(0, -1)"),
+])
+def test_explicit_edges_need_endpoints_in_range(edges, bad):
+    # an endpoint outside 0..n-1 names a vertex the graph does not have
+    with pytest.raises(ValueError, match=re.escape(f"edge {bad} has an endpoint outside 0..2")):
+        MultiGraph(3, edges)
+    assert MultiGraph(3, [(0, 2), (2, 2)]).edges == [(0, 2), (2, 2)]
 
 
 def test_reads_equal_read_all_edges_pairing_and_every_ball():
