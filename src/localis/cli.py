@@ -467,8 +467,9 @@ def main(argv=None) -> int:
         if args.command == "replay":
             args = _replay_args(parser, args.manifest, args.out)
         params = {k: v for k, v in vars(args).items() if k != "command"}
-        if params.get("trials", 1) < 1:
-            raise UsageError("--trials must be >= 1")
+        for flag in ("trials", "workers"):
+            if params.get(flag, 1) < 1:
+                raise UsageError(f"--{flag} must be >= 1")
         outputs, trials = COMMANDS[args.command](params)
     except (ProfileError, ConditioningError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ given it was included.
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
-inner copies 1..J of its accepted trials, at most INNER_BLOCK pairs a call.
+inner copies 1..J of its accepted trials, at most INNER_BLOCK (copy, row) pairs a call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .profiles import binom_sum
 from .rng import fold, state_rng, trial_state, trial_state_np, uniform_labels
 
 
-INNER_BLOCK = 1 << 14  # most (outer, inner) pairs one tree-stability bits call takes
+INNER_BLOCK = 1 << 14  # most (copy, row) pairs a tree-host bits call takes; >= parallel.BLOCK
 
 
 class ConditioningError(RuntimeError):
@@ -126,14 +126,18 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
     once, evaluate the root bit of every copy, and record the running prefix
     products.  copy_streams permutes which fresh-label stream each copy uses
     (an exchangeability knob; the default is 1..k).  TreeBlock raises
-    TypeError on a graph host.
+    TypeError on a graph host.  A bits call takes INNER_BLOCK // rows copies,
+    and each part's products continue from the last row of the part before.
     """
     streams = np.array(_copy_streams(cfg.k, copy_streams), dtype=np.uint64)[:, None]
 
     def block(lo: int, hi: int):
-        states = trial_state_np(cfg.seed, np.arange(lo, hi))
-        bits = TreeBlock(cfg.factor, cfg.host, states, cfg.p).bits(streams)
-        return np.cumprod(bits, axis=0).T
+        trees = TreeBlock(cfg.factor, cfg.host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
+        step = INNER_BLOCK // (hi - lo)  # copies per bits call
+        parts = [trees.bits(streams[i : i + step]).cumprod(axis=0) for i in range(0, cfg.k, step)]
+        for before, part in zip(parts, parts[1:]):
+            part *= before[-1]
+        return np.concatenate(parts).T
 
     rows = run_trials(block, cfg.trials, cfg.workers)
     return _prefix_estimate(cfg, rows)
@@ -336,10 +340,14 @@ def _stability_trial_fn(cfg: CouplingConfig):
             rows = np.tile([0.0, -1.0], (hi - lo, 1))
             acc = np.flatnonzero(trees.bits(0))
             rows[acc, 0] = 1.0
-            step = max(1, INNER_BLOCK // cfg.inner_trials)  # accepted rows per bits call
+            width = min(cfg.inner_trials, INNER_BLOCK)  # copies per bits call
+            step = INNER_BLOCK // width  # accepted rows per bits call
             for i in range(0, acc.size, step):
                 part = acc[i : i + step]
-                rows[part, 1] = np.count_nonzero(trees.bits(copies, part), axis=0)
+                rows[part, 1] = sum(
+                    np.count_nonzero(trees.bits(copies[j : j + width], part), axis=0)
+                    for j in range(0, cfg.inner_trials, width)
+                )
             return rows
 
         return block

@@ -14,6 +14,9 @@ and adj[u] is sorted from the arrays when u is first read.  So a per-root
 trial (graph-host stability) costs the root's ball plus the draw, and
 whole-graph work (projection) one pass over the arrays.
 
+A materialised rooted ball (RootedNeighborhood) is its sorted BFS-id
+adjacency, built directly by its constructor; its edge list is derived.
+
 A host descriptor (RegularTreeHost, PGWTreeHost, ConfigModelHost,
 ErdosRenyiHost; HOSTS maps names to classes) carries what the rest of the
 package asks of a host: `name` (the CLI name), `tree` (whether runs sample
@@ -34,7 +37,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -353,25 +356,29 @@ class RootedNeighborhood:
     Vertex 0 is the root and ids follow BFS discovery order (adjacency sorted
     by original id), which makes serialisation stable and factor evaluation
     independent of the host graph's labelling of vertices.
+
+    The ball is its adjacency: adj[v] lists v's neighbours by BFS id, sorted,
+    with a neighbour once per edge and a loop at v as two entries v.  `edges`
+    is derived from it: each edge once as (u, v), u <= v, sorted.
     """
 
-    n: int
-    edges: list
+    adj: list = field(repr=False)
     labels: np.ndarray
     radius: int
     depths: np.ndarray
     source_vertices: np.ndarray | None = None  # original ids, if extracted
-    root: int = 0
-    adj: list = field(init=False, repr=False)
+    root: ClassVar[int] = 0
 
-    def __post_init__(self):
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        self.adj = adj
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @functools.cached_property
+    def edges(self) -> list:
+        out = []
+        for u, nbrs in enumerate(self.adj):
+            out += [(u, u)] * (nbrs.count(u) // 2) + [(u, v) for v in nbrs if v > u]
+        return out
 
     # -- rooted-view protocol ------------------------------------------------
 
@@ -387,10 +394,8 @@ class RootedNeighborhood:
     # -------------------------------------------------------------------------
 
     def with_labels(self, labels: np.ndarray) -> "RootedNeighborhood":
-        return RootedNeighborhood(
-            self.n, self.edges, np.asarray(labels, dtype=np.uint64), self.radius,
-            self.depths, self.source_vertices,
-        )
+        """The same ball, its structure shared, carrying `labels`."""
+        return replace(self, labels=np.asarray(labels, dtype=np.uint64))
 
     def to_json(self) -> str:
         payload = {
@@ -426,21 +431,10 @@ def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
                 order[w] = len(order)
                 depths.append(du + 1)
                 queue.append(w)
-    edges = []
-    seen_eids = set()
-    for u in order:
-        for w, eid in adj[u]:
-            if eid in seen_eids or w not in order:
-                continue
-            seen_eids.add(eid)
-            a, b = order[u], order[w]
-            edges.append((min(a, b), max(a, b)))
-    edges.sort()
+    ball = [sorted(order[w] for w, _ in adj[u] if w in order) for u in order]
     src = np.fromiter(order.keys(), dtype=np.int64)
     lab = np.asarray(labels, dtype=np.uint64)[src]
-    return RootedNeighborhood(
-        len(order), edges, lab, r, np.asarray(depths, dtype=np.int64), src
-    )
+    return RootedNeighborhood(ball, lab, r, np.asarray(depths, dtype=np.int64), src)
 
 
 def ball_is_tree(g, v: int, radius: int) -> bool:
@@ -498,20 +492,20 @@ def _build_tree(counts_per_level, r: int, rng) -> RootedNeighborhood:
     degree inside the window, len(adj[v]), counts only the parent edge.
     """
     depths = [0]
-    edges = []
+    adj = [[]]
     level = [0]
     for depth in range(r):
         nxt = []
         for v, c in zip(level, counts_per_level(level)):
             for _ in range(int(c)):
                 w = len(depths)
-                edges.append((v, w))
+                adj[v].append(w)
+                adj.append([v])
                 depths.append(depth + 1)
                 nxt.append(w)
         level = nxt
-    n = len(depths)
-    labels = uniform_labels(rng, n)
-    return RootedNeighborhood(n, edges, labels, r, np.asarray(depths, dtype=np.int64))
+    labels = uniform_labels(rng, len(depths))
+    return RootedNeighborhood(adj, labels, r, np.asarray(depths, dtype=np.int64))
 
 
 def sample_regular_tree(d: int, r: int, seed) -> RootedNeighborhood:

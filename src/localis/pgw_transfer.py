@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import DensityEstimate, Factor, estimate_tree_density
+from .factors import DensityEstimate, Factor, apply_factor, estimate_tree_density
 from .graphs import RegularTreeHost, RootedNeighborhood, sample_pgw_tree
 from .parallel import mean_stderr, per_trial, run_trials
 from .rng import CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, trial_state
@@ -127,7 +127,7 @@ class FilledForest:
         """
         handles = [center]
         depths = [0]
-        edges = []
+        adj = [[]]
         seen = {center}
         for i, h in enumerate(handles):
             if depths[i] == radius:
@@ -140,13 +140,12 @@ class FilledForest:
             for w in nbrs:
                 if w not in seen:
                     seen.add(w)
-                    edges.append((i, len(handles)))
+                    adj[i].append(len(handles))
+                    adj.append([i])
                     handles.append(w)
                     depths.append(depths[i] + 1)
         labels = np.array([self._label(h) for h in handles], dtype=np.uint64)
-        return RootedNeighborhood(
-            len(handles), edges, labels, radius, np.asarray(depths, dtype=np.int64)
-        )
+        return RootedNeighborhood(adj, labels, radius, np.asarray(depths, dtype=np.int64))
 
     def _neighbors(self, handle) -> list:
         if isinstance(handle, _AttachNode):
@@ -189,25 +188,16 @@ def _incident_removed(tree: RootedNeighborhood, removed: np.ndarray, v: int) -> 
     return any(removed[_edge_id(v, w)] for w in tree.adj[v])
 
 
-def inclusion_stage(f: Factor, forest: FilledForest) -> tuple:
-    """(membership bit of the root in the factor's set on the filled forest,
-    final bit of J at the root)."""
-    view = forest.ball_view(0, f.radius)
-    iprime = int(f.rule(view))
-    j = iprime and not _incident_removed(forest.tree, forest.removed, 0)
-    return iprime, int(j)
+def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
+    """(membership bit of original vertex v in the factor's set on the filled
+    forest, its final bit of J).
 
-
-def j_bit_at(f: Factor, forest: FilledForest, v: int) -> int:
-    """J membership of an arbitrary original vertex.
-
-    Exact only when depth(v) + f.radius + 1 <= generated tree radius; callers
-    enforce the window.
+    Exact only when depth(v) + f.radius + 1 <= the generated tree's radius;
+    callers other than transfer_trace (v = 0) enforce the window.
     """
-    view = forest.ball_view(v, f.radius)
-    if not f.rule(view):
-        return 0
-    return 0 if _incident_removed(forest.tree, forest.removed, v) else 1
+    iprime = apply_factor(f, forest.ball_view(v, f.radius))
+    j = iprime and not _incident_removed(forest.tree, forest.removed, v)
+    return iprime, int(j)
 
 
 def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:

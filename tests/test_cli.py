@@ -209,6 +209,8 @@ def test_invalid_values_are_usage_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     for args in (
         ["density", "--host", "regular-tree", "--d", "3", "--trials", "0"],
+        ["density", "--host", "regular-tree", "--d", "3", "--trials", "10", "--workers", "-4"],
+        ["density", "--host", "regular-tree", "--d", "3", "--trials", "10", "--workers", "0"],
         ["density", "--host", "regular-tree", "--d", "1", "--trials", "5"],
         ["density", "--host", "er", "--n", "5", "--lam", "10", "--trials", "5"],
         ["density", "--factor", "lw", "--lw-p", "2", "--lw-k", "3",

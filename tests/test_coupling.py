@@ -21,6 +21,7 @@ from localis.coupling import (
     scan_p,
 )
 from localis.factors import (
+    TreeBlock,
     constant_factor,
     estimate_tree_density,
     lauer_wormald,
@@ -173,23 +174,35 @@ def test_tree_stability_rows_match_the_lazy_tree_rows(host, p):
 
 
 def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
-    def rows(f):
-        cfg = CouplingConfig(p=0.3, k=3, factor=f, host=PGWTreeHost(2.0), trials=2500,
-                             inner_trials=12, seed=44)
+    sizes = [dict(k=3, trials=2500, inner_trials=12), dict(k=40, trials=60, inner_trials=50)]
+    cases = [(f, size) for f in (F, LW) for size in sizes]
+
+    def rows(f, size):
+        cfg = CouplingConfig(p=0.3, factor=f, host=PGWTreeHost(2.0), seed=44, **size)
         return [
             coupled_tree_intersections(cfg).prefix_rows,
             run_trials(_stability_trial_fn(cfg), cfg.trials),
             estimate_tree_density(f, cfg.host, cfg.trials, seed=44).mean,
         ]
 
-    whole = [rows(f) for f in (F, LW)]
+    whole = [rows(f, size) for f, size in cases]
     monkeypatch.setattr(parallel, "BLOCK", 7)  # 358 blocks, the last one short
-    monkeypatch.setattr(coupling, "INNER_BLOCK", 30)  # 2 accepted rows per bits call
-    for f, (prefix, stability, density) in zip((F, LW), whole):
-        cut = rows(f)
-        assert np.array_equal(prefix, cut[0]), f.kind
-        assert np.array_equal(stability, cut[1]), f.kind
-        assert density == cut[2], f.kind
+    # at most 30 (copy, row) pairs a bits call: 2 accepted rows of 12 inner
+    # copies, 30 + 20 of 50 inner copies, 4 copies of a 7-row block at k = 40
+    monkeypatch.setattr(coupling, "INNER_BLOCK", 30)
+    bits = TreeBlock.bits
+
+    def bounded_bits(self, copies, rows=None):
+        out = bits(self, copies, rows)
+        assert out.size <= 30, out.shape
+        return out
+
+    monkeypatch.setattr(TreeBlock, "bits", bounded_bits)
+    for (f, size), (prefix, stability, density) in zip(cases, whole):
+        cut = rows(f, size)
+        assert np.array_equal(prefix, cut[0]), (f.kind, size)
+        assert np.array_equal(stability, cut[1]), (f.kind, size)
+        assert density == cut[2], (f.kind, size)
 
 
 def test_tree_intersections_workers_deterministic():

@@ -20,10 +20,13 @@ the profile calculus were vectorised: the entropy bound report (with its
 exact-count self-test) at k = 3 and k = 5, the exact-count oracle check, an
 Erdos-Renyi scan at k = 4 (profile rows over 16 copy subsets), and LW
 stability on the configuration model with 23 accepted outer trials, where
-`stability_config_lw` accepts only 2.  The last one, a configuration-model
-scan at k = 6, was recorded while graph-host coupled trials still kept a
+`stability_config_lw` accepts only 2.  `scan_config_k6`, a
+configuration-model scan at k = 6, was recorded while graph-host coupled trials still kept a
 profile row over all 64 copy subsets, before they kept only the k prefix
-densities.  A refactor that moves any random
+densities.  `transfer_lw_removals`, LW transfer at (lam 6, d 5), where root
+removals are frequent and the radius-3 filled-forest balls run through
+removed edges and attachments, was recorded before a rooted ball's
+adjacency became its one stored form.  A refactor that moves any random
 stream or changes any output byte fails here.
 """
 
@@ -176,6 +179,11 @@ GOLDEN = {
          "--d", "3", "--k", "6", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "4", "--seed", "24"],
         "343683b1e3443b6f63c3eb4b607d129739975c829a690fa09105afcf2f1233fb",
+    ),
+    "transfer_lw_removals": (
+        ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
+         "--lam", "6", "--d", "5", "--trials", "150", "--seed", "25"],
+        "22beebc4f7fd55152b3ae02c21e34cdbbaf164571fc7eb4ec8c680cfe1c37a4d",
     ),
 }
 

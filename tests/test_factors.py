@@ -37,7 +37,7 @@ from conftest import assert_within_sigma, unit_to_label
 def star(leaf_units, root_unit, radius=1):
     """Root plus len(leaf_units) leaves with the given unit-interval labels."""
     n = 1 + len(leaf_units)
-    edges = [(0, i) for i in range(1, n)]
+    adj = [list(range(1, n))] + [[0] for _ in leaf_units]
     labels = np.array(
         [unit_to_label(root_unit)] + [unit_to_label(u) for u in leaf_units],
         dtype=np.uint64,
@@ -45,7 +45,7 @@ def star(leaf_units, root_unit, radius=1):
     from localis.graphs import RootedNeighborhood
 
     depths = np.array([0] + [1] * len(leaf_units))
-    return RootedNeighborhood(n, edges, labels, radius, depths)
+    return RootedNeighborhood(adj, labels, radius, depths)
 
 
 def lw_round_oracle(nb, p, k):

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from localis.graphs import (
     triangle_pairs,
 )
 from localis.coupling import er_resample_graphs
+from localis.pgw_transfer import edge_removal_stage, filling_out_stage
 
-from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state
+from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state, uniform_labels
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -363,6 +365,157 @@ def test_neighborhood_stable_and_relabelling_equivalent():
     assert nb1.to_json() == nb1_again.to_json()
     assert sorted(zip(nb1.depths, nb1.labels)) == sorted(zip(nb2.depths, nb2.labels))
     assert len(nb1.edges) == len(nb2.edges)
+
+
+# References: the two-pass construction a rooted ball had before its
+# adjacency became its one stored form.  A constructor wrote an edge list
+# (neighborhood with an edge-id dedupe and a sort), and a second pass made
+# the adjacency from it by appending both ends of every edge and sorting.
+
+
+def _adj_from_edges(n: int, edges) -> list:
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nbrs) for nbrs in adj]
+
+
+def _neighborhood_reference(g, v: int, r: int, labels) -> tuple:
+    """(n, edges, labels, depths, source_vertices) of neighborhood(g, v, r, labels)."""
+    adj = g.adj
+    order = {v: 0}
+    depths = [0]
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        du = depths[order[u]]
+        if du == r:
+            continue
+        for w, _ in adj[u]:
+            if w not in order:
+                order[w] = len(order)
+                depths.append(du + 1)
+                queue.append(w)
+    edges = []
+    seen_eids = set()
+    for u in order:
+        for w, eid in adj[u]:
+            if eid in seen_eids or w not in order:
+                continue
+            seen_eids.add(eid)
+            a, b = order[u], order[w]
+            edges.append((min(a, b), max(a, b)))
+    edges.sort()
+    src = np.fromiter(order.keys(), dtype=np.int64)
+    return len(order), edges, np.asarray(labels, dtype=np.uint64)[src], depths, src
+
+
+def _tree_reference(counts_per_level, r: int, rng) -> tuple:
+    """(n, edges, labels, depths, None) of the eager tree, from its parent
+    edge list: edge w-1 joins parent(w) to w."""
+    depths = [0]
+    edges = []
+    level = [0]
+    for depth in range(r):
+        nxt = []
+        for v, c in zip(level, counts_per_level(level)):
+            for _ in range(int(c)):
+                w = len(depths)
+                edges.append((v, w))
+                depths.append(depth + 1)
+                nxt.append(w)
+        level = nxt
+    return len(depths), edges, uniform_labels(rng, len(depths)), depths, None
+
+
+def _ball_view_reference(forest, center: int, radius: int) -> tuple:
+    """(n, edges, labels, depths, None) of forest.ball_view(center, radius)."""
+    handles = [center]
+    depths = [0]
+    edges = []
+    seen = {center}
+    for i, h in enumerate(handles):
+        if depths[i] == radius:
+            continue
+        for w in forest._neighbors(h):
+            if w not in seen:
+                seen.add(w)
+                edges.append((i, len(handles)))
+                handles.append(w)
+                depths.append(depths[i] + 1)
+    labels = np.array([forest._label(h) for h in handles], dtype=np.uint64)
+    return len(handles), edges, labels, depths, None
+
+
+def _assert_ball(nb, reference):
+    n, edges, labels, depths, src = reference
+    assert nb.n == n
+    assert nb.adj == _adj_from_edges(n, edges)
+    assert nb.edges == edges
+    assert np.array_equal(nb.depths, depths)
+    assert nb.labels.dtype == np.uint64 and np.array_equal(nb.labels, labels)
+    if src is None:
+        assert nb.source_vertices is None
+    else:
+        assert np.array_equal(nb.source_vertices, src)
+
+
+def test_neighborhood_matches_the_two_pass_construction():
+    graphs = [
+        MultiGraph(4, [(0, 0), (0, 1), (0, 1), (2, 2), (1, 3)]),
+        MultiGraph(6, [(0, 1), (1, 1), (1, 1), (1, 2), (2, 0), (2, 3), (3, 3),
+                       (3, 4), (4, 3), (4, 5), (5, 0), (5, 5)]),
+        MultiGraph(3, [(2, 2), (2, 2), (0, 2), (2, 0)]),
+    ]
+    graphs += [sample_config_model(10, 3, seed) for seed in range(20)]
+    graphs += [sample_er(15, 3.0, seed) for seed in range(20)]
+    loops = multi = 0
+    for i, g in enumerate(graphs):
+        labels = np.random.default_rng(i).integers(0, 1 << 64, size=g.n, dtype=np.uint64)
+        for v in range(g.n):
+            for r in range(4):
+                nb = neighborhood(g, v, r, labels)
+                _assert_ball(nb, _neighborhood_reference(g, v, r, labels))
+                fresh = labels[::-1][nb.source_vertices]
+                relabelled = nb.with_labels(fresh)
+                assert relabelled.adj is nb.adj and np.array_equal(relabelled.labels, fresh)
+                loops += any(u == w for u, w in nb.edges)
+                multi += len(set(nb.edges)) < len(nb.edges)
+    assert loops and multi
+
+
+def test_eager_trees_match_the_two_pass_construction():
+    for seed in range(5):
+        for d in (2, 3, 4):
+            counts = lambda level: [d if v == 0 else d - 1 for v in level]
+            for r in range(4):
+                reference = _tree_reference(counts, r, np.random.default_rng(seed))
+                _assert_ball(sample_regular_tree(d, r, seed), reference)
+        for lam in (0.7, 2.5, 5.0):
+            for r in range(4):
+                rng = np.random.default_rng(seed)
+                counts = lambda level: rng.poisson(lam, size=len(level)) if level else []
+                _assert_ball(sample_pgw_tree(lam, r, seed), _tree_reference(counts, r, rng))
+
+
+@pytest.mark.parametrize("lam,d", [(3.0, 4), (6.0, 5)])
+def test_filled_forest_balls_match_the_two_pass_construction(lam, d):
+    from test_pgw import EagerForest
+
+    rng = np.random.default_rng(33)
+    removals = 0
+    for _ in range(8):
+        t = sample_pgw_tree(lam, 4, int(rng.integers(1 << 30)))
+        removed = edge_removal_stage(t, t.labels, d)
+        y_state = int(rng.integers(1 << 62))
+        forest = filling_out_stage(t, removed, d, y_state)
+        reference = EagerForest(t, removed, d, y_state)
+        for v in [0] + t.adj[0]:
+            for r in range(4):
+                _assert_ball(forest.ball_view(v, r), _ball_view_reference(reference, v, r))
+        removals += int(removed.sum())
+    assert removals
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from localis.pgw_transfer import (
     event_E_lower_bound,
     event_E_probability,
     filling_out_stage,
-    j_bit_at,
+    inclusion_stage,
     poisson_cdf,
     poisson_tail,
     poisson_tail_bound,
@@ -28,12 +28,12 @@ def make_tree(parents, labels, radius):
     # BFS-ordered parents: edge w-1 joins parents[w] to w
     n = len(parents)
     depths = np.zeros(n, dtype=np.int64)
+    adj = [[] for _ in range(n)]
     for v in range(1, n):
         depths[v] = depths[parents[v]] + 1
-    edges = [(parents[v], v) for v in range(1, n)]
-    return RootedNeighborhood(
-        n, edges, np.asarray(labels, dtype=np.uint64), radius, depths
-    )
+        adj[parents[v]].append(v)
+        adj[v].append(parents[v])
+    return RootedNeighborhood(adj, np.asarray(labels, dtype=np.uint64), radius, depths)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,8 @@ def test_inclusion_removed_edge_drops_both_endpoints():
     assert removed[1]
     forest = filling_out_stage(t, removed, 3, 13)
     f = constant_factor(1)
-    assert j_bit_at(f, forest, 0) == 0
-    assert j_bit_at(f, forest, 2) == 0  # the removed child (label 90)
+    assert inclusion_stage(f, forest, 0)[1] == 0
+    assert inclusion_stage(f, forest, 2)[1] == 0  # the removed child (label 90)
 
 
 def test_j_independent_within_window():
@@ -254,7 +254,7 @@ def test_j_independent_within_window():
         removed = edge_removal_stage(tree, tree.labels, 6)
         forest = filling_out_stage(tree, removed, 6, seed ^ 0xFF)
         bits = {
-            v: j_bit_at(f, forest, v)
+            v: inclusion_stage(f, forest, v)[1]
             for v in range(tree.n)
             if tree.depths[v] <= window
         }
