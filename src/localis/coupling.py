@@ -27,11 +27,11 @@ from .graphs import (
     ErdosRenyiHost,
     MultiGraph,
     ball_is_tree,
+    bernoulli_pairs,
     incidence_arrays,
     non_tree_ball_mask,
     sample_config_model,
     sample_er,
-    triangle_pairs,
 )
 from .parallel import mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
@@ -202,8 +202,7 @@ def _er_copies(g: MultiGraph, S, lam: float, states):
     us, vs = g.edge_array.T
     kept = (us * n + vs)[~(in_s[us] & in_s[vs])]  # edge (u, v) as u * n + v
     for state in states:  # each SxS pair is kept with probability lam/n
-        drawn = state_rng(state).random(S.size * (S.size - 1) // 2) < lam / n
-        a, b = triangle_pairs(S.size, drawn.nonzero()[0])
+        a, b = bernoulli_pairs(state_rng(state), S.size, lam / n)
         merged = np.concatenate((kept, S[a] * n + S[b]))
         merged.sort()
         start, nbr, eid = incidence_arrays(n, *np.divmod(merged, n))

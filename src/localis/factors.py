@@ -129,56 +129,35 @@ def threshold_factor() -> Factor:
 def _lw_rule(p: float, k: int) -> Callable:
     """Rule for the k-round Bernoulli(p) construction.
 
-    Each vertex derives a first-success round T ~ Geometric(p) from its label.
-    A vertex joins the growing set at round T(v) unless a neighbour joined at
-    a strictly earlier round (joining removes the closed neighbourhood from
-    later rounds).  The output set keeps joined vertices with no joined
-    neighbour, which drops both endpoints of any same-round adjacent pair.
-
-    Evaluation is lazy: a neighbour needs resolving only while first-success
-    rounds strictly decrease, so the explored region stays small even for
-    large k.
+    Each vertex v derives a first-success round r(v) ~ Geometric(p) from its
+    label, and joins at round r(v) <= k unless a neighbour w with
+    r(w) < r(v) joins.  The output keeps joined vertices with no joined
+    neighbour (same-round adjacent pairs drop out).  The root's bit is thus
+    r(root) <= k and no neighbour u with r(u) <= r(root) joins; a later u
+    cannot join once the root has, the root being u's neighbour on any
+    symmetric view, so it is never expanded.  The recursion follows strictly
+    decreasing rounds from r(u) <= r(root) <= k, so it ends on any view and
+    nests at most k deep; from the root of T_d the expected number of such
+    chains of length L is at most d (d-1)^(L-1) / L!, far below Python's
+    recursion limit at any degree where the rule finishes.
     """
 
     def rule(view) -> int:
-        rounds = {}
-        joins = {}
+        neighbors, label = view.neighbors, view.label
 
-        def first_round(v):
-            r = rounds.get(v)
-            if r is None:
-                r = first_success_round(view.label(v), p)
-                rounds[v] = r
-            return r
+        def joins(v, rv) -> bool:
+            for w in neighbors(v):
+                rw = first_success_round(label(w), p)
+                if rw < rv and joins(w, rw):
+                    return False
+            return True
 
-        def resolve(v0):
-            stack = [v0]
-            while stack:
-                v = stack[-1]
-                if v in joins:
-                    stack.pop()
-                    continue
-                rv = first_round(v)
-                if rv > k:
-                    joins[v] = False
-                    stack.pop()
-                    continue
-                nbrs = view.neighbors(v)
-                pending = [w for w in nbrs if first_round(w) < rv and w not in joins]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                joins[v] = not any(
-                    first_round(w) < rv and joins[w] for w in nbrs
-                )
-                stack.pop()
-            return joins[v0]
-
-        root = view.root
-        if not resolve(root):
+        r0 = first_success_round(label(view.root), p)
+        if r0 > k:
             return 0
-        for u in view.neighbors(root):
-            if resolve(u):
+        for u in neighbors(view.root):
+            ru = first_success_round(label(u), p)
+            if ru <= r0 and joins(u, ru):
                 return 0
         return 1
 

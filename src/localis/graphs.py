@@ -307,6 +307,22 @@ def triangle_pairs(m: int, flat: np.ndarray) -> tuple:
     return us, flat - (start - a - 1)[us]
 
 
+PAIR_CHUNK = 1 << 20  # most uniforms bernoulli_pairs draws at a time
+
+
+def bernoulli_pairs(rng, m: int, q: float) -> tuple:
+    """The pairs (a, b), a < b < m, whose uniform from `rng`, drawn one per
+    pair in triangle_pairs order, is below q; as int64 arrays (a, b).  The
+    uniforms come PAIR_CHUNK at a time, which consumes the stream exactly as
+    one draw of them all would, in O(PAIR_CHUNK) memory beyond the pairs."""
+    total = m * (m - 1) // 2
+    flat = [
+        (rng.random(min(PAIR_CHUNK, total - lo)) < q).nonzero()[0] + lo
+        for lo in range(0, total, PAIR_CHUNK)
+    ]
+    return triangle_pairs(m, np.concatenate([np.empty(0, np.int64), *flat]))
+
+
 def er_edge_arrays(n: int, lam: float, seed) -> tuple:
     """The edges sample_er(n, lam, seed) draws, as arrays (us, vs) with
     us < vs, in sorted order."""
@@ -314,8 +330,7 @@ def er_edge_arrays(n: int, lam: float, seed) -> tuple:
         raise ValueError("need n >= 1")
     if not 0.0 <= lam <= n:
         raise ValueError(f"need 0 <= lam <= n, got lam={lam}, n={n}")
-    rng = np.random.default_rng(seed)
-    return triangle_pairs(n, (rng.random(n * (n - 1) // 2) < lam / n).nonzero()[0])
+    return bernoulli_pairs(np.random.default_rng(seed), n, lam / n)
 
 
 def enumerate_config_graphs(n: int, d: int):

@@ -26,7 +26,11 @@ profile row over all 64 copy subsets, before they kept only the k prefix
 densities.  `transfer_lw_removals`, LW transfer at (lam 6, d 5), where root
 removals are frequent and the radius-3 filled-forest balls run through
 removed edges and attachments, was recorded before a rooted ball's
-adjacency became its one stored form.  A refactor that moves any random
+adjacency became its one stored form.  `density_tree_lw_deep` (LW(0.02, 250)
+density on T4) and `stability_pgw_lw_deep` (LW(0.02, 250) stability on
+PGW(3)), the first tree-host LW commands with k above 8, were recorded
+while the percolation-round rule still resolved every root neighbour with
+an explicit stack.  A refactor that moves any random
 stream or changes any output byte fails here.
 """
 
@@ -184,6 +188,17 @@ GOLDEN = {
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--lam", "6", "--d", "5", "--trials", "150", "--seed", "25"],
         "22beebc4f7fd55152b3ae02c21e34cdbbaf164571fc7eb4ec8c680cfe1c37a4d",
+    ),
+    "density_tree_lw_deep": (
+        ["density", "--factor", "lw", "--lw-p", "0.02", "--lw-k", "250",
+         "--host", "regular-tree", "--d", "4", "--trials", "400", "--seed", "26"],
+        "183843ab29d94bd0e8d9d4e1d4dee11043e8e72d99fe1621cfdcfe75981d319a",
+    ),
+    "stability_pgw_lw_deep": (
+        ["stability", "--factor", "lw", "--lw-p", "0.02", "--lw-k", "250",
+         "--host", "pgw", "--lam", "3", "--k", "3", "--p", "0.5", "--trials", "300",
+         "--inner-trials", "20", "--seed", "27"],
+        "2c4f4dd0ec3793bfe95f337fe097024e866e3290a646cc41149a56b73f204ead",
     ),
 }
 

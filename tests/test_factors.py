@@ -25,6 +25,7 @@ from localis.graphs import (
     RegularTreeHost,
     neighborhood,
     sample_config_model,
+    sample_er,
     sample_pgw_tree,
     sample_regular_tree,
     TreeLabels,
@@ -70,6 +71,56 @@ def lw_round_oracle(nb, p, k):
     if not joined[0]:
         return 0
     return 0 if any(joined[u] for u in nb.neighbors(0)) else 1
+
+
+def ref_lw_rule(p, k):
+    """The percolation-round rule as first written, kept as the reference: an
+    explicit-stack resolver with memoised rounds and join bits, which also
+    resolves every root neighbour, later-round ones included."""
+
+    def rule(view) -> int:
+        rounds = {}
+        joins = {}
+
+        def first_round(v):
+            r = rounds.get(v)
+            if r is None:
+                r = first_success_round(view.label(v), p)
+                rounds[v] = r
+            return r
+
+        def resolve(v0):
+            stack = [v0]
+            while stack:
+                v = stack[-1]
+                if v in joins:
+                    stack.pop()
+                    continue
+                rv = first_round(v)
+                if rv > k:
+                    joins[v] = False
+                    stack.pop()
+                    continue
+                nbrs = view.neighbors(v)
+                pending = [w for w in nbrs if first_round(w) < rv and w not in joins]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                joins[v] = not any(
+                    first_round(w) < rv and joins[w] for w in nbrs
+                )
+                stack.pop()
+            return joins[v0]
+
+        root = view.root
+        if not resolve(root):
+            return 0
+        for u in view.neighbors(root):
+            if resolve(u):
+                return 0
+        return 1
+
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +255,81 @@ def test_lw_matches_round_simulation():
             g = sample_config_model(8, 3, int(rng.integers(1 << 30)))
             nb = neighborhood(g, 0, k + 1, uniform_labels(rng, 8))
         assert apply_factor(f, nb) == lw_round_oracle(nb, p, k)
+
+
+LW_PARAMS = [(0.02, 250), (0.3, 6), (0.05, 100), (0.5, 1)]
+# host: (lazy trees per LW setting, fewer where the reference walk is slow)
+LAZY_HOSTS = {
+    "T3": (RegularTreeHost(3), 150), "T4": (RegularTreeHost(4), 150),
+    "T5": (RegularTreeHost(5), 60), "T6": (RegularTreeHost(6), 40),
+    "PGW3": (PGWTreeHost(3.0), 150), "PGW8": (PGWTreeHost(8.0), 4),
+}
+
+
+@pytest.mark.parametrize("p, k", LW_PARAMS)
+@pytest.mark.parametrize("host, trees", LAZY_HOSTS.values(), ids=LAZY_HOSTS)
+def test_lw_rule_matches_the_reference_on_lazy_trees(host, trees, p, k):
+    f, ref = lauer_wormald(p, k), ref_lw_rule(p, k)
+    for t in range(trees):
+        tree = LazyTree(host, f.radius, trial_state(23, t))
+        views = [TreeLabels(tree)]
+        views += [TreeLabels(tree, copy=c, p=pi) for pi in (0.4, 1.0) for c in (1, 2, 3)]
+        assert [f.rule(v) for v in views] == [ref(v) for v in views]
+
+
+@pytest.mark.parametrize("p, k", LW_PARAMS)
+def test_lw_rule_matches_the_reference_on_finite_views(p, k):
+    """Eager trees, most cut below the factor's radius, and graph balls with
+    cycles, loops and parallel edges: both rules evaluate the rounds exactly
+    on any finite symmetric view, so they agree on each whatever its depth."""
+    f, ref = lauer_wormald(p, k), ref_lw_rule(p, k)
+    views = [sample_regular_tree(d, 7 - d, 100 * d + s) for d in (3, 4, 5) for s in range(30)]
+    views += [sample_pgw_tree(lam, 4, s) for lam in (1.5, 3.0) for s in range(30)]
+    rng = np.random.default_rng(29)
+    multigraph = MultiGraph(
+        6, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 4), (4, 5), (5, 3), (5, 5)]
+    )
+    graphs = [sample_config_model(8, 3, s) for s in range(40)]
+    graphs += [sample_er(12, 3.0, s) for s in range(40)] + [multigraph] * 20
+    for g in graphs:
+        labels = uniform_labels(rng, g.n)
+        views += [neighborhood(g, v, f.radius, labels) for v in range(g.n)]
+    assert [f.rule(v) for v in views] == [ref(v) for v in views]
+
+
+class _Recorder:
+    """A rooted view that records the vertices whose neighbours the rule reads."""
+
+    def __init__(self, view):
+        self.view, self.root, self.expanded = view, view.root, set()
+
+    def neighbors(self, v):
+        self.expanded.add(v)
+        return self.view.neighbors(v)
+
+    def label(self, v):
+        return self.view.label(v)
+
+    def order_key(self, v):
+        return self.view.order_key(v)
+
+
+def test_lw_rule_never_expands_a_later_round_root_neighbour():
+    p, k = 0.02, 250
+    f, ref = lauer_wormald(p, k), ref_lw_rule(p, k)
+    later = expanded = ref_expanded = 0
+    for t in range(500):
+        tree = LazyTree(RegularTreeHost(3), f.radius, trial_state(30, t))
+        view = TreeLabels(tree)
+        r0 = first_success_round(view.label(tree.root), p)
+        out = [u for u in tree.neighbors(tree.root) if first_success_round(view.label(u), p) > r0]
+        rec, ref_rec = _Recorder(view), _Recorder(view)
+        assert f.rule(rec) == ref(ref_rec)
+        later += len(out)
+        expanded += sum(u in rec.expanded for u in out)
+        ref_expanded += sum(u in ref_rec.expanded for u in out)
+    assert later > 500 and ref_expanded > 100  # the recorder sees the reference's walk
+    assert expanded == 0
 
 
 def test_lw_monotone_in_rounds():

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from localis.graphs import (
+    PAIR_CHUNK,
     ConfigModelHost,
     LazyTree,
     MultiGraph,
@@ -17,6 +19,7 @@ from localis.graphs import (
     TreeLabels,
     TreeStars,
     ball_is_tree,
+    bernoulli_pairs,
     count_non_tree_vertices,
     er_edge_arrays,
     neighborhood,
@@ -176,6 +179,45 @@ def test_er_edge_arrays_match_the_triu_mapping(n, seed):
         ref_us, ref_vs = _er_edges_by_triu(n, lam, seed)
         assert us.dtype == ref_us.dtype and vs.dtype == ref_vs.dtype
         assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs)
+
+
+def _one_shot_pairs(rng, m: int, q: float) -> tuple:
+    """bernoulli_pairs as one draw of every pair's uniform."""
+    return triangle_pairs(m, (rng.random(m * (m - 1) // 2) < q).nonzero()[0])
+
+
+def _assert_same_pairs_and_stream(m: int, q: float, seed: int):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b = bernoulli_pairs(rng, m, q)
+    ref_a, ref_b = _one_shot_pairs(ref_rng, m, q)
+    assert a.dtype == ref_a.dtype == np.int64 and b.dtype == ref_b.dtype
+    assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1448, 1449])  # 1449 * 1448 / 2 > PAIR_CHUNK = 2^20
+def test_bernoulli_pairs_equal_one_draw_of_all_pairs(n):
+    assert (n * (n - 1) // 2 > PAIR_CHUNK) == (n == 1449)
+    _assert_same_pairs_and_stream(n, 3.0 / n, n)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 9, 40])
+def test_bernoulli_pairs_in_small_chunks_equal_one_draw(monkeypatch, m):
+    monkeypatch.setattr("localis.graphs.PAIR_CHUNK", 7)
+    for q in (0.0, 0.3, 1.0):
+        _assert_same_pairs_and_stream(m, q, m)
+
+
+def test_er_edge_arrays_memory_is_bounded():
+    """n = 10^4 has 5 * 10^7 pairs: one draw of them all traces 450 MB."""
+    tracemalloc.start()
+    try:
+        us, vs = er_edge_arrays(10_000, 3.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 14_000 < us.size < 16_000 and bool((us < vs).all())
+    assert peak < 32 << 20, peak
 
 
 # ---------------------------------------------------------------------------
