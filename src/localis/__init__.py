@@ -14,7 +14,6 @@ from .coupling import (
     coupled_tree_intersections,
     er_resample_graphs,
     estimate_stability,
-    find_p_for_moment,
     scan_p,
 )
 from .factors import (
@@ -39,7 +38,6 @@ from .graphs import (
     RegularTreeHost,
     RootedNeighborhood,
     TreeLabels,
-    count_non_tree_vertices,
     neighborhood,
     sample_config_model,
     sample_er,

@@ -26,7 +26,13 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .coupling import ConditioningError, CouplingConfig, estimate_stability, scan_p
+from .coupling import (
+    ConditioningError,
+    CouplingConfig,
+    estimate_stability,
+    scan_p,
+    vertex_states,
+)
 from .factors import (
     estimate_tree_density,
     factor_from_spec,
@@ -50,7 +56,7 @@ from .profiles import (
     rho_to_pi,
 )
 from .pgw_transfer import transfer_density
-from .rng import fold, state_rng, trial_state, uniform_labels
+from .rng import CoupledLabels, fold, trial_state
 
 COUPLING_HEADER = [
     "host", "factor_kind", "d_or_lam", "n", "p", "k", "i",
@@ -146,8 +152,7 @@ def cmd_density(params: dict):
                 g = sample_config_model(host.n, host.d, fold(st, 1))
             else:
                 g = sample_er(host.n, host.lam, fold(st, 1))
-            labels = uniform_labels(state_rng(fold(st, 2)), host.n)
-            sample = project_to_graph(factor, g, labels)
+            sample = project_to_graph(factor, g, CoupledLabels(vertex_states(st, host.n)).x0)
             return [sample.bits.mean()]
 
         rows = run_trials(per_trial(one), trials, workers)

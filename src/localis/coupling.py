@@ -9,9 +9,18 @@ product over the copies' bits) and the stability: the conditional
 probability that the root keeps its inclusion bit when S is re-randomised,
 given it was included.
 
+Every host labels its nodes by the one rule of rng (CoupledLabels, and
+coupled_label for single nodes): copy i of a node is a function of its
+state, and stability's inner trial j is copy j.  A tree node's state comes
+from its lazy tree; vertex v of a graph-host trial of state st has the state
+fold(fold(st, 2), v) (vertex_states).  The trial's graph is drawn from
+fold(st, 1), its Erdos-Renyi copy graphs from fold(st, 3), and the
+stability root from fold(st, 4).
+
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
 inner copies 1..J of its accepted trials, at most INNER_BLOCK (copy, row) pairs a call.
+On graph hosts stability labels only the root's ball, by scalar folds.
 """
 
 from __future__ import annotations
@@ -35,7 +44,16 @@ from .graphs import (
 )
 from .parallel import mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
-from .rng import fold, state_rng, trial_state, trial_state_np, uniform_labels
+from .rng import (
+    CoupledLabels,
+    coupled_label,
+    fold,
+    fold_np,
+    percolation_cut,
+    state_rng,
+    trial_state,
+    trial_state_np,
+)
 
 
 INNER_BLOCK = 1 << 14  # most (copy, row) pairs a tree-host bits call takes; >= parallel.BLOCK
@@ -209,11 +227,18 @@ def _er_copies(g: MultiGraph, S, lam: float, states):
         yield MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
 
 
+def vertex_states(st: int, n: int) -> np.ndarray:
+    """The node states of the vertices 0..n-1 of a graph-host trial of state
+    st: fold(fold(st, 2), v) for vertex v."""
+    return fold_np(fold(st, 2), np.arange(n, dtype=np.uint64))
+
+
 def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
     """(IntersectionEstimate, mean non-tree fraction) on a graph host.
 
-    Per trial: sample g, X0, S and fresh labels; on the Erdos-Renyi host,
-    build per-copy graphs whose induced subgraphs on S are resampled; project
+    Per trial: sample g and label its vertices by their states (X0, S and
+    the fresh copies, rng.CoupledLabels); on the Erdos-Renyi host, build
+    per-copy graphs whose induced subgraphs on S are resampled; project
     every copy (vertices with a non-tree (radius+1)-neighbourhood map to 0).
     A row is [the k prefix-intersection densities..., non-tree vertex
     fraction of copy 1's graph, which is g itself on the configuration model].
@@ -230,19 +255,13 @@ def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
     def one(t: int):
         st = trial_state(cfg.seed, t)
         g = _sample_graph(host, fold(st, 1))
-        rng = state_rng(fold(st, 2))
-        x0 = uniform_labels(rng, n)
-        in_s = rng.random(n) < cfg.p
-        fresh = {s: uniform_labels(rng, n) for s in range(1, k + 1)}
+        labels = CoupledLabels(vertex_states(st, n), cfg.p)
         if host_type is ErdosRenyiHost:
-            copies = er_resample_graphs(g, np.flatnonzero(in_s), host.lam, k, fold(st, 3))
+            copies = er_resample_graphs(g, np.flatnonzero(labels.in_s), host.lam, k, fold(st, 3))
             oks = [tree_like(gi) for gi in copies]
         else:
             copies, oks = [g] * k, [tree_like(g)] * k
-        copy_bits = [
-            _project_bits(f, copies[s - 1], oks[s - 1], np.where(in_s, fresh[s], x0))
-            for s in streams
-        ]
+        copy_bits = [_project_bits(f, copies[s - 1], oks[s - 1], labels(s)) for s in streams]
         prefix = np.cumprod(copy_bits, axis=0).sum(axis=1) / n
         return np.concatenate([prefix, [1.0 - oks[0].mean()]])
 
@@ -295,13 +314,15 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
     fraction is one Q sample.  Moment estimates are jackknife-corrected.
 
     On graph hosts a trial samples its graph with sample_config_model or
-    sample_er, and each Erdos-Renyi inner trial takes the copy that
-    er_resample_graphs(g, S, lam, 1, its seed) would return, from edges of g
-    outside SxS filtered once per outer trial; these graphs sort a vertex's
+    sample_er, and inner trial j takes copy j, as coupled_graph_intersections
+    and coupled_er_intersections build it: the labels of copy j on the
+    root's ball, and on the Erdos-Renyi host copy j's graph, from edges of g
+    outside SxS filtered once per outer trial.  These graphs sort a vertex's
     incidences when it is first read, so a trial costs the draws, one pass
-    over the graph's arrays and the root's (radius+1)-ball.  On the configuration model the graph is the same for
-    every inner trial, so the root's ball is found once per outer trial and
-    each inner trial relabels only the ball's vertices.
+    over the graph's arrays and the root's (radius+1)-ball.  On the
+    configuration model the graph is the same for every inner trial, so the
+    root's ball is found once per outer trial and each inner trial relabels
+    only the ball's vertices, by scalar folds.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -351,49 +372,49 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return block
 
-    n = host.n
+    n, cut = host.n, percolation_cut(cfg.p)
     er = isinstance(host, ErdosRenyiHost)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
-        rng = state_rng(fold(st, 2))
-        x0 = uniform_labels(rng, n)
-        in_s = rng.random(n) < cfg.p
-        root = int(rng.integers(n))
+        root = fold(st, 4) * n >> 64  # uniform up to a bias of n / 2^64
+        vertex_key, memo = fold(st, 2), {}  # vertex v has the state fold(vertex_key, v)
+
+        def ball(g):
+            """The root's f.radius ball in g and its vertices' states, or None
+            when the root's (f.radius + 1)-ball is not a tree (the projection
+            then gives bit 0)."""
+            if not ball_is_tree(g, root, f.radius + 1):
+                return None
+            nb = neighborhood(g, root, f.radius, None)
+            return nb, [fold(vertex_key, v) for v in nb.source_vertices.tolist()]
+
+        def bit(found, copy: int) -> int:
+            """The root's bit on a ball from `ball` under copy `copy`'s labels."""
+            if found is None:
+                return 0
+            nb, states = found
+            labels = [coupled_label(s, copy, cut, memo) for s in states]
+            return apply_factor(f, nb.with_labels(labels))
+
         g = _sample_graph(host, fold(st, 1))
-        nb = _root_ball(f, g, root, x0)
-        if nb is None or apply_factor(f, nb) != 1:
+        found = ball(g)
+        if bit(found, 0) != 1:
             return [0.0, -1.0]
-        if er:  # every inner trial's copy keeps the same edges of g
+        if er:  # inner trial j takes copy j's graph, as _coupled_graph does
+            in_s = CoupledLabels(vertex_states(st, n), cfg.p).in_s
             copies = _er_copies(g, np.flatnonzero(in_s), host.lam, (
-                _copy_state(fold(st, 0x2000 + j), 0) for j in range(1, cfg.inner_trials + 1)))
+                _copy_state(fold(st, 3), j) for j in range(cfg.inner_trials)))
+            cnt = sum(bit(ball(g_j), j) for j, g_j in enumerate(copies, 1))
         else:  # g is the same for every inner trial: relabel its ball only
-            src = nb.source_vertices
-            x0_ball, s_ball = x0[src], in_s[src]
-        cnt = 0
-        for j in range(1, cfg.inner_trials + 1):
-            fresh = uniform_labels(state_rng(fold(st, 0x1000 + j)), n)
-            if er:
-                nb_j = _root_ball(f, next(copies), root, np.where(in_s, fresh, x0))
-            else:
-                nb_j = nb.with_labels(np.where(s_ball, fresh[src], x0_ball))
-            if nb_j is not None:
-                cnt += apply_factor(f, nb_j)
+            cnt = sum(bit(found, j) for j in range(1, cfg.inner_trials + 1))
         return [1.0, float(cnt)]
 
     return per_trial(one)
 
 
-def _root_ball(f: Factor, g, root: int, labels: np.ndarray):
-    """The root's f.radius ball with its labels, or None when the root's
-    (f.radius + 1)-ball is not a tree (the projection then gives bit 0)."""
-    if not ball_is_tree(g, root, f.radius + 1):
-        return None
-    return neighborhood(g, root, f.radius, labels)
-
-
 # ---------------------------------------------------------------------------
-# Scans and moment targeting
+# Scans
 # ---------------------------------------------------------------------------
 
 
@@ -447,60 +468,3 @@ def scan_p(cfg: CouplingConfig, grid) -> ScanResult:
             (abs(b - a) for a, b in zip(vals, vals[1:])), default=0.0
         )
     return ScanResult(rows, jumps)
-
-
-def find_p_for_moment(
-    cfg: CouplingConfig, u: float, target: float, coarse: int = 6, max_iter: int = 24
-):
-    """Find p* with E*[Q^u](p*) = target, up to 3x the Monte Carlo error.
-
-    Scans a coarse grid, brackets a sign change of (estimate - target), and
-    bisects; no monotonicity in p is assumed.  Raises ConditioningError with
-    a "no crossing" message when the target is outside the attained range.
-    """
-    if u <= 0:
-        raise ValueError("u must be > 0")
-
-    cache = {}
-
-    def eval_at(p: float):
-        if p not in cache:
-            est = estimate_stability(replace(cfg, p=p), moments=[u])
-            cache[p] = est.moments[u]
-        return cache[p]
-
-    grid = list(np.linspace(0.0, 1.0, coarse))
-    vals = [eval_at(p) for p in grid]
-    lo_end, hi_end = vals[-1][0], vals[0][0]
-    lo_bound = min(lo_end, hi_end) - 3 * max(vals[0][1], vals[-1][1])
-    hi_bound = max(lo_end, hi_end) + 3 * max(vals[0][1], vals[-1][1])
-    if not lo_bound <= target <= hi_bound:
-        raise ConditioningError(
-            f"no crossing in [0, 1]: target {target} outside attained range "
-            f"[{lo_bound:.6g}, {hi_bound:.6g}]"
-        )
-    for p, (m, se) in zip(grid, vals):
-        if abs(m - target) <= 3 * se:
-            return p, m, se
-    bracket = None
-    for (pa, (ma, _)), (pb, (mb, _)) in zip(
-        list(zip(grid, vals)), list(zip(grid, vals))[1:]
-    ):
-        if (ma - target) * (mb - target) <= 0:
-            bracket = (pa, ma, pb, mb)
-            break
-    if bracket is None:
-        raise ConditioningError("no crossing in [0, 1]: no sign change on the grid")
-    pa, ma, pb, mb = bracket
-    best = None
-    for _ in range(max_iter):
-        pm = 0.5 * (pa + pb)
-        m, se = eval_at(pm)
-        best = (pm, m, se)
-        if abs(m - target) <= 3 * se or (pb - pa) < 1.0 / 512:
-            return best
-        if (ma - target) * (m - target) <= 0:
-            pb, mb = pm, m
-        else:
-            pa, ma = pm, m
-    return best

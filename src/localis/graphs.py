@@ -2,8 +2,8 @@
 
 Samplers for configuration-model multigraphs, Erdos-Renyi graphs, and
 truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
-rooted neighbourhoods and the non-tree-neighbourhood count used by the
-tree-to-graph projection.
+rooted neighbourhoods and the non-tree ball mask used by the tree-to-graph
+projection.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
@@ -26,7 +26,10 @@ tree node (of each node, given an array of states).
 
 TreeStars gives the root stars of a block of lazy trees as arrays (states
 and the labels of any coupled copy, bit-equal to LazyTree and TreeLabels);
-factors.TreeBlock says when they are used.
+factors.TreeBlock says when they are used.  Tree nodes and graph vertices
+take their labels from their states by one rule (see rng): TreeStars
+through its array form, TreeLabels through its scalar form.  The graph
+samplers draw no labels; neighborhood restricts a labelling it is given.
 
 All samplers are pure functions of (seed, parameters): identical inputs
 produce byte-identical structures under serialisation.
@@ -45,10 +48,10 @@ import numpy as np
 from .rng import (
     CHILD_TAG,
     LABEL_TAG,
-    MASK64,
     OFFSPRING_TAG,
-    PERC_TAG,
     POISSON_LAM_MAX,
+    CoupledLabels,
+    coupled_label,
     fold,
     fold_np,
     label_unit,
@@ -424,11 +427,12 @@ class RootedNeighborhood:
         return json.dumps(payload, sort_keys=True)
 
 
-def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
+def neighborhood(g, v: int, r: int, labels: np.ndarray | None) -> RootedNeighborhood:
     """Induced subgraph on vertices within distance r of v, rooted at v.
 
-    Carries the restriction of `labels` (uint64 array indexed by vertex id).
-    Only g.n and g.adj are read.
+    Carries the restriction of `labels` (uint64 array indexed by vertex id),
+    or no labels when None (with_labels gives them).  Only g.n and g.adj are
+    read.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph")
@@ -448,7 +452,7 @@ def neighborhood(g, v: int, r: int, labels: np.ndarray) -> RootedNeighborhood:
                 queue.append(w)
     ball = [sorted(order[w] for w, _ in adj[u] if w in order) for u in order]
     src = np.fromiter(order.keys(), dtype=np.int64)
-    lab = np.asarray(labels, dtype=np.uint64)[src]
+    lab = None if labels is None else np.asarray(labels, dtype=np.uint64)[src]
     return RootedNeighborhood(ball, lab, r, np.asarray(depths, dtype=np.int64), src)
 
 
@@ -484,14 +488,6 @@ def non_tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
     """Boolean mask of vertices whose radius-ball is not a tree."""
     g.read_all()
     return np.array([not ball_is_tree(g, v, radius) for v in range(g.n)], dtype=bool)
-
-
-def count_non_tree_vertices(g: MultiGraph, r: int) -> int:
-    """Number of vertices whose (r+1)-neighbourhood contains a cycle, loop or
-    parallel edge; the loss term of the tree-to-graph projection."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return int(non_tree_ball_mask(g, r + 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +608,9 @@ class TreeLabels:
     and keeps the base labels elsewhere.  All copies over one tree share S
     and X0, which realises the coupled family of label vectors.
 
-    A coupled family reads the same nodes once per copy, so copies >= 1
-    memoise each node's copy-independent values (the percolation draw, the
-    base state and the X0 label) in a dict on the tree, made when the first
-    coupled view is; a later copy then folds once per node in S and not at
-    all elsewhere.  Copy 0 is read once per tree (single-copy density, the
+    A coupled family reads the same nodes once per copy, so copies >= 1 go
+    through rng.coupled_label with a memo on the tree, made when the first
+    coupled view is.  Copy 0 is read once per tree (single-copy density, the
     LW rule), so it stores nothing and computes its labels directly.
     """
 
@@ -642,17 +636,9 @@ class TreeLabels:
         return self.tree.neighbors(node)
 
     def label(self, node) -> int:
-        memo = self.memo
-        if memo is None:
+        if self.memo is None:
             return fold(fold(node.state, LABEL_TAG), 0)
-        values = memo.get(node)
-        if values is None:
-            base = fold(node.state, LABEL_TAG)
-            values = memo[node] = (fold(node.state, PERC_TAG), base, fold(base, 0))
-        perc, base, x0 = values
-        if perc < self.cut:
-            return fold(base, self.copy)
-        return x0
+        return coupled_label(node.state, self.copy, self.cut, self.memo)
 
     def order_key(self, node) -> int:
         return node.state
@@ -668,10 +654,10 @@ class TreeStars:
     root's child count hold states of no node.  Child counts come from
     one host.offspring call over all roots.
 
-    labels(copy, at) is the array form of TreeLabels(tree, copy, p).label
-    over the rows `at`: equal bit for bit, so a radius <= 1 rule evaluated
-    on these arrays reads exactly what it reads on the lazy trees.  `copy`
-    is an int, or a column of copy ids giving one row of labels per copy.
+    labels, the rng.CoupledLabels of the star states, gives with
+    labels(copy, at) what TreeLabels(tree, copy, p).label gives over the
+    rows `at`, bit for bit, so a radius <= 1 rule evaluated on these arrays
+    reads exactly what it reads on the lazy trees.
     """
 
     def __init__(self, host, radius: int, roots: np.ndarray, p: float = 0.0):
@@ -689,17 +675,4 @@ class TreeStars:
         self.valid = np.concatenate(
             [np.ones((roots.size, 1), dtype=bool), slots < counts[:, None]], axis=1
         )
-        self.base = fold_np(self.states, LABEL_TAG)
-        self.x0 = fold_np(self.base, 0)
-        cut = percolation_cut(p)
-        if cut == 0:
-            self.in_s = np.zeros(self.states.shape, dtype=bool)
-        elif cut > MASK64:  # p = 1: every node, and 2^64 fits no uint64
-            self.in_s = np.ones(self.states.shape, dtype=bool)
-        else:
-            self.in_s = fold_np(self.states, PERC_TAG) < np.uint64(cut)
-
-    def labels(self, copy=0, at=Ellipsis) -> np.ndarray:
-        if isinstance(copy, int) and copy == 0:
-            return self.x0[at]
-        return np.where(self.in_s[at], fold_np(self.base[at], copy), self.x0[at])
+        self.labels = CoupledLabels(self.states, p)

@@ -10,9 +10,9 @@ count, so the aggregate is identical for any worker count.
 
 Parallelism uses fork-based multiprocessing so closures survive without
 pickling; each worker evaluates whole blocks.  A run with fewer than 4
-trials per worker, or on a platform without fork, runs in-process;
-effective_workers says which happens, and the CLI records it in the run
-manifest.
+trials per worker, or on a platform without fork, runs in-process, and no
+run starts more processes than it has CPUs to run on; effective_workers
+says how many it uses, and the CLI records that in the run manifest.
 """
 
 from __future__ import annotations
@@ -62,12 +62,19 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
 
 
 def effective_workers(trials: int, workers: int) -> int:
-    """Processes run_trials(fn, trials, workers) uses: 1 (in-process) when
-    there are fewer than 4 trials per worker or fork is missing."""
+    """Processes run_trials(fn, trials, workers) uses: at most the CPUs this
+    process may run on, and 1 (in-process) when there are fewer than 4
+    trials per worker or fork is missing."""
     workers = max(1, int(workers or 1))
     if workers == 1 or trials < 4 * workers or not _fork_available():
         return 1
-    return workers
+    return min(workers, _cpu_count())
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fork_available() -> bool:

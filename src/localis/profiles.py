@@ -168,17 +168,6 @@ class DensityProfile:
                 f"rho not monotone under superset at T={int(np.argmax(rising)):#b}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "rho": {str(m): float(v) for m, v in enumerate(self.rho)}}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityProfile":
-        k = int(data["k"])
-        rho = np.zeros(1 << k)
-        for key, val in data["rho"].items():
-            rho[int(key)] = float(val)
-        return cls(k, rho)
-
     @classmethod
     def symmetric(cls, k: int, by_cardinality, scale: float = 1.0) -> "DensityProfile":
         """Profile with rho(T) = scale * value[|T|] for nonempty T."""

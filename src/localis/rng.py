@@ -13,6 +13,14 @@ fold_np and trial_state_np are their array forms over uint64 arrays, equal
 to the scalar functions element by element; the trial-batched tree paths
 fold whole blocks of trials with them.
 
+The coupled family of labels is one rule over node states, the same on
+every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
+of a graph-host trial of state st.  Copy 0 of node state s is
+fold(fold(s, LABEL_TAG), 0); s is in the percolated set S iff
+fold(s, PERC_TAG) < percolation_cut(p); on S copy c >= 1 is
+fold(fold(s, LABEL_TAG), c), elsewhere copy 0.  CoupledLabels is its array
+form, coupled_label its scalar form.
+
 Labels are 64-bit unsigned integers interpreted as dyadic rationals in
 [0, 1).  Comparisons between labels break the (probability ~2^-64) ties with
 a secondary vertex key, so the effective label order is always total.
@@ -29,7 +37,7 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-# substream tags used by the lazy tree machinery
+# substream tags of the lazy trees and the coupled labels
 LABEL_TAG = 0x01
 PERC_TAG = 0x02
 OFFSPRING_TAG = 0x03
@@ -64,10 +72,24 @@ def trial_state(seed: int, trial: int) -> int:
     return fold(fold(0x5EED5EED5EED5EED, seed), trial)
 
 
+def coupled_label(state: int, copy: int, cut: int, memo: dict) -> int:
+    """Copy `copy` of the label of the node with this state, S cut `cut`
+    (percolation_cut(p)).  `memo` keeps each state's copy-independent values
+    (the percolation draw, the label base, copy 0), so reading a node again,
+    in any copy, folds once if it is in S and not at all elsewhere."""
+    values = memo.get(state)
+    if values is None:
+        base = fold(state, LABEL_TAG)
+        values = memo[state] = (fold(state, PERC_TAG), base, fold(base, 0))
+    perc, base, x0 = values
+    return fold(base, copy) if perc < cut else x0
+
+
 def state_rng(state: int) -> np.random.Generator:
     """NumPy generator keyed by a 64-bit state: the stream
     np.random.default_rng(state & MASK64) gives, built without its
-    argument dispatch."""
+    argument dispatch.  The Erdos-Renyi copies' SxS redraws use it; no label
+    comes from it."""
     return np.random.Generator(np.random.PCG64(state & MASK64))
 
 
@@ -180,3 +202,31 @@ def fold_np(state, data) -> np.ndarray:
 def trial_state_np(seed: int, trials) -> np.ndarray:
     """Array form of trial_state: the states of the given trial indices."""
     return fold_np(fold(0x5EED5EED5EED5EED, seed), trials)
+
+
+class CoupledLabels:
+    """The coupled family's labels on nodes given by an array of states.
+
+    `base` holds each node's label base, `x0` its copy-0 label and `in_s`
+    whether it is in S at density p.  Calling it with (copy, at) gives
+    copy `copy` of the labels at the index `at`, equal bit for bit to
+    coupled_label; `copy` is an int, or an array of copy ids broadcast
+    against the indexed states (a column gives one row of labels per copy).
+    """
+
+    def __init__(self, states, p: float = 0.0):
+        states = np.asarray(states, dtype=np.uint64)
+        self.base = fold_np(states, LABEL_TAG)
+        self.x0 = fold_np(self.base, 0)
+        cut = percolation_cut(p)
+        if cut == 0:
+            self.in_s = np.zeros(states.shape, dtype=bool)
+        elif cut > MASK64:  # p = 1: every node, and 2^64 fits no uint64
+            self.in_s = np.ones(states.shape, dtype=bool)
+        else:
+            self.in_s = fold_np(states, PERC_TAG) < np.uint64(cut)
+
+    def __call__(self, copy=0, at=Ellipsis) -> np.ndarray:
+        if isinstance(copy, int) and copy == 0:
+            return self.x0[at]
+        return np.where(self.in_s[at], fold_np(self.base[at], copy), self.x0[at])

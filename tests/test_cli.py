@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -11,6 +12,10 @@ from localis.graphs import HOSTS, ErdosRenyiHost, PGWTreeHost
 from localis.io import load_manifest
 from localis.parallel import _fork_available, effective_workers
 from localis.rng import POISSON_LAM_MAX
+
+
+# the CPUs this process may run on, the cap of effective_workers
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def run(args):
@@ -175,10 +180,15 @@ def test_effective_workers_matches_the_run_trials_rule():
     forks = 2 if _fork_available() else 1
     assert effective_workers(10, 8) == 1
     assert effective_workers(31, 8) == 1
-    assert effective_workers(32, 8) == (8 if forks == 2 else 1)
-    assert effective_workers(8, 2) == forks
+    assert effective_workers(32, 8) == (min(8, CPUS) if forks == 2 else 1)
+    assert effective_workers(8, 2) == min(forks, CPUS)
     assert effective_workers(1000, 1) == 1
     assert effective_workers(1000, 0) == 1
+
+
+def test_effective_workers_never_exceed_the_usable_cpus():
+    # computed alone: asking for 10^5 workers must not fork 10^5 processes
+    assert 1 <= effective_workers(10**6, 10**5) <= CPUS
 
 
 def test_density_const0(tmp_path):

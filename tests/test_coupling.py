@@ -16,7 +16,6 @@ from localis.coupling import (
     coupled_tree_intersections,
     er_resample_graphs,
     estimate_stability,
-    find_p_for_moment,
     run_intersections,
     scan_p,
 )
@@ -554,26 +553,3 @@ def test_scan_refinement_shrinks_jumps():
     fine = scan_p(cfg, [0.0, 0.25, 0.5, 0.75, 1.0])
     noise = 6 * max(r.intersections.stderrs.max() for r in fine.rows)
     assert fine.max_adjacent_jump() <= coarse.max_adjacent_jump() / 2 + noise
-
-
-def test_find_p_trivial_targets():
-    cfg = tree_cfg(0.5, k=2, trials=1500, inner=150, seed=29)
-    p0, est0, _ = find_p_for_moment(cfg, 1.0, 1.0)
-    assert p0 == 0.0 and est0 == 1.0
-    # at p=1 the moment is the plain density, 1/4 for this factor on T_3
-    p1, est1, se1 = find_p_for_moment(cfg, 1.0, 0.25)
-    assert p1 >= 0.8
-    assert abs(est1 - 0.25) <= 3 * se1
-
-
-def test_find_p_intermediate():
-    cfg = tree_cfg(0.5, k=2, trials=2000, inner=200, seed=30)
-    p_star, est, se = find_p_for_moment(cfg, 1.0, 0.6)
-    assert 0.0 < p_star < 1.0
-    assert abs(est - 0.6) <= 3 * se
-
-
-def test_find_p_no_crossing():
-    cfg = tree_cfg(0.5, k=2, trials=400, inner=50, seed=31)
-    with pytest.raises(ConditioningError):
-        find_p_for_moment(cfg, 1.0, 2.5)

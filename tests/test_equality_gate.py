@@ -30,8 +30,13 @@ adjacency became its one stored form.  `density_tree_lw_deep` (LW(0.02, 250)
 density on T4) and `stability_pgw_lw_deep` (LW(0.02, 250) stability on
 PGW(3)), the first tree-host LW commands with k above 8, were recorded
 while the percolation-round rule still resolved every root neighbour with
-an explicit stack.  A refactor that moves any random
-stream or changes any output byte fails here.
+an explicit stack.  The twelve configuration-model and Erdos-Renyi
+commands (the three graph-host `density_*` ones and the nine
+`stability_*` and `scan_*` ones) were re-recorded when graph vertices took
+their labels, S and fresh copies from per-vertex folds, the tree-node rule,
+in place of a numpy generator per trial and per inner trial; the laws of
+those draws are checked in tests/test_labels.py.  A refactor that moves any
+random stream or changes any output byte fails here.
 """
 
 import hashlib
@@ -54,42 +59,42 @@ GOLDEN = {
     "density_config_threshold": (
         ["density", "--factor", "threshold", "--host", "config-model",
          "--n", "300", "--d", "3", "--trials", "10", "--seed", "5"],
-        "e0332e87576fb2ab3a532a05a09a7eca6b768e83b68623e65a03560d52308b51",
+        "4fe40c8c9f7e2cda84c6d6672bf48e2d338d34a9767f9ed657b307fac521a6e1",
     ),
     "density_er_threshold": (
         ["density", "--factor", "threshold", "--host", "er",
          "--n", "300", "--lam", "3", "--trials", "10", "--seed", "6"],
-        "122c535c33908e2b6bc25d22ca2fd445d1c30119978bb87d13185b8d7132eea6",
+        "925894cd552eddc3f5eb9a4d9743166ad9a93d3a0502adbf964d10a6bfcf385e",
     ),
     "density_config_lw": (
         ["density", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--host", "config-model", "--n", "2000", "--d", "3",
          "--trials", "3", "--seed", "7"],
-        "0c5e834e11e6472259177908ab3213b85e9033653aef9fec7bdd0222993c71b4",
+        "cc5d688c4f260d2c69f56c657e37b7f5470eee7dc1832393dfd3cb8c5c649c39",
     ),
     "stability_er": (
         ["stability", "--factor", "threshold", "--host", "er", "--n", "100",
          "--lam", "2", "--k", "2", "--p", "0.5", "--trials", "80",
          "--inner-trials", "10", "--seed", "8"],
-        "575eaa9b8dada31b295e51e24e0dae1e020e72cf1801d07d1e9735a1a64923a1",
+        "ccea439a081bfea1f3224c31beef2e5760718925bf5e39eb66741f46e7c68739",
     ),
     "stability_config": (
         ["stability", "--factor", "threshold", "--host", "config-model",
          "--n", "100", "--d", "3", "--k", "2", "--p", "0.5", "--trials", "80",
          "--inner-trials", "10", "--seed", "9"],
-        "07751cf0c667e4e247f6d680fba7ac71befe89b26fb70780e9992dd139aacbfe",
+        "d1292ba9487cd446740b55c8aa45d65713227a46ed761f8a74d94a9a2b8273e8",
     ),
     "scan_config": (
         ["scan-p", "--factor", "threshold", "--host", "config-model",
          "--n", "60", "--d", "3", "--k", "2", "--grid", "0,0.5,1",
          "--trials", "40", "--inner-trials", "6", "--seed", "10"],
-        "ffc82be77ca49758d706399ac1da25fbe774a1449b414460105454648634ef80",
+        "325e174d3610c842b8d2fb3e10dc51ca263378035943ff9d3c3b7af54e2ce536",
     ),
     "scan_er": (
         ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60",
          "--lam", "2", "--k", "2", "--grid", "0,0.5,1",
          "--trials", "40", "--inner-trials", "6", "--seed", "11"],
-        "c0f388bfe9db45d36af226407809c5f589a8b040e9ad6c203b2ecb9f43f2ef04",
+        "99f70d27c1c76e4cb573c509b99ca0b3dcb852f805c4835173791b8cd9d2cd39",
     ),
     "stability_tree": (
         ["stability", "--factor", "threshold", "--host", "regular-tree",
@@ -146,13 +151,13 @@ GOLDEN = {
         ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1",
          "--host", "config-model", "--n", "200", "--d", "3", "--k", "2", "--p", "0.5",
          "--trials", "80", "--inner-trials", "8", "--seed", "14"],
-        "1b326b9bbfab75d3f4f1dac7288c426c6baca759be8a5603eb42dad5f25358ad",
+        "07f760334f5b3e675b874783047c72cbef98863fcd76e6a17c71a27b7d1c0b93",
     ),
     "scan_er_lw": (
         ["scan-p", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1", "--host", "er",
          "--n", "60", "--lam", "2", "--k", "2", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "6", "--seed", "15"],
-        "be8262dd5786993bf98bede2b393739ac85896d6b8668791d5d0acdc15a231a8",
+        "7c0ce723cd5d7726f7eef9f0ca599f939b36811c75c96dc52bf73b0c8d52fc06",
     ),
     "bounds_self_test": (
         ["bounds", "--alpha", "1.2,0.8,0.5", "--d", "1000", "--self-test"],
@@ -170,19 +175,19 @@ GOLDEN = {
         ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60", "--lam", "2",
          "--k", "4", "--grid", "0,0.5,1", "--trials", "30", "--inner-trials", "4",
          "--seed", "23"],
-        "e72c77dc925e7d6022560d9618a0091f073bd69c023e467f4c16a21a98a3b56e",
+        "28ec4d17d62373ea115d90ef60f46fa17101aab697a7878d52799b2a8587f8ac",
     ),
     "stability_config_lw_accepting": (
         ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--host", "config-model", "--n", "2000", "--d", "3", "--k", "2", "--p", "0.5",
          "--trials", "200", "--inner-trials", "8", "--seed", "22"],
-        "8df922dcf54fef6dae917b1c0f1efc2f442cfe4e866efe3142e53895f526a0d6",
+        "24ab1f53cf02305ebfbeaf15a8625d728244370ad1c30a508d2288a376cdef00",
     ),
     "scan_config_k6": (
         ["scan-p", "--factor", "threshold", "--host", "config-model", "--n", "60",
          "--d", "3", "--k", "6", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "4", "--seed", "24"],
-        "343683b1e3443b6f63c3eb4b607d129739975c829a690fa09105afcf2f1233fb",
+        "18be26e396d1972477ae1a201a81a90405c475158e8349ee6c604a03180c1448",
     ),
     "transfer_lw_removals": (
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",

@@ -24,6 +24,7 @@ from localis.graphs import (
     PGWTreeHost,
     RegularTreeHost,
     neighborhood,
+    non_tree_ball_mask,
     sample_config_model,
     sample_er,
     sample_pgw_tree,
@@ -485,14 +486,12 @@ def test_projection_large_radius_degenerate():
     # factor radius beyond the component diameter every vertex has a non-tree
     # neighbourhood and the projection is empty: |I_G|/n = density * (1 - B/n)
     # holds with B = n
-    from localis.graphs import count_non_tree_vertices
-
     g = sample_config_model(500, 3, 77)
     f = lauer_wormald(0.02, 250)
     rng = np.random.default_rng(78)
     sample = project_to_graph(f, g, uniform_labels(rng, 500))
     assert not sample.bits.any()
-    assert count_non_tree_vertices(g, f.radius) == 500
+    assert non_tree_ball_mask(g, f.radius + 1).sum() == 500
 
 
 def test_density_constant_zero():

@@ -20,9 +20,9 @@ from localis.graphs import (
     TreeStars,
     ball_is_tree,
     bernoulli_pairs,
-    count_non_tree_vertices,
     er_edge_arrays,
     neighborhood,
+    non_tree_ball_mask,
     sample_config_model,
     sample_er,
     sample_pgw_tree,
@@ -111,20 +111,24 @@ def test_config_edges_match_the_generator_with_loops_and_multi_edges():
 
 def test_config_pairing_uniform():
     # (8-1)!! = 105 pairings of the 8 half-edges; each cell within 4 sigma of
-    # the multinomial expectation, and the chi-square statistic unsuspicious
+    # the multinomial expectation, and the chi-square statistic unsuspicious.
+    # The 10^6 samples are drawn in one call: row i of rng.permuted over a
+    # tile of arange(8) is the permutation the i-th successive
+    # sample_config_model(4, 2, rng) call draws, as the first 20,000 rows check
     n_samples = 1_000_000
+    perms = np.random.default_rng(42).permuted(np.tile(np.arange(8), (n_samples, 1)), axis=1)
+    pairs = np.sort(perms.reshape(n_samples, 4, 2), axis=2)  # edge i: perm[2i], perm[2i + 1]
+    pairings = np.take_along_axis(pairs, pairs[:, :, :1].argsort(axis=1), axis=1)
     rng = np.random.default_rng(42)
-    counts = {}
-    for _ in range(n_samples):
-        g = sample_config_model(4, 2, rng)
-        key = g.pairing.tobytes()
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 105
+    for row in pairings[:20_000]:
+        assert np.array_equal(sample_config_model(4, 2, rng).pairing, row)
+    _, cells = np.unique(pairings.reshape(n_samples, 8) @ 8 ** np.arange(8), return_counts=True)
+    assert len(cells) == 105
     expected = n_samples / 105
     sigma = math.sqrt(n_samples * (1 / 105) * (1 - 1 / 105))
-    worst = max(abs(c - expected) for c in counts.values())
+    worst = max(abs(c - expected) for c in cells.tolist())
     assert worst <= 4.0 * sigma
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    chi2 = sum((c - expected) ** 2 / expected for c in cells.tolist())
     assert chi2 <= stats.chi2.ppf(0.999, 104)
 
 
@@ -355,7 +359,7 @@ def test_tree_labels_copy_zero_stores_nothing():
         view.label(v)
     assert tree.coupled is None
     TreeLabels(tree, copy=2, p=0.5).label(tree.root)
-    assert list(tree.coupled) == [tree.root]
+    assert list(tree.coupled) == [tree.root.state]  # the memo is keyed by node state
 
 
 # ---------------------------------------------------------------------------
@@ -799,27 +803,27 @@ def test_count_non_tree_on_trees():
     t = sample_regular_tree(3, 3, 5)
     g = MultiGraph(t.n, t.edges)
     for r in range(3):
-        assert count_non_tree_vertices(g, r) == 0
+        assert non_tree_ball_mask(g, r + 1).sum() == 0
 
 
 def test_count_non_tree_cycles():
     # C_6 at r=1: every 2-neighbourhood is a 5-vertex path, acyclic
-    assert count_non_tree_vertices(cycle(6), 1) == 0
+    assert non_tree_ball_mask(cycle(6), 2).sum() == 0
     # C_4 at r=1: every 2-neighbourhood is the whole cycle
-    assert count_non_tree_vertices(cycle(4), 1) == 4
+    assert non_tree_ball_mask(cycle(4), 2).sum() == 4
 
 
 def test_count_non_tree_loops_and_multi():
     loop = MultiGraph(2, [(0, 0), (0, 1)])
-    assert count_non_tree_vertices(loop, 0) == 2  # loop visible at radius 1 from both
+    assert non_tree_ball_mask(loop, 1).sum() == 2  # loop visible at radius 1 from both
     multi = MultiGraph(2, [(0, 1), (0, 1)])
-    assert count_non_tree_vertices(multi, 0) == 2
+    assert non_tree_ball_mask(multi, 1).sum() == 2
 
 
 def test_local_weak_convergence_smoke():
     # fraction of tree-like 2-neighbourhoods does not drop as n grows
     def tree_fraction(n, seed):
         g = sample_config_model(n, 3, seed)
-        return 1.0 - count_non_tree_vertices(g, 1) / n
+        return 1.0 - non_tree_ball_mask(g, 2).sum() / n
 
     assert tree_fraction(10_000, 1) >= tree_fraction(100, 2) - 0.02

@@ -95,14 +95,6 @@ def test_pi_to_rho_point_masses():
     assert np.all(prof.rho == 1.0)
 
 
-def test_profile_json_round_trip():
-    rng = np.random.default_rng(77)
-    prof = random_density_profile(rng, 3)
-    back = DensityProfile.from_json_dict(prof.to_json_dict())
-    assert back.k == prof.k
-    assert np.array_equal(back.rho, prof.rho)
-
-
 def test_partition_weight_identity():
     # sum over cells disjoint from T' of pi(T)/w(T') equals 1 when w(T') > 0
     rng = np.random.default_rng(78)
