@@ -142,6 +142,11 @@ def cmd_density(params: dict):
     factor = _build_factor(params)
     host = _build_host(params)
     trials, seed, workers = params["trials"], params["seed"], params["workers"]
+    if not host.tree and factor.kind == "const" and factor.params["bit"]:
+        raise UsageError(
+            f"factor 'const1' takes every vertex, which is no independent set on a "
+            f"graph; host {host.name!r} projects independent-set rules only"
+        )
     if host.tree:
         est = estimate_tree_density(factor, host, trials, seed, workers)
         mean, stderr = est.mean, est.stderr

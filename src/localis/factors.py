@@ -6,15 +6,18 @@ against a minimal rooted-view protocol (root, neighbors(v), label(v),
 order_key(v)), so one implementation serves materialised neighbourhoods and
 lazily generated trees alike.
 
-A factor of radius <= 1 (threshold, constant) also carries its rule in array
-form, star_rule(labels, keys, valid), over the root stars of a block of
-trees (graphs.TreeStars): column 0 is the root, the other columns its
-neighbours, `valid` masks the columns that are no node.  star_rule returns
-what rule returns on each star, bit for bit.
-
-TreeBlock is the one evaluator of a factor on tree hosts, and the radius
-rule lives there alone: radius <= 1 runs star_rule on a block's TreeStars,
-larger radii (the percolation-round rule) walk one LazyTree per trial.
+On tree hosts every factor also carries its rule in array form, and
+TreeBlock, the one evaluator of a factor on tree hosts, runs it over a
+block of trials and coupled copies at once.  Both forms start from the root
+stars of the block (graphs.TreeStars): column 0 is the root, the other
+columns its children, `valid` masks the columns that are no node.  A factor
+of radius <= 1 (threshold, constant) has star_rule(labels, keys, valid),
+which reads the stars alone.  The percolation-round factor has a
+level_rule, which grows deeper levels from the stars, the children of the
+nodes still unresolved, through the same child expansion
+(graphs.child_states) and label rule (rng.CoupledLabels) as TreeStars.
+Each returns what rule returns on each tree, bit for bit; the per-trial
+LazyTree and TreeLabels are the tests' reference for them.
 
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
@@ -23,7 +26,9 @@ j - 1, j or j + 1, so a view generated deeper than r presents the rule with
 exactly the same reads as the ball cut at r, and apply_factor passes it
 through unchanged.  The threshold rule reads only neighbors(root); the
 percolation-round rule reaches neighbors(v) only while first-success rounds
-strictly decrease from at most k, hence at depth <= k < k + 1.
+strictly decrease from at most k, hence at depth <= k < k + 1.  On levels:
+a depth-j node is expanded only with a round in 2..k + 1 - j, so the level
+arrays never expand a node at depth k or beyond and need no cut either.
 """
 
 from __future__ import annotations
@@ -36,15 +41,20 @@ from typing import Callable
 import numpy as np
 
 from .graphs import (
-    LazyTree,
     MultiGraph,
-    TreeLabels,
     TreeStars,
+    child_states,
     neighborhood,
     non_tree_ball_mask,
 )
 from .parallel import mean_stderr, run_trials
-from .rng import first_success_round, trial_state_np
+from .rng import (
+    CoupledLabels,
+    first_success_round,
+    first_success_rounds,
+    round_bounds,
+    trial_state_np,
+)
 
 
 @dataclass(frozen=True)
@@ -54,8 +64,9 @@ class Factor:
     The rule reads only vertices within `radius` of the root and is invariant
     under vertex-id relabelling; ids enter only as tie-breaks for the
     measure-zero event of equal labels.  A factor of radius <= 1 carries
-    star_rule, the rule's array form over root stars (see the module
-    docstring).
+    star_rule, the rule's array form over root stars; a deeper factor that
+    TreeBlock evaluates carries level_rule, its array form over the levels
+    grown from them (see the module docstring).
     """
 
     kind: str
@@ -63,6 +74,7 @@ class Factor:
     params: dict = field(default_factory=dict)
     rule: Callable = None
     star_rule: Callable = None
+    level_rule: Callable = None
 
     def __post_init__(self):
         if self.radius <= 1 and self.star_rule is None:
@@ -164,6 +176,111 @@ def _lw_rule(p: float, k: int) -> Callable:
     return rule
 
 
+LEVEL_ROOTS = 1 << 10  # most roots whose levels one _lw_levels pass holds
+
+
+def _lw_levels(p: float, k: int) -> Callable:
+    """_lw_rule's array form on tree hosts (see TreeBlock): its recursion run
+    breadth-first over the levels of a block of (copy, row) pairs, pruned.
+
+    A node's kept children are its children of lower round (at the root, of
+    round at most the root's).  A kept node with no kept child joins, round 1
+    included; one with a joining kept child is blocked; one whose kept
+    children are all blocked joins.  The root's bit is r(root) <= k and that
+    the root joins.  Each level is expanded from the frontier, the nodes not
+    yet resolved whose ancestors are none of them resolved; after each level
+    the new outcomes go up the stack, and every resolved node leaves it with
+    its subtree.  So a pair generates about the nodes the recursion reads.
+    At most LEVEL_ROOTS roots go through the levels at once, which bounds the
+    nodes held by one call.
+
+    The rule takes the host, the density of S, the star states and `valid`
+    of the selected rows, their labels (shape (R, columns), or (J, R,
+    columns) for a column of J copy ids) and the copies (an int, or ids of
+    shape (J, 1, 1)); it returns the root bits, shape (R,) or (J, R).
+    """
+
+    def rule(host, s_density, states, valid, labels, copies) -> np.ndarray:
+        rounds = first_success_rounds(labels, p, k)
+        shape = rounds.shape[:-1]
+        rounds = rounds.reshape(-1, rounds.shape[-1])  # row i: pair i's star
+        rows = np.arange(len(rounds)) % len(states)
+        if not isinstance(copies, int):
+            copies = np.repeat(copies.ravel(), len(states))
+        bits = rounds[:, 0] <= k
+        alive = np.flatnonzero(bits)
+        for lo in range(0, alive.size, LEVEL_ROOTS):
+            roots = alive[lo : lo + LEVEL_ROOTS]
+            star = rounds[roots]
+            parent, slot = np.nonzero(valid[rows[roots], 1:] & (star[:, 1:] <= star[:, :1]))
+            kids = (parent, star[parent, 1 + slot], states[rows[roots[parent]], 1 + slot],
+                    _pick(copies, roots[parent]))
+            bits[roots] = _joins(roots.size, kids, host, s_density, p, k)
+        return bits.reshape(shape)
+
+    return rule
+
+
+def _pick(copies, at):
+    return copies if isinstance(copies, int) else copies[at]
+
+
+def _joins(n: int, kids: tuple, host, s_density: float, p: float, k: int) -> np.ndarray:
+    """Whether each of n roots joins, given their kept children as arrays
+    (parent, round, state, copy).  Level j of the stack holds its nodes'
+    parent indices into level j - 1 (up[j]) and counts of unresolved kept
+    children (pending[j]); `ids` maps level 0 back to the roots."""
+    bounds = round_bounds(p, k)
+    out = np.ones(n, dtype=bool)
+    ids, up, pending = np.arange(n), [None], []
+    while True:
+        parent, rnd, state, copy = kids
+        depth = len(pending)  # of the frontier, the parents of `kids`
+        join = rnd == 1  # no child has a lower round
+        blocked = np.zeros(len(up[-1]) if depth else n, dtype=bool)
+        blocked[parent[join]] = True
+        pending.append(np.bincount(parent[~join], minlength=blocked.size))
+        joined = ~blocked & (pending[-1] == 0)
+        resolved = [None] * depth + [blocked | joined]
+        j = depth
+        while j and resolved[j].any():  # outcomes go up the stack
+            below, done, j = up[j], resolved[j], j - 1
+            blocked = np.zeros(pending[j].size, dtype=bool)
+            blocked[below[done & joined]] = True
+            pending[j] -= np.bincount(below[done & ~joined], minlength=blocked.size)
+            joined = ~blocked & (pending[j] == 0)
+            resolved[j] = blocked | joined
+        if j == 0:
+            out[ids[resolved[0] & ~joined]] = False
+        # drop the resolved nodes and their subtrees, levels j..depth
+        gone = resolved[j]
+        for i in range(j, depth + 1):
+            if i > j:
+                gone = resolved[i] | gone[up[i]]
+            keep = ~gone
+            if i == 0:
+                ids = ids[keep]
+            elif i == j:
+                up[i] = up[i][keep]
+            else:
+                up[i] = index[up[i][keep]]
+            pending[i] = pending[i][keep]
+            index = np.cumsum(keep) - 1
+        keep = ~join & ~gone[parent]
+        if not keep.any():
+            return out
+        up.append(index[parent[keep]])
+        rnd, state, copy = rnd[keep], state[keep], _pick(copy, keep)
+        children, valid = child_states(host, depth + 1, state)
+        parent, slot = np.nonzero(valid)
+        state = children[parent, slot]
+        copy = _pick(copy, parent)
+        labels = CoupledLabels(state, s_density)(copy)
+        keep = labels < bounds[rnd[parent] - 2]  # round < r iff label < B[r - 2]; r >= 2 here
+        labels = labels[keep]
+        kids = (parent[keep], first_success_rounds(labels, p, k), state[keep], _pick(copy, keep))
+
+
 def lauer_wormald(p: float, k: int) -> Factor:
     """Factor of radius k+1 running k rounds of Bernoulli(p) percolation with
     removal of selected closed neighbourhoods and same-round conflict
@@ -172,7 +289,9 @@ def lauer_wormald(p: float, k: int) -> Factor:
         raise ValueError(f"need 0 < p < 1, got {p}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return Factor("lauer-wormald", k + 1, {"p": p, "k": k}, rule=_lw_rule(p, k))
+    return Factor(
+        "lauer-wormald", k + 1, {"p": p, "k": k}, rule=_lw_rule(p, k), level_rule=_lw_levels(p, k)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,40 +391,33 @@ class TreeBlock:
     """The factor's root bits on a block of lazy trees, for any coupled copy.
 
     Row t is the tree LazyTree(host, f.radius, states[t]); bits(copies, rows)
-    gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row.
-    The factor's radius chooses how, here and nowhere else: radius <= 1
-    runs star_rule on the block's TreeStars, all rows and copies at once;
-    larger radii walk one LazyTree per row, built once per call for all of
-    that row's copies.  Both give what the per-tree rule gives, bit for bit.
-    TreeStars and LazyTree raise TypeError on a graph host.
+    gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row, bit
+    for bit, as arrays over all the rows and copies of a call.  Every radius
+    starts from the block's TreeStars (the roots and their children, built
+    once): radius <= 1 runs star_rule on them, and a factor with a
+    level_rule (the percolation-round rule) grows its deeper levels from
+    them by graphs.child_states and labels them by rng.CoupledLabels, as
+    TreeStars labels its own.  TreeStars raises TypeError on a graph host.
     """
 
     def __init__(self, f: Factor, host, states: np.ndarray, p: float = 0.0):
+        if f.radius > 1 and f.level_rule is None:
+            raise TypeError(f"factor {f.kind!r} of radius {f.radius} has no level_rule")
         self.f, self.host, self.p = f, host, p
-        if f.radius <= 1:
-            self.stars = TreeStars(host, f.radius, states, p)
-        else:
-            self.stars = None
-            self.states = np.asarray(states, dtype=np.uint64).tolist()
+        self.stars = TreeStars(host, min(f.radius, 1), states, p)
 
     def bits(self, copies, rows=None) -> np.ndarray:
         """Root bits of `copies`, an int copy id or a column of copy ids
         (shape (J, 1), as TreeStars.labels takes), on the rows of the index
         array `rows`, or on every row when None.  Bool array of shape (R,)
         or (J, R) for R selected rows."""
-        stars = self.stars
-        if stars is not None:
-            at = Ellipsis if rows is None else rows
-            if not isinstance(copies, int):
-                copies = copies[..., None]  # labels of shape (J, R, columns)
-            return self.f.star_rule(stars.labels(copies, at), stars.states[at], stars.valid[at])
-        f, p, single = self.f, self.p, isinstance(copies, int)
-        ids = [copies] if single else copies[:, 0].tolist()
-        states = self.states if rows is None else [self.states[i] for i in rows]
-        trees = (LazyTree(self.host, f.radius, s) for s in states)
-        out = [[f.rule(TreeLabels(t, copy=c, p=p)) for c in ids] for t in trees]
-        out = np.array(out, dtype=bool).reshape(len(states), len(ids)).T
-        return out[0] if single else out
+        stars, at = self.stars, Ellipsis if rows is None else rows
+        if not isinstance(copies, int):
+            copies = copies[..., None]  # labels of shape (J, R, columns)
+        labels = stars.labels(copies, at)
+        if self.f.radius <= 1:
+            return self.f.star_rule(labels, stars.states[at], stars.valid[at])
+        return self.f.level_rule(self.host, self.p, stars.states[at], stars.valid[at], labels, copies)
 
 
 DensityEstimate = namedtuple("DensityEstimate", ["mean", "stderr", "trials"])

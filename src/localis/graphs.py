@@ -25,11 +25,14 @@ on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
 tree node (of each node, given an array of states).
 
 TreeStars gives the root stars of a block of lazy trees as arrays (states
-and the labels of any coupled copy, bit-equal to LazyTree and TreeLabels);
-factors.TreeBlock says when they are used.  Tree nodes and graph vertices
-take their labels from their states by one rule (see rng): TreeStars
-through its array form, TreeLabels through its scalar form.  The graph
-samplers draw no labels; neighborhood restricts a labelling it is given.
+and the labels of any coupled copy), and child_states the children of any
+level of nodes; factors.TreeBlock evaluates every factor on tree hosts from
+them.  LazyTree and TreeLabels are the per-trial form of the same trees, one
+node at a time: the tests' reference for the arrays, which they equal bit
+for bit.  Tree nodes and graph vertices take their labels from their states
+by one rule (see rng): TreeStars and the deeper levels through its array
+form, TreeLabels through its scalar form.  The graph samplers draw no
+labels; neighborhood restricts a labelling it is given.
 
 All samplers are pure functions of (seed, parameters): identical inputs
 produce byte-identical structures under serialisation.
@@ -567,9 +570,10 @@ class LazyTree:
     """Rooted random tree whose structure and labels derive on demand from a
     64-bit state.
 
-    Only the region a local rule actually reads is ever generated, which makes
-    large-radius factors affordable: the sampled law restricted to the visited
-    region matches the eager sampler's law exactly.
+    Only the region a local rule actually reads is ever generated: the
+    sampled law restricted to the visited region matches the eager sampler's
+    law exactly.  factors.TreeBlock evaluates the same trees as arrays
+    (TreeStars, child_states); a LazyTree is their per-trial reference.
 
     Vertices at depth == radius receive no children (truncation boundary).
     """
@@ -651,13 +655,13 @@ class TreeStars:
     roots[i]) with radius <= 1: column 0 is the root and column 1 + j its
     child j (none at radius 0).  `states` holds the node states, `valid`
     which columns are nodes: PGW stars are ragged, and the columns past a
-    root's child count hold states of no node.  Child counts come from
-    one host.offspring call over all roots.
+    root's child count hold states of no node.  The children come from
+    child_states.
 
     labels, the rng.CoupledLabels of the star states, gives with
     labels(copy, at) what TreeLabels(tree, copy, p).label gives over the
-    rows `at`, bit for bit, so a radius <= 1 rule evaluated on these arrays
-    reads exactly what it reads on the lazy trees.
+    rows `at`, bit for bit, so a rule evaluated on these arrays reads
+    exactly what it reads on the lazy trees.
     """
 
     def __init__(self, host, radius: int, roots: np.ndarray, p: float = 0.0):
@@ -666,13 +670,23 @@ class TreeStars:
         if radius > 1:
             raise ValueError(f"tree stars cover radius <= 1, got {radius}")
         roots = np.asarray(roots, dtype=np.uint64)
-        counts = np.zeros(roots.size, dtype=np.int64)
+        column = roots[:, None]
         if radius:
-            counts[:] = host.offspring(0, roots)
-        slots = np.arange(int(counts.max(initial=0)))
-        kids = fold_np(roots[:, None], CHILD_TAG + slots.astype(np.uint64))
-        self.states = np.concatenate([roots[:, None], kids], axis=1)
-        self.valid = np.concatenate(
-            [np.ones((roots.size, 1), dtype=bool), slots < counts[:, None]], axis=1
-        )
+            kids, valid = child_states(host, 0, roots)
+        else:
+            kids, valid = column[:, :0], np.zeros((roots.size, 0), dtype=bool)
+        self.states = np.concatenate([column, kids], axis=1)
+        self.valid = np.concatenate([np.ones_like(column, dtype=bool), valid], axis=1)
         self.labels = CoupledLabels(self.states, p)
+
+
+def child_states(host, depth: int, states: np.ndarray) -> tuple:
+    """The children of the lazy-tree nodes at `depth` with these states, as
+    arrays (kids, valid) of one row per node: kids[i, j] is the state of
+    child j of node i, fold(states[i], CHILD_TAG + j), and valid[i, j]
+    whether node i has a child j; the columns run to the most children of
+    any of the nodes.  Child counts come from one host.offspring call."""
+    counts = np.broadcast_to(host.offspring(depth, states), states.shape)
+    slots = np.arange(int(counts.max(initial=0)))
+    kids = fold_np(states[:, None], CHILD_TAG + slots.astype(np.uint64))
+    return kids, slots < counts[:, None]

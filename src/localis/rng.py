@@ -11,7 +11,10 @@ must not grow the table without bound.
 
 fold_np and trial_state_np are their array forms over uint64 arrays, equal
 to the scalar functions element by element; the trial-batched tree paths
-fold whole blocks of trials with them.
+fold whole blocks of trials with them.  first_success_rounds is the array
+form of first_success_round, read from an integer table of round
+boundaries (round_bounds) that the scalar function itself located, so the
+two agree label for label where a float log1p over arrays would not.
 
 The coupled family of labels is one rule over node states, the same on
 every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
@@ -134,6 +137,52 @@ def first_success_round(label: int, p: float) -> int:
     if u == 1.0:
         u = _BELOW_ONE
     return 1 + int(math.log1p(-u) / math.log1p(-p))
+
+
+def first_success_rounds(labels: np.ndarray, p: float, k: int) -> np.ndarray:
+    """first_success_round over a uint64 array of labels, capped at k + 1:
+    one more than the count of round_bounds(p, k) entries at most each label."""
+    return 1 + np.searchsorted(round_bounds(p, k), labels, side="right")
+
+
+@functools.lru_cache(maxsize=64)
+def round_bounds(p: float, k: int) -> np.ndarray:
+    """B[r - 1], the least 64-bit label whose first_success_round exceeds r,
+    for r = 1..k as far as a label below 2^64 has a round above r (at p = 0.5
+    no label's round exceeds 54).  A read-only uint64 array, built on first
+    use per (p, k) and cached.
+
+    Each entry is found on the scalar function itself, so the array rounds
+    equal it wherever it is monotone in the label: the float estimate
+    2^64 (1 - (1-p)^r) only centres a bracket, widened until the scalar
+    function straddles r at its ends, which bisection then closes.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"need 0 < p < 1, got {p}")
+    bounds = []
+    lo = 0  # a label of round <= r, for each r >= 1 in turn
+    for r in range(1, min(k + 1, first_success_round(MASK64, p))):
+        guess = int(-math.expm1(r * math.log1p(-p)) * 2.0**64)
+        guess, width = min(max(guess, lo), MASK64), 1 << 12
+        while True:
+            a, b = max(lo, guess - width), min(MASK64, guess + width)
+            if (a == lo or first_success_round(a, p) <= r) and (
+                b == MASK64 or first_success_round(b, p) > r
+            ):
+                break
+            width <<= 1
+        lo, hi = a, b
+        while hi - lo > 1:  # round(lo) <= r < round(hi)
+            mid = (lo + hi) >> 1
+            if first_success_round(mid, p) > r:
+                hi = mid
+            else:
+                lo = mid
+        bounds.append(hi)
+        lo = hi - 1
+    out = np.array(bounds, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
 
 
 def poisson_from_unit(u, lam: float):

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+
+from localis.graphs import sample_er, triangle_pairs
+from localis.profiles import independent_subsets
 
 
 def combined_sigma(*ses) -> float:
@@ -24,6 +28,28 @@ def binomial_se(p: float, n: int) -> float:
 
 def unit_to_label(u: float) -> np.uint64:
     return np.uint64(int(u * 2.0**64))
+
+
+def er_independent_triple_counts(n: int, lam: float, seed: int, trials: int, checked: int):
+    """Independent 3-subsets of `trials` successive sample_er(n, lam, rng)
+    graphs, rng = default_rng(seed), counted from one draw of all their pair
+    uniforms: sample_er draws one uniform per pair in triangle_pairs order,
+    so row t of rng.random((trials, pairs)) is graph t's.  The first
+    `checked` counts are asserted equal, call by call, to sample_er plus
+    independent_subsets on a generator of the same seed."""
+    a, b = triangle_pairs(n, np.arange(n * (n - 1) // 2))
+    column = {pair: i for i, pair in enumerate(zip(a.tolist(), b.tolist()))}
+    triples = [
+        [column[u, v], column[u, w], column[v, w]]
+        for u, v, w in itertools.combinations(range(n), 3)
+    ]
+    absent = np.random.default_rng(seed).random((trials, len(column))) >= lam / n
+    counts = absent[:, triples].all(axis=2).sum(axis=1)
+    rng = np.random.default_rng(seed)
+    for t in range(checked):
+        subsets = independent_subsets(sample_er(n, lam, rng))
+        assert counts[t] == sum(1 for s in subsets if bin(s).count("1") == 3), t
+    return counts.astype(np.float64)
 
 
 @pytest.fixture

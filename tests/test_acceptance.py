@@ -22,7 +22,7 @@ from localis.factors import (
     project_to_graph,
     threshold_factor,
 )
-from localis.graphs import RegularTreeHost, sample_config_model, sample_er
+from localis.graphs import RegularTreeHost, sample_config_model
 from localis.pgw_transfer import (
     event_E_lower_bound,
     event_E_probability,
@@ -50,7 +50,7 @@ from localis.profiles import (
 )
 from localis.rng import uniform_labels
 
-from conftest import binomial_se
+from conftest import binomial_se, er_independent_triple_counts
 
 # densities of independent sets simulated on d=3 hosts, checked by criterion 9
 D3_DENSITIES = []
@@ -284,11 +284,7 @@ def test_criterion_9_sanity_ceilings():
     n, lam, m, trials = 12, 2.0, 3, 10_000
     profile = DensityProfile(1, np.array([1.0, m / n]))
     target = math.exp(er_log_expected_Z(profile, n, lam))
-    rng = np.random.default_rng(114)
-    counts = np.empty(trials)
-    for t in range(trials):
-        g = sample_er(n, lam, rng)
-        counts[t] = sum(1 for s in independent_subsets(g) if bin(s).count("1") == m)
+    counts = er_independent_triple_counts(n, lam, 114, trials, checked=1_000)
     se = counts.std(ddof=1) / math.sqrt(trials)
     z = abs(counts.mean() - target) / se
     assert z <= 3.0, f"expected-count formula mismatch: z={z:.2f}"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -243,6 +244,17 @@ def test_invalid_values_are_usage_errors(tmp_path):
         ["oracle-check", "--n", "4", "--d", "3", "--tol", "inf"],
     ):
         assert run(args + ["--out", out]) == 2, args
+
+
+@pytest.mark.parametrize("host", [["--host", "config-model", "--n", "20", "--d", "3"],
+                                  ["--host", "er", "--n", "20", "--lam", "2"]])
+def test_constant_one_density_on_a_graph_host_is_a_usage_error(tmp_path, host):
+    """Every vertex joins under const1, so no projection of it onto a graph
+    is an independent set."""
+    out = str(tmp_path / "dens.csv")
+    assert run(["density", "--factor", "const1", *host, "--trials", "2", "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert run(["density", "--factor", "const0", *host, "--trials", "2", "--out", out]) == 0
 
 
 def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
@@ -544,6 +556,19 @@ def test_all_numeric_columns_finite(tmp_path):
                 except ValueError:
                     continue
                 assert math.isfinite(value)
+
+
+def test_percolation_rounds_at_degree_20(tmp_path):
+    """LW(0.01, 300) on T20 runs on the level arrays: the per-trial walk
+    took about 7 s for these 200 trials, the arrays take under 0.5 s."""
+    out = str(tmp_path / "dens.csv")
+    started = time.monotonic()
+    assert run(["density", "--factor", "lw", "--lw-p", "0.01", "--lw-k", "300",
+                "--host", "regular-tree", "--d", "20", "--trials", "200", "--out", out]) == 0
+    elapsed = time.monotonic() - started
+    fields = read(out).strip().splitlines()[1].split(",")
+    assert fields[2] == "200" and 0.05 < float(fields[3]) < 0.2  # (log 20) / 20 = 0.15
+    assert elapsed < 5.0, f"{elapsed:.1f} s"
 
 
 def test_json_format(tmp_path):

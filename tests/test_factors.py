@@ -1,11 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from localis.coupling import INNER_BLOCK
 from localis.factors import (
     Factor,
+    TreeBlock,
     _threshold_rule,
     _tree_density_fn,
     apply_factor,
@@ -31,7 +34,14 @@ from localis.graphs import (
     sample_regular_tree,
     TreeLabels,
 )
-from localis.rng import MASK64, first_success_round, trial_state, uniform_labels
+from localis.rng import (
+    MASK64,
+    first_success_round,
+    round_bounds,
+    trial_state,
+    trial_state_np,
+    uniform_labels,
+)
 
 from conftest import assert_within_sigma, unit_to_label
 
@@ -537,6 +547,74 @@ def _scalar_density_rows(f, host, seed: int, trials: int) -> list:
 def test_density_rows_match_the_lazy_tree_rows(host, f):
     rows = np.asarray(_tree_density_fn(f, host, 41)(0, 500), dtype=np.float64)
     assert rows.reshape(500, 1).tolist() == _scalar_density_rows(f, host, 41, 500)
+
+
+# (host, LW(p, k), rows, reference rows): TreeBlock's level arrays against
+# the per-trial walk on `rows` trees, and against ref_lw_rule, which also
+# resolves every later-round root neighbour (4 s a tree on T20), on the first
+# `reference rows` of them
+LEVEL_GRID = {
+    "T3": (RegularTreeHost(3), (0.02, 250), 300, 300),
+    "T4": (RegularTreeHost(4), (0.02, 250), 200, 200),
+    "T5": (RegularTreeHost(5), (0.02, 250), 150, 150),
+    "PGW3": (PGWTreeHost(3.0), (0.02, 250), 300, 300),
+    "T6-short": (RegularTreeHost(6), (0.3, 6), 200, 200),
+    "PGW8": (PGWTreeHost(8.0), (0.05, 100), 40, 10),
+    "T10": (RegularTreeHost(10), (0.02, 250), 12, 12),
+    "T20": (RegularTreeHost(20), (0.01, 300), 24, 0),
+    "T3-one-round": (RegularTreeHost(3), (0.5, 1), 300, 300),
+    "T5-top-round": (RegularTreeHost(5), (0.5, 100), 200, 200),
+    "PGW3-top-round": (PGWTreeHost(3.0), (0.5, 100), 200, 200),
+}
+
+
+@pytest.mark.parametrize("host, pk, rows, ref_rows", LEVEL_GRID.values(), ids=LEVEL_GRID)
+def test_level_arrays_match_the_lazy_tree_walk(host, pk, rows, ref_rows):
+    f, ref = lauer_wormald(*pk), ref_lw_rule(*pk)
+    states = trial_state_np(61, np.arange(rows))
+    got = TreeBlock(f, host, states).bits(0).tolist()
+    views = [TreeLabels(LazyTree(host, f.radius, s)) for s in states.tolist()]
+    assert got == [bool(f.rule(v)) for v in views]
+    assert got[:ref_rows] == [bool(ref(v)) for v in views[:ref_rows]]
+    assert 0 < sum(got) < rows
+
+
+@pytest.mark.parametrize("pi", [0.0, 0.4, 0.7, 1.0])
+@pytest.mark.parametrize("host", [RegularTreeHost(3), PGWTreeHost(2.5), RegularTreeHost(4)])
+def test_level_arrays_match_the_walk_on_coupled_copies(host, pi):
+    f, rows = lauer_wormald(0.02, 250), 120
+    states = trial_state_np(62, np.arange(rows))
+    block = TreeBlock(f, host, states, pi)
+    trees = [LazyTree(host, f.radius, s) for s in states.tolist()]
+    walk = np.array([[f.rule(TreeLabels(t, copy=c, p=pi)) for t in trees] for c in range(5)])
+    walk = walk.astype(bool)
+    column = np.arange(5, dtype=np.uint64)[:, None]
+    subset = np.array([7, 3, 3, 90, 0, 119, 41])
+    for c in range(5):
+        assert block.bits(c).tolist() == walk[c].tolist(), c
+        assert block.bits(c, subset).tolist() == walk[c, subset].tolist(), c
+    assert np.array_equal(block.bits(column), walk)
+    assert np.array_equal(block.bits(column[[4, 1, 2]], subset), walk[[4, 1, 2]][:, subset])
+    assert np.array_equal(block.bits(column[2:3], subset[:0]), walk[2:3, :0])
+
+
+def test_one_level_call_holds_bounded_memory():
+    """The most pairs a stability call passes, INNER_BLOCK = 16384, on T20:
+    LEVEL_ROOTS bounds the nodes in flight.  This call traces 27 MiB; one
+    pass over all its roots at once traces 299 MiB."""
+    f, rows = lauer_wormald(0.01, 300), 16
+    block = TreeBlock(f, RegularTreeHost(20), trial_state_np(63, np.arange(rows)), 0.5)
+    copies = np.arange(1, INNER_BLOCK // rows + 1, dtype=np.uint64)[:, None]
+    round_bounds(0.01, 300)
+    tracemalloc.start()
+    try:
+        bits = block.bits(copies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.shape == (INNER_BLOCK // rows, rows)
+    assert 0 < bits.mean() < 0.3
+    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_density_workers_deterministic():

@@ -39,6 +39,8 @@ from localis.profiles import (
 )
 from localis.rng import uniform_labels
 
+from conftest import er_independent_triple_counts
+
 
 def random_density_profile(rng, k):
     """Valid profile built from a random partition measure (always consistent)."""
@@ -412,19 +414,10 @@ def test_er_log_expected_Z_trivial():
 
 def test_er_k1_exactness_monte_carlo():
     # E[number of independent 3-subsets of ER(6, 2)] equals the formula
-    from localis.graphs import sample_er
-    from localis.profiles import independent_subsets
-
     n, lam, m, trials = 6, 2.0, 3, 100_000
     prof = DensityProfile(1, np.array([1.0, m / n]))
     target = math.exp(er_log_expected_Z(prof, n, lam))
-    rng = np.random.default_rng(8)
-    counts = np.empty(trials)
-    for t in range(trials):
-        g = sample_er(n, lam, rng)
-        counts[t] = sum(
-            1 for s in independent_subsets(g) if bin(s).count("1") == m
-        )
+    counts = er_independent_triple_counts(n, lam, 8, trials, checked=20_000)
     se = counts.std(ddof=1) / math.sqrt(trials)
     assert abs(counts.mean() - target) <= 3 * se
 

@@ -53,7 +53,15 @@ ALLOWED = {
     "graphs.MultiGraph.to_json": "test reference",
     "graphs.RootedNeighborhood.edges": "test reference",
     "graphs.RootedNeighborhood.to_json": "test reference",
+    "graphs._LazyNode.__init__": "test reference",
+    "graphs.LazyTree.__init__": "benchmark binding",
+    "graphs.LazyTree.children": "benchmark binding",
+    "graphs.LazyTree.neighbors": "test reference",
+    "graphs.TreeLabels.__init__": "test reference",
+    "graphs.TreeLabels.root": "test reference",
     "graphs.TreeLabels.radius": "test reference",
+    "graphs.TreeLabels.neighbors": "test reference",
+    "graphs.TreeLabels.label": "benchmark binding",
     "graphs.TreeLabels.order_key": "test reference",
     "graphs.MultiGraph.neighbors": "benchmark binding",
     "parallel._run_block": "fork child",

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import localis
+
 from localis.rng import (
     GOLDEN,
     MASK64,
     first_success_round,
+    first_success_rounds,
     fold,
     fold_np,
     label_unit,
@@ -15,6 +21,7 @@ from localis.rng import (
     mix64_np,
     percolation_cut,
     poisson_from_unit,
+    round_bounds,
     state_rng,
     trial_state,
     trial_state_np,
@@ -133,6 +140,54 @@ def test_first_success_round_at_the_top_labels():
     assert first_success_round(label, p) <= top
     assert label_unit(MASK64) == 1.0
     assert label_unit(MASK64 - 1024) < 1.0
+
+
+def _scalar_rounds(labels, p: float, k: int) -> list:
+    return [min(first_success_round(x, p), k + 1) for x in labels]
+
+
+def test_round_table_matches_the_scalar_rounds_near_every_boundary():
+    # 897 labels around each boundary, 2.02M in all, and both ends of the range
+    offsets = np.arange(-448, 449, dtype=np.int64)
+    total = 0
+    for p, k in ((0.02, 250), (0.3, 6), (0.001, 2000)):
+        bounds = round_bounds(p, k)
+        assert bounds.size == k and not bounds.flags.writeable
+        assert (np.diff(bounds) > 0).all()
+        near = (bounds[:, None].astype(object) + offsets.astype(object)).ravel().tolist()
+        labels = sorted({x for x in near if 0 <= x <= MASK64} | {0, 1, MASK64 - 1, MASK64})
+        got = first_success_rounds(np.array(labels, dtype=np.uint64), p, k)
+        assert got.tolist() == _scalar_rounds(labels, p, k), (p, k)
+        total += len(labels)
+    assert total >= 2_000_000
+
+
+def test_round_table_stops_at_the_top_label_round():
+    # at p = 0.5 no label below 2^64 reaches round 55: the table ends at the
+    # top label's round, so the top labels count no extra (clipped) entry
+    p, k = 0.5, 100
+    top = first_success_round(MASK64, p)
+    assert top < k
+    bounds = round_bounds(p, k)
+    assert bounds.size == top - 1
+    labels = [0, 1 << 63, int(bounds[-1]) - 1, int(bounds[-1]), (1 << 64) - (1 << 10), MASK64]
+    got = first_success_rounds(np.array(labels, dtype=np.uint64), p, k)
+    assert got.tolist() == _scalar_rounds(labels, p, k)
+    assert got[-1] == top
+    # k = 1 and a k above every round keep their caps
+    assert first_success_rounds(np.array([MASK64], dtype=np.uint64), p, 1).tolist() == [2]
+    assert round_bounds(0.5, 1000).tolist() == bounds.tolist()
+
+
+def test_round_table_is_built_on_first_use():
+    script = (
+        "import localis, localis.rng as r; localis.lauer_wormald(0.02, 250); "
+        "print(r.round_bounds.cache_info().currsize)"
+    )
+    src = os.path.dirname(localis.__path__[0])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_poisson_from_unit_moments():
