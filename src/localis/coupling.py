@@ -304,14 +304,14 @@ def _jackknife_moment(count: int, n: int, m: float) -> float:
     return n * q**m - (n - 1) * loo_mean
 
 
-def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
+def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
     """Nested Monte Carlo stability moments.
 
     Outer loop: sample (host structure, X0, S); accept the trial when the
     root's inclusion bit under X0 is 1 (rejection implements the
     conditioning).  Inner loop: re-randomise labels on S (and, for the
     Erdos-Renyi host, edges inside SxS) inner_trials times; the inner success
-    fraction is one Q sample.  Moment estimates are jackknife-corrected.
+    fraction is one Q sample.  The moments m = 0..k-1 are jackknife-corrected.
 
     On graph hosts a trial samples its graph with sample_config_model or
     sample_er, and inner trial j takes copy j, as coupled_graph_intersections
@@ -326,8 +326,6 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
 
     Raises ConditioningError when no outer trial is accepted.
     """
-    if moments is None:
-        moments = list(range(cfg.k))
     rows = run_trials(_stability_trial_fn(cfg), cfg.trials, cfg.workers)
     accepted = rows[:, 0] == 1.0
     n_acc = int(accepted.sum())
@@ -338,7 +336,7 @@ def estimate_stability(cfg: CouplingConfig, moments=None) -> StabilityEstimate:
     counts = rows[accepted, 1].astype(np.int64)
     q_values = counts / cfg.inner_trials
     out = {}
-    for m in moments:
+    for m in range(cfg.k):
         g = np.array([_jackknife_moment(int(c), cfg.inner_trials, m) for c in counts])
         out[m] = mean_stderr(g)
     density = mean_stderr(rows[:, 0])

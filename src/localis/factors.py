@@ -9,15 +9,15 @@ lazily generated trees alike.
 On tree hosts every factor also carries its rule in array form, and
 TreeBlock, the one evaluator of a factor on tree hosts, runs it over a
 block of trials and coupled copies at once.  Both forms start from the root
-stars of the block (graphs.TreeStars): column 0 is the root, the other
-columns its children, `valid` masks the columns that are no node.  A factor
-of radius <= 1 (threshold, constant) has star_rule(labels, keys, valid),
-which reads the stars alone.  The percolation-round factor has a
-level_rule, which grows deeper levels from the stars, the children of the
-nodes still unresolved, through the same child expansion
-(graphs.child_states) and label rule (rng.CoupledLabels) as TreeStars.
-Each returns what rule returns on each tree, bit for bit; the per-trial
-LazyTree and TreeLabels are the tests' reference for them.
+stars of the block, its roots and their children (graphs.child_states)
+labelled by rng.CoupledLabels: column 0 is the root, the other columns its
+children, `valid` masks the columns that are no node.  A factor of radius
+<= 1 (threshold, constant) has star_rule(labels, keys, valid), which reads
+the stars alone.  The percolation-round factor has a level_rule, which
+grows deeper levels from the stars, the children of the nodes still
+unresolved, by the same child expansion and label rule.  Each returns what
+rule returns on each tree, bit for bit; the per-trial LazyTree and
+TreeLabels are the tests' reference for them.
 
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
@@ -40,13 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import (
-    MultiGraph,
-    TreeStars,
-    child_states,
-    neighborhood,
-    non_tree_ball_mask,
-)
+from .graphs import MultiGraph, child_states, neighborhood, non_tree_ball_mask
 from .parallel import mean_stderr, run_trials
 from .rng import (
     CoupledLabels,
@@ -159,16 +153,16 @@ def _lw_rule(p: float, k: int) -> Callable:
 
         def joins(v, rv) -> bool:
             for w in neighbors(v):
-                rw = first_success_round(label(w), p)
+                rw = first_success_round(label(w), p, k)
                 if rw < rv and joins(w, rw):
                     return False
             return True
 
-        r0 = first_success_round(label(view.root), p)
+        r0 = first_success_round(label(view.root), p, k)
         if r0 > k:
             return 0
         for u in neighbors(view.root):
-            ru = first_success_round(label(u), p)
+            ru = first_success_round(label(u), p, k)
             if ru <= r0 and joins(u, ru):
                 return 0
         return 1
@@ -390,34 +384,44 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
 class TreeBlock:
     """The factor's root bits on a block of lazy trees, for any coupled copy.
 
-    Row t is the tree LazyTree(host, f.radius, states[t]); bits(copies, rows)
+    Row t is the tree LazyTree(host, f.radius, roots[t]); bits(copies, rows)
     gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row, bit
-    for bit, as arrays over all the rows and copies of a call.  Every radius
-    starts from the block's TreeStars (the roots and their children, built
-    once): radius <= 1 runs star_rule on them, and a factor with a
-    level_rule (the percolation-round rule) grows its deeper levels from
-    them by graphs.child_states and labels them by rng.CoupledLabels, as
-    TreeStars labels its own.  TreeStars raises TypeError on a graph host.
+    for bit, as arrays over all the rows and copies of a call.  The block
+    holds its root stars, built once: `states` (column 0 the root, column
+    1 + j its child j, from graphs.child_states), `valid` (which columns are
+    nodes: PGW stars are ragged) and `labels`, their rng.CoupledLabels, which
+    give with labels(copy, at) what TreeLabels(tree, copy, p).label gives
+    over the rows `at`.  Radius <= 1 runs star_rule on the stars, and a
+    factor with a level_rule (the percolation-round rule) grows its deeper
+    levels from them by the same child expansion and label rule.  A graph
+    host raises TypeError.
     """
 
-    def __init__(self, f: Factor, host, states: np.ndarray, p: float = 0.0):
+    def __init__(self, f: Factor, host, roots: np.ndarray, p: float = 0.0):
+        if not host.tree:
+            raise TypeError(f"unsupported tree host: {host!r}")
         if f.radius > 1 and f.level_rule is None:
             raise TypeError(f"factor {f.kind!r} of radius {f.radius} has no level_rule")
         self.f, self.host, self.p = f, host, p
-        self.stars = TreeStars(host, min(f.radius, 1), states, p)
+        roots = np.asarray(roots, dtype=np.uint64)
+        column = roots[:, None]
+        kids, valid = child_states(host, 0, roots)
+        self.states = np.concatenate([column, kids], axis=1)
+        self.valid = np.concatenate([np.ones_like(column, dtype=bool), valid], axis=1)
+        self.labels = CoupledLabels(self.states, p)
 
     def bits(self, copies, rows=None) -> np.ndarray:
         """Root bits of `copies`, an int copy id or a column of copy ids
-        (shape (J, 1), as TreeStars.labels takes), on the rows of the index
-        array `rows`, or on every row when None.  Bool array of shape (R,)
-        or (J, R) for R selected rows."""
-        stars, at = self.stars, Ellipsis if rows is None else rows
+        (shape (J, 1)), on the rows of the index array `rows`, or on every
+        row when None.  Bool array of shape (R,) or (J, R) for R selected
+        rows."""
+        at = Ellipsis if rows is None else rows
         if not isinstance(copies, int):
             copies = copies[..., None]  # labels of shape (J, R, columns)
-        labels = stars.labels(copies, at)
+        labels, states, valid = self.labels(copies, at), self.states[at], self.valid[at]
         if self.f.radius <= 1:
-            return self.f.star_rule(labels, stars.states[at], stars.valid[at])
-        return self.f.level_rule(self.host, self.p, stars.states[at], stars.valid[at], labels, copies)
+            return self.f.star_rule(labels, states, valid)
+        return self.f.level_rule(self.host, self.p, states, valid, labels, copies)
 
 
 DensityEstimate = namedtuple("DensityEstimate", ["mean", "stderr", "trials"])

@@ -24,15 +24,15 @@ lazy trees or finite graphs), `degree` (d or lam, with its own type) and,
 on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
 tree node (of each node, given an array of states).
 
-TreeStars gives the root stars of a block of lazy trees as arrays (states
-and the labels of any coupled copy), and child_states the children of any
-level of nodes; factors.TreeBlock evaluates every factor on tree hosts from
-them.  LazyTree and TreeLabels are the per-trial form of the same trees, one
-node at a time: the tests' reference for the arrays, which they equal bit
-for bit.  Tree nodes and graph vertices take their labels from their states
-by one rule (see rng): TreeStars and the deeper levels through its array
-form, TreeLabels through its scalar form.  The graph samplers draw no
-labels; neighborhood restricts a labelling it is given.
+child_states gives the children of any level of lazy-tree nodes as
+arrays; factors.TreeBlock grows from it the root stars and deeper levels of
+a block of trees, and evaluates every factor on tree hosts there.  LazyTree
+and TreeLabels are the per-trial form of the same trees, one node at a
+time: the tests' reference for the arrays, which they equal bit for bit.
+Tree nodes and graph vertices take their labels from their states by one
+rule (see rng): TreeBlock through its array form, TreeLabels through its
+scalar form.  The graph samplers draw no labels; neighborhood restricts a
+labelling it is given.
 
 All samplers are pure functions of (seed, parameters): identical inputs
 produce byte-identical structures under serialisation.
@@ -53,7 +53,6 @@ from .rng import (
     LABEL_TAG,
     OFFSPRING_TAG,
     POISSON_LAM_MAX,
-    CoupledLabels,
     coupled_label,
     fold,
     fold_np,
@@ -573,7 +572,7 @@ class LazyTree:
     Only the region a local rule actually reads is ever generated: the
     sampled law restricted to the visited region matches the eager sampler's
     law exactly.  factors.TreeBlock evaluates the same trees as arrays
-    (TreeStars, child_states); a LazyTree is their per-trial reference.
+    (child_states); a LazyTree is their per-trial reference.
 
     Vertices at depth == radius receive no children (truncation boundary).
     """
@@ -646,38 +645,6 @@ class TreeLabels:
 
     def order_key(self, node) -> int:
         return node.state
-
-
-class TreeStars:
-    """The root stars of a block of lazy trees, with their labels, as arrays.
-
-    For the root states in `roots`, row i describes LazyTree(host, radius,
-    roots[i]) with radius <= 1: column 0 is the root and column 1 + j its
-    child j (none at radius 0).  `states` holds the node states, `valid`
-    which columns are nodes: PGW stars are ragged, and the columns past a
-    root's child count hold states of no node.  The children come from
-    child_states.
-
-    labels, the rng.CoupledLabels of the star states, gives with
-    labels(copy, at) what TreeLabels(tree, copy, p).label gives over the
-    rows `at`, bit for bit, so a rule evaluated on these arrays reads
-    exactly what it reads on the lazy trees.
-    """
-
-    def __init__(self, host, radius: int, roots: np.ndarray, p: float = 0.0):
-        if not host.tree:
-            raise TypeError(f"unsupported tree host: {host!r}")
-        if radius > 1:
-            raise ValueError(f"tree stars cover radius <= 1, got {radius}")
-        roots = np.asarray(roots, dtype=np.uint64)
-        column = roots[:, None]
-        if radius:
-            kids, valid = child_states(host, 0, roots)
-        else:
-            kids, valid = column[:, :0], np.zeros((roots.size, 0), dtype=bool)
-        self.states = np.concatenate([column, kids], axis=1)
-        self.valid = np.concatenate([np.ones_like(column, dtype=bool), valid], axis=1)
-        self.labels = CoupledLabels(self.states, p)
 
 
 def child_states(host, depth: int, states: np.ndarray) -> tuple:

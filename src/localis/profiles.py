@@ -414,12 +414,13 @@ def check_alpha(alpha) -> None:
         raise ValueError("alpha must be non-negative and non-increasing")
 
 
-def asymptotic_rate(alpha, k: int, d: int, c_k: float | None = None):
+def asymptotic_rate(alpha, k: int, d: int):
     """Leading term binom_sum(alpha) * log(d)^2 / (2d) of the rate bound for a
     symmetric profile at scale log(d)/d, and the remainder.
 
     Returns (leading, gap) with gap = rate_bound - leading; asserts
-    gap <= c_k * log(d)/d (constants calibrated empirically).
+    gap <= c_k * log(d)/d for c_k = DEFAULT_GAP_CONSTANTS[k] (calibrated
+    empirically; k without a constant is not checked).
     """
     alpha = list(alpha)
     if len(alpha) != k:
@@ -430,8 +431,7 @@ def asymptotic_rate(alpha, k: int, d: int, c_k: float | None = None):
     measure = rho_to_pi(profile)
     leading = binom_sum(alpha) * math.log(d) ** 2 / (2.0 * d)
     gap = rate_bound(measure, d) - leading
-    if c_k is None:
-        c_k = DEFAULT_GAP_CONSTANTS.get(k)
+    c_k = DEFAULT_GAP_CONSTANTS.get(k)
     if c_k is not None and gap > c_k * scale:
         raise AssertionError(
             f"rate gap {gap:.3e} exceeds {c_k} * log(d)/d = {c_k * scale:.3e}"

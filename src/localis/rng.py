@@ -11,10 +11,10 @@ must not grow the table without bound.
 
 fold_np and trial_state_np are their array forms over uint64 arrays, equal
 to the scalar functions element by element; the trial-batched tree paths
-fold whole blocks of trials with them.  first_success_rounds is the array
-form of first_success_round, read from an integer table of round
-boundaries (round_bounds) that the scalar function itself located, so the
-two agree label for label where a float log1p over arrays would not.
+fold whole blocks of trials with them.  A label's percolation round is
+defined by an integer table of round boundaries (round_bounds), which
+first_success_round and its array form first_success_rounds both search,
+so the two agree label for label by construction.
 
 The coupled family of labels is one rule over node states, the same on
 every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
@@ -48,8 +48,6 @@ CHILD_TAG = 0x100
 
 # largest lam poisson_from_unit accepts, keeping e^-lam far from underflow
 POISSON_LAM_MAX = 600.0
-
-_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def mix64(z: int) -> int:
@@ -119,70 +117,44 @@ def percolation_cut(p: float) -> int:
     return int(round(p * 2.0**64))
 
 
-def first_success_round(label: int, p: float) -> int:
-    """Index >= 1 of the first success in a Bernoulli(p) round sequence.
-
-    The round is a deterministic function of the single 64-bit label via the
-    geometric inverse CDF, so P(round = i) = (1-p)^(i-1) * p exactly.  The
-    top 2^10 labels, whose unit value rounds to 1.0, take the round of the
-    largest float below 1.
-    """
-    if p >= 1.0:
-        return 1
-    if p <= 0.0:
-        return 1 << 62
-    u = label * 2.0**-64
-    if u < p:
-        return 1
-    if u == 1.0:
-        u = _BELOW_ONE
-    return 1 + int(math.log1p(-u) / math.log1p(-p))
+def first_success_round(label: int, p: float, k: int) -> int:
+    """Index >= 1 of the first success in a Bernoulli(p) round sequence,
+    capped at k + 1: one more than the count of round_bounds(p, k) entries
+    at most the 64-bit label."""
+    return 1 + bisect.bisect_right(_round_table(p, k)[0], label)
 
 
 def first_success_rounds(labels: np.ndarray, p: float, k: int) -> np.ndarray:
-    """first_success_round over a uint64 array of labels, capped at k + 1:
-    one more than the count of round_bounds(p, k) entries at most each label."""
-    return 1 + np.searchsorted(round_bounds(p, k), labels, side="right")
+    """first_success_round over a uint64 array of labels."""
+    return 1 + np.searchsorted(_round_table(p, k)[1], labels, side="right")
+
+
+def round_bounds(p: float, k: int) -> np.ndarray:
+    """The rule of a label's round: B[r - 1] = int(-expm1(r log1p(-p)) 2^64),
+    about 2^64 (1 - (1-p)^r), the least label of round above r, for r = 1..k,
+    as a read-only uint64 array (see _round_table)."""
+    return _round_table(p, k)[1]
 
 
 @functools.lru_cache(maxsize=64)
-def round_bounds(p: float, k: int) -> np.ndarray:
-    """B[r - 1], the least 64-bit label whose first_success_round exceeds r,
-    for r = 1..k as far as a label below 2^64 has a round above r (at p = 0.5
-    no label's round exceeds 54).  A read-only uint64 array, built on first
-    use per (p, k) and cached.
+def _round_table(p: float, k: int) -> tuple:
+    """The round boundaries B[r - 1] for r = 1..k, as a list and a read-only
+    array (the cache shares them), built on first use per (p, k).
 
-    Each entry is found on the scalar function itself, so the array rounds
-    equal it wherever it is monotone in the label: the float estimate
-    2^64 (1 - (1-p)^r) only centres a bracket, widened until the scalar
-    function straddles r at its ends, which bisection then closes.
+    A label x has round r iff B[r - 2] <= x < B[r - 1], so a uniform label's
+    round is Geometric(p) up to the float error of B, about 2^-52.  The table
+    stops at the first entry that reaches 2^64 or does not increase: the
+    labels above its last entry share the top round (at p = 0.5 round 54).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got {p}")
     bounds = []
-    lo = 0  # a label of round <= r, for each r >= 1 in turn
-    for r in range(1, min(k + 1, first_success_round(MASK64, p))):
-        guess = int(-math.expm1(r * math.log1p(-p)) * 2.0**64)
-        guess, width = min(max(guess, lo), MASK64), 1 << 12
-        while True:
-            a, b = max(lo, guess - width), min(MASK64, guess + width)
-            if (a == lo or first_success_round(a, p) <= r) and (
-                b == MASK64 or first_success_round(b, p) > r
-            ):
-                break
-            width <<= 1
-        lo, hi = a, b
-        while hi - lo > 1:  # round(lo) <= r < round(hi)
-            mid = (lo + hi) >> 1
-            if first_success_round(mid, p) > r:
-                hi = mid
-            else:
-                lo = mid
-        bounds.append(hi)
-        lo = hi - 1
+    for r in range(1, k + 1):
+        b = int(-math.expm1(r * math.log1p(-p)) * 2.0**64)
+        if b > MASK64 or (bounds and b <= bounds[-1]):
+            break
+        bounds.append(b)
     out = np.array(bounds, dtype=np.uint64)
     out.flags.writeable = False
-    return out
+    return bounds, out
 
 
 def poisson_from_unit(u, lam: float):

@@ -116,7 +116,7 @@ def test_binom_stats_at_endpoints():
 
 
 # The per-trial LazyTree/TreeLabels evaluation, kept as the reference for
-# factors.TreeBlock (star arrays at radius <= 1, the lazy-tree walk beyond).
+# factors.TreeBlock (star arrays at radius <= 1, level arrays beyond).
 
 
 def _scalar_prefix_rows(cfg, streams) -> list:

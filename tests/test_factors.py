@@ -68,7 +68,7 @@ def lw_round_oracle(nb, p, k):
     U.  Output: root joined and no neighbour joined.
     """
     n = nb.n
-    first = [first_success_round(nb.label(v), p) for v in range(n)]
+    first = [first_success_round(nb.label(v), p, k) for v in range(n)]
     alive = [True] * n
     joined = [False] * n
     for rnd in range(1, k + 1):
@@ -96,7 +96,7 @@ def ref_lw_rule(p, k):
         def first_round(v):
             r = rounds.get(v)
             if r is None:
-                r = first_success_round(view.label(v), p)
+                r = first_success_round(view.label(v), p, k)
                 rounds[v] = r
             return r
 
@@ -332,8 +332,9 @@ def test_lw_rule_never_expands_a_later_round_root_neighbour():
     for t in range(500):
         tree = LazyTree(RegularTreeHost(3), f.radius, trial_state(30, t))
         view = TreeLabels(tree)
-        r0 = first_success_round(view.label(tree.root), p)
-        out = [u for u in tree.neighbors(tree.root) if first_success_round(view.label(u), p) > r0]
+        r0 = first_success_round(view.label(tree.root), p, k)
+        out = [u for u in tree.neighbors(tree.root)
+               if first_success_round(view.label(u), p, k) > r0]
         rec, ref_rec = _Recorder(view), _Recorder(view)
         assert f.rule(rec) == ref(ref_rec)
         later += len(out)

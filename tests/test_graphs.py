@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from localis.graphs import (
     PGWTreeHost,
     RegularTreeHost,
     TreeLabels,
-    TreeStars,
     ball_is_tree,
     bernoulli_pairs,
     er_edge_arrays,
@@ -30,6 +30,7 @@ from localis.graphs import (
     triangle_pairs,
 )
 from localis.coupling import er_resample_graphs
+from localis.factors import TreeBlock, constant_factor, threshold_factor
 from localis.pgw_transfer import edge_removal_stage, filling_out_stage
 
 from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state, uniform_labels
@@ -325,31 +326,41 @@ def test_tree_labels_match_the_formula_in_any_read_order(host, p, state, copies)
     "host", [RegularTreeHost(2), RegularTreeHost(5), PGWTreeHost(0.5), PGWTreeHost(3.0)]
 )
 def test_tree_stars_match_the_lazy_trees(host, radius, p):
+    # a TreeBlock holds the root stars (roots and children, child_states) of
+    # its trees at every radius; the bits of a factor of this radius are its
+    # rule on the lazy trees
+    f = (constant_factor(1), threshold_factor())[radius]
     roots = np.array([trial_state(3, t) for t in range(200)], dtype=np.uint64)
-    stars = TreeStars(host, radius, roots, p)
+    block = TreeBlock(f, host, roots, p)
     copies = np.arange(1, 5, dtype=np.uint64)[:, None]
+    bits = block.bits(copies)
     for i, state in enumerate(roots.tolist()):
-        tree = LazyTree(host, radius, state)
+        tree = LazyTree(host, 1, state)
         nodes = [tree.root] + tree.children(tree.root)
         width = len(nodes)
-        assert stars.valid[i].tolist() == [True] * width + [False] * (
-            stars.states.shape[1] - width
+        assert block.valid[i].tolist() == [True] * width + [False] * (
+            block.states.shape[1] - width
         )
-        assert stars.states[i, :width].tolist() == [v.state for v in nodes]
+        assert block.states[i, :width].tolist() == [v.state for v in nodes]
         for c in (0, 1, 3):
             view = TreeLabels(tree, copy=c, p=p)
-            assert stars.labels(c)[i, :width].tolist() == [view.label(v) for v in nodes]
-        inner = stars.labels(copies, i)
+            assert block.labels(c)[i, :width].tolist() == [view.label(v) for v in nodes]
+        inner = block.labels(copies, i)
         for j, c in enumerate(copies[:, 0].tolist()):
             view = TreeLabels(tree, copy=c, p=p)
             assert inner[j, :width].tolist() == [view.label(v) for v in nodes]
+            own = TreeLabels(LazyTree(host, radius, state), copy=c, p=p)
+            assert bits[j, i] == bool(f.rule(own))
 
 
 def test_tree_stars_reject_graph_hosts_and_deeper_radii():
+    # TreeBlock takes tree hosts only, and a factor deeper than the stars
+    # only with a level_rule
+    roots = np.arange(3, dtype=np.uint64)
     with pytest.raises(TypeError):
-        TreeStars(ConfigModelHost(10, 3), 1, np.arange(3, dtype=np.uint64))
-    with pytest.raises(ValueError):
-        TreeStars(RegularTreeHost(3), 2, np.arange(3, dtype=np.uint64))
+        TreeBlock(threshold_factor(), ConfigModelHost(10, 3), roots)
+    with pytest.raises(TypeError):
+        TreeBlock(replace(threshold_factor(), radius=2), RegularTreeHost(3), roots)
 
 
 def test_tree_labels_copy_zero_stores_nothing():

@@ -112,9 +112,9 @@ def test_s_membership_is_binomial(monkeypatch, p, mutant):
 @pytest.mark.parametrize("mutant", [None, "shift"])
 @pytest.mark.parametrize("copy, p", [(0, 0.0), (2, 0.5)])
 def test_first_success_rounds_are_geometric(copy, p, mutant):
-    q = 0.3  # the rounds of LW(0.3, k)
+    q = 0.3  # the rounds of LW(0.3, 100)
     labels = np.concatenate([labels(copy) for labels in trial_labels(p, TRIALS // 2)])
-    rounds = np.array([first_success_round(x, q) for x in labels.tolist()])
+    rounds = np.array([first_success_round(x, q, 100) for x in labels.tolist()])
     if mutant == "shift":  # round 1 gains 5 standard errors of its frequency
         q += 5.0 * math.sqrt(q * (1.0 - q) / rounds.size)
     top = 12  # rounds above 12 share one cell, expected count ~1400

@@ -5,9 +5,13 @@ interpreter: every subcommand, all four hosts, each factor kind, the
 transfer's options, JSON output, replay, and one run on two processes.
 sys.setprofile records the code objects they call.  Every named function of the package that none of
 them calls must be on ALLOWED, with one of the reasons in REASONS, so code
-that nothing reaches cannot come back unnoticed.
+that nothing reaches cannot come back unnoticed.  A "benchmark binding"
+entry must name, owner and member, what benchmarks/*.py refer to, so an
+entry goes stale once the benchmark drops its binding.
 """
 
+import ast
+import glob
 import inspect
 import json
 import os
@@ -164,3 +168,26 @@ def test_every_function_is_reached_or_allowed(tmp_path):
     assert missing == []
     assert sorted(set(ALLOWED) - set(functions)) == []  # no stale entry
     assert set(ALLOWED.values()) <= set(REASONS)
+
+
+def benchmark_names() -> set:
+    """The names, attribute names and string constants in benchmarks/*.py."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    names = set()
+    for path in glob.glob(os.path.join(here, os.pardir, "benchmarks", "*.py")):
+        with open(path) as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_benchmark_bindings_are_named_in_benchmarks():
+    names = benchmark_names()
+    stale = [name for name, reason in ALLOWED.items()
+             if reason == "benchmark binding" and not set(name.split(".")[1:]) <= names]
+    assert stale == []

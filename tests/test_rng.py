@@ -115,7 +115,7 @@ def test_first_success_round_law():
     p, n = 0.3, 200_000
     rng = np.random.default_rng(1)
     rounds = np.array(
-        [first_success_round(int(x), p) for x in uniform_labels(rng, n)]
+        [first_success_round(int(x), p, 100) for x in uniform_labels(rng, n)]
     )
     for i in (1, 2, 5):
         target = (1 - p) ** (i - 1) * p
@@ -125,64 +125,75 @@ def test_first_success_round_law():
         )
 
 
-def test_first_success_round_at_the_top_labels():
-    # the top 2^10 labels have unit value 1.0; they take the round of the
-    # largest float below 1, and every lower label keeps its own round
-    p = 0.3
-    below_one = math.nextafter(1.0, 0.0)
-    top = 1 + int(math.log1p(-below_one) / math.log1p(-p))
-    assert first_success_round(MASK64, p) == top
-    assert first_success_round((1 << 64) - (1 << 10), p) == top
-    label = MASK64 - 1024
-    u = label * 2.0**-64
-    assert u < 1.0
-    assert first_success_round(label, p) == 1 + int(math.log1p(-u) / math.log1p(-p))
-    assert first_success_round(label, p) <= top
-    assert label_unit(MASK64) == 1.0
-    assert label_unit(MASK64 - 1024) < 1.0
+# (p, k) of the round-table checks: the benchmark's LW, short and long
+# tables, and two tables that stop before k: after 53 entries at p = 0.5 (the
+# next reaches 2^64) and after 102 at p = 0.3 (the next does not increase)
+ROUND_GRID = [
+    (0.02, 250), (0.3, 6), (0.001, 2000), (0.5, 100), (0.05, 100), (0.01, 300), (0.3, 200),
+]
 
 
-def _scalar_rounds(labels, p: float, k: int) -> list:
-    return [min(first_success_round(x, p), k + 1) for x in labels]
-
-
-def test_round_table_matches_the_scalar_rounds_near_every_boundary():
-    # 897 labels around each boundary, 2.02M in all, and both ends of the range
-    offsets = np.arange(-448, 449, dtype=np.int64)
-    total = 0
-    for p, k in ((0.02, 250), (0.3, 6), (0.001, 2000)):
-        bounds = round_bounds(p, k)
-        assert bounds.size == k and not bounds.flags.writeable
-        assert (np.diff(bounds) > 0).all()
-        near = (bounds[:, None].astype(object) + offsets.astype(object)).ravel().tolist()
-        labels = sorted({x for x in near if 0 <= x <= MASK64} | {0, 1, MASK64 - 1, MASK64})
-        got = first_success_rounds(np.array(labels, dtype=np.uint64), p, k)
-        assert got.tolist() == _scalar_rounds(labels, p, k), (p, k)
-        total += len(labels)
-    assert total >= 2_000_000
-
-
-def test_round_table_stops_at_the_top_label_round():
-    # at p = 0.5 no label below 2^64 reaches round 55: the table ends at the
-    # top label's round, so the top labels count no extra (clipped) entry
-    p, k = 0.5, 100
-    top = first_success_round(MASK64, p)
-    assert top < k
+@pytest.mark.parametrize("p, k", ROUND_GRID)
+def test_round_table_boundaries_are_exact(p, k):
+    # B[r - 1] is the least label of round r + 1, in both round functions
     bounds = round_bounds(p, k)
-    assert bounds.size == top - 1
-    labels = [0, 1 << 63, int(bounds[-1]) - 1, int(bounds[-1]), (1 << 64) - (1 << 10), MASK64]
-    got = first_success_rounds(np.array(labels, dtype=np.uint64), p, k)
-    assert got.tolist() == _scalar_rounds(labels, p, k)
-    assert got[-1] == top
-    # k = 1 and a k above every round keep their caps
-    assert first_success_rounds(np.array([MASK64], dtype=np.uint64), p, 1).tolist() == [2]
-    assert round_bounds(0.5, 1000).tolist() == bounds.tolist()
+    assert 0 < bounds.size <= k and not bounds.flags.writeable
+    table = bounds.tolist()
+    assert all(a < b for a, b in zip(table, table[1:])) and table[-1] < 1 << 64
+    labels = [x for b in table for x in (b - 1, b)] + [0, MASK64]
+    want = [r + j for r in range(1, len(table) + 1) for j in (0, 1)] + [1, len(table) + 1]
+    assert [first_success_round(x, p, k) for x in labels] == want
+    assert first_success_rounds(np.array(labels, dtype=np.uint64), p, k).tolist() == want
+    # k = 1 keeps its cap, and a stopped table is the same at any larger k
+    assert first_success_round(MASK64, p, 1) == 2
+    if len(table) < k:
+        assert round_bounds(p, k + 1000).tolist() == table
+
+
+@pytest.mark.parametrize("p, k", ROUND_GRID)
+def test_round_table_follows_the_geometric_law(p, k):
+    # a uniform label's round exceeds r with probability (2^64 - B[r - 1]) / 2^64
+    for r, b in enumerate(round_bounds(p, k).tolist(), 1):
+        assert abs(((1 << 64) - b) / 2.0**64 - (1.0 - p) ** r) <= 1e-12, r
+
+
+def _float_round(label: int, p: float, k: int) -> int:
+    """The round as a float geometric inverse CDF, capped at k + 1, as it
+    was defined before the table: the top 2^10 labels, whose unit value
+    rounds to 1.0, take the round of the largest float below 1."""
+    u = label * 2.0**-64
+    if u < p:
+        return 1
+    u = min(u, math.nextafter(1.0, 0.0))
+    return min(1 + int(math.log1p(-u) / math.log1p(-p)), k + 1)
+
+
+@pytest.mark.parametrize("p, k", ROUND_GRID)
+def test_rounds_equal_the_float_formula_away_from_the_boundaries(p, k):
+    # both are monotone in the label, so the two ends of each run of labels
+    # at least 2^13 from every boundary decide the whole run
+    table, gap = round_bounds(p, k).tolist(), 1 << 13
+    cuts = [0] + [x for b in table for x in (b - gap, b + gap)] + [MASK64]
+    labels = [x for lo, hi in zip(cuts[::2], cuts[1::2]) if lo <= hi for x in (lo, hi)]
+    want = [_float_round(x, p, k) for x in labels]
+    assert [first_success_round(x, p, k) for x in labels] == want
+    assert first_success_rounds(np.array(labels, dtype=np.uint64), p, k).tolist() == want
+    assert len(labels) > len(table)
+    # the top label, whose unit value rounds to 1.0, has the clamped round
+    assert first_success_round(MASK64, p, k) == _float_round(MASK64, p, k)
+
+
+def test_rounds_equal_the_float_formula_on_uniform_labels():
+    p, k = 0.02, 250
+    labels = uniform_labels(np.random.default_rng(7), 10**6)
+    want = [_float_round(x, p, k) for x in labels.tolist()]
+    assert first_success_rounds(labels, p, k).tolist() == want
 
 
 def test_round_table_is_built_on_first_use():
     script = (
         "import localis, localis.rng as r; localis.lauer_wormald(0.02, 250); "
-        "print(r.round_bounds.cache_info().currsize)"
+        "print(r._round_table.cache_info().currsize)"
     )
     src = os.path.dirname(localis.__path__[0])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
