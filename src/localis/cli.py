@@ -113,6 +113,17 @@ def _build_host(params: dict):
     return _checked(cls, *(params[key] for key in keys))
 
 
+def _factor_and_host(params: dict) -> tuple:
+    """The factor and host of a density, stability or scan-p run."""
+    factor, host = _build_factor(params), _build_host(params)
+    if not host.tree and factor.kind == "const" and factor.params["bit"]:
+        raise UsageError(
+            f"factor 'const1' takes every vertex, which is no independent set on a "
+            f"graph; host {host.name!r} projects independent-set rules only"
+        )
+    return factor, host
+
+
 def _host_columns(host):
     return host.name, host.degree, getattr(host, "n", 0)
 
@@ -139,14 +150,8 @@ def _emit(params: dict, path: str, header: list, rows: list) -> str:
 
 
 def cmd_density(params: dict):
-    factor = _build_factor(params)
-    host = _build_host(params)
+    factor, host = _factor_and_host(params)
     trials, seed, workers = params["trials"], params["seed"], params["workers"]
-    if not host.tree and factor.kind == "const" and factor.params["bit"]:
-        raise UsageError(
-            f"factor 'const1' takes every vertex, which is no independent set on a "
-            f"graph; host {host.name!r} projects independent-set rules only"
-        )
     if host.tree:
         est = estimate_tree_density(factor, host, trials, seed, workers)
         mean, stderr = est.mean, est.stderr
@@ -176,12 +181,13 @@ def cmd_density(params: dict):
 
 
 def _coupling_config(params: dict, p: float) -> CouplingConfig:
+    factor, host = _factor_and_host(params)
     return _checked(
         CouplingConfig,
         p=p,
         k=params["k"],
-        factor=_build_factor(params),
-        host=_build_host(params),
+        factor=factor,
+        host=host,
         trials=params["trials"],
         inner_trials=params["inner_trials"],
         seed=params["seed"],
@@ -247,7 +253,7 @@ def cmd_bounds(params: dict):
     profile = DensityProfile.symmetric(k, alpha, scale)
     measure = rho_to_pi(profile)
     rep = entropies(measure)
-    leading, gap = _checked(asymptotic_rate, alpha, k, d)
+    leading, gap = asymptotic_rate(alpha, k, d)
     report = {
         "k": k,
         "d": d,

@@ -19,8 +19,9 @@ stability root from fold(st, 4).
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
-inner copies 1..J of its accepted trials, at most INNER_BLOCK (copy, row) pairs a call.
-On graph hosts stability labels only the root's ball, by scalar folds.
+inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
+the bits it holds stay bounded at any inner trial count.  On graph hosts
+stability labels only the root's ball, by scalar folds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .graphs import (
     sample_config_model,
     sample_er,
 )
-from .parallel import mean_stderr, per_trial, run_trials
+from .parallel import BLOCK, mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
 from .rng import (
     CoupledLabels,
@@ -54,9 +55,6 @@ from .rng import (
     trial_state,
     trial_state_np,
 )
-
-
-INNER_BLOCK = 1 << 14  # most (copy, row) pairs a tree-host bits call takes; >= parallel.BLOCK
 
 
 class ConditioningError(RuntimeError):
@@ -144,18 +142,13 @@ def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> Inters
     once, evaluate the root bit of every copy, and record the running prefix
     products.  copy_streams permutes which fresh-label stream each copy uses
     (an exchangeability knob; the default is 1..k).  TreeBlock raises
-    TypeError on a graph host.  A bits call takes INNER_BLOCK // rows copies,
-    and each part's products continue from the last row of the part before.
+    TypeError on a graph host.
     """
-    streams = np.array(_copy_streams(cfg.k, copy_streams), dtype=np.uint64)[:, None]
+    streams = np.array(_copy_streams(cfg.k, copy_streams), dtype=np.uint64)
 
     def block(lo: int, hi: int):
         trees = TreeBlock(cfg.factor, cfg.host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
-        step = INNER_BLOCK // (hi - lo)  # copies per bits call
-        parts = [trees.bits(streams[i : i + step]).cumprod(axis=0) for i in range(0, cfg.k, step)]
-        for before, part in zip(parts, parts[1:]):
-            part *= before[-1]
-        return np.concatenate(parts).T
+        return trees.bits(streams).cumprod(axis=0).T
 
     rows = run_trials(block, cfg.trials, cfg.workers)
     return _prefix_estimate(cfg, rows)
@@ -193,34 +186,25 @@ def _sample_graph(host, state: int) -> MultiGraph:
     return sample_er(host.n, host.lam, state)
 
 
-def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed) -> list:
-    """k copies of g with the induced subgraph on S independently resampled.
+def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
+    """Yield k copies of g with the induced subgraph on S independently
+    resampled, one per step, so a caller holds only the copy it reads.
 
-    Every copy keeps all edges of g not inside SxS; pairs within SxS are
-    re-drawn independently per copy with probability lam/n, so each copy is
-    again Erdos-Renyi(n, lam/n) marginally.  Copy i draws one uniform per
-    pair of the sorted S, in triangle_pairs order, from the stream
-    _copy_state(seed, i), and lists its edges sorted.
+    Every copy keeps all edges of g not inside SxS, filtered once; pairs
+    within SxS are re-drawn independently per copy with probability lam/n,
+    so each copy is again Erdos-Renyi(n, lam/n) marginally.  Copy i draws
+    one uniform per pair of the sorted S, in triangle_pairs order, from the
+    stream fold(trial_state(seed, 0x5E5A), i), and lists its edges sorted.
     """
-    return list(_er_copies(g, S, lam, [_copy_state(seed, i) for i in range(k)]))
-
-
-def _copy_state(seed, i: int) -> int:
-    """The stream state of copy i of er_resample_graphs(..., seed)."""
-    return fold(trial_state(seed, 0x5E5A), i)
-
-
-def _er_copies(g: MultiGraph, S, lam: float, states):
-    """Yield the copy of er_resample_graphs drawn from each stream state:
-    g's edges outside SxS, filtered once, merged with the redrawn pairs."""
     S = np.sort(np.asarray(S, dtype=np.int64))
     n = g.n
     in_s = np.zeros(n, dtype=bool)
     in_s[S] = True
     us, vs = g.edge_array.T
     kept = (us * n + vs)[~(in_s[us] & in_s[vs])]  # edge (u, v) as u * n + v
-    for state in states:  # each SxS pair is kept with probability lam/n
-        a, b = bernoulli_pairs(state_rng(state), S.size, lam / n)
+    streams = trial_state(seed, 0x5E5A)
+    for i in range(k):  # each SxS pair is kept with probability lam/n
+        a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, lam / n)
         merged = np.concatenate((kept, S[a] * n + S[b]))
         merged.sort()
         start, nbr, eid = incidence_arrays(n, *np.divmod(merged, n))
@@ -257,7 +241,9 @@ def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
         g = _sample_graph(host, fold(st, 1))
         labels = CoupledLabels(vertex_states(st, n), cfg.p)
         if host_type is ErdosRenyiHost:
-            copies = er_resample_graphs(g, np.flatnonzero(labels.in_s), host.lam, k, fold(st, 3))
+            copies = list(
+                er_resample_graphs(g, np.flatnonzero(labels.in_s), host.lam, k, fold(st, 3))
+            )
             oks = [tree_like(gi) for gi in copies]
         else:
             copies, oks = [g] * k, [tree_like(g)] * k
@@ -351,21 +337,15 @@ def _stability_trial_fn(cfg: CouplingConfig):
     f = cfg.factor
     host = cfg.host
     if host.tree:
-        copies = np.arange(1, cfg.inner_trials + 1, dtype=np.uint64)[:, None]
+        copies = np.arange(1, cfg.inner_trials + 1, dtype=np.uint64)
 
         def block(lo: int, hi: int):
             trees = TreeBlock(f, host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
             rows = np.tile([0.0, -1.0], (hi - lo, 1))
             acc = np.flatnonzero(trees.bits(0))
-            rows[acc, 0] = 1.0
-            width = min(cfg.inner_trials, INNER_BLOCK)  # copies per bits call
-            step = INNER_BLOCK // width  # accepted rows per bits call
-            for i in range(0, acc.size, step):
-                part = acc[i : i + step]
-                rows[part, 1] = sum(
-                    np.count_nonzero(trees.bits(copies[j : j + width], part), axis=0)
-                    for j in range(0, cfg.inner_trials, width)
-                )
+            rows[acc] = 1.0, 0.0
+            for j in range(0, cfg.inner_trials, BLOCK):  # inner successes, BLOCK copies a call
+                rows[acc, 1] += np.count_nonzero(trees.bits(copies[j : j + BLOCK], acc), axis=0)
             return rows
 
         return block
@@ -401,8 +381,8 @@ def _stability_trial_fn(cfg: CouplingConfig):
             return [0.0, -1.0]
         if er:  # inner trial j takes copy j's graph, as _coupled_graph does
             in_s = CoupledLabels(vertex_states(st, n), cfg.p).in_s
-            copies = _er_copies(g, np.flatnonzero(in_s), host.lam, (
-                _copy_state(fold(st, 3), j) for j in range(cfg.inner_trials)))
+            copies = er_resample_graphs(g, np.flatnonzero(in_s), host.lam, cfg.inner_trials,
+                                        fold(st, 3))
             cnt = sum(bit(ball(g_j), j) for j, g_j in enumerate(copies, 1))
         else:  # g is the same for every inner trial: relabel its ball only
             cnt = sum(bit(found, j) for j in range(1, cfg.inner_trials + 1))

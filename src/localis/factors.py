@@ -6,18 +6,21 @@ against a minimal rooted-view protocol (root, neighbors(v), label(v),
 order_key(v)), so one implementation serves materialised neighbourhoods and
 lazily generated trees alike.
 
-On tree hosts every factor also carries its rule in array form, and
-TreeBlock, the one evaluator of a factor on tree hosts, runs it over a
-block of trials and coupled copies at once.  Both forms start from the root
-stars of the block, its roots and their children (graphs.child_states)
-labelled by rng.CoupledLabels: column 0 is the root, the other columns its
-children, `valid` masks the columns that are no node.  A factor of radius
-<= 1 (threshold, constant) has star_rule(labels, keys, valid), which reads
-the stars alone.  The percolation-round factor has a level_rule, which
-grows deeper levels from the stars, the children of the nodes still
-unresolved, by the same child expansion and label rule.  Each returns what
-rule returns on each tree, bit for bit; the per-trial LazyTree and
-TreeLabels are the tests' reference for them.
+On tree hosts every factor also carries its rule in array form,
+array_rule(host, s_density, states, valid, labels, copies), and TreeBlock,
+the one evaluator of a factor on tree hosts, runs it over a block of trials
+and coupled copies, at most PASS_PAIRS (copy, row) pairs a call.  The
+arrays are the root stars of the selected rows, the roots and their
+children (graphs.child_states), as `states` and `valid` of shape (R,
+columns) and their rng.CoupledLabels `labels` of shape (J, R, columns), one
+row of stars per copy: column 0 is the root, the other columns its children,
+and `valid` masks the columns that are no node.  `copies` is an int copy id
+(J = 1) or the J copy ids; the rule returns the (J, R) root bits.
+Threshold and constant factors (radius <= 1) read the stars alone.  The
+percolation-round rule grows deeper levels from them, the children of the
+nodes still unresolved, by the same child expansion and label rule.  Each
+returns what rule returns on each tree, bit for bit; the per-trial LazyTree
+and TreeLabels are the tests' reference for them.
 
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
@@ -33,6 +36,7 @@ arrays never expand a node at depth k or beyond and need no cut either.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -57,22 +61,16 @@ class Factor:
 
     The rule reads only vertices within `radius` of the root and is invariant
     under vertex-id relabelling; ids enter only as tie-breaks for the
-    measure-zero event of equal labels.  A factor of radius <= 1 carries
-    star_rule, the rule's array form over root stars; a deeper factor that
-    TreeBlock evaluates carries level_rule, its array form over the levels
-    grown from them (see the module docstring).
+    measure-zero event of equal labels.  A factor that TreeBlock evaluates
+    carries array_rule, the rule's array form over root stars (see the
+    module docstring).
     """
 
     kind: str
     radius: int
     params: dict = field(default_factory=dict)
     rule: Callable = None
-    star_rule: Callable = None
-    level_rule: Callable = None
-
-    def __post_init__(self):
-        if self.radius <= 1 and self.star_rule is None:
-            raise ValueError("a factor of radius <= 1 needs a star_rule")
+    array_rule: Callable = None
 
 
 def factor_spec(f: Factor) -> dict:
@@ -97,7 +95,9 @@ def constant_factor(bit: int) -> Factor:
         raise ValueError("bit must be 0 or 1")
     return Factor(
         "const", 0, {"bit": bit}, rule=lambda view: bit,
-        star_rule=lambda labels, keys, valid: np.full(labels.shape[:-1], bool(bit)),
+        array_rule=lambda host, s_density, states, valid, labels, copies: np.full(
+            labels.shape[:-1], bool(bit)
+        ),
     )
 
 
@@ -110,20 +110,21 @@ def _threshold_rule(view) -> int:
     return 1
 
 
-def _threshold_star(labels, keys, valid) -> np.ndarray:
+def _threshold_array(host, s_density, states, valid, labels, copies) -> np.ndarray:
     """_threshold_rule over stars: the root survives unless a neighbour's
-    (label, key) is lexicographically at most the root's."""
-    root_label, root_key = labels[..., :1], keys[..., :1]
-    nbr_label, nbr_key = labels[..., 1:], keys[..., 1:]
+    (label, key) is lexicographically at most the root's; a node's key is
+    its state."""
+    root_label, root_key = labels[..., :1], states[:, :1]
+    nbr_label, nbr_key = labels[..., 1:], states[:, 1:]
     below = (nbr_label < root_label) | ((nbr_label == root_label) & (nbr_key <= root_key))
-    return ~(below & valid[..., 1:]).any(axis=-1)
+    return ~(below & valid[:, 1:]).any(axis=-1)
 
 
 def threshold_factor() -> Factor:
     """Radius-1 rule: include the root iff its label is the strict minimum of
     its closed 1-neighbourhood.  Density 1/(d+1) on the d-regular tree."""
     return Factor(
-        "greedy-threshold", 1, {}, rule=_threshold_rule, star_rule=_threshold_star
+        "greedy-threshold", 1, {}, rule=_threshold_rule, array_rule=_threshold_array
     )
 
 
@@ -175,7 +176,7 @@ LEVEL_ROOTS = 1 << 10  # most roots whose levels one _lw_levels pass holds
 
 def _lw_levels(p: float, k: int) -> Callable:
     """_lw_rule's array form on tree hosts (see TreeBlock): its recursion run
-    breadth-first over the levels of a block of (copy, row) pairs, pruned.
+    breadth-first over the levels of all (copy, row) pairs given, pruned.
 
     A node's kept children are its children of lower round (at the root, of
     round at most the root's).  A kept node with no kept child joins, round 1
@@ -187,11 +188,6 @@ def _lw_levels(p: float, k: int) -> Callable:
     its subtree.  So a pair generates about the nodes the recursion reads.
     At most LEVEL_ROOTS roots go through the levels at once, which bounds the
     nodes held by one call.
-
-    The rule takes the host, the density of S, the star states and `valid`
-    of the selected rows, their labels (shape (R, columns), or (J, R,
-    columns) for a column of J copy ids) and the copies (an int, or ids of
-    shape (J, 1, 1)); it returns the root bits, shape (R,) or (J, R).
     """
 
     def rule(host, s_density, states, valid, labels, copies) -> np.ndarray:
@@ -200,7 +196,7 @@ def _lw_levels(p: float, k: int) -> Callable:
         rounds = rounds.reshape(-1, rounds.shape[-1])  # row i: pair i's star
         rows = np.arange(len(rounds)) % len(states)
         if not isinstance(copies, int):
-            copies = np.repeat(copies.ravel(), len(states))
+            copies = np.repeat(copies, len(states))
         bits = rounds[:, 0] <= k
         alive = np.flatnonzero(bits)
         for lo in range(0, alive.size, LEVEL_ROOTS):
@@ -284,7 +280,7 @@ def lauer_wormald(p: float, k: int) -> Factor:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return Factor(
-        "lauer-wormald", k + 1, {"p": p, "k": k}, rule=_lw_rule(p, k), level_rule=_lw_levels(p, k)
+        "lauer-wormald", k + 1, {"p": p, "k": k}, rule=_lw_rule(p, k), array_rule=_lw_levels(p, k)
     )
 
 
@@ -381,27 +377,28 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
 # ---------------------------------------------------------------------------
 
 
+PASS_PAIRS = 1 << 14  # most (copy, row) pairs one array_rule call takes
+
+
 class TreeBlock:
     """The factor's root bits on a block of lazy trees, for any coupled copy.
 
     Row t is the tree LazyTree(host, f.radius, roots[t]); bits(copies, rows)
     gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row, bit
-    for bit, as arrays over all the rows and copies of a call.  The block
-    holds its root stars, built once: `states` (column 0 the root, column
-    1 + j its child j, from graphs.child_states), `valid` (which columns are
-    nodes: PGW stars are ragged) and `labels`, their rng.CoupledLabels, which
-    give with labels(copy, at) what TreeLabels(tree, copy, p).label gives
-    over the rows `at`.  Radius <= 1 runs star_rule on the stars, and a
-    factor with a level_rule (the percolation-round rule) grows its deeper
-    levels from them by the same child expansion and label rule.  A graph
-    host raises TypeError.
+    for bit, by f.array_rule over the (copy, row) pairs.  The block holds
+    its root stars, built once: `states` (column 0 the root, column 1 + j
+    its child j, from graphs.child_states), `valid` (which columns are
+    nodes: PGW stars are ragged) and `labels`, their rng.CoupledLabels,
+    which give with labels(copy, at) what TreeLabels(tree, copy, p).label
+    gives over the rows `at`.  A graph host, or a factor with no
+    array_rule, raises TypeError.
     """
 
     def __init__(self, f: Factor, host, roots: np.ndarray, p: float = 0.0):
         if not host.tree:
             raise TypeError(f"unsupported tree host: {host!r}")
-        if f.radius > 1 and f.level_rule is None:
-            raise TypeError(f"factor {f.kind!r} of radius {f.radius} has no level_rule")
+        if f.array_rule is None:
+            raise TypeError(f"factor {f.kind!r} has no array_rule")
         self.f, self.host, self.p = f, host, p
         roots = np.asarray(roots, dtype=np.uint64)
         column = roots[:, None]
@@ -411,17 +408,30 @@ class TreeBlock:
         self.labels = CoupledLabels(self.states, p)
 
     def bits(self, copies, rows=None) -> np.ndarray:
-        """Root bits of `copies`, an int copy id or a column of copy ids
-        (shape (J, 1)), on the rows of the index array `rows`, or on every
-        row when None.  Bool array of shape (R,) or (J, R) for R selected
-        rows."""
-        at = Ellipsis if rows is None else rows
-        if not isinstance(copies, int):
-            copies = copies[..., None]  # labels of shape (J, R, columns)
-        labels, states, valid = self.labels(copies, at), self.states[at], self.valid[at]
-        if self.f.radius <= 1:
-            return self.f.star_rule(labels, states, valid)
-        return self.f.level_rule(self.host, self.p, states, valid, labels, copies)
+        """Root bits of `copies`, an int copy id or a 1-D array of copy ids,
+        on the rows of the index array `rows`, or on every row when None.
+        Bool array of shape (R,) or (J, R) for R selected rows and J copies.
+        The rule runs in passes of at most PASS_PAIRS (copy, row) pairs:
+        whole copies over all R rows, or one copy over PASS_PAIRS rows."""
+        n = len(self.states) if rows is None else len(rows)
+        one = isinstance(copies, int)
+        if not one:
+            copies = np.asarray(copies, dtype=np.uint64)
+            if copies.ndim != 1:
+                raise ValueError("copies must be an int or a 1-D array of copy ids")
+        out = np.empty((1 if one else copies.size, n), dtype=bool)
+        width = min(n, PASS_PAIRS) or 1  # rows per pass
+        step = PASS_PAIRS // width  # copies per pass
+        for j, i in itertools.product(range(0, len(out), step), range(0, n, width)):
+            # with rows=None a pass takes a slice, which copies nothing
+            at = slice(i, i + width) if rows is None else rows[i : i + width]
+            copy = copies if one else copies[j : j + step]
+            out[j : j + step, i : i + width] = self.f.array_rule(
+                self.host, self.p, self.states[at], self.valid[at],
+                self.labels(copy, at)[None] if one else self.labels(copy[:, None, None], at),
+                copy,
+            )
+        return out[0] if one else out
 
 
 DensityEstimate = namedtuple("DensityEstimate", ["mean", "stderr", "trials"])

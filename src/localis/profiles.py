@@ -209,16 +209,10 @@ class PartitionMeasure:
 class EdgeProfile:
     """Symmetric M(T, T') >= 0 summing to 1 over ordered cell pairs, with
     M(T, T') = 0 whenever T and T' intersect; rows marginalise to pi.
-
-    When tied to a finite instance, `counts` holds the integer matrix
-    n*d*M with even diagonal.
     """
 
     k: int
     M: np.ndarray
-    counts: np.ndarray | None = None
-    n: int | None = None
-    d: int | None = None
 
     def __post_init__(self):
         _check_k(self.k)
@@ -247,6 +241,8 @@ class EdgeProfile:
 
     @classmethod
     def from_counts(cls, k: int, counts: np.ndarray, n: int, d: int) -> "EdgeProfile":
+        """The profile n*d*M = counts of a finite instance, whose counts must
+        sum to n*d with an even diagonal."""
         counts = np.asarray(counts, dtype=np.int64)
         total = n * d
         if total < 1:
@@ -256,7 +252,7 @@ class EdgeProfile:
         odd = np.flatnonzero(np.diagonal(counts) % 2)
         if odd.size:
             raise ProfileError(f"diagonal count at T={int(odd[0]):#b} must be even")
-        return cls(k, counts / total, counts=counts, n=n, d=d)
+        return cls(k, counts / total)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +414,10 @@ def asymptotic_rate(alpha, k: int, d: int):
     """Leading term binom_sum(alpha) * log(d)^2 / (2d) of the rate bound for a
     symmetric profile at scale log(d)/d, and the remainder.
 
-    Returns (leading, gap) with gap = rate_bound - leading; asserts
-    gap <= c_k * log(d)/d for c_k = DEFAULT_GAP_CONSTANTS[k] (calibrated
-    empirically; k without a constant is not checked).
+    Returns (leading, gap) with gap = rate_bound - leading; raises
+    ProfileError unless gap <= c_k * log(d)/d for c_k =
+    DEFAULT_GAP_CONSTANTS[k] (calibrated empirically on d >= 1000; k without
+    a constant is not checked).
     """
     alpha = list(alpha)
     if len(alpha) != k:
@@ -433,7 +430,7 @@ def asymptotic_rate(alpha, k: int, d: int):
     gap = rate_bound(measure, d) - leading
     c_k = DEFAULT_GAP_CONSTANTS.get(k)
     if c_k is not None and gap > c_k * scale:
-        raise AssertionError(
+        raise ProfileError(
             f"rate gap {gap:.3e} exceeds {c_k} * log(d)/d = {c_k * scale:.3e}"
         )
     return leading, gap
@@ -691,7 +688,7 @@ def profile_from_sets(g: MultiGraph, sets):
     total = counts.sum()
     profile = DensityProfile(k, density_row(sig, k))
     measure = PartitionMeasure(k, cells / n)
-    edge_profile = EdgeProfile(k, counts / total, counts=counts, n=n, d=None)
+    edge_profile = EdgeProfile(k, counts / total)
     return profile, measure, edge_profile
 
 

@@ -246,15 +246,25 @@ def test_invalid_values_are_usage_errors(tmp_path):
         assert run(args + ["--out", out]) == 2, args
 
 
-@pytest.mark.parametrize("host", [["--host", "config-model", "--n", "20", "--d", "3"],
+@pytest.mark.parametrize("host", [["--host", "config-model", "--n", "200", "--d", "3"],
                                   ["--host", "er", "--n", "20", "--lam", "2"]])
 def test_constant_one_density_on_a_graph_host_is_a_usage_error(tmp_path, host):
     """Every vertex joins under const1, so no projection of it onto a graph
-    is an independent set."""
-    out = str(tmp_path / "dens.csv")
-    assert run(["density", "--factor", "const1", *host, "--trials", "2", "--out", out]) == 2
-    assert not os.path.exists(out)
-    assert run(["density", "--factor", "const0", *host, "--trials", "2", "--out", out]) == 0
+    is an independent set: density, stability and scan-p all reject it."""
+    commands = [
+        ["density", "--trials", "2"],
+        ["stability", "--p", "0.5", "--k", "2", "--trials", "40", "--inner-trials", "2"],
+        ["scan-p", "--grid", "0.5", "--k", "2", "--trials", "40", "--inner-trials", "2"],
+    ]
+    for i, command in enumerate(commands):
+        out = str(tmp_path / f"run{i}.csv")
+        assert run([*command, "--factor", "const1", *host, "--out", out]) == 2, command[0]
+        assert os.listdir(tmp_path) == [], command[0]
+    # the same runs with an independent-set rule pass (const0 never includes
+    # a root, so stability would find no conditioning event)
+    for i, (command, factor) in enumerate(zip(commands, ["const0", "threshold", "threshold"])):
+        out = str(tmp_path / f"run{i}.csv")
+        assert run([*command, "--factor", factor, *host, "--out", out]) == 0, command[0]
 
 
 def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
@@ -467,6 +477,15 @@ def test_bounds_malformed_profile_guard(tmp_path, capsys):
                 "--out", out])
     assert code == 3
     assert "pi(0b1) = -2.084e-05 < 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_bounds_rate_gap_guard(tmp_path, capsys, d):
+    # at d = 2 and 3 the rate gap exceeds its calibrated c_1 * log(d)/d
+    out = str(tmp_path / "bounds.json")
+    assert run(["bounds", "--alpha", "1", "--d", d, "--out", out]) == 3
+    assert "rate gap" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_bounds_accepts_alpha_at_the_lattice_cap(tmp_path):

@@ -20,7 +20,6 @@ from localis.coupling import (
     scan_p,
 )
 from localis.factors import (
-    TreeBlock,
     constant_factor,
     estimate_tree_density,
     lauer_wormald,
@@ -38,7 +37,7 @@ from localis.graphs import (
     neighborhood,
     sample_er,
 )
-from localis import coupling, parallel
+from localis import coupling, factors, parallel
 from localis.parallel import run_trials
 from localis.profiles import binom_sum
 from localis.rng import fold, state_rng, trial_state
@@ -186,22 +185,40 @@ def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
 
     whole = [rows(f, size) for f, size in cases]
     monkeypatch.setattr(parallel, "BLOCK", 7)  # 358 blocks, the last one short
-    # at most 30 (copy, row) pairs a bits call: 2 accepted rows of 12 inner
-    # copies, 30 + 20 of 50 inner copies, 4 copies of a 7-row block at k = 40
-    monkeypatch.setattr(coupling, "INNER_BLOCK", 30)
-    bits = TreeBlock.bits
+    monkeypatch.setattr(coupling, "BLOCK", 7)  # stability's inner copies, 7 a call
+    # at most 5 (copy, row) pairs a rule call: a 7-row block in passes of 5
+    # and 2 rows, one copy each; R <= 5 accepted rows 5 // R copies a pass
+    monkeypatch.setattr(factors, "PASS_PAIRS", 5)
 
-    def bounded_bits(self, copies, rows=None):
-        out = bits(self, copies, rows)
-        assert out.size <= 30, out.shape
-        return out
+    def bounded(rule):
+        def call(host, s_density, states, valid, labels, copies):
+            assert labels.shape[0] * labels.shape[1] <= 5, labels.shape
+            return rule(host, s_density, states, valid, labels, copies)
 
-    monkeypatch.setattr(TreeBlock, "bits", bounded_bits)
+        return call
+
     for (f, size), (prefix, stability, density) in zip(cases, whole):
-        cut = rows(f, size)
+        cut = rows(replace(f, array_rule=bounded(f.array_rule)), size)
         assert np.array_equal(prefix, cut[0]), (f.kind, size)
         assert np.array_equal(stability, cut[1]), (f.kind, size)
         assert density == cut[2], (f.kind, size)
+
+
+def test_tree_stability_holds_bounded_memory():
+    """Stability counts inner successes BLOCK copies a call, so the bits it
+    holds stay bounded: 1.6 MiB traced here, where one call over all 20,000
+    inner copies of a block's accepted rows traces 6.2 MiB."""
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=RegularTreeHost(3), trials=1024,
+                         inner_trials=20_000, seed=46)
+    estimate_stability(replace(cfg, trials=4, inner_trials=2))  # one-time allocations
+    tracemalloc.start()
+    try:
+        est = estimate_stability(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.accepted > 0
+    assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_tree_intersections_workers_deterministic():
@@ -258,7 +275,7 @@ def test_graph_coupling_p0_equal_copies():
 
 def test_er_resample_p0_identity():
     g = sample_er(80, 2.0, 12)
-    copies = er_resample_graphs(g, np.array([], dtype=int), 2.0, 2, 13)
+    copies = list(er_resample_graphs(g, np.array([], dtype=int), 2.0, 2, 13))
     assert copies[0].edges == g.edges
     assert copies[1].edges == g.edges
 
@@ -293,7 +310,7 @@ def test_er_resampler_matches_the_per_copy_rebuild(size, seed):
     g = sample_er(n, lam, seed)
     S = np.random.default_rng(seed).permutation(n)[:size]  # unsorted on purpose
     want = _er_resample_per_copy(g, S, lam, 3, seed + 1)
-    got = er_resample_graphs(g, S, lam, 3, seed + 1)
+    got = list(er_resample_graphs(g, S, lam, 3, seed + 1))
     assert [c.edges for c in got] == [c.edges for c in want]
     assert all(type(x) is int for c in got for e in c.edges for x in e)
 
@@ -340,7 +357,7 @@ def test_er_resample_marginal_moments():
         g = sample_er(n, lam, rng)
         in_s = np.random.default_rng(int(rng.integers(1 << 30))).random(n) < 0.6
         S = np.flatnonzero(in_s)
-        counts[t] = len(er_resample_graphs(g, S, lam, 1, int(rng.integers(1 << 30)))[0].edges)
+        counts[t] = len(next(er_resample_graphs(g, S, lam, 1, int(rng.integers(1 << 30)))).edges)
     pairs = n * (n - 1) // 2
     p = lam / n
     assert_within_sigma(

@@ -5,9 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localis.coupling import INNER_BLOCK
 from localis.factors import (
-    Factor,
+    PASS_PAIRS,
     TreeBlock,
     _threshold_rule,
     _tree_density_fn,
@@ -194,29 +193,27 @@ def test_threshold_star_rule_matches_the_rule_on_hand_built_stars():
         lab[i, : len(labels)] = labels
         key[i, : len(keys)] = keys
         valid[i, : len(labels)] = True
-    got = threshold_factor().star_rule(lab, key, valid)
+    got = threshold_factor().array_rule(None, 0.0, key, valid, lab[None], 0)[0]
     want = [_threshold_rule(_KeyedStar(*star)) == 1 for star in stars]
     assert got.tolist() == want
     assert got[0] and want[0]  # the leafless star
     # a tie on the label goes to the smaller key
-    tie = threshold_factor().star_rule(
-        np.array([[5, 5]], dtype=np.uint64), np.array([[2, 3]], dtype=np.uint64),
-        np.ones((1, 2), dtype=bool),
+    tie = threshold_factor().array_rule(
+        None, 0.0, np.array([[2, 3]], dtype=np.uint64), np.ones((1, 2), dtype=bool),
+        np.array([[[5, 5]]], dtype=np.uint64), 0,
     )
-    assert tie.tolist() == [True]
+    assert tie.tolist() == [[True]]
+    # one row of stars per copy, against the same states
+    both = threshold_factor().array_rule(None, 0.0, key, valid, np.stack([lab, lab]), np.arange(2))
+    assert both.tolist() == [want, want]
 
 
 def test_constant_star_rule():
-    lab = np.zeros((4, 3), dtype=np.uint64)
+    lab = np.zeros((2, 4, 3), dtype=np.uint64)
     valid = np.ones((4, 3), dtype=bool)
     for bit in (0, 1):
-        assert constant_factor(bit).star_rule(lab, lab, valid).tolist() == [bool(bit)] * 4
-
-
-def test_small_radius_factors_need_a_star_rule():
-    with pytest.raises(ValueError):
-        Factor("custom", 1, {}, rule=lambda view: 1)
-    Factor("custom", 2, {}, rule=lambda view: 1)
+        got = constant_factor(bit).array_rule(None, 0.0, lab[0], valid, lab, np.arange(2))
+        assert got.tolist() == [[bool(bit)] * 4] * 2
 
 
 def test_factor_spec_roundtrip():
@@ -589,23 +586,23 @@ def test_level_arrays_match_the_walk_on_coupled_copies(host, pi):
     trees = [LazyTree(host, f.radius, s) for s in states.tolist()]
     walk = np.array([[f.rule(TreeLabels(t, copy=c, p=pi)) for t in trees] for c in range(5)])
     walk = walk.astype(bool)
-    column = np.arange(5, dtype=np.uint64)[:, None]
+    copies = np.arange(5, dtype=np.uint64)
     subset = np.array([7, 3, 3, 90, 0, 119, 41])
     for c in range(5):
         assert block.bits(c).tolist() == walk[c].tolist(), c
         assert block.bits(c, subset).tolist() == walk[c, subset].tolist(), c
-    assert np.array_equal(block.bits(column), walk)
-    assert np.array_equal(block.bits(column[[4, 1, 2]], subset), walk[[4, 1, 2]][:, subset])
-    assert np.array_equal(block.bits(column[2:3], subset[:0]), walk[2:3, :0])
+    assert np.array_equal(block.bits(copies), walk)
+    assert np.array_equal(block.bits(copies[[4, 1, 2]], subset), walk[[4, 1, 2]][:, subset])
+    assert np.array_equal(block.bits(copies[2:3], subset[:0]), walk[2:3, :0])
 
 
 def test_one_level_call_holds_bounded_memory():
-    """The most pairs a stability call passes, INNER_BLOCK = 16384, on T20:
+    """The most pairs one rule call takes, PASS_PAIRS = 16384, on T20:
     LEVEL_ROOTS bounds the nodes in flight.  This call traces 27 MiB; one
     pass over all its roots at once traces 299 MiB."""
     f, rows = lauer_wormald(0.01, 300), 16
     block = TreeBlock(f, RegularTreeHost(20), trial_state_np(63, np.arange(rows)), 0.5)
-    copies = np.arange(1, INNER_BLOCK // rows + 1, dtype=np.uint64)[:, None]
+    copies = np.arange(1, PASS_PAIRS // rows + 1, dtype=np.uint64)
     round_bounds(0.01, 300)
     tracemalloc.start()
     try:
@@ -613,7 +610,7 @@ def test_one_level_call_holds_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bits.shape == (INNER_BLOCK // rows, rows)
+    assert bits.shape == (PASS_PAIRS // rows, rows)
     assert 0 < bits.mean() < 0.3
     assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
 

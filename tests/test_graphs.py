@@ -332,7 +332,7 @@ def test_tree_stars_match_the_lazy_trees(host, radius, p):
     f = (constant_factor(1), threshold_factor())[radius]
     roots = np.array([trial_state(3, t) for t in range(200)], dtype=np.uint64)
     block = TreeBlock(f, host, roots, p)
-    copies = np.arange(1, 5, dtype=np.uint64)[:, None]
+    copies = np.arange(1, 5, dtype=np.uint64)
     bits = block.bits(copies)
     for i, state in enumerate(roots.tolist()):
         tree = LazyTree(host, 1, state)
@@ -345,22 +345,21 @@ def test_tree_stars_match_the_lazy_trees(host, radius, p):
         for c in (0, 1, 3):
             view = TreeLabels(tree, copy=c, p=p)
             assert block.labels(c)[i, :width].tolist() == [view.label(v) for v in nodes]
-        inner = block.labels(copies, i)
-        for j, c in enumerate(copies[:, 0].tolist()):
+        inner = block.labels(copies[:, None], i)
+        for j, c in enumerate(copies.tolist()):
             view = TreeLabels(tree, copy=c, p=p)
             assert inner[j, :width].tolist() == [view.label(v) for v in nodes]
             own = TreeLabels(LazyTree(host, radius, state), copy=c, p=p)
             assert bits[j, i] == bool(f.rule(own))
 
 
-def test_tree_stars_reject_graph_hosts_and_deeper_radii():
-    # TreeBlock takes tree hosts only, and a factor deeper than the stars
-    # only with a level_rule
+def test_tree_stars_reject_graph_hosts_and_factors_without_an_array_rule():
+    # TreeBlock takes tree hosts only, and factors with an array_rule only
     roots = np.arange(3, dtype=np.uint64)
     with pytest.raises(TypeError):
         TreeBlock(threshold_factor(), ConfigModelHost(10, 3), roots)
     with pytest.raises(TypeError):
-        TreeBlock(replace(threshold_factor(), radius=2), RegularTreeHost(3), roots)
+        TreeBlock(replace(threshold_factor(), array_rule=None), RegularTreeHost(3), roots)
 
 
 def test_tree_labels_copy_zero_stores_nothing():
@@ -634,12 +633,12 @@ def test_local_graph_union_matches_the_multigraph():
     # with the redrawn SxS pairs: the same graph as the union built by hand
     g = MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)], model="er")
     S = np.array([3, 1, 2])  # unsorted on purpose; (1, 2), (1, 3), (2, 3) redrawn
-    union = er_resample_graphs(g, S, 5.0, 1, 0)[0]  # lam / n = 1: every SxS pair
+    union = list(er_resample_graphs(g, S, 5.0, 1, 0))[0]  # lam / n = 1: every SxS pair
     want = sorted([(0, 1), (3, 4)] + [(1, 2), (1, 3), (2, 3)])
     assert union.edges == want
     labels = np.arange(5, dtype=np.uint64)
     assert ball_readings(union, labels) == ball_readings(MultiGraph(5, want), labels)
-    kept = er_resample_graphs(g, S, 0.0, 1, 0)[0]  # lam = 0 redraws nothing
+    kept = list(er_resample_graphs(g, S, 0.0, 1, 0))[0]  # lam = 0 redraws nothing
     assert kept.edges == [(0, 1), (3, 4)]
     assert ball_readings(kept, labels) == ball_readings(MultiGraph(5, kept.edges), labels)
 
@@ -698,7 +697,7 @@ def _er_copy(n: int, lam: float, p: float, seed: int, lam_s: float) -> MultiGrap
     """Copy 1 of sample_er(n, lam, seed) with SxS redrawn at lam_s, for S a
     Bernoulli(p) set; lam_s = 0 redraws nothing and leaves the kept graph."""
     S = np.flatnonzero(np.random.default_rng(seed).random(n) < p)
-    return er_resample_graphs(sample_er(n, lam, seed), S, lam_s, 2, seed + 7)[1]
+    return list(er_resample_graphs(sample_er(n, lam, seed), S, lam_s, 2, seed + 7))[1]
 
 
 def test_multigraph_stores_no_callables():

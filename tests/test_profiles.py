@@ -687,9 +687,9 @@ def test_edge_count_diagonal_names_the_same_cell():
                 counts[m, m] += 1  # an odd diagonal count
             total = int(counts.sum())  # taken as n*d with n = total, d = 1
             want = ref_diagonal_error(counts, k)
-            got = outcome(lambda: EdgeProfile.from_counts(k, counts, total, 1).counts)
+            got = outcome(lambda: EdgeProfile.from_counts(k, counts, total, 1).M)
             if want is None:
-                assert np.array_equal(got, counts)
+                assert np.array_equal(got, counts / total)
             else:
                 assert got == want
             rejected += want is not None
