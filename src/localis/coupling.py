@@ -11,27 +11,31 @@ given it was included.
 
 Every host labels its nodes by the one rule of rng (CoupledLabels, and
 coupled_label for single nodes): copy i of a node is a function of its
-state, and stability's inner trial j is copy j.  A tree node's state comes
-from its lazy tree; vertex v of a graph-host trial of state st has the state
-fold(fold(st, 2), v) (vertex_states).  The trial's graph is drawn from
-fold(st, 1), its Erdos-Renyi copy graphs from fold(st, 3), and the
-stability root from fold(st, 4).
+state, the copies are 1..k, and stability's inner trial j is copy j.  A tree
+node's state comes from its lazy tree; vertex v of a graph-host trial of
+state st has the state fold(fold(st, 2), v) (vertex_states).  The trial's
+graph g is drawn from fold(st, 1), the stability root from fold(st, 4), and
+copy j's graph is defined once, by copy_graphs: g on the configuration
+model, and on the Erdos-Renyi host g with SxS redrawn from fold(st, 3).
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
 inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
 the bits it holds stay bounded at any inner trial count.  On graph hosts
+both estimators read copies 1..k one at a time, holding one copy graph:
+the intersections keep a running intersection over the whole graph, and
 stability labels only the root's ball, by scalar folds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import Factor, TreeBlock, _project_bits, apply_factor, neighborhood
+from .factors import Factor, TreeBlock, _project_bits, apply_factor
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
@@ -39,6 +43,7 @@ from .graphs import (
     ball_is_tree,
     bernoulli_pairs,
     incidence_arrays,
+    neighborhood,
     non_tree_ball_mask,
     sample_config_model,
     sample_er,
@@ -135,32 +140,21 @@ class StabilityEstimate:
 # ---------------------------------------------------------------------------
 
 
-def coupled_tree_intersections(cfg: CouplingConfig, copy_streams=None) -> IntersectionEstimate:
+def coupled_tree_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
     """Prefix-intersection densities of k coupled copies on sampled trees.
 
     Per trial: sample a tree at the factor's radius, draw X0 and the subset S
-    once, evaluate the root bit of every copy, and record the running prefix
-    products.  copy_streams permutes which fresh-label stream each copy uses
-    (an exchangeability knob; the default is 1..k).  TreeBlock raises
-    TypeError on a graph host.
+    once, evaluate the root bit of copies 1..k, and record the running prefix
+    products.  TreeBlock raises TypeError on a graph host.
     """
-    streams = np.array(_copy_streams(cfg.k, copy_streams), dtype=np.uint64)
+    copies = np.arange(1, cfg.k + 1)
 
     def block(lo: int, hi: int):
         trees = TreeBlock(cfg.factor, cfg.host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
-        return trees.bits(streams).cumprod(axis=0).T
+        return trees.bits(copies).cumprod(axis=0).T
 
     rows = run_trials(block, cfg.trials, cfg.workers)
     return _prefix_estimate(cfg, rows)
-
-
-def _copy_streams(k: int, copy_streams) -> list:
-    streams = (
-        [int(s) for s in copy_streams] if copy_streams is not None else list(range(1, k + 1))
-    )
-    if len(streams) != k:
-        raise ValueError("copy_streams must have length k")
-    return streams
 
 
 def _prefix_estimate(cfg: CouplingConfig, prefix: np.ndarray) -> IntersectionEstimate:
@@ -217,55 +211,62 @@ def vertex_states(st: int, n: int) -> np.ndarray:
     return fold_np(fold(st, 2), np.arange(n, dtype=np.uint64))
 
 
-def _coupled_graph(cfg: CouplingConfig, host_type, copy_streams) -> tuple:
+def copy_graphs(host, g: MultiGraph, st: int, p: float, count: int):
+    """The graphs of copies 1..count of the graph-host trial of state st,
+    whose graph is g, one at a time: g itself on the configuration model;
+    on the Erdos-Renyi host, er_resample_graphs from fold(st, 3) over S, the
+    trial's vertices in S at density p."""
+    if not isinstance(host, ErdosRenyiHost):
+        return itertools.repeat(g, count)
+    in_s = CoupledLabels(vertex_states(st, g.n), p).in_s
+    return er_resample_graphs(g, np.flatnonzero(in_s), host.lam, count, fold(st, 3))
+
+
+def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
     """(IntersectionEstimate, mean non-tree fraction) on a graph host.
 
     Per trial: sample g and label its vertices by their states (X0, S and
-    the fresh copies, rng.CoupledLabels); on the Erdos-Renyi host, build
-    per-copy graphs whose induced subgraphs on S are resampled; project
-    every copy (vertices with a non-tree (radius+1)-neighbourhood map to 0).
-    A row is [the k prefix-intersection densities..., non-tree vertex
-    fraction of copy 1's graph, which is g itself on the configuration model].
+    the fresh copies, rng.CoupledLabels); project copy j's labels on copy
+    j's graph (copy_graphs; vertices with a non-tree (radius+1)-neighbourhood
+    map to 0) and intersect it into the running intersection of copies
+    1..j-1.  A row is [the k prefix-intersection densities..., non-tree
+    vertex fraction of copy 1's graph, which is g itself on the
+    configuration model].
     """
     host = cfg.host
     if not isinstance(host, host_type):
         raise TypeError(f"expected {host_type.__name__}, got {host!r}")
     f, k, n = cfg.factor, cfg.k, host.n
-    streams = _copy_streams(k, copy_streams)
-
-    def tree_like(g: MultiGraph) -> np.ndarray:
-        return ~non_tree_ball_mask(g, f.radius + 1)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
         g = _sample_graph(host, fold(st, 1))
         labels = CoupledLabels(vertex_states(st, n), cfg.p)
-        if host_type is ErdosRenyiHost:
-            copies = list(
-                er_resample_graphs(g, np.flatnonzero(labels.in_s), host.lam, k, fold(st, 3))
-            )
-            oks = [tree_like(gi) for gi in copies]
-        else:
-            copies, oks = [g] * k, [tree_like(g)] * k
-        copy_bits = [_project_bits(f, copies[s - 1], oks[s - 1], labels(s)) for s in streams]
-        prefix = np.cumprod(copy_bits, axis=0).sum(axis=1) / n
-        return np.concatenate([prefix, [1.0 - oks[0].mean()]])
+        row, alive = np.empty(k + 1), np.ones(n, dtype=bool)
+        for j, g_j in enumerate(copy_graphs(host, g, st, cfg.p, k), 1):
+            if j == 1 or g_j is not g:  # where copy j's graph is g, g's mask is reused
+                ok = ~non_tree_ball_mask(g_j, f.radius + 1)
+            alive &= _project_bits(f, g_j, ok, labels(j))
+            row[j - 1] = alive.sum() / n
+            if j == 1:
+                row[k] = 1.0 - ok.mean()
+        return row
 
     rows = run_trials(per_trial(one), cfg.trials, cfg.workers)
     return _prefix_estimate(cfg, rows[:, :k]), float(rows[:, k].mean())
 
 
-def coupled_graph_intersections(cfg: CouplingConfig, copy_streams=None):
+def coupled_graph_intersections(cfg: CouplingConfig):
     """Coupled copies on configuration-model graphs: (IntersectionEstimate,
     mean non-tree vertex fraction of g)."""
-    return _coupled_graph(cfg, ConfigModelHost, copy_streams)
+    return _coupled_graph(cfg, ConfigModelHost)
 
 
-def coupled_er_intersections(cfg: CouplingConfig, copy_streams=None):
+def coupled_er_intersections(cfg: CouplingConfig):
     """Coupled copies on Erdos-Renyi graphs, each copy with its own induced
     subgraph on S: (IntersectionEstimate, mean non-tree vertex fraction of
     copy 1's graph)."""
-    return _coupled_graph(cfg, ErdosRenyiHost, copy_streams)
+    return _coupled_graph(cfg, ErdosRenyiHost)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +302,13 @@ def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
 
     On graph hosts a trial samples its graph with sample_config_model or
     sample_er, and inner trial j takes copy j, as coupled_graph_intersections
-    and coupled_er_intersections build it: the labels of copy j on the
-    root's ball, and on the Erdos-Renyi host copy j's graph, from edges of g
-    outside SxS filtered once per outer trial.  These graphs sort a vertex's
-    incidences when it is first read, so a trial costs the draws, one pass
-    over the graph's arrays and the root's (radius+1)-ball.  On the
-    configuration model the graph is the same for every inner trial, so the
-    root's ball is found once per outer trial and each inner trial relabels
-    only the ball's vertices, by scalar folds.
+    and coupled_er_intersections do: the labels of copy j on the root's ball
+    in copy j's graph, from copy_graphs.  These graphs sort a vertex's
+    incidences when it is first read, so a copy costs the draws, one pass
+    over the graph's arrays and the root's (radius+1)-ball.  Where copy j's
+    graph is g itself (every copy on the configuration model), the root's
+    ball is found once per outer trial and inner trial j relabels only the
+    ball's vertices, by scalar folds.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -351,7 +351,6 @@ def _stability_trial_fn(cfg: CouplingConfig):
         return block
 
     n, cut = host.n, percolation_cut(cfg.p)
-    er = isinstance(host, ErdosRenyiHost)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
@@ -379,13 +378,9 @@ def _stability_trial_fn(cfg: CouplingConfig):
         found = ball(g)
         if bit(found, 0) != 1:
             return [0.0, -1.0]
-        if er:  # inner trial j takes copy j's graph, as _coupled_graph does
-            in_s = CoupledLabels(vertex_states(st, n), cfg.p).in_s
-            copies = er_resample_graphs(g, np.flatnonzero(in_s), host.lam, cfg.inner_trials,
-                                        fold(st, 3))
-            cnt = sum(bit(ball(g_j), j) for j, g_j in enumerate(copies, 1))
-        else:  # g is the same for every inner trial: relabel its ball only
-            cnt = sum(bit(found, j) for j in range(1, cfg.inner_trials + 1))
+        # inner trial j takes copy j; where its graph is g, g's ball is relabelled
+        copies = enumerate(copy_graphs(host, g, st, cfg.p, cfg.inner_trials), 1)
+        cnt = sum(bit(found if g_j is g else ball(g_j), j) for j, g_j in copies)
         return [1.0, float(cnt)]
 
     return per_trial(one)
@@ -396,13 +391,13 @@ def _stability_trial_fn(cfg: CouplingConfig):
 # ---------------------------------------------------------------------------
 
 
-def run_intersections(cfg: CouplingConfig, copy_streams=None) -> IntersectionEstimate:
+def run_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
     """Dispatch the coupled-intersection estimator by host kind."""
     if cfg.host.tree:
-        return coupled_tree_intersections(cfg, copy_streams)
+        return coupled_tree_intersections(cfg)
     if isinstance(cfg.host, ErdosRenyiHost):
-        return coupled_er_intersections(cfg, copy_streams)[0]
-    return coupled_graph_intersections(cfg, copy_streams)[0]
+        return coupled_er_intersections(cfg)[0]
+    return coupled_graph_intersections(cfg)[0]
 
 
 @dataclass

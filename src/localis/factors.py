@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,16 +61,16 @@ class Factor:
 
     The rule reads only vertices within `radius` of the root and is invariant
     under vertex-id relabelling; ids enter only as tie-breaks for the
-    measure-zero event of equal labels.  A factor that TreeBlock evaluates
-    carries array_rule, the rule's array form over root stars (see the
-    module docstring).
+    measure-zero event of equal labels.  array_rule is the rule's array
+    form over root stars, which TreeBlock evaluates (see the module
+    docstring).
     """
 
     kind: str
     radius: int
-    params: dict = field(default_factory=dict)
-    rule: Callable = None
-    array_rule: Callable = None
+    params: dict
+    rule: Callable
+    array_rule: Callable
 
 
 def factor_spec(f: Factor) -> dict:
@@ -390,15 +390,12 @@ class TreeBlock:
     its child j, from graphs.child_states), `valid` (which columns are
     nodes: PGW stars are ragged) and `labels`, their rng.CoupledLabels,
     which give with labels(copy, at) what TreeLabels(tree, copy, p).label
-    gives over the rows `at`.  A graph host, or a factor with no
-    array_rule, raises TypeError.
+    gives over the rows `at`.  A graph host raises TypeError.
     """
 
     def __init__(self, f: Factor, host, roots: np.ndarray, p: float = 0.0):
         if not host.tree:
             raise TypeError(f"unsupported tree host: {host!r}")
-        if f.array_rule is None:
-            raise TypeError(f"factor {f.kind!r} has no array_rule")
         self.f, self.host, self.p = f, host, p
         roots = np.asarray(roots, dtype=np.uint64)
         column = roots[:, None]

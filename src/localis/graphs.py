@@ -375,7 +375,10 @@ class RootedNeighborhood:
 
     Vertex 0 is the root and ids follow BFS discovery order (adjacency sorted
     by original id), which makes serialisation stable and factor evaluation
-    independent of the host graph's labelling of vertices.
+    independent of the host graph's labelling of vertices up to label ties.
+    Ties are broken by order_key: the graph vertex id on a ball extracted
+    from a graph (source_vertices), so the balls of adjacent vertices agree
+    on it, and the BFS id on eager trees and filled-forest balls.
 
     The ball is its adjacency: adj[v] lists v's neighbours by BFS id, sorted,
     with a neighbour once per edge and a loop at v as two entries v.  `edges`
@@ -409,7 +412,7 @@ class RootedNeighborhood:
         return int(self.labels[v])
 
     def order_key(self, v: int) -> int:
-        return v
+        return v if self.source_vertices is None else self.source_vertices.item(v)
 
     # -------------------------------------------------------------------------
 

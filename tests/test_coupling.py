@@ -11,6 +11,7 @@ from localis.coupling import (
     CouplingConfig,
     _jackknife_moment,
     _stability_trial_fn,
+    copy_graphs,
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
@@ -18,8 +19,11 @@ from localis.coupling import (
     estimate_stability,
     run_intersections,
     scan_p,
+    vertex_states,
 )
 from localis.factors import (
+    TreeBlock,
+    _project_bits,
     constant_factor,
     estimate_tree_density,
     lauer_wormald,
@@ -35,12 +39,13 @@ from localis.graphs import (
     TreeLabels,
     ball_is_tree,
     neighborhood,
+    non_tree_ball_mask,
     sample_er,
 )
 from localis import coupling, factors, parallel
 from localis.parallel import run_trials
 from localis.profiles import binom_sum
-from localis.rng import fold, state_rng, trial_state
+from localis.rng import CoupledLabels, fold, state_rng, trial_state, trial_state_np
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -91,10 +96,20 @@ def test_tree_coupling_prefix_monotone_per_trial():
     assert np.all(np.diff(rows, axis=1) <= 0)
 
 
+def _tree_rows(cfg, copies) -> np.ndarray:
+    """The prefix rows of cfg's trials with the copies taken in this order."""
+
+    def block(lo, hi):
+        trees = TreeBlock(cfg.factor, cfg.host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
+        return trees.bits(np.array(copies)).cumprod(axis=0).T
+
+    return run_trials(block, cfg.trials)
+
+
 def test_tree_coupling_exchangeable_streams():
     cfg = tree_cfg(0.5, trials=60_000, seed=6)
     fwd = coupled_tree_intersections(cfg)
-    rev = coupled_tree_intersections(cfg, copy_streams=[3, 2, 1])
+    rev = coupling._prefix_estimate(cfg, _tree_rows(cfg, [3, 2, 1]))
     for i in (1, 2, 3):
         assert_within_sigma(
             fwd.means[i - 1], rev.means[i - 1],
@@ -154,10 +169,11 @@ ROW_FACTORS = [F, constant_factor(1), LW]
 def test_tree_prefix_rows_match_the_lazy_tree_rows(host, p):
     for f in ROW_FACTORS:
         cfg = CouplingConfig(p=p, k=3, factor=f, host=host, trials=300, seed=42)
-        for streams in (None, [3, 1, 2], [2, 5, 4]):
-            est = coupled_tree_intersections(cfg, copy_streams=streams)
-            ref = _scalar_prefix_rows(cfg, streams or [1, 2, 3])
-            assert est.prefix_rows.tolist() == ref, (f.kind, streams)
+        est = coupled_tree_intersections(cfg)
+        assert est.prefix_rows.tolist() == _scalar_prefix_rows(cfg, [1, 2, 3]), f.kind
+        for copies in ([3, 1, 2], [2, 5, 4]):  # TreeBlock takes any copy order
+            rows = _tree_rows(cfg, copies)
+            assert rows.tolist() == _scalar_prefix_rows(cfg, copies), (f.kind, copies)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -249,9 +265,15 @@ def test_graph_coupling_profiles():
                          trials=80, seed=10)
     est, bfrac = coupled_graph_intersections(cfg)
     # p=0 copies equal is covered below; here: exchangeability of the copies,
-    # |I1| with copy 1 on stream 1 against copy 1 on stream 2, trial by trial
-    rev, _ = coupled_graph_intersections(cfg, copy_streams=[2, 1])
-    diff = est.prefix_rows[:, 0] - rev.prefix_rows[:, 0]
+    # |I1| against copy 2's labels projected on copy 1's graph, trial by trial
+    other = []
+    for t in range(cfg.trials):
+        st = trial_state(cfg.seed, t)
+        g = coupling._sample_graph(cfg.host, fold(st, 1))
+        (g1,) = copy_graphs(cfg.host, g, st, cfg.p, 1)
+        labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
+        other.append(_project_bits(F, g1, ~non_tree_ball_mask(g1, 2), labels(2)).mean())
+    diff = est.prefix_rows[:, 0] - np.array(other)
     se = float(np.std(diff, ddof=1) / math.sqrt(len(diff)))
     assert abs(diff.mean()) <= 3 * se + 1e-12
     # projection loss bracket: tree density * (1 - B/n) <= mean <= tree density
@@ -263,9 +285,8 @@ def test_graph_coupling_profiles():
 def test_graph_coupling_p0_equal_copies():
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ConfigModelHost(120, 3),
                          trials=40, seed=11)
-    for streams in ([1, 2], [2, 1]):  # |I1| == |I1&I2| whichever copy is first
-        rows = coupled_graph_intersections(cfg, copy_streams=streams)[0].prefix_rows
-        assert np.array_equal(rows[:, 0], rows[:, 1]), streams
+    rows = coupled_graph_intersections(cfg)[0].prefix_rows  # |I1| == |I1&I2|
+    assert np.array_equal(rows[:, 0], rows[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +413,24 @@ def test_graph_host_intersections_keep_no_subset_lattice_row():
     assert peak < 1 << 20, peak
 
 
+def test_er_intersections_hold_one_copy_graph_at_a_time():
+    # the copies are read one at a time into a running intersection, so the
+    # traced peak does not grow with k
+    def peak(k):
+        cfg = CouplingConfig(p=0.5, k=k, factor=F, host=ErdosRenyiHost(1000, 3.0),
+                             trials=1, seed=36)
+        tracemalloc.start()
+        try:
+            coupled_er_intersections(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # one-time allocations
+    small, large = peak(4), peak(20)
+    assert large < 1.2 * small, (small, large)
+
+
 def test_er_coupling_p1_product():
     cfg = CouplingConfig(p=1.0, k=2, factor=F, host=ErdosRenyiHost(150, 2.0),
                          trials=200, seed=18)
@@ -510,6 +549,27 @@ def test_stability_er_p1_moments():
     m2, se2 = est.moments[2]
     assert_within_sigma(m1, dens, se1, dens_se, context="er p=1 moment 1")
     assert_within_sigma(m2, dens**2, se2, 2 * dens * dens_se, context="er p=1 moment 2")
+
+
+@pytest.mark.parametrize("host", [ConfigModelHost(60, 3), ErdosRenyiHost(60, 2.0)])
+def test_graph_stability_counts_the_copy_bits_at_its_root(host):
+    # inner trial j is copy j: the root's bit when copy j's labels are
+    # projected on copy j's graph, as the intersection estimators read it
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=host, trials=40, inner_trials=8,
+                         seed=35)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    for t, (accepted, count) in enumerate(rows.tolist()):
+        st = trial_state(cfg.seed, t)
+        root = fold(st, 4) * host.n >> 64
+        g = coupling._sample_graph(host, fold(st, 1))
+        labels = CoupledLabels(vertex_states(st, host.n), cfg.p)
+        graphs = [g, *copy_graphs(host, g, st, cfg.p, cfg.inner_trials)]  # copies 0..J
+        bits = [_project_bits(F, g_j, ~non_tree_ball_mask(g_j, 2), labels(j))[root]
+                for j, g_j in enumerate(graphs)]
+        assert accepted == bits[0], t
+        assert count == (sum(bits[1:]) if accepted else -1), t
+    assert 0 < rows[:, 0].sum() < cfg.trials
+    assert len(set(rows[rows[:, 0] == 1, 1].tolist())) > 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

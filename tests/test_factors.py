@@ -475,6 +475,19 @@ def test_projection_independent_on_multigraphs():
         assert sample.violations() == []
 
 
+def test_projection_breaks_label_ties_by_graph_vertex_id():
+    # tied adjacent labels: both balls order the tie by the graph ids, so
+    # the lower id wins and the output is an independent set
+    f = threshold_factor()
+    path = MultiGraph(3, [(0, 1), (1, 2)])
+    tied = np.array([5, 5, 9], dtype=np.uint64)
+    assert project_to_graph(f, path, tied).bits.tolist() == [1, 0, 0]
+    rng = np.random.default_rng(49)
+    for s in range(300):  # labels from {0, 1, 2}: ties on most graphs
+        g = sample_config_model(30, 3, s)
+        project_to_graph(f, g, rng.integers(0, 3, size=30).astype(np.uint64))
+
+
 def test_projection_loop_vertex_never_member():
     g = MultiGraph(1, [(0, 0)])
     g2 = MultiGraph(3, [(0, 0), (0, 1), (1, 2)])

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -353,13 +352,11 @@ def test_tree_stars_match_the_lazy_trees(host, radius, p):
             assert bits[j, i] == bool(f.rule(own))
 
 
-def test_tree_stars_reject_graph_hosts_and_factors_without_an_array_rule():
-    # TreeBlock takes tree hosts only, and factors with an array_rule only
+def test_tree_stars_reject_graph_hosts():
+    # TreeBlock takes tree hosts only
     roots = np.arange(3, dtype=np.uint64)
     with pytest.raises(TypeError):
         TreeBlock(threshold_factor(), ConfigModelHost(10, 3), roots)
-    with pytest.raises(TypeError):
-        TreeBlock(replace(threshold_factor(), array_rule=None), RegularTreeHost(3), roots)
 
 
 def test_tree_labels_copy_zero_stores_nothing():
