@@ -33,13 +33,15 @@ from .coupling import (
     scan_p,
     vertex_states,
 )
-from .factors import (
-    estimate_tree_density,
-    factor_from_spec,
-    factor_spec,
-    project_to_graph,
+from .factors import estimate_tree_density, factor_from_spec, factor_spec, graph_bits
+from .graphs import (
+    HOSTS,
+    ConfigModelHost,
+    PGWTreeHost,
+    sample_config_model,
+    sample_er,
+    tree_ball_mask,
 )
-from .graphs import HOSTS, ConfigModelHost, PGWTreeHost, sample_config_model, sample_er
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
 from .parallel import effective_workers, mean_stderr, per_trial, run_trials
 from .profiles import (
@@ -162,8 +164,8 @@ def cmd_density(params: dict):
                 g = sample_config_model(host.n, host.d, fold(st, 1))
             else:
                 g = sample_er(host.n, host.lam, fold(st, 1))
-            sample = project_to_graph(factor, g, CoupledLabels(vertex_states(st, host.n)).x0)
-            return [sample.bits.mean()]
+            labels = CoupledLabels(vertex_states(st, host.n)).x0
+            return [graph_bits(factor, g, labels, tree_ball_mask(g, factor.radius + 1)).mean()]
 
         rows = run_trials(per_trial(one), trials, workers)
         mean, stderr = mean_stderr(rows[:, 0])

@@ -23,8 +23,10 @@ trials: the stability takes copy 0 of the block's outer trials, then the
 inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
 the bits it holds stay bounded at any inner trial count.  On graph hosts
 both estimators read copies 1..k one at a time, holding one copy graph:
-the intersections keep a running intersection over the whole graph, and
-stability labels only the root's ball, by scalar folds.
+the intersections keep a running intersection over the whole graph, each
+copy projected from the whole-graph arrays (factors.graph_bits, with the
+tree-ball mask computed once per distinct copy graph), and stability
+labels only the root's ball, by scalar folds.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import Factor, TreeBlock, _project_bits, apply_factor
+from .factors import Factor, TreeBlock, apply_factor, graph_bits
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
@@ -44,9 +46,9 @@ from .graphs import (
     bernoulli_pairs,
     incidence_arrays,
     neighborhood,
-    non_tree_ball_mask,
     sample_config_model,
     sample_er,
+    tree_ball_mask,
 )
 from .parallel import BLOCK, mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
@@ -228,8 +230,10 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
     Per trial: sample g and label its vertices by their states (X0, S and
     the fresh copies, rng.CoupledLabels); project copy j's labels on copy
     j's graph (copy_graphs; vertices with a non-tree (radius+1)-neighbourhood
-    map to 0) and intersect it into the running intersection of copies
-    1..j-1.  A row is [the k prefix-intersection densities..., non-tree
+    map to 0) by graph_bits and intersect it into the running intersection
+    of copies 1..j-1.  The tree-ball mask is computed once per trial on the
+    configuration model, where every copy's graph is g, and once per copy on
+    the Erdos-Renyi host.  A row is [the k prefix-intersection densities..., non-tree
     vertex fraction of copy 1's graph, which is g itself on the
     configuration model].
     """
@@ -245,8 +249,8 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
         row, alive = np.empty(k + 1), np.ones(n, dtype=bool)
         for j, g_j in enumerate(copy_graphs(host, g, st, cfg.p, k), 1):
             if j == 1 or g_j is not g:  # where copy j's graph is g, g's mask is reused
-                ok = ~non_tree_ball_mask(g_j, f.radius + 1)
-            alive &= _project_bits(f, g_j, ok, labels(j))
+                ok = tree_ball_mask(g_j, f.radius + 1)
+            alive &= graph_bits(f, g_j, labels(j), ok)
             row[j - 1] = alive.sum() / n
             if j == 1:
                 row[k] = 1.0 - ok.mean()

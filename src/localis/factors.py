@@ -1,10 +1,12 @@
 """Local decision rules and their application to trees and finite graphs.
 
 A factor is a deterministic rule reading a rooted labelled neighbourhood of
-bounded radius and returning a {0, 1} inclusion bit.  Rules are written
-against a minimal rooted-view protocol (root, neighbors(v), label(v),
-order_key(v)), so one implementation serves materialised neighbourhoods and
-lazily generated trees alike.
+bounded radius and returning a {0, 1} inclusion bit.  Each factor carries
+its rule in three forms: `rule` over a rooted view, `array_rule` over the
+root stars of a block of trees, and `graph_rule` over a whole graph.  The
+view protocol (root, neighbors(v), label(v), order_key(v)) serves
+materialised neighbourhoods and lazily generated trees alike; it is the
+reference the other two forms equal bit for bit.
 
 On tree hosts every factor also carries its rule in array form,
 array_rule(host, s_density, states, valid, labels, copies), and TreeBlock,
@@ -32,6 +34,14 @@ percolation-round rule reaches neighbors(v) only while first-success rounds
 strictly decrease from at most k, hence at depth <= k < k + 1.  On levels:
 a depth-j node is expanded only with a round in 2..k + 1 - j, so the level
 arrays never expand a node at depth k or beyond and need no cut either.
+
+Projection onto a finite graph runs on the graph's incidence arrays:
+graph_bits takes graph_rule(g, labels), the rule's bit at every vertex (a
+CSR compare for threshold, the round-synchronous process for the
+percolation-round rule), where graphs.tree_ball_mask marks a tree-like
+(radius+1)-ball, and checks independence over the incidences.  The rule's
+bit at v equals the view rule's on v's radius-ball, tree-like or not;
+project_to_graph, one ball and one rule call per vertex, is the reference.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import MultiGraph, child_states, neighborhood, non_tree_ball_mask
+from .graphs import MultiGraph, child_states, incidences, neighborhood, non_tree_ball_mask
 from .parallel import mean_stderr, run_trials
 from .rng import (
     CoupledLabels,
@@ -62,8 +72,9 @@ class Factor:
     The rule reads only vertices within `radius` of the root and is invariant
     under vertex-id relabelling; ids enter only as tie-breaks for the
     measure-zero event of equal labels.  array_rule is the rule's array
-    form over root stars, which TreeBlock evaluates (see the module
-    docstring).
+    form over root stars, which TreeBlock evaluates, and graph_rule(g,
+    labels) its whole-graph form, the rule's bit at every vertex of a
+    MultiGraph (see the module docstring).
     """
 
     kind: str
@@ -71,6 +82,7 @@ class Factor:
     params: dict
     rule: Callable
     array_rule: Callable
+    graph_rule: Callable
 
 
 def factor_spec(f: Factor) -> dict:
@@ -98,6 +110,7 @@ def constant_factor(bit: int) -> Factor:
         array_rule=lambda host, s_density, states, valid, labels, copies: np.full(
             labels.shape[:-1], bool(bit)
         ),
+        graph_rule=lambda g, labels: np.full(g.n, bool(bit)),
     )
 
 
@@ -120,11 +133,24 @@ def _threshold_array(host, s_density, states, valid, labels, copies) -> np.ndarr
     return ~(below & valid[:, 1:]).any(axis=-1)
 
 
+def _threshold_graph(g: MultiGraph, labels: np.ndarray) -> np.ndarray:
+    """_threshold_rule at every vertex of g: v survives unless an incidence
+    (v, w) has (label of w, w) lexicographically at most (label of v, v); a
+    ball's order key is its graph vertex id, and a loop sinks its vertex."""
+    tail, nbr = g.tail, g.nbr
+    mine, theirs = labels[tail], labels[nbr]
+    below = (theirs < mine) | ((theirs == mine) & (nbr <= tail))
+    bits = np.ones(g.n, dtype=bool)
+    bits[tail[below]] = False
+    return bits
+
+
 def threshold_factor() -> Factor:
     """Radius-1 rule: include the root iff its label is the strict minimum of
     its closed 1-neighbourhood.  Density 1/(d+1) on the d-regular tree."""
     return Factor(
-        "greedy-threshold", 1, {}, rule=_threshold_rule, array_rule=_threshold_array
+        "greedy-threshold", 1, {}, rule=_threshold_rule, array_rule=_threshold_array,
+        graph_rule=_threshold_graph,
     )
 
 
@@ -271,6 +297,34 @@ def _joins(n: int, kids: tuple, host, s_density: float, p: float, k: int) -> np.
         kids = (parent[keep], first_success_rounds(labels, p, k), state[keep], _pick(copy, keep))
 
 
+def _lw_process(p: float, k: int) -> Callable:
+    """_lw_rule at every vertex of a graph: the round-synchronous process
+    (Lauer and Wormald).  For t = 1..k the vertices of round t not yet
+    blocked join, and then block every neighbour; at the end a joined
+    vertex with a joined neighbour (a loop counts) drops out.  A vertex joins
+    exactly when joins() of _lw_rule says so: no lower-round neighbour
+    joins.  A joined neighbour of a joined vertex has its round, so the
+    output is _lw_rule's bit on every view of radius k + 1, cycles, loops and
+    parallel edges included.
+    """
+
+    def rule(g: MultiGraph, labels: np.ndarray) -> np.ndarray:
+        rounds = first_success_rounds(labels, p, k)
+        order = rounds.argsort(kind="stable")
+        ends = rounds[order].searchsorted(np.arange(k + 1), side="right")
+        joined, blocked = np.zeros(g.n, dtype=bool), np.zeros(g.n, dtype=bool)
+        for t in range(1, k + 1):
+            fresh = order[ends[t - 1] : ends[t]]
+            fresh = fresh[~blocked[fresh]]
+            joined[fresh] = True
+            blocked[g.nbr[incidences(g, fresh)[0]]] = True
+        tail = g.tail
+        joined[tail[joined[tail] & joined[g.nbr]]] = False
+        return joined
+
+    return rule
+
+
 def lauer_wormald(p: float, k: int) -> Factor:
     """Factor of radius k+1 running k rounds of Bernoulli(p) percolation with
     removal of selected closed neighbourhoods and same-round conflict
@@ -280,7 +334,8 @@ def lauer_wormald(p: float, k: int) -> Factor:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return Factor(
-        "lauer-wormald", k + 1, {"p": p, "k": k}, rule=_lw_rule(p, k), array_rule=_lw_levels(p, k)
+        "lauer-wormald", k + 1, {"p": p, "k": k}, rule=_lw_rule(p, k),
+        array_rule=_lw_levels(p, k), graph_rule=_lw_process(p, k),
     )
 
 
@@ -347,7 +402,8 @@ class IndependentSetSample:
 
 
 def _project_bits(f: Factor, g: MultiGraph, ok: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Factor bits on the vertices flagged in `ok` (tree-like balls); 0 elsewhere."""
+    """Factor bits on the vertices flagged in `ok` (tree-like balls), one
+    ball per vertex; 0 elsewhere.  The reference of graph_bits."""
     bits = np.zeros(g.n, dtype=bool)
     for v in np.flatnonzero(ok):
         nb = neighborhood(g, int(v), f.radius, labels)
@@ -360,6 +416,7 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
 
     A vertex gets the factor's decision when its (radius+1)-neighbourhood is a
     tree, and 0 otherwise; the output is checked to be an independent set.
+    Per vertex, by a ball and apply_factor: the reference of graph_bits.
     """
     labels = np.asarray(labels, dtype=np.uint64)
     if labels.shape != (g.n,):
@@ -370,6 +427,21 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
     if viol:
         raise RuntimeError(f"projection produced adjacent members: {viol[:3]}")
     return sample
+
+
+def graph_bits(f: Factor, g: MultiGraph, labels: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """project_to_graph's bits from the whole-graph arrays: f.graph_rule
+    where `ok` (the tree-like (radius+1)-balls, graphs.tree_ball_mask), 0
+    elsewhere.  Two adjacent members raise project_to_graph's RuntimeError,
+    with the edges listed as IndependentSetSample.violations lists them."""
+    bits = f.graph_rule(g, labels) & ok
+    tail, nbr = g.tail, g.nbr
+    both = np.flatnonzero(bits[tail] & bits[nbr] & (tail <= nbr))
+    if both.size:
+        edges = sorted(set(zip(tail[both].tolist(), nbr[both].tolist(), g.eid[both].tolist())))
+        viol = [(u, w) for u, w, _ in edges]
+        raise RuntimeError(f"projection produced adjacent members: {viol[:3]}")
+    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Samplers for configuration-model multigraphs, Erdos-Renyi graphs, and
 truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
-rooted neighbourhoods and the non-tree ball mask used by the tree-to-graph
-projection.
+rooted neighbourhoods and the tree-ball mask used by the tree-to-graph
+projection.  tree_ball_mask finds every vertex's tree-like ball at once,
+by non-backtracking walks over the incidence arrays; non_tree_ball_mask,
+one ball_is_tree BFS per vertex, is its reference.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
@@ -11,8 +13,9 @@ edge list (explicit graphs, er_edge_arrays, Erdos-Renyi copies) or straight
 from the configuration model's half-edge permutation.  The BFS
 (ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
 and adj[u] is sorted from the arrays when u is first read.  So a per-root
-trial (graph-host stability) costs the root's ball plus the draw, and
-whole-graph work (projection) one pass over the arrays.
+trial (graph-host stability) costs the root's ball plus the draw.
+Whole-graph work (the tree-ball mask, projection) reads the arrays
+directly, through `offsets`, `tail` and incidences().
 
 A materialised rooted ball (RootedNeighborhood) is its sorted BFS-id
 adjacency, built directly by its constructor; its edge list is derived.
@@ -220,9 +223,22 @@ class MultiGraph:
         return np.argsort(self.eid, kind="stable").reshape(-1, 2)
 
     @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """`start` as an int64 array."""
+        s = self.start
+        if isinstance(s, range):
+            return np.arange(s.start, s.stop, s.step, dtype=np.int64)
+        return np.asarray(s, dtype=np.int64)
+
+    @functools.cached_property
+    def tail(self) -> np.ndarray:
+        """tail[h]: the vertex whose incidence position h is."""
+        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+
+    @functools.cached_property
     def edge_array(self) -> np.ndarray:
         """`edges` as an (m, 2) int64 array."""
-        ends = np.repeat(np.arange(self.n), np.diff(self.start))[self._halves()]
+        ends = self.tail[self._halves()]
         if self.model == "config":  # ids follow the drawn permutation
             ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
         return ends
@@ -490,9 +506,65 @@ def ball_is_tree(g, v: int, radius: int) -> bool:
 
 
 def non_tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
-    """Boolean mask of vertices whose radius-ball is not a tree."""
+    """Boolean mask of vertices whose radius-ball is not a tree, by
+    ball_is_tree at each vertex: the reference of tree_ball_mask."""
     g.read_all()
     return np.array([not ball_is_tree(g, v, radius) for v in range(g.n)], dtype=bool)
+
+
+def incidences(g: MultiGraph, vs: np.ndarray) -> tuple:
+    """The incidence positions of the vertices vs, grouped by vertex in the
+    order of vs, as arrays (pos, i): position pos[j] is one of vs[i[j]]'s."""
+    lo = g.offsets[vs]
+    counts = g.offsets[vs + 1] - lo
+    i = np.repeat(np.arange(vs.size), counts)
+    return np.arange(i.size) + (lo - counts.cumsum() + counts)[i], i
+
+
+MASK_OWNERS = 1 << 10  # most owners whose walks one tree_ball_mask pass holds
+
+
+def tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
+    """Boolean mask of vertices whose radius-ball is a tree, equal to
+    ~non_tree_ball_mask(g, radius) at every vertex, over the incidence arrays.
+
+    Non-backtracking walks run from every owner vertex at once, one level
+    per step, as arrays (owner, vertex, edge id arrived by): a step takes
+    every incidence of the walk's vertex but those of the edge it arrived
+    by, so loops and parallel edges count as ball_is_tree counts them.  An
+    owner's ball is a tree iff its walks of length <= radius end at distinct
+    vertices and no walk of length radius + 1 ends at a vertex of level
+    radius.  While an owner is tree-like, its level-L walks can end only
+    where level L - 1 or level L ends, so each level is compared with the
+    one before it; an owner found non-tree leaves the walks.  At most
+    MASK_OWNERS owners walk at once, which bounds the walks held.
+    """
+    n = g.n
+    out = np.ones(n, dtype=bool)
+    for lo in range(0, n, MASK_OWNERS):
+        at = np.arange(lo, min(lo + MASK_OWNERS, n))
+        tree = out[lo : lo + at.size]  # a view: owner i is vertex lo + i
+        own = np.arange(at.size)
+        via = np.full(at.size, -1)
+        prev = own * n + at  # (owner, vertex) keys of the last level, sorted
+        for level in range(1, radius + 2):
+            pos, i = incidences(g, at)
+            step = g.eid[pos] != via[i]
+            pos, own = pos[step], own[i[step]]
+            at, via = g.nbr[pos], g.eid[pos]
+            keys = own * n + at
+            ends = prev[np.searchsorted(prev, keys).clip(max=prev.size - 1)]
+            bad = keys[ends == keys]
+            if level <= radius:
+                keys.sort()
+                bad = np.concatenate((bad, keys[1:][keys[1:] == keys[:-1]]))
+            tree[bad // n] = False
+            keep = tree[own]
+            if level > radius or not keep.any():
+                break
+            own, at, via = own[keep], at[keep], via[keep]
+            prev = keys[tree[keys // n]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from localis import cli
+from localis import cli, profiles
 from localis.cli import main
 from localis.coupling import host_scale
 from localis.graphs import HOSTS, ErdosRenyiHost, PGWTreeHost
@@ -479,13 +479,27 @@ def test_bounds_malformed_profile_guard(tmp_path, capsys):
     assert "pi(0b1) = -2.084e-05 < 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", ["2", "3"])
-def test_bounds_rate_gap_guard(tmp_path, capsys, d):
-    # at d = 2 and 3 the rate gap exceeds its calibrated c_1 * log(d)/d
+@pytest.mark.parametrize("alpha, d", [("1", "2"), ("1", "3"), ("0.5", "5"), ("1,0.8", "2")])
+def test_bounds_reports_small_d_rates_unguarded(tmp_path, alpha, d):
+    # the gap exceeds the constants calibrated on d >= 1000 (at d = 3,
+    # alpha 1, it is 0.56 log(d)/d against c_1 = 0.5); below that d the
+    # report carries it unguarded
     out = str(tmp_path / "bounds.json")
-    assert run(["bounds", "--alpha", "1", "--d", d, "--out", out]) == 3
+    assert run(["bounds", "--alpha", alpha, "--d", d, "--out", out]) == 0
+    report = json.loads(read(out))
+    assert report["gap"] == pytest.approx(report["rate_bound"] - report["leading_term"])
+    assert report["gap"] > profiles.DEFAULT_GAP_CONSTANTS[report["k"]] * math.log(int(d)) / int(d)
+
+
+def test_bounds_rate_gap_guard_from_the_calibrated_d(tmp_path, capsys, monkeypatch):
+    # no profile of the calibration families comes near its constant at
+    # d = 1000, so the constant is lowered: the guard stops d = 1000, not 999
+    monkeypatch.setitem(profiles.DEFAULT_GAP_CONSTANTS, 1, 0.01)
+    out = str(tmp_path / "bounds.json")
+    assert run(["bounds", "--alpha", "0.15", "--d", "1000", "--out", out]) == 3
     assert "rate gap" in capsys.readouterr().err
     assert not os.path.exists(out)
+    assert run(["bounds", "--alpha", "0.15", "--d", "999", "--out", out]) == 0
 
 
 def test_bounds_accepts_alpha_at_the_lattice_cap(tmp_path):

@@ -35,7 +35,11 @@ commands (the three graph-host `density_*` ones and the nine
 `stability_*` and `scan_*` ones) were re-recorded when graph vertices took
 their labels, S and fresh copies from per-vertex folds, the tree-node rule,
 in place of a numpy generator per trial and per inner trial; the laws of
-those draws are checked in tests/test_labels.py.  A refactor that moves any
+those draws are checked in tests/test_labels.py.
+`density_config_threshold_large` (threshold density on one n = 5000
+configuration graph per trial, the benchmark's graph op) and
+`density_er_lw_deep` (LW(0.3, 3) density on Erdos-Renyi, whose mask radius
+is 5) were recorded while projection still built one ball per vertex.  A refactor that moves any
 random stream or changes any output byte fails here.
 """
 
@@ -204,6 +208,16 @@ GOLDEN = {
          "--host", "pgw", "--lam", "3", "--k", "3", "--p", "0.5", "--trials", "300",
          "--inner-trials", "20", "--seed", "27"],
         "2c4f4dd0ec3793bfe95f337fe097024e866e3290a646cc41149a56b73f204ead",
+    ),
+    "density_config_threshold_large": (
+        ["density", "--factor", "threshold", "--host", "config-model", "--n", "5000",
+         "--d", "3", "--trials", "2", "--seed", "28"],
+        "7b8b7e66bd4ed61dac6451bfc63f8dc2ca9773a0ea94b457f6a1bb3f6fb43bf4",
+    ),
+    "density_er_lw_deep": (
+        ["density", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "3", "--host", "er",
+         "--n", "2000", "--lam", "3", "--trials", "2", "--seed", "29"],
+        "718b9e5b1d56ce5b777c102904537ecea1b2b286c0da203b4cf12bd640c32bf1",
     ),
 }
 

@@ -16,6 +16,7 @@ from localis.factors import (
     estimate_tree_density,
     factor_from_spec,
     factor_spec,
+    graph_bits,
     lauer_wormald,
     project_to_graph,
     threshold_factor,
@@ -31,6 +32,7 @@ from localis.graphs import (
     sample_er,
     sample_pgw_tree,
     sample_regular_tree,
+    tree_ball_mask,
     TreeLabels,
 )
 from localis.rng import (
@@ -495,6 +497,61 @@ def test_projection_loop_vertex_never_member():
     assert not project_to_graph(threshold_factor(), g, labels[:1]).bits.any()
     s = project_to_graph(threshold_factor(), g2, labels)
     assert not s.bits[0]
+
+
+GRAPH_RULE_FACTORS = [
+    threshold_factor(), constant_factor(0), lauer_wormald(0.3, 2), lauer_wormald(0.2, 3),
+    lauer_wormald(0.5, 1), lauer_wormald(0.3, 6), lauer_wormald(0.02, 250),
+]
+
+
+def _rule_graphs():
+    """Random multigraphs with loops, parallel edges and isolated vertices,
+    and sampled configuration and Erdos-Renyi graphs."""
+    rng = np.random.default_rng(53)
+    out = [MultiGraph(6, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 4), (4, 5),
+                          (5, 3), (5, 5)])]
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        out.append(MultiGraph(n, rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))))
+    return out + [sample_config_model(120, 3, 5), sample_er(120, 3.0, 6),
+                  sample_config_model(60, 4, 7)]
+
+
+@pytest.mark.parametrize("f", GRAPH_RULE_FACTORS, ids=lambda f: f"{f.kind}{f.params}")
+def test_graph_rule_equals_the_rule_on_every_ball(f):
+    """At every vertex, tree-like ball or not, under labels with many ties
+    (small integers), vertex-id labels and uniform labels."""
+    rng = np.random.default_rng(54)
+    for g in _rule_graphs():
+        for labels in (rng.integers(0, 3, size=g.n), np.arange(g.n)[::-1],
+                       uniform_labels(rng, g.n)):
+            labels = labels.astype(np.uint64)
+            ref = [apply_factor(f, neighborhood(g, v, f.radius, labels)) for v in range(g.n)]
+            assert f.graph_rule(g, labels).tolist() == [bool(b) for b in ref], g.edges
+
+
+@pytest.mark.parametrize("f", [threshold_factor(), lauer_wormald(0.3, 2)], ids=["thr", "lw"])
+def test_graph_bits_equal_the_projection(f):
+    rng = np.random.default_rng(55)
+    for g in (sample_config_model(400, 3, 8), sample_er(400, 3.0, 9), sample_config_model(30, 3, 10)):
+        labels = uniform_labels(rng, g.n)
+        bits = graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1))
+        assert bits.tolist() == project_to_graph(f, g, labels).bits.tolist()
+
+
+def test_graph_bits_raise_the_projection_error():
+    # const1 takes every vertex: adjacent tree-like vertices both join
+    f = constant_factor(1)
+    graphs = [MultiGraph(9, [(0, 1), (0, 1), (6, 7), (2, 3), (3, 4), (4, 4), (6, 8), (5, 6)])]
+    graphs += [sample_config_model(30, 3, s) for s in range(5)] + [sample_er(40, 2.0, 1)]
+    for g in graphs:
+        labels = np.zeros(g.n, dtype=np.uint64)
+        with pytest.raises(RuntimeError, match="adjacent members") as ref:
+            project_to_graph(f, g, labels)
+        with pytest.raises(RuntimeError) as got:
+            graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1))
+        assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from localis.graphs import (
     sample_er,
     sample_pgw_tree,
     sample_regular_tree,
+    tree_ball_mask,
     triangle_pairs,
 )
+from localis import graphs
 from localis.coupling import er_resample_graphs
 from localis.factors import TreeBlock, constant_factor, threshold_factor
 from localis.pgw_transfer import edge_removal_stage, filling_out_stage
@@ -825,6 +827,60 @@ def test_count_non_tree_loops_and_multi():
     assert non_tree_ball_mask(loop, 1).sum() == 2  # loop visible at radius 1 from both
     multi = MultiGraph(2, [(0, 1), (0, 1)])
     assert non_tree_ball_mask(multi, 1).sum() == 2
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs with loops, parallel edges and isolated vertices."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    return n, edges
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph=multigraphs())
+def test_tree_ball_mask_equals_the_per_vertex_mask(graph):
+    n, edges = graph
+    for radius in range(7):  # fresh graphs: the reference reads every list
+        assert np.array_equal(
+            tree_ball_mask(MultiGraph(n, edges), radius),
+            ~non_tree_ball_mask(MultiGraph(n, edges), radius),
+        ), radius
+
+
+@pytest.mark.parametrize("radius", [2, 3, 5, 8])
+def test_tree_ball_mask_equals_the_per_vertex_mask_on_sampled_graphs(radius):
+    for g in (sample_config_model(1000, 3, radius), sample_er(1000, 3.0, radius)):
+        ok = tree_ball_mask(g, radius)
+        assert np.array_equal(ok, ~non_tree_ball_mask(g, radius)), g.model
+        assert 0 < ok.mean() < 1 or radius == 8
+
+
+def test_tree_ball_mask_across_owner_passes(monkeypatch):
+    # 7 owners a pass: 50 and 61 vertices end on a partial pass
+    monkeypatch.setattr(graphs, "MASK_OWNERS", 7)
+    for g in (sample_config_model(50, 3, 3), sample_er(61, 2.5, 4), cycle(9)):
+        for radius in range(5):
+            assert np.array_equal(tree_ball_mask(g, radius), ~non_tree_ball_mask(g, radius))
+
+
+@pytest.mark.parametrize("n, radius, bound_mib", [(10**5, 2, 8), (10**4, 8, 32)])
+def test_tree_ball_mask_holds_bounded_memory(n, radius, bound_mib):
+    """MASK_OWNERS bounds the walks held.  At n = 10^5, R = 2 the mask
+    traces about 1.2 MiB and at n = 10^4, R = 8 (LW(0.3, 6)'s mask radius)
+    about 10 MiB; one pass over every owner at once traces about 95 MiB in
+    both cases."""
+    g = sample_config_model(n, 3, 11)
+    g.tail, g.offsets  # the graph's own arrays, made once per graph
+    tracemalloc.start()
+    try:
+        ok = tree_ball_mask(g, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.shape == (n,)
+    assert peak < bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_local_weak_convergence_smoke():

@@ -53,6 +53,10 @@ ALLOWED = {
     "pgw_transfer.schedule_tail_bound": "paper quantity",
     "pgw_transfer.event_E_lower_bound": "paper quantity",
     "graphs.sample_regular_tree": "test reference",
+    "factors._project_bits": "test reference",
+    "factors.IndependentSetSample.members": "test reference",
+    "factors.IndependentSetSample.violations": "test reference",
+    "graphs.MultiGraph.read_all": "test reference",
     "graphs.MultiGraph.pairing": "test reference",
     "graphs.MultiGraph.to_json": "test reference",
     "graphs.RootedNeighborhood.edges": "test reference",
@@ -68,6 +72,8 @@ ALLOWED = {
     "graphs.TreeLabels.label": "benchmark binding",
     "graphs.TreeLabels.order_key": "test reference",
     "graphs.MultiGraph.neighbors": "benchmark binding",
+    "factors.project_to_graph": "benchmark binding",
+    "graphs.non_tree_ball_mask": "benchmark binding",
     "parallel._run_block": "fork child",
 }
 
@@ -79,6 +85,8 @@ RUNS = [
     ["density", "--factor", "const1", "--host", "pgw", "--lam", "1", "--trials", "5"],
     ["density", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1", "--host", "er", "--n", "40",
      "--lam", "2", "--trials", "2", "--format", "json"],
+    ["density", "--factor", "const0", "--host", "config-model", "--n", "40", "--d", "3",
+     "--trials", "2"],
     ["stability", "--factor", "threshold", "--host", "regular-tree", "--d", "3", "--k", "2",
      "--p", "0.5", "--trials", "40", "--inner-trials", "5"],
     ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2", "--host", "pgw",
