@@ -189,8 +189,8 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
     Every copy keeps all edges of g not inside SxS, filtered once; pairs
     within SxS are re-drawn independently per copy with probability lam/n,
     so each copy is again Erdos-Renyi(n, lam/n) marginally.  Copy i draws
-    one uniform per pair of the sorted S, in triangle_pairs order, from the
-    stream fold(trial_state(seed, 0x5E5A), i), and lists its edges sorted.
+    its pairs of the sorted S by one bernoulli_pairs call on the stream
+    fold(trial_state(seed, 0x5E5A), i), and lists its edges sorted.
     """
     S = np.sort(np.asarray(S, dtype=np.int64))
     n = g.n

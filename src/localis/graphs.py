@@ -10,7 +10,11 @@ one ball_is_tree BFS per vertex, is its reference.
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
 edge list (explicit graphs, er_edge_arrays, Erdos-Renyi copies) or straight
-from the configuration model's half-edge permutation.  The BFS
+from the configuration model's half-edge permutation.  Either way a graph
+costs O(n + edges) to draw: bernoulli_pairs, the one Erdos-Renyi pair draw
+(er_edge_arrays and the copies' SxS redraw), draws a Binomial edge count
+and one uniform set of pair positions, never one variate per absent pair.
+The BFS
 (ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
 and adj[u] is sorted from the arrays when u is first read.  So a per-root
 trial (graph-host stability) costs the root's ball plus the draw.
@@ -328,25 +332,27 @@ def triangle_pairs(m: int, flat: np.ndarray) -> tuple:
     return us, flat - (start - a - 1)[us]
 
 
-PAIR_CHUNK = 1 << 20  # most uniforms bernoulli_pairs draws at a time
-
-
 def bernoulli_pairs(rng, m: int, q: float) -> tuple:
-    """The pairs (a, b), a < b < m, whose uniform from `rng`, drawn one per
-    pair in triangle_pairs order, is below q; as int64 arrays (a, b).  The
-    uniforms come PAIR_CHUNK at a time, which consumes the stream exactly as
-    one draw of them all would, in O(PAIR_CHUNK) memory beyond the pairs."""
+    """The pairs (a, b), a < b < m, each present independently with
+    probability q, as int64 arrays (a, b) in triangle_pairs order.
+
+    Two draws from `rng` and no pass over the absent pairs: the number of
+    present pairs is Binomial(C(m, 2), q), and given that number the set of
+    their triangle_pairs positions is uniform, which is the law of one
+    Bernoulli(q) per pair.  Time and memory are O(m + pairs drawn):
+    rng.choice holds a table of all C(m, 2) positions only when it draws more
+    than a twentieth of them (or there are at most 10^4).
+    """
     total = m * (m - 1) // 2
-    flat = [
-        (rng.random(min(PAIR_CHUNK, total - lo)) < q).nonzero()[0] + lo
-        for lo in range(0, total, PAIR_CHUNK)
-    ]
-    return triangle_pairs(m, np.concatenate([np.empty(0, np.int64), *flat]))
+    flat = rng.choice(total, rng.binomial(total, q), replace=False, shuffle=False)
+    flat.sort()
+    return triangle_pairs(m, flat)
 
 
 def er_edge_arrays(n: int, lam: float, seed) -> tuple:
     """The edges sample_er(n, lam, seed) draws, as arrays (us, vs) with
-    us < vs, in sorted order."""
+    us < vs, in sorted order: one bernoulli_pairs draw at q = lam/n from
+    default_rng(seed), so O(n + edges) time and memory."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 <= lam <= n:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from localis.graphs import sample_er, triangle_pairs
+from localis.graphs import bernoulli_pairs, sample_er, triangle_pairs
 from localis.profiles import independent_subsets
 
 
@@ -32,19 +32,23 @@ def unit_to_label(u: float) -> np.uint64:
 
 def er_independent_triple_counts(n: int, lam: float, seed: int, trials: int, checked: int):
     """Independent 3-subsets of `trials` successive sample_er(n, lam, rng)
-    graphs, rng = default_rng(seed), counted from one draw of all their pair
-    uniforms: sample_er draws one uniform per pair in triangle_pairs order,
-    so row t of rng.random((trials, pairs)) is graph t's.  The first
-    `checked` counts are asserted equal, call by call, to sample_er plus
-    independent_subsets on a generator of the same seed."""
+    graphs, rng = default_rng(seed), counted on a (trials, pairs) presence
+    matrix: sample_er draws its edges by one bernoulli_pairs(rng, n, lam / n)
+    call, so row t holds graph t's pairs at their triangle_pairs positions.
+    The first `checked` counts are asserted equal, call by call, to
+    sample_er plus independent_subsets on a generator of the same seed."""
     a, b = triangle_pairs(n, np.arange(n * (n - 1) // 2))
-    column = {pair: i for i, pair in enumerate(zip(a.tolist(), b.tolist()))}
+    column = np.zeros((n, n), dtype=np.int64)
+    column[a, b] = np.arange(a.size)
     triples = [
         [column[u, v], column[u, w], column[v, w]]
         for u, v, w in itertools.combinations(range(n), 3)
     ]
-    absent = np.random.default_rng(seed).random((trials, len(column))) >= lam / n
-    counts = absent[:, triples].all(axis=2).sum(axis=1)
+    rng = np.random.default_rng(seed)
+    present = np.zeros((trials, a.size), dtype=bool)
+    for t in range(trials):
+        present[t, column[bernoulli_pairs(rng, n, lam / n)]] = True
+    counts = (~present[:, triples].any(axis=2)).sum(axis=1)
     rng = np.random.default_rng(seed)
     for t in range(checked):
         subsets = independent_subsets(sample_er(n, lam, rng))

@@ -38,6 +38,7 @@ from localis.graphs import (
     RegularTreeHost,
     TreeLabels,
     ball_is_tree,
+    bernoulli_pairs,
     neighborhood,
     non_tree_ball_mask,
     sample_er,
@@ -303,7 +304,8 @@ def test_er_resample_p0_identity():
 
 def _er_resample_per_copy(g, S, lam, k, seed) -> list:
     """er_resample_graphs as first written: S, the kept edges and the SxS
-    pairs rebuilt on every call."""
+    pairs rebuilt on every call, the pairs by one bernoulli_pairs call per
+    copy, so the kept-edge filter and the merge are checked byte for byte."""
     n = g.n
     S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
     in_s = np.zeros(n, dtype=bool)
@@ -311,12 +313,9 @@ def _er_resample_per_copy(g, S, lam, k, seed) -> list:
     kept = [(u, v) for u, v in g.edges if not (in_s[u] and in_s[v])]
     out = []
     base = trial_state(seed, 0x5E5A)
-    m = S.size
-    iu, iv = np.triu_indices(m, k=1) if m >= 2 else (np.array([], int), np.array([], int))
     for i in range(k):
-        rng = state_rng(fold(base, i))
-        mask = rng.random(iu.size) < lam / n
-        fresh = [(int(S[a]), int(S[b])) for a, b in zip(iu[mask], iv[mask])]
+        a, b = bernoulli_pairs(state_rng(fold(base, i)), S.size, lam / n)
+        fresh = [(int(S[x]), int(S[y])) for x, y in zip(a, b)]
         out.append(MultiGraph(n, sorted(kept + fresh), model="er", params={"lambda": lam}))
     return out
 

@@ -39,8 +39,14 @@ those draws are checked in tests/test_labels.py.
 `density_config_threshold_large` (threshold density on one n = 5000
 configuration graph per trial, the benchmark's graph op) and
 `density_er_lw_deep` (LW(0.3, 3) density on Erdos-Renyi, whose mask radius
-is 5) were recorded while projection still built one ball per vertex.  A refactor that moves any
-random stream or changes any output byte fails here.
+is 5) were recorded while projection still built one ball per vertex.  The
+six Erdos-Renyi commands (`density_er_threshold`, `density_er_lw_deep`,
+`stability_er`, `scan_er`, `scan_er_lw`, `scan_er_k4`) were re-recorded when
+the Erdos-Renyi pair draw (graphs.bernoulli_pairs: the graph and every
+copy's SxS redraw) became a Binomial count and one uniform set of pair
+positions in place of one uniform per pair; the law of that draw is checked
+in tests/test_graphs.py.  A refactor that moves any random stream or changes
+any output byte fails here.
 """
 
 import hashlib
@@ -68,7 +74,7 @@ GOLDEN = {
     "density_er_threshold": (
         ["density", "--factor", "threshold", "--host", "er",
          "--n", "300", "--lam", "3", "--trials", "10", "--seed", "6"],
-        "925894cd552eddc3f5eb9a4d9743166ad9a93d3a0502adbf964d10a6bfcf385e",
+        "a790157eae90ab36957403cbd885f07713cf28b23d4407690849e136dfc2f5e8",
     ),
     "density_config_lw": (
         ["density", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
@@ -80,7 +86,7 @@ GOLDEN = {
         ["stability", "--factor", "threshold", "--host", "er", "--n", "100",
          "--lam", "2", "--k", "2", "--p", "0.5", "--trials", "80",
          "--inner-trials", "10", "--seed", "8"],
-        "ccea439a081bfea1f3224c31beef2e5760718925bf5e39eb66741f46e7c68739",
+        "6e8422df1c3398e9bf4de6cd3d5cbc6c8c3b0915a6430217aa8ad327ba905b29",
     ),
     "stability_config": (
         ["stability", "--factor", "threshold", "--host", "config-model",
@@ -98,7 +104,7 @@ GOLDEN = {
         ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60",
          "--lam", "2", "--k", "2", "--grid", "0,0.5,1",
          "--trials", "40", "--inner-trials", "6", "--seed", "11"],
-        "99f70d27c1c76e4cb573c509b99ca0b3dcb852f805c4835173791b8cd9d2cd39",
+        "e483137679f4208182e166a2263619016b96b01728e3ff24f093f24283a35d9b",
     ),
     "stability_tree": (
         ["stability", "--factor", "threshold", "--host", "regular-tree",
@@ -161,7 +167,7 @@ GOLDEN = {
         ["scan-p", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1", "--host", "er",
          "--n", "60", "--lam", "2", "--k", "2", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "6", "--seed", "15"],
-        "7c0ce723cd5d7726f7eef9f0ca599f939b36811c75c96dc52bf73b0c8d52fc06",
+        "90863d8366a23981538eccad68ee14c9c00005cf6824421b396d7badb0470298",
     ),
     "bounds_self_test": (
         ["bounds", "--alpha", "1.2,0.8,0.5", "--d", "1000", "--self-test"],
@@ -179,7 +185,7 @@ GOLDEN = {
         ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60", "--lam", "2",
          "--k", "4", "--grid", "0,0.5,1", "--trials", "30", "--inner-trials", "4",
          "--seed", "23"],
-        "28ec4d17d62373ea115d90ef60f46fa17101aab697a7878d52799b2a8587f8ac",
+        "5d95896c681013342949ce8cf417b79f01f36eb80aa92fa6478511c4cb64937f",
     ),
     "stability_config_lw_accepting": (
         ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
@@ -217,7 +223,7 @@ GOLDEN = {
     "density_er_lw_deep": (
         ["density", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "3", "--host", "er",
          "--n", "2000", "--lam", "3", "--trials", "2", "--seed", "29"],
-        "718b9e5b1d56ce5b777c102904537ecea1b2b286c0da203b4cf12bd640c32bf1",
+        "b32db0cfcbff09b7e982385f4081d9b584aab200f9a78bd0cdea8c964aad7987",
     ),
 }
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from localis.graphs import (
-    PAIR_CHUNK,
     ConfigModelHost,
     LazyTree,
     MultiGraph,
@@ -170,11 +169,13 @@ def test_er_determinism():
 
 
 def _er_edges_by_triu(n: int, lam: float, seed) -> tuple:
-    """er_edge_arrays as first written: the drawn mask indexes triu_indices."""
+    """er_edge_arrays with the positions its two draws pick (a Binomial count,
+    then that many distinct positions) mapped through triu_indices."""
     rng = np.random.default_rng(seed)
+    total = n * (n - 1) // 2
+    flat = np.sort(rng.choice(total, rng.binomial(total, lam / n), replace=False, shuffle=False))
     iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < lam / n
-    return iu[mask], iv[mask]
+    return iu[flat], iv[flat]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
@@ -183,35 +184,155 @@ def test_er_edge_arrays_match_the_triu_mapping(n, seed):
     for lam in (0.0, min(2.0, n), float(n)):
         us, vs = er_edge_arrays(n, lam, seed)
         ref_us, ref_vs = _er_edges_by_triu(n, lam, seed)
-        assert us.dtype == ref_us.dtype and vs.dtype == ref_vs.dtype
+        assert us.dtype == np.int64 and vs.dtype == np.int64
         assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs)
 
 
-def _one_shot_pairs(rng, m: int, q: float) -> tuple:
-    """bernoulli_pairs as one draw of every pair's uniform."""
-    return triangle_pairs(m, (rng.random(m * (m - 1) // 2) < q).nonzero()[0])
+# ---------------------------------------------------------------------------
+# Law gate for the pair sampler
+# ---------------------------------------------------------------------------
+#
+# bernoulli_pairs draws a Binomial count and a uniform set of pair positions;
+# _uniform_pairs, one uniform per pair, is the sampler it replaced and the
+# reference.  Both must pass every check below against an exact law, at
+# level PAIR_ALPHA.  Each check also runs on the mutants it has power
+# against, and must reject them:
+#
+# - "shift": the unranking reads every position one too far (flat + 1);
+# - "q": q raised by 5 standard errors of the frequency the check reads;
+# - "drop": the last pair (m - 2, m - 1) is never returned.
+#
+# The edge-set, position and endpoint checks reject all three.  The count
+# test reads no positions, so it is run on "q" alone: "drop" moves its
+# expected count by one pair in C(m, 2), and "shift" shows there only when
+# the last pair is drawn.
+
+PAIR_ALPHA = 1e-3
 
 
-def _assert_same_pairs_and_stream(m: int, q: float, seed: int):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    a, b = bernoulli_pairs(rng, m, q)
-    ref_a, ref_b = _one_shot_pairs(ref_rng, m, q)
-    assert a.dtype == ref_a.dtype == np.int64 and b.dtype == ref_b.dtype
-    assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+def _uniform_pairs(rng, m: int, q: float) -> tuple:
+    """bernoulli_pairs as first written: one uniform per pair, in
+    triangle_pairs order, and the pair present iff its uniform is below q."""
+    return triangle_pairs(m, np.flatnonzero(rng.random(m * (m - 1) // 2) < q))
 
 
-@pytest.mark.parametrize("n", [1448, 1449])  # 1449 * 1448 / 2 > PAIR_CHUNK = 2^20
-def test_bernoulli_pairs_equal_one_draw_of_all_pairs(n):
-    assert (n * (n - 1) // 2 > PAIR_CHUNK) == (n == 1449)
-    _assert_same_pairs_and_stream(n, 3.0 / n, n)
+def _pair_sampler(monkeypatch, mutant, se=lambda q: 0.0):
+    """The sampler a check runs: the program, the reference or a mutant;
+    se(q) is the standard error that the "q" mutant raises q by 5 of."""
+    if mutant == "reference":
+        return _uniform_pairs
+    if mutant == "shift":
+        monkeypatch.setattr(graphs, "triangle_pairs", lambda m, flat: triangle_pairs(m, flat + 1))
+    if mutant == "q":
+        return lambda rng, m, q: bernoulli_pairs(rng, m, q + 5.0 * se(q))
+    if mutant == "drop":
+
+        def drop(rng, m, q):
+            a, b = bernoulli_pairs(rng, m, q)
+            keep = (a != m - 2) | (b != m - 1)
+            return a[keep], b[keep]
+
+        return drop
+    return bernoulli_pairs
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 9, 40])
-def test_bernoulli_pairs_in_small_chunks_equal_one_draw(monkeypatch, m):
-    monkeypatch.setattr("localis.graphs.PAIR_CHUNK", 7)
-    for q in (0.0, 0.3, 1.0):
-        _assert_same_pairs_and_stream(m, q, m)
+def _pair_positions(m: int, pairs: tuple):
+    """The triangle_pairs positions of pairs (a, b), or None where they break
+    the sampler's contract: int64 arrays, a < b < m, positions increasing."""
+    a, b = pairs
+    if a.dtype != np.int64 or b.dtype != np.int64 or a.shape != b.shape:
+        return None
+    if not ((0 <= a) & (a < b) & (b < m)).all():
+        return None
+    pos = a * (2 * m - 1 - a) // 2 + b - a - 1
+    return pos if (np.diff(pos) > 0).all() else None
+
+
+def _draw_positions(sampler, m: int, q: float, trials: int, seed: int):
+    """Positions of `trials` successive draws on one generator, or None if
+    any draw breaks the contract."""
+    rng = np.random.default_rng(seed)
+    draws = [_pair_positions(m, sampler(rng, m, q)) for _ in range(trials)]
+    return None if any(pos is None for pos in draws) else draws
+
+
+def _pair_count_ok(count: int, n: int, q: float) -> bool:
+    """Two-sided exact binomial test of `count` successes in n at rate q."""
+    tail = min(stats.binom.cdf(count, n, q), stats.binom.sf(count - 1, n, q))
+    return 2.0 * tail >= PAIR_ALPHA
+
+
+@pytest.mark.parametrize("mutant", [None, "reference", "shift", "q", "drop"])
+@pytest.mark.parametrize("m, q", [(4, 0.3), (5, 0.5)])
+def test_pair_edge_sets_follow_the_product_law(monkeypatch, m, q, mutant):
+    # chi-square over all 2^C(m,2) edge sets; at least 14 expected per cell
+    trials, total = 20_000, m * (m - 1) // 2
+    sampler = _pair_sampler(monkeypatch, mutant, lambda q: math.sqrt(q * (1 - q) / trials))
+    draws = _draw_positions(sampler, m, q, trials, seed=m)
+    chi2 = math.inf
+    if draws is not None:
+        codes = [int(np.left_shift(1, pos).sum()) for pos in draws]
+        observed = np.bincount(codes, minlength=1 << total)
+        size = np.array([bin(code).count("1") for code in range(1 << total)])
+        expected = trials * q**size * (1.0 - q) ** (total - size)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+    ok = chi2 <= stats.chi2.ppf(1.0 - PAIR_ALPHA, (1 << total) - 1)
+    assert ok == (mutant in (None, "reference")), chi2
+
+
+@pytest.mark.parametrize("mutant", [None, "reference", "q"])
+@pytest.mark.parametrize("m, trials", [(200, 2000), (3000, 20)])
+def test_pair_counts_are_binomial(monkeypatch, m, trials, mutant):
+    q, total = 3.0 / m, m * (m - 1) // 2  # the Erdos-Renyi rate at lam = 3
+    sampler = _pair_sampler(monkeypatch, mutant, lambda q: math.sqrt(q * (1 - q) / (trials * total)))
+    draws = _draw_positions(sampler, m, q, trials, seed=m)
+    count = None if draws is None else sum(pos.size for pos in draws)
+    ok = count is not None and _pair_count_ok(count, trials * total, q)
+    assert ok == (mutant in (None, "reference")), count
+
+
+@pytest.mark.parametrize("mutant", [None, "reference", "shift", "q", "drop"])
+def test_pair_positions_hit_every_row_end_at_rate_q(monkeypatch, mutant):
+    # One cell per row's first pair and per row's last pair (the one pair of
+    # row m - 2 is both), one pooled cell for the rest; a chi-square over
+    # independent binomial cells, so the total is tested too.  C(150, 2) >
+    # 10^4 and q < 1/20, so rng.choice samples by Floyd's algorithm.
+    m, q, trials = 150, 0.04, 6000
+    sampler = _pair_sampler(monkeypatch, mutant, lambda q: math.sqrt(q * (1 - q) / trials))
+    row = np.arange(m - 1)
+    start = row * (2 * m - 1 - row) // 2
+    cells = np.union1d(start, start + m - 2 - row)  # first and last of each row
+    draws = _draw_positions(sampler, m, q, trials, seed=m)
+    chi2 = math.inf
+    if draws is not None:
+        hits = np.bincount(np.concatenate(draws), minlength=m * (m - 1) // 2)
+        observed = np.append(hits[cells], hits.sum() - hits[cells].sum())
+        pairs = np.append(np.ones(cells.size), hits.size - cells.size)
+        expected = trials * pairs * q
+        chi2 = float(((observed - expected) ** 2 / (expected * (1.0 - q))).sum())
+    ok = chi2 <= stats.chi2.ppf(1.0 - PAIR_ALPHA, cells.size + 1)
+    assert ok == (mutant in (None, "reference")), chi2
+
+
+@pytest.mark.parametrize("mutant", [None, "reference", "shift", "q", "drop"])
+def test_pair_sampler_endpoints(monkeypatch, mutant):
+    # q in {0, 1} gives no pair or every pair in order; m in {0, 1} no pair;
+    # m = 2 at q = 1/2 its one pair in a Binomial(trials, 1/2) count of draws
+    trials = 4000
+    sampler = _pair_sampler(monkeypatch, mutant, lambda q: math.sqrt(q * (1 - q) / trials))
+    rng = np.random.default_rng(2)
+    ok = True
+    for m in (0, 1, 2, 3, 7):
+        for q in (0.0, 1.0):
+            pos = _pair_positions(m, sampler(rng, m, q))
+            want = np.arange(m * (m - 1) // 2 if q == 1.0 else 0)
+            ok &= pos is not None and np.array_equal(pos, want)
+    for m in (0, 1):
+        pos = _pair_positions(m, sampler(rng, m, 0.5))
+        ok &= pos is not None and pos.size == 0
+    draws = _draw_positions(sampler, 2, 0.5, trials, seed=2)
+    ok &= draws is not None and _pair_count_ok(sum(pos.size for pos in draws), trials, 0.5)
+    assert ok == (mutant in (None, "reference"))
 
 
 def test_er_edge_arrays_memory_is_bounded():
@@ -224,6 +345,22 @@ def test_er_edge_arrays_memory_is_bounded():
         tracemalloc.stop()
     assert 14_000 < us.size < 16_000 and bool((us < vs).all())
     assert peak < 32 << 20, peak
+
+
+def test_sample_er_at_a_million_vertices():
+    """G(10^6, 3/10^6) in O(n + m): 5 * 10^11 pairs, about 1.5 * 10^6 drawn."""
+    n, lam = 10**6, 3.0
+    tracemalloc.start()
+    try:
+        g = sample_er(n, lam, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    us, vs = g.edge_array.T
+    pairs, q = n * (n - 1) // 2, lam / n
+    assert abs(us.size - lam * (n - 1) / 2) <= 5.0 * math.sqrt(pairs * q * (1.0 - q)), us.size
+    assert bool((us < vs).all()) and bool((np.diff(us * n + vs) > 0).all())
+    assert peak < 256 << 20, peak
 
 
 # ---------------------------------------------------------------------------
