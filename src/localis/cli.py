@@ -40,7 +40,6 @@ from .graphs import (
     PGWTreeHost,
     sample_config_model,
     sample_er,
-    tree_ball_mask,
 )
 from .io import fmt, load_manifest, write_csv, write_json, write_manifest
 from .parallel import effective_workers, mean_stderr, per_trial, run_trials
@@ -165,7 +164,7 @@ def cmd_density(params: dict):
             else:
                 g = sample_er(host.n, host.lam, fold(st, 1))
             labels = CoupledLabels(vertex_states(st, host.n)).x0
-            return [graph_bits(factor, g, labels, tree_ball_mask(g, factor.radius + 1)).mean()]
+            return [graph_bits(factor, g, labels).mean()]
 
         rows = run_trials(per_trial(one), trials, workers)
         mean, stderr = mean_stderr(rows[:, 0])

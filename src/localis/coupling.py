@@ -24,9 +24,11 @@ inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
 the bits it holds stay bounded at any inner trial count.  On graph hosts
 both estimators read copies 1..k one at a time, holding one copy graph:
 the intersections keep a running intersection over the whole graph, each
-copy projected from the whole-graph arrays (factors.graph_bits, with the
-tree-ball mask computed once per distinct copy graph), and stability
-labels only the root's ball, by scalar folds.
+copy projected from the whole-graph arrays (factors.graph_bits; copy 1's
+graph gets its whole tree-ball mask, which the non-tree fraction reads and
+every copy whose graph is g reuses, and any other copy graph walks the mask
+only from its rule's 1-bits), and stability labels only the root's ball,
+by scalar folds.
 """
 
 from __future__ import annotations
@@ -231,11 +233,12 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
     the fresh copies, rng.CoupledLabels); project copy j's labels on copy
     j's graph (copy_graphs; vertices with a non-tree (radius+1)-neighbourhood
     map to 0) by graph_bits and intersect it into the running intersection
-    of copies 1..j-1.  The tree-ball mask is computed once per trial on the
-    configuration model, where every copy's graph is g, and once per copy on
-    the Erdos-Renyi host.  A row is [the k prefix-intersection densities..., non-tree
-    vertex fraction of copy 1's graph, which is g itself on the
-    configuration model].
+    of copies 1..j-1.  Copy 1's graph gets its whole tree-ball mask, for the
+    non-tree fraction, and every copy whose graph is g reuses it (each copy
+    on the configuration model); every other copy (Erdos-Renyi copies 2..k)
+    walks the mask only from its own rule's 1-bits, inside graph_bits.  A
+    row is [the k prefix-intersection densities..., non-tree vertex fraction
+    of copy 1's graph, which is g itself on the configuration model].
     """
     host = cfg.host
     if not isinstance(host, host_type):
@@ -248,12 +251,11 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
         labels = CoupledLabels(vertex_states(st, n), cfg.p)
         row, alive = np.empty(k + 1), np.ones(n, dtype=bool)
         for j, g_j in enumerate(copy_graphs(host, g, st, cfg.p, k), 1):
-            if j == 1 or g_j is not g:  # where copy j's graph is g, g's mask is reused
+            if j == 1:  # copy 1's whole mask gives the non-tree fraction
                 ok = tree_ball_mask(g_j, f.radius + 1)
-            alive &= graph_bits(f, g_j, labels(j), ok)
-            row[j - 1] = alive.sum() / n
-            if j == 1:
                 row[k] = 1.0 - ok.mean()
+            alive &= graph_bits(f, g_j, labels(j), ok if j == 1 or g_j is g else None)
+            row[j - 1] = alive.sum() / n
         return row
 
     rows = run_trials(per_trial(one), cfg.trials, cfg.workers)

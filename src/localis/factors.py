@@ -38,8 +38,10 @@ arrays never expand a node at depth k or beyond and need no cut either.
 Projection onto a finite graph runs on the graph's incidence arrays:
 graph_bits takes graph_rule(g, labels), the rule's bit at every vertex (a
 CSR compare for threshold, the round-synchronous process for the
-percolation-round rule), where graphs.tree_ball_mask marks a tree-like
-(radius+1)-ball, and checks independence over the incidences.  The rule's
+percolation-round rule), keeps the 1-bits whose (radius+1)-ball is a
+tree, and checks independence over the incidences.  The mask can only
+clear a bit, so graph_bits runs graphs.tree_ball_mask from the rule's
+1-bits alone, unless the caller already holds g's whole mask.  The rule's
 bit at v equals the view rule's on v's radius-ball, tree-like or not;
 project_to_graph, one ball and one rule call per vertex, is the reference.
 """
@@ -54,7 +56,14 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import MultiGraph, child_states, incidences, neighborhood, non_tree_ball_mask
+from .graphs import (
+    MultiGraph,
+    child_states,
+    incidences,
+    neighborhood,
+    non_tree_ball_mask,
+    tree_ball_mask,
+)
 from .parallel import mean_stderr, run_trials
 from .rng import (
     CoupledLabels,
@@ -429,12 +438,19 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
     return sample
 
 
-def graph_bits(f: Factor, g: MultiGraph, labels: np.ndarray, ok: np.ndarray) -> np.ndarray:
+def graph_bits(f: Factor, g: MultiGraph, labels: np.ndarray, ok=None) -> np.ndarray:
     """project_to_graph's bits from the whole-graph arrays: f.graph_rule
-    where `ok` (the tree-like (radius+1)-balls, graphs.tree_ball_mask), 0
-    elsewhere.  Two adjacent members raise project_to_graph's RuntimeError,
-    with the edges listed as IndependentSetSample.violations lists them."""
-    bits = f.graph_rule(g, labels) & ok
+    where the (radius+1)-ball is a tree, 0 elsewhere.  The tree-ball mask is
+    walked only from the rule's 1-bits (graphs.tree_ball_mask at those
+    vertices), unless `ok`, g's whole mask, is given.  Two adjacent members
+    raise project_to_graph's RuntimeError, with the edges listed as
+    IndependentSetSample.violations lists them."""
+    bits = f.graph_rule(g, labels)
+    if ok is None:
+        on = np.flatnonzero(bits)
+        bits[on] = tree_ball_mask(g, f.radius + 1, on)
+    else:
+        bits &= ok
     tail, nbr = g.tail, g.nbr
     both = np.flatnonzero(bits[tail] & bits[nbr] & (tail <= nbr))
     if both.size:

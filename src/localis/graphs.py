@@ -3,9 +3,11 @@
 Samplers for configuration-model multigraphs, Erdos-Renyi graphs, and
 truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
 rooted neighbourhoods and the tree-ball mask used by the tree-to-graph
-projection.  tree_ball_mask finds every vertex's tree-like ball at once,
-by non-backtracking walks over the incidence arrays; non_tree_ball_mask,
-one ball_is_tree BFS per vertex, is its reference.
+projection.  tree_ball_mask finds whether the balls of a set of vertices
+(every vertex by default) are trees, all at once, by non-backtracking walks
+over the incidence arrays, so projection walks only from the vertices whose
+bit the mask can change; non_tree_ball_mask, one ball_is_tree BFS per
+vertex, is its reference.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
@@ -530,9 +532,10 @@ def incidences(g: MultiGraph, vs: np.ndarray) -> tuple:
 MASK_OWNERS = 1 << 10  # most owners whose walks one tree_ball_mask pass holds
 
 
-def tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
-    """Boolean mask of vertices whose radius-ball is a tree, equal to
-    ~non_tree_ball_mask(g, radius) at every vertex, over the incidence arrays.
+def tree_ball_mask(g: MultiGraph, radius: int, at=None) -> np.ndarray:
+    """Boolean mask of the vertices `at` (any int array; every vertex when
+    None) whose radius-ball is a tree, equal to ~non_tree_ball_mask(g,
+    radius)[at], over the incidence arrays.
 
     Non-backtracking walks run from every owner vertex at once, one level
     per step, as arrays (owner, vertex, edge id arrived by): a step takes
@@ -542,14 +545,17 @@ def tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
     vertices and no walk of length radius + 1 ends at a vertex of level
     radius.  While an owner is tree-like, its level-L walks can end only
     where level L - 1 or level L ends, so each level is compared with the
-    one before it; an owner found non-tree leaves the walks.  At most
-    MASK_OWNERS owners walk at once, which bounds the walks held.
+    one before it; an owner found non-tree leaves the walks.  The owners
+    are the vertices `at`, so a caller that needs few bits walks from those
+    alone.  At most MASK_OWNERS owners walk at once, which bounds the walks
+    held.
     """
     n = g.n
-    out = np.ones(n, dtype=bool)
-    for lo in range(0, n, MASK_OWNERS):
-        at = np.arange(lo, min(lo + MASK_OWNERS, n))
-        tree = out[lo : lo + at.size]  # a view: owner i is vertex lo + i
+    owners = np.arange(n) if at is None else np.asarray(at, dtype=np.int64)
+    out = np.ones(owners.size, dtype=bool)
+    for lo in range(0, owners.size, MASK_OWNERS):
+        at = owners[lo : lo + MASK_OWNERS]
+        tree = out[lo : lo + at.size]  # a view: owner i is owners[lo + i]
         own = np.arange(at.size)
         via = np.full(at.size, -1)
         prev = own * n + at  # (owner, vertex) keys of the last level, sorted

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from localis import factors
 from localis.factors import (
     PASS_PAIRS,
     TreeBlock,
@@ -531,13 +532,25 @@ def test_graph_rule_equals_the_rule_on_every_ball(f):
             assert f.graph_rule(g, labels).tolist() == [bool(b) for b in ref], g.edges
 
 
-@pytest.mark.parametrize("f", [threshold_factor(), lauer_wormald(0.3, 2)], ids=["thr", "lw"])
+GRAPH_BITS_FACTORS = [threshold_factor(), lauer_wormald(0.3, 2), lauer_wormald(0.3, 3),
+                      constant_factor(0)]
+GRAPH_BITS_IDS = ["thr", "lw", "lw3", "const0"]
+
+
+def _bits_graphs() -> list:
+    return [sample_config_model(400, 3, 8), sample_er(400, 3.0, 9), sample_config_model(30, 3, 10)]
+
+
+@pytest.mark.parametrize("f", GRAPH_BITS_FACTORS, ids=GRAPH_BITS_IDS)
 def test_graph_bits_equal_the_projection(f):
+    """With g's whole mask passed in and without it (the mask walked from
+    the rule's 1-bits alone), at every vertex."""
     rng = np.random.default_rng(55)
-    for g in (sample_config_model(400, 3, 8), sample_er(400, 3.0, 9), sample_config_model(30, 3, 10)):
+    for g in _bits_graphs():
         labels = uniform_labels(rng, g.n)
-        bits = graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1))
-        assert bits.tolist() == project_to_graph(f, g, labels).bits.tolist()
+        ref = project_to_graph(f, g, labels).bits.tolist()
+        assert graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1)).tolist() == ref
+        assert graph_bits(f, g, labels).tolist() == ref
 
 
 def test_graph_bits_raise_the_projection_error():
@@ -549,9 +562,34 @@ def test_graph_bits_raise_the_projection_error():
         labels = np.zeros(g.n, dtype=np.uint64)
         with pytest.raises(RuntimeError, match="adjacent members") as ref:
             project_to_graph(f, g, labels)
-        with pytest.raises(RuntimeError) as got:
-            graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1))
-        assert str(got.value) == str(ref.value)
+        for ok in (tree_ball_mask(g, f.radius + 1), None):
+            with pytest.raises(RuntimeError) as got:
+                graph_bits(f, g, labels, ok)
+            assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("f", GRAPH_BITS_FACTORS, ids=GRAPH_BITS_IDS)
+def test_graph_bits_walk_the_mask_from_the_rule_members_alone(f, monkeypatch):
+    """One graph_bits call walks the tree-ball mask exactly from the rule's
+    1-bits, never from every vertex, and not at all when given g's mask."""
+    walked = []
+
+    def spy(g, radius, at=None):
+        walked.append((radius, at))
+        return tree_ball_mask(g, radius, at)
+
+    monkeypatch.setattr(factors, "tree_ball_mask", spy)
+    rng = np.random.default_rng(59)
+    for g in _bits_graphs():
+        labels = uniform_labels(rng, g.n)
+        walked.clear()
+        graph_bits(f, g, labels)
+        [(radius, at)] = walked
+        assert radius == f.radius + 1
+        assert at is not None and np.array_equal(at, np.flatnonzero(f.graph_rule(g, labels)))
+        walked.clear()
+        graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1))
+        assert walked == []
 
 
 # ---------------------------------------------------------------------------

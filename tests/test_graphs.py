@@ -994,12 +994,39 @@ def test_tree_ball_mask_equals_the_per_vertex_mask_on_sampled_graphs(radius):
         assert 0 < ok.mean() < 1 or radius == 8
 
 
+def _owner_sets(n: int, rng) -> list:
+    """`at` arrays for tree_ball_mask: empty, a sorted random subset, the
+    same subset unsorted, and 2n draws with repeats (as int32)."""
+    sub = np.flatnonzero(rng.random(n) < 0.4)
+    return [np.array([], dtype=np.int64), sub, rng.permutation(sub),
+            rng.integers(0, n, size=2 * n).astype(np.int32)]
+
+
+def _assert_mask_at(g: MultiGraph, radius: int, rng):
+    whole, ref = tree_ball_mask(g, radius), ~non_tree_ball_mask(g, radius)
+    assert np.array_equal(whole, ref)
+    for at in _owner_sets(g.n, rng):
+        got = tree_ball_mask(g, radius, at)
+        assert got.dtype == bool and got.shape == at.shape
+        assert np.array_equal(got, whole[at]) and np.array_equal(got, ref[at]), (radius, at)
+
+
+def test_tree_ball_mask_at_given_vertices():
+    rng = np.random.default_rng(57)
+    hand = [MultiGraph(2, [(0, 0), (0, 1)]), MultiGraph(2, [(0, 1), (0, 1)]),
+            MultiGraph(5, [(0, 1), (1, 2), (1, 2), (2, 3), (3, 3)]), cycle(4), cycle(6), cycle(9)]
+    for g in hand + [sample_config_model(300, 3, 14), sample_er(300, 3.0, 15)]:
+        for radius in range(5):
+            _assert_mask_at(g, radius, rng)
+
+
 def test_tree_ball_mask_across_owner_passes(monkeypatch):
-    # 7 owners a pass: 50 and 61 vertices end on a partial pass
+    # 7 owners a pass: 50 and 61 vertices, and the `at` sets, end on a partial pass
     monkeypatch.setattr(graphs, "MASK_OWNERS", 7)
+    rng = np.random.default_rng(58)
     for g in (sample_config_model(50, 3, 3), sample_er(61, 2.5, 4), cycle(9)):
         for radius in range(5):
-            assert np.array_equal(tree_ball_mask(g, radius), ~non_tree_ball_mask(g, radius))
+            _assert_mask_at(g, radius, rng)
 
 
 @pytest.mark.parametrize("n, radius, bound_mib", [(10**5, 2, 8), (10**4, 8, 32)])
