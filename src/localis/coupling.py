@@ -24,11 +24,10 @@ inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
 the bits it holds stay bounded at any inner trial count.  On graph hosts
 both estimators read copies 1..k one at a time, holding one copy graph:
 the intersections keep a running intersection over the whole graph, each
-copy projected from the whole-graph arrays (factors.graph_bits; copy 1's
-graph gets its whole tree-ball mask, which the non-tree fraction reads and
-every copy whose graph is g reuses, and any other copy graph walks the mask
-only from its rule's 1-bits), and stability labels only the root's ball,
-by scalar folds.
+copy projected by one factors.graph_bits call (the tree-ball mask walked
+from the rule's 1-bits, at most once per vertex of a copy graph, which
+keeps what it walked), and stability labels only the root's ball, by
+scalar folds.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .graphs import (
     neighborhood,
     sample_config_model,
     sample_er,
-    tree_ball_mask,
 )
 from .parallel import BLOCK, mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
@@ -226,19 +224,18 @@ def copy_graphs(host, g: MultiGraph, st: int, p: float, count: int):
     return er_resample_graphs(g, np.flatnonzero(in_s), host.lam, count, fold(st, 3))
 
 
-def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
-    """(IntersectionEstimate, mean non-tree fraction) on a graph host.
+def _coupled_graph(cfg: CouplingConfig, host_type) -> IntersectionEstimate:
+    """Prefix-intersection densities of k coupled copies on a graph host.
 
     Per trial: sample g and label its vertices by their states (X0, S and
     the fresh copies, rng.CoupledLabels); project copy j's labels on copy
     j's graph (copy_graphs; vertices with a non-tree (radius+1)-neighbourhood
     map to 0) by graph_bits and intersect it into the running intersection
-    of copies 1..j-1.  Copy 1's graph gets its whole tree-ball mask, for the
-    non-tree fraction, and every copy whose graph is g reuses it (each copy
-    on the configuration model); every other copy (Erdos-Renyi copies 2..k)
-    walks the mask only from its own rule's 1-bits, inside graph_bits.  A
-    row is [the k prefix-intersection densities..., non-tree vertex fraction
-    of copy 1's graph, which is g itself on the configuration model].
+    of copies 1..j-1.  A copy graph keeps the tree-ball bits its projections
+    have walked (MultiGraph.balls), so the configuration-model copies, which
+    all read g, walk the mask once per vertex at most, and each Erdos-Renyi
+    copy walks it from its own rule's 1-bits.  A row is the k
+    prefix-intersection densities.
     """
     host = cfg.host
     if not isinstance(host, host_type):
@@ -249,29 +246,23 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> tuple:
         st = trial_state(cfg.seed, t)
         g = _sample_graph(host, fold(st, 1))
         labels = CoupledLabels(vertex_states(st, n), cfg.p)
-        row, alive = np.empty(k + 1), np.ones(n, dtype=bool)
+        row, alive = np.empty(k), np.ones(n, dtype=bool)
         for j, g_j in enumerate(copy_graphs(host, g, st, cfg.p, k), 1):
-            if j == 1:  # copy 1's whole mask gives the non-tree fraction
-                ok = tree_ball_mask(g_j, f.radius + 1)
-                row[k] = 1.0 - ok.mean()
-            alive &= graph_bits(f, g_j, labels(j), ok if j == 1 or g_j is g else None)
+            alive &= graph_bits(f, g_j, labels(j))
             row[j - 1] = alive.sum() / n
         return row
 
-    rows = run_trials(per_trial(one), cfg.trials, cfg.workers)
-    return _prefix_estimate(cfg, rows[:, :k]), float(rows[:, k].mean())
+    return _prefix_estimate(cfg, run_trials(per_trial(one), cfg.trials, cfg.workers))
 
 
-def coupled_graph_intersections(cfg: CouplingConfig):
-    """Coupled copies on configuration-model graphs: (IntersectionEstimate,
-    mean non-tree vertex fraction of g)."""
+def coupled_graph_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
+    """Coupled copies on configuration-model graphs, every copy on g."""
     return _coupled_graph(cfg, ConfigModelHost)
 
 
-def coupled_er_intersections(cfg: CouplingConfig):
+def coupled_er_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
     """Coupled copies on Erdos-Renyi graphs, each copy with its own induced
-    subgraph on S: (IntersectionEstimate, mean non-tree vertex fraction of
-    copy 1's graph)."""
+    subgraph on S."""
     return _coupled_graph(cfg, ErdosRenyiHost)
 
 
@@ -402,8 +393,8 @@ def run_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
     if cfg.host.tree:
         return coupled_tree_intersections(cfg)
     if isinstance(cfg.host, ErdosRenyiHost):
-        return coupled_er_intersections(cfg)[0]
-    return coupled_graph_intersections(cfg)[0]
+        return coupled_er_intersections(cfg)
+    return coupled_graph_intersections(cfg)
 
 
 @dataclass

@@ -41,9 +41,10 @@ CSR compare for threshold, the round-synchronous process for the
 percolation-round rule), keeps the 1-bits whose (radius+1)-ball is a
 tree, and checks independence over the incidences.  The mask can only
 clear a bit, so graph_bits runs graphs.tree_ball_mask from the rule's
-1-bits alone, unless the caller already holds g's whole mask.  The rule's
-bit at v equals the view rule's on v's radius-ball, tree-like or not;
-project_to_graph, one ball and one rule call per vertex, is the reference.
+1-bits alone, those not yet walked on g at that radius (g.balls keeps
+them).  The rule's bit at v equals the view rule's on v's radius-ball,
+tree-like or not; project_to_graph, one ball and one rule call per
+vertex, is the reference.
 """
 
 from __future__ import annotations
@@ -438,19 +439,18 @@ def project_to_graph(f: Factor, g: MultiGraph, labels: np.ndarray) -> Independen
     return sample
 
 
-def graph_bits(f: Factor, g: MultiGraph, labels: np.ndarray, ok=None) -> np.ndarray:
+def graph_bits(f: Factor, g: MultiGraph, labels: np.ndarray) -> np.ndarray:
     """project_to_graph's bits from the whole-graph arrays: f.graph_rule
-    where the (radius+1)-ball is a tree, 0 elsewhere.  The tree-ball mask is
-    walked only from the rule's 1-bits (graphs.tree_ball_mask at those
-    vertices), unless `ok`, g's whole mask, is given.  Two adjacent members
-    raise project_to_graph's RuntimeError, with the edges listed as
-    IndependentSetSample.violations lists them."""
+    where the (radius+1)-ball is a tree, 0 elsewhere, the mask read from
+    g.balls and walked (graphs.tree_ball_mask) at the rule's 1-bits not yet
+    walked.  Two adjacent members raise project_to_graph's RuntimeError,
+    with the edges listed as IndependentSetSample.violations lists them."""
     bits = f.graph_rule(g, labels)
-    if ok is None:
-        on = np.flatnonzero(bits)
-        bits[on] = tree_ball_mask(g, f.radius + 1, on)
-    else:
-        bits &= ok
+    radius = f.radius + 1
+    known, tree = g.balls.setdefault(radius, np.zeros((2, g.n), dtype=bool))
+    new = np.flatnonzero(bits & ~known)
+    tree[new], known[new] = tree_ball_mask(g, radius, new), True
+    bits &= tree
     tail, nbr = g.tail, g.nbr
     both = np.flatnonzero(bits[tail] & bits[nbr] & (tail <= nbr))
     if both.size:

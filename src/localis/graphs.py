@@ -6,8 +6,8 @@ rooted neighbourhoods and the tree-ball mask used by the tree-to-graph
 projection.  tree_ball_mask finds whether the balls of a set of vertices
 (every vertex by default) are trees, all at once, by non-backtracking walks
 over the incidence arrays, so projection walks only from the vertices whose
-bit the mask can change; non_tree_ball_mask, one ball_is_tree BFS per
-vertex, is its reference.
+bit the mask can change, once per graph (MultiGraph.balls keeps them);
+non_tree_ball_mask, one ball_is_tree BFS per vertex, is its reference.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
@@ -21,7 +21,8 @@ The BFS
 and adj[u] is sorted from the arrays when u is first read.  So a per-root
 trial (graph-host stability) costs the root's ball plus the draw.
 Whole-graph work (the tree-ball mask, projection) reads the arrays
-directly, through `offsets`, `tail` and incidences().
+directly, through `offsets`, `tail` and incidences(); the tree-ball bits
+walked are kept in `balls`, filled in per vertex as adj[u] is.
 
 A materialised rooted ball (RootedNeighborhood) is its sorted BFS-id
 adjacency, built directly by its constructor; its edge list is derived.
@@ -199,7 +200,10 @@ class MultiGraph:
       order, except that a configuration-model graph lists them sorted;
     - pairing, the half-edge matching: each edge's two positions (h, h'),
       h < h', lexsorted.  On sample_config_model's graphs, whose position h
-      is half-edge h, this is the sampled matching.
+      is half-edge h, this is the sampled matching;
+    - balls[radius], (known, tree) as a (2, n) bool array: tree[v], whether
+      v's radius-ball is a tree, holds where known[v]; factors.graph_bits
+      fills it in by tree_ball_mask at the vertices it asks about.
 
     MultiGraph(n, edges) takes an explicit edge list, edge i with id i, and
     raises ValueError when an endpoint lies outside 0..n-1; the samplers
@@ -214,6 +218,7 @@ class MultiGraph:
     nbr: np.ndarray = field(default=None, repr=False)
     eid: np.ndarray = field(default=None, repr=False)
     adj: dict = field(init=False, repr=False)
+    balls: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, edge_list):
         if edge_list is not None:

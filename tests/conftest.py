@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from localis import factors, graphs
 from localis.graphs import bernoulli_pairs, sample_er, triangle_pairs
 from localis.profiles import independent_subsets
 
@@ -59,3 +60,19 @@ def er_independent_triple_counts(n: int, lam: float, seed: int, trials: int, che
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def mask_walks(monkeypatch) -> list:
+    """Record (graph, radius, vertices) of every graphs.tree_ball_mask call,
+    wherever the function is bound."""
+    walks = []
+    mask = graphs.tree_ball_mask
+
+    def spy(g, radius, at=None):
+        walks.append((g, radius, at))
+        return mask(g, radius, at)
+
+    for module in (graphs, factors):
+        monkeypatch.setattr(module, "tree_ball_mask", spy)
+    return walks

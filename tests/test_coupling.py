@@ -264,16 +264,19 @@ def test_tree_paths_reject_graph_hosts(host):
 def test_graph_coupling_profiles():
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ConfigModelHost(300, 3),
                          trials=80, seed=10)
-    est, bfrac = coupled_graph_intersections(cfg)
+    est = coupled_graph_intersections(cfg)
     # p=0 copies equal is covered below; here: exchangeability of the copies,
     # |I1| against copy 2's labels projected on copy 1's graph, trial by trial
-    other = []
+    other, bfracs = [], []
     for t in range(cfg.trials):
         st = trial_state(cfg.seed, t)
         g = coupling._sample_graph(cfg.host, fold(st, 1))
         (g1,) = copy_graphs(cfg.host, g, st, cfg.p, 1)
         labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
-        other.append(_project_bits(F, g1, ~non_tree_ball_mask(g1, 2), labels(2)).mean())
+        bad = non_tree_ball_mask(g1, 2)
+        bfracs.append(bad.mean())
+        other.append(_project_bits(F, g1, ~bad, labels(2)).mean())
+    bfrac = float(np.mean(bfracs))
     diff = est.prefix_rows[:, 0] - np.array(other)
     se = float(np.std(diff, ddof=1) / math.sqrt(len(diff)))
     assert abs(diff.mean()) <= 3 * se + 1e-12
@@ -283,10 +286,41 @@ def test_graph_coupling_profiles():
     assert tree_density * (1 - bfrac) - 3 * se1 <= m1 <= tree_density + 3 * se1
 
 
+def _trial_copies(cfg: CouplingConfig) -> list:
+    """(graph, rule members) of copies 1..k of trial 0."""
+    st = trial_state(cfg.seed, 0)
+    g = coupling._sample_graph(cfg.host, fold(st, 1))
+    labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
+    copies = copy_graphs(cfg.host, g, st, cfg.p, cfg.k)
+    return [(g_j, F.graph_rule(g_j, labels(j))) for j, g_j in enumerate(copies, 1)]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_config_trial_walks_each_ball_at_most_once(mask_walks, p):
+    # the k copies all read g, which keeps the balls they walked: one trial
+    # walks the union of the copies' rule members, each vertex once
+    cfg = CouplingConfig(p=p, k=8, factor=F, host=ConfigModelHost(300, 3), trials=1, seed=37)
+    coupled_graph_intersections(cfg)
+    owners = np.concatenate([at for _, _, at in mask_walks])
+    assert np.unique(owners).size == owners.size <= cfg.host.n
+    union = np.any([on for _, on in _trial_copies(cfg)], axis=0)
+    assert np.array_equal(np.sort(owners), np.flatnonzero(union))
+
+
+def test_er_copies_each_walk_their_own_members(mask_walks):
+    cfg = CouplingConfig(p=0.5, k=4, factor=F, host=ErdosRenyiHost(300, 3.0), trials=1, seed=38)
+    coupled_er_intersections(cfg)
+    copies = _trial_copies(cfg)
+    assert len({id(g_j) for g_j, _, _ in mask_walks}) == len(mask_walks) == cfg.k
+    for (g_j, _, at), (ref_j, on) in zip(mask_walks, copies):
+        assert g_j.edges == ref_j.edges
+        assert np.array_equal(at, np.flatnonzero(on))
+
+
 def test_graph_coupling_p0_equal_copies():
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ConfigModelHost(120, 3),
                          trials=40, seed=11)
-    rows = coupled_graph_intersections(cfg)[0].prefix_rows  # |I1| == |I1&I2|
+    rows = coupled_graph_intersections(cfg).prefix_rows  # |I1| == |I1&I2|
     assert np.array_equal(rows[:, 0], rows[:, 1])
 
 
@@ -389,11 +423,11 @@ def test_er_resample_marginal_moments():
 def test_er_coupling_p0_and_monotone():
     cfg = CouplingConfig(p=0.0, k=3, factor=F, host=ErdosRenyiHost(120, 2.0),
                          trials=40, seed=16)
-    rows = coupled_er_intersections(cfg)[0].prefix_rows
+    rows = coupled_er_intersections(cfg).prefix_rows
     assert np.array_equal(rows[:, 0], rows[:, -1])
     cfg2 = CouplingConfig(p=0.6, k=3, factor=F, host=ErdosRenyiHost(120, 2.0),
                           trials=40, seed=17)
-    prefix = coupled_er_intersections(cfg2)[0].prefix_rows
+    prefix = coupled_er_intersections(cfg2).prefix_rows
     assert np.all(np.diff(prefix, axis=1) <= 1e-12)
 
 
@@ -433,7 +467,7 @@ def test_er_intersections_hold_one_copy_graph_at_a_time():
 def test_er_coupling_p1_product():
     cfg = CouplingConfig(p=1.0, k=2, factor=F, host=ErdosRenyiHost(150, 2.0),
                          trials=200, seed=18)
-    est, _ = coupled_er_intersections(cfg)
+    est = coupled_er_intersections(cfg)
     m1, se1 = est.density(1)
     m2, se2 = est.density(2)
     assert_within_sigma(m2, m1 * m1, se2, 2 * m1 * se1, context="er p=1 product")

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localis import factors
 from localis.factors import (
     PASS_PAIRS,
     TreeBlock,
@@ -33,7 +32,6 @@ from localis.graphs import (
     sample_er,
     sample_pgw_tree,
     sample_regular_tree,
-    tree_ball_mask,
     TreeLabels,
 )
 from localis.rng import (
@@ -543,14 +541,15 @@ def _bits_graphs() -> list:
 
 @pytest.mark.parametrize("f", GRAPH_BITS_FACTORS, ids=GRAPH_BITS_IDS)
 def test_graph_bits_equal_the_projection(f):
-    """With g's whole mask passed in and without it (the mask walked from
-    the rule's 1-bits alone), at every vertex."""
+    """At every vertex, cold (g's first call), warm (other labels on the same
+    g, its walked balls kept) and with threshold and LW(0.3, 2) calls, whose
+    mask radii are 2 and 3, interleaved on the same g."""
     rng = np.random.default_rng(55)
     for g in _bits_graphs():
-        labels = uniform_labels(rng, g.n)
-        ref = project_to_graph(f, g, labels).bits.tolist()
-        assert graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1)).tolist() == ref
-        assert graph_bits(f, g, labels).tolist() == ref
+        for h in (f, f, threshold_factor(), lauer_wormald(0.3, 2), f):
+            labels = uniform_labels(rng, g.n)
+            ref = project_to_graph(h, g, labels).bits.tolist()
+            assert graph_bits(h, g, labels).tolist() == ref, (h.kind, h.params)
 
 
 def test_graph_bits_raise_the_projection_error():
@@ -562,34 +561,34 @@ def test_graph_bits_raise_the_projection_error():
         labels = np.zeros(g.n, dtype=np.uint64)
         with pytest.raises(RuntimeError, match="adjacent members") as ref:
             project_to_graph(f, g, labels)
-        for ok in (tree_ball_mask(g, f.radius + 1), None):
+        for _ in ("cold", "warm"):
             with pytest.raises(RuntimeError) as got:
-                graph_bits(f, g, labels, ok)
+                graph_bits(f, g, labels)
             assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("f", GRAPH_BITS_FACTORS, ids=GRAPH_BITS_IDS)
-def test_graph_bits_walk_the_mask_from_the_rule_members_alone(f, monkeypatch):
-    """One graph_bits call walks the tree-ball mask exactly from the rule's
-    1-bits, never from every vertex, and not at all when given g's mask."""
-    walked = []
+def test_graph_bits_walk_the_mask_from_the_rule_members_alone(f, mask_walks):
+    """graph_bits walks the tree-ball mask exactly from the rule's 1-bits
+    that no earlier call on the same graph walked at the same radius."""
 
-    def spy(g, radius, at=None):
-        walked.append((radius, at))
-        return tree_ball_mask(g, radius, at)
+    def walk(h, g, labels) -> np.ndarray:
+        """The vertices one graph_bits(h, g, labels) call walks, in order."""
+        mask_walks.clear()
+        graph_bits(h, g, labels)
+        assert all(radius == h.radius + 1 and at is not None for _, radius, at in mask_walks)
+        return np.concatenate([at for _, _, at in mask_walks] + [np.zeros(0, dtype=np.int64)])
 
-    monkeypatch.setattr(factors, "tree_ball_mask", spy)
+    other = threshold_factor() if f.radius != 1 else lauer_wormald(0.3, 2)
     rng = np.random.default_rng(59)
     for g in _bits_graphs():
-        labels = uniform_labels(rng, g.n)
-        walked.clear()
-        graph_bits(f, g, labels)
-        [(radius, at)] = walked
-        assert radius == f.radius + 1
-        assert at is not None and np.array_equal(at, np.flatnonzero(f.graph_rule(g, labels)))
-        walked.clear()
-        graph_bits(f, g, labels, tree_ball_mask(g, f.radius + 1))
-        assert walked == []
+        first, second = uniform_labels(rng, g.n), uniform_labels(rng, g.n)
+        on1, on2 = f.graph_rule(g, first), f.graph_rule(g, second)
+        assert np.array_equal(walk(f, g, first), np.flatnonzero(on1))  # cold
+        assert np.array_equal(walk(f, g, second), np.flatnonzero(on2 & ~on1))
+        assert walk(f, g, second).size == walk(f, g, first).size == 0
+        assert np.array_equal(walk(other, g, first), np.flatnonzero(other.graph_rule(g, first)))
+        assert walk(f, g, first).size == 0
 
 
 # ---------------------------------------------------------------------------

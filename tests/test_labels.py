@@ -191,7 +191,7 @@ def test_independent_copies_intersect_as_powers_of_a_quarter(fixed_graph, monkey
     # degree 3 is in each copy's set with probability 1/4
     fixed_graph(CONFIG)
     apply_mutant(monkeypatch, mutant)
-    est, _ = coupled_graph_intersections(config_cfg(1.0, 3, 300))
+    est = coupled_graph_intersections(config_cfg(1.0, 3, 300))
     fraction = float((tree_ball_weights(CONFIG) > 0).mean())
     oks = []
     for i in (1, 2, 3):
@@ -204,7 +204,7 @@ def test_independent_copies_intersect_as_powers_of_a_quarter(fixed_graph, monkey
 def test_copies_at_p0_equal_copy_one(fixed_graph, monkeypatch, mutant):
     fixed_graph(CONFIG)
     apply_mutant(monkeypatch, mutant)
-    rows = coupled_graph_intersections(config_cfg(0.0, 3, 40))[0].prefix_rows
+    rows = coupled_graph_intersections(config_cfg(0.0, 3, 40)).prefix_rows
     assert (rows == rows[:, :1]).all() == (mutant is None)
 
 
