@@ -12,9 +12,20 @@ for the d-regular tree:
   inclusion      - run the factor on the filled forest, then keep only
                    members with no removed incident edge.
 
+edge_removal_stage, filling_out_stage and inclusion_stage run the stages per
+node on a sampled tree (graphs.sample_pgw_tree) at any vertex.  A trial
+needs J at the root alone, and transfer_trace gets it from level arrays: the
+tree's child counts and labels from the same draws as sample_pgw_tree, the
+removal marks by one ranking of the excess vertices' neighbours, and the
+filled forest's root ball built level by level, evaluated by one
+apply_factor call.  It equals the per-node stages bit for bit; they are its
+reference.
+
 The resulting density is sandwiched between density(I) * P(root and all its
-neighbours have degree <= d) and density(I).  Exact evaluation of that event
-probability and the supporting Poisson tail bounds live here too.
+neighbours have degree <= d) and density(I), and equals density(I) * P(K),
+K the event that no root-incident edge is removed.  Exact evaluation of
+both event probabilities and the supporting Poisson tail bounds live here
+too.
 """
 
 from __future__ import annotations
@@ -26,9 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import DensityEstimate, Factor, apply_factor, estimate_tree_density
-from .graphs import RegularTreeHost, RootedNeighborhood, sample_pgw_tree
+from .graphs import RegularTreeHost, RootedNeighborhood
 from .parallel import mean_stderr, per_trial, run_trials
-from .rng import CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, trial_state
+from .rng import (
+    CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, fold_np, state_rng, trial_state, uniform_labels,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +185,6 @@ def filling_out_stage(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TransferTrace:
-    """One realisation of the three-stage construction."""
-
-    tree: RootedNeighborhood
-    removed: np.ndarray
-    forest: FilledForest
-    iprime_root: int
-    j_root: int
-    event_ok: bool  # root and all its neighbours have degree <= d
-
-
 def _incident_removed(tree: RootedNeighborhood, removed: np.ndarray, v: int) -> bool:
     return any(removed[_edge_id(v, w)] for w in tree.adj[v])
 
@@ -200,19 +201,155 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
     return iprime, int(j)
 
 
+# ---------------------------------------------------------------------------
+# The three stages at the root, on level arrays
+# ---------------------------------------------------------------------------
+#
+# A tree is `kids`, the child count of each vertex at depth < radius by BFS
+# id, and `labels`, one per vertex.  The children of a vertex are contiguous
+# and the levels in order, as _build_tree numbers them: with ends =
+# cumsum(kids), vertex v's children are the ids ends[v] - kids[v] + 1 ..
+# ends[v].  The depth-radius vertices, ids kids.size .. labels.size - 1, are
+# the boundary: their children are not drawn and, as in the per-node stages,
+# they never mark.
+
+
+def _pgw_levels(lam: float, radius: int, state: int) -> tuple:
+    """(kids, labels) of the tree sample_pgw_tree(lam, radius, state) draws,
+    from the same draws: one rng.poisson per non-empty level, then one
+    uniform_labels over every vertex."""
+    if lam <= 0:
+        raise ValueError("need lam > 0")
+    rng = state_rng(state)
+    levels, size, total = [], 1, 1
+    for _ in range(radius):
+        if not size:
+            break
+        levels.append(rng.poisson(lam, size=size))
+        size = int(levels[-1].sum())
+        total += size
+    return np.concatenate(levels), uniform_labels(rng, total)
+
+
+def _removal_marks(kids: np.ndarray, labels: np.ndarray, d: int) -> np.ndarray:
+    """edge_removal_stage on level arrays: removed[w - 1] marks the edge
+    (parent(w), w).  Each vertex above degree d ranks its neighbours by
+    (label, id) and marks the edges to the top degree - d of them."""
+    removed = np.zeros(labels.size - 1, dtype=bool)
+    degree = kids.copy()
+    degree[1:] += 1
+    above = np.flatnonzero(degree > d)
+    if not above.size:
+        return removed
+    ends = np.cumsum(kids)
+    size = degree[above]
+    owner = np.repeat(np.arange(above.size), size)
+    pos = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    v = above[owner]
+    up = v > 0  # a non-root vertex lists its parent first, then its children
+    nbr = ends[v] - kids[v] + 1 + pos - up
+    up &= pos == 0
+    nbr[up] = np.searchsorted(ends, v[up])
+    # ascending (label, id) within each owner: its top degree - d come last,
+    # from position d on
+    order = np.lexsort((nbr, labels[nbr], owner))
+    top = pos >= d
+    removed[np.maximum(v[top], nbr[order][top]) - 1] = True
+    return removed
+
+
+def _ball_adjacency(d: int, radius: int) -> tuple:
+    """(adj, depths) of the d-regular tree's root ball of this radius, BFS
+    ids with the children of a vertex contiguous."""
+    adj, depths, level = [[]], [0], [0]
+    for depth in range(radius):
+        width = d if depth == 0 else d - 1
+        nxt = range(len(adj), len(adj) + len(level) * width)
+        for i, v in enumerate(level):
+            adj[v] += nxt[i * width:(i + 1) * width]
+        adj += [[v] for v in level for _ in range(width)]
+        depths += [depth + 1] * len(nxt)
+        level = nxt
+    return adj, np.asarray(depths, dtype=np.int64)
+
+
+def _filled_ball(
+    kids: np.ndarray, removed: np.ndarray, d: int, radius: int, y_state: int
+) -> RootedNeighborhood:
+    """FilledForest(tree, removed, d, y_state).ball_view(0, radius) from
+    level arrays.  The filled forest is d-regular, so the ball has the
+    d-regular tree's shape: a level of m vertices has an (m, width) block of
+    children, each row the vertex's surviving tree children in id order,
+    then its attachment slots.  A level holds each vertex's tree id `orig`
+    (-1 on an attachment vertex) and `state`, fold(fold(y_state, 0xA77), v)
+    on tree vertex v.  Attachment slot s of a tree vertex and child j of an
+    attachment vertex are both a fold of the row's state, by s = j - filled
+    and CHILD_TAG + j, so one fold makes both."""
+    ends = np.cumsum(kids)
+    tree_keys = np.array([fold(y_state, 0xA77), fold(y_state, 0x1AB)], dtype=np.uint64)
+    orig = np.zeros(1, dtype=np.int64)
+    state, root_label = (np.array([fold(int(key), 0)], dtype=np.uint64) for key in tree_keys)
+    labels = [root_label]
+    for depth in range(radius):
+        width = d if depth == 0 else d - 1  # a ball vertex's parent edge survives
+        at = np.flatnonzero(orig >= 0)
+        v = orig[at]
+        count = kids[v]
+        child = np.arange(count.sum()) + np.repeat(ends[v] + 1 - np.cumsum(count), count)
+        keep = ~removed[child - 1]
+        filled = np.bincount(np.repeat(np.arange(at.size), count)[keep], minlength=at.size)
+        if (filled > width).any():
+            raise AssertionError(f"filled forest not {d}-regular at depth {depth}")
+        shift = np.full(orig.size, -CHILD_TAG, dtype=np.int64)
+        shift[at] = filled
+        slots = np.arange(width) - shift[:, None]
+        state = fold_np(state[:, None], slots).ravel()
+        level_labels = fold_np(state, LABEL_TAG)
+        orig = np.full(state.size, -1, dtype=np.int64)
+        tree = (slots < 0).ravel()  # the rows' first `filled` columns
+        orig[tree] = child = child[keep]
+        state[tree], level_labels[tree] = fold_np(tree_keys[:, None], child)
+        labels.append(level_labels)
+    adj, depths = _ball_adjacency(d, radius)
+    return RootedNeighborhood(adj, np.concatenate(labels), radius, depths)
+
+
+@dataclass
+class TransferTrace:
+    """One realisation of the three-stage construction at the root.
+
+    The PGW tree is `kids` and its removal labels `labels`, by BFS id (see
+    the level arrays above); removed[w - 1] marks the edge (parent(w), w);
+    `ball` is the filled forest's root ball of radius f.radius.
+    """
+
+    kids: np.ndarray
+    labels: np.ndarray
+    removed: np.ndarray
+    ball: RootedNeighborhood
+    iprime_root: int
+    j_root: int
+    event_ok: bool  # root and all its neighbours have degree <= d
+
+
 def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:
-    """Run all three stages on a fresh PGW tree.
+    """Run all three stages at the root of a fresh PGW tree.
 
     The tree is generated to radius max(f.radius + 1, 2): the factor's ball
     needs degrees to depth f.radius, and the removal marks on root-incident
-    edges need the degrees of the root's neighbours.
+    edges need the degrees of the root's neighbours.  Bit for bit, this is
+    sample_pgw_tree(lam, radius, fold(state, 1)), edge_removal_stage on its
+    labels, filling_out_stage with y_state fold(state, 2) and
+    inclusion_stage at the root.
     """
-    tree = sample_pgw_tree(lam, max(f.radius + 1, 2), fold(state, 1))
-    removed = edge_removal_stage(tree, tree.labels, d)
-    forest = filling_out_stage(tree, removed, d, fold(state, 2))
-    iprime, j = inclusion_stage(f, forest)
-    event_ok = all(len(tree.adj[w]) <= d for w in [0] + tree.adj[0])
-    return TransferTrace(tree, removed, forest, iprime, j, event_ok)
+    kids, labels = _pgw_levels(lam, max(f.radius + 1, 2), fold(state, 1))
+    removed = _removal_marks(kids, labels, d)
+    ball = _filled_ball(kids, removed, d, f.radius, fold(state, 2))
+    iprime = apply_factor(f, ball)
+    root = int(kids[0])
+    j = int(iprime and not removed[:root].any())
+    event_ok = root <= d and bool((kids[1:root + 1] < d).all())
+    return TransferTrace(kids, labels, removed, ball, iprime, j, event_ok)
 
 
 TransferReport = namedtuple(
@@ -341,14 +478,46 @@ def event_E_probability(
     if mode == "mc":
         rng = np.random.default_rng(seed)
         roots = rng.poisson(lam, size=trials)
-        ok = roots <= d
-        idx = np.flatnonzero(ok)
-        for i in idx:
-            x = int(roots[i])
-            if x and np.any(rng.poisson(lam, size=x) > d - 1):
-                ok[i] = False
-        return float(ok.mean())
+        kept = np.flatnonzero(roots <= d)
+        ends = np.cumsum(roots[kept])
+        # one draw for every kept root's neighbours; a root fails when the
+        # largest of its neighbours' offspring counts exceeds d - 1
+        over = np.flatnonzero(rng.poisson(lam, size=int(ends[-1]) if ends.size else 0) > d - 1)
+        failed = np.unique(np.searchsorted(ends, over, side="right"))
+        return (kept.size - failed.size) / trials
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def event_K_probability(lam: float, d: int) -> float:
+    """P(K), the probability that no root-incident edge of the PGW tree is
+    removed.  J at the root is I' and K, and I' is independent of K (the
+    root's filled ball is a d-regular ball with fresh labels), so
+    E[J] = density(I) P(K).
+
+    Given the root's removal label x, a neighbour with c children marks the
+    root edge iff c >= d and at most c - d of its children have labels above
+    x, i.e. iff d or more of them lie below x; the children below x are
+    Poisson(lam x), so the neighbour spares the edge with probability q(x) =
+    P(Poisson(lam x) <= d - 1).  The root marks nothing iff its D0 ~
+    Poisson(lam) children number at most d, so
+    P(K) = int_0^1 sum_{m <= d} P(D0 = m) q(x)^m dx, here by 200-node
+    Gauss-Legendre quadrature.  K contains the degree event, so
+    P(K) >= event_E_probability(lam, d).
+    """
+    if lam <= 0:
+        raise ValueError("need lam > 0")
+    check_poisson_lam(lam)
+    if d < 1:
+        raise ValueError("need d >= 1")
+    # Poisson(mu <= lam) mass beyond `top` is below 1e-100, so sums stop there
+    top = min(d, math.ceil(lam + 50.0 * math.sqrt(lam) + 50.0))
+    m = np.arange(top + 1)
+    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
+    x, w = np.polynomial.legendre.leggauss(200)
+    mu = lam * (x[:, None] + 1.0) / 2.0
+    q = np.exp(m[:d] * np.log(mu) - mu - log_fact[:d]).sum(axis=1)
+    root = np.exp(m * math.log(lam) - lam - log_fact)
+    return float(w @ (q[:, None] ** m @ root) / 2.0)
 
 
 def event_E_lower_bound(lam: float, d: int) -> float:

@@ -26,6 +26,7 @@ from localis.graphs import RegularTreeHost, sample_config_model
 from localis.pgw_transfer import (
     event_E_lower_bound,
     event_E_probability,
+    event_K_probability,
     poisson_tail,
     poisson_tail_bound,
     schedule_tail_bound,
@@ -255,6 +256,29 @@ def test_criterion_7_transfer_sandwich():
             f"[{rep.lower:.4f}, {rep.upper:.4f}]"
         )
     print(f"ACCEPTANCE 7 PASS: transfer sandwich holds; {'; '.join(lines)}")
+
+
+def test_criterion_7_exact_transfer_density():
+    # E[J] = density(I) * P(K): the root's filled ball is a d-regular ball
+    # with fresh labels, independent of K, the event that no root-incident
+    # edge is removed (ROADMAP item 12)
+    lines = []
+    for f, (lam, d), trials, seed in (
+        (threshold_factor(), (3.0, 3), 10_000, 120),
+        (threshold_factor(), (20.0, 28), 8_000, 121),
+        (threshold_factor(), (50.0, 60), 5_000, 122),
+        (lauer_wormald(0.3, 2), (3.0, 3), 4_000, 123),
+    ):
+        rep = transfer_density(f, lam, d, trials, seed=seed, density_trials=100_000)
+        p_k = event_K_probability(lam, d)
+        se = math.hypot(rep.stderr_j, p_k * rep.stderr_i)
+        z = (rep.density_j - rep.density_i * p_k) / se
+        assert abs(z) <= 3.0, f"E[J] = density_I * P(K) fails at (lam={lam}, d={d}): z = {z:.2f}"
+        # the test has the power to see P(K) moved by 5 standard errors
+        for shifted in (p_k - 5 * se / rep.density_i, p_k + 5 * se / rep.density_i):
+            assert abs(rep.density_j - rep.density_i * shifted) > 3.0 * se
+        lines.append(f"{f.kind} (lam={lam:g}, d={d}): z={z:+.2f}")
+    print(f"ACCEPTANCE 7 PASS: E[J] = density_I * P(K); {'; '.join(lines)}")
 
 
 def test_criterion_8_poisson_tails():

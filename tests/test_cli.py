@@ -552,6 +552,22 @@ def test_pgw_transfer_schedule(tmp_path):
     assert lo - 3 * se <= dj <= hi + 3 * se
 
 
+@pytest.mark.parametrize("factor", [["--factor", "threshold"],
+                                    ["--factor", "lw", "--lw-p", "0.3", "--lw-k", "2"]])
+def test_pgw_transfer_bytes_do_not_depend_on_the_worker_count(tmp_path, factor):
+    # 64 trials give 2 workers 8 blocks; the trials and the reference run on
+    # the regular tree are keyed by (seed, trial), never by the worker
+    argv = ["pgw-transfer", *factor, "--lam", "6", "--d", "5", "--trials", "64", "--seed", "12"]
+    outs = {}
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}.csv")
+        assert run(argv + ["--workers", str(workers), "--out", out]) == 0
+        metrics = load_manifest(out + ".manifest.json")["metrics"]
+        assert metrics == {"workers_effective": effective_workers(64, workers)}
+        outs[workers] = read(out)
+    assert outs[1] == outs[2]
+
+
 def test_pgw_transfer_schedule_window_guard(tmp_path):
     out = str(tmp_path / "pgw.csv")
     for bad in ("0.5", "1.0", "0.2"):

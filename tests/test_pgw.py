@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from localis.factors import constant_factor, threshold_factor
+from localis.factors import constant_factor, lauer_wormald, threshold_factor
 from localis.graphs import RootedNeighborhood, sample_pgw_tree, sample_regular_tree
 from localis.pgw_transfer import (
     FilledForest,
+    _filled_ball,
+    _removal_marks,
     edge_removal_stage,
     event_E_lower_bound,
     event_E_probability,
+    event_K_probability,
     filling_out_stage,
     inclusion_stage,
     poisson_cdf,
@@ -19,7 +22,7 @@ from localis.pgw_transfer import (
     transfer_density,
     transfer_trace,
 )
-from localis.rng import POISSON_LAM_MAX
+from localis.rng import POISSON_LAM_MAX, fold, trial_state
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -222,7 +225,7 @@ def test_inclusion_root_incident_removal_forces_zero():
     for _ in range(200):
         trace = transfer_trace(f, 6.0, 3, int(rng.integers(1 << 30)))
         assert trace.iprime_root == 1
-        root_removed = any(trace.removed[w - 1] for w in trace.tree.adj[0])
+        root_removed = bool(trace.removed[:trace.kids[0]].any())  # edges to ids 1..kids[0]
         assert trace.j_root == (0 if root_removed else 1)
         seen_removed = seen_removed or root_removed
     assert seen_removed
@@ -263,6 +266,117 @@ def test_j_independent_within_window():
             if w in bits and u in bits and bits[w] and bits[u]:
                 adjacent_in_j += 1
     assert adjacent_in_j == 0
+
+
+# ---------------------------------------------------------------------------
+# equality gate: the level-array trace against the per-node stages
+# ---------------------------------------------------------------------------
+
+
+def stage_trace(f, lam, d, state):
+    """The per-node stages at the root, the reference transfer_trace equals:
+    (tree, removed, filled root ball, I', J, event_ok)."""
+    tree = sample_pgw_tree(lam, max(f.radius + 1, 2), fold(state, 1))
+    removed = edge_removal_stage(tree, tree.labels, d)
+    forest = filling_out_stage(tree, removed, d, fold(state, 2))
+    iprime, j = inclusion_stage(f, forest)
+    event_ok = all(len(tree.adj[w]) <= d for w in [0] + tree.adj[0])
+    return tree, removed, forest.ball_view(0, f.radius), iprime, j, event_ok
+
+
+def tree_of(kids, labels, radius):
+    """The per-node tree of level arrays: kids of every vertex at depth < radius."""
+    return make_tree([-1] + np.repeat(np.arange(len(kids)), kids).tolist(), labels, radius)
+
+
+def _assert_same_rooted(got, want):
+    assert (got.adj, got.radius) == (want.adj, want.radius)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.depths, want.depths)
+
+
+GATE_FACTORS = {
+    "threshold": threshold_factor(),
+    "lw1": lauer_wormald(0.3, 1),
+    "lw2": lauer_wormald(0.3, 2),
+    "const1": constant_factor(1),
+}
+GATE_GRID = [(1.0, 8), (3.0, 3), (6.0, 3), (6.0, 5), (20.0, 28), (50.0, 60)]
+# trials per (factor, lam): the per-node tree has about lam^R vertices at
+# radius R = max(f.radius + 1, 2), so the radius-3 and radius-4 references
+# take few trials at lam >= 20; LW(0.3, 2) at lam = 50 (R = 4) would build
+# 6.4 million per-node vertices a trial and is left out
+GATE_TRIALS = {("lw1", 20.0): 4, ("lw1", 50.0): 1, ("lw2", 20.0): 1}
+
+
+@pytest.mark.parametrize("name,lam,d", [
+    (name, lam, d) for name in sorted(GATE_FACTORS) for lam, d in GATE_GRID
+    if (name, lam) != ("lw2", 50.0)
+])
+def test_transfer_trace_equals_the_per_node_stages(name, lam, d):
+    f = GATE_FACTORS[name]
+    for t in range(GATE_TRIALS.get((name, lam), 20)):
+        state = trial_state(int(lam) * 1000 + d, t)
+        tree, removed, ball, iprime, j, event_ok = stage_trace(f, lam, d, state)
+        trace = transfer_trace(f, lam, d, state)
+        assert np.array_equal(trace.labels, tree.labels)
+        interior = np.flatnonzero(tree.depths < tree.radius)
+        assert np.array_equal(trace.kids, [len(tree.adj[v]) - (v > 0) for v in interior])
+        assert np.array_equal(trace.removed, removed)
+        _assert_same_rooted(trace.ball, ball)
+        assert (trace.iprime_root, trace.j_root, trace.event_ok) == (iprime, j, event_ok)
+
+
+HAND_BUILT = {
+    # all labels tied: the root marks its two highest ids
+    "tied_root": ([5, 0, 0, 0, 0, 0], [7] * 6, 3, 2),
+    # a depth-1 vertex of degree 6 ties its parent's label with three children
+    "tied_inner": ([1, 5, 0, 0, 0, 0, 0], [9, 3, 9, 9, 1, 9, 2], 3, 3),
+    "childless_root": ([0], [5], 3, 2),
+    # the root (degree 6) and vertex 3 (degree 6) are above d = 4
+    "root_above_d": ([6, 2, 0, 5, 0, 0, 1] + [0] * 8, [4, 1, 8, 3, 8, 2, 6] + [5, 0, 5, 7, 1, 9, 2, 3], 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_level_arrays_equal_the_stages_on_hand_built_trees(name):
+    kids, labels, d, radius = HAND_BUILT[name]
+    kids, labels = np.array(kids), np.array(labels, dtype=np.uint64)
+    tree = tree_of(kids, labels, radius)
+    removed = _removal_marks(kids, labels, d)
+    assert np.array_equal(removed, edge_removal_stage(tree, labels, d))
+    forest = filling_out_stage(tree, removed, d, 17)
+    for r in range(radius):
+        _assert_same_rooted(_filled_ball(kids, removed, d, r, 17), forest.ball_view(0, r))
+
+
+def test_hand_built_marks():
+    kids, labels, d, _ = HAND_BUILT["tied_root"]
+    assert np.flatnonzero(_removal_marks(np.array(kids), np.array(labels, dtype=np.uint64), d)).tolist() == [3, 4]
+    kids, labels, d, _ = HAND_BUILT["tied_inner"]
+    # vertex 1 keeps the root (the lowest id among the 9s) and children 4, 6
+    assert np.flatnonzero(_removal_marks(np.array(kids), np.array(labels, dtype=np.uint64), d)).tolist() == [1, 2, 4]
+
+
+def test_level_arrays_equal_the_stages_on_tied_random_trees():
+    # labels from {0, 1, 2}: most rankings meet ties, broken by vertex id
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        radius = int(rng.integers(2, 4))
+        levels, size = [], 1
+        for _ in range(radius):
+            levels.append(rng.poisson(2.5, size=size))
+            size = int(levels[-1].sum())
+        kids = np.concatenate(levels)
+        labels = rng.integers(0, 3, size=1 + int(kids.sum())).astype(np.uint64)
+        d = int(rng.integers(2, 5))
+        tree = tree_of(kids, labels, radius)
+        removed = _removal_marks(kids, labels, d)
+        assert np.array_equal(removed, edge_removal_stage(tree, labels, d))
+        y_state = int(rng.integers(1 << 62))
+        forest = filling_out_stage(tree, removed, d, y_state)
+        for r in range(radius):
+            _assert_same_rooted(_filled_ball(kids, removed, d, r, y_state), forest.ball_view(0, r))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +454,35 @@ def test_event_exact_vs_mc():
     exact = event_E_probability(lam, d)
     mc = event_E_probability(lam, d, mode="mc", trials=trials, seed=11)
     assert_within_sigma(mc, exact, binomial_se(exact, trials), context="event")
+
+
+def test_event_K_probability_matches_adaptive_quadrature():
+    from scipy import integrate, stats
+
+    for lam, d in ((3.0, 3), (5.0, 4), (1.0, 8), (20.0, 28), (50.0, 60), (2.0, 1)):
+        def integrand(x):
+            q = stats.poisson.cdf(d - 1, lam * x)
+            return sum(stats.poisson.pmf(m, lam) * q**m for m in range(d + 1))
+
+        ref = integrate.quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-13)[0]
+        assert event_K_probability(lam, d) == pytest.approx(ref, abs=1e-11)
+
+
+def test_event_K_probability_bounds():
+    for lam, d in ((3.0, 3), (20.0, 28), (50.0, 60), (POISSON_LAM_MAX, 700)):
+        assert event_E_probability(lam, d) <= event_K_probability(lam, d) <= 1.0
+    vals = [event_K_probability(5.0, d) for d in range(1, 30)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    for lam, d in ((math.nextafter(POISSON_LAM_MAX, math.inf), 700), (0.0, 3), (3.0, 0)):
+        with pytest.raises(ValueError):
+            event_K_probability(lam, d)
+
+
+def test_constant_one_transfer_density_is_P_K():
+    # with I' = 1, J at the root is the indicator of K itself
+    rep = transfer_density(constant_factor(1), 3.0, 3, 10_000, seed=14, density_trials=10)
+    p_k = event_K_probability(3.0, 3)
+    assert_within_sigma(rep.density_j, p_k, binomial_se(p_k, 10_000), context="P(K)")
 
 
 def test_event_lower_bound_chain():

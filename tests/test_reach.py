@@ -52,7 +52,24 @@ ALLOWED = {
     "pgw_transfer.poisson_tail_bound": "paper quantity",
     "pgw_transfer.schedule_tail_bound": "paper quantity",
     "pgw_transfer.event_E_lower_bound": "paper quantity",
+    "pgw_transfer.event_K_probability": "oracle",  # of transfer_density: E[J] = density_I P(K)
     "graphs.sample_regular_tree": "test reference",
+    # the per-node transfer stages, the reference of transfer_trace's level arrays
+    "graphs.sample_pgw_tree": "benchmark binding",
+    "graphs._build_tree": "test reference",
+    "graphs.RootedNeighborhood.n": "test reference",
+    "pgw_transfer.edge_removal_stage": "benchmark binding",
+    "pgw_transfer.filling_out_stage": "benchmark binding",
+    "pgw_transfer.inclusion_stage": "benchmark binding",
+    "pgw_transfer._edge_id": "test reference",
+    "pgw_transfer._surviving": "test reference",
+    "pgw_transfer._incident_removed": "test reference",
+    "pgw_transfer._AttachNode.__init__": "test reference",
+    "pgw_transfer.FilledForest.__init__": "test reference",
+    "pgw_transfer.FilledForest._label": "test reference",
+    "pgw_transfer.FilledForest._attach_root": "test reference",
+    "pgw_transfer.FilledForest.ball_view": "test reference",
+    "pgw_transfer.FilledForest._neighbors": "test reference",
     "factors._project_bits": "test reference",
     "factors.IndependentSetSample.members": "test reference",
     "factors.IndependentSetSample.violations": "test reference",
