@@ -14,12 +14,13 @@ for the d-regular tree:
 
 edge_removal_stage, filling_out_stage and inclusion_stage run the stages per
 node on a sampled tree (graphs.sample_pgw_tree) at any vertex.  A trial
-needs J at the root alone, and transfer_trace gets it from level arrays: the
-tree's child counts and labels from the same draws as sample_pgw_tree, the
-removal marks by one ranking of the excess vertices' neighbours, and the
-filled forest's root ball built level by level, evaluated by one
-apply_factor call.  It equals the per-node stages bit for bit; they are its
-reference.
+needs J at the root alone, and transfer_block gets it for a block of trials
+at once, on level arrays: each trial's child counts and labels from its own
+draws, the same as sample_pgw_tree's, then for the whole block one ranking
+of the excess vertices' neighbours for the removal marks, the filled
+forest's root balls built level by level, and one f.graph_rule call over a
+forest of copies of the d-regular ball.  It equals the per-node stages bit
+for bit; they are its reference.  transfer_trace is its one-trial call.
 
 The resulting density is sandwiched between density(I) * P(root and all its
 neighbours have degree <= d) and density(I), and equals density(I) * P(K),
@@ -30,6 +31,7 @@ too.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -37,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import DensityEstimate, Factor, apply_factor, estimate_tree_density
-from .graphs import RegularTreeHost, RootedNeighborhood
-from .parallel import mean_stderr, per_trial, run_trials
+from .graphs import MultiGraph, RegularTreeHost, RootedNeighborhood, incidence_arrays
+from .parallel import BLOCK, mean_stderr, run_trials
 from .rng import (
-    CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, fold_np, state_rng, trial_state, uniform_labels,
+    CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, fold_np, state_rng, trial_state_np,
+    uniform_labels,
 )
 
 
@@ -194,7 +197,7 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
     forest, its final bit of J).
 
     Exact only when depth(v) + f.radius + 1 <= the generated tree's radius;
-    callers other than transfer_trace (v = 0) enforce the window.
+    callers enforce the window.
     """
     iprime = apply_factor(f, forest.ball_view(v, f.radius))
     j = iprime and not _incident_removed(forest.tree, forest.removed, v)
@@ -202,22 +205,28 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The three stages at the root, on level arrays
+# The three stages at the root, on level arrays, a block of trials at once
 # ---------------------------------------------------------------------------
 #
-# A tree is `kids`, the child count of each vertex at depth < radius by BFS
-# id, and `labels`, one per vertex.  The children of a vertex are contiguous
-# and the levels in order, as _build_tree numbers them: with ends =
-# cumsum(kids), vertex v's children are the ids ends[v] - kids[v] + 1 ..
-# ends[v].  The depth-radius vertices, ids kids.size .. labels.size - 1, are
-# the boundary: their children are not drawn and, as in the per-node stages,
-# they never mark.
+# A trial's tree is `kids`, the child count of each vertex at depth < radius
+# by BFS id, and `labels`, their removal labels.  The children of a vertex
+# are contiguous and the levels in order, as _build_tree numbers them: with
+# ends = cumsum(kids), vertex v's children are the ids ends[v] - kids[v] + 1
+# .. ends[v].  The depth-radius vertices, ids kids.size on, are the
+# boundary: their children are not drawn and, as in the per-node stages,
+# they never mark.  Of the boundary labels a trial keeps only `rim`, those
+# of the children of the depth radius - 1 vertices above degree d, in id
+# order: their ranking decides whether those vertices mark their parent
+# edge.  A block stacks the trials' interior vertices trial by trial under
+# block ids; within a trial block ids follow BFS ids, so ranking by block
+# id breaks label ties as the per-node stages do.
 
 
-def _pgw_levels(lam: float, radius: int, state: int) -> tuple:
-    """(kids, labels) of the tree sample_pgw_tree(lam, radius, state) draws,
-    from the same draws: one rng.poisson per non-empty level, then one
-    uniform_labels over every vertex."""
+def _pgw_levels(lam: float, radius: int, state: int, d: int) -> tuple:
+    """(kids, labels, rim) of the tree sample_pgw_tree(lam, radius, state)
+    draws, from the same draws: one rng.poisson per non-empty level, then
+    one uniform_labels over every vertex, of which the interior's and the
+    rim's are kept (see above)."""
     if lam <= 0:
         raise ValueError("need lam > 0")
     rng = state_rng(state)
@@ -228,76 +237,103 @@ def _pgw_levels(lam: float, radius: int, state: int) -> tuple:
         levels.append(rng.poisson(lam, size=size))
         size = int(levels[-1].sum())
         total += size
-    return np.concatenate(levels), uniform_labels(rng, total)
+    kids, labels, last = np.concatenate(levels), uniform_labels(rng, total), levels[-1]
+    # a copy, not a view: a block holds no trial's boundary labels
+    return kids, labels[:kids.size].copy(), labels[kids.size:][np.repeat(last >= d, last)]
 
 
-def _removal_marks(kids: np.ndarray, labels: np.ndarray, d: int) -> np.ndarray:
-    """edge_removal_stage on level arrays: removed[w - 1] marks the edge
-    (parent(w), w).  Each vertex above degree d ranks its neighbours by
-    (label, id) and marks the edges to the top degree - d of them."""
-    removed = np.zeros(labels.size - 1, dtype=bool)
-    degree = kids.copy()
-    degree[1:] += 1
+class _Levels:
+    """The trees of a block of trials, each given as _pgw_levels' (kids,
+    labels, rim), stacked: `kids`, `labels` and `rim` concatenated,
+    `trial` the trial of each block id, `roots` the block id of each
+    trial's root and `stop` the block id after its last vertex, and
+    `first` the block id of each vertex's first child (a child at block id
+    stop[t] or beyond is a boundary vertex of trial t)."""
+
+    def __init__(self, trees):
+        self.kids, self.labels, self.rim = (np.concatenate(part) for part in zip(*trees))
+        size = np.array([tree[0].size for tree in trees])
+        self.stop = np.cumsum(size)
+        self.roots = self.stop - size
+        self.trial = np.repeat(np.arange(size.size), size)
+        self.ends = np.cumsum(self.kids)
+        # vertex v of trial t has BFS id v - roots[t], and its children follow
+        # those of the vertices before it in its trial
+        self.shift = (self.ends - self.kids)[self.roots] - self.roots
+        self.first = self.ends - self.kids + 1 - self.shift[self.trial]
+
+    def parents(self, v: np.ndarray) -> np.ndarray:
+        """Block ids of the parents of the non-root vertices v."""
+        return np.searchsorted(self.ends, v + self.shift[self.trial[v]])
+
+    def children(self, v: np.ndarray) -> tuple:
+        """(child, row): the block ids of the children of the vertices v, in
+        order, and the index into v of each one's parent."""
+        count = self.kids[v]
+        row = np.repeat(np.arange(v.size), count)
+        return np.arange(row.size) + (self.first[v] - np.cumsum(count) + count)[row], row
+
+
+def _removal_marks(tb: _Levels, d: int) -> np.ndarray:
+    """edge_removal_stage over a block: removed[w] marks the edge (parent(w),
+    w) of the vertex of block id w.  A vertex above degree d ranks its
+    neighbours by (label, id) and marks the edges to the top degree - d.
+
+    The marks on boundary edges are dropped: no stage reads them.  So a rim
+    vertex, one whose children are boundary, decides only its parent edge:
+    its children follow its parent in id, so the parent is among its top
+    degree - d iff fewer than degree - d children have a label at least the
+    parent's.  The other vertices above d rank all their neighbours (the
+    parent first, then the children), by one lexsort for the block."""
+    kids, labels = tb.kids, tb.labels
+    up = np.ones(kids.size, dtype=np.int64)
+    up[tb.roots] = 0
+    degree = kids + up
     above = np.flatnonzero(degree > d)
+    removed = np.zeros(kids.size, dtype=bool)
+    rim = tb.first[above] >= tb.stop[tb.trial[above]]
+    v, above = above[rim], above[~rim]
+    child = np.repeat(np.arange(v.size), kids[v])
+    higher = np.bincount(child[tb.rim >= labels[tb.parents(v)][child]], minlength=v.size)
+    removed[v[higher < degree[v] - d]] = True
     if not above.size:
         return removed
-    ends = np.cumsum(kids)
     size = degree[above]
-    owner = np.repeat(np.arange(above.size), size)
-    pos = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
-    v = above[owner]
-    up = v > 0  # a non-root vertex lists its parent first, then its children
-    nbr = ends[v] - kids[v] + 1 + pos - up
-    up &= pos == 0
-    nbr[up] = np.searchsorted(ends, v[up])
-    # ascending (label, id) within each owner: its top degree - d come last,
-    # from position d on
-    order = np.lexsort((nbr, labels[nbr], owner))
-    top = pos >= d
-    removed[np.maximum(v[top], nbr[order][top]) - 1] = True
+    v = np.repeat(above, size)
+    pos = np.arange(v.size) - np.repeat(np.cumsum(size) - size, size)
+    up = up[v]
+    nbr = tb.first[v] + pos - up
+    up = (pos == 0) & (up == 1)
+    nbr[up] = tb.parents(v[up])
+    # ascending (label, id) within each vertex: its top degree - d come
+    # last, from position d on
+    top = np.lexsort((nbr, labels[nbr], v))[pos >= d]
+    removed[np.maximum(v[top], nbr[top])] = True
     return removed
 
 
-def _ball_adjacency(d: int, radius: int) -> tuple:
-    """(adj, depths) of the d-regular tree's root ball of this radius, BFS
-    ids with the children of a vertex contiguous."""
-    adj, depths, level = [[]], [0], [0]
-    for depth in range(radius):
-        width = d if depth == 0 else d - 1
-        nxt = range(len(adj), len(adj) + len(level) * width)
-        for i, v in enumerate(level):
-            adj[v] += nxt[i * width:(i + 1) * width]
-        adj += [[v] for v in level for _ in range(width)]
-        depths += [depth + 1] * len(nxt)
-        level = nxt
-    return adj, np.asarray(depths, dtype=np.int64)
-
-
-def _filled_ball(
-    kids: np.ndarray, removed: np.ndarray, d: int, radius: int, y_state: int
-) -> RootedNeighborhood:
-    """FilledForest(tree, removed, d, y_state).ball_view(0, radius) from
-    level arrays.  The filled forest is d-regular, so the ball has the
-    d-regular tree's shape: a level of m vertices has an (m, width) block of
-    children, each row the vertex's surviving tree children in id order,
-    then its attachment slots.  A level holds each vertex's tree id `orig`
-    (-1 on an attachment vertex) and `state`, fold(fold(y_state, 0xA77), v)
-    on tree vertex v.  Attachment slot s of a tree vertex and child j of an
+def _filled_ball(tb: _Levels, removed: np.ndarray, d: int, radius: int, y_states) -> np.ndarray:
+    """The labels of FilledForest(tree, removed, d, y).ball_view(0, radius)
+    of every trial of the block, y its entry of y_states: one row per trial,
+    by BFS id.  The filled forest is d-regular, so the ball has the d-regular
+    tree's shape: a level of m vertices has an (m, width) block of children,
+    each row the vertex's surviving tree children in id order, then its
+    attachment slots.  A level holds each vertex's block id `orig` (-1 on an
+    attachment vertex) and `state`, fold(fold(y, 0xA77), v) on tree vertex v
+    of BFS id v.  Attachment slot s of a tree vertex and child j of an
     attachment vertex are both a fold of the row's state, by s = j - filled
-    and CHILD_TAG + j, so one fold makes both."""
-    ends = np.cumsum(kids)
-    tree_keys = np.array([fold(y_state, 0xA77), fold(y_state, 0x1AB)], dtype=np.uint64)
-    orig = np.zeros(1, dtype=np.int64)
-    state, root_label = (np.array([fold(int(key), 0)], dtype=np.uint64) for key in tree_keys)
+    and CHILD_TAG + j, so one fold makes both; each level takes one fold_np
+    set for the whole block."""
+    keys = np.stack((fold_np(y_states, 0xA77), fold_np(y_states, 0x1AB)))
+    orig = tb.roots
+    state, root_label = fold_np(keys, 0)
     labels = [root_label]
     for depth in range(radius):
         width = d if depth == 0 else d - 1  # a ball vertex's parent edge survives
         at = np.flatnonzero(orig >= 0)
-        v = orig[at]
-        count = kids[v]
-        child = np.arange(count.sum()) + np.repeat(ends[v] + 1 - np.cumsum(count), count)
-        keep = ~removed[child - 1]
-        filled = np.bincount(np.repeat(np.arange(at.size), count)[keep], minlength=at.size)
+        child, row = tb.children(orig[at])
+        keep = ~removed[child]
+        filled = np.bincount(row[keep], minlength=at.size)
         if (filled > width).any():
             raise AssertionError(f"filled forest not {d}-regular at depth {depth}")
         shift = np.full(orig.size, -CHILD_TAG, dtype=np.int64)
@@ -308,48 +344,84 @@ def _filled_ball(
         orig = np.full(state.size, -1, dtype=np.int64)
         tree = (slots < 0).ravel()  # the rows' first `filled` columns
         orig[tree] = child = child[keep]
-        state[tree], level_labels[tree] = fold_np(tree_keys[:, None], child)
+        trial = tb.trial[child]
+        state[tree], level_labels[tree] = fold_np(keys[:, trial], child - tb.roots[trial])
         labels.append(level_labels)
-    adj, depths = _ball_adjacency(d, radius)
-    return RootedNeighborhood(adj, np.concatenate(labels), radius, depths)
+    return np.concatenate([level.reshape(tb.roots.size, -1) for level in labels], axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _ball_forest(d: int, radius: int, copies: int) -> MultiGraph:
+    """`copies` disjoint copies of the d-regular tree's root ball of this
+    radius, copy b on the ids b * size .. (b + 1) * size - 1 by BFS id, the
+    children of a vertex contiguous."""
+    parents, level, size = [], np.zeros(1, dtype=np.int64), 1
+    for depth in range(radius):
+        parents.append(np.repeat(level, d if depth == 0 else d - 1))
+        level = np.arange(size, size + parents[-1].size)
+        size += level.size
+    parent = np.concatenate([np.zeros(0, dtype=np.int64)] + parents)
+    base = np.arange(copies)[:, None] * size
+    n = copies * size
+    start, nbr, eid = incidence_arrays(n, (parent + base).ravel(), (np.arange(1, size) + base).ravel())
+    return MultiGraph(n, start=np.asarray(start), nbr=nbr, eid=eid)
+
+
+TransferBlock = namedtuple("TransferBlock", ["iprime", "j", "event_ok", "root_kids", "root_removed"])
+
+
+def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
+    """Run all three stages at the roots of fresh PGW trees, one per entry of
+    `states`: per trial the bits of I' and J at the root and the degree
+    event (root and all its neighbours of degree <= d), and the removal
+    marks of the root-incident edges, root_kids[t] of them for trial t, in
+    child order, concatenated.
+
+    Each tree is generated to radius max(f.radius + 1, 2): the factor's ball
+    needs degrees to depth f.radius, and the removal marks on root-incident
+    edges need the degrees of the root's neighbours.  Bit for bit, a trial
+    of state s is sample_pgw_tree(lam, radius, fold(s, 1)),
+    edge_removal_stage on its labels, filling_out_stage with y_state
+    fold(s, 2) and inclusion_stage at the root: the balls are evaluated
+    together by f.graph_rule on a forest of copies of the d-regular ball,
+    whose bit at a copy's root is the view rule's on that ball, ties broken
+    by BFS id.  The trials run in passes whose balls hold at most the
+    vertices of BLOCK radius-1 balls.
+    """
+    states = np.asarray(states, dtype=np.uint64).reshape(-1)
+    radius = max(f.radius + 1, 2)
+    size = _ball_forest(d, f.radius, 1).n
+    step = max(1, BLOCK * (d + 1) // size)
+    parts = []
+    for lo in range(0, states.size, step):
+        block = states[lo : lo + step]
+        tb = _Levels([_pgw_levels(lam, radius, s, d) for s in fold_np(block, 1).tolist()])
+        removed = _removal_marks(tb, d)
+        ball = _filled_ball(tb, removed, d, f.radius, fold_np(block, 2))
+        iprime = f.graph_rule(_ball_forest(d, f.radius, block.size), ball.ravel())[::size]
+        child, row = tb.children(tb.roots)
+        root_kids = tb.kids[tb.roots]
+        cut = np.bincount(row[removed[child]], minlength=block.size) > 0
+        over = np.bincount(row[tb.kids[child] >= d], minlength=block.size) > 0
+        parts.append((iprime, iprime & ~cut, (root_kids <= d) & ~over, root_kids, removed[child]))
+    return TransferBlock(*(np.concatenate(part) for part in zip(*parts)))
 
 
 @dataclass
 class TransferTrace:
-    """One realisation of the three-stage construction at the root.
+    """One realisation of the three-stage construction at the root:
+    root_removed marks the root's edges to its children, in child order."""
 
-    The PGW tree is `kids` and its removal labels `labels`, by BFS id (see
-    the level arrays above); removed[w - 1] marks the edge (parent(w), w);
-    `ball` is the filled forest's root ball of radius f.radius.
-    """
-
-    kids: np.ndarray
-    labels: np.ndarray
-    removed: np.ndarray
-    ball: RootedNeighborhood
     iprime_root: int
     j_root: int
     event_ok: bool  # root and all its neighbours have degree <= d
+    root_removed: np.ndarray
 
 
 def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:
-    """Run all three stages at the root of a fresh PGW tree.
-
-    The tree is generated to radius max(f.radius + 1, 2): the factor's ball
-    needs degrees to depth f.radius, and the removal marks on root-incident
-    edges need the degrees of the root's neighbours.  Bit for bit, this is
-    sample_pgw_tree(lam, radius, fold(state, 1)), edge_removal_stage on its
-    labels, filling_out_stage with y_state fold(state, 2) and
-    inclusion_stage at the root.
-    """
-    kids, labels = _pgw_levels(lam, max(f.radius + 1, 2), fold(state, 1))
-    removed = _removal_marks(kids, labels, d)
-    ball = _filled_ball(kids, removed, d, f.radius, fold(state, 2))
-    iprime = apply_factor(f, ball)
-    root = int(kids[0])
-    j = int(iprime and not removed[:root].any())
-    event_ok = root <= d and bool((kids[1:root + 1] < d).all())
-    return TransferTrace(kids, labels, removed, ball, iprime, j, event_ok)
+    """transfer_block of the one trial of this state."""
+    out = transfer_block(f, lam, d, [state])
+    return TransferTrace(int(out.iprime[0]), int(out.j[0]), bool(out.event_ok[0]), out.root_removed)
 
 
 TransferReport = namedtuple(
@@ -385,11 +457,11 @@ def transfer_density(
     if trials < 1:
         raise ValueError("need trials >= 1")
 
-    def one(t: int):
-        trace = transfer_trace(f, lam, d, trial_state(seed, t))
-        return [float(trace.j_root), float(trace.event_ok)]
+    def block(lo: int, hi: int):
+        out = transfer_block(f, lam, d, trial_state_np(seed, np.arange(lo, hi)))
+        return np.column_stack((out.j, out.event_ok))
 
-    rows = run_trials(per_trial(one), trials, workers)
+    rows = run_trials(block, trials, workers)
     density_j, se_j = mean_stderr(rows[:, 0])
     p_mc, se_event = mean_stderr(rows[:, 1])
     density_i: DensityEstimate = estimate_tree_density(

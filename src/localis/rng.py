@@ -89,14 +89,17 @@ def coupled_label(state: int, copy: int, cut: int, memo: dict) -> int:
 def state_rng(state: int) -> np.random.Generator:
     """NumPy generator keyed by a 64-bit state: the stream
     np.random.default_rng(state & MASK64) gives, built without its
-    argument dispatch.  The Erdos-Renyi copies' SxS redraws use it; no label
-    comes from it."""
+    argument dispatch.  The Erdos-Renyi copies' SxS redraws and the PGW
+    transfer's trees use it; no coupled label comes from it."""
     return np.random.Generator(np.random.PCG64(state & MASK64))
 
 
 def uniform_labels(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n labels drawn uniformly from {0, ..., 2^64 - 1}."""
-    return rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    """n labels drawn uniformly from {0, ..., 2^64 - 1}: the next n raw
+    outputs of the generator's 64-bit PCG64, which are the values
+    rng.integers(0, 1 << 64, size=n, dtype=np.uint64) gives, and leave the
+    stream where it leaves it, without its argument dispatch."""
+    return rng.bit_generator.random_raw(n)
 
 
 def label_unit(label):

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from localis import parallel
 from localis.factors import constant_factor, lauer_wormald, threshold_factor
 from localis.graphs import RootedNeighborhood, sample_pgw_tree, sample_regular_tree
 from localis.pgw_transfer import (
     FilledForest,
+    _ball_forest,
     _filled_ball,
+    _Levels,
     _removal_marks,
     edge_removal_stage,
     event_E_lower_bound,
@@ -19,10 +23,11 @@ from localis.pgw_transfer import (
     poisson_tail,
     poisson_tail_bound,
     schedule_tail_bound,
+    transfer_block,
     transfer_density,
     transfer_trace,
 )
-from localis.rng import POISSON_LAM_MAX, fold, trial_state
+from localis.rng import POISSON_LAM_MAX, fold, trial_state, trial_state_np
 
 from conftest import assert_within_sigma, binomial_se
 
@@ -212,7 +217,7 @@ def test_inclusion_no_removals_keeps_membership():
     f = threshold_factor()
     for _ in range(20):
         trace = transfer_trace(f, 1.0, 8, int(rng.integers(1 << 30)))
-        if not trace.removed.any():
+        if not trace.root_removed.any():
             assert trace.j_root == trace.iprime_root
 
 
@@ -225,7 +230,7 @@ def test_inclusion_root_incident_removal_forces_zero():
     for _ in range(200):
         trace = transfer_trace(f, 6.0, 3, int(rng.integers(1 << 30)))
         assert trace.iprime_root == 1
-        root_removed = bool(trace.removed[:trace.kids[0]].any())  # edges to ids 1..kids[0]
+        root_removed = bool(trace.root_removed.any())
         assert trace.j_root == (0 if root_removed else 1)
         seen_removed = seen_removed or root_removed
     assert seen_removed
@@ -269,30 +274,24 @@ def test_j_independent_within_window():
 
 
 # ---------------------------------------------------------------------------
-# equality gate: the level-array trace against the per-node stages
+# equality gate: the block of level arrays against the per-node stages
 # ---------------------------------------------------------------------------
 
 
 def stage_trace(f, lam, d, state):
-    """The per-node stages at the root, the reference transfer_trace equals:
-    (tree, removed, filled root ball, I', J, event_ok)."""
+    """The per-node stages at the root, the reference transfer_block equals:
+    (tree, removed, I', J, event_ok)."""
     tree = sample_pgw_tree(lam, max(f.radius + 1, 2), fold(state, 1))
     removed = edge_removal_stage(tree, tree.labels, d)
     forest = filling_out_stage(tree, removed, d, fold(state, 2))
     iprime, j = inclusion_stage(f, forest)
     event_ok = all(len(tree.adj[w]) <= d for w in [0] + tree.adj[0])
-    return tree, removed, forest.ball_view(0, f.radius), iprime, j, event_ok
+    return tree, removed, iprime, j, event_ok
 
 
 def tree_of(kids, labels, radius):
     """The per-node tree of level arrays: kids of every vertex at depth < radius."""
     return make_tree([-1] + np.repeat(np.arange(len(kids)), kids).tolist(), labels, radius)
-
-
-def _assert_same_rooted(got, want):
-    assert (got.adj, got.radius) == (want.adj, want.radius)
-    assert np.array_equal(got.labels, want.labels)
-    assert np.array_equal(got.depths, want.depths)
 
 
 GATE_FACTORS = {
@@ -314,17 +313,26 @@ GATE_TRIALS = {("lw1", 20.0): 4, ("lw1", 50.0): 1, ("lw2", 20.0): 1}
     if (name, lam) != ("lw2", 50.0)
 ])
 def test_transfer_trace_equals_the_per_node_stages(name, lam, d):
+    # the pinned trials as one transfer_block, and one by one through transfer_trace
     f = GATE_FACTORS[name]
-    for t in range(GATE_TRIALS.get((name, lam), 20)):
-        state = trial_state(int(lam) * 1000 + d, t)
-        tree, removed, ball, iprime, j, event_ok = stage_trace(f, lam, d, state)
+    states = [trial_state(int(lam) * 1000 + d, t) for t in range(GATE_TRIALS.get((name, lam), 20))]
+    block = transfer_block(f, lam, d, states)
+    cut = np.cumsum(block.root_kids)[:-1]
+    seen = set()
+    for state, iprime, j, event_ok, root_removed in zip(
+        states, block.iprime, block.j, block.event_ok, np.split(block.root_removed, cut)
+    ):
+        tree, removed, *want = stage_trace(f, lam, d, state)
+        assert (iprime, j, event_ok) == tuple(want)
+        assert np.array_equal(root_removed, removed[:len(tree.adj[0])])  # edges to ids 1..kids[0]
         trace = transfer_trace(f, lam, d, state)
-        assert np.array_equal(trace.labels, tree.labels)
-        interior = np.flatnonzero(tree.depths < tree.radius)
-        assert np.array_equal(trace.kids, [len(tree.adj[v]) - (v > 0) for v in interior])
-        assert np.array_equal(trace.removed, removed)
-        _assert_same_rooted(trace.ball, ball)
-        assert (trace.iprime_root, trace.j_root, trace.event_ok) == (iprime, j, event_ok)
+        assert (trace.iprime_root, trace.j_root, trace.event_ok) == tuple(want)
+        assert np.array_equal(trace.root_removed, root_removed)
+        seen.update({"childless root"} if not tree.adj[0] else set())
+        seen.update({"dies before radius 2"} if tree.depths.max() < 2 else set())
+        seen.update({"none above d"} if max(map(len, tree.adj)) <= d else set())
+    if lam == 1.0:
+        assert seen == {"childless root", "dies before radius 2", "none above d"}
 
 
 HAND_BUILT = {
@@ -335,48 +343,121 @@ HAND_BUILT = {
     "childless_root": ([0], [5], 3, 2),
     # the root (degree 6) and vertex 3 (degree 6) are above d = 4
     "root_above_d": ([6, 2, 0, 5, 0, 0, 1] + [0] * 8, [4, 1, 8, 3, 8, 2, 6] + [5, 0, 5, 7, 1, 9, 2, 3], 4, 3),
+    # a rim vertex (degree 5, boundary children) ties its parent's label with
+    # two children, which outrank the parent by id: the parent edge survives
+    "tied_rim": ([1, 4], [5, 3, 5, 5, 1, 9], 3, 2),
 }
+
+
+def levels_of(kids, labels, d, radius):
+    """_pgw_levels' (kids, labels, rim) of a tree given by all its labels."""
+    kids = np.asarray(kids)
+    labels = np.asarray(labels, dtype=np.uint64)
+    last = kids[tree_of(kids, labels, radius).depths[:kids.size] == radius - 1]
+    return kids, labels[:kids.size], labels[kids.size:][np.repeat(last >= d, last)]
+
+
+def assert_block_equals_the_stages(trees, d):
+    """Marks and filled balls of a block of trees (kids, labels, radius)
+    against edge_removal_stage and FilledForest.ball_view: the marks of the
+    interior edges, the ones the block keeps, and the balls of every radius
+    r, from the block of the trees deeper than r."""
+    for r in range(max(radius for *_, radius in trees)):
+        block = [tree for tree in trees if tree[2] > r]
+        tb = _Levels([levels_of(kids, labels, d, radius) for kids, labels, radius in block])
+        removed = _removal_marks(tb, d)
+        y_states = trial_state_np(d, np.arange(len(block)))
+        balls = _filled_ball(tb, removed, d, r, y_states)
+        shape = _ball_forest(d, r, 1)
+        for t, (kids, labels, radius) in enumerate(block):
+            tree = tree_of(kids, labels, radius)
+            marks = edge_removal_stage(tree, tree.labels, d)
+            assert np.array_equal(removed[tb.roots[t] + 1 : tb.stop[t]], marks[: len(kids) - 1])
+            want = filling_out_stage(tree, marks, d, int(y_states[t])).ball_view(0, r)
+            assert np.array_equal(balls[t], want.labels)
+            assert [[w for w, _ in shape.adj[v]] for v in range(shape.n)] == want.adj
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_level_arrays_equal_the_stages_on_hand_built_trees(name):
+    # in one block with the other hand-built trees of its d, first and last
     kids, labels, d, radius = HAND_BUILT[name]
-    kids, labels = np.array(kids), np.array(labels, dtype=np.uint64)
-    tree = tree_of(kids, labels, radius)
-    removed = _removal_marks(kids, labels, d)
-    assert np.array_equal(removed, edge_removal_stage(tree, labels, d))
-    forest = filling_out_stage(tree, removed, d, 17)
-    for r in range(radius):
-        _assert_same_rooted(_filled_ball(kids, removed, d, r, 17), forest.ball_view(0, r))
+    others = [(k, x, r) for other, (k, x, dd, r) in HAND_BUILT.items() if dd == d and other != name]
+    assert_block_equals_the_stages([(kids, labels, radius)] + others, d)
+    assert_block_equals_the_stages(others + [(kids, labels, radius)], d)
 
 
 def test_hand_built_marks():
-    kids, labels, d, _ = HAND_BUILT["tied_root"]
-    assert np.flatnonzero(_removal_marks(np.array(kids), np.array(labels, dtype=np.uint64), d)).tolist() == [3, 4]
-    kids, labels, d, _ = HAND_BUILT["tied_inner"]
+    def marks(name):
+        kids, labels, d, radius = HAND_BUILT[name]
+        tb = _Levels([levels_of(kids, labels, d, radius)])
+        return np.flatnonzero(_removal_marks(tb, d)).tolist()
+
+    assert marks("tied_root") == [4, 5]  # vertices 4 and 5: edge ids 3, 4
     # vertex 1 keeps the root (the lowest id among the 9s) and children 4, 6
-    assert np.flatnonzero(_removal_marks(np.array(kids), np.array(labels, dtype=np.uint64), d)).tolist() == [1, 2, 4]
+    assert marks("tied_inner") == [2, 3, 5]
+    assert marks("tied_rim") == []
+    assert marks("childless_root") == []
 
 
 def test_level_arrays_equal_the_stages_on_tied_random_trees():
-    # labels from {0, 1, 2}: most rankings meet ties, broken by vertex id
+    # labels from {0, 1, 2}: most rankings meet ties, broken by vertex id;
+    # blocks of 1 to 6 trees of radius 2 or 3
     rng = np.random.default_rng(41)
-    for _ in range(60):
-        radius = int(rng.integers(2, 4))
-        levels, size = [], 1
-        for _ in range(radius):
-            levels.append(rng.poisson(2.5, size=size))
-            size = int(levels[-1].sum())
-        kids = np.concatenate(levels)
-        labels = rng.integers(0, 3, size=1 + int(kids.sum())).astype(np.uint64)
+    for _ in range(20):
         d = int(rng.integers(2, 5))
-        tree = tree_of(kids, labels, radius)
-        removed = _removal_marks(kids, labels, d)
-        assert np.array_equal(removed, edge_removal_stage(tree, labels, d))
-        y_state = int(rng.integers(1 << 62))
-        forest = filling_out_stage(tree, removed, d, y_state)
-        for r in range(radius):
-            _assert_same_rooted(_filled_ball(kids, removed, d, r, y_state), forest.ball_view(0, r))
+        trees = []
+        for _ in range(int(rng.integers(1, 7))):
+            radius = int(rng.integers(2, 4))
+            levels, size = [], 1
+            for _ in range(radius):
+                levels.append(rng.poisson(2.5, size=size))
+                size = int(levels[-1].sum())
+            kids = np.concatenate(levels)
+            trees.append((kids, rng.integers(0, 3, size=1 + int(kids.sum())), radius))
+        assert_block_equals_the_stages(trees, d)
+
+
+@pytest.mark.parametrize("f,lam,d", [
+    (threshold_factor(), 6.0, 5), (lauer_wormald(0.3, 2), 6.0, 5),
+    # a ball of 785 vertices: passes of 37 trials
+    (lauer_wormald(0.3, 1), 20.0, 28),
+])
+def test_transfer_block_rows_do_not_depend_on_the_cut(f, lam, d):
+    states = trial_state_np(21, np.arange(40))
+    whole = transfer_block(f, lam, d, states)
+    for step in (1, 7):
+        parts = [transfer_block(f, lam, d, states[lo : lo + step]) for lo in range(0, 40, step)]
+        for got, want in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), want)
+
+
+def test_transfer_density_does_not_depend_on_the_run_block(monkeypatch):
+    def report():
+        return transfer_density(threshold_factor(), 6.0, 5, 30, seed=3, density_trials=8)
+
+    whole = report()
+    for block in (1, 7):
+        monkeypatch.setattr(parallel, "BLOCK", block)
+        assert report() == whole
+
+
+def test_transfer_memory_is_bounded_by_the_run_blocks():
+    # run_trials hands the transfer blocks of at most BLOCK trials, so four
+    # times the trials must not raise the peak of traced allocations
+    f = threshold_factor()
+
+    def peak(trials):
+        _ball_forest.cache_clear()
+        tracemalloc.start()
+        try:
+            transfer_density(f, 50.0, 60, trials, seed=5, density_trials=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert parallel.BLOCK == 1024
+    assert peak(4096) <= 1.25 * peak(1024)
 
 
 # ---------------------------------------------------------------------------

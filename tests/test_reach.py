@@ -54,8 +54,9 @@ ALLOWED = {
     "pgw_transfer.event_E_lower_bound": "paper quantity",
     "pgw_transfer.event_K_probability": "oracle",  # of transfer_density: E[J] = density_I P(K)
     "graphs.sample_regular_tree": "test reference",
-    # the per-node transfer stages, the reference of transfer_trace's level arrays
+    # the per-node transfer stages, the reference of transfer_block's level arrays
     "graphs.sample_pgw_tree": "benchmark binding",
+    "pgw_transfer.transfer_trace": "benchmark binding",  # transfer_block of one trial
     "graphs._build_tree": "test reference",
     "graphs.RootedNeighborhood.n": "test reference",
     "pgw_transfer.edge_removal_stage": "benchmark binding",

@@ -98,6 +98,19 @@ def test_state_rng_matches_default_rng(state):
     assert np.array_equal(ours, ref)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11, MASK64])
+def test_uniform_labels_equal_full_range_integers_and_keep_the_stream(seed):
+    # the raw outputs are integers(0, 2^64)'s values, and the draws after
+    # them (Poisson here, as in the PGW levels) read the same stream
+    ours, ref = state_rng(seed), state_rng(seed)
+    for n in (0, 1, 400):
+        assert np.array_equal(ours.poisson(3.0, size=5), ref.poisson(3.0, size=5))
+        got = uniform_labels(ours, n)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert np.array_equal(got, ref.integers(0, 1 << 64, size=n, dtype=np.uint64))
+    assert np.array_equal(ours.poisson(50.0, size=7), ref.poisson(50.0, size=7))
+
+
 def test_label_unit_range():
     rng = np.random.default_rng(0)
     labels = uniform_labels(rng, 1000)
