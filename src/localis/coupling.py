@@ -22,12 +22,16 @@ On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
 inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
 the bits it holds stay bounded at any inner trial count.  On graph hosts
-both estimators read copies 1..k one at a time, holding one copy graph:
-the intersections keep a running intersection over the whole graph, each
-copy projected by one factors.graph_bits call (the tree-ball mask walked
-from the rule's 1-bits, at most once per vertex of a copy graph, which
-keeps what it walked), and stability labels only the root's ball, by
-scalar folds.
+the intersections read copies 1..k one at a time, holding one copy graph,
+and keep a running intersection over the whole graph, each copy projected
+by one factors.graph_bits call (the tree-ball mask walked from the rule's
+1-bits, at most once per vertex of a copy graph, which keeps what it
+walked).  Stability needs the root's bit alone.  On the configuration model
+it reads the root's ball in g once and relabels it per copy, by scalar
+folds.  On the Erdos-Renyi host it stacks the copies of an accepted trial
+into disjoint unions (er_copy_unions), at most max(1, PASS_PAIRS // n)
+copies a union, and takes the bits at the copies' roots of each union by
+one factors.graph_bits_at call; copy 0 is read off g the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import Factor, TreeBlock, apply_factor, graph_bits
+from .factors import PASS_PAIRS, Factor, TreeBlock, apply_factor, graph_bits, graph_bits_at
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
@@ -182,6 +186,24 @@ def _sample_graph(host, state: int) -> MultiGraph:
     return sample_er(host.n, host.lam, state)
 
 
+def _outside(g: MultiGraph, S: np.ndarray) -> tuple:
+    """The edges of g not inside SxS, as arrays (us, vs), us <= vs, in g's
+    edge-id order."""
+    in_s = np.zeros(g.n, dtype=bool)
+    in_s[S] = True
+    us, vs = g.edge_array.T
+    keep = ~(in_s[us] & in_s[vs])
+    return us[keep], vs[keep]
+
+
+def _redraw(S: np.ndarray, q: float, streams: int, i: int) -> tuple:
+    """Copy i + 1's pairs inside SxS, S sorted, as vertex arrays (us, vs),
+    us < vs: each pair of S present with probability q, by one
+    bernoulli_pairs call on the stream fold(streams, i)."""
+    a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, q)
+    return S[a], S[b]
+
+
 def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
     """Yield k copies of g with the induced subgraph on S independently
     resampled, one per step, so a caller holds only the copy it reads.
@@ -189,22 +211,54 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
     Every copy keeps all edges of g not inside SxS, filtered once; pairs
     within SxS are re-drawn independently per copy with probability lam/n,
     so each copy is again Erdos-Renyi(n, lam/n) marginally.  Copy i draws
-    its pairs of the sorted S by one bernoulli_pairs call on the stream
-    fold(trial_state(seed, 0x5E5A), i), and lists its edges sorted.
+    its pairs of the sorted S by _redraw on the streams
+    trial_state(seed, 0x5E5A), and lists its edges sorted.
     """
     S = np.sort(np.asarray(S, dtype=np.int64))
     n = g.n
-    in_s = np.zeros(n, dtype=bool)
-    in_s[S] = True
-    us, vs = g.edge_array.T
-    kept = (us * n + vs)[~(in_s[us] & in_s[vs])]  # edge (u, v) as u * n + v
+    us, vs = _outside(g, S)
+    kept = us * n + vs  # edge (u, v) as u * n + v
     streams = trial_state(seed, 0x5E5A)
-    for i in range(k):  # each SxS pair is kept with probability lam/n
-        a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, lam / n)
-        merged = np.concatenate((kept, S[a] * n + S[b]))
+    for i in range(k):
+        a, b = _redraw(S, lam / n, streams, i)
+        merged = np.concatenate((kept, a * n + b))
         merged.sort()
         start, nbr, eid = incidence_arrays(n, *np.divmod(merged, n))
         yield MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
+
+
+def er_copy_unions(g: MultiGraph, S, lam: float, k: int, seed):
+    """Copies 1..k of er_resample_graphs(g, S, lam, k, seed) as disjoint
+    unions of at most max(1, PASS_PAIRS // n) copies each, so a caller holds
+    O(n + PASS_PAIRS) vertices at any k.  Yields (copies, union): the copy
+    ids of the union's copies, as a uint64 array, and one MultiGraph in
+    which vertex v of copies[i] is vertex i * n + v.  A copy's edges are g's
+    outside SxS and its pairs from _redraw, the draws of er_resample_graphs,
+    unsorted; a vertex's relabelled id keeps the order of its copy's ids, so
+    the union's rule bits and tree-ball bits are its copies'.  With fewer
+    than 2 vertices in S no pair is redrawn and every copy is g.
+    """
+    S = np.sort(np.asarray(S, dtype=np.int64))
+    n = g.n
+    us, vs = _outside(g, S)
+    streams = trial_state(seed, 0x5E5A)
+    width = max(1, PASS_PAIRS // n)
+    for lo in range(0, k, width):
+        copies = np.arange(lo, min(k, lo + width))
+        shift = (copies[:, None] - lo) * n
+        heads, tails = [(us + shift).ravel()], [(vs + shift).ravel()]
+        if S.size > 1:
+            for i in copies.tolist():
+                a, b = _redraw(S, lam / n, streams, i)
+                heads.append(a + (i - lo) * n)
+                tails.append(b + (i - lo) * n)
+        start, nbr, eid = incidence_arrays(
+            copies.size * n, np.concatenate(heads), np.concatenate(tails)
+        )
+        union = MultiGraph(
+            copies.size * n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid
+        )
+        yield (copies + 1).astype(np.uint64), union
 
 
 def vertex_states(st: int, n: int) -> np.ndarray:
@@ -217,11 +271,14 @@ def copy_graphs(host, g: MultiGraph, st: int, p: float, count: int):
     """The graphs of copies 1..count of the graph-host trial of state st,
     whose graph is g, one at a time: g itself on the configuration model;
     on the Erdos-Renyi host, er_resample_graphs from fold(st, 3) over S, the
-    trial's vertices in S at density p."""
+    trial's vertices in S at density p, or g again when S holds fewer than
+    2 vertices and so no pair to redraw."""
     if not isinstance(host, ErdosRenyiHost):
         return itertools.repeat(g, count)
-    in_s = CoupledLabels(vertex_states(st, g.n), p).in_s
-    return er_resample_graphs(g, np.flatnonzero(in_s), host.lam, count, fold(st, 3))
+    S = np.flatnonzero(CoupledLabels(vertex_states(st, g.n), p).in_s)
+    if S.size < 2:
+        return itertools.repeat(g, count)
+    return er_resample_graphs(g, S, host.lam, count, fold(st, 3))
 
 
 def _coupled_graph(cfg: CouplingConfig, host_type) -> IntersectionEstimate:
@@ -299,13 +356,15 @@ def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
 
     On graph hosts a trial samples its graph with sample_config_model or
     sample_er, and inner trial j takes copy j, as coupled_graph_intersections
-    and coupled_er_intersections do: the labels of copy j on the root's ball
-    in copy j's graph, from copy_graphs.  These graphs sort a vertex's
-    incidences when it is first read, so a copy costs the draws, one pass
-    over the graph's arrays and the root's (radius+1)-ball.  Where copy j's
-    graph is g itself (every copy on the configuration model), the root's
-    ball is found once per outer trial and inner trial j relabels only the
-    ball's vertices, by scalar folds.
+    and coupled_er_intersections do: the projection bit at the root of copy
+    j's labels on copy j's graph.  On the configuration model every copy's
+    graph is g, so the root's ball is found once per outer trial and inner
+    trial j relabels only the ball's vertices, by scalar folds.  On the
+    Erdos-Renyi host the copies of an accepted trial are the blocks of
+    er_copy_unions' union graphs, labelled by one CoupledLabels call a union,
+    and factors.graph_bits_at takes the bits at their roots; no ball is
+    read.  A union holds at most max(1, PASS_PAIRS // n) copies, so memory
+    stays O(n + PASS_PAIRS) at any inner trial count.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -347,38 +406,47 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return block
 
-    n, cut = host.n, percolation_cut(cfg.p)
+    n = host.n
+    if isinstance(host, ErdosRenyiHost):
+
+        def one_er(t: int):
+            st = trial_state(cfg.seed, t)
+            root = fold(st, 4) * n >> 64  # uniform up to a bias of n / 2^64
+            g = _sample_graph(host, fold(st, 1))
+            labels = CoupledLabels(vertex_states(st, n), cfg.p)
+            if not graph_bits_at(f, g, labels(0), np.array([root]))[0]:
+                return [0.0, -1.0]
+            # inner trial j takes copy j, a block of copies per union graph
+            S, cnt = np.flatnonzero(labels.in_s), 0
+            for copies, union in er_copy_unions(g, S, host.lam, cfg.inner_trials, fold(st, 3)):
+                roots = root + n * np.arange(copies.size)
+                bits = graph_bits_at(f, union, labels(copies[:, None]).ravel(), roots)
+                cnt += int(np.count_nonzero(bits))
+            return [1.0, float(cnt)]
+
+        return per_trial(one_er)
+
+    cut = percolation_cut(cfg.p)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
         root = fold(st, 4) * n >> 64  # uniform up to a bias of n / 2^64
+        g = _sample_graph(host, fold(st, 1))
+        if not ball_is_tree(g, root, f.radius + 1):  # the projection gives bit 0
+            return [0.0, -1.0]
+        # every copy's graph is g: the root's ball is read once, relabelled per copy
+        nb = neighborhood(g, root, f.radius, None)
         vertex_key, memo = fold(st, 2), {}  # vertex v has the state fold(vertex_key, v)
+        states = [fold(vertex_key, v) for v in nb.source_vertices.tolist()]
 
-        def ball(g):
-            """The root's f.radius ball in g and its vertices' states, or None
-            when the root's (f.radius + 1)-ball is not a tree (the projection
-            then gives bit 0)."""
-            if not ball_is_tree(g, root, f.radius + 1):
-                return None
-            nb = neighborhood(g, root, f.radius, None)
-            return nb, [fold(vertex_key, v) for v in nb.source_vertices.tolist()]
-
-        def bit(found, copy: int) -> int:
-            """The root's bit on a ball from `ball` under copy `copy`'s labels."""
-            if found is None:
-                return 0
-            nb, states = found
+        def bit(copy: int) -> int:
+            """The root's bit on its ball under copy `copy`'s labels."""
             labels = [coupled_label(s, copy, cut, memo) for s in states]
             return apply_factor(f, nb.with_labels(labels))
 
-        g = _sample_graph(host, fold(st, 1))
-        found = ball(g)
-        if bit(found, 0) != 1:
+        if bit(0) != 1:
             return [0.0, -1.0]
-        # inner trial j takes copy j; where its graph is g, g's ball is relabelled
-        copies = enumerate(copy_graphs(host, g, st, cfg.p, cfg.inner_trials), 1)
-        cnt = sum(bit(found if g_j is g else ball(g_j), j) for j, g_j in copies)
-        return [1.0, float(cnt)]
+        return [1.0, float(sum(bit(j) for j in range(1, cfg.inner_trials + 1)))]
 
     return per_trial(one)
 

@@ -42,9 +42,11 @@ percolation-round rule), keeps the 1-bits whose (radius+1)-ball is a
 tree, and checks independence over the incidences.  The mask can only
 clear a bit, so graph_bits runs graphs.tree_ball_mask from the rule's
 1-bits alone, those not yet walked on g at that radius (g.balls keeps
-them).  The rule's bit at v equals the view rule's on v's radius-ball,
-tree-like or not; project_to_graph, one ball and one rule call per
-vertex, is the reference.
+them).  graph_bits_at takes the same bits at chosen vertices alone, the
+mask walked from those of them whose rule bit is 1, with no independence
+check (Erdos-Renyi stability's roots).  The rule's bit at v equals the view
+rule's on v's radius-ball, tree-like or not; project_to_graph, one ball and
+one rule call per vertex, is the reference.
 """
 
 from __future__ import annotations
@@ -457,6 +459,17 @@ def graph_bits(f: Factor, g: MultiGraph, labels: np.ndarray) -> np.ndarray:
         edges = sorted(set(zip(tail[both].tolist(), nbr[both].tolist(), g.eid[both].tolist())))
         viol = [(u, w) for u, w, _ in edges]
         raise RuntimeError(f"projection produced adjacent members: {viol[:3]}")
+    return bits
+
+
+def graph_bits_at(f: Factor, g: MultiGraph, labels: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """graph_bits(f, g, labels)[at], as a bool array, without the
+    independence check: f.graph_rule's bits at the vertices `at`, kept where
+    the (radius+1)-ball is a tree, the mask walked (graphs.tree_ball_mask)
+    from those of them whose rule bit is 1.  g.balls is neither read nor
+    filled in."""
+    bits = f.graph_rule(g, labels)[at]
+    bits[bits] = tree_ball_mask(g, f.radius + 1, at[bits])
     return bits
 
 

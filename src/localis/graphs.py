@@ -10,16 +10,17 @@ bit the mask can change, once per graph (MultiGraph.balls keeps them);
 non_tree_ball_mask, one ball_is_tree BFS per vertex, is its reference.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
-arrays (start, nbr, eid), made once per graph: by incidence_arrays from an
-edge list (explicit graphs, er_edge_arrays, Erdos-Renyi copies) or straight
-from the configuration model's half-edge permutation.  Either way a graph
+arrays (start, nbr, eid), made once per graph: by incidence_arrays (a radix
+sort of the ends) from an edge list (explicit graphs, er_edge_arrays,
+Erdos-Renyi copies and their stacked unions) or straight from the
+configuration model's half-edge permutation.  Either way a graph
 costs O(n + edges) to draw: bernoulli_pairs, the one Erdos-Renyi pair draw
 (er_edge_arrays and the copies' SxS redraw), draws a Binomial edge count
 and one uniform set of pair positions, never one variate per absent pair.
 The BFS
 (ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
 and adj[u] is sorted from the arrays when u is first read.  So a per-root
-trial (graph-host stability) costs the root's ball plus the draw.
+trial (configuration-model stability) costs the root's ball plus the draw.
 Whole-graph work (the tree-ball mask, projection) reads the arrays
 directly, through `offsets`, `tail` and incidences(); the tree-ball bits
 walked are kept in `balls`, filled in per vertex as adj[u] is.
@@ -287,10 +288,18 @@ class MultiGraph:
 
 
 def incidence_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> tuple:
-    """(start, nbr, eid) of the graph on 0..n-1 whose edge i is us[i] - vs[i]."""
+    """(start, nbr, eid) of the graph on 0..n-1 whose edge i is us[i] - vs[i].
+
+    The ends are grouped by a stable LSD radix sort of their vertices on
+    16-bit digits, one stable uint16 argsort a digit (numpy radix-sorts
+    those), as many digits as n - 1 has (a second only when n > 2^16): the
+    order of a stable argsort of the vertices, in O(n + m) time."""
     src = np.concatenate((us, vs))  # incidence j is an end of edge j % m
-    order = src.argsort(kind="stable")
-    start = [0] + np.bincount(src, minlength=n).cumsum().tolist()
+    order = (src & 0xFFFF).astype(np.uint16).argsort(kind="stable")
+    for shift in range(16, (n - 1).bit_length(), 16):
+        order = order[(src[order] >> shift & 0xFFFF).astype(np.uint16).argsort(kind="stable")]
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(src, minlength=n).cumsum(out=start[1:])
     return start, np.concatenate((vs, us))[order], order % max(us.size, 1)
 
 

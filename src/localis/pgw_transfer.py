@@ -364,7 +364,7 @@ def _ball_forest(d: int, radius: int, copies: int) -> MultiGraph:
     base = np.arange(copies)[:, None] * size
     n = copies * size
     start, nbr, eid = incidence_arrays(n, (parent + base).ravel(), (np.arange(1, size) + base).ravel())
-    return MultiGraph(n, start=np.asarray(start), nbr=nbr, eid=eid)
+    return MultiGraph(n, start=start, nbr=nbr, eid=eid)
 
 
 TransferBlock = namedtuple("TransferBlock", ["iprime", "j", "event_ok", "root_kids", "root_removed"])
@@ -395,10 +395,11 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
     parts = []
     for lo in range(0, states.size, step):
         block = states[lo : lo + step]
+        forest = _ball_forest(d, f.radius, block.size)  # cached: every full block shares it
         tb = _Levels([_pgw_levels(lam, radius, s, d) for s in fold_np(block, 1).tolist()])
         removed = _removal_marks(tb, d)
         ball = _filled_ball(tb, removed, d, f.radius, fold_np(block, 2))
-        iprime = f.graph_rule(_ball_forest(d, f.radius, block.size), ball.ravel())[::size]
+        iprime = f.graph_rule(forest, ball.ravel())[::size]
         child, row = tb.children(tb.roots)
         root_kids = tb.kids[tb.roots]
         cut = np.bincount(row[removed[child]], minlength=block.size) > 0

@@ -15,6 +15,7 @@ from localis.coupling import (
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
+    er_copy_unions,
     er_resample_graphs,
     estimate_stability,
     run_intersections,
@@ -329,6 +330,39 @@ def test_graph_coupling_p0_equal_copies():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [0.0, 0.03])
+def test_er_copy_graphs_are_g_without_a_pair_to_redraw(p):
+    # S with fewer than 2 vertices leaves no SxS pair: every copy is g itself
+    host, sizes = ErdosRenyiHost(40, 2.0), set()
+    for t in range(40):
+        st = trial_state(3, t)
+        g = coupling._sample_graph(host, fold(st, 1))
+        size = int(CoupledLabels(vertex_states(st, host.n), p).in_s.sum())
+        copies = list(copy_graphs(host, g, st, p, 3))
+        assert len(copies) == 3
+        assert all(c is g for c in copies) == (size < 2), (t, size)
+        sizes.add(min(size, 2))
+    assert sizes == ({0} if p == 0 else {0, 1, 2})
+
+
+def test_er_scan_at_p0_equals_the_rebuilt_copies(monkeypatch):
+    # at p = 0 copy_graphs hands out g itself: the outputs are those of the
+    # copies rebuilt by er_resample_graphs
+    cfg = CouplingConfig(p=0.0, k=3, factor=F, host=ErdosRenyiHost(60, 2.0), trials=30,
+                         inner_trials=6, seed=11)
+    fast = scan_p(cfg, [0.0]).rows[0]
+
+    def rebuilt(host, g, st, p, count):
+        S = np.flatnonzero(CoupledLabels(vertex_states(st, g.n), p).in_s)
+        return er_resample_graphs(g, S, host.lam, count, fold(st, 3))
+
+    monkeypatch.setattr(coupling, "copy_graphs", rebuilt)
+    slow = scan_p(cfg, [0.0]).rows[0]
+    assert np.array_equal(fast.intersections.prefix_rows, slow.intersections.prefix_rows)
+    assert fast.stability.moments == slow.stability.moments
+    assert fast.binom_stats == slow.binom_stats
+
+
 def test_er_resample_p0_identity():
     g = sample_er(80, 2.0, 12)
     copies = list(er_resample_graphs(g, np.array([], dtype=int), 2.0, 2, 13))
@@ -584,25 +618,89 @@ def test_stability_er_p1_moments():
     assert_within_sigma(m2, dens**2, se2, 2 * dens * dens_se, context="er p=1 moment 2")
 
 
-@pytest.mark.parametrize("host", [ConfigModelHost(60, 3), ErdosRenyiHost(60, 2.0)])
-def test_graph_stability_counts_the_copy_bits_at_its_root(host):
-    # inner trial j is copy j: the root's bit when copy j's labels are
-    # projected on copy j's graph, as the intersection estimators read it
-    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=host, trials=40, inner_trials=8,
-                         seed=35)
-    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
-    for t, (accepted, count) in enumerate(rows.tolist()):
+def _stability_rows_per_copy(cfg: CouplingConfig) -> list:
+    """The stability rows [accepted, inner successes] by the per-copy
+    reference: inner trial j is copy j, the root's bit when copy j's labels
+    are projected on copy j's graph from copy_graphs, as the intersection
+    estimators read it, by _project_bits on the root's ball."""
+    host, f, rows = cfg.host, cfg.factor, []
+    for t in range(cfg.trials):
         st = trial_state(cfg.seed, t)
         root = fold(st, 4) * host.n >> 64
         g = coupling._sample_graph(host, fold(st, 1))
         labels = CoupledLabels(vertex_states(st, host.n), cfg.p)
-        graphs = [g, *copy_graphs(host, g, st, cfg.p, cfg.inner_trials)]  # copies 0..J
-        bits = [_project_bits(F, g_j, ~non_tree_ball_mask(g_j, 2), labels(j))[root]
-                for j, g_j in enumerate(graphs)]
-        assert accepted == bits[0], t
-        assert count == (sum(bits[1:]) if accepted else -1), t
+        bits = []
+        for j, g_j in enumerate([g, *copy_graphs(host, g, st, cfg.p, cfg.inner_trials)]):
+            ok = np.zeros(host.n, dtype=bool)
+            ok[root] = ball_is_tree(g_j, root, f.radius + 1)
+            bits.append(int(_project_bits(f, g_j, ok, labels(j))[root]))
+        rows.append([float(bits[0]), float(sum(bits[1:])) if bits[0] else -1.0])
+    return rows
+
+
+@pytest.mark.parametrize("host", [ConfigModelHost(60, 3), ErdosRenyiHost(60, 2.0)])
+def test_graph_stability_counts_the_copy_bits_at_its_root(host):
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=host, trials=40, inner_trials=8,
+                         seed=35)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    assert rows.tolist() == _stability_rows_per_copy(cfg)
     assert 0 < rows[:, 0].sum() < cfg.trials
     assert len(set(rows[rows[:, 0] == 1, 1].tolist())) > 1
+
+
+@pytest.mark.parametrize("budget", [None, 180], ids=["one-union", "three-copies-a-union"])
+@pytest.mark.parametrize("f", [F, LW, constant_factor(1)], ids=["threshold", "lw", "const1"])
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+def test_er_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, budget):
+    # the 8 copies of an accepted trial in one union graph, or, with the pass
+    # budget at 3 copies of n = 60, in unions of 3, 3 and 2 copies
+    if budget is not None:
+        monkeypatch.setattr(coupling, "PASS_PAIRS", budget)
+    cfg = CouplingConfig(p=p, k=2, factor=f, host=ErdosRenyiHost(60, 2.0), trials=40,
+                         inner_trials=8, seed=35)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    assert rows.tolist() == _stability_rows_per_copy(cfg)
+    assert rows[:, 0].sum() > 0
+
+
+@pytest.mark.parametrize("budget", [None, 100, 1])
+@pytest.mark.parametrize("size", [0, 1, 2, 20, 40])
+def test_er_copy_unions_stack_the_resampled_copies(monkeypatch, budget, size):
+    # copy c = copies[i] of a union sits on its vertices i*n .. i*n + n - 1 and
+    # has the edges of er_resample_graphs' copy c; no edge joins two copies
+    if budget is not None:
+        monkeypatch.setattr(coupling, "PASS_PAIRS", budget)
+    n, lam, k = 40, 3.0, 7
+    g = sample_er(n, lam, 5)
+    S = np.random.default_rng(size).permutation(n)[:size]
+    want = [c.edges for c in er_resample_graphs(g, S, lam, k, 9)]
+    got, ids = [], []
+    for copies, union in er_copy_unions(g, S, lam, k, 9):
+        assert union.n == copies.size * n
+        ends = union.edge_array
+        assert np.array_equal(ends[:, 0] // n, ends[:, 1] // n)
+        for i in range(copies.size):
+            mine = ends[ends[:, 0] // n == i] - i * n
+            got.append(sorted(zip(mine[:, 0].tolist(), mine[:, 1].tolist())))
+        ids += copies.tolist()
+    assert ids == list(range(1, k + 1))
+    assert got == want
+
+
+def test_er_stability_passes_cap_the_union_graph():
+    """At n = 20,000 the pass budget leaves one copy a union: 5.3 MiB traced
+    here, where one union of all 200 inner copies traces about 475 MiB."""
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(20_000, 2.0), trials=3,
+                         inner_trials=200, seed=47)
+    estimate_stability(replace(cfg, host=ErdosRenyiHost(200, 2.0), trials=4, inner_trials=2))
+    tracemalloc.start()
+    try:
+        est = estimate_stability(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.accepted > 0
+    assert peak < 16 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

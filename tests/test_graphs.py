@@ -133,6 +133,26 @@ def test_config_pairing_uniform():
     assert chi2 <= stats.chi2.ppf(0.999, 104)
 
 
+@pytest.mark.parametrize("n", [1, 1 << 16, (1 << 16) + 1, (1 << 17) + 3])
+def test_incidence_arrays_order_the_ends_by_a_stable_argsort(n):
+    # the radix passes must give the order of one stable argsort of the ends'
+    # vertices: ends equal in their low 16 bits, loops and repeated edges
+    rng = np.random.default_rng(n)
+    us, vs = rng.integers(0, n, 3000), rng.integers(0, n, 3000)
+    us[:20] = vs[:20]  # loops
+    us[20:40], vs[20:40] = us[40:60], vs[40:60]  # repeated edges
+    us[60:80] = (us[60:80] & 0xFFFF) + (rng.integers(0, 3, 20) << 16)  # shared low digits
+    vs[80:100] = n - 1
+    us, vs = us % n, vs % n
+    for a, b in ((us, vs), (us[:0], vs[:0])):
+        start, nbr, eid = graphs.incidence_arrays(n, a, b)
+        src = np.concatenate((a, b))
+        order = src.argsort(kind="stable")
+        assert np.array_equal(start, np.concatenate(([0], np.bincount(src, minlength=n).cumsum())))
+        assert np.array_equal(nbr, np.concatenate((b, a))[order])
+        assert np.array_equal(eid, order % max(a.size, 1))
+
+
 # ---------------------------------------------------------------------------
 # Erdos-Renyi
 # ---------------------------------------------------------------------------

@@ -72,6 +72,11 @@ ALLOWED = {
     "pgw_transfer.FilledForest.ball_view": "test reference",
     "pgw_transfer.FilledForest._neighbors": "test reference",
     "factors._project_bits": "test reference",
+    # the LW view rule and its scalar rounds: the reference of the array and
+    # graph forms; of the commands, only configuration-model stability with LW
+    # reads a ball by it, and no run here makes that pair
+    "factors._lw_rule.rule": "test reference",
+    "rng.first_success_round": "test reference",
     "factors.IndependentSetSample.members": "test reference",
     "factors.IndependentSetSample.violations": "test reference",
     "graphs.MultiGraph.read_all": "test reference",
