@@ -28,10 +28,14 @@ by one factors.graph_bits call (the tree-ball mask walked from the rule's
 1-bits, at most once per vertex of a copy graph, which keeps what it
 walked).  Stability needs the root's bit alone.  On the configuration model
 it reads the root's ball in g once and relabels it per copy, by scalar
-folds.  On the Erdos-Renyi host it stacks the copies of an accepted trial
+folds.  On the Erdos-Renyi host it is a block function too: the outer
+trials run in passes of at most max(1, PASS_PAIRS // n), whose graphs are
+stacked into one, copy 0 read at all the pass's roots by one
+factors.graph_bits_at call; the copies of each accepted trial are stacked
 into disjoint unions (er_copy_unions), at most max(1, PASS_PAIRS // n)
-copies a union, and takes the bits at the copies' roots of each union by
-one factors.graph_bits_at call; copy 0 is read off g the same way.
+copies a union, and read at their roots the same way.  The generators of
+a pass's graphs and of its copies' SxS redraws are hashed by one
+rng.state_rngs call each, with the streams of one state_rng per state.
 """
 
 from __future__ import annotations
@@ -49,20 +53,25 @@ from .graphs import (
     MultiGraph,
     ball_is_tree,
     bernoulli_pairs,
-    incidence_arrays,
+    bernoulli_positions,
+    er_edge_arrays,
+    er_multigraph,
     neighborhood,
     sample_config_model,
     sample_er,
+    triangle_pairs,
 )
 from .parallel import BLOCK, mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
 from .rng import (
     CoupledLabels,
+    StateRngs,
     coupled_label,
     fold,
     fold_np,
     percolation_cut,
     state_rng,
+    state_rngs,
     trial_state,
     trial_state_np,
 )
@@ -186,22 +195,24 @@ def _sample_graph(host, state: int) -> MultiGraph:
     return sample_er(host.n, host.lam, state)
 
 
-def _outside(g: MultiGraph, S: np.ndarray) -> tuple:
-    """The edges of g not inside SxS, as arrays (us, vs), us <= vs, in g's
-    edge-id order."""
-    in_s = np.zeros(g.n, dtype=bool)
+def _outside(edges: tuple, S: np.ndarray, n: int) -> tuple:
+    """The edges (us, vs) of a graph on 0..n-1 not inside SxS, as arrays
+    (us, vs), in their order."""
+    in_s = np.zeros(n, dtype=bool)
     in_s[S] = True
-    us, vs = g.edge_array.T
+    us, vs = edges
     keep = ~(in_s[us] & in_s[vs])
     return us[keep], vs[keep]
 
 
-def _redraw(S: np.ndarray, q: float, streams: int, i: int) -> tuple:
-    """Copy i + 1's pairs inside SxS, S sorted, as vertex arrays (us, vs),
-    us < vs: each pair of S present with probability q, by one
-    bernoulli_pairs call on the stream fold(streams, i)."""
-    a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, q)
-    return S[a], S[b]
+def copy_rngs(seeds, k: int) -> StateRngs:
+    """The generators of the SxS redraws of copies 1..k of the Erdos-Renyi
+    trials whose copies are seeded by `seeds` (fold(st, 3) for the trial of
+    state st), an int or a uint64 array: entry j * k + i, copy i + 1 of
+    seeds[j], is state_rng(fold(trial_state(seeds[j], 0x5E5A), i)), all
+    hashed by one state_rngs call."""
+    streams = trial_state_np(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1), 0x5E5A)
+    return state_rngs(fold_np(streams, np.arange(k, dtype=np.uint64)))
 
 
 def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
@@ -210,61 +221,62 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
 
     Every copy keeps all edges of g not inside SxS, filtered once; pairs
     within SxS are re-drawn independently per copy with probability lam/n,
-    so each copy is again Erdos-Renyi(n, lam/n) marginally.  Copy i draws
-    its pairs of the sorted S by _redraw on the streams
-    trial_state(seed, 0x5E5A), and lists its edges sorted.
+    so each copy is again Erdos-Renyi(n, lam/n) marginally.  Copy i + 1
+    draws its pairs of the sorted S by one bernoulli_pairs call on
+    state_rng(fold(trial_state(seed, 0x5E5A), i)), the stream of
+    copy_rngs(seed, k)[i], seeded when the copy is drawn, and lists its
+    edges sorted.
     """
     S = np.sort(np.asarray(S, dtype=np.int64))
     n = g.n
-    us, vs = _outside(g, S)
+    us, vs = _outside(g.edge_array.T, S, n)
     kept = us * n + vs  # edge (u, v) as u * n + v
     streams = trial_state(seed, 0x5E5A)
     for i in range(k):
-        a, b = _redraw(S, lam / n, streams, i)
-        merged = np.concatenate((kept, a * n + b))
+        a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, lam / n)
+        merged = np.concatenate((kept, S[a] * n + S[b]))
         merged.sort()
-        start, nbr, eid = incidence_arrays(n, *np.divmod(merged, n))
-        yield MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
+        yield er_multigraph(n, lam, *np.divmod(merged, n))
 
 
-def er_copy_unions(g: MultiGraph, S, lam: float, k: int, seed):
-    """Copies 1..k of er_resample_graphs(g, S, lam, k, seed) as disjoint
-    unions of at most max(1, PASS_PAIRS // n) copies each, so a caller holds
-    O(n + PASS_PAIRS) vertices at any k.  Yields (copies, union): the copy
-    ids of the union's copies, as a uint64 array, and one MultiGraph in
-    which vertex v of copies[i] is vertex i * n + v.  A copy's edges are g's
-    outside SxS and its pairs from _redraw, the draws of er_resample_graphs,
-    unsorted; a vertex's relabelled id keeps the order of its copy's ids, so
-    the union's rule bits and tree-ball bits are its copies'.  With fewer
-    than 2 vertices in S no pair is redrawn and every copy is g.
+def er_copy_unions(n: int, edges: tuple, S, lam: float, rngs):
+    """The copies of an Erdos-Renyi trial whose graph g on 0..n-1 has the
+    edges `edges`, (us, vs), as disjoint unions of at most
+    max(1, PASS_PAIRS // n) copies each, so a caller holds O(n + PASS_PAIRS)
+    vertices at any copy count.  Copy i + 1 draws its SxS pairs from
+    rngs[i]: with rngs = copy_rngs(seed, k) the copies are those of
+    er_resample_graphs(g, S, lam, k, seed).  Yields (copies, union): the
+    copy ids of the union's copies, as a uint64 array, and one MultiGraph in
+    which vertex v of copies[i] is vertex i * n + v.  A copy's edges are g's outside SxS
+    and its drawn pairs (bernoulli_positions), unsorted, a union's pairs
+    decoded by one triangle_pairs call; a vertex's relabelled id keeps the
+    order of its copy's ids, so the union's rule bits and tree-ball bits are
+    its copies'.  With fewer than 2 vertices in S no pair is redrawn and
+    every copy is g.
     """
     S = np.sort(np.asarray(S, dtype=np.int64))
-    n = g.n
-    us, vs = _outside(g, S)
-    streams = trial_state(seed, 0x5E5A)
-    width = max(1, PASS_PAIRS // n)
+    us, vs = _outside(edges, S, n)
+    k, q, width = len(rngs), lam / n, max(1, PASS_PAIRS // n)
     for lo in range(0, k, width):
-        copies = np.arange(lo, min(k, lo + width))
-        shift = (copies[:, None] - lo) * n
-        heads, tails = [(us + shift).ravel()], [(vs + shift).ravel()]
+        count = min(k - lo, width)
+        shift = n * np.arange(count)
+        heads, tails = [(us + shift[:, None]).ravel()], [(vs + shift[:, None]).ravel()]
         if S.size > 1:
-            for i in copies.tolist():
-                a, b = _redraw(S, lam / n, streams, i)
-                heads.append(a + (i - lo) * n)
-                tails.append(b + (i - lo) * n)
-        start, nbr, eid = incidence_arrays(
-            copies.size * n, np.concatenate(heads), np.concatenate(tails)
-        )
-        union = MultiGraph(
-            copies.size * n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid
-        )
-        yield (copies + 1).astype(np.uint64), union
+            flat = [bernoulli_positions(rngs[i], S.size, q) for i in range(lo, lo + count)]
+            a, b = triangle_pairs(S.size, np.concatenate(flat))
+            at = np.repeat(shift, [x.size for x in flat])
+            heads.append(S[a] + at)
+            tails.append(S[b] + at)
+        union = er_multigraph(count * n, lam, np.concatenate(heads), np.concatenate(tails))
+        yield np.arange(lo + 1, lo + count + 1, dtype=np.uint64), union
 
 
-def vertex_states(st: int, n: int) -> np.ndarray:
+def vertex_states(st, n: int) -> np.ndarray:
     """The node states of the vertices 0..n-1 of a graph-host trial of state
-    st: fold(fold(st, 2), v) for vertex v."""
-    return fold_np(fold(st, 2), np.arange(n, dtype=np.uint64))
+    st: fold(fold(st, 2), v) for vertex v; one row per trial when st is an
+    array of trial states."""
+    key = fold(st, 2) if isinstance(st, int) else fold_np(st, 2)[:, None]
+    return fold_np(key, np.arange(n, dtype=np.uint64))
 
 
 def copy_graphs(host, g: MultiGraph, st: int, p: float, count: int):
@@ -360,11 +372,15 @@ def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
     j's labels on copy j's graph.  On the configuration model every copy's
     graph is g, so the root's ball is found once per outer trial and inner
     trial j relabels only the ball's vertices, by scalar folds.  On the
-    Erdos-Renyi host the copies of an accepted trial are the blocks of
-    er_copy_unions' union graphs, labelled by one CoupledLabels call a union,
-    and factors.graph_bits_at takes the bits at their roots; no ball is
-    read.  A union holds at most max(1, PASS_PAIRS // n) copies, so memory
-    stays O(n + PASS_PAIRS) at any inner trial count.
+    Erdos-Renyi host no ball is read: the outer trials run in passes of at
+    most max(1, PASS_PAIRS // n), their graphs stacked into one graph and
+    their copies 0 read at its roots by one factors.graph_bits_at call
+    (_er_stability_pass), and the copies of an accepted trial are the blocks
+    of er_copy_unions' union graphs, labelled by one CoupledLabels call a
+    union and read at their roots the same way.  A pass's graph and a union
+    hold at most max(n, PASS_PAIRS) vertices, and a copy's generator is
+    built only when its pairs are drawn, so memory stays O(n + PASS_PAIRS)
+    plus the copies' seed words at any inner trial count.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -409,22 +425,14 @@ def _stability_trial_fn(cfg: CouplingConfig):
     n = host.n
     if isinstance(host, ErdosRenyiHost):
 
-        def one_er(t: int):
-            st = trial_state(cfg.seed, t)
-            root = fold(st, 4) * n >> 64  # uniform up to a bias of n / 2^64
-            g = _sample_graph(host, fold(st, 1))
-            labels = CoupledLabels(vertex_states(st, n), cfg.p)
-            if not graph_bits_at(f, g, labels(0), np.array([root]))[0]:
-                return [0.0, -1.0]
-            # inner trial j takes copy j, a block of copies per union graph
-            S, cnt = np.flatnonzero(labels.in_s), 0
-            for copies, union in er_copy_unions(g, S, host.lam, cfg.inner_trials, fold(st, 3)):
-                roots = root + n * np.arange(copies.size)
-                bits = graph_bits_at(f, union, labels(copies[:, None]).ravel(), roots)
-                cnt += int(np.count_nonzero(bits))
-            return [1.0, float(cnt)]
+        def er_block(lo: int, hi: int):
+            width = max(1, PASS_PAIRS // n)  # outer trials a pass
+            return np.concatenate([
+                _er_stability_pass(cfg, trial_state_np(cfg.seed, np.arange(a, min(hi, a + width))))
+                for a in range(lo, hi, width)
+            ])
 
-        return per_trial(one_er)
+        return er_block
 
     cut = percolation_cut(cfg.p)
 
@@ -449,6 +457,38 @@ def _stability_trial_fn(cfg: CouplingConfig):
         return [1.0, float(sum(bit(j) for j in range(1, cfg.inner_trials + 1)))]
 
     return per_trial(one)
+
+
+def _er_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
+    """The stability rows of the Erdos-Renyi trials of states st.  Trial
+    t's graph is drawn from fold(st[t], 1) as sample_er draws it, and the
+    pass's graphs are stacked into one, trial t's vertex v at t * n + v,
+    labelled by one CoupledLabels call; copy 0 is read at the roots by one
+    graph_bits_at call.  The copies of the accepted trials are seeded by one
+    copy_rngs call and evaluated per trial, a union of er_copy_unions at a
+    time, at its copies' roots."""
+    f, host, n, k = cfg.factor, cfg.host, cfg.host.n, cfg.inner_trials
+    at = n * np.arange(st.size)  # trial t's vertex 0
+    roots = np.array([s * n >> 64 for s in fold_np(st, 4).tolist()])  # up to a bias of n / 2^64
+    edges = [er_edge_arrays(n, host.lam, rng) for rng in state_rngs(fold_np(st, 1))]
+    shift = np.repeat(at, [us.size for us, _ in edges])
+    g = er_multigraph(
+        n * st.size, host.lam, *(np.concatenate(ends) + shift for ends in zip(*edges))
+    )
+    labels = CoupledLabels(vertex_states(st, n).ravel(), cfg.p)
+    acc = np.flatnonzero(graph_bits_at(f, g, labels(0), roots + at))
+    rows = np.tile([0.0, -1.0], (st.size, 1))
+    rows[acc] = 1.0, 0.0
+    # inner trial j takes copy j, a block of copies per union graph
+    rngs = copy_rngs(fold_np(st[acc], 3), k)
+    for j, t in enumerate(acc.tolist()):
+        own = slice(at[t], at[t] + n)
+        S = np.flatnonzero(labels.in_s[own])
+        for copies, union in er_copy_unions(n, edges[t], S, host.lam, rngs[j * k : (j + 1) * k]):
+            union_roots = roots[t] + n * np.arange(copies.size)
+            bits = graph_bits_at(f, union, labels(copies[:, None], own).ravel(), union_roots)
+            rows[t, 1] += np.count_nonzero(bits)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ non_tree_ball_mask, one ball_is_tree BFS per vertex, is its reference.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays (a radix
-sort of the ends) from an edge list (explicit graphs, er_edge_arrays,
-Erdos-Renyi copies and their stacked unions) or straight from the
+sort of the ends) from an edge list (explicit graphs, and through
+er_multigraph er_edge_arrays' graphs, Erdos-Renyi copies and the stacked
+graphs of stability) or straight from the
 configuration model's half-edge permutation.  Either way a graph
 costs O(n + edges) to draw: bernoulli_pairs, the one Erdos-Renyi pair draw
 (er_edge_arrays and the copies' SxS redraw), draws a Binomial edge count
-and one uniform set of pair positions, never one variate per absent pair.
-The BFS
+and one uniform set of pair positions (bernoulli_positions), never one
+variate per absent pair, and decodes them into pairs (triangle_pairs), which
+a union of copies does once for all its copies.  The BFS
 (ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
 and adj[u] is sorted from the arrays when u is first read.  So a per-root
 trial (configuration-model stability) costs the root's ball plus the draw.
@@ -335,7 +337,12 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
 
 def sample_er(n: int, lam: float, seed) -> MultiGraph:
     """Erdos-Renyi graph: each pair independently present with probability lam/n."""
-    start, nbr, eid = incidence_arrays(n, *er_edge_arrays(n, lam, seed))
+    return er_multigraph(n, lam, *er_edge_arrays(n, lam, seed))
+
+
+def er_multigraph(n: int, lam: float, us: np.ndarray, vs: np.ndarray) -> MultiGraph:
+    """The Erdos-Renyi-model MultiGraph on 0..n-1 whose edge i is us[i] - vs[i]."""
+    start, nbr, eid = incidence_arrays(n, us, vs)
     return MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
 
 
@@ -350,19 +357,26 @@ def triangle_pairs(m: int, flat: np.ndarray) -> tuple:
 
 def bernoulli_pairs(rng, m: int, q: float) -> tuple:
     """The pairs (a, b), a < b < m, each present independently with
-    probability q, as int64 arrays (a, b) in triangle_pairs order.
+    probability q, as int64 arrays (a, b) in triangle_pairs order: the
+    decode (triangle_pairs) of the draw (bernoulli_positions)."""
+    return triangle_pairs(m, bernoulli_positions(rng, m, q))
+
+
+def bernoulli_positions(rng, m: int, q: float) -> np.ndarray:
+    """The triangle_pairs positions of the pairs bernoulli_pairs(rng, m, q)
+    draws, sorted.
 
     Two draws from `rng` and no pass over the absent pairs: the number of
     present pairs is Binomial(C(m, 2), q), and given that number the set of
-    their triangle_pairs positions is uniform, which is the law of one
-    Bernoulli(q) per pair.  Time and memory are O(m + pairs drawn):
-    rng.choice holds a table of all C(m, 2) positions only when it draws more
-    than a twentieth of them (or there are at most 10^4).
+    their positions is uniform, which is the law of one Bernoulli(q) per
+    pair.  Time and memory are O(pairs drawn): rng.choice holds a table of
+    all C(m, 2) positions only when it draws more than a twentieth of them
+    (or there are at most 10^4).
     """
     total = m * (m - 1) // 2
     flat = rng.choice(total, rng.binomial(total, q), replace=False, shuffle=False)
     flat.sort()
-    return triangle_pairs(m, flat)
+    return flat
 
 
 def er_edge_arrays(n: int, lam: float, seed) -> tuple:

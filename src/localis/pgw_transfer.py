@@ -42,7 +42,7 @@ from .factors import DensityEstimate, Factor, apply_factor, estimate_tree_densit
 from .graphs import MultiGraph, RegularTreeHost, RootedNeighborhood, incidence_arrays
 from .parallel import BLOCK, mean_stderr, run_trials
 from .rng import (
-    CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, fold_np, state_rng, trial_state_np,
+    CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, fold_np, state_rngs, trial_state_np,
     uniform_labels,
 )
 
@@ -222,14 +222,13 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
 # id breaks label ties as the per-node stages do.
 
 
-def _pgw_levels(lam: float, radius: int, state: int, d: int) -> tuple:
+def _pgw_levels(lam: float, radius: int, rng, d: int) -> tuple:
     """(kids, labels, rim) of the tree sample_pgw_tree(lam, radius, state)
-    draws, from the same draws: one rng.poisson per non-empty level, then
-    one uniform_labels over every vertex, of which the interior's and the
-    rim's are kept (see above)."""
+    draws, from the same draws, given rng = state_rng(state): one
+    rng.poisson per non-empty level, then one uniform_labels over every
+    vertex, of which the interior's and the rim's are kept (see above)."""
     if lam <= 0:
         raise ValueError("need lam > 0")
-    rng = state_rng(state)
     levels, size, total = [], 1, 1
     for _ in range(radius):
         if not size:
@@ -386,7 +385,8 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
     together by f.graph_rule on a forest of copies of the d-regular ball,
     whose bit at a copy's root is the view rule's on that ball, ties broken
     by BFS id.  The trials run in passes whose balls hold at most the
-    vertices of BLOCK radius-1 balls.
+    vertices of BLOCK radius-1 balls; a pass hashes its trials' tree seeds
+    by one state_rngs call.
     """
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
     radius = max(f.radius + 1, 2)
@@ -396,7 +396,7 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
     for lo in range(0, states.size, step):
         block = states[lo : lo + step]
         forest = _ball_forest(d, f.radius, block.size)  # cached: every full block shares it
-        tb = _Levels([_pgw_levels(lam, radius, s, d) for s in fold_np(block, 1).tolist()])
+        tb = _Levels([_pgw_levels(lam, radius, rng, d) for rng in state_rngs(fold_np(block, 1))])
         removed = _removal_marks(tb, d)
         ball = _filled_ball(tb, removed, d, f.radius, fold_np(block, 2))
         iprime = f.graph_rule(forest, ball.ravel())[::size]

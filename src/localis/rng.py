@@ -14,7 +14,10 @@ to the scalar functions element by element; the trial-batched tree paths
 fold whole blocks of trials with them.  A label's percolation round is
 defined by an integer table of round boundaries (round_bounds), which
 first_success_round and its array form first_success_rounds both search,
-so the two agree label for label by construction.
+so the two agree label for label by construction.  state_rngs is the
+array form of state_rng: numpy's SeedSequence hash run over a uint64 array
+of states at once (seed_words), each generator built from its words only
+when it is read.
 
 The coupled family of labels is one rule over node states, the same on
 every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
@@ -68,9 +71,12 @@ def fold(state: int, data: int) -> int:
     return mix64(state ^ _tag_mix(data))
 
 
+_TRIAL_ROOT = 0x5EED5EED5EED5EED  # the state every run's seed folds into
+
+
 def trial_state(seed: int, trial: int) -> int:
     """64-bit state for one Monte Carlo trial of a run keyed by `seed`."""
-    return fold(fold(0x5EED5EED5EED5EED, seed), trial)
+    return fold(fold(_TRIAL_ROOT, seed), trial)
 
 
 def coupled_label(state: int, copy: int, cut: int, memo: dict) -> int:
@@ -89,9 +95,103 @@ def coupled_label(state: int, copy: int, cut: int, memo: dict) -> int:
 def state_rng(state: int) -> np.random.Generator:
     """NumPy generator keyed by a 64-bit state: the stream
     np.random.default_rng(state & MASK64) gives, built without its
-    argument dispatch.  The Erdos-Renyi copies' SxS redraws and the PGW
-    transfer's trees use it; no coupled label comes from it."""
+    argument dispatch.  The Erdos-Renyi copies that er_resample_graphs
+    yields one at a time draw from it; its array form state_rngs seeds the
+    Erdos-Renyi stability graphs and copies and the PGW transfer's trees.
+    No coupled label comes from either."""
     return np.random.Generator(np.random.PCG64(state & MASK64))
+
+
+def state_rngs(states) -> "StateRngs":
+    """Array form of state_rng: state_rng(s) for each s of a uint64 array,
+    as a lazy sequence.  The seed words of every state are hashed at once
+    (seed_words); a generator is built only when its entry is read."""
+    return StateRngs(seed_words(states))
+
+
+class StateRngs:
+    """Generators over the rows of a (B, 4) C-contiguous uint64 array of
+    PCG64 seed words: entry i is Generator(PCG64(seq)), where seq is a seed
+    sequence whose generate_state returns row i, built on each read; a slice
+    is the StateRngs of those rows.  PCG64 reads the words' raw buffer, so
+    the rows must be contiguous."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return StateRngs(self.words[i])
+        words_sequence = _seed_sequence()[2]
+        return np.random.Generator(np.random.PCG64(words_sequence(self.words[i])))
+
+
+def seed_words(states) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for each s of a uint64
+    array, the words PCG64(s) seeds itself with, as a C-contiguous (B, 4)
+    uint64 array.
+
+    numpy's SeedSequence over uint32 arrays, one row per pool word: s is
+    the entropy words (s mod 2^32, s >> 32), which a state below 2^32 pads
+    with the 0 it would hash anyway, hashed into a 4-word pool; each pool
+    word then hashes into the other three, which is one (3, B) step, since
+    the source word is not among them; the output hashes the pool twice
+    round into 8 words, joined little-endian in pairs.  The hash constants
+    depend on the call count alone (_seed_sequence)."""
+    states = np.asarray(states, dtype=np.uint64).reshape(-1)
+    mix_a, mix_b, _ = _seed_sequence()
+    pool = np.zeros((4, states.size), dtype=np.uint32)
+    pool[0], pool[1] = states, states >> np.uint64(32)  # the casts keep the low words
+    pool = _hashmix(pool, mix_a[0:5, None])
+    for src, k in zip(range(4), range(4, 16, 3)):
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], mix_a[k : k + 4, None])
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    out = _hashmix(np.concatenate((pool, pool)), mix_b[:, None]).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+
+
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the rows of `values` by consecutive hash
+    constants: row i is xored with consts[i] and multiplied by consts[i + 1]."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    return values ^ values >> np.uint32(16)
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_sequence() -> tuple:
+    """SeedSequence's hash constants, INIT_A * MULT_A^j for the 17 pool
+    hashes and INIT_B * MULT_B^j for the 9 of the output, as uint32 arrays,
+    and the seed sequence that hands PCG64 fixed words.  Built on first
+    use, so importing this module imports no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence whose state is given: generate_state returns the
+        four uint64 words it holds, which PCG64 alone asks for."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    def powers(init: int, mult: int, count: int) -> np.ndarray:
+        return np.array([init * pow(mult, j, 1 << 32) & 0xFFFFFFFF for j in range(count)],
+                        dtype=np.uint32)
+
+    return powers(0x43B0D7E5, 0x931E8875, 17), powers(0x8B51F9DD, 0x58F38DED, 9), Words
 
 
 def uniform_labels(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -223,9 +323,11 @@ def fold_np(state, data) -> np.ndarray:
     return mix64_np(np.asarray(state, dtype=np.uint64) ^ tag)
 
 
-def trial_state_np(seed: int, trials) -> np.ndarray:
-    """Array form of trial_state: the states of the given trial indices."""
-    return fold_np(fold(0x5EED5EED5EED5EED, seed), trials)
+def trial_state_np(seed, trials) -> np.ndarray:
+    """Array form of trial_state: the states of the given trial indices,
+    `seed` an int or a uint64 array broadcast against them."""
+    root = fold(_TRIAL_ROOT, seed) if isinstance(seed, int) else fold_np(_TRIAL_ROOT, seed)
+    return fold_np(root, trials)
 
 
 class CoupledLabels:

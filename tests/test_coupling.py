@@ -12,6 +12,7 @@ from localis.coupling import (
     _jackknife_moment,
     _stability_trial_fn,
     copy_graphs,
+    copy_rngs,
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
@@ -675,7 +676,7 @@ def test_er_copy_unions_stack_the_resampled_copies(monkeypatch, budget, size):
     S = np.random.default_rng(size).permutation(n)[:size]
     want = [c.edges for c in er_resample_graphs(g, S, lam, k, 9)]
     got, ids = [], []
-    for copies, union in er_copy_unions(g, S, lam, k, 9):
+    for copies, union in er_copy_unions(n, tuple(g.edge_array.T), S, lam, copy_rngs(9, k)):
         assert union.n == copies.size * n
         ends = union.edge_array
         assert np.array_equal(ends[:, 0] // n, ends[:, 1] // n)
@@ -701,6 +702,65 @@ def test_er_stability_passes_cap_the_union_graph():
         tracemalloc.stop()
     assert est.accepted > 0
     assert peak < 16 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def _er_stability_rows_by_state_rng(cfg: CouplingConfig) -> list:
+    """The Erdos-Renyi stability rows with every generator built by
+    rng.state_rng, one trial and one copy at a time: g by sample_er from
+    fold(st, 1), copy j by _er_resample_per_copy from fold(st, 3), and the
+    root's bit of copy j by _project_bits on its ball."""
+    host, f, rows = cfg.host, cfg.factor, []
+    for t in range(cfg.trials):
+        st = trial_state(cfg.seed, t)
+        root = fold(st, 4) * host.n >> 64
+        g = sample_er(host.n, host.lam, fold(st, 1))
+        labels = CoupledLabels(vertex_states(st, host.n), cfg.p)
+        S = np.flatnonzero(labels.in_s)
+        copies = _er_resample_per_copy(g, S, host.lam, cfg.inner_trials, fold(st, 3))
+        bits = []
+        for j, g_j in enumerate([g, *copies]):
+            ok = np.zeros(host.n, dtype=bool)
+            ok[root] = ball_is_tree(g_j, root, f.radius + 1)
+            bits.append(int(_project_bits(f, g_j, ok, labels(j))[root]))
+        rows.append([float(bits[0]), float(sum(bits[1:])) if bits[0] else -1.0])
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("f", [F, LW], ids=["threshold", "lw"])
+def test_er_stability_passes_equal_the_state_rng_reference(monkeypatch, f, block):
+    # n = 60 and a pass budget of 180 pairs: passes of at most 3 outer
+    # trials (BLOCK 1: one a pass; BLOCK 7: 3, 3 and 1) and unions of 3, 3
+    # and 1 copies; on two workers the blocks are 1 or 5 trials
+    monkeypatch.setattr(parallel, "BLOCK", block)
+    monkeypatch.setattr(coupling, "PASS_PAIRS", 180)
+    cfg = CouplingConfig(p=0.5, k=2, factor=f, host=ErdosRenyiHost(60, 2.0), trials=40,
+                         inner_trials=7, seed=36)
+    want = _er_stability_rows_by_state_rng(cfg)
+    assert run_trials(_stability_trial_fn(cfg), cfg.trials).tolist() == want
+    assert run_trials(_stability_trial_fn(cfg), cfg.trials, workers=2).tolist() == want
+    rows = np.array(want)
+    assert 0 < rows[:, 0].sum() < cfg.trials
+    assert len(set(rows[rows[:, 0] == 1, 1].tolist())) > 1
+
+
+def test_er_stability_block_holds_bounded_memory():
+    """Two passes of 81 outer trials at n = 200 with 400 inner trials: a
+    pass hashes the seeds of all its accepted trials' copies at once, but
+    builds each copy's generator only when the copy is drawn.  About 5 MiB
+    traced here; building every generator of a pass up front holds some
+    fifteen thousand of them, and passes 8 MiB."""
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(200, 2.0), trials=162,
+                         inner_trials=400, seed=48)
+    estimate_stability(replace(cfg, trials=4, inner_trials=2))
+    tracemalloc.start()
+    try:
+        est = estimate_stability(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.accepted > 60
+    assert peak < 8 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

@@ -22,7 +22,9 @@ from localis.rng import (
     percolation_cut,
     poisson_from_unit,
     round_bounds,
+    seed_words,
     state_rng,
+    state_rngs,
     trial_state,
     trial_state_np,
     uniform_labels,
@@ -96,6 +98,52 @@ def test_state_rng_matches_default_rng(state):
     ours = uniform_labels(state_rng(state), 64)
     ref = uniform_labels(np.random.default_rng(state & MASK64), 64)
     assert np.array_equal(ours, ref)
+
+
+def _seed_states() -> np.ndarray:
+    """The word edges of a 64-bit state, then 2000 uniform states."""
+    edges = np.array([0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, MASK64], dtype=np.uint64)
+    rest = np.random.default_rng(57).integers(0, MASK64, size=2000, dtype=np.uint64, endpoint=True)
+    return np.concatenate((edges, rest))
+
+
+def test_seed_words_are_the_seed_sequence_words():
+    states = _seed_states()
+    words = seed_words(states)
+    assert words.dtype == np.uint64 and words.shape == (states.size, 4)
+    assert words.tolist() == [
+        np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in states.tolist()
+    ]
+
+
+def test_state_rngs_draw_the_state_rng_streams():
+    # the whole state, then each kind of draw the samplers make from it
+    states = _seed_states()
+    rngs = state_rngs(states)
+    assert len(rngs) == states.size
+    for ours, s in zip(rngs, states.tolist()):
+        ref = state_rng(s)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.binomial(1770, 0.01) == ref.binomial(1770, 0.01)
+        assert np.array_equal(ours.choice(1770, 9, replace=False, shuffle=False),
+                              ref.choice(1770, 9, replace=False, shuffle=False))
+        assert np.array_equal(ours.poisson(3.0, size=4), ref.poisson(3.0, size=4))
+        assert np.array_equal(ours.bit_generator.random_raw(3), ref.bit_generator.random_raw(3))
+
+
+def test_state_rngs_slices_and_empty_input():
+    states = _seed_states()[:10]
+    rngs = state_rngs(states)
+    part = rngs[3:7]
+    assert len(part) == 4
+    assert [g.bit_generator.state for g in part] == [
+        state_rng(s).bit_generator.state for s in states[3:7].tolist()
+    ]
+    assert rngs[-1].bit_generator.state == state_rng(int(states[-1])).bit_generator.state
+    for empty in ([], np.zeros(0, dtype=np.uint64)):
+        assert len(state_rngs(empty)) == 0
+        assert list(state_rngs(empty)) == []
+        assert seed_words(empty).shape == (0, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, MASK64])
