@@ -5,9 +5,11 @@ truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
 rooted neighbourhoods and the tree-ball mask used by the tree-to-graph
 projection.  tree_ball_mask finds whether the balls of a set of vertices
 (every vertex by default) are trees, all at once, by non-backtracking walks
-over the incidence arrays, so projection walks only from the vertices whose
-bit the mask can change, once per graph (MultiGraph.balls keeps them);
-non_tree_ball_mask, one ball_is_tree BFS per vertex, is its reference.
+over the incidence arrays, one sort a level (each level's (owner, vertex)
+keys with the last level's, as int32 while they fit), so projection walks
+only from the vertices whose bit the mask can change, once per graph
+(MultiGraph.balls keeps them); non_tree_ball_mask, one ball_is_tree BFS
+per vertex, is its reference.
 
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays (a radix
@@ -24,8 +26,10 @@ a union of copies does once for all its copies.  The BFS
 and adj[u] is sorted from the arrays when u is first read.  So a per-root
 trial (configuration-model stability) costs the root's ball plus the draw.
 Whole-graph work (the tree-ball mask, projection) reads the arrays
-directly, through `offsets`, `tail` and incidences(); the tree-ball bits
-walked are kept in `balls`, filled in per vertex as adj[u] is.
+directly, through `offsets`, `tail` and incidences(), which reads a
+configuration-model graph (`start` a range of step d) as d incidences a
+vertex, with no offsets; the tree-ball bits walked are kept in `balls`,
+filled in per vertex as adj[u] is.
 
 A materialised rooted ball (RootedNeighborhood) is its sorted BFS-id
 adjacency, built directly by its constructor; its edge list is derived.
@@ -549,8 +553,18 @@ def non_tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
 
 
 def incidences(g: MultiGraph, vs: np.ndarray) -> tuple:
-    """The incidence positions of the vertices vs, grouped by vertex in the
-    order of vs, as arrays (pos, i): position pos[j] is one of vs[i[j]]'s."""
+    """The incidence positions of the vertices vs, each once, as arrays
+    (pos, i): position pos[j] is one of vs[i[j]]'s.
+
+    When `start` is a range of step d (a configuration-model graph), every
+    vertex has d incidences, v's at start[0] + v*d + 0..d-1, and they come
+    slot by slot: slot s of every vertex of vs, in the order of vs, then
+    slot s + 1.  Otherwise they come grouped by vertex in the order of vs,
+    each vertex's run cut from `offsets`."""
+    s = g.start
+    if isinstance(s, range):
+        slots = np.arange(s.start, s.start + s.step)[:, None]
+        return (vs * s.step + slots).reshape(-1), np.concatenate([np.arange(vs.size)] * s.step)
     lo = g.offsets[vs]
     counts = g.offsets[vs + 1] - lo
     i = np.repeat(np.arange(vs.size), counts)
@@ -567,16 +581,21 @@ def tree_ball_mask(g: MultiGraph, radius: int, at=None) -> np.ndarray:
 
     Non-backtracking walks run from every owner vertex at once, one level
     per step, as arrays (owner, vertex, edge id arrived by): a step takes
-    every incidence of the walk's vertex but those of the edge it arrived
-    by, so loops and parallel edges count as ball_is_tree counts them.  An
-    owner's ball is a tree iff its walks of length <= radius end at distinct
-    vertices and no walk of length radius + 1 ends at a vertex of level
-    radius.  While an owner is tree-like, its level-L walks can end only
-    where level L - 1 or level L ends, so each level is compared with the
-    one before it; an owner found non-tree leaves the walks.  The owners
-    are the vertices `at`, so a caller that needs few bits walks from those
-    alone.  At most MASK_OWNERS owners walk at once, which bounds the walks
-    held.
+    every incidence (incidences()) of the walk's vertex but those of the
+    edge it arrived by, so loops and parallel edges count as ball_is_tree
+    counts them.  An owner's ball is a tree iff its walks of length <=
+    radius end at distinct vertices and no walk of length radius + 1 ends at
+    a vertex of level radius.  While an owner is tree-like, its level-L
+    walks can end only where level L - 1 or level L ends, so each level is
+    compared with the one before it, by one sort: the last level's keys
+    k = owner*n + vertex, tagged 2k, sorted together with the new walks'
+    keys, tagged 2k + 1.  Two adjacent entries of one k mark its owner
+    non-tree, but at level radius + 1 only a last-level entry followed by a
+    walk's does; an owner found non-tree leaves the walks.  The tagged keys
+    lie below 2 * owners * n: int32 when that fits in one, int64 otherwise
+    (a pass of MASK_OWNERS owners from n = 2^20 up).  The owners are the
+    vertices `at`, so a caller that needs few bits walks from those alone.
+    At most MASK_OWNERS owners walk at once, which bounds the walks held.
     """
     n = g.n
     owners = np.arange(n) if at is None else np.asarray(at, dtype=np.int64)
@@ -584,26 +603,33 @@ def tree_ball_mask(g: MultiGraph, radius: int, at=None) -> np.ndarray:
     for lo in range(0, owners.size, MASK_OWNERS):
         at = owners[lo : lo + MASK_OWNERS]
         tree = out[lo : lo + at.size]  # a view: owner i is owners[lo + i]
-        own = np.arange(at.size)
+        key = np.int32 if 2 * at.size * n <= np.iinfo(np.int32).max else np.int64
+        own = np.arange(at.size, dtype=key)
         via = np.full(at.size, -1)
-        prev = own * n + at  # (owner, vertex) keys of the last level, sorted
+        prev = 2 * (own * n + at.astype(key))  # the last level's tagged keys
         for level in range(1, radius + 2):
             pos, i = incidences(g, at)
-            step = g.eid[pos] != via[i]
-            pos, own = pos[step], own[i[step]]
-            at, via = g.nbr[pos], g.eid[pos]
-            keys = own * n + at
-            ends = prev[np.searchsorted(prev, keys).clip(max=prev.size - 1)]
-            bad = keys[ends == keys]
-            if level <= radius:
-                keys.sort()
-                bad = np.concatenate((bad, keys[1:][keys[1:] == keys[:-1]]))
-            tree[bad // n] = False
-            keep = tree[own]
-            if level > radius or not keep.any():
+            eid = g.eid[pos]
+            step = np.flatnonzero(eid != via[i])  # indices: a random bool mask indexes slowly
+            pos, own, via = pos[step], own[i[step]], eid[step]
+            at = g.nbr[pos]
+            keys = 2 * (own * n + at.astype(key))
+            both = np.concatenate((prev, keys + 1))
+            both.sort()
+            if level <= radius:  # two walks' 2k + 1, or a last-level 2k then a walk's 2k + 1
+                hit = both[1:] <= both[:-1] | 1
+            else:  # a last-level 2k then a walk's 2k + 1 only
+                hit = both[1:] ^ both[:-1] == 1
+            bad = both[1:][hit] // (2 * n)
+            tree[bad] = False
+            if level > radius:
                 break
-            own, at, via = own[keep], at[keep], via[keep]
-            prev = keys[tree[keys // n]]
+            if bad.size:  # the walks of owners found non-tree leave
+                keep = tree[own]
+                if not keep.any():
+                    break
+                own, at, via, keys = own[keep], at[keep], via[keep], keys[keep]
+            prev = keys
     return out
 
 

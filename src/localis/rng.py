@@ -132,6 +132,9 @@ class StateRngs:
         return np.random.Generator(np.random.PCG64(words_sequence(self.words[i])))
 
 
+SEED_SLICE = 1 << 12  # most states seed_words hashes at once
+
+
 def seed_words(states) -> np.ndarray:
     """SeedSequence(s).generate_state(4, np.uint64) for each s of a uint64
     array, the words PCG64(s) seeds itself with, as a C-contiguous (B, 4)
@@ -143,18 +146,24 @@ def seed_words(states) -> np.ndarray:
     word then hashes into the other three, which is one (3, B) step, since
     the source word is not among them; the output hashes the pool twice
     round into 8 words, joined little-endian in pairs.  The hash constants
-    depend on the call count alone (_seed_sequence)."""
+    depend on the call count alone (_seed_sequence).  At most SEED_SLICE
+    states are hashed at once, each slice written into the output, so the
+    hash's temporaries stay under 1 MiB whatever B is."""
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
     mix_a, mix_b, _ = _seed_sequence()
-    pool = np.zeros((4, states.size), dtype=np.uint32)
-    pool[0], pool[1] = states, states >> np.uint64(32)  # the casts keep the low words
-    pool = _hashmix(pool, mix_a[0:5, None])
-    for src, k in zip(range(4), range(4, 16, 3)):
-        dst = [i for i in range(4) if i != src]
-        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], mix_a[k : k + 4, None])
-        pool[dst] = mixed ^ mixed >> np.uint32(16)
-    out = _hashmix(np.concatenate((pool, pool)), mix_b[:, None]).astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    words = np.empty((states.size, 4), dtype=np.uint64)
+    for lo in range(0, states.size, SEED_SLICE):
+        part = states[lo : lo + SEED_SLICE]
+        pool = np.zeros((4, part.size), dtype=np.uint32)
+        pool[0], pool[1] = part, part >> np.uint64(32)  # the casts keep the low words
+        pool = _hashmix(pool, mix_a[0:5, None])
+        for src, k in zip(range(4), range(4, 16, 3)):
+            dst = [i for i in range(4) if i != src]
+            mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], mix_a[k : k + 4, None])
+            pool[dst] = mixed ^ mixed >> np.uint32(16)
+        out = _hashmix(np.concatenate((pool, pool)), mix_b[:, None]).astype(np.uint64)
+        words[lo : lo + part.size] = (out[0::2] | out[1::2] << np.uint64(32)).T
+    return words
 
 
 _MIX_L = np.uint32(0xCA01F9DD)

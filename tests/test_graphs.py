@@ -1006,6 +1006,36 @@ def test_tree_ball_mask_equals_the_per_vertex_mask(graph):
         ), radius
 
 
+@st.composite
+def config_multigraphs(draw):
+    """Small configuration-model graphs: d in 1..4 half-edges a vertex, any
+    pairing of them (loops and parallel edges included), built as
+    sample_config_model builds its graphs, so `start` is a range; and a
+    list of vertices, repeats allowed."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=10))
+    n += n * d % 2
+    perm = np.array(draw(st.permutations(range(n * d))), dtype=np.int64)  # pairs 2i, 2i + 1
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    at = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n))
+    return n, d, perm[inv ^ 1] // d, inv >> 1, np.array(at, dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph=config_multigraphs())
+def test_tree_ball_mask_equals_the_per_vertex_mask_on_config_graphs(graph):
+    n, d, nbr, eid, at = graph
+
+    def fresh():  # the reference reads every list
+        return MultiGraph(n, model="config", start=range(0, n * d + 1, d), nbr=nbr, eid=eid)
+
+    for radius in range(7):
+        ref = ~non_tree_ball_mask(fresh(), radius)
+        assert np.array_equal(tree_ball_mask(fresh(), radius), ref), radius
+        assert np.array_equal(tree_ball_mask(fresh(), radius, at), ref[at]), radius
+
+
 @pytest.mark.parametrize("radius", [2, 3, 5, 8])
 def test_tree_ball_mask_equals_the_per_vertex_mask_on_sampled_graphs(radius):
     for g in (sample_config_model(1000, 3, radius), sample_er(1000, 3.0, radius)):
@@ -1047,6 +1077,28 @@ def test_tree_ball_mask_across_owner_passes(monkeypatch):
     for g in (sample_config_model(50, 3, 3), sample_er(61, 2.5, 4), cycle(9)):
         for radius in range(5):
             _assert_mask_at(g, radius, rng)
+
+
+def test_tree_ball_mask_with_int64_keys():
+    """At n = 2^20 a pass of MASK_OWNERS owners tags keys up to 2 * 1024 *
+    2^20 = 2^31, past int32, so the first pass keys in int64 and the second
+    (the rest) in int32.  Seed 1 draws two parallel edges between vertices
+    above 700000: those vertices and their neighbours close the first pass,
+    after owners drawn from the top 4096 ids, so the largest keys belong to
+    non-tree balls."""
+    n = 2**20
+    g = sample_config_model(n, 3, 1)
+    assert 2 * graphs.MASK_OWNERS * n > np.iinfo(np.int32).max
+    nbrs = np.sort(g.nbr.reshape(n, 3), axis=1)
+    multi = np.flatnonzero((nbrs[:, 1:] == nbrs[:, :-1]).any(axis=1))
+    near = np.unique(np.concatenate((multi, nbrs[multi].ravel())))
+    rng = np.random.default_rng(59)
+    at = np.concatenate((rng.integers(n - 2**12, n, size=graphs.MASK_OWNERS - near.size), near,
+                         rng.integers(0, n, size=500)))
+    for radius in (1, 2):
+        ok = tree_ball_mask(g, radius, at)
+        assert ok.tolist() == [ball_is_tree(g, v, radius) for v in at.tolist()], radius
+        assert not ok[: graphs.MASK_OWNERS].all()
 
 
 @pytest.mark.parametrize("n, radius, bound_mib", [(10**5, 2, 8), (10**4, 8, 32)])

@@ -12,6 +12,7 @@ import localis
 from localis.rng import (
     GOLDEN,
     MASK64,
+    SEED_SLICE,
     first_success_round,
     first_success_rounds,
     fold,
@@ -108,9 +109,14 @@ def _seed_states() -> np.ndarray:
 
 
 def test_seed_words_are_the_seed_sequence_words():
-    states = _seed_states()
+    # past SEED_SLICE states, so the words come from three slices, the last partial
+    more = np.random.default_rng(58).integers(0, MASK64, size=SEED_SLICE, dtype=np.uint64,
+                                              endpoint=True)
+    states = np.concatenate((_seed_states(), more))
+    assert SEED_SLICE < states.size < 3 * SEED_SLICE
     words = seed_words(states)
     assert words.dtype == np.uint64 and words.shape == (states.size, 4)
+    assert words.flags.c_contiguous
     assert words.tolist() == [
         np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in states.tolist()
     ]
