@@ -9,14 +9,14 @@ product over the copies' bits) and the stability: the conditional
 probability that the root keeps its inclusion bit when S is re-randomised,
 given it was included.
 
-Every host labels its nodes by the one rule of rng (CoupledLabels, and
-coupled_label for single nodes): copy i of a node is a function of its
-state, the copies are 1..k, and stability's inner trial j is copy j.  A tree
-node's state comes from its lazy tree; vertex v of a graph-host trial of
-state st has the state fold(fold(st, 2), v) (vertex_states).  The trial's
-graph g is drawn from fold(st, 1), the stability root from fold(st, 4), and
-copy j's graph is defined once, by copy_graphs: g on the configuration
-model, and on the Erdos-Renyi host g with SxS redrawn from fold(st, 3).
+Every host labels its nodes by the one rule of rng (CoupledLabels): copy i
+of a node is a function of its state, the copies are 1..k, and stability's
+inner trial j is copy j.  A tree node's state comes from its lazy tree;
+vertex v of a graph-host trial of state st has the state fold(fold(st, 2),
+v) (vertex_states).  The trial's graph g is drawn from fold(st, 1), the
+stability root from fold(st, 4), and copy j's graph is defined once, by
+copy_graphs: g on the configuration model, and on the Erdos-Renyi host g
+with SxS redrawn from fold(st, 3).
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
@@ -26,16 +26,20 @@ the intersections read copies 1..k one at a time, holding one copy graph,
 and keep a running intersection over the whole graph, each copy projected
 by one factors.graph_bits call (the tree-ball mask walked from the rule's
 1-bits, at most once per vertex of a copy graph, which keeps what it
-walked).  Stability needs the root's bit alone.  On the configuration model
-it reads the root's ball in g once and relabels it per copy, by scalar
-folds.  On the Erdos-Renyi host it is a block function too: the outer
-trials run in passes of at most max(1, PASS_PAIRS // n), whose graphs are
-stacked into one, copy 0 read at all the pass's roots by one
-factors.graph_bits_at call; the copies of each accepted trial are stacked
-into disjoint unions (er_copy_unions), at most max(1, PASS_PAIRS // n)
-copies a union, and read at their roots the same way.  The generators of
-a pass's graphs and of its copies' SxS redraws are hashed by one
-rng.state_rngs call each, with the streams of one state_rng per state.
+walked).  Stability needs the root's bit alone, and the rule and the mask
+at a root read only the incidences of vertices within radius + 1 of it.  So
+on both graph hosts it is one block function (_graph_stability_pass): the
+outer trials run in passes of at most max(1, PASS_PAIRS // n), whose graphs
+are drawn as edge arrays and stacked, cut to the roots' neighbourhoods
+(graphs.ball_cut), and read at the roots, copy 0 by one
+factors.graph_bits_at call.  The copies of the accepted trials are read the
+same way, at most PASS_PAIRS vertices a union of copies: on the
+configuration model the accepted roots' cut balls of g, tiled once a copy;
+on the Erdos-Renyi host each copy's graph (g's edges outside SxS and its
+own SxS pairs), packed across trials (er_copy_packs) and cut to the
+copies' roots.  The generators of a pass's graphs and of its copies' SxS
+redraws are hashed by one rng.state_rngs call each, with the streams of
+one state_rng per state.
 """
 
 from __future__ import annotations
@@ -46,17 +50,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import PASS_PAIRS, Factor, TreeBlock, apply_factor, graph_bits, graph_bits_at
+from .factors import PASS_PAIRS, Factor, TreeBlock, graph_bits, graph_bits_at
 from .graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
     MultiGraph,
-    ball_is_tree,
+    ball_cut,
     bernoulli_pairs,
     bernoulli_positions,
     er_edge_arrays,
     er_multigraph,
-    neighborhood,
+    incidence_arrays,
+    neighborhood,  # unused here; benchmarks/test_bench.py reads this binding
     sample_config_model,
     sample_er,
     triangle_pairs,
@@ -66,10 +71,8 @@ from .profiles import binom_sum
 from .rng import (
     CoupledLabels,
     StateRngs,
-    coupled_label,
     fold,
     fold_np,
-    percolation_cut,
     state_rng,
     state_rngs,
     trial_state,
@@ -239,36 +242,41 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
         yield er_multigraph(n, lam, *np.divmod(merged, n))
 
 
-def er_copy_unions(n: int, edges: tuple, S, lam: float, rngs):
-    """The copies of an Erdos-Renyi trial whose graph g on 0..n-1 has the
-    edges `edges`, (us, vs), as disjoint unions of at most
-    max(1, PASS_PAIRS // n) copies each, so a caller holds O(n + PASS_PAIRS)
-    vertices at any copy count.  Copy i + 1 draws its SxS pairs from
-    rngs[i]: with rngs = copy_rngs(seed, k) the copies are those of
-    er_resample_graphs(g, S, lam, k, seed).  Yields (copies, union): the
-    copy ids of the union's copies, as a uint64 array, and one MultiGraph in
-    which vertex v of copies[i] is vertex i * n + v.  A copy's edges are g's outside SxS
-    and its drawn pairs (bernoulli_positions), unsorted, a union's pairs
-    decoded by one triangle_pairs call; a vertex's relabelled id keeps the
-    order of its copy's ids, so the union's rule bits and tree-ball bits are
-    its copies'.  With fewer than 2 vertices in S no pair is redrawn and
-    every copy is g.
+def er_copy_packs(n: int, lam: float, outside: list, S: list, rngs: StateRngs):
+    """The copies of Erdos-Renyi trials j = 0..J-1 on 0..n-1, packed across
+    trials into disjoint unions of at most max(1, PASS_PAIRS // n) copies
+    each, so a caller holds O(n + PASS_PAIRS) vertices at any copy count.
+    Trial j has the edges outside[j], (us, vs), of its graph g outside
+    S[j] x S[j], S[j] sorted, and rngs holds k = len(rngs) // J generators
+    a trial: copy i + 1 of trial j draws its SxS pairs from rngs[j * k + i].
+    With rngs = copy_rngs(seeds, k) and outside[j] = _outside(edges of g,
+    S[j], n) the copies of trial j are those of er_resample_graphs(g, S[j],
+    lam, k, seeds[j]).  Yields (pairs, us, vs): the flat ids j * k + i of
+    the union's copies, increasing, and the union's edges, the vertex v of
+    copy pairs[s] at s * n + v: the copy's edges outside SxS and its drawn
+    pairs (bernoulli_positions), unsorted, each trial's pairs in the union
+    decoded by one triangle_pairs call.  A vertex's id in the union keeps
+    the order of its ids in the copy, so the union's rule bits and
+    tree-ball bits are its copies'.  With fewer than 2 vertices in S[j] no
+    pair is redrawn and every copy of trial j is g.
     """
-    S = np.sort(np.asarray(S, dtype=np.int64))
-    us, vs = _outside(edges, S, n)
-    k, q, width = len(rngs), lam / n, max(1, PASS_PAIRS // n)
-    for lo in range(0, k, width):
-        count = min(k - lo, width)
-        shift = n * np.arange(count)
-        heads, tails = [(us + shift[:, None]).ravel()], [(vs + shift[:, None]).ravel()]
-        if S.size > 1:
-            flat = [bernoulli_positions(rngs[i], S.size, q) for i in range(lo, lo + count)]
-            a, b = triangle_pairs(S.size, np.concatenate(flat))
-            at = np.repeat(shift, [x.size for x in flat])
-            heads.append(S[a] + at)
-            tails.append(S[b] + at)
-        union = er_multigraph(count * n, lam, np.concatenate(heads), np.concatenate(tails))
-        yield np.arange(lo + 1, lo + count + 1, dtype=np.uint64), union
+    k, q, width = len(rngs) // len(S), lam / n, max(1, PASS_PAIRS // n)
+    for lo in range(0, len(rngs), width):
+        hi = min(len(rngs), lo + width)
+        heads, tails = [], []
+        for j in range(lo // k, (hi - 1) // k + 1):  # the trials of the union's copies
+            mine = range(max(lo, j * k), min(hi, (j + 1) * k))
+            shift = n * np.arange(mine.start - lo, mine.stop - lo)
+            us, vs = outside[j]
+            heads.append((us + shift[:, None]).ravel())
+            tails.append((vs + shift[:, None]).ravel())
+            if S[j].size > 1:
+                flat = [bernoulli_positions(rngs[i], S[j].size, q) for i in mine]
+                a, b = triangle_pairs(S[j].size, np.concatenate(flat))
+                at = np.repeat(shift, [x.size for x in flat])
+                heads.append(S[j][a] + at)
+                tails.append(S[j][b] + at)
+        yield np.arange(lo, hi), np.concatenate(heads), np.concatenate(tails)
 
 
 def vertex_states(st, n: int) -> np.ndarray:
@@ -366,21 +374,15 @@ def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
     Erdos-Renyi host, edges inside SxS) inner_trials times; the inner success
     fraction is one Q sample.  The moments m = 0..k-1 are jackknife-corrected.
 
-    On graph hosts a trial samples its graph with sample_config_model or
-    sample_er, and inner trial j takes copy j, as coupled_graph_intersections
+    On graph hosts a trial draws the graph sample_config_model or sample_er
+    draws, and inner trial j takes copy j, as coupled_graph_intersections
     and coupled_er_intersections do: the projection bit at the root of copy
-    j's labels on copy j's graph.  On the configuration model every copy's
-    graph is g, so the root's ball is found once per outer trial and inner
-    trial j relabels only the ball's vertices, by scalar folds.  On the
-    Erdos-Renyi host no ball is read: the outer trials run in passes of at
-    most max(1, PASS_PAIRS // n), their graphs stacked into one graph and
-    their copies 0 read at its roots by one factors.graph_bits_at call
-    (_er_stability_pass), and the copies of an accepted trial are the blocks
-    of er_copy_unions' union graphs, labelled by one CoupledLabels call a
-    union and read at their roots the same way.  A pass's graph and a union
-    hold at most max(n, PASS_PAIRS) vertices, and a copy's generator is
-    built only when its pairs are drawn, so memory stays O(n + PASS_PAIRS)
-    plus the copies' seed words at any inner trial count.
+    j's labels on copy j's graph.  The bits are read in passes of outer
+    trials on their graphs cut to the roots' neighbourhoods
+    (_graph_stability_pass), which hold at most max(n, PASS_PAIRS) vertices'
+    edges, and a copy's generator is built only when its pairs are drawn,
+    so memory stays O(n + PASS_PAIRS) plus the copies' seed words at any
+    inner trial count.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -422,72 +424,90 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return block
 
-    n = host.n
-    if isinstance(host, ErdosRenyiHost):
+    def graph_block(lo: int, hi: int):
+        width = max(1, PASS_PAIRS // host.n)  # outer trials a pass
+        return np.concatenate([
+            _graph_stability_pass(cfg, trial_state_np(cfg.seed, np.arange(a, min(hi, a + width))))
+            for a in range(lo, hi, width)
+        ])
 
-        def er_block(lo: int, hi: int):
-            width = max(1, PASS_PAIRS // n)  # outer trials a pass
-            return np.concatenate([
-                _er_stability_pass(cfg, trial_state_np(cfg.seed, np.arange(a, min(hi, a + width))))
-                for a in range(lo, hi, width)
-            ])
-
-        return er_block
-
-    cut = percolation_cut(cfg.p)
-
-    def one(t: int):
-        st = trial_state(cfg.seed, t)
-        root = fold(st, 4) * n >> 64  # uniform up to a bias of n / 2^64
-        g = _sample_graph(host, fold(st, 1))
-        if not ball_is_tree(g, root, f.radius + 1):  # the projection gives bit 0
-            return [0.0, -1.0]
-        # every copy's graph is g: the root's ball is read once, relabelled per copy
-        nb = neighborhood(g, root, f.radius, None)
-        vertex_key, memo = fold(st, 2), {}  # vertex v has the state fold(vertex_key, v)
-        states = [fold(vertex_key, v) for v in nb.source_vertices.tolist()]
-
-        def bit(copy: int) -> int:
-            """The root's bit on its ball under copy `copy`'s labels."""
-            labels = [coupled_label(s, copy, cut, memo) for s in states]
-            return apply_factor(f, nb.with_labels(labels))
-
-        if bit(0) != 1:
-            return [0.0, -1.0]
-        return [1.0, float(sum(bit(j) for j in range(1, cfg.inner_trials + 1)))]
-
-    return per_trial(one)
+    return graph_block
 
 
-def _er_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
-    """The stability rows of the Erdos-Renyi trials of states st.  Trial
-    t's graph is drawn from fold(st[t], 1) as sample_er draws it, and the
-    pass's graphs are stacked into one, trial t's vertex v at t * n + v,
-    labelled by one CoupledLabels call; copy 0 is read at the roots by one
-    graph_bits_at call.  The copies of the accepted trials are seeded by one
-    copy_rngs call and evaluated per trial, a union of er_copy_unions at a
-    time, at its copies' roots."""
+def _edge_arrays(host, rng) -> tuple:
+    """The edges (us, vs) of the graph _sample_graph(host, state) draws,
+    given rng = state_rng(state), in another order: on the configuration
+    model the vertices of the half-edges 2i and 2i + 1 of the drawn
+    permutation, edge i; on the Erdos-Renyi host er_edge_arrays."""
+    if isinstance(host, ConfigModelHost):
+        ends = rng.permutation(host.n * host.d) // host.d
+        return ends[0::2], ends[1::2]
+    return er_edge_arrays(host.n, host.lam, rng)
+
+
+def _cut_graph(n: int, us: np.ndarray, vs: np.ndarray) -> MultiGraph:
+    """The MultiGraph on 0..n-1 whose edge i is us[i] - vs[i]."""
+    start, nbr, eid = incidence_arrays(n, us, vs)
+    return MultiGraph(n, start=start, nbr=nbr, eid=eid)
+
+
+def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
+    """The stability rows of the graph-host trials of states st, read from
+    the roots' neighbourhoods alone.  Trial t's graph is drawn from
+    fold(st[t], 1) (_edge_arrays), the pass's graphs stacked into one, trial
+    t's vertex v at t * n + v, and cut to the edges with an end within
+    f.radius + 1 of a root (graphs.ball_cut): the rule's bit and the
+    tree-ball mask at a root read no other incidence, so the cut graph's
+    bits at the roots are the whole graph's.  Copy 0 is read at the roots
+    by one graph_bits_at call, labelled at the kept vertices alone.  The
+    accepted trials' copies are read the same way, a union of copies at a
+    time: on the configuration model every copy's graph is g, so the
+    accepted roots' cut balls are tiled once a copy; on the Erdos-Renyi host
+    the copies are packed across trials by er_copy_packs, seeded by one
+    copy_rngs call, and each union is cut to its copies' roots."""
     f, host, n, k = cfg.factor, cfg.host, cfg.host.n, cfg.inner_trials
+    hops = f.radius + 1
     at = n * np.arange(st.size)  # trial t's vertex 0
     roots = np.array([s * n >> 64 for s in fold_np(st, 4).tolist()])  # up to a bias of n / 2^64
-    edges = [er_edge_arrays(n, host.lam, rng) for rng in state_rngs(fold_np(st, 1))]
+    edges = [_edge_arrays(host, rng) for rng in state_rngs(fold_np(st, 1))]
     shift = np.repeat(at, [us.size for us, _ in edges])
-    g = er_multigraph(
-        n * st.size, host.lam, *(np.concatenate(ends) + shift for ends in zip(*edges))
+    kept, cut_roots, us, vs = ball_cut(
+        *(np.concatenate(ends) + shift for ends in zip(*edges)), roots + at, n * st.size, hops
     )
-    labels = CoupledLabels(vertex_states(st, n).ravel(), cfg.p)
-    acc = np.flatnonzero(graph_bits_at(f, g, labels(0), roots + at))
+    key = fold_np(st, 2)  # vertex v of trial t has the state fold(key[t], v)
+    labels = CoupledLabels(fold_np(key[kept // n], kept % n), cfg.p)
+    acc = np.flatnonzero(graph_bits_at(f, _cut_graph(kept.size, us, vs), labels(0), cut_roots))
     rows = np.tile([0.0, -1.0], (st.size, 1))
     rows[acc] = 1.0, 0.0
-    # inner trial j takes copy j, a block of copies per union graph
-    rngs = copy_rngs(fold_np(st[acc], 3), k)
-    for j, t in enumerate(acc.tolist()):
-        own = slice(at[t], at[t] + n)
-        S = np.flatnonzero(labels.in_s[own])
-        for copies, union in er_copy_unions(n, edges[t], S, host.lam, rngs[j * k : (j + 1) * k]):
-            union_roots = roots[t] + n * np.arange(copies.size)
-            bits = graph_bits_at(f, union, labels(copies[:, None], own).ravel(), union_roots)
-            rows[t, 1] += np.count_nonzero(bits)
+    if not acc.size:
+        return rows
+    # inner trial j takes copy j, a union of copies a graph_bits_at call
+    if isinstance(host, ErdosRenyiHost):
+        coupled = CoupledLabels(vertex_states(st[acc], n), cfg.p)  # of the accepted trials
+        S = [np.flatnonzero(in_s) for in_s in coupled.in_s]
+        outside = [_outside(edges[t], S_j, n) for t, S_j in zip(acc.tolist(), S)]
+        rngs = copy_rngs(fold_np(st[acc], 3), k)
+        for pairs, us, vs in er_copy_packs(n, host.lam, outside, S, rngs):
+            j, i = np.divmod(pairs, k)  # copy i + 1 of accepted trial j
+            kept, union_roots, us, vs = ball_cut(
+                us, vs, roots[acc[j]] + n * np.arange(pairs.size), n * pairs.size, hops
+            )
+            slot, v = np.divmod(kept, n)
+            union_labels = coupled(i[slot].astype(np.uint64) + 1, (j[slot], v))
+            bits = graph_bits_at(f, _cut_graph(kept.size, us, vs), union_labels, union_roots)
+            rows[acc, 1] += np.bincount(j, weights=bits, minlength=acc.size)
+        return rows
+    # every copy's graph is g: the accepted roots' balls, tiled once a copy
+    ball, ball_roots, us, vs = ball_cut(us, vs, cut_roots[acc], kept.size, hops)
+    m = ball.size
+    width = max(1, PASS_PAIRS // m)  # copies a union
+    for lo in range(0, k, width):
+        copies = np.arange(lo + 1, min(k, lo + width) + 1, dtype=np.uint64)[:, None]
+        shift = m * np.arange(copies.size)[:, None]  # copies[i]'s ball at i * m
+        union = _cut_graph(copies.size * m, (us + shift).ravel(), (vs + shift).ravel())
+        union_labels = labels(copies, np.broadcast_to(ball, (copies.size, m)))
+        bits = graph_bits_at(f, union, union_labels.ravel(), (ball_roots + shift).ravel())
+        rows[acc, 1] += np.count_nonzero(bits.reshape(copies.size, -1), axis=0)
     return rows
 
 

@@ -44,9 +44,10 @@ clear a bit, so graph_bits runs graphs.tree_ball_mask from the rule's
 1-bits alone, those not yet walked on g at that radius (g.balls keeps
 them).  graph_bits_at takes the same bits at chosen vertices alone, the
 mask walked from those of them whose rule bit is 1, with no independence
-check (Erdos-Renyi stability's roots).  The rule's bit at v equals the view
-rule's on v's radius-ball, tree-like or not; project_to_graph, one ball and
-one rule call per vertex, is the reference.
+check (graph-host stability's roots, on graphs cut to their
+neighbourhoods).  The rule's bit at v equals the view rule's on v's
+radius-ball, tree-like or not; project_to_graph, one ball and one rule call
+per vertex, is the reference.
 """
 
 from __future__ import annotations

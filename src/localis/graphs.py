@@ -14,7 +14,7 @@ per vertex, is its reference.
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays (a radix
 sort of the ends) from an edge list (explicit graphs, and through
-er_multigraph er_edge_arrays' graphs, Erdos-Renyi copies and the stacked
+er_multigraph er_edge_arrays' graphs and Erdos-Renyi copies, and the cut
 graphs of stability) or straight from the
 configuration model's half-edge permutation.  Either way a graph
 costs O(n + edges) to draw: bernoulli_pairs, the one Erdos-Renyi pair draw
@@ -23,13 +23,15 @@ and one uniform set of pair positions (bernoulli_positions), never one
 variate per absent pair, and decodes them into pairs (triangle_pairs), which
 a union of copies does once for all its copies.  The BFS
 (ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
-and adj[u] is sorted from the arrays when u is first read.  So a per-root
-trial (configuration-model stability) costs the root's ball plus the draw.
-Whole-graph work (the tree-ball mask, projection) reads the arrays
-directly, through `offsets`, `tail` and incidences(), which reads a
-configuration-model graph (`start` a range of step d) as d incidences a
-vertex, with no offsets; the tree-ball bits walked are kept in `balls`,
-filled in per vertex as adj[u] is.
+and adj[u] is sorted from the arrays when u is first read; it is the tests'
+per-root reference.  Per-root work (graph-host stability) cuts an edge list
+to the roots' neighbourhoods first (ball_cut), boolean expansions over the
+edge arrays, and builds the small graph that remains.  Whole-graph work
+(the tree-ball mask, projection) reads the arrays directly, through
+`offsets`, `tail` and incidences(), which reads a configuration-model graph
+(`start` a range of step d) as d incidences a vertex, with no offsets; the
+tree-ball bits walked are kept in `balls`, filled in per vertex as adj[u]
+is.
 
 A materialised rooted ball (RootedNeighborhood) is its sorted BFS-id
 adjacency, built directly by its constructor; its edge list is derived.
@@ -631,6 +633,23 @@ def tree_ball_mask(g: MultiGraph, radius: int, at=None) -> np.ndarray:
                 own, at, via, keys = own[keep], at[keep], via[keep], keys[keep]
             prev = keys
     return out
+
+
+def ball_cut(us: np.ndarray, vs: np.ndarray, roots: np.ndarray, n: int, radius: int) -> tuple:
+    """The edges us[i] - vs[i] of a graph on 0..n-1 that have an end within
+    distance `radius` of a root, as (kept, roots, us, vs): `kept` the
+    vertices within radius + 1 of a root, increasing, and the roots and the
+    kept edges' ends as indices into it, so every vertex within `radius`
+    keeps all its incidences and the relabelled ids keep the order of the
+    old.  radius + 1 expansions over the edge arrays, O(radius * edges)."""
+    near = np.zeros(n, dtype=bool)
+    near[roots] = True
+    for _ in range(radius + 1):
+        keep = near[us] | near[vs]
+        near[us[keep]] = True
+        near[vs[keep]] = True
+    index = np.cumsum(near) - 1
+    return np.flatnonzero(near), index[roots], index[us[keep]], index[vs[keep]]
 
 
 # ---------------------------------------------------------------------------

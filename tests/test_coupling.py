@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -16,7 +19,7 @@ from localis.coupling import (
     coupled_er_intersections,
     coupled_graph_intersections,
     coupled_tree_intersections,
-    er_copy_unions,
+    er_copy_packs,
     er_resample_graphs,
     estimate_stability,
     run_intersections,
@@ -664,33 +667,82 @@ def test_er_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, bud
     assert rows[:, 0].sum() > 0
 
 
+@pytest.mark.parametrize("inner", [1, 8])
+@pytest.mark.parametrize(
+    "f, host",
+    [(F, ConfigModelHost(60, 3)), (LW, ConfigModelHost(2000, 3)),
+     (constant_factor(1), ConfigModelHost(60, 3))],
+    ids=["threshold", "lw", "const1"],
+)
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+def test_config_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, host, inner):
+    # a pass budget of 120 pairs: at n = 60 passes of 2 outer trials and
+    # unions of at most 120 // 22 copies of the accepted roots' 3-balls; at
+    # n = 2000 (LW, radius 3, whose 4-balls are trees often enough) one
+    # outer trial a pass and one copy of its 5-ball a union
+    monkeypatch.setattr(coupling, "PASS_PAIRS", 120)
+    cfg = CouplingConfig(p=p, k=2, factor=f, host=host, trials=40, inner_trials=inner, seed=36)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    assert rows.tolist() == _stability_rows_per_copy(cfg)
+    assert rows[:, 0].sum() > 0
+
+
+def test_er_stability_packs_span_trials_and_unions(monkeypatch):
+    # n = 60 and a budget of 180 pairs: passes of 3 outer trials and unions
+    # of 3 copies, so with 4 inner trials and two accepted trials in a pass
+    # the second union holds copy 4 of the first and copies 1, 2 of the other
+    monkeypatch.setattr(coupling, "PASS_PAIRS", 180)
+    packs, producer = [], coupling.er_copy_packs
+
+    def spy(n, lam, outside, S, rngs):
+        k = len(rngs) // len(S)
+        for pairs, us, vs in producer(n, lam, outside, S, rngs):
+            packs.append((k, pairs))
+            yield pairs, us, vs
+
+    monkeypatch.setattr(coupling, "er_copy_packs", spy)
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(60, 2.0), trials=40,
+                         inner_trials=4, seed=35)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    assert rows.tolist() == _stability_rows_per_copy(cfg)
+    assert any(len(set((pairs // k).tolist())) > 1 for k, pairs in packs)
+    assert any(pairs[0] % k and pairs[0] // k == prev[-1] // k
+               for (k, pairs), (_, prev) in zip(packs[1:], packs))
+
+
 @pytest.mark.parametrize("budget", [None, 100, 1])
 @pytest.mark.parametrize("size", [0, 1, 2, 20, 40])
 def test_er_copy_unions_stack_the_resampled_copies(monkeypatch, budget, size):
-    # copy c = copies[i] of a union sits on its vertices i*n .. i*n + n - 1 and
-    # has the edges of er_resample_graphs' copy c; no edge joins two copies
+    # copy i + 1 of trial j, pairs[s] = j * k + i of a packed union, sits on
+    # its vertices s*n .. s*n + n - 1 and has the edges of er_resample_graphs'
+    # copy i + 1 of trial j; no edge joins two copies.  A budget of 100 pairs
+    # packs 2 copies a union, so union 3 holds copy 7 of trial 0 and copy 1
+    # of trial 1
     if budget is not None:
         monkeypatch.setattr(coupling, "PASS_PAIRS", budget)
-    n, lam, k = 40, 3.0, 7
-    g = sample_er(n, lam, 5)
-    S = np.random.default_rng(size).permutation(n)[:size]
-    want = [c.edges for c in er_resample_graphs(g, S, lam, k, 9)]
+    n, lam, k, seeds = 40, 3.0, 7, [9, 10, 11]
+    graphs = [sample_er(n, lam, 5 + j) for j in range(len(seeds))]
+    S = [np.sort(np.random.default_rng(size + j).permutation(n)[:size]) for j in range(3)]
+    outside = [coupling._outside(tuple(g.edge_array.T), S_j, n) for g, S_j in zip(graphs, S)]
+    want = [c.edges for g, S_j, seed in zip(graphs, S, seeds)
+            for c in er_resample_graphs(g, S_j, lam, k, seed)]
     got, ids = [], []
-    for copies, union in er_copy_unions(n, tuple(g.edge_array.T), S, lam, copy_rngs(9, k)):
-        assert union.n == copies.size * n
-        ends = union.edge_array
-        assert np.array_equal(ends[:, 0] // n, ends[:, 1] // n)
-        for i in range(copies.size):
-            mine = ends[ends[:, 0] // n == i] - i * n
-            got.append(sorted(zip(mine[:, 0].tolist(), mine[:, 1].tolist())))
-        ids += copies.tolist()
-    assert ids == list(range(1, k + 1))
+    for pairs, us, vs in er_copy_packs(n, lam, outside, S, copy_rngs(np.array(seeds), k)):
+        assert np.array_equal(us // n, vs // n)
+        assert pairs.size <= max(1, coupling.PASS_PAIRS // n)
+        for s in range(pairs.size):
+            mine = us // n == s
+            ends = zip(*np.sort([us[mine] - s * n, vs[mine] - s * n], axis=0).tolist())
+            got.append(sorted(ends))
+        ids += pairs.tolist()
+    assert ids == list(range(len(seeds) * k))
     assert got == want
 
 
 def test_er_stability_passes_cap_the_union_graph():
-    """At n = 20,000 the pass budget leaves one copy a union: 5.3 MiB traced
-    here, where one union of all 200 inner copies traces about 475 MiB."""
+    """At n = 20,000 the pass budget leaves one copy a union: 2.2 MiB traced
+    here, where a union of all 200 inner copies would hold 200 copies of
+    the graph's edges before the cut."""
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(20_000, 2.0), trials=3,
                          inner_trials=200, seed=47)
     estimate_stability(replace(cfg, host=ErdosRenyiHost(200, 2.0), trials=4, inner_trials=2))
@@ -747,7 +799,7 @@ def test_er_stability_passes_equal_the_state_rng_reference(monkeypatch, f, block
 def test_er_stability_block_holds_bounded_memory():
     """Two passes of 81 outer trials at n = 200 with 400 inner trials: a
     pass hashes the seeds of all its accepted trials' copies at once, but
-    builds each copy's generator only when the copy is drawn.  About 5 MiB
+    builds each copy's generator only when the copy is drawn.  About 2.2 MiB
     traced here; building every generator of a pass up front holds some
     fifteen thousand of them, and passes 8 MiB."""
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(200, 2.0), trials=162,
@@ -761,6 +813,43 @@ def test_er_stability_block_holds_bounded_memory():
         tracemalloc.stop()
     assert est.accepted > 60
     assert peak < 8 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_config_stability_holds_bounded_memory():
+    """At n = 10^5 a pass holds one outer trial: its graph's half-edge
+    permutation and edge arrays, about 7.5 MiB traced here, and the 200
+    inner copies are tiles of the root's cut ball, not of the graph."""
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ConfigModelHost(100_000, 3), trials=4,
+                         inner_trials=200, seed=49)
+    estimate_stability(replace(cfg, host=ConfigModelHost(200, 3), inner_trials=2))
+    tracemalloc.start()
+    try:
+        est = estimate_stability(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.accepted > 0
+    assert peak < 12 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_graph_host_stability_imports_no_masked_arrays():
+    # np.unique's first call imports numpy.ma, about 1.2 MB of resident
+    # memory; a fresh interpreter shows whether the run path reaches it
+    script = (
+        "import sys\n"
+        "from localis.coupling import CouplingConfig, estimate_stability\n"
+        "from localis.factors import lauer_wormald, threshold_factor\n"
+        "from localis.graphs import ConfigModelHost, ErdosRenyiHost\n"
+        "for host in (ConfigModelHost(300, 3), ErdosRenyiHost(200, 2.0)):\n"
+        "    for f in (threshold_factor(), lauer_wormald(0.3, 2)):\n"
+        "        estimate_stability(CouplingConfig(p=0.5, k=2, factor=f, host=host,\n"
+        "                                          trials=30, inner_trials=5))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coupling.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

@@ -16,6 +16,7 @@ from localis.graphs import (
     PGWTreeHost,
     RegularTreeHost,
     TreeLabels,
+    ball_cut,
     ball_is_tree,
     bernoulli_pairs,
     er_edge_arrays,
@@ -30,7 +31,13 @@ from localis.graphs import (
 )
 from localis import graphs
 from localis.coupling import er_resample_graphs
-from localis.factors import TreeBlock, constant_factor, threshold_factor
+from localis.factors import (
+    TreeBlock,
+    constant_factor,
+    graph_bits_at,
+    lauer_wormald,
+    threshold_factor,
+)
 from localis.pgw_transfer import edge_removal_stage, filling_out_stage
 
 from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state, uniform_labels
@@ -1034,6 +1041,38 @@ def test_tree_ball_mask_equals_the_per_vertex_mask_on_config_graphs(graph):
         ref = ~non_tree_ball_mask(fresh(), radius)
         assert np.array_equal(tree_ball_mask(fresh(), radius), ref), radius
         assert np.array_equal(tree_ball_mask(fresh(), radius, at), ref[at]), radius
+
+
+@st.composite
+def rooted_multigraphs(draw):
+    """Multigraphs with loops and parallel edges on up to 30 vertices, a
+    list of roots (repeats allowed) and labels: uniform 64-bit labels, or
+    four values, so that ties break by vertex id."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    edges = np.array(draw(st.lists(st.tuples(ends, ends), max_size=2 * n)), dtype=np.int64)
+    roots = np.array(draw(st.lists(ends, min_size=1, max_size=5)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=1 << 32)))
+    if draw(st.booleans()):
+        labels = uniform_labels(rng, n)
+    else:
+        labels = rng.integers(0, 4, size=n).astype(np.uint64) << np.uint64(62)
+    return n, edges.reshape(-1, 2), roots, labels
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph=rooted_multigraphs())
+def test_the_ball_cut_keeps_the_bits_at_its_roots(graph):
+    # the rule and the tree-ball mask at a root read only incidences of
+    # vertices within f.radius + 1 of it, all of which the cut keeps
+    n, edges, roots, labels = graph
+    g = MultiGraph(n, edges)
+    for f in (threshold_factor(), lauer_wormald(0.3, 2), constant_factor(1)):
+        kept, at, us, vs = ball_cut(edges[:, 0], edges[:, 1], roots, n, f.radius + 1)
+        assert np.array_equal(kept, np.sort(kept)) and np.array_equal(kept[at], roots)
+        cut = MultiGraph(kept.size, np.stack([us, vs], axis=1))
+        want = graph_bits_at(f, g, labels, roots)
+        assert np.array_equal(graph_bits_at(f, cut, labels[kept], at), want), f.kind
 
 
 @pytest.mark.parametrize("radius", [2, 3, 5, 8])

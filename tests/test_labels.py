@@ -1,8 +1,9 @@
 """Law gate for the coupled labels of graph-host trials.
 
 Graph vertices take their labels, their S-membership and their fresh copies
-from per-vertex folds (rng.CoupledLabels over coupling.vertex_states, and
-rng.coupled_label for single vertices), the rule tree nodes use.  Each check
+from per-vertex folds (rng.CoupledLabels over coupling.vertex_states), the
+rule tree nodes use; rng.coupled_label, its form for one node, is checked
+equal to it.  Each check
 here compares what the program draws with a value computed without its
 construction: exact binomial tails, the geometric law of first-success
 rounds, and on a fixed graph the threshold factor's exact conditional
@@ -56,16 +57,10 @@ N, TRIALS = 1000, 200  # vertices and trials behind the label-law checks
 def apply_mutant(monkeypatch, mutant):
     """Install the named mutant of the label rule for the rest of the test."""
     if mutant == "copy0":
-
-        def copy0(state, copy, cut, memo):
-            return coupled_label(state, 0, cut, memo)
-
         monkeypatch.setattr(CoupledLabels, "__call__", lambda self, copy=0, at=...: self.x0[at])
-        monkeypatch.setattr(coupling, "coupled_label", copy0)
     elif mutant in ("cut", "all_s"):
         cut = (lambda p: int(1.2 * percolation_cut(p))) if mutant == "cut" else (lambda p: 1 << 64)
         monkeypatch.setattr(rng, "percolation_cut", cut)
-        monkeypatch.setattr(coupling, "percolation_cut", cut)
 
 
 def trial_labels(p: float, trials: int = TRIALS) -> list:
@@ -156,12 +151,14 @@ def tree_ball_weights(g: MultiGraph) -> np.ndarray:
 
 @pytest.fixture
 def fixed_graph(monkeypatch):
-    """Every sampler call of cli and coupling returns the graph given."""
+    """Every sampler call of cli and coupling returns the graph given, and
+    every per-trial edge draw of graph-host stability its edges."""
 
     def fix(g: MultiGraph):
         for name in ("sample_config_model", "sample_er"):
             monkeypatch.setattr(cli, name, lambda *args: g)
         monkeypatch.setattr(coupling, "_sample_graph", lambda host, state: g)
+        monkeypatch.setattr(coupling, "_edge_arrays", lambda host, rng: tuple(g.edge_array.T))
 
     return fix
 

@@ -72,11 +72,21 @@ ALLOWED = {
     "pgw_transfer.FilledForest.ball_view": "test reference",
     "pgw_transfer.FilledForest._neighbors": "test reference",
     "factors._project_bits": "test reference",
-    # the LW view rule and its scalar rounds: the reference of the array and
-    # graph forms; of the commands, only configuration-model stability with LW
-    # reads a ball by it, and no run here makes that pair
+    # the view protocol, which no command runs since graph-host stability
+    # reads cut graphs: each factor's view rule, the reference of its array
+    # and graph forms, and the materialised balls and scalar labels it reads
     "factors._lw_rule.rule": "test reference",
     "rng.first_success_round": "test reference",
+    "factors._threshold_rule": "test reference",
+    "factors.apply_factor": "benchmark binding",
+    "graphs.neighborhood": "benchmark binding",
+    "graphs.ball_is_tree": "benchmark binding",  # and the reference of tree_ball_mask
+    "graphs._Incidences.__missing__": "test reference",  # adj, read by the BFS references
+    "graphs.RootedNeighborhood.label": "test reference",
+    "graphs.RootedNeighborhood.neighbors": "test reference",
+    "graphs.RootedNeighborhood.order_key": "test reference",
+    "graphs.RootedNeighborhood.with_labels": "test reference",
+    "rng.coupled_label": "test reference",  # CoupledLabels for one node, read by TreeLabels
     "factors.IndependentSetSample.members": "test reference",
     "factors.IndependentSetSample.violations": "test reference",
     "graphs.MultiGraph.read_all": "test reference",
