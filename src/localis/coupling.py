@@ -13,33 +13,35 @@ Every host labels its nodes by the one rule of rng (CoupledLabels): copy i
 of a node is a function of its state, the copies are 1..k, and stability's
 inner trial j is copy j.  A tree node's state comes from its lazy tree;
 vertex v of a graph-host trial of state st has the state fold(fold(st, 2),
-v) (vertex_states).  The trial's graph g is drawn from fold(st, 1), the
-stability root from fold(st, 4), and copy j's graph is defined once, by
-copy_graphs: g on the configuration model, and on the Erdos-Renyi host g
-with SxS redrawn from fold(st, 3).
+v) (vertex_states).  The trial's graph g is keyed by fold(st, 1), the
+stability root is fold(st, 4) * n >> 64, and copy j's graph is g on the
+configuration model and, on the Erdos-Renyi host, g with the pairs inside
+SxS drawn afresh, keyed by fold(st, 3).
 
 On tree hosts every copy is evaluated by factors.TreeBlock over a block of
 trials: the stability takes copy 0 of the block's outer trials, then the
 inner copies 1..J of its accepted trials, parallel.BLOCK copies a call, so
 the bits it holds stay bounded at any inner trial count.  On graph hosts
-the intersections read copies 1..k one at a time, holding one copy graph,
-and keep a running intersection over the whole graph, each copy projected
-by one factors.graph_bits call (the tree-ball mask walked from the rule's
-1-bits, at most once per vertex of a copy graph, which keeps what it
-walked).  Stability needs the root's bit alone, and the rule and the mask
-at a root read only the incidences of vertices within radius + 1 of it.  So
-on both graph hosts it is one block function (_graph_stability_pass): the
-outer trials run in passes of at most max(1, PASS_PAIRS // n), whose graphs
-are drawn as edge arrays and stacked, cut to the roots' neighbourhoods
-(graphs.ball_cut), and read at the roots, copy 0 by one
-factors.graph_bits_at call.  The copies of the accepted trials are read the
-same way, at most PASS_PAIRS vertices a union of copies: on the
-configuration model the accepted roots' cut balls of g, tiled once a copy;
-on the Erdos-Renyi host each copy's graph (g's edges outside SxS and its
-own SxS pairs), packed across trials (er_copy_packs) and cut to the
-copies' roots.  The generators of a pass's graphs and of its copies' SxS
-redraws are hashed by one rng.state_rngs call each, with the streams of
-one state_rng per state.
+the intersections draw whole graphs (sample_config_model, sample_er, and
+per copy copy_graphs: g, or er_resample_graphs from fold(st, 3)), read
+copies 1..k one at a time, holding one copy graph, and keep a running
+intersection over the whole graph, each copy projected by one
+factors.graph_bits call (the tree-ball mask walked from the rule's 1-bits,
+at most once per vertex of a copy graph, which keeps what it walked).
+Stability needs the root's bit alone, and the rule and the mask at a root
+read only the incidences of vertices within radius + 1 of it.  So on both
+graph hosts it draws nothing else (_graph_stability_pass): a pass of outer
+trials explores each trial's graph from its root out to radius + 1, a level
+at a time (graphs.ConfigExploration pairs the half-edges of the vertices
+reached, graphs.ErExploration draws their Erdos-Renyi pairs, by counters
+keyed by fold(st, 1)), and reads copy 0 at the roots of the explored balls
+by one factors.graph_bits_at call.  The copies of the accepted trials are
+read the same way, about PASS_PAIRS vertices a union of copies: on the
+configuration model the accepted roots' balls of g, tiled once a copy; on
+the Erdos-Renyi host the copies explored too (_ErCopies), all k of a trial
+level by level together, their pairs outside SxS read from g, which reveals
+further vertices as the copies reach them, and their pairs inside SxS
+drawn afresh.  No stability trial costs O(n).
 """
 
 from __future__ import annotations
@@ -52,29 +54,31 @@ import numpy as np
 
 from .factors import PASS_PAIRS, Factor, TreeBlock, graph_bits, graph_bits_at
 from .graphs import (
+    ConfigExploration,
     ConfigModelHost,
     ErdosRenyiHost,
+    ErExploration,
+    Exploration,
     MultiGraph,
-    ball_cut,
     bernoulli_pairs,
-    bernoulli_positions,
-    er_edge_arrays,
+    bernoulli_reveal,
     er_multigraph,
     incidence_arrays,
+    members,
     neighborhood,  # unused here; benchmarks/test_bench.py reads this binding
     sample_config_model,
     sample_er,
-    triangle_pairs,
+    sorted_set,
 )
 from .parallel import BLOCK, mean_stderr, per_trial, run_trials
 from .profiles import binom_sum
 from .rng import (
     CoupledLabels,
-    StateRngs,
+    below,
     fold,
     fold_np,
+    percolated,
     state_rng,
-    state_rngs,
     trial_state,
     trial_state_np,
 )
@@ -198,26 +202,6 @@ def _sample_graph(host, state: int) -> MultiGraph:
     return sample_er(host.n, host.lam, state)
 
 
-def _outside(edges: tuple, S: np.ndarray, n: int) -> tuple:
-    """The edges (us, vs) of a graph on 0..n-1 not inside SxS, as arrays
-    (us, vs), in their order."""
-    in_s = np.zeros(n, dtype=bool)
-    in_s[S] = True
-    us, vs = edges
-    keep = ~(in_s[us] & in_s[vs])
-    return us[keep], vs[keep]
-
-
-def copy_rngs(seeds, k: int) -> StateRngs:
-    """The generators of the SxS redraws of copies 1..k of the Erdos-Renyi
-    trials whose copies are seeded by `seeds` (fold(st, 3) for the trial of
-    state st), an int or a uint64 array: entry j * k + i, copy i + 1 of
-    seeds[j], is state_rng(fold(trial_state(seeds[j], 0x5E5A), i)), all
-    hashed by one state_rngs call."""
-    streams = trial_state_np(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1), 0x5E5A)
-    return state_rngs(fold_np(streams, np.arange(k, dtype=np.uint64)))
-
-
 def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
     """Yield k copies of g with the induced subgraph on S independently
     resampled, one per step, so a caller holds only the copy it reads.
@@ -226,57 +210,22 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
     within SxS are re-drawn independently per copy with probability lam/n,
     so each copy is again Erdos-Renyi(n, lam/n) marginally.  Copy i + 1
     draws its pairs of the sorted S by one bernoulli_pairs call on
-    state_rng(fold(trial_state(seed, 0x5E5A), i)), the stream of
-    copy_rngs(seed, k)[i], seeded when the copy is drawn, and lists its
-    edges sorted.
+    state_rng(fold(trial_state(seed, 0x5E5A), i)), seeded when the copy is
+    drawn, and lists its edges sorted.
     """
     S = np.sort(np.asarray(S, dtype=np.int64))
     n = g.n
-    us, vs = _outside(g.edge_array.T, S, n)
-    kept = us * n + vs  # edge (u, v) as u * n + v
+    in_s = np.zeros(n, dtype=bool)
+    in_s[S] = True
+    us, vs = g.edge_array.T
+    outside = ~(in_s[us] & in_s[vs])
+    kept = us[outside] * n + vs[outside]  # edge (u, v) as u * n + v
     streams = trial_state(seed, 0x5E5A)
     for i in range(k):
         a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, lam / n)
         merged = np.concatenate((kept, S[a] * n + S[b]))
         merged.sort()
         yield er_multigraph(n, lam, *np.divmod(merged, n))
-
-
-def er_copy_packs(n: int, lam: float, outside: list, S: list, rngs: StateRngs):
-    """The copies of Erdos-Renyi trials j = 0..J-1 on 0..n-1, packed across
-    trials into disjoint unions of at most max(1, PASS_PAIRS // n) copies
-    each, so a caller holds O(n + PASS_PAIRS) vertices at any copy count.
-    Trial j has the edges outside[j], (us, vs), of its graph g outside
-    S[j] x S[j], S[j] sorted, and rngs holds k = len(rngs) // J generators
-    a trial: copy i + 1 of trial j draws its SxS pairs from rngs[j * k + i].
-    With rngs = copy_rngs(seeds, k) and outside[j] = _outside(edges of g,
-    S[j], n) the copies of trial j are those of er_resample_graphs(g, S[j],
-    lam, k, seeds[j]).  Yields (pairs, us, vs): the flat ids j * k + i of
-    the union's copies, increasing, and the union's edges, the vertex v of
-    copy pairs[s] at s * n + v: the copy's edges outside SxS and its drawn
-    pairs (bernoulli_positions), unsorted, each trial's pairs in the union
-    decoded by one triangle_pairs call.  A vertex's id in the union keeps
-    the order of its ids in the copy, so the union's rule bits and
-    tree-ball bits are its copies'.  With fewer than 2 vertices in S[j] no
-    pair is redrawn and every copy of trial j is g.
-    """
-    k, q, width = len(rngs) // len(S), lam / n, max(1, PASS_PAIRS // n)
-    for lo in range(0, len(rngs), width):
-        hi = min(len(rngs), lo + width)
-        heads, tails = [], []
-        for j in range(lo // k, (hi - 1) // k + 1):  # the trials of the union's copies
-            mine = range(max(lo, j * k), min(hi, (j + 1) * k))
-            shift = n * np.arange(mine.start - lo, mine.stop - lo)
-            us, vs = outside[j]
-            heads.append((us + shift[:, None]).ravel())
-            tails.append((vs + shift[:, None]).ravel())
-            if S[j].size > 1:
-                flat = [bernoulli_positions(rngs[i], S[j].size, q) for i in mine]
-                a, b = triangle_pairs(S[j].size, np.concatenate(flat))
-                at = np.repeat(shift, [x.size for x in flat])
-                heads.append(S[j][a] + at)
-                tails.append(S[j][b] + at)
-        yield np.arange(lo, hi), np.concatenate(heads), np.concatenate(tails)
 
 
 def vertex_states(st, n: int) -> np.ndarray:
@@ -374,15 +323,13 @@ def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
     Erdos-Renyi host, edges inside SxS) inner_trials times; the inner success
     fraction is one Q sample.  The moments m = 0..k-1 are jackknife-corrected.
 
-    On graph hosts a trial draws the graph sample_config_model or sample_er
-    draws, and inner trial j takes copy j, as coupled_graph_intersections
-    and coupled_er_intersections do: the projection bit at the root of copy
-    j's labels on copy j's graph.  The bits are read in passes of outer
-    trials on their graphs cut to the roots' neighbourhoods
-    (_graph_stability_pass), which hold at most max(n, PASS_PAIRS) vertices'
-    edges, and a copy's generator is built only when its pairs are drawn,
-    so memory stays O(n + PASS_PAIRS) plus the copies' seed words at any
-    inner trial count.
+    On graph hosts inner trial j takes copy j, and the bits are the
+    projection bits at the root of copy j's labels on copy j's graph, as in
+    coupled_graph_intersections and coupled_er_intersections, of the same
+    laws: a pass of outer trials explores each trial's graph, and each
+    Erdos-Renyi copy, from the root out to f.radius + 1 alone
+    (_graph_stability_pass), so a trial costs the same at any n, and a union
+    of copies holds about PASS_PAIRS vertices at any inner trial count.
 
     Raises ConditioningError when no outer trial is accepted.
     """
@@ -424,8 +371,12 @@ def _stability_trial_fn(cfg: CouplingConfig):
 
         return block
 
+    # outer trials a pass: about PASS_PAIRS vertices of explored balls, at
+    # most 1 + D + ... + D^(radius + 1) a ball for degree D
+    ball = min(host.n, sum(math.ceil(host.degree) ** i for i in range(f.radius + 2)))
+    width = max(1, PASS_PAIRS // ball)
+
     def graph_block(lo: int, hi: int):
-        width = max(1, PASS_PAIRS // host.n)  # outer trials a pass
         return np.concatenate([
             _graph_stability_pass(cfg, trial_state_np(cfg.seed, np.arange(a, min(hi, a + width))))
             for a in range(lo, hi, width)
@@ -434,15 +385,12 @@ def _stability_trial_fn(cfg: CouplingConfig):
     return graph_block
 
 
-def _edge_arrays(host, rng) -> tuple:
-    """The edges (us, vs) of the graph _sample_graph(host, state) draws,
-    given rng = state_rng(state), in another order: on the configuration
-    model the vertices of the half-edges 2i and 2i + 1 of the drawn
-    permutation, edge i; on the Erdos-Renyi host er_edge_arrays."""
+def _graphs(host, st: np.ndarray) -> Exploration:
+    """The graphs g of the graph-host trials of states st, one a group,
+    drawn on demand from the keys fold(st, 1): trial t's is group t."""
     if isinstance(host, ConfigModelHost):
-        ends = rng.permutation(host.n * host.d) // host.d
-        return ends[0::2], ends[1::2]
-    return er_edge_arrays(host.n, host.lam, rng)
+        return ConfigExploration(host.n, host.d, fold_np(st, 1))
+    return ErExploration(host.n, host.lam, fold_np(st, 1))
 
 
 def _cut_graph(n: int, us: np.ndarray, vs: np.ndarray) -> MultiGraph:
@@ -451,54 +399,131 @@ def _cut_graph(n: int, us: np.ndarray, vs: np.ndarray) -> MultiGraph:
     return MultiGraph(n, start=start, nbr=nbr, eid=eid)
 
 
+class _ErCopies(Exploration):
+    """Copies 1..k of Erdos-Renyi trials, explored like their graph g (an
+    ErExploration): copy j of trial t is group c = i * k + j - 1 for
+    t = trials[i], a group of g.
+    Vertex v of trial t has the state fold(key[t], v) and is in S at density
+    p (rng.percolated).  A pair with an end outside S is g's, and g reveals
+    the vertices a batch of copies reaches that it has not revealed, as one
+    batch, before the copies do; a pair inside SxS is the copy's own, drawn
+    when the copy reveals its first end, as bernoulli_reveal draws over all
+    the vertices the copy has not revealed, from the stream fold(keys[c],
+    v), and kept when its other end is in S.  Revealing all k copies of a
+    trial together fixes the order in which g reveals its vertices for the
+    trial, whatever other trials share the batch.  At p = 1 no pair is g's,
+    and g is not read.  g's reveal and the copies' SxS draws share one
+    bernoulli_reveal call a level, the copies' groups numbered after g's."""
+
+    def __init__(self, g: ErExploration, trials: np.ndarray, k: int, key: np.ndarray, p: float,
+                 keys: np.ndarray, q: float):
+        super().__init__(g.n)
+        self.g, self.trials, self.k, self.key, self.p, self.keys, self.q = (
+            g, trials, k, key, p, keys, q)
+        self._reached = None  # (sorted keys, in S) of the vertices the last batch reached
+
+    def _in_s(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return percolated(fold_np(self.key[t], v), self.p)
+
+    def _draw(self, batch: np.ndarray, prior: np.ndarray) -> tuple:
+        n, g = self.n, self.g
+        c, v = np.divmod(batch, n)
+        t = self.trials[c // self.k]
+        if self._reached is None:  # the roots
+            in_s = self._in_s(t, v)
+        else:  # a level explore() takes from the vertices the last batch reached
+            keys, flags = self._reached
+            in_s = flags[keys.searchsorted(batch)]
+        drawers = np.flatnonzero(in_s)
+        need = sorted_set(t * n + v) if self.p < 1.0 else batch[:0]  # at p = 1 all is SxS
+        need = need[~members(g.revealed, need)]
+        g.revealed = np.sort(np.concatenate((g.revealed, need)))
+        shift = g.keys.size * n  # the copies' groups after g's
+        i, ends = bernoulli_reveal(
+            np.concatenate((g.streams(need), fold_np(self.keys[c[drawers]], v[drawers]))),
+            np.concatenate((need, batch + shift)),
+            np.concatenate((np.arange(need.size), need.size + drawers)),
+            np.concatenate((g.revealed, self.revealed + shift)), n, self.q)
+        mine = i >= need.size
+        g.add(need[i[~mine]], ends[~mine])
+        j, fresh = drawers[i[mine] - need.size], ends[mine] - shift
+        i, ends = g.neighbours(t * n + v) if self.p < 1.0 else (batch[:0], batch[:0])
+        ends += (c[i] - t[i]) * n  # as keys of the copy
+        s_ends = self._in_s(np.concatenate((t[i], t[j])), np.concatenate((ends, fresh)) % n)
+        own = s_ends[i.size:]
+        # g's pairs outside SxS, each from the end the copy reveals first
+        keep = ~(in_s[i] & s_ends[: i.size])
+        keep &= ~members(prior, ends) & ~(members(batch, ends) & (ends < batch[i]))
+        fresh = fresh[own]
+        tails = np.concatenate((ends[keep], fresh))
+        flags = np.concatenate((s_ends[: i.size][keep], np.ones(fresh.size, dtype=bool)))
+        order = tails.argsort()
+        self._reached = tails[order], flags[order]
+        return np.concatenate((batch[i[keep]], batch[j[own]])), tails
+
+
+def _union_parts(trials: np.ndarray, sizes: np.ndarray) -> list:
+    """The trials cut, in order, into parts whose sizes add up to about
+    PASS_PAIRS: a part starts where the sizes before it pass a multiple of
+    PASS_PAIRS, so it holds at most PASS_PAIRS plus one trial's size."""
+    unions = (np.cumsum(sizes) - sizes) // PASS_PAIRS
+    return np.split(trials, np.flatnonzero(np.diff(unions)) + 1)
+
+
 def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
     """The stability rows of the graph-host trials of states st, read from
-    the roots' neighbourhoods alone.  Trial t's graph is drawn from
-    fold(st[t], 1) (_edge_arrays), the pass's graphs stacked into one, trial
-    t's vertex v at t * n + v, and cut to the edges with an end within
-    f.radius + 1 of a root (graphs.ball_cut): the rule's bit and the
-    tree-ball mask at a root read no other incidence, so the cut graph's
-    bits at the roots are the whole graph's.  Copy 0 is read at the roots
-    by one graph_bits_at call, labelled at the kept vertices alone.  The
-    accepted trials' copies are read the same way, a union of copies at a
-    time: on the configuration model every copy's graph is g, so the
-    accepted roots' cut balls are tiled once a copy; on the Erdos-Renyi host
-    the copies are packed across trials by er_copy_packs, seeded by one
-    copy_rngs call, and each union is cut to its copies' roots."""
+    the roots' neighbourhoods alone.  Trial t's graph g is explored from its
+    root, fold(st[t], 4) * n >> 64, out to f.radius + 1 (_graphs: the
+    configuration model paired, the Erdos-Renyi graph drawn, a vertex at a
+    time): the rule's bit and the tree-ball mask at a root read nothing
+    outside its ball of that radius, so the bits at the roots of the
+    explored balls (Exploration.cut), as one graph with its vertices
+    renumbered in (trial, vertex id) order, are the whole graph's.  Copy 0 is read at the roots by one graph_bits_at call,
+    labelled at the explored vertices alone.  The accepted trials' copies
+    are read the same way, a union of copies a call: on the configuration
+    model every copy's graph is g, so the accepted roots' balls are tiled
+    once a copy; on the Erdos-Renyi host the copies are explored too
+    (_ErCopies), all k copies of an accepted trial in one union, the trials
+    taken in order while their copies' balls hold about PASS_PAIRS
+    vertices."""
     f, host, n, k = cfg.factor, cfg.host, cfg.host.n, cfg.inner_trials
     hops = f.radius + 1
-    at = n * np.arange(st.size)  # trial t's vertex 0
-    roots = np.array([s * n >> 64 for s in fold_np(st, 4).tolist()])  # up to a bias of n / 2^64
-    edges = [_edge_arrays(host, rng) for rng in state_rngs(fold_np(st, 1))]
-    shift = np.repeat(at, [us.size for us, _ in edges])
-    kept, cut_roots, us, vs = ball_cut(
-        *(np.concatenate(ends) + shift for ends in zip(*edges)), roots + at, n * st.size, hops
-    )
     key = fold_np(st, 2)  # vertex v of trial t has the state fold(key[t], v)
+    roots = np.arange(st.size) * n + below(fold_np(st, 4), n)
+    g = _graphs(host, st)
+    g.explore(roots, hops)
+    kept, us, vs, at = g.cut(roots)
     labels = CoupledLabels(fold_np(key[kept // n], kept % n), cfg.p)
-    acc = np.flatnonzero(graph_bits_at(f, _cut_graph(kept.size, us, vs), labels(0), cut_roots))
+    acc = np.flatnonzero(graph_bits_at(f, _cut_graph(kept.size, us, vs), labels(0), at))
     rows = np.tile([0.0, -1.0], (st.size, 1))
     rows[acc] = 1.0, 0.0
     if not acc.size:
         return rows
+    if cfg.p == 0.0:  # S is empty: every copy is copy 0
+        rows[acc, 1] = k
+        return rows
     # inner trial j takes copy j, a union of copies a graph_bits_at call
     if isinstance(host, ErdosRenyiHost):
-        coupled = CoupledLabels(vertex_states(st[acc], n), cfg.p)  # of the accepted trials
-        S = [np.flatnonzero(in_s) for in_s in coupled.in_s]
-        outside = [_outside(edges[t], S_j, n) for t, S_j in zip(acc.tolist(), S)]
-        rngs = copy_rngs(fold_np(st[acc], 3), k)
-        for pairs, us, vs in er_copy_packs(n, host.lam, outside, S, rngs):
-            j, i = np.divmod(pairs, k)  # copy i + 1 of accepted trial j
-            kept, union_roots, us, vs = ball_cut(
-                us, vs, roots[acc[j]] + n * np.arange(pairs.size), n * pairs.size, hops
-            )
-            slot, v = np.divmod(kept, n)
-            union_labels = coupled(i[slot].astype(np.uint64) + 1, (j[slot], v))
-            bits = graph_bits_at(f, _cut_graph(kept.size, us, vs), union_labels, union_roots)
-            rows[acc, 1] += np.bincount(j, weights=bits, minlength=acc.size)
+        sizes = k * (kept.searchsorted((acc + 1) * n) - kept.searchsorted(acc * n))
+        for part in _union_parts(acc, sizes):
+            streams = fold_np(fold_np(st[part], 3)[:, None], np.arange(1, k + 1, dtype=np.uint64))
+            copies = _ErCopies(g, part, k, key, cfg.p, streams.ravel(), host.lam / n)
+            copy_roots = np.arange(part.size * k) * n + np.repeat(roots[part] - part * n, k)
+            copies.explore(copy_roots, hops)
+            kept, us, vs, at = copies.cut(copy_roots)
+            c, v = np.divmod(kept, n)
+            union_labels = CoupledLabels(fold_np(key[part[c // k]], v), cfg.p)(
+                (c % k + 1).astype(np.uint64))
+            bits = graph_bits_at(f, _cut_graph(kept.size, us, vs), union_labels, at)
+            rows[part, 1] += np.count_nonzero(bits.reshape(part.size, k), axis=1)
         return rows
     # every copy's graph is g: the accepted roots' balls, tiled once a copy
-    ball, ball_roots, us, vs = ball_cut(us, vs, cut_roots[acc], kept.size, hops)
+    inside = np.zeros(st.size, dtype=bool)
+    inside[acc] = True
+    inside = inside[kept // n]
+    index = np.cumsum(inside) - 1
+    ball, ball_roots = np.flatnonzero(inside), index[at[acc]]
+    us, vs = index[us[inside[us]]], index[vs[inside[us]]]
     m = ball.size
     width = max(1, PASS_PAIRS // m)  # copies a union
     for lo in range(0, k, width):

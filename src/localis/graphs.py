@@ -1,8 +1,9 @@
 """Random structures and rooted neighbourhoods.
 
 Samplers for configuration-model multigraphs, Erdos-Renyi graphs, and
-truncated regular / Poisson-Galton-Watson trees, plus BFS extraction of
-rooted neighbourhoods and the tree-ball mask used by the tree-to-graph
+truncated regular / Poisson-Galton-Watson trees, explorations of the two
+random graphs around chosen vertices, plus BFS extraction of rooted
+neighbourhoods and the tree-ball mask used by the tree-to-graph
 projection.  tree_ball_mask finds whether the balls of a set of vertices
 (every vertex by default) are trees, all at once, by non-backtracking walks
 over the incidence arrays, one sort a level (each level's (owner, vertex)
@@ -14,24 +15,32 @@ per vertex, is its reference.
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays (a radix
 sort of the ends) from an edge list (explicit graphs, and through
-er_multigraph er_edge_arrays' graphs and Erdos-Renyi copies, and the cut
-graphs of stability) or straight from the
-configuration model's half-edge permutation.  Either way a graph
-costs O(n + edges) to draw: bernoulli_pairs, the one Erdos-Renyi pair draw
+er_multigraph er_edge_arrays' graphs and Erdos-Renyi copies, and the
+explored balls of stability) or straight from the configuration model's
+half-edge permutation.  Either way a whole graph costs O(n + edges) to
+draw: bernoulli_pairs, the one whole-graph Erdos-Renyi pair draw
 (er_edge_arrays and the copies' SxS redraw), draws a Binomial edge count
-and one uniform set of pair positions (bernoulli_positions), never one
-variate per absent pair, and decodes them into pairs (triangle_pairs), which
-a union of copies does once for all its copies.  The BFS
-(ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]` alone,
-and adj[u] is sorted from the arrays when u is first read; it is the tests'
-per-root reference.  Per-root work (graph-host stability) cuts an edge list
-to the roots' neighbourhoods first (ball_cut), boolean expansions over the
-edge arrays, and builds the small graph that remains.  Whole-graph work
-(the tree-ball mask, projection) reads the arrays directly, through
-`offsets`, `tail` and incidences(), which reads a configuration-model graph
-(`start` a range of step d) as d incidences a vertex, with no offsets; the
-tree-ball bits walked are kept in `balls`, filled in per vertex as adj[u]
-is.
+and one uniform set of pair positions, never one variate per absent pair,
+and decodes them into pairs (triangle_pairs).  The
+BFS (ball_is_tree, neighborhood) reads a graph through `n` and `adj[u]`
+alone, and adj[u] is sorted from the arrays when u is first read; it is the
+tests' per-root reference.  Whole-graph work (the tree-ball mask,
+projection) reads the arrays directly, through `offsets`, `tail` and
+incidences(), which reads a configuration-model graph (`start` a range of
+step d) as d incidences a vertex, with no offsets; the tree-ball bits
+walked are kept in `balls`, filled in per vertex as adj[u] is.
+
+Per-root work (graph-host stability) draws no whole graph: an Exploration
+reveals a random graph a level of vertices at a time around chosen roots,
+many graphs at once (one a group), and draws a revealed vertex's edges
+from counter-based streams, so its cost is the size of the balls, not n.
+ConfigExploration pairs each half-edge of a revealed vertex with a uniform
+unpaired half-edge (proposals uniform over all n * d half-edges, redrawn
+when they name a paired one); ErExploration joins a revealed vertex to each
+vertex not revealed before it with probability lam/n, by geometric gaps
+(gap_positions) mapped past the revealed vertices by rank-select
+(bernoulli_reveal).  cut() gives the explored edges as a small graph whose
+vertex ids keep the order of the graphs' ids.
 
 A materialised rooted ball (RootedNeighborhood) is its sorted BFS-id
 adjacency, built directly by its constructor; its edge list is derived.
@@ -60,7 +69,9 @@ produce byte-identical structures under serialisation.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 from collections import deque
 from dataclasses import InitVar, dataclass, field, replace
 from typing import ClassVar, Sequence
@@ -72,9 +83,11 @@ from .rng import (
     LABEL_TAG,
     OFFSPRING_TAG,
     POISSON_LAM_MAX,
+    below,
     coupled_label,
     fold,
     fold_np,
+    fold_range,
     label_unit,
     percolation_cut,
     poisson_from_unit,
@@ -363,26 +376,19 @@ def triangle_pairs(m: int, flat: np.ndarray) -> tuple:
 
 def bernoulli_pairs(rng, m: int, q: float) -> tuple:
     """The pairs (a, b), a < b < m, each present independently with
-    probability q, as int64 arrays (a, b) in triangle_pairs order: the
-    decode (triangle_pairs) of the draw (bernoulli_positions)."""
-    return triangle_pairs(m, bernoulli_positions(rng, m, q))
-
-
-def bernoulli_positions(rng, m: int, q: float) -> np.ndarray:
-    """The triangle_pairs positions of the pairs bernoulli_pairs(rng, m, q)
-    draws, sorted.
+    probability q, as int64 arrays (a, b) in triangle_pairs order.
 
     Two draws from `rng` and no pass over the absent pairs: the number of
     present pairs is Binomial(C(m, 2), q), and given that number the set of
     their positions is uniform, which is the law of one Bernoulli(q) per
-    pair.  Time and memory are O(pairs drawn): rng.choice holds a table of
-    all C(m, 2) positions only when it draws more than a twentieth of them
-    (or there are at most 10^4).
+    pair; triangle_pairs decodes the sorted positions.  Time and memory are
+    O(pairs drawn): rng.choice holds a table of all C(m, 2) positions only
+    when it draws more than a twentieth of them (or there are at most 10^4).
     """
     total = m * (m - 1) // 2
     flat = rng.choice(total, rng.binomial(total, q), replace=False, shuffle=False)
     flat.sort()
-    return flat
+    return triangle_pairs(m, flat)
 
 
 def er_edge_arrays(n: int, lam: float, seed) -> tuple:
@@ -635,21 +641,253 @@ def tree_ball_mask(g: MultiGraph, radius: int, at=None) -> np.ndarray:
     return out
 
 
-def ball_cut(us: np.ndarray, vs: np.ndarray, roots: np.ndarray, n: int, radius: int) -> tuple:
-    """The edges us[i] - vs[i] of a graph on 0..n-1 that have an end within
-    distance `radius` of a root, as (kept, roots, us, vs): `kept` the
-    vertices within radius + 1 of a root, increasing, and the roots and the
-    kept edges' ends as indices into it, so every vertex within `radius`
-    keeps all its incidences and the relabelled ids keep the order of the
-    old.  radius + 1 expansions over the edge arrays, O(radius * edges)."""
-    near = np.zeros(n, dtype=bool)
-    near[roots] = True
-    for _ in range(radius + 1):
-        keep = near[us] | near[vs]
-        near[us[keep]] = True
-        near[vs[keep]] = True
-    index = np.cumsum(near) - 1
-    return np.flatnonzero(near), index[roots], index[us[keep]], index[vs[keep]]
+# ---------------------------------------------------------------------------
+# Exploration: random graphs drawn around chosen vertices
+# ---------------------------------------------------------------------------
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def sorted_set(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, sorted: np.unique, whose first
+    call imports numpy.ma, by a sort and a compare."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+
+
+def members(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of `keys` is in the sorted int array sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[at] == keys
+
+
+class Exploration:
+    """Random graphs on 0..n-1, one per group, drawn only around the vertices
+    asked for.  Vertex v of group g has the key g * n + v.  Revealing a
+    vertex draws the edges it has not been given yet, those to the vertices
+    of its group not revealed before it, so every pair is drawn at most once
+    and a revealed vertex's edges are all known.
+
+    reveal(batch) reveals a batch of vertices, given as sorted keys none of
+    them revealed, each group's in increasing order, and returns the new
+    edges as key arrays (heads, tails), heads[i] a vertex of the batch; a
+    subclass draws them by _draw(batch, prior), `prior` the keys revealed
+    before the batch and `revealed` already holding it.  `revealed` holds
+    the sorted keys of the revealed vertices and edges() every edge drawn,
+    once.  explore(roots, radius) reveals the balls of the roots level by
+    level, and cut(roots) gives the balls as a graph.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.revealed = _EMPTY
+        self._heads, self._tails = [], []
+        self._index = (0, _EMPTY, _EMPTY)  # (edges, src, dst): each edge from both ends
+
+    def reveal(self, batch: np.ndarray) -> tuple:
+        if not batch.size:
+            return _EMPTY, _EMPTY
+        prior = self.revealed
+        self.revealed = np.sort(np.concatenate((prior, batch)))
+        return self.add(*self._draw(batch, prior))
+
+    def add(self, heads: np.ndarray, tails: np.ndarray) -> tuple:
+        """Record the edges a reveal drew."""
+        self._heads.append(heads)
+        self._tails.append(tails)
+        return heads, tails
+
+    def edges(self) -> tuple:
+        """(heads, tails): every edge drawn, once, in the order drawn."""
+        if len(self._heads) != 1:
+            self._heads = [np.concatenate([_EMPTY, *self._heads])]
+            self._tails = [np.concatenate([_EMPTY, *self._tails])]
+        return self._heads[0], self._tails[0]
+
+    def neighbours(self, keys: np.ndarray) -> tuple:
+        """(i, w): w[j] is a neighbour of keys[i[j]] by an edge drawn so far,
+        once per edge (a loop twice), grouped by i."""
+        heads, tails = self.edges()
+        if self._index[0] != heads.size:  # sort the incidences of every edge drawn
+            src = np.concatenate((heads, tails))
+            order = src.argsort()
+            self._index = (heads.size, src[order], np.concatenate((tails, heads))[order])
+        _, src, dst = self._index
+        lo = src.searchsorted(keys)
+        counts = src.searchsorted(keys, side="right") - lo
+        i = np.repeat(np.arange(keys.size), counts)
+        return i, dst[np.arange(i.size) + (lo - counts.cumsum() + counts)[i]]
+
+    def explore(self, roots: np.ndarray, radius: int) -> None:
+        """Reveal the vertices within `radius` of the roots (sorted keys, one
+        a group), a level at a time, each level in key order: then the edges
+        drawn are those with an end within `radius` of a root.  A vertex
+        not yet reached is joined to a level only by an edge the level's
+        reveal draws, and every vertex reached before is revealed."""
+        level = roots
+        for depth in range(radius + 1):
+            tails = self.reveal(level)[1]
+            if depth == radius:
+                break
+            level = sorted_set(tails)  # the vertices reached are revealed or new
+            level = level[~members(self.revealed, level)]
+
+    def cut(self, roots: np.ndarray) -> tuple:
+        """(kept, us, vs, at): the revealed vertices, as sorted keys, and the
+        edges drawn between two of them and the roots, as indices into
+        kept, so the renumbered ids keep the order of the keys.  After
+        explore(roots, radius) these are the roots' radius-balls, the
+        edges a tree-ball check at that radius reads."""
+        heads, tails = self.edges()
+        inside = members(self.revealed, tails)  # heads are revealed
+        kept = self.revealed
+        return (kept, kept.searchsorted(heads[inside]), kept.searchsorted(tails[inside]),
+                kept.searchsorted(roots))
+
+
+class ConfigExploration(Exploration):
+    """The configuration model on n vertices of degree d, one per group,
+    paired a half-edge at a time (Bollobas 1980; Wormald, "Models of random
+    regular graphs", 1999): half-edge h = v * d + s of group g has the key
+    g * n * d + h, the vertex key times d plus the slot.  Revealing a batch
+    pairs its vertices' unpaired half-edges in key order: half-edge x
+    proposes the half-edge below(fold(fold(keys[g], x), a), n * d) at its
+    attempt a = 0, 1, ..., and a proposal that names x itself or a half-edge
+    already paired is redrawn at x's next attempt.  So each accepted partner
+    is uniform over the unpaired half-edges, which is the law of a uniform
+    pairing, restricted to the vertices revealed.
+
+    The proposals go in rounds, one attempt of every half-edge left: a round
+    takes them in order, and a half-edge that an earlier proposal of the
+    round paired proposes nothing.  A round is resolved in steps: each
+    step takes, per group, the proposals before the first one that names a
+    half-edge an earlier proposal of the step names, which depend on each
+    other in no way (_independent); the rejected proposals go to the next
+    round in their order.
+    """
+
+    def __init__(self, n: int, d: int, keys: np.ndarray):
+        super().__init__(n)
+        self.d, self.keys = d, keys
+        self.paired = _EMPTY  # sorted keys of the paired half-edges
+
+    def _draw(self, batch: np.ndarray, prior: np.ndarray) -> tuple:
+        d, nd = self.d, self.n * self.d
+        half = (batch[:, None] * d + np.arange(d)).ravel()
+        half = half[~members(self.paired, half)]
+        streams = fold_np(self.keys[half // nd], half % nd)
+        heads, tails, attempt = [_EMPTY], [_EMPTY], 0
+        while half.size:
+            proposal = half - half % nd + below(fold_np(streams, attempt), nd)
+            rejected, left = [], np.arange(half.size)
+            while left.size:
+                now = _independent(half[left], proposal[left], half[left] // nd)
+                x, y, at = half[left[now]], proposal[left[now]], left[now]
+                live = ~members(self.paired, x)
+                bad = (y == x) | members(self.paired, y)
+                take = live & ~bad
+                self.paired = np.sort(np.concatenate((self.paired, x[take], y[take])))
+                heads.append(x[take] // d)
+                tails.append(y[take] // d)
+                rejected.append(at[live & bad])
+                left = left[~now]
+            redo = np.sort(np.concatenate(rejected))
+            half, streams, attempt = half[redo], streams[redo], attempt + 1
+        return np.concatenate(heads), np.concatenate(tails)
+
+
+def _independent(x: np.ndarray, y: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Which proposals (x[i], y[i]) of a list, sorted by group and taken in
+    order within each, come before the first of their group that names a
+    half-edge (as x or y) that an earlier proposal of the group names: those
+    read only the pairing as it was before the list."""
+    pos = np.arange(x.size)
+    keys, at = np.concatenate((x, y)), np.concatenate((pos, pos))
+    order = np.lexsort((at, keys))
+    keys, at = keys[order], at[order]
+    clash = np.sort(at[1:][(keys[1:] == keys[:-1]) & (at[1:] > at[:-1])])
+    first = np.append(clash, x.size)[np.searchsorted(clash, np.searchsorted(group, group))]
+    return pos < first
+
+
+class ErExploration(Exploration):
+    """G(n, lam/n), one per group (Karp 1990): revealing vertex v of group g
+    draws its edges to the vertices not revealed before it, each with
+    probability lam/n, from the stream fold(keys[g], v) (bernoulli_reveal)."""
+
+    def __init__(self, n: int, lam: float, keys: np.ndarray):
+        super().__init__(n)
+        self.q, self.keys = lam / n, keys
+
+    def streams(self, batch: np.ndarray) -> np.ndarray:
+        group = batch // self.n
+        return fold_np(self.keys[group], batch - group * self.n)
+
+    def _draw(self, batch: np.ndarray, prior: np.ndarray) -> tuple:
+        i, ends = bernoulli_reveal(self.streams(batch), batch, np.arange(batch.size),
+                                   self.revealed, self.n, self.q)
+        return batch[i], ends
+
+
+def bernoulli_reveal(streams, batch, at, closed, n: int, q: float) -> tuple:
+    """The edges the vertices batch[at] draw when a batch of vertices (sorted
+    keys, as in Exploration) is revealed, `closed` the sorted keys revealed
+    with the batch: vertex batch[at[i]] is joined to each vertex of its
+    group not revealed before it with probability q, independently.  Its
+    candidates are listed as the group's vertices not in closed, in id
+    order, then the batch's later vertices of its group; the positions drawn
+    in that list are geometric gaps from streams[i] (gap_positions), and a
+    position in the first part maps past closed by rank-select.  Returns
+    (i, ends): batch[at[i]] is joined to the vertex of key ends."""
+    base = batch[at] // n * n
+    lo = closed.searchsorted(base)
+    outside = n - (closed.searchsorted(base + n) - lo)
+    i, pos = gap_positions(streams, outside + batch.searchsorted(base + n) - at - 1, q)
+    rank, lo, base = pos - outside[i], lo[i], base[i]
+    # the j-th vertex of group g outside closed is g * n + j + #{r :
+    # closed[r] - r <= g * n + j - lo} - lo, lo the first index of group g
+    # in closed: closed[r] - r never decreases, every r of an earlier group
+    # meets the bound, and no r of a later one does while j < outside
+    free = base + pos + (closed - np.arange(closed.size)).searchsorted(base + pos - lo, "right") - lo
+    return i, np.where(rank < 0, free, batch.take(at[i] + 1 + rank, mode="clip"))
+
+
+def gap_positions(streams: np.ndarray, count: np.ndarray, q: float) -> tuple:
+    """(i, pos): the successes among the first count[i] of a sequence of
+    Bernoulli(q) trials for each stream i, as positions 0..count[i]-1, drawn
+    as geometric gaps: the c-th gap (failures before the next success) is
+    floor(log(u) / log1p(-q)) for u = ((fold(streams[i], c) >> 11) + 1) /
+    2^53 in (0, 1].  Blocks of gaps are drawn per stream until a position
+    passes its count."""
+    if q <= 0.0 or not count.size:
+        return _EMPTY, _EMPTY
+    if q >= 1.0:
+        i = np.repeat(np.arange(count.size), count)
+        return i, np.arange(i.size) - (count.cumsum() - count)[i]
+    log_fail = math.log1p(-q)
+    width = 4 + int(2.0 * q * count.max())
+    parts_i, parts_pos = [_EMPTY], [_EMPTY]
+    active = np.flatnonzero(count > 0)
+    last = np.full(active.size, -1.0)
+    for c in itertools.count(0, width):
+        if not active.size:
+            break
+        u = fold_range(streams[active], c, c + width)  # row r: gap c + r of each stream
+        pos = np.log(((u >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
+        pos /= log_fail
+        np.floor(pos, out=pos)
+        pos += 1.0
+        pos.cumsum(axis=0, out=pos)
+        pos += last
+        hit = pos < count[active]
+        gap, col = hit.nonzero()
+        parts_i.append(active[col])
+        parts_pos.append(pos[gap, col].astype(np.int64))
+        more = hit[-1]
+        active, last = active[more], pos[-1, more]
+    return np.concatenate(parts_i), np.concatenate(parts_pos)
 
 
 # ---------------------------------------------------------------------------

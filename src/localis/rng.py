@@ -11,7 +11,10 @@ must not grow the table without bound.
 
 fold_np and trial_state_np are their array forms over uint64 arrays, equal
 to the scalar functions element by element; the trial-batched tree paths
-fold whole blocks of trials with them.  A label's percolation round is
+fold whole blocks of trials with them.  fold_range folds each of a set of
+streams with a range of counters, and below(s, m) = s * m >> 64 maps a
+state to an integer below m: the graph explorations of graph-host
+stability draw from these counters alone.  A label's percolation round is
 defined by an integer table of round boundaries (round_bounds), which
 first_success_round and its array form first_success_rounds both search,
 so the two agree label for label by construction.  state_rngs is the
@@ -97,9 +100,7 @@ def state_rng(state: int) -> np.random.Generator:
     np.random.default_rng(state & MASK64) gives, built without its
     argument dispatch.  The Erdos-Renyi copies that er_resample_graphs
     yields one at a time draw from it; its array form state_rngs seeds the
-    graph-host stability graphs, the Erdos-Renyi stability copies and the
-    PGW transfer's trees.
-    No coupled label comes from either."""
+    PGW transfer's trees.  No coupled label comes from either."""
     return np.random.Generator(np.random.PCG64(state & MASK64))
 
 
@@ -310,7 +311,11 @@ _NP_M2 = np.uint64(0x94D049BB133111EB)
 
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """Vectorised SplitMix64 finalizer over a uint64 array."""
-    z = z.astype(np.uint64, copy=True)
+    return _mixed(z.astype(np.uint64, copy=True))
+
+
+def _mixed(z: np.ndarray) -> np.ndarray:
+    """mix64_np of a fresh uint64 array, which it overwrites."""
     z ^= z >> np.uint64(30)
     z *= _NP_M1
     z ^= z >> np.uint64(27)
@@ -329,8 +334,21 @@ def fold_np(state, data) -> np.ndarray:
     if isinstance(data, int):
         tag = np.uint64(_tag_mix(data))
     else:
-        tag = mix64_np(np.asarray(data, dtype=np.uint64) + _NP_GOLDEN)
-    return mix64_np(np.asarray(state, dtype=np.uint64) ^ tag)
+        tag = _mixed(np.asarray(data, dtype=np.uint64) + _NP_GOLDEN)
+    return _mixed(np.asarray(state, dtype=np.uint64) ^ tag)
+
+
+def fold_range(states: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """fold(s, c) for each s of a uint64 array and c = lo..hi-1, one row per
+    c; the tags of the range are mixed once and kept."""
+    return _mixed(_range_tags(lo, hi)[:, None] ^ states)
+
+
+@functools.lru_cache(maxsize=64)
+def _range_tags(lo: int, hi: int) -> np.ndarray:
+    tags = mix64_np(np.arange(lo, hi, dtype=np.uint64) + _NP_GOLDEN)
+    tags.flags.writeable = False
+    return tags
 
 
 def trial_state_np(seed, trials) -> np.ndarray:
@@ -354,15 +372,39 @@ class CoupledLabels:
         states = np.asarray(states, dtype=np.uint64)
         self.base = fold_np(states, LABEL_TAG)
         self.x0 = fold_np(self.base, 0)
-        cut = percolation_cut(p)
-        if cut == 0:
-            self.in_s = np.zeros(states.shape, dtype=bool)
-        elif cut > MASK64:  # p = 1: every node, and 2^64 fits no uint64
-            self.in_s = np.ones(states.shape, dtype=bool)
-        else:
-            self.in_s = fold_np(states, PERC_TAG) < np.uint64(cut)
+        self.in_s = percolated(states, p)
 
     def __call__(self, copy=0, at=Ellipsis) -> np.ndarray:
         if isinstance(copy, int) and copy == 0:
             return self.x0[at]
         return np.where(self.in_s[at], fold_np(self.base[at], copy), self.x0[at])
+
+
+def percolated(states, p: float) -> np.ndarray:
+    """Whether the nodes of these states are in S at density p:
+    fold(s, PERC_TAG) < percolation_cut(p), as a bool array."""
+    states = np.asarray(states, dtype=np.uint64)
+    cut = percolation_cut(p)
+    if cut == 0:
+        return np.zeros(states.shape, dtype=bool)
+    if cut > MASK64:  # p = 1: every node, and 2^64 fits no uint64
+        return np.ones(states.shape, dtype=bool)
+    return fold_np(states, PERC_TAG) < np.uint64(cut)
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def below(states, m: int) -> np.ndarray:
+    """s * m >> 64 for each s of a uint64 array, an int64 array of values
+    in 0..m-1: a uniform draw below m from a uniform 64-bit state, up to a
+    bias of m / 2^64.  In uint64 by 32-bit halves for m < 2^32, and one
+    Python product per state above."""
+    if not 0 < m < 1 << 63:
+        raise ValueError(f"need 0 < m < 2^63, got {m}")
+    if m >> 32:
+        return np.array([s * m >> 64 for s in np.asarray(states).tolist()], dtype=np.int64)
+    s, m = np.asarray(states, dtype=np.uint64), np.uint64(m)
+    low = ((s & _LOW32) * m) >> _SHIFT32
+    return (((s >> _SHIFT32) * m + low) >> _SHIFT32).astype(np.int64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from localis import factors, graphs
-from localis.graphs import bernoulli_pairs, sample_er, triangle_pairs
+from localis.graphs import Exploration, MultiGraph, bernoulli_pairs, sample_er, triangle_pairs
 from localis.profiles import independent_subsets
 
 
@@ -76,3 +76,25 @@ def mask_walks(monkeypatch) -> list:
     for module in (graphs, factors):
         monkeypatch.setattr(module, "tree_ball_mask", spy)
     return walks
+
+
+class GivenGraph(Exploration):
+    """The exploration of a given MultiGraph g in every group: revealing
+    vertex v of a group gives g's edges at v to the vertices not revealed
+    before it, each edge once (a loop once, parallel edges each)."""
+
+    def __init__(self, g: MultiGraph):
+        super().__init__(g.n)
+        self.g = g
+
+    def _draw(self, batch: np.ndarray, prior: np.ndarray) -> tuple:
+        n, before, heads, tails = self.n, set(prior.tolist()), [], []
+        for key in batch.tolist():
+            group, eids = key - key % n, set()
+            for w, eid in self.g.adj[key % n]:
+                if eid not in eids and group + w not in before:
+                    eids.add(eid)
+                    heads.append(key)
+                    tails.append(group + w)
+            before.add(key)
+        return np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)

@@ -19,8 +19,9 @@ read on demand, and the last five before the subset-lattice transforms of
 the profile calculus were vectorised: the entropy bound report (with its
 exact-count self-test) at k = 3 and k = 5, the exact-count oracle check, an
 Erdos-Renyi scan at k = 4 (profile rows over 16 copy subsets), and LW
-stability on the configuration model with 23 accepted outer trials, where
-`stability_config_lw` accepts only 2.  `scan_config_k6`, a
+stability on the configuration model with 23 accepted outer trials (17
+since graph-host stability explores its balls), where
+`stability_config_lw` accepts only 2 (3).  `scan_config_k6`, a
 configuration-model scan at k = 6, was recorded while graph-host coupled trials still kept a
 profile row over all 64 copy subsets, before they kept only the k prefix
 densities.  `transfer_lw_removals`, LW transfer at (lam 6, d 5), where root
@@ -45,8 +46,14 @@ six Erdos-Renyi commands (`density_er_threshold`, `density_er_lw_deep`,
 the Erdos-Renyi pair draw (graphs.bernoulli_pairs: the graph and every
 copy's SxS redraw) became a Binomial count and one uniform set of pair
 positions in place of one uniform per pair; the law of that draw is checked
-in tests/test_graphs.py.  A refactor that moves any random stream or changes
-any output byte fails here.
+in tests/test_graphs.py.  The nine configuration-model and Erdos-Renyi
+`stability_*` and `scan_*` commands were re-recorded again when graph-host
+stability stopped drawing whole graphs and explored each root's
+neighbourhood from counters keyed by the trial state (the configuration
+model paired on demand, the Erdos-Renyi graph and its copies' SxS pairs
+drawn by geometric gaps); the laws of those explorations are checked in
+tests/test_graph_laws.py.  A refactor that moves any random stream or
+changes any output byte fails here.
 """
 
 import hashlib
@@ -86,25 +93,25 @@ GOLDEN = {
         ["stability", "--factor", "threshold", "--host", "er", "--n", "100",
          "--lam", "2", "--k", "2", "--p", "0.5", "--trials", "80",
          "--inner-trials", "10", "--seed", "8"],
-        "6e8422df1c3398e9bf4de6cd3d5cbc6c8c3b0915a6430217aa8ad327ba905b29",
+        "6d697d66962534dba9ec00d7a5884be02d5d1b4d5d7ace995147362771fce6fd",
     ),
     "stability_config": (
         ["stability", "--factor", "threshold", "--host", "config-model",
          "--n", "100", "--d", "3", "--k", "2", "--p", "0.5", "--trials", "80",
          "--inner-trials", "10", "--seed", "9"],
-        "d1292ba9487cd446740b55c8aa45d65713227a46ed761f8a74d94a9a2b8273e8",
+        "949e2aed931b5ea87337e7ff432cb47cbf30bf74fcb81c2b5de7a39d64ca07cb",
     ),
     "scan_config": (
         ["scan-p", "--factor", "threshold", "--host", "config-model",
          "--n", "60", "--d", "3", "--k", "2", "--grid", "0,0.5,1",
          "--trials", "40", "--inner-trials", "6", "--seed", "10"],
-        "325e174d3610c842b8d2fb3e10dc51ca263378035943ff9d3c3b7af54e2ce536",
+        "d6be7ae585b33c4a159d3f661107c76f087368e035ae54096427627e2b2bcd0a",
     ),
     "scan_er": (
         ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60",
          "--lam", "2", "--k", "2", "--grid", "0,0.5,1",
          "--trials", "40", "--inner-trials", "6", "--seed", "11"],
-        "e483137679f4208182e166a2263619016b96b01728e3ff24f093f24283a35d9b",
+        "41689db5478d97403189f5b12f2c009c2af5b4891ae9139ae442eabe329c0dd9",
     ),
     "stability_tree": (
         ["stability", "--factor", "threshold", "--host", "regular-tree",
@@ -161,13 +168,13 @@ GOLDEN = {
         ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1",
          "--host", "config-model", "--n", "200", "--d", "3", "--k", "2", "--p", "0.5",
          "--trials", "80", "--inner-trials", "8", "--seed", "14"],
-        "07f760334f5b3e675b874783047c72cbef98863fcd76e6a17c71a27b7d1c0b93",
+        "3e65fc797f698c60ac507ff96e9b0dc8afc1cf870b5b75ff523cd5f6a72f451c",
     ),
     "scan_er_lw": (
         ["scan-p", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1", "--host", "er",
          "--n", "60", "--lam", "2", "--k", "2", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "6", "--seed", "15"],
-        "90863d8366a23981538eccad68ee14c9c00005cf6824421b396d7badb0470298",
+        "702adab726552e211406279c91d637e747533e604980fb0b8461865d793e213b",
     ),
     "bounds_self_test": (
         ["bounds", "--alpha", "1.2,0.8,0.5", "--d", "1000", "--self-test"],
@@ -185,19 +192,19 @@ GOLDEN = {
         ["scan-p", "--factor", "threshold", "--host", "er", "--n", "60", "--lam", "2",
          "--k", "4", "--grid", "0,0.5,1", "--trials", "30", "--inner-trials", "4",
          "--seed", "23"],
-        "5d95896c681013342949ce8cf417b79f01f36eb80aa92fa6478511c4cb64937f",
+        "117b51e464a89b23a81ce2f2f43c082938cc2990ed9427e767a512d237b51ebc",
     ),
     "stability_config_lw_accepting": (
         ["stability", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--host", "config-model", "--n", "2000", "--d", "3", "--k", "2", "--p", "0.5",
          "--trials", "200", "--inner-trials", "8", "--seed", "22"],
-        "24ab1f53cf02305ebfbeaf15a8625d728244370ad1c30a508d2288a376cdef00",
+        "e526cf1a6fc2ffff1246558b734a7d752e84ca199095dd6c59f66f7b339c8f82",
     ),
     "scan_config_k6": (
         ["scan-p", "--factor", "threshold", "--host", "config-model", "--n", "60",
          "--d", "3", "--k", "6", "--grid", "0,0.5,1", "--trials", "30",
          "--inner-trials", "4", "--seed", "24"],
-        "18be26e396d1972477ae1a201a81a90405c475158e8349ee6c604a03180c1448",
+        "63ffbb2b57c8e553afc380f99e51f95fa9849db3217d366542fa3baf717a8b7b",
     ),
     "transfer_lw_removals": (
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",

@@ -1,8 +1,8 @@
 """Law gate for the neighbourhoods graph-host stability reads.
 
 Graph-host stability evaluates each outer trial's root on a graph that holds
-the edges with an end within f.radius + 1 of the root, and each inner copy
-the same way (coupling._graph_stability_pass, through factors.graph_bits_at).
+its ball of radius f.radius + 1 (the vertices within that distance and the
+edges between them), and each inner copy the same way (coupling._graph_stability_pass, through factors.graph_bits_at).
 These checks read those graphs, whatever draws them, by a spy on
 coupling.graph_bits_at, and compare their laws with the whole-graph
 samplers, which draw the graph first and cut it after:
@@ -20,16 +20,31 @@ samplers, which draw the graph first and cut it after:
 Tests read the program's draws at a fixed seed; z-tests use the benchmark's
 limit of 4.75 standard errors and chi-square and exact tests its two-sided
 level erfc(4.75 / sqrt 2).
+
+Each check also runs on a source mutant of the exploration it must reject
+(`mutant` in its parameters), compiled from the function's own source with
+one text replaced, so a rewrite of the mutated line fails here loudly:
+
+- "no_join": the exploration never joins two vertices it has reached
+  (configuration model: a pair whose other end is revealed is not kept;
+  Erdos-Renyi: a vertex draws no pair with a later vertex of its level);
+- "redraw_s": the Erdos-Renyi copies redraw every pair touching S, not only
+  those inside SxS;
+- "off_by_one": an Erdos-Renyi vertex counts one candidate fewer than the
+  vertices not revealed before it.
 """
 
+import inspect
 import math
+import textwrap
 from collections import Counter, deque
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from localis import coupling
+import localis
+from localis import coupling, graphs
 from localis.coupling import CouplingConfig, _stability_trial_fn, copy_graphs, er_resample_graphs
 from localis.factors import constant_factor, graph_bits_at, threshold_factor
 from localis.graphs import (
@@ -47,6 +62,45 @@ Z_FAIL = 4.75
 ALPHA = math.erfc(Z_FAIL / math.sqrt(2.0))
 F = threshold_factor()
 CONST1 = constant_factor(1)
+
+
+# (owner, function name, old text, new text) replacements of each mutant;
+# an owner is a module of the package or a class in one, by dotted name
+MUTANTS = {
+    "no_join": [
+        ("graphs.ConfigExploration", "_draw", "heads.append(x[take] // d)",
+         "take &= ~members(self.revealed, y // d); heads.append(x[take] // d)"),
+        ("graphs", "bernoulli_reveal", "outside + batch.searchsorted(base + n) - at - 1",
+         "outside + 0 * at"),
+    ],
+    "redraw_s": [
+        ("coupling._ErCopies", "_draw", "keep = ~(in_s[i] & s_ends[: i.size])",
+         "keep = ~(in_s[i] | s_ends[: i.size])"),
+        ("coupling._ErCopies", "_draw", "own = s_ends[i.size:]", "own = s_ends[i.size:] | True"),
+    ],
+    "off_by_one": [("graphs", "bernoulli_reveal", "- at - 1", "- at - 2")],
+}
+
+
+def apply_mutant(monkeypatch, mutant) -> None:
+    """Install the named mutant for the rest of the test: each function it
+    changes is recompiled from its source with the texts replaced (each
+    must occur exactly once) and bound wherever the original is."""
+    changes = {}
+    for path, name, old, new in MUTANTS.get(mutant, []):
+        module, _, cls = path.partition(".")
+        owner = vars(localis)[module] if not cls else getattr(vars(localis)[module], cls)
+        source = changes.get((owner, name)) or textwrap.dedent(
+            inspect.getsource(getattr(owner, name)))
+        assert source.count(old) == 1, (mutant, name, old)
+        changes[owner, name] = source.replace(old, new)
+    for (owner, name), source in changes.items():
+        original = getattr(owner, name)
+        space = dict(vars(inspect.getmodule(original)))
+        exec(compile(source, f"<mutant {mutant}>", "exec"), space)
+        for holder in (owner, graphs, coupling):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, space[name])
 
 
 # ---------------------------------------------------------------------------
@@ -81,23 +135,22 @@ def copy0(passes: list) -> list:
 
 
 def shape(g, root: int, hops: int) -> tuple:
-    """The shape class of the root's ball in g, the edges with an end within
-    `hops` of the root: the vertex count at each depth 0..hops + 1, the edge
-    count, the loops and the parallel edges beyond the first.  Reads g.adj
-    within hops + 1 of the root alone."""
+    """The shape class of the root's ball of radius `hops` in g, the
+    vertices within hops of the root and the edges between them: the vertex
+    count at each depth 0..hops, the edge count, the loops and the parallel
+    edges beyond the first.  Reads g.adj within hops of the root alone."""
     depth, queue, edges = {root: 0}, deque([root]), {}
     while queue:
         u = queue.popleft()
-        if depth[u] > hops:
-            continue
         for w, eid in g.adj[u]:
-            edges[eid] = (min(u, w), max(u, w))
-            if w not in depth:
+            if w not in depth and depth[u] < hops:
                 depth[w] = depth[u] + 1
                 queue.append(w)
+            if w in depth:
+                edges[eid] = (min(u, w), max(u, w))
     levels = Counter(depth.values())
     pairs = Counter(e for e in edges.values() if e[0] != e[1])
-    return (tuple(levels[i] for i in range(hops + 2)), len(edges),
+    return (tuple(levels[i] for i in range(hops + 1)), len(edges),
             sum(u == w for u, w in edges.values()), sum(m - 1 for m in pairs.values()))
 
 
@@ -136,7 +189,9 @@ def binomial_p(count: int, n: int, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def test_config_ball_shapes_match_the_whole_graph_sampler(monkeypatch):
+@pytest.mark.parametrize("mutant", [None, "no_join"])
+def test_config_ball_shapes_match_the_whole_graph_sampler(monkeypatch, mutant):
+    apply_mutant(monkeypatch, mutant)
     n, trials = 12, 12_000
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ConfigModelHost(n, 3), trials=trials,
                          inner_trials=1, seed=61)
@@ -146,7 +201,7 @@ def test_config_ball_shapes_match_the_whole_graph_sampler(monkeypatch):
     want = Counter(shape(sample_config_model(n, 3, rng), int(rng.integers(n)), hops)
                    for _ in range(trials))
     p = homogeneity_p(got, want)
-    assert p >= ALPHA, p
+    assert (p >= ALPHA) == (mutant is None), p
 
 
 def tree_ball_probability(n: int, d: int, radius: int) -> float:
@@ -171,10 +226,12 @@ def tree_ball_probability(n: int, d: int, radius: int) -> float:
     return prob
 
 
-def test_config_tree_ball_frequency_is_the_exact_pairing_probability(monkeypatch):
+@pytest.mark.parametrize("mutant", [None, "no_join"])
+def test_config_tree_ball_frequency_is_the_exact_pairing_probability(monkeypatch, mutant):
+    apply_mutant(monkeypatch, mutant)
     # const1's bit at the root is its 1-ball being a tree; the threshold
     # factor's graphs give the 2-ball
-    n, trials = 60, 6000
+    n, trials, oks = 60, 6000, []
     for f in (CONST1, F):
         hops = f.radius + 1
         cfg = CouplingConfig(p=0.0, k=2, factor=f, host=ConfigModelHost(n, 3), trials=trials,
@@ -182,8 +239,8 @@ def test_config_tree_ball_frequency_is_the_exact_pairing_probability(monkeypatch
         trees = sum(ball_is_tree(g, root, hops) for g, root in copy0(evaluated(monkeypatch, cfg)))
         q = tree_ball_probability(n, 3, hops)
         assert 0.1 < q < 0.95, q
-        p = binomial_p(trees, trials, q)
-        assert p >= ALPHA, (f.kind, trees, trials * q, p)
+        oks.append(binomial_p(trees, trials, q) >= ALPHA)
+    assert all(oks) == (mutant is None), oks
 
 
 def test_tree_ball_probability_matches_enumeration():
@@ -200,7 +257,9 @@ def test_tree_ball_probability_matches_enumeration():
 # ---------------------------------------------------------------------------
 
 
-def test_er_root_degree_is_binomial(monkeypatch):
+@pytest.mark.parametrize("mutant", [None, "off_by_one"])
+def test_er_root_degree_is_binomial(monkeypatch, mutant):
+    apply_mutant(monkeypatch, mutant)
     n, lam, trials = 12, 2.0, 20_000
     cfg = CouplingConfig(p=0.0, k=2, factor=CONST1, host=ErdosRenyiHost(n, lam), trials=trials,
                          inner_trials=1, seed=64)
@@ -208,10 +267,12 @@ def test_er_root_degree_is_binomial(monkeypatch):
                for calls in evaluated(monkeypatch, cfg) for r in calls[0][1].tolist()]
     counts = np.bincount(degrees, minlength=n)
     p = goodness_p(counts, stats.binom.pmf(np.arange(n), n - 1, lam / n))
-    assert p >= ALPHA, (counts, p)
+    assert (p >= ALPHA) == (mutant is None), (counts, p)
 
 
-def test_er_ball_shapes_match_the_whole_graph_sampler(monkeypatch):
+@pytest.mark.parametrize("mutant", [None, "no_join"])
+def test_er_ball_shapes_match_the_whole_graph_sampler(monkeypatch, mutant):
+    apply_mutant(monkeypatch, mutant)
     n, lam, trials = 12, 2.0, 12_000
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ErdosRenyiHost(n, lam), trials=trials,
                          inner_trials=1, seed=65)
@@ -221,14 +282,16 @@ def test_er_ball_shapes_match_the_whole_graph_sampler(monkeypatch):
     want = Counter(shape(sample_er(n, lam, rng), int(rng.integers(n)), hops)
                    for _ in range(trials))
     p = homogeneity_p(got, want)
-    assert p >= ALPHA, p
+    assert (p >= ALPHA) == (mutant is None), p
 
 
 def root_degrees(g, roots: np.ndarray) -> list:
     return (g.offsets[roots + 1] - g.offsets[roots]).tolist()
 
 
-def test_er_copy_root_degrees_match_the_resampled_copies(monkeypatch):
+@pytest.mark.parametrize("mutant", [None, "redraw_s"])
+def test_er_copy_root_degrees_match_the_resampled_copies(monkeypatch, mutant):
+    apply_mutant(monkeypatch, mutant)
     # const1 accepts the roots whose 1-ball is a tree (no edge joins two of
     # their neighbours), and copy 1 of each accepted trial is evaluated, in
     # trial order; the reference conditions on the same event
@@ -252,7 +315,7 @@ def test_er_copy_root_degrees_match_the_resampled_copies(monkeypatch):
             at = np.array([root])
             want[(root_degrees(g, at)[0], root_degrees(copy, at)[0])] += 1
     pval = homogeneity_p(got, want)
-    assert pval >= ALPHA, pval
+    assert (pval >= ALPHA) == (mutant is None), pval
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +343,11 @@ def whole_graph_rows(cfg: CouplingConfig) -> np.ndarray:
     return run_trials(per_trial(one), cfg.trials)
 
 
+def z_scores(got: dict, want: dict) -> list:
+    """z of the difference of each moment between two independent runs."""
+    return [(got[m][0] - want[m][0]) / math.hypot(got[m][1], want[m][1]) for m in sorted(got)]
+
+
 def moments(rows: np.ndarray, inner: int) -> dict:
     """Acceptance rate and E*[Q], each with its standard error."""
     acc = rows[:, 0] == 1.0
@@ -288,14 +356,17 @@ def moments(rows: np.ndarray, inner: int) -> dict:
             "Q": (q.mean(), q.std(ddof=1) / math.sqrt(q.size))}
 
 
-@pytest.mark.parametrize("host", [ConfigModelHost(100, 3), ErdosRenyiHost(30, 2.0)],
-                         ids=["config", "er"])
-def test_stability_moments_match_the_whole_graph_estimator(host):
-    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=host, trials=3000, inner_trials=8, seed=69)
+@pytest.mark.parametrize(
+    "host, mutant",
+    [(ConfigModelHost(100, 3), None), (ErdosRenyiHost(20, 2.0), None),
+     (ConfigModelHost(100, 3), "no_join"), (ErdosRenyiHost(20, 2.0), "no_join")],
+    ids=["config", "er", "config-no_join", "er-no_join"],
+)
+def test_stability_moments_match_the_whole_graph_estimator(monkeypatch, host, mutant):
+    apply_mutant(monkeypatch, mutant)
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=host, trials=5000, inner_trials=8, seed=69)
     got = moments(run_trials(_stability_trial_fn(cfg), cfg.trials), cfg.inner_trials)
     ref = cfg.__class__(**{**cfg.__dict__, "seed": 70})
     want = moments(whole_graph_rows(ref), cfg.inner_trials)
-    for name in ("density", "Q"):
-        (a, se_a), (b, se_b) = got[name], want[name]
-        z = (a - b) / math.hypot(se_a, se_b)
-        assert abs(z) <= Z_FAIL, (name, a, b, z)
+    zs = z_scores(got, want)
+    assert (max(map(abs, zs)) <= Z_FAIL) == (mutant is None), zs

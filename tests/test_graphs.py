@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from localis.graphs import (
+    ConfigExploration,
     ConfigModelHost,
+    ErExploration,
     LazyTree,
     MultiGraph,
     PGWTreeHost,
     RegularTreeHost,
     TreeLabels,
-    ball_cut,
     ball_is_tree,
     bernoulli_pairs,
     er_edge_arrays,
@@ -40,9 +41,17 @@ from localis.factors import (
 )
 from localis.pgw_transfer import edge_removal_stage, filling_out_stage
 
-from localis.rng import LABEL_TAG, PERC_TAG, fold, percolation_cut, trial_state, uniform_labels
+from localis.rng import (
+    LABEL_TAG,
+    PERC_TAG,
+    fold,
+    fold_np,
+    percolation_cut,
+    trial_state,
+    uniform_labels,
+)
 
-from conftest import assert_within_sigma, binomial_se
+from conftest import GivenGraph, assert_within_sigma, binomial_se
 
 
 def cycle(n: int) -> MultiGraph:
@@ -1060,19 +1069,59 @@ def rooted_multigraphs(draw):
     return n, edges.reshape(-1, 2), roots, labels
 
 
+def _reveal_all(ex, n: int, groups: int, parts: int) -> tuple:
+    """Reveal every vertex of every group in `parts` batches; the edges."""
+    keys = np.arange(groups * n)
+    for part in np.array_split(keys.reshape(groups, n), parts, axis=1):
+        ex.reveal(np.sort(part.ravel()))
+    return ex.edges()
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (7, 4), (40, 3)])
+@pytest.mark.parametrize("parts", [1, 3])
+def test_config_exploration_of_every_vertex_is_a_pairing(n, d, parts):
+    # every half-edge paired once: d ends at each vertex (a loop gives two),
+    # and every edge inside its group
+    ex = ConfigExploration(n, d, fold_np(np.uint64(3), np.arange(4, dtype=np.uint64)))
+    heads, tails = _reveal_all(ex, n, 4, parts)
+    assert heads.size == 4 * n * d // 2
+    assert np.array_equal(np.bincount(np.concatenate((heads, tails)), minlength=4 * n),
+                          np.full(4 * n, d))
+    assert np.array_equal(heads // n, tails // n)
+    assert np.array_equal(ex.paired, np.arange(4 * n * d))
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 9.0])
+@pytest.mark.parametrize("parts", [1, 4])
+def test_er_exploration_of_every_vertex_draws_each_pair_once(lam, parts):
+    # a simple graph in each group, each pair drawn by its first revealed end
+    n = 9
+    ex = ErExploration(n, lam, fold_np(np.uint64(4), np.arange(50, dtype=np.uint64)))
+    heads, tails = _reveal_all(ex, n, 50, parts)
+    assert np.array_equal(heads // n, tails // n) and not (heads == tails).any()
+    pairs = np.sort(np.stack([heads, tails]), axis=0)
+    assert len(set(zip(*pairs.tolist()))) == heads.size
+    assert abs(heads.size - 50 * lam * (n - 1) / 2) < 5 * math.sqrt(50 * 36 * lam / n + 1)
+
+
 @settings(deadline=None, max_examples=300)
 @given(graph=rooted_multigraphs())
 def test_the_ball_cut_keeps_the_bits_at_its_roots(graph):
     # the rule and the tree-ball mask at a root read only incidences of
-    # vertices within f.radius + 1 of it, all of which the cut keeps
+    # vertices within f.radius + 1 of it, all of which the explored ball
+    # holds: the graph explored from each root (a group each) and cut to
+    # the edges drawn, against the whole graph
     n, edges, roots, labels = graph
     g = MultiGraph(n, edges)
     for f in (threshold_factor(), lauer_wormald(0.3, 2), constant_factor(1)):
-        kept, at, us, vs = ball_cut(edges[:, 0], edges[:, 1], roots, n, f.radius + 1)
-        assert np.array_equal(kept, np.sort(kept)) and np.array_equal(kept[at], roots)
+        ball = GivenGraph(g)
+        keys = np.arange(roots.size) * n + roots
+        ball.explore(keys, f.radius + 1)
+        kept, us, vs, at = ball.cut(keys)
+        assert np.array_equal(kept, np.sort(kept)) and np.array_equal(kept[at], keys)
         cut = MultiGraph(kept.size, np.stack([us, vs], axis=1))
         want = graph_bits_at(f, g, labels, roots)
-        assert np.array_equal(graph_bits_at(f, cut, labels[kept], at), want), f.kind
+        assert np.array_equal(graph_bits_at(f, cut, labels[kept % n], at), want), f.kind
 
 
 @pytest.mark.parametrize("radius", [2, 3, 5, 8])

@@ -49,6 +49,8 @@ from localis.rng import (
     trial_state,
 )
 
+from conftest import GivenGraph
+
 Z_FAIL = 4.75
 ALPHA = math.erfc(Z_FAIL / math.sqrt(2.0))
 N, TRIALS = 1000, 200  # vertices and trials behind the label-law checks
@@ -152,13 +154,13 @@ def tree_ball_weights(g: MultiGraph) -> np.ndarray:
 @pytest.fixture
 def fixed_graph(monkeypatch):
     """Every sampler call of cli and coupling returns the graph given, and
-    every per-trial edge draw of graph-host stability its edges."""
+    graph-host stability explores it (conftest.GivenGraph) in every trial."""
 
     def fix(g: MultiGraph):
         for name in ("sample_config_model", "sample_er"):
             monkeypatch.setattr(cli, name, lambda *args: g)
         monkeypatch.setattr(coupling, "_sample_graph", lambda host, state: g)
-        monkeypatch.setattr(coupling, "_edge_arrays", lambda host, rng: tuple(g.edge_array.T))
+        monkeypatch.setattr(coupling, "_graphs", lambda host, st: GivenGraph(g))
 
     return fix
 

@@ -131,7 +131,7 @@ RUNS = [
     ["scan-p", "--factor", "threshold", "--host", "regular-tree", "--d", "3", "--k", "2",
      "--grid", "0,1", "--trials", "40", "--inner-trials", "5"],
     ["scan-p", "--factor", "threshold", "--host", "config-model", "--n", "40", "--d", "3",
-     "--k", "3", "--grid", "0.5", "--trials", "10", "--inner-trials", "4", "--format", "json"],
+     "--k", "3", "--grid", "0.5", "--trials", "40", "--inner-trials", "4", "--format", "json"],
     ["scan-p", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "1", "--host", "er", "--n", "40",
      "--lam", "2", "--k", "2", "--grid", "0.5", "--trials", "60", "--inner-trials", "4"],
     ["bounds", "--alpha", "1,0.5,0.25", "--d", "100", "--self-test"],

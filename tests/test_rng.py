@@ -13,10 +13,12 @@ from localis.rng import (
     GOLDEN,
     MASK64,
     SEED_SLICE,
+    below,
     first_success_round,
     first_success_rounds,
     fold,
     fold_np,
+    fold_range,
     label_unit,
     mix64,
     mix64_np,
@@ -120,6 +122,26 @@ def test_seed_words_are_the_seed_sequence_words():
     assert words.tolist() == [
         np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in states.tolist()
     ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 200, 3000, 3 * 10**6, (1 << 32) - 1, 1 << 32, 10**15])
+def test_below_is_the_high_word_of_the_product(m):
+    states = fold_np(np.uint64(17), np.arange(5000, dtype=np.uint64))
+    states[:2] = 0, MASK64
+    got = below(states, m)
+    assert got.dtype == np.int64
+    assert got.tolist() == [s * m >> 64 for s in states.tolist()]
+    for bad in (0, 1 << 63):
+        with pytest.raises(ValueError):
+            below(states, bad)
+
+
+def test_fold_range_folds_each_stream_with_each_counter():
+    streams = fold_np(np.uint64(5), np.arange(7, dtype=np.uint64))
+    for lo, hi in ((0, 8), (8, 11), (3, 3)):
+        got = fold_range(streams, lo, hi)
+        assert got.shape == (hi - lo, 7)
+        assert got.tolist() == [[fold(s, c) for s in streams.tolist()] for c in range(lo, hi)]
 
 
 def test_state_rngs_draw_the_state_rng_streams():
