@@ -22,7 +22,9 @@ Threshold and constant factors (radius <= 1) read the stars alone.  The
 percolation-round rule grows deeper levels from them, the children of the
 nodes still unresolved, by the same child expansion and label rule.  Each
 returns what rule returns on each tree, bit for bit; the per-trial LazyTree
-and TreeLabels are the tests' reference for them.
+and TreeLabels are the tests' reference for them.  The deeper levels are
+kept as they are made, append-only: a node resolved is flagged, never
+removed, and its subtree is not grown further.
 
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
@@ -70,6 +72,7 @@ from .graphs import (
 )
 from .parallel import mean_stderr, run_trials
 from .rng import (
+    MASK64,
     CoupledLabels,
     first_success_round,
     first_success_rounds,
@@ -222,28 +225,33 @@ def _lw_levels(p: float, k: int) -> Callable:
     included; one with a joining kept child is blocked; one whose kept
     children are all blocked joins.  The root's bit is r(root) <= k and that
     the root joins.  Each level is expanded from the frontier, the nodes not
-    yet resolved whose ancestors are none of them resolved; after each level
-    the new outcomes go up the stack, and every resolved node leaves it with
-    its subtree.  So a pair generates about the nodes the recursion reads.
-    At most LEVEL_ROOTS roots go through the levels at once, which bounds the
-    nodes held by one call.
+    yet resolved whose ancestors are none of them resolved (graphs.child_states,
+    one flat expansion a level); after each level the new outcomes go up the
+    levels (_joins), which are kept as they were made, and the next frontier
+    leaves out every kid under a node resolved in that step.  So a pair
+    generates about the nodes the recursion reads.  At most LEVEL_ROOTS
+    roots go through the levels at once, which bounds the nodes held by one
+    call.  The root stars' rounds are read only where needed: the roots', and
+    their children's where the children are kept.
     """
 
     def rule(host, s_density, states, valid, labels, copies) -> np.ndarray:
-        rounds = first_success_rounds(labels, p, k)
-        shape = rounds.shape[:-1]
-        rounds = rounds.reshape(-1, rounds.shape[-1])  # row i: pair i's star
-        rows = np.arange(len(rounds)) % len(states)
+        # round <= r iff label <= tops[r - 1], for r = 1..len(round_bounds) + 1
+        tops = np.append(round_bounds(p, k) - np.uint64(1), np.uint64(MASK64))
+        shape = labels.shape[:-1]
+        labels = labels.reshape(-1, labels.shape[-1])  # row i: pair i's star
+        rows = np.arange(len(labels)) % len(states)
         if not isinstance(copies, int):
             copies = np.repeat(copies, len(states))
-        bits = rounds[:, 0] <= k
+        top = first_success_rounds(labels[:, 0], p, k)
+        bits = top <= k
         alive = np.flatnonzero(bits)
         for lo in range(0, alive.size, LEVEL_ROOTS):
             roots = alive[lo : lo + LEVEL_ROOTS]
-            star = rounds[roots]
-            parent, slot = np.nonzero(valid[rows[roots], 1:] & (star[:, 1:] <= star[:, :1]))
-            kids = (parent, star[parent, 1 + slot], states[rows[roots[parent]], 1 + slot],
-                    _pick(copies, roots[parent]))
+            cut = tops[top[roots] - 1, None]
+            parent, slot = np.nonzero(valid[rows[roots], 1:] & (labels[roots, 1:] <= cut))
+            kids = (parent, first_success_rounds(labels[roots[parent], 1 + slot], p, k),
+                    states[rows[roots[parent]], 1 + slot], _pick(copies, roots[parent]))
             bits[roots] = _joins(roots.size, kids, host, s_density, p, k)
         return bits.reshape(shape)
 
@@ -256,53 +264,46 @@ def _pick(copies, at):
 
 def _joins(n: int, kids: tuple, host, s_density: float, p: float, k: int) -> np.ndarray:
     """Whether each of n roots joins, given their kept children as arrays
-    (parent, round, state, copy).  Level j of the stack holds its nodes'
-    parent indices into level j - 1 (up[j]) and counts of unresolved kept
-    children (pending[j]); `ids` maps level 0 back to the roots."""
+    (parent, round, state, copy).  Level j holds, per node, its parent index
+    into level j - 1 (up[j]), its count of kept children not yet resolved
+    (pending[j], exact while the node is unresolved) and whether it is
+    resolved (done[j]) and joined (joined[j]); level 0 is the roots.  Levels
+    are never compacted: a step's outcomes go up from the frontier, each
+    level passing on only the nodes it resolved in that step, and the next
+    frontier keeps no kid under a node resolved in it, so nothing under a
+    resolved node resolves later."""
     bounds = round_bounds(p, k)
-    out = np.ones(n, dtype=bool)
-    ids, up, pending = np.arange(n), [None], []
+    up, pending, done, joined = [None], [], [], []
     while True:
         parent, rnd, state, copy = kids
         depth = len(pending)  # of the frontier, the parents of `kids`
         join = rnd == 1  # no child has a lower round
-        blocked = np.zeros(len(up[-1]) if depth else n, dtype=bool)
+        pending.append(np.bincount(parent, minlength=len(up[-1]) if depth else n))
+        blocked = np.zeros(pending[-1].size, dtype=bool)
         blocked[parent[join]] = True
-        pending.append(np.bincount(parent[~join], minlength=blocked.size))
-        joined = ~blocked & (pending[-1] == 0)
-        resolved = [None] * depth + [blocked | joined]
-        j = depth
-        while j and resolved[j].any():  # outcomes go up the stack
-            below, done, j = up[j], resolved[j], j - 1
+        joined.append(pending[-1] == 0)
+        done.append(blocked | joined[-1])
+        fresh, j = [done[-1]], depth  # per level, the nodes resolved in this step
+        while j:  # outcomes go up the levels
+            below = up[j][fresh[-1]]
+            if not below.size:
+                break
+            news, j = joined[j][fresh[-1]], j - 1
             blocked = np.zeros(pending[j].size, dtype=bool)
-            blocked[below[done & joined]] = True
-            pending[j] -= np.bincount(below[done & ~joined], minlength=blocked.size)
-            joined = ~blocked & (pending[j] == 0)
-            resolved[j] = blocked | joined
-        if j == 0:
-            out[ids[resolved[0] & ~joined]] = False
-        # drop the resolved nodes and their subtrees, levels j..depth
-        gone = resolved[j]
-        for i in range(j, depth + 1):
-            if i > j:
-                gone = resolved[i] | gone[up[i]]
-            keep = ~gone
-            if i == 0:
-                ids = ids[keep]
-            elif i == j:
-                up[i] = up[i][keep]
-            else:
-                up[i] = index[up[i][keep]]
-            pending[i] = pending[i][keep]
-            index = np.cumsum(keep) - 1
-        keep = ~join & ~gone[parent]
-        if not keep.any():
-            return out
-        up.append(index[parent[keep]])
+            blocked[below[news]] = True
+            pending[j] -= np.bincount(below, minlength=blocked.size)
+            fresh.append(~done[j] & (blocked | (pending[j] == 0)))
+            joined[j] |= fresh[-1] & ~blocked
+            done[j] |= fresh[-1]
+        gone = fresh.pop()  # under a node resolved in this step: one chain down
+        for i in range(j + 1, depth + 1):
+            gone = fresh.pop() | gone[up[i]]
+        keep = ~(join | gone[parent])
+        up.append(parent[keep])
+        if not up[-1].size:
+            return joined[0]
         rnd, state, copy = rnd[keep], state[keep], _pick(copy, keep)
-        children, valid = child_states(host, depth + 1, state)
-        parent, slot = np.nonzero(valid)
-        state = children[parent, slot]
+        parent, _, state = child_states(host, depth + 1, state)
         copy = _pick(copy, parent)
         labels = CoupledLabels(state, s_density)(copy)
         keep = labels < bounds[rnd[parent] - 2]  # round < r iff label < B[r - 2]; r >= 2 here
@@ -489,10 +490,11 @@ class TreeBlock:
     gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row, bit
     for bit, by f.array_rule over the (copy, row) pairs.  The block holds
     its root stars, built once: `states` (column 0 the root, column 1 + j
-    its child j, from graphs.child_states), `valid` (which columns are
-    nodes: PGW stars are ragged) and `labels`, their rng.CoupledLabels,
-    which give with labels(copy, at) what TreeLabels(tree, copy, p).label
-    gives over the rows `at`.  A graph host raises TypeError.
+    its child j, from graphs.child_states; 0 in a column that is no node),
+    `valid` (which columns are nodes: PGW stars are ragged) and `labels`,
+    their rng.CoupledLabels, which give with labels(copy, at) what
+    TreeLabels(tree, copy, p).label gives over the rows `at`.  A graph host
+    raises TypeError.
     """
 
     def __init__(self, f: Factor, host, roots: np.ndarray, p: float = 0.0):
@@ -500,10 +502,11 @@ class TreeBlock:
             raise TypeError(f"unsupported tree host: {host!r}")
         self.f, self.host, self.p = f, host, p
         roots = np.asarray(roots, dtype=np.uint64)
-        column = roots[:, None]
-        kids, valid = child_states(host, 0, roots)
-        self.states = np.concatenate([column, kids], axis=1)
-        self.valid = np.concatenate([np.ones_like(column, dtype=bool), valid], axis=1)
+        parent, slot, kids = child_states(host, 0, roots)
+        shape = (roots.size, 2 + int(slot.max(initial=-1)))
+        self.states, self.valid = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=bool)
+        self.states[:, 0], self.states[parent, 1 + slot] = roots, kids
+        self.valid[:, 0], self.valid[parent, 1 + slot] = True, True
         self.labels = CoupledLabels(self.states, p)
 
     def bits(self, copies, rows=None) -> np.ndarray:

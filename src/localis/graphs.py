@@ -52,11 +52,12 @@ lazy trees or finite graphs), `degree` (d or lam, with its own type) and,
 on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
 tree node (of each node, given an array of states).
 
-child_states gives the children of any level of lazy-tree nodes as
-arrays; factors.TreeBlock grows from it the root stars and deeper levels of
-a block of trees, and evaluates every factor on tree hosts there.  LazyTree
-and TreeLabels are the per-trial form of the same trees, one node at a
-time: the tests' reference for the arrays, which they equal bit for bit.
+child_states gives the children of any level of lazy-tree nodes as flat
+arrays (parent, slot, state), one entry a child; factors.TreeBlock grows
+from it the root stars and deeper levels of a block of trees, and evaluates
+every factor on tree hosts there.  LazyTree and TreeLabels are the
+per-trial form of the same trees, one node at a time: the tests' reference
+for the arrays, which they equal bit for bit.
 Tree nodes and graph vertices take their labels from their states by one
 rule (see rng): TreeBlock through its array form, TreeLabels through its
 scalar form.  The graph samplers draw no labels; neighborhood restricts a
@@ -87,6 +88,7 @@ from .rng import (
     coupled_label,
     fold,
     fold_np,
+    fold_offsets,
     fold_range,
     label_unit,
     percolation_cut,
@@ -1046,12 +1048,13 @@ class TreeLabels:
 
 
 def child_states(host, depth: int, states: np.ndarray) -> tuple:
-    """The children of the lazy-tree nodes at `depth` with these states, as
-    arrays (kids, valid) of one row per node: kids[i, j] is the state of
-    child j of node i, fold(states[i], CHILD_TAG + j), and valid[i, j]
-    whether node i has a child j; the columns run to the most children of
-    any of the nodes.  Child counts come from one host.offspring call."""
-    counts = np.broadcast_to(host.offspring(depth, states), states.shape)
-    slots = np.arange(int(counts.max(initial=0)))
-    kids = fold_np(states[:, None], CHILD_TAG + slots.astype(np.uint64))
-    return kids, slots < counts[:, None]
+    """The children of the lazy-tree nodes at `depth` with these states,
+    flat in node order and child order: arrays (parent, slot, kids), entry i
+    being child slot[i] of node parent[i], of state kids[i] =
+    fold(states[parent[i]], CHILD_TAG + slot[i]).  Child counts come from
+    one host.offspring call, and the child tags are mixed once and kept
+    (rng.fold_offsets)."""
+    counts = np.full(states.size, host.offspring(depth, states))
+    parent = np.repeat(np.arange(states.size), counts)
+    slot = np.arange(parent.size) - (counts.cumsum() - counts)[parent]
+    return parent, slot, fold_offsets(states[parent], CHILD_TAG, slot)

@@ -14,13 +14,15 @@ to the scalar functions element by element; the trial-batched tree paths
 fold whole blocks of trials with them.  fold_range folds each of a set of
 streams with a range of counters, and below(s, m) = s * m >> 64 maps a
 state to an integer below m: the graph explorations of graph-host
-stability draw from these counters alone.  A label's percolation round is
-defined by an integer table of round boundaries (round_bounds), which
-first_success_round and its array form first_success_rounds both search,
-so the two agree label for label by construction.  state_rngs is the
-array form of state_rng: numpy's SeedSequence hash run over a uint64 array
-of states at once (seed_words), each generator built from its words only
-when it is read.
+stability draw from these counters alone.  fold_offsets folds each state
+with its own counter of a range (a lazy-tree node with CHILD_TAG + slot
+for its children); like fold_range it mixes the range's tags once and
+keeps them.  A label's percolation round is defined by an integer table of
+round boundaries (round_bounds), which first_success_round and its array
+form first_success_rounds both search, so the two agree label for label by
+construction.  state_rngs is the array form of state_rng: numpy's
+SeedSequence hash run over a uint64 array of states at once (seed_words),
+each generator built from its words only when it is read.
 
 The coupled family of labels is one rule over node states, the same on
 every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
@@ -28,7 +30,8 @@ of a graph-host trial of state st.  Copy 0 of node state s is
 fold(fold(s, LABEL_TAG), 0); s is in the percolated set S iff
 fold(s, PERC_TAG) < percolation_cut(p); on S copy c >= 1 is
 fold(fold(s, LABEL_TAG), c), elsewhere copy 0.  CoupledLabels is its array
-form, coupled_label its scalar form.
+form, coupled_label its scalar form; CoupledLabels folds for S only when a
+copy >= 1 is first read.
 
 Labels are 64-bit unsigned integers interpreted as dyadic rationals in
 [0, 1).  Comparisons between labels break the (probability ~2^-64) ties with
@@ -344,6 +347,14 @@ def fold_range(states: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return _mixed(_range_tags(lo, hi)[:, None] ^ states)
 
 
+def fold_offsets(states: np.ndarray, lo: int, offsets: np.ndarray) -> np.ndarray:
+    """fold(s, lo + o) for each pair of a uint64 array `states` and a
+    non-negative int array `offsets`; the tags of the range lo..lo+max(o)
+    are mixed once and kept, as fold_range's."""
+    hi = lo + 1 + int(offsets.max(initial=-1))
+    return _mixed(states ^ _range_tags(lo, hi)[offsets])
+
+
 @functools.lru_cache(maxsize=64)
 def _range_tags(lo: int, hi: int) -> np.ndarray:
     tags = mix64_np(np.arange(lo, hi, dtype=np.uint64) + _NP_GOLDEN)
@@ -362,17 +373,21 @@ class CoupledLabels:
     """The coupled family's labels on nodes given by an array of states.
 
     `base` holds each node's label base, `x0` its copy-0 label and `in_s`
-    whether it is in S at density p.  Calling it with (copy, at) gives
+    whether it is in S at density p, computed when first read, so reading
+    copy 0 alone costs two folds.  Calling it with (copy, at) gives
     copy `copy` of the labels at the index `at`, equal bit for bit to
     coupled_label; `copy` is an int, or an array of copy ids broadcast
     against the indexed states (a column gives one row of labels per copy).
     """
 
     def __init__(self, states, p: float = 0.0):
-        states = np.asarray(states, dtype=np.uint64)
-        self.base = fold_np(states, LABEL_TAG)
+        self.states, self.p = np.asarray(states, dtype=np.uint64), p
+        self.base = fold_np(self.states, LABEL_TAG)
         self.x0 = fold_np(self.base, 0)
-        self.in_s = percolated(states, p)
+
+    @functools.cached_property
+    def in_s(self) -> np.ndarray:
+        return percolated(self.states, self.p)
 
     def __call__(self, copy=0, at=Ellipsis) -> np.ndarray:
         if isinstance(copy, int) and copy == 0:

@@ -1,12 +1,39 @@
+import inspect
 import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from localis import factors, graphs
+import localis
+from localis import coupling, factors, graphs
 from localis.graphs import Exploration, MultiGraph, bernoulli_pairs, sample_er, triangle_pairs
 from localis.profiles import independent_subsets
+
+
+def apply_mutant(monkeypatch, mutants: dict, mutant) -> None:
+    """Install the named mutant of `mutants` for the rest of the test.
+    `mutants` maps a name to its (owner, function name, old text, new text)
+    replacements; an owner is a module of the package or a class in one, by
+    dotted name.  Each function it changes is recompiled from its source
+    with the texts replaced (each must occur exactly once) and bound
+    wherever the original is."""
+    changes = {}
+    for path, name, old, new in mutants.get(mutant, []):
+        module, _, cls = path.partition(".")
+        owner = vars(localis)[module] if not cls else getattr(vars(localis)[module], cls)
+        source = changes.get((owner, name)) or textwrap.dedent(
+            inspect.getsource(getattr(owner, name)))
+        assert source.count(old) == 1, (mutant, name, old)
+        changes[owner, name] = source.replace(old, new)
+    for (owner, name), source in changes.items():
+        original = getattr(owner, name)
+        space = dict(vars(inspect.getmodule(original)))
+        exec(compile(source, f"<mutant {mutant}>", "exec"), space)
+        for holder in (owner, factors, graphs, coupling):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, space[name])
 
 
 def combined_sigma(*ses) -> float:

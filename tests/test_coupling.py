@@ -635,6 +635,17 @@ def test_graph_stability_counts_the_copy_bits_at_its_root(host):
     assert len(set(rows[rows[:, 0] == 1, 1].tolist())) > 1
 
 
+@pytest.mark.parametrize("f", [F, LW], ids=["threshold", "lw"])
+def test_config_stability_past_32_bit_half_edge_ids(f):
+    # n * d = 3 * 2^31 > 2^32 half-edges: rng.below draws their proposals by
+    # its one-Python-product-per-state branch
+    cfg = CouplingConfig(p=0.5, k=2, factor=f, host=ConfigModelHost(2**31, 3), trials=20,
+                         inner_trials=6, seed=36)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    assert rows.tolist() == reference.stability_rows(cfg)
+    assert 0 < rows[:, 0].sum() < cfg.trials
+
+
 @pytest.mark.parametrize("budget", [None, 180], ids=["one-union", "three-copies-a-union"])
 @pytest.mark.parametrize("f", [F, LW, constant_factor(1)], ids=["threshold", "lw", "const1"])
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from localis import factors
 from localis.factors import (
     PASS_PAIRS,
     TreeBlock,
@@ -43,7 +44,7 @@ from localis.rng import (
     uniform_labels,
 )
 
-from conftest import assert_within_sigma, unit_to_label
+from conftest import apply_mutant, assert_within_sigma, unit_to_label
 
 
 def star(leaf_units, root_unit, radius=1):
@@ -703,10 +704,94 @@ def test_level_arrays_match_the_walk_on_coupled_copies(host, pi):
     assert np.array_equal(block.bits(copies[2:3], subset[:0]), walk[2:3, :0])
 
 
+@pytest.mark.parametrize("pi", [0.0, 0.7])
+@pytest.mark.parametrize(
+    "host, rows",
+    [(RegularTreeHost(3), 120), (PGWTreeHost(3.0), 120), (RegularTreeHost(10), 12)],
+    ids=["T3", "PGW3", "T10"],
+)
+def test_level_arrays_in_many_passes_match_one_pass(monkeypatch, host, rows, pi):
+    # LEVEL_ROOTS at 5: each rule call runs its roots through the levels
+    # five at a time, copies 0..4 of a row in different passes
+    f = lauer_wormald(0.02, 250)
+    states = trial_state_np(64, np.arange(rows))
+    block = TreeBlock(f, host, states, pi)
+    copies = np.arange(5, dtype=np.uint64)
+    whole = block.bits(copies)
+    trees = [LazyTree(host, f.radius, s) for s in states.tolist()]
+    walk = np.array([[f.rule(TreeLabels(t, copy=c, p=pi)) for t in trees] for c in range(5)])
+    monkeypatch.setattr(factors, "LEVEL_ROOTS", 5)
+    assert np.array_equal(block.bits(copies), whole)
+    assert [block.bits(c).tolist() for c in range(5)] == whole.tolist()
+    assert np.array_equal(whole, walk.astype(bool))
+    assert 0 < whole.sum() < whole.size
+
+
+# the nodes expanded per child_states call (the root stars, then each
+# level's frontier) by TreeBlock's copy-0 bits on LEVEL_GRID rows at seed
+# 61, recorded from the resolver that compacted its levels after each step
+LEVEL_SIZES = {
+    "T3": [300, 432, 137, 37, 4, 1],
+    "T5": [150, 352, 236, 115, 16],
+    "PGW3": [300, 441, 160, 29, 5, 1],
+    "T6-short": [200, 44, 6, 5],
+}
+
+# source mutants of factors._joins (conftest.apply_mutant): nodes resolved
+# earlier pass their outcomes up again; the frontier drops only the kids of
+# its own resolved nodes, not those under a resolved ancestor (the bits
+# stay, only more nodes are expanded); the kept children take the parent's
+# round too
+RESOLVER_MUTANTS = {
+    "repropagate": [
+        ("factors", "_joins", "up[j][fresh[-1]]", "up[j][done[j]]"),
+        ("factors", "_joins", "joined[j][fresh[-1]]", "joined[j][done[j]]"),
+    ],
+    "parent_only": [("factors", "_joins", "~(join | gone[parent])",
+                     "~(join | done[depth][parent])")],
+    "cut_off_by_one": [("factors", "_joins", "bounds[rnd[parent] - 2]",
+                        "bounds[rnd[parent] - 1]")],
+}
+
+
+def level_runs(monkeypatch, mutant) -> dict:
+    """Per LEVEL_SIZES row, (sizes, bits): the nodes each child_states call
+    of TreeBlock's copy-0 bits expands, and the bits, under the mutant."""
+    sizes, real = [], factors.child_states
+
+    def spy(host, depth, states):
+        sizes.append(states.size)
+        return real(host, depth, states)
+
+    monkeypatch.setattr(factors, "child_states", spy)  # before the mutant copies the module
+    apply_mutant(monkeypatch, RESOLVER_MUTANTS, mutant)
+    runs = {}
+    for name in LEVEL_SIZES:
+        host, pk, rows, _ = LEVEL_GRID[name]
+        sizes.clear()
+        bits = TreeBlock(lauer_wormald(*pk), host, trial_state_np(61, np.arange(rows))).bits(0)
+        runs[name] = (sizes.copy(), bits.tolist())
+    return runs
+
+
+@pytest.mark.parametrize("mutant", [None, *RESOLVER_MUTANTS])
+def test_level_arrays_expand_the_recorded_nodes(monkeypatch, mutant):
+    sizes = {name: run[0] for name, run in level_runs(monkeypatch, mutant).items()}
+    assert (sizes == LEVEL_SIZES) == (mutant is None), sizes
+
+
+@pytest.mark.parametrize("mutant", [None, *RESOLVER_MUTANTS])
+def test_resolver_mutants_but_the_frontier_one_change_the_bits(monkeypatch, mutant):
+    bits = {name: run[1] for name, run in level_runs(monkeypatch, None).items()}
+    monkeypatch.undo()
+    same = {name: run[1] for name, run in level_runs(monkeypatch, mutant).items()} == bits
+    assert same == (mutant in (None, "parent_only"))
+
+
 def test_one_level_call_holds_bounded_memory():
     """The most pairs one rule call takes, PASS_PAIRS = 16384, on T20:
-    LEVEL_ROOTS bounds the nodes in flight.  This call traces 27 MiB; one
-    pass over all its roots at once traces 299 MiB."""
+    LEVEL_ROOTS bounds the nodes in flight.  This call traces 22 MiB; one
+    pass over all its roots at once traces 268 MiB."""
     f, rows = lauer_wormald(0.01, 300), 16
     block = TreeBlock(f, RegularTreeHost(20), trial_state_np(63, np.arange(rows)), 0.5)
     copies = np.arange(1, PASS_PAIRS // rows + 1, dtype=np.uint64)

@@ -23,7 +23,8 @@ level erfc(4.75 / sqrt 2).
 
 Each check also runs on a source mutant of the exploration it must reject
 (`mutant` in its parameters), compiled from the function's own source with
-one text replaced, so a rewrite of the mutated line fails here loudly:
+one text replaced (conftest.apply_mutant), so a rewrite of the mutated line
+fails here loudly:
 
 - "no_join": the exploration never joins two vertices it has reached
   (configuration model: a pair whose other end is revealed is not kept;
@@ -34,17 +35,14 @@ one text replaced, so a rewrite of the mutated line fails here loudly:
   vertices not revealed before it.
 """
 
-import inspect
 import math
-import textwrap
 from collections import Counter, deque
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import localis
-from localis import coupling, graphs
+from localis import coupling
 from localis.coupling import CouplingConfig, _stability_trial_fn, copy_graphs, er_resample_graphs
 from localis.factors import constant_factor, graph_bits_at, threshold_factor
 from localis.graphs import (
@@ -57,6 +55,8 @@ from localis.graphs import (
 )
 from localis.parallel import per_trial, run_trials
 from localis.rng import CoupledLabels, fold, trial_state
+
+from conftest import apply_mutant
 
 Z_FAIL = 4.75
 ALPHA = math.erfc(Z_FAIL / math.sqrt(2.0))
@@ -80,27 +80,6 @@ MUTANTS = {
     ],
     "off_by_one": [("graphs", "bernoulli_reveal", "- at - 1", "- at - 2")],
 }
-
-
-def apply_mutant(monkeypatch, mutant) -> None:
-    """Install the named mutant for the rest of the test: each function it
-    changes is recompiled from its source with the texts replaced (each
-    must occur exactly once) and bound wherever the original is."""
-    changes = {}
-    for path, name, old, new in MUTANTS.get(mutant, []):
-        module, _, cls = path.partition(".")
-        owner = vars(localis)[module] if not cls else getattr(vars(localis)[module], cls)
-        source = changes.get((owner, name)) or textwrap.dedent(
-            inspect.getsource(getattr(owner, name)))
-        assert source.count(old) == 1, (mutant, name, old)
-        changes[owner, name] = source.replace(old, new)
-    for (owner, name), source in changes.items():
-        original = getattr(owner, name)
-        space = dict(vars(inspect.getmodule(original)))
-        exec(compile(source, f"<mutant {mutant}>", "exec"), space)
-        for holder in (owner, graphs, coupling):
-            if getattr(holder, name, None) is original:
-                monkeypatch.setattr(holder, name, space[name])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +170,7 @@ def binomial_p(count: int, n: int, q: float) -> float:
 
 @pytest.mark.parametrize("mutant", [None, "no_join"])
 def test_config_ball_shapes_match_the_whole_graph_sampler(monkeypatch, mutant):
-    apply_mutant(monkeypatch, mutant)
+    apply_mutant(monkeypatch, MUTANTS, mutant)
     n, trials = 12, 12_000
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ConfigModelHost(n, 3), trials=trials,
                          inner_trials=1, seed=61)
@@ -228,7 +207,7 @@ def tree_ball_probability(n: int, d: int, radius: int) -> float:
 
 @pytest.mark.parametrize("mutant", [None, "no_join"])
 def test_config_tree_ball_frequency_is_the_exact_pairing_probability(monkeypatch, mutant):
-    apply_mutant(monkeypatch, mutant)
+    apply_mutant(monkeypatch, MUTANTS, mutant)
     # const1's bit at the root is its 1-ball being a tree; the threshold
     # factor's graphs give the 2-ball
     n, trials, oks = 60, 6000, []
@@ -259,7 +238,7 @@ def test_tree_ball_probability_matches_enumeration():
 
 @pytest.mark.parametrize("mutant", [None, "off_by_one"])
 def test_er_root_degree_is_binomial(monkeypatch, mutant):
-    apply_mutant(monkeypatch, mutant)
+    apply_mutant(monkeypatch, MUTANTS, mutant)
     n, lam, trials = 12, 2.0, 20_000
     cfg = CouplingConfig(p=0.0, k=2, factor=CONST1, host=ErdosRenyiHost(n, lam), trials=trials,
                          inner_trials=1, seed=64)
@@ -272,7 +251,7 @@ def test_er_root_degree_is_binomial(monkeypatch, mutant):
 
 @pytest.mark.parametrize("mutant", [None, "no_join"])
 def test_er_ball_shapes_match_the_whole_graph_sampler(monkeypatch, mutant):
-    apply_mutant(monkeypatch, mutant)
+    apply_mutant(monkeypatch, MUTANTS, mutant)
     n, lam, trials = 12, 2.0, 12_000
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ErdosRenyiHost(n, lam), trials=trials,
                          inner_trials=1, seed=65)
@@ -291,7 +270,7 @@ def root_degrees(g, roots: np.ndarray) -> list:
 
 @pytest.mark.parametrize("mutant", [None, "redraw_s"])
 def test_er_copy_root_degrees_match_the_resampled_copies(monkeypatch, mutant):
-    apply_mutant(monkeypatch, mutant)
+    apply_mutant(monkeypatch, MUTANTS, mutant)
     # const1 accepts the roots whose 1-ball is a tree (no edge joins two of
     # their neighbours), and copy 1 of each accepted trial is evaluated, in
     # trial order; the reference conditions on the same event
@@ -363,7 +342,7 @@ def moments(rows: np.ndarray, inner: int) -> dict:
     ids=["config", "er", "config-no_join", "er-no_join"],
 )
 def test_stability_moments_match_the_whole_graph_estimator(monkeypatch, host, mutant):
-    apply_mutant(monkeypatch, mutant)
+    apply_mutant(monkeypatch, MUTANTS, mutant)
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=host, trials=5000, inner_trials=8, seed=69)
     got = moments(run_trials(_stability_trial_fn(cfg), cfg.trials), cfg.inner_trials)
     ref = cfg.__class__(**{**cfg.__dict__, "seed": 70})

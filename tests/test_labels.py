@@ -90,6 +90,8 @@ def test_scalar_and_array_labels_agree():
     states = vertex_states(trial_state(40, 0), 3000)
     for p in (0.0, 0.3, 1.0):
         labels, memo, cut = CoupledLabels(states, p), {}, percolation_cut(p)
+        labels(0)
+        assert "in_s" not in vars(labels)  # copy 0 alone draws no S
         for c in (0, 1, 2, 7, 3, 0):
             scalar = [coupled_label(s, c, cut, memo) for s in states.tolist()]
             assert labels(c).tolist() == scalar, (p, c)
