@@ -36,9 +36,10 @@ at a time (graphs.ConfigExploration pairs the half-edges of the vertices
 reached, graphs.ErExploration draws their Erdos-Renyi pairs, by counters
 keyed by fold(st, 1)), and reads copy 0 at the roots of the explored balls
 by one factors.graph_bits_at call.  The copies of the accepted trials are
-read the same way, about PASS_PAIRS vertices a union of copies: on the
-configuration model the accepted roots' balls of g, tiled once a copy; on
-the Erdos-Renyi host the copies explored too (_ErCopies), all k of a trial
+read about PASS_PAIRS vertices a union of copies: on the configuration
+model the accepted roots' balls of g, tiled once a copy, by the rule alone
+(copy 0's mask found them trees, and every copy's graph is g); on the
+Erdos-Renyi host the copies explored too (_ErCopies), all k of a trial
 level by level together, their pairs outside SxS read from g, which reveals
 further vertices as the copies reach them, and their pairs inside SxS
 drawn afresh.  No stability trial costs O(n).
@@ -480,10 +481,11 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
     explored balls (Exploration.cut), as one graph with its vertices
     renumbered in (trial, vertex id) order, are the whole graph's.  Copy 0 is read at the roots by one graph_bits_at call,
     labelled at the explored vertices alone.  The accepted trials' copies
-    are read the same way, a union of copies a call: on the configuration
-    model every copy's graph is g, so the accepted roots' balls are tiled
-    once a copy; on the Erdos-Renyi host the copies are explored too
-    (_ErCopies), all k copies of an accepted trial in one union, the trials
+    are read a union of copies a call: on the configuration model every
+    copy's graph is g, so the accepted roots' balls, trees by copy 0's
+    mask, are tiled once a copy and read by f.graph_rule alone; on the
+    Erdos-Renyi host the copies are explored too (_ErCopies) and read as
+    copy 0 is, all k copies of an accepted trial in one union, the trials
     taken in order while their copies' balls hold about PASS_PAIRS
     vertices."""
     f, host, n, k = cfg.factor, cfg.host, cfg.host.n, cfg.inner_trials
@@ -502,7 +504,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
     if cfg.p == 0.0:  # S is empty: every copy is copy 0
         rows[acc, 1] = k
         return rows
-    # inner trial j takes copy j, a union of copies a graph_bits_at call
+    # inner trial j takes copy j, a union of copies a call
     if isinstance(host, ErdosRenyiHost):
         sizes = k * (kept.searchsorted((acc + 1) * n) - kept.searchsorted(acc * n))
         for part in _union_parts(acc, sizes):
@@ -531,7 +533,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
         shift = m * np.arange(copies.size)[:, None]  # copies[i]'s ball at i * m
         union = _cut_graph(copies.size * m, (us + shift).ravel(), (vs + shift).ravel())
         union_labels = labels(copies, np.broadcast_to(ball, (copies.size, m)))
-        bits = graph_bits_at(f, union, union_labels.ravel(), (ball_roots + shift).ravel())
+        bits = f.graph_rule(union, union_labels.ravel())[(ball_roots + shift).ravel()]
         rows[acc, 1] += np.count_nonzero(bits.reshape(copies.size, -1), axis=0)
     return rows
 

@@ -442,9 +442,10 @@ class RootedNeighborhood:
     Vertex 0 is the root and ids follow BFS discovery order (adjacency sorted
     by original id), which makes serialisation stable and factor evaluation
     independent of the host graph's labelling of vertices up to label ties.
-    Ties are broken by order_key: the graph vertex id on a ball extracted
-    from a graph (source_vertices), so the balls of adjacent vertices agree
-    on it, and the BFS id on eager trees and filled-forest balls.
+    Ties are broken by order_key, read from source_vertices where it is
+    given: the graph vertex id on a ball extracted from a graph, so the
+    balls of adjacent vertices agree on it, the position state on a
+    filled-forest ball, as on a lazy tree, and the BFS id on eager trees.
 
     The ball is its adjacency: adj[v] lists v's neighbours by BFS id, sorted,
     with a neighbour once per edge and a loop at v as two entries v.  `edges`
@@ -455,7 +456,7 @@ class RootedNeighborhood:
     labels: np.ndarray
     radius: int
     depths: np.ndarray
-    source_vertices: np.ndarray | None = None  # original ids, if extracted
+    source_vertices: np.ndarray | None = None  # order keys: original ids, or states
     root: ClassVar[int] = 0
 
     @property

@@ -7,19 +7,19 @@ for the d-regular tree:
                    excess-degree neighbours with the highest labels, then
                    remove all marked edges (degrees drop to <= d);
   filling out    - attach (d-1)-ary trees to every deficient vertex until the
-                   forest is d-regular, and relabel everything with fresh
-                   labels;
+                   forest is d-regular, and label every vertex afresh by its
+                   position (FilledForest): the root's filled ball is a lazy
+                   d-regular tree, whatever the tree and its removals;
   inclusion      - run the factor on the filled forest, then keep only
                    members with no removed incident edge.
 
 edge_removal_stage, filling_out_stage and inclusion_stage run the stages per
 node on a sampled tree (graphs.sample_pgw_tree) at any vertex.  A trial
 needs J at the root alone, and transfer_block gets it for a block of trials
-at once, on level arrays: each trial's child counts and labels from its own
-draws, the same as sample_pgw_tree's, then for the whole block one ranking
-of the excess vertices' neighbours for the removal marks, the filled
-forest's root balls built level by level, and one f.graph_rule call over a
-forest of copies of the d-regular ball.  It equals the per-node stages bit
+at once: each trial's tree to radius 2 as level arrays, from its own draws,
+the same as sample_pgw_tree's, one ranking of the excess vertices'
+neighbours for the removal marks, and I' from one factors.TreeBlock on the
+d-regular tree, the one tree evaluator.  It equals the per-node stages bit
 for bit; they are its reference.  transfer_trace is its one-trial call.
 
 The resulting density is sandwiched between density(I) * P(root and all its
@@ -31,20 +31,21 @@ too.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import DensityEstimate, Factor, apply_factor, estimate_tree_density
-from .graphs import MultiGraph, RegularTreeHost, RootedNeighborhood, incidence_arrays
-from .parallel import BLOCK, mean_stderr, run_trials
+from .factors import Factor, TreeBlock, apply_factor
+from .graphs import RegularTreeHost, RootedNeighborhood
+from .parallel import mean_stderr, run_trials
 from .rng import (
-    CHILD_TAG, LABEL_TAG, check_poisson_lam, fold, fold_np, state_rngs, trial_state_np,
+    CHILD_TAG, CoupledLabels, check_poisson_lam, fold, fold_np, state_rngs, trial_state_np,
     uniform_labels,
 )
+
+TREE_RADIUS = 2  # a transfer trial's tree: the root's and its neighbours' degrees
 
 
 # ---------------------------------------------------------------------------
@@ -109,35 +110,56 @@ class _AttachNode:
 
 
 class FilledForest:
-    """Surviving forest made d-regular by attaching (d-1)-ary trees.
+    """Surviving forest made d-regular by attaching (d-1)-ary trees,
+    labelled by position.
 
     One attachment per missing degree unit: a vertex of surviving degree s
     receives d - s pendant trees, each contributing exactly one edge, so every
-    vertex reaches degree d.  All labels (original vertices and attachments)
-    are fresh, independent of the removal-stage labels.
+    vertex reaches degree d.  Every vertex has a position state: a
+    component top (the root, or a vertex whose parent edge was removed) has
+    fold(fold(y_state, 0xA77), v), v its tree vertex id, and every other
+    vertex, original or attached, its parent's state folded with CHILD_TAG
+    + its slot, the slots listing the surviving tree children in id order
+    first, then the attachments.  Its label is the copy-0 label of its state
+    (see rng) and its order key the state itself, so ball_view(0, r) is
+    LazyTree(RegularTreeHost(d), r, state(0)) read through TreeLabels, in
+    BFS order: I' at the root is the factor's bit on T_d with fresh labels,
+    independent of the tree and of K.
 
-    Surviving neighbours and attachments are derived lazily, only for the
-    vertices a requested ball actually reaches; ball_view checks the degree
-    of every vertex it expands.
+    Surviving neighbours, attachments and states are derived lazily, only
+    for the vertices a requested ball actually reaches; ball_view checks the
+    degree of every vertex it expands.
     """
 
     def __init__(self, tree: RootedNeighborhood, removed: np.ndarray, d: int, y_state: int):
         self.tree = tree
         self.removed = np.asarray(removed, dtype=bool)
         self.d = d
-        self.y_state = y_state
+        self.top = fold(y_state, 0xA77)
 
-    def _label(self, handle) -> int:
+    def state(self, handle) -> int:
+        """The position state of a vertex, an original vertex id or an
+        attachment."""
         if isinstance(handle, _AttachNode):
-            return fold(handle.state, LABEL_TAG)
-        return fold(fold(self.y_state, 0x1AB), int(handle))
+            return handle.state
+        v = int(handle)
+        if v == 0 or self.removed[v - 1]:
+            return fold(self.top, v)
+        parent = self.tree.adj[v][0]  # adj is sorted, and a parent's id is lower
+        return fold(self.state(parent), CHILD_TAG + self._children(parent).index(v))
 
-    def _attach_root(self, v: int, slot: int) -> _AttachNode:
-        return _AttachNode(fold(fold(fold(self.y_state, 0xA77), v), slot), v)
+    def _children(self, v: int) -> list:
+        """The surviving tree children of an original vertex, in id order."""
+        return [w for w in _surviving(self.tree, self.removed, v) if w > v]
+
+    def _attachments(self, handle, first: int, count: int) -> list:
+        """`count` attached children of a vertex, from slot `first` on."""
+        state = self.state(handle)
+        return [_AttachNode(fold(state, CHILD_TAG + first + j), handle) for j in range(count)]
 
     def ball_view(self, center: int, radius: int) -> RootedNeighborhood:
         """Materialise the radius-ball around an original vertex, with vertex
-        ids in BFS order.
+        ids in BFS order and the states as order keys.
 
         Interior vertices of the ball are checked to have degree exactly d.
         """
@@ -160,26 +182,24 @@ class FilledForest:
                     adj.append([i])
                     handles.append(w)
                     depths.append(depths[i] + 1)
-        labels = np.array([self._label(h) for h in handles], dtype=np.uint64)
-        return RootedNeighborhood(adj, labels, radius, np.asarray(depths, dtype=np.int64))
+        keys = np.array([self.state(h) for h in handles], dtype=np.uint64)
+        return RootedNeighborhood(adj, CoupledLabels(keys)(), radius,
+                                  np.asarray(depths, dtype=np.int64), keys)
 
     def _neighbors(self, handle) -> list:
+        """[parent, where its edge survives] + children by slot."""
         if isinstance(handle, _AttachNode):
-            kids = [
-                _AttachNode(fold(handle.state, CHILD_TAG + j), handle)
-                for j in range(self.d - 1)
-            ]
-            return [handle.parent] + kids
+            return [handle.parent] + self._attachments(handle, 0, self.d - 1)
         v = int(handle)
         kept = _surviving(self.tree, self.removed, v)
-        return kept + [self._attach_root(v, s) for s in range(self.d - len(kept))]
+        return kept + self._attachments(v, len(self._children(v)), self.d - len(kept))
 
 
 def filling_out_stage(
     tree: RootedNeighborhood, removed: np.ndarray, d: int, y_state: int
 ) -> FilledForest:
     """Attach pendant (d-1)-ary trees until every vertex has degree d and
-    relabel with fresh labels derived from y_state."""
+    label every vertex by its position, from y_state."""
     return FilledForest(tree, removed, d, y_state)
 
 
@@ -196,8 +216,10 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
     """(membership bit of original vertex v in the factor's set on the filled
     forest, its final bit of J).
 
-    Exact only when depth(v) + f.radius + 1 <= the generated tree's radius;
-    callers enforce the window.
+    At the root exact at any tree radius: its ball is the lazy d-regular
+    tree of its state, whatever the tree.  Elsewhere exact only when
+    depth(v) + f.radius + 1 <= the generated tree's radius; callers enforce
+    the window.
     """
     iprime = apply_factor(f, forest.ball_view(v, f.radius))
     j = iprime and not _incident_removed(forest.tree, forest.removed, v)
@@ -311,61 +333,6 @@ def _removal_marks(tb: _Levels, d: int) -> np.ndarray:
     return removed
 
 
-def _filled_ball(tb: _Levels, removed: np.ndarray, d: int, radius: int, y_states) -> np.ndarray:
-    """The labels of FilledForest(tree, removed, d, y).ball_view(0, radius)
-    of every trial of the block, y its entry of y_states: one row per trial,
-    by BFS id.  The filled forest is d-regular, so the ball has the d-regular
-    tree's shape: a level of m vertices has an (m, width) block of children,
-    each row the vertex's surviving tree children in id order, then its
-    attachment slots.  A level holds each vertex's block id `orig` (-1 on an
-    attachment vertex) and `state`, fold(fold(y, 0xA77), v) on tree vertex v
-    of BFS id v.  Attachment slot s of a tree vertex and child j of an
-    attachment vertex are both a fold of the row's state, by s = j - filled
-    and CHILD_TAG + j, so one fold makes both; each level takes one fold_np
-    set for the whole block."""
-    keys = np.stack((fold_np(y_states, 0xA77), fold_np(y_states, 0x1AB)))
-    orig = tb.roots
-    state, root_label = fold_np(keys, 0)
-    labels = [root_label]
-    for depth in range(radius):
-        width = d if depth == 0 else d - 1  # a ball vertex's parent edge survives
-        at = np.flatnonzero(orig >= 0)
-        child, row = tb.children(orig[at])
-        keep = ~removed[child]
-        filled = np.bincount(row[keep], minlength=at.size)
-        if (filled > width).any():
-            raise AssertionError(f"filled forest not {d}-regular at depth {depth}")
-        shift = np.full(orig.size, -CHILD_TAG, dtype=np.int64)
-        shift[at] = filled
-        slots = np.arange(width) - shift[:, None]
-        state = fold_np(state[:, None], slots).ravel()
-        level_labels = fold_np(state, LABEL_TAG)
-        orig = np.full(state.size, -1, dtype=np.int64)
-        tree = (slots < 0).ravel()  # the rows' first `filled` columns
-        orig[tree] = child = child[keep]
-        trial = tb.trial[child]
-        state[tree], level_labels[tree] = fold_np(keys[:, trial], child - tb.roots[trial])
-        labels.append(level_labels)
-    return np.concatenate([level.reshape(tb.roots.size, -1) for level in labels], axis=1)
-
-
-@functools.lru_cache(maxsize=4)
-def _ball_forest(d: int, radius: int, copies: int) -> MultiGraph:
-    """`copies` disjoint copies of the d-regular tree's root ball of this
-    radius, copy b on the ids b * size .. (b + 1) * size - 1 by BFS id, the
-    children of a vertex contiguous."""
-    parents, level, size = [], np.zeros(1, dtype=np.int64), 1
-    for depth in range(radius):
-        parents.append(np.repeat(level, d if depth == 0 else d - 1))
-        level = np.arange(size, size + parents[-1].size)
-        size += level.size
-    parent = np.concatenate([np.zeros(0, dtype=np.int64)] + parents)
-    base = np.arange(copies)[:, None] * size
-    n = copies * size
-    start, nbr, eid = incidence_arrays(n, (parent + base).ravel(), (np.arange(1, size) + base).ravel())
-    return MultiGraph(n, start=start, nbr=nbr, eid=eid)
-
-
 TransferBlock = namedtuple("TransferBlock", ["iprime", "j", "event_ok", "root_kids", "root_removed"])
 
 
@@ -376,36 +343,28 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
     marks of the root-incident edges, root_kids[t] of them for trial t, in
     child order, concatenated.
 
-    Each tree is generated to radius max(f.radius + 1, 2): the factor's ball
-    needs degrees to depth f.radius, and the removal marks on root-incident
-    edges need the degrees of the root's neighbours.  Bit for bit, a trial
-    of state s is sample_pgw_tree(lam, radius, fold(s, 1)),
-    edge_removal_stage on its labels, filling_out_stage with y_state
-    fold(s, 2) and inclusion_stage at the root: the balls are evaluated
-    together by f.graph_rule on a forest of copies of the d-regular ball,
-    whose bit at a copy's root is the view rule's on that ball, ties broken
-    by BFS id.  The trials run in passes whose balls hold at most the
-    vertices of BLOCK radius-1 balls; a pass hashes its trials' tree seeds
-    by one state_rngs call.
+    Bit for bit, a trial of state s is sample_pgw_tree(lam, TREE_RADIUS,
+    fold(s, 1)), edge_removal_stage on its labels, filling_out_stage with
+    y_state fold(s, 2) and inclusion_stage at the root.  The marks and the
+    degree event read the degrees of the root and its neighbours alone, and
+    I' reads no tree: it is one TreeBlock's copy-0 bits on RegularTreeHost(d)
+    at the root states fold(fold(y, 0xA77), 0).  The root is the one vertex
+    all of whose marks a block computes: AssertionError if it keeps more
+    than d edges.
     """
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
-    radius = max(f.radius + 1, 2)
-    size = _ball_forest(d, f.radius, 1).n
-    step = max(1, BLOCK * (d + 1) // size)
-    parts = []
-    for lo in range(0, states.size, step):
-        block = states[lo : lo + step]
-        forest = _ball_forest(d, f.radius, block.size)  # cached: every full block shares it
-        tb = _Levels([_pgw_levels(lam, radius, rng, d) for rng in state_rngs(fold_np(block, 1))])
-        removed = _removal_marks(tb, d)
-        ball = _filled_ball(tb, removed, d, f.radius, fold_np(block, 2))
-        iprime = f.graph_rule(forest, ball.ravel())[::size]
-        child, row = tb.children(tb.roots)
-        root_kids = tb.kids[tb.roots]
-        cut = np.bincount(row[removed[child]], minlength=block.size) > 0
-        over = np.bincount(row[tb.kids[child] >= d], minlength=block.size) > 0
-        parts.append((iprime, iprime & ~cut, (root_kids <= d) & ~over, root_kids, removed[child]))
-    return TransferBlock(*(np.concatenate(part) for part in zip(*parts)))
+    tb = _Levels([_pgw_levels(lam, TREE_RADIUS, rng, d) for rng in state_rngs(fold_np(states, 1))])
+    removed = _removal_marks(tb, d)
+    child, row = tb.children(tb.roots)
+    root_removed = removed[child]
+    if (np.bincount(row[~root_removed], minlength=states.size) > d).any():
+        raise AssertionError(f"filled forest not {d}-regular at depth 0")
+    tops = fold_np(fold_np(fold_np(states, 2), 0xA77), 0)
+    iprime = TreeBlock(f, RegularTreeHost(d), tops).bits(0)
+    root_kids = tb.kids[tb.roots]
+    cut = np.bincount(row[root_removed], minlength=states.size) > 0
+    over = np.bincount(row[tb.kids[child] >= d], minlength=states.size) > 0
+    return TransferBlock(iprime, iprime & ~cut, (root_kids <= d) & ~over, root_kids, root_removed)
 
 
 @dataclass
@@ -425,50 +384,33 @@ def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:
     return TransferTrace(int(out.iprime[0]), int(out.j[0]), bool(out.event_ok[0]), out.root_removed)
 
 
-TransferReport = namedtuple(
-    "TransferReport",
-    [
-        "lam",
-        "d",
-        "trials",
-        "density_j",
-        "stderr_j",
-        "density_i",
-        "stderr_i",
-        "p_event_exact",
-        "p_event_mc",
-        "stderr_event",
-        "lower",
-        "upper",
-    ],
-)
+TransferReport = namedtuple("TransferReport", [
+    "lam", "d", "trials", "density_j", "stderr_j", "density_i", "stderr_i", "p_event_exact",
+    "p_event_mc", "stderr_event", "lower", "upper",
+])
 
 
 def transfer_density(
-    f: Factor, lam: float, d: int, trials: int, seed: int = 0, workers: int = 1,
-    density_trials: int | None = None,
+    f: Factor, lam: float, d: int, trials: int, seed: int = 0, workers: int = 1
 ) -> TransferReport:
     """Monte Carlo density of J at the root over fresh PGW trees, with the
     sandwich [density(I) * P(event), density(I)] it must land in.
 
-    density_trials sizes the reference run on the regular tree (defaults to
-    `trials`; the reference trees are much cheaper than PGW trees, so a larger
-    count sharpens the sandwich).
+    density(I) and its standard error come from the same trials' I' bits:
+    I' at the root is the factor's bit on the d-regular tree, with fresh
+    labels.  So J <= I' holds trial by trial, and density_j <= density_i.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
 
     def block(lo: int, hi: int):
         out = transfer_block(f, lam, d, trial_state_np(seed, np.arange(lo, hi)))
-        return np.column_stack((out.j, out.event_ok))
+        return np.column_stack((out.j, out.event_ok, out.iprime))
 
     rows = run_trials(block, trials, workers)
     density_j, se_j = mean_stderr(rows[:, 0])
     p_mc, se_event = mean_stderr(rows[:, 1])
-    density_i: DensityEstimate = estimate_tree_density(
-        f, RegularTreeHost(d), density_trials or trials,
-        seed=fold(seed, 0xD1), workers=workers,
-    )
+    density_i, se_i = mean_stderr(rows[:, 2])
     p_exact = event_E_probability(lam, d)
     return TransferReport(
         lam,
@@ -476,13 +418,13 @@ def transfer_density(
         trials,
         density_j,
         se_j,
-        density_i.mean,
-        density_i.stderr,
+        density_i,
+        se_i,
         p_exact,
         p_mc,
         se_event,
-        density_i.mean * p_exact,
-        density_i.mean,
+        density_i * p_exact,
+        density_i,
     )
 
 

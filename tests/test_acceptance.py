@@ -242,8 +242,7 @@ def test_criterion_7_transfer_sandwich():
         ((20.0, 28), 12_000, 111),
         ((50.0, 60), 5_000, 112),
     ):
-        rep = transfer_density(factor, lam, d, trials, seed=seed,
-                               density_trials=100_000)
+        rep = transfer_density(factor, lam, d, trials, seed=seed)
         assert rep.lower - 3 * rep.stderr_j <= rep.density_j <= rep.upper + 3 * rep.stderr_j, (
             f"sandwich violated at (lam={lam}, d={d})"
         )
@@ -269,7 +268,7 @@ def test_criterion_7_exact_transfer_density():
         (threshold_factor(), (50.0, 60), 5_000, 122),
         (lauer_wormald(0.3, 2), (3.0, 3), 4_000, 123),
     ):
-        rep = transfer_density(f, lam, d, trials, seed=seed, density_trials=100_000)
+        rep = transfer_density(f, lam, d, trials, seed=seed)
         p_k = event_K_probability(lam, d)
         se = math.hypot(rep.stderr_j, p_k * rep.stderr_i)
         z = (rep.density_j - rep.density_i * p_k) / se

@@ -25,9 +25,8 @@ since graph-host stability explores its balls), where
 configuration-model scan at k = 6, was recorded while graph-host coupled trials still kept a
 profile row over all 64 copy subsets, before they kept only the k prefix
 densities.  `transfer_lw_removals`, LW transfer at (lam 6, d 5), where root
-removals are frequent and the radius-3 filled-forest balls run through
-removed edges and attachments, was recorded before a rooted ball's
-adjacency became its one stored form.  `density_tree_lw_deep` (LW(0.02, 250)
+removals are frequent, was recorded before a rooted ball's adjacency became
+its one stored form.  `density_tree_lw_deep` (LW(0.02, 250)
 density on T4) and `stability_pgw_lw_deep` (LW(0.02, 250) stability on
 PGW(3)), the first tree-host LW commands with k above 8, were recorded
 while the percolation-round rule still resolved every root neighbour with
@@ -52,7 +51,12 @@ stability stopped drawing whole graphs and explored each root's
 neighbourhood from counters keyed by the trial state (the configuration
 model paired on demand, the Erdos-Renyi graph and its copies' SxS pairs
 drawn by geometric gaps); the laws of those explorations are checked in
-tests/test_graph_laws.py.  A refactor that moves any random stream or
+tests/test_graph_laws.py.  The three `transfer_*` commands were re-recorded
+when the filled forest took its labels by position, so that I' is read from
+one tree evaluator on the d-regular tree and density_I from the same trials,
+and the transfer's trees were drawn to radius 2 for every factor, which
+moved the LW commands' removal labels too; the laws of those draws are
+checked in tests/test_pgw.py.  A refactor that moves any random stream or
 changes any output byte fails here.
 """
 
@@ -66,12 +70,12 @@ GOLDEN = {
     "transfer_threshold": (
         ["pgw-transfer", "--factor", "threshold", "--lam", "20", "--d", "28",
          "--trials", "300", "--seed", "3"],
-        "520fd45c9800872b095f3067bbe88657ddd7fba886a38bc5b50740aa7acf7266",
+        "0b55374654412d0a8edfaad5c02021884e05d754405217e5bdab2c24d6c1f09b",
     ),
     "transfer_lw": (
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--lam", "4", "--d", "6", "--trials", "200", "--seed", "4"],
-        "b9fca9ac13fa0e908cace33e7f99a6608bf68c5272be672e6f1fe6053f3d5d7f",
+        "fec8f54ef0b4662dab66572b0cd59be452dd88eea3f9f83c9a63827445d5aca2",
     ),
     "density_config_threshold": (
         ["density", "--factor", "threshold", "--host", "config-model",
@@ -209,7 +213,7 @@ GOLDEN = {
     "transfer_lw_removals": (
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--lam", "6", "--d", "5", "--trials", "150", "--seed", "25"],
-        "22beebc4f7fd55152b3ae02c21e34cdbbaf164571fc7eb4ec8c680cfe1c37a4d",
+        "965a4d7ca6147fc4d19177c2da1e280696160817b28424f9478fd047ff0ddbcd",
     ),
     "density_tree_lw_deep": (
         ["density", "--factor", "lw", "--lw-p", "0.02", "--lw-k", "250",

@@ -2,7 +2,8 @@
 
 Graph-host stability evaluates each outer trial's root on a graph that holds
 its ball of radius f.radius + 1 (the vertices within that distance and the
-edges between them), and each inner copy the same way (coupling._graph_stability_pass, through factors.graph_bits_at).
+edges between them), and each inner copy the same way (coupling._graph_stability_pass, through factors.graph_bits_at;
+the configuration model's copies, whose graph is g, through the rule alone).
 These checks read those graphs, whatever draws them, by a spy on
 coupling.graph_bits_at, and compare their laws with the whole-graph
 samplers, which draw the graph first and cut it after:

@@ -658,7 +658,9 @@ def _tree_reference(counts_per_level, r: int, rng) -> tuple:
 
 
 def _ball_view_reference(forest, center: int, radius: int) -> tuple:
-    """(n, edges, labels, depths, None) of forest.ball_view(center, radius)."""
+    """(n, edges, labels, depths, order keys) of forest.ball_view(center,
+    radius): a vertex's order key is its position state, its label the
+    state's copy-0 label."""
     handles = [center]
     depths = [0]
     edges = []
@@ -672,8 +674,9 @@ def _ball_view_reference(forest, center: int, radius: int) -> tuple:
                 edges.append((i, len(handles)))
                 handles.append(w)
                 depths.append(depths[i] + 1)
-    labels = np.array([forest._label(h) for h in handles], dtype=np.uint64)
-    return len(handles), edges, labels, depths, None
+    keys = np.array([forest.state(h) for h in handles], dtype=np.uint64)
+    labels = np.array([fold(fold(int(s), LABEL_TAG), 0) for s in keys], dtype=np.uint64)
+    return len(handles), edges, labels, depths, keys
 
 
 def _assert_ball(nb, reference):

@@ -3,14 +3,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from localis import parallel
+from localis import parallel, pgw_transfer
 from localis.factors import constant_factor, lauer_wormald, threshold_factor
-from localis.graphs import RootedNeighborhood, sample_pgw_tree, sample_regular_tree
+from localis.graphs import (
+    LazyTree,
+    RegularTreeHost,
+    RootedNeighborhood,
+    TreeLabels,
+    sample_pgw_tree,
+    sample_regular_tree,
+)
+from localis.parallel import mean_stderr
 from localis.pgw_transfer import (
+    TREE_RADIUS,
     FilledForest,
-    _ball_forest,
-    _filled_ball,
+    _AttachNode,
     _Levels,
     _removal_marks,
     edge_removal_stage,
@@ -27,9 +36,9 @@ from localis.pgw_transfer import (
     transfer_density,
     transfer_trace,
 )
-from localis.rng import POISSON_LAM_MAX, fold, trial_state, trial_state_np
+from localis.rng import CHILD_TAG, POISSON_LAM_MAX, fold, trial_state, trial_state_np
 
-from conftest import assert_within_sigma, binomial_se
+from conftest import apply_mutant, assert_within_sigma, binomial_se
 
 
 def make_tree(parents, labels, radius):
@@ -113,7 +122,10 @@ def test_fill_regular_tree_unchanged():
 
 class EagerForest(FilledForest):
     """Reference: the filled forest built eagerly, with the surviving
-    adjacency and deficiency of every vertex computed up front."""
+    adjacency, deficiency and position state of every vertex computed up
+    front, top-down: a component top's state from y_state and its id, a
+    surviving child's from its parent's and its rank among the parent's
+    surviving children, its attachments' slots after them."""
 
     def __init__(self, tree, removed, d, y_state):
         super().__init__(tree, removed, d, y_state)
@@ -125,11 +137,22 @@ class EagerForest(FilledForest):
         self.deficiency = np.array(
             [d - len(nbrs) for nbrs in self.surviving_adj], dtype=np.int64
         )
+        self.kids = [sorted(w for w in nbrs if w > v) for v, nbrs in enumerate(self.surviving_adj)]
+        self.states = [fold(fold(y_state, 0xA77), v) for v in range(tree.n)]
+        for v, kids in enumerate(self.kids):  # BFS ids: a parent before its children
+            for slot, w in enumerate(kids):
+                self.states[w] = fold(self.states[v], CHILD_TAG + slot)
+
+    def state(self, handle):
+        return self.states[handle] if isinstance(handle, int) else handle.state
 
     def _neighbors(self, handle):
         if not isinstance(handle, int):
             return super()._neighbors(handle)
-        attach = [self._attach_root(handle, s) for s in range(int(self.deficiency[handle]))]
+        attach = [
+            _AttachNode(fold(self.states[handle], CHILD_TAG + len(self.kids[handle]) + s), handle)
+            for s in range(int(self.deficiency[handle]))
+        ]
         return list(self.surviving_adj[handle]) + attach
 
 
@@ -137,6 +160,7 @@ def _assert_same_ball(forest, reference, v, r):
     got, want = forest.ball_view(v, r), reference.ball_view(v, r)
     assert (got.n, got.edges, got.radius) == (want.n, want.edges, want.radius)
     assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.source_vertices, want.source_vertices)  # the order keys
     assert np.array_equal(got.depths, want.depths)
 
 
@@ -281,7 +305,7 @@ def test_j_independent_within_window():
 def stage_trace(f, lam, d, state):
     """The per-node stages at the root, the reference transfer_block equals:
     (tree, removed, I', J, event_ok)."""
-    tree = sample_pgw_tree(lam, max(f.radius + 1, 2), fold(state, 1))
+    tree = sample_pgw_tree(lam, TREE_RADIUS, fold(state, 1))
     removed = edge_removal_stage(tree, tree.labels, d)
     forest = filling_out_stage(tree, removed, d, fold(state, 2))
     iprime, j = inclusion_stage(f, forest)
@@ -301,22 +325,18 @@ GATE_FACTORS = {
     "const1": constant_factor(1),
 }
 GATE_GRID = [(1.0, 8), (3.0, 3), (6.0, 3), (6.0, 5), (20.0, 28), (50.0, 60)]
-# trials per (factor, lam): the per-node tree has about lam^R vertices at
-# radius R = max(f.radius + 1, 2), so the radius-3 and radius-4 references
-# take few trials at lam >= 20; LW(0.3, 2) at lam = 50 (R = 4) would build
-# 6.4 million per-node vertices a trial and is left out
-GATE_TRIALS = {("lw1", 20.0): 4, ("lw1", 50.0): 1, ("lw2", 20.0): 1}
+# trials per (factor, lam): the per-node root ball of radius r = f.radius
+# has 1 + d + ... + d (d-1)^(r-1) vertices, so the radius-2 and radius-3
+# references take few trials at d >= 28: LW(0.3, 2) at d = 60 builds 212 461
+# per-node vertices a trial (about 0.5 s)
+GATE_TRIALS = {("lw1", 20.0): 4, ("lw1", 50.0): 1, ("lw2", 20.0): 1, ("lw2", 50.0): 1}
 
 
-@pytest.mark.parametrize("name,lam,d", [
-    (name, lam, d) for name in sorted(GATE_FACTORS) for lam, d in GATE_GRID
-    if (name, lam) != ("lw2", 50.0)
-])
-def test_transfer_trace_equals_the_per_node_stages(name, lam, d):
+def assert_trials_equal_the_stages(name, lam, d):
     # the pinned trials as one transfer_block, and one by one through transfer_trace
     f = GATE_FACTORS[name]
     states = [trial_state(int(lam) * 1000 + d, t) for t in range(GATE_TRIALS.get((name, lam), 20))]
-    block = transfer_block(f, lam, d, states)
+    block = pgw_transfer.transfer_block(f, lam, d, states)  # as a mutant binds it
     cut = np.cumsum(block.root_kids)[:-1]
     seen = set()
     for state, iprime, j, event_ok, root_removed in zip(
@@ -333,6 +353,13 @@ def test_transfer_trace_equals_the_per_node_stages(name, lam, d):
         seen.update({"none above d"} if max(map(len, tree.adj)) <= d else set())
     if lam == 1.0:
         assert seen == {"childless root", "dies before radius 2", "none above d"}
+
+
+@pytest.mark.parametrize("name,lam,d", [
+    (name, lam, d) for name in sorted(GATE_FACTORS) for lam, d in GATE_GRID
+])
+def test_transfer_trace_equals_the_per_node_stages(name, lam, d):
+    assert_trials_equal_the_stages(name, lam, d)
 
 
 HAND_BUILT = {
@@ -357,25 +384,41 @@ def levels_of(kids, labels, d, radius):
     return kids, labels[:kids.size], labels[kids.size:][np.repeat(last >= d, last)]
 
 
+def lazy_ball(d, radius, state):
+    """(adjacency, labels, order keys) of LazyTree(RegularTreeHost(d),
+    radius, state) read through TreeLabels, by BFS id."""
+    view = TreeLabels(LazyTree(RegularTreeHost(d), radius, state))
+    nodes, adj = [view.root], [[]]
+    for i, node in enumerate(nodes):
+        for kid in view.tree.children(node):
+            adj[i].append(len(nodes))
+            adj.append([i])
+            nodes.append(kid)
+    return adj, [view.label(v) for v in nodes], [view.order_key(v) for v in nodes]
+
+
 def assert_block_equals_the_stages(trees, d):
-    """Marks and filled balls of a block of trees (kids, labels, radius)
-    against edge_removal_stage and FilledForest.ball_view: the marks of the
-    interior edges, the ones the block keeps, and the balls of every radius
-    r, from the block of the trees deeper than r."""
+    """A block of trees (kids, labels, radius) against the per-node stages:
+    the block's marks of the interior edges, the ones it keeps, against
+    edge_removal_stage, from the block of the trees deeper than r for every
+    r below the largest radius; and each root's filled ball of radius 0..3
+    against the lazy d-regular tree of the root's state, shape, labels and
+    order keys."""
     for r in range(max(radius for *_, radius in trees)):
         block = [tree for tree in trees if tree[2] > r]
         tb = _Levels([levels_of(kids, labels, d, radius) for kids, labels, radius in block])
-        removed = _removal_marks(tb, d)
-        y_states = trial_state_np(d, np.arange(len(block)))
-        balls = _filled_ball(tb, removed, d, r, y_states)
-        shape = _ball_forest(d, r, 1)
+        removed = pgw_transfer._removal_marks(tb, d)  # as a mutant binds it
         for t, (kids, labels, radius) in enumerate(block):
             tree = tree_of(kids, labels, radius)
             marks = edge_removal_stage(tree, tree.labels, d)
             assert np.array_equal(removed[tb.roots[t] + 1 : tb.stop[t]], marks[: len(kids) - 1])
-            want = filling_out_stage(tree, marks, d, int(y_states[t])).ball_view(0, r)
-            assert np.array_equal(balls[t], want.labels)
-            assert [[w for w, _ in shape.adj[v]] for v in range(shape.n)] == want.adj
+    for (kids, labels, radius), y in zip(trees, trial_state_np(d, np.arange(len(trees))).tolist()):
+        tree = tree_of(kids, labels, radius)
+        forest = filling_out_stage(tree, edge_removal_stage(tree, tree.labels, d), d, y)
+        for r in range(4):
+            ball = forest.ball_view(0, r)
+            got = ball.adj, ball.labels.tolist(), ball.source_vertices.tolist()
+            assert got == lazy_ball(d, r, fold(fold(y, 0xA77), 0))
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
@@ -420,7 +463,6 @@ def test_level_arrays_equal_the_stages_on_tied_random_trees():
 
 @pytest.mark.parametrize("f,lam,d", [
     (threshold_factor(), 6.0, 5), (lauer_wormald(0.3, 2), 6.0, 5),
-    # a ball of 785 vertices: passes of 37 trials
     (lauer_wormald(0.3, 1), 20.0, 28),
 ])
 def test_transfer_block_rows_do_not_depend_on_the_cut(f, lam, d):
@@ -434,7 +476,7 @@ def test_transfer_block_rows_do_not_depend_on_the_cut(f, lam, d):
 
 def test_transfer_density_does_not_depend_on_the_run_block(monkeypatch):
     def report():
-        return transfer_density(threshold_factor(), 6.0, 5, 30, seed=3, density_trials=8)
+        return transfer_density(threshold_factor(), 6.0, 5, 30, seed=3)
 
     whole = report()
     for block in (1, 7):
@@ -448,16 +490,124 @@ def test_transfer_memory_is_bounded_by_the_run_blocks():
     f = threshold_factor()
 
     def peak(trials):
-        _ball_forest.cache_clear()
         tracemalloc.start()
         try:
-            transfer_density(f, 50.0, 60, trials, seed=5, density_trials=8)
+            transfer_density(f, 50.0, 60, trials, seed=5)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert parallel.BLOCK == 1024
     assert peak(4096) <= 1.25 * peak(1024)
+
+
+def test_transfer_block_guards_the_root_degree(monkeypatch):
+    # the root is the one vertex all of whose marks a block computes; with
+    # its own marks dropped, a root above d keeps more than d edges
+    states = trial_state_np(22, np.arange(40))
+    assert (transfer_block(threshold_factor(), 6.0, 3, states).root_kids > 3).any()
+    apply_mutant(monkeypatch, TRANSFER_MUTANTS, "no_root_marks")
+    with pytest.raises(AssertionError, match="not 3-regular at depth 0"):
+        pgw_transfer.transfer_block(threshold_factor(), 6.0, 3, states)
+
+
+# ---------------------------------------------------------------------------
+# law gate: the transfer's random streams by their laws
+# ---------------------------------------------------------------------------
+#
+# z-tests fail beyond Z_FAIL = 4.75 standard errors, a two-sided nominal
+# false-alarm rate of ALPHA = erfc(4.75 / sqrt 2) = 2.0e-6 each by the
+# normal limit, and the exact binomial tests at level ALPHA.
+
+Z_FAIL = 4.75
+ALPHA = math.erfc(Z_FAIL / math.sqrt(2.0))
+LAW_GRID = [(3.0, 3), (20.0, 28), (50.0, 60)]
+LAW_TRIALS = 10_000
+
+
+def law_block(name, lam, d):
+    states = trial_state_np(36, np.arange(LAW_TRIALS))
+    return pgw_transfer.transfer_block(GATE_FACTORS[name], lam, d, states)  # as a mutant binds it
+
+
+def assert_paired_mean_zero(block, lam, d):
+    """J = I' and K, with I' independent of K, so the per-trial statistic
+    J - P(K) I' has mean 0, P(K) exact (event_K_probability)."""
+    mean, se = mean_stderr(block.j - event_K_probability(lam, d) * block.iprime)
+    assert abs(mean) <= Z_FAIL * se, (mean, se)
+
+
+def assert_threshold_density_i(block, d):
+    """The threshold factor's I' is 1 with probability 1/(d+1): the root's
+    filled ball is a d-regular tree ball."""
+    count = int(block.iprime.sum())
+    assert stats.binomtest(count, block.iprime.size, 1.0 / (d + 1)).pvalue >= ALPHA, count
+
+
+@pytest.mark.parametrize("name,lam,d", [
+    (name, lam, d) for name in ("const1", "lw2", "threshold") for lam, d in LAW_GRID
+])
+def test_transfer_J_minus_P_K_times_Iprime_has_mean_zero(name, lam, d):
+    assert_paired_mean_zero(law_block(name, lam, d), lam, d)
+
+
+@pytest.mark.parametrize("lam,d", LAW_GRID)
+def test_transfer_threshold_density_i_is_exact(lam, d):
+    assert_threshold_density_i(law_block("threshold", lam, d), d)
+
+
+# source mutants of the transfer (conftest.apply_mutant): J taken as I' and
+# the degree event in place of K; the rim vertices' parent-edge rule
+# inverted; a surviving child one slot further on in the filled forest; I'
+# read on T_(d+1); the root's own marks dropped
+TRANSFER_MUTANTS = {
+    "j_is_event": [("pgw_transfer", "transfer_block", "iprime & ~cut",
+                    "iprime & (root_kids <= d) & ~over")],
+    "rim_inverted": [("pgw_transfer", "_removal_marks", "higher < degree[v] - d",
+                      "higher >= degree[v] - d")],
+    "slot_off_by_one": [("pgw_transfer.FilledForest", "state", ".index(v))", ".index(v) + 1)")],
+    "wrong_degree": [("pgw_transfer", "transfer_block", "RegularTreeHost(d), tops",
+                      "RegularTreeHost(d + 1), tops")],
+    "no_root_marks": [("pgw_transfer", "_removal_marks", "if not above.size:", "if True:")],
+}
+
+# the transfer's gates, each run on every mutant: the hand-built equality
+# gate, the per-node stages at (6, 5), and the law gate at (3, 3)
+MUTANT_CHECKS = {
+    "hand-built": lambda: [test_level_arrays_equal_the_stages_on_hand_built_trees(name)
+                           for name in HAND_BUILT],
+    "stages threshold": lambda: assert_trials_equal_the_stages("threshold", 6.0, 5),
+    "stages const1": lambda: assert_trials_equal_the_stages("const1", 6.0, 5),
+    **{f"paired {name}": lambda name=name: assert_paired_mean_zero(law_block(name, 3.0, 3), 3.0, 3)
+       for name in ("const1", "lw2", "threshold")},
+    "density_i": lambda: assert_threshold_density_i(law_block("threshold", 3.0, 3), 3),
+}
+# the checks each mutant fails at these seeds (on the whole law grid and
+# gate grid: j_is_event fails the paired test of every factor with I' > 0
+# but LW(0.3, 2) at d >= 28; rim_inverted and no_root_marks fail nearly all;
+# slot_off_by_one only the equality gates; wrong_degree the density_I test
+# at (3, 3) and the per-node stages, and no paired test)
+KILLS = {
+    None: set(),
+    "j_is_event": {"stages const1", "paired const1", "paired lw2", "paired threshold"},
+    "rim_inverted": {"hand-built", "stages threshold", "stages const1", "paired const1",
+                     "paired lw2", "paired threshold"},
+    "slot_off_by_one": {"hand-built"},
+    "wrong_degree": {"stages threshold", "density_i"},
+    "no_root_marks": set(MUTANT_CHECKS),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *TRANSFER_MUTANTS])
+def test_transfer_gates_kill_the_mutants(monkeypatch, mutant):
+    apply_mutant(monkeypatch, TRANSFER_MUTANTS, mutant)
+    failed = set()
+    for name, check in MUTANT_CHECKS.items():
+        try:
+            check()
+        except AssertionError:
+            failed.add(name)
+    assert failed == KILLS[mutant]
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +711,7 @@ def test_event_K_probability_bounds():
 
 def test_constant_one_transfer_density_is_P_K():
     # with I' = 1, J at the root is the indicator of K itself
-    rep = transfer_density(constant_factor(1), 3.0, 3, 10_000, seed=14, density_trials=10)
+    rep = transfer_density(constant_factor(1), 3.0, 3, 10_000, seed=14)
     p_k = event_K_probability(3.0, 3)
     assert_within_sigma(rep.density_j, p_k, binomial_se(p_k, 10_000), context="P(K)")
 

@@ -67,8 +67,9 @@ ALLOWED = {
     "pgw_transfer._incident_removed": "test reference",
     "pgw_transfer._AttachNode.__init__": "test reference",
     "pgw_transfer.FilledForest.__init__": "test reference",
-    "pgw_transfer.FilledForest._label": "test reference",
-    "pgw_transfer.FilledForest._attach_root": "test reference",
+    "pgw_transfer.FilledForest.state": "test reference",
+    "pgw_transfer.FilledForest._children": "test reference",
+    "pgw_transfer.FilledForest._attachments": "test reference",
     "pgw_transfer.FilledForest.ball_view": "test reference",
     "pgw_transfer.FilledForest._neighbors": "test reference",
     "factors._project_bits": "test reference",
