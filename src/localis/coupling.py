@@ -308,7 +308,7 @@ def _jackknife_moment(count: int, n: int, m: float) -> float:
     if m == 0:
         return 1.0
     if m == 1 or n < 2:
-        return q**m if m != 1 else q
+        return q**m
     loo_one = ((count - 1) / (n - 1)) ** m if count > 0 else 0.0
     loo_zero = (count / (n - 1)) ** m
     loo_mean = (count / n) * loo_one + ((n - count) / n) * loo_zero

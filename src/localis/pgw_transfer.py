@@ -15,12 +15,14 @@ for the d-regular tree:
 
 edge_removal_stage, filling_out_stage and inclusion_stage run the stages per
 node on a sampled tree (graphs.sample_pgw_tree) at any vertex.  A trial
-needs J at the root alone, and transfer_block gets it for a block of trials
-at once: each trial's tree to radius 2 as level arrays, from its own draws,
-the same as sample_pgw_tree's, one ranking of the excess vertices'
-neighbours for the removal marks, and I' from one factors.TreeBlock on the
-d-regular tree, the one tree evaluator.  It equals the per-node stages bit
-for bit; they are its reference.  transfer_trace is its one-trial call.
+needs J at the root alone, which reads the root's star: the root's and its
+children's child counts and labels, and the labels of the children of the
+children above degree d.  transfer_block gets J for a block of trials at
+once: each trial's star from its own draws, the same as sample_pgw_tree's
+to radius 2, the root-edge marks of all the stars by one pure function,
+and I' from one factors.TreeBlock on the d-regular tree, the one tree
+evaluator.  It equals the per-node stages bit for bit; they are its
+reference.  transfer_trace is its one-trial call.
 
 The resulting density is sandwiched between density(I) * P(root and all its
 neighbours have degree <= d) and density(I), and equals density(I) * P(K),
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,109 +228,52 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The three stages at the root, on level arrays, a block of trials at once
+# The three stages at the root, on root stars, a block of trials at once
 # ---------------------------------------------------------------------------
 #
-# A trial's tree is `kids`, the child count of each vertex at depth < radius
-# by BFS id, and `labels`, their removal labels.  The children of a vertex
-# are contiguous and the levels in order, as _build_tree numbers them: with
-# ends = cumsum(kids), vertex v's children are the ids ends[v] - kids[v] + 1
-# .. ends[v].  The depth-radius vertices, ids kids.size on, are the
-# boundary: their children are not drawn and, as in the per-node stages,
-# they never mark.  Of the boundary labels a trial keeps only `rim`, those
-# of the children of the depth radius - 1 vertices above degree d, in id
-# order: their ranking decides whether those vertices mark their parent
-# edge.  A block stacks the trials' interior vertices trial by trial under
-# block ids; within a trial block ids follow BFS ids, so ranking by block
-# id breaks label ties as the per-node stages do.
+# A block stacks the trials' root stars: root_kids and root_labels one entry
+# a trial, kids (child counts) and labels one a child, the children trial by
+# trial in id order, and rim the labels of the children of the children with
+# kids >= d, child by child in id order.
 
 
-def _pgw_levels(lam: float, radius: int, rng, d: int) -> tuple:
-    """(kids, labels, rim) of the tree sample_pgw_tree(lam, radius, state)
-    draws, from the same draws, given rng = state_rng(state): one
-    rng.poisson per non-empty level, then one uniform_labels over every
-    vertex, of which the interior's and the rim's are kept (see above)."""
-    if lam <= 0:
-        raise ValueError("need lam > 0")
-    levels, size, total = [], 1, 1
-    for _ in range(radius):
-        if not size:
-            break
-        levels.append(rng.poisson(lam, size=size))
-        size = int(levels[-1].sum())
-        total += size
-    kids, labels, last = np.concatenate(levels), uniform_labels(rng, total), levels[-1]
-    # a copy, not a view: a block holds no trial's boundary labels
-    return kids, labels[:kids.size].copy(), labels[kids.size:][np.repeat(last >= d, last)]
+def _root_star(lam: float, rng, d: int) -> tuple:
+    """(root_kids, root_labels, kids, labels, rim) of the tree
+    sample_pgw_tree(lam, TREE_RADIUS, state) draws, from the same draws,
+    given rng = state_rng(state): rng.poisson for the root, rng.poisson for
+    its children when it has any, then one uniform_labels over every
+    vertex."""
+    root = rng.poisson(lam, size=1)
+    kids = rng.poisson(lam, size=int(root[0])) if root[0] else root[:0]
+    labels = uniform_labels(rng, 1 + kids.size + int(kids.sum()))
+    # copies, not views: a block holds no trial's other labels
+    return (root, labels[:1].copy(), kids, labels[1 : kids.size + 1].copy(),
+            labels[kids.size + 1 :][np.repeat(kids >= d, kids)])
 
 
-class _Levels:
-    """The trees of a block of trials, each given as _pgw_levels' (kids,
-    labels, rim), stacked: `kids`, `labels` and `rim` concatenated,
-    `trial` the trial of each block id, `roots` the block id of each
-    trial's root and `stop` the block id after its last vertex, and
-    `first` the block id of each vertex's first child (a child at block id
-    stop[t] or beyond is a boundary vertex of trial t)."""
+def _star_marks(root_kids, root_labels, kids, labels, rim, d: int) -> np.ndarray:
+    """edge_removal_stage's marks on the root edges of a block of stars:
+    removed[c] marks the edge from child c to its root.
 
-    def __init__(self, trees):
-        self.kids, self.labels, self.rim = (np.concatenate(part) for part in zip(*trees))
-        size = np.array([tree[0].size for tree in trees])
-        self.stop = np.cumsum(size)
-        self.roots = self.stop - size
-        self.trial = np.repeat(np.arange(size.size), size)
-        self.ends = np.cumsum(self.kids)
-        # vertex v of trial t has BFS id v - roots[t], and its children follow
-        # those of the vertices before it in its trial
-        self.shift = (self.ends - self.kids)[self.roots] - self.roots
-        self.first = self.ends - self.kids + 1 - self.shift[self.trial]
-
-    def parents(self, v: np.ndarray) -> np.ndarray:
-        """Block ids of the parents of the non-root vertices v."""
-        return np.searchsorted(self.ends, v + self.shift[self.trial[v]])
-
-    def children(self, v: np.ndarray) -> tuple:
-        """(child, row): the block ids of the children of the vertices v, in
-        order, and the index into v of each one's parent."""
-        count = self.kids[v]
-        row = np.repeat(np.arange(v.size), count)
-        return np.arange(row.size) + (self.first[v] - np.cumsum(count) + count)[row], row
-
-
-def _removal_marks(tb: _Levels, d: int) -> np.ndarray:
-    """edge_removal_stage over a block: removed[w] marks the edge (parent(w),
-    w) of the vertex of block id w.  A vertex above degree d ranks its
-    neighbours by (label, id) and marks the edges to the top degree - d.
-
-    The marks on boundary edges are dropped: no stage reads them.  So a rim
-    vertex, one whose children are boundary, decides only its parent edge:
-    its children follow its parent in id, so the parent is among its top
-    degree - d iff fewer than degree - d children have a label at least the
-    parent's.  The other vertices above d rank all their neighbours (the
-    parent first, then the children), by one lexsort for the block."""
-    kids, labels = tb.kids, tb.labels
-    up = np.ones(kids.size, dtype=np.int64)
-    up[tb.roots] = 0
-    degree = kids + up
-    above = np.flatnonzero(degree > d)
+    A child with kids[c] >= d children, above degree d, marks the edge iff
+    the root is among its top kids[c] + 1 - d neighbours by (label, id): its
+    children follow the root by id, so iff fewer than kids[c] + 1 - d of its
+    rim labels are at least the root's.  A root above degree d marks its top
+    root_kids - d children by (label, id), by one lexsort over the children
+    of those roots only."""
+    trial = np.repeat(np.arange(root_kids.size), root_kids)
+    above = np.flatnonzero(kids >= d)
+    row = np.repeat(np.arange(above.size), kids[above])
+    higher = np.bincount(row[rim >= root_labels[trial[above]][row]], minlength=above.size)
     removed = np.zeros(kids.size, dtype=bool)
-    rim = tb.first[above] >= tb.stop[tb.trial[above]]
-    v, above = above[rim], above[~rim]
-    child = np.repeat(np.arange(v.size), kids[v])
-    higher = np.bincount(child[tb.rim >= labels[tb.parents(v)][child]], minlength=v.size)
-    removed[v[higher < degree[v] - d]] = True
-    if not above.size:
-        return removed
-    size = degree[above]
-    v = np.repeat(above, size)
-    pos = np.arange(v.size) - np.repeat(np.cumsum(size) - size, size)
-    up = up[v]
-    nbr = tb.first[v] + pos - up
-    up = (pos == 0) & (up == 1)
-    nbr[up] = tb.parents(v[up])
-    # ascending (label, id) within each vertex: its top degree - d come
-    # last, from position d on
-    top = np.lexsort((nbr, labels[nbr], v))[pos >= d]
-    removed[np.maximum(v[top], nbr[top])] = True
+    removed[above[higher < kids[above] + 1 - d]] = True
+    big = root_kids > d
+    size = root_kids[big]
+    child = np.flatnonzero(big[trial])
+    pos = np.arange(child.size) - np.repeat(np.cumsum(size) - size, size)
+    # ascending (label, id) within each root, the lexsort being stable: its
+    # top root_kids - d come last, from position d on
+    removed[child[np.lexsort((labels[child], trial[child]))[pos >= d]]] = True
     return removed
 
 
@@ -346,42 +290,30 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
     Bit for bit, a trial of state s is sample_pgw_tree(lam, TREE_RADIUS,
     fold(s, 1)), edge_removal_stage on its labels, filling_out_stage with
     y_state fold(s, 2) and inclusion_stage at the root.  The marks and the
-    degree event read the degrees of the root and its neighbours alone, and
-    I' reads no tree: it is one TreeBlock's copy-0 bits on RegularTreeHost(d)
-    at the root states fold(fold(y, 0xA77), 0).  The root is the one vertex
-    all of whose marks a block computes: AssertionError if it keeps more
-    than d edges.
+    degree event read the root star alone, and I' reads no tree: it is one
+    TreeBlock's copy-0 bits on RegularTreeHost(d) at the root states
+    fold(fold(y, 0xA77), 0).  AssertionError if a root keeps more than d
+    edges.
     """
+    if lam <= 0:
+        raise ValueError("need lam > 0")
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
-    tb = _Levels([_pgw_levels(lam, TREE_RADIUS, rng, d) for rng in state_rngs(fold_np(states, 1))])
-    removed = _removal_marks(tb, d)
-    child, row = tb.children(tb.roots)
-    root_removed = removed[child]
-    if (np.bincount(row[~root_removed], minlength=states.size) > d).any():
+    root_kids, root_labels, kids, labels, rim = (np.concatenate(part) for part in zip(
+        *[_root_star(lam, rng, d) for rng in state_rngs(fold_np(states, 1))]))
+    removed = _star_marks(root_kids, root_labels, kids, labels, rim, d)
+    trial = np.repeat(np.arange(states.size), root_kids)
+    if (np.bincount(trial[~removed], minlength=states.size) > d).any():
         raise AssertionError(f"filled forest not {d}-regular at depth 0")
     tops = fold_np(fold_np(fold_np(states, 2), 0xA77), 0)
     iprime = TreeBlock(f, RegularTreeHost(d), tops).bits(0)
-    root_kids = tb.kids[tb.roots]
-    cut = np.bincount(row[root_removed], minlength=states.size) > 0
-    over = np.bincount(row[tb.kids[child] >= d], minlength=states.size) > 0
-    return TransferBlock(iprime, iprime & ~cut, (root_kids <= d) & ~over, root_kids, root_removed)
+    cut = np.bincount(trial[removed], minlength=states.size) > 0
+    over = np.bincount(trial[kids >= d], minlength=states.size) > 0
+    return TransferBlock(iprime, iprime & ~cut, (root_kids <= d) & ~over, root_kids, removed)
 
 
-@dataclass
-class TransferTrace:
-    """One realisation of the three-stage construction at the root:
-    root_removed marks the root's edges to its children, in child order."""
-
-    iprime_root: int
-    j_root: int
-    event_ok: bool  # root and all its neighbours have degree <= d
-    root_removed: np.ndarray
-
-
-def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferTrace:
+def transfer_trace(f: Factor, lam: float, d: int, state: int) -> TransferBlock:
     """transfer_block of the one trial of this state."""
-    out = transfer_block(f, lam, d, [state])
-    return TransferTrace(int(out.iprime[0]), int(out.j[0]), bool(out.event_ok[0]), out.root_removed)
+    return transfer_block(f, lam, d, [state])
 
 
 TransferReport = namedtuple("TransferReport", [

@@ -23,6 +23,7 @@ from localis.factors import (
     threshold_factor,
 )
 from localis.graphs import RegularTreeHost, sample_config_model
+from localis.parallel import mean_stderr
 from localis.pgw_transfer import (
     event_E_lower_bound,
     event_E_probability,
@@ -30,6 +31,7 @@ from localis.pgw_transfer import (
     poisson_tail,
     poisson_tail_bound,
     schedule_tail_bound,
+    transfer_block,
     transfer_density,
 )
 from localis.profiles import (
@@ -49,7 +51,7 @@ from localis.profiles import (
     rho_to_pi,
     s_k,
 )
-from localis.rng import uniform_labels
+from localis.rng import trial_state_np, uniform_labels
 
 from conftest import binomial_se, er_independent_triple_counts
 
@@ -270,13 +272,17 @@ def test_criterion_7_exact_transfer_density():
     ):
         rep = transfer_density(f, lam, d, trials, seed=seed)
         p_k = event_K_probability(lam, d)
-        se = math.hypot(rep.stderr_j, p_k * rep.stderr_i)
+        # the report's trials, bit for bit: J and I' are read on the same
+        # trials, so the z-test takes the paired standard error
+        block = transfer_block(f, lam, d, trial_state_np(seed, np.arange(trials)))
+        assert (block.j.mean(), block.iprime.mean()) == (rep.density_j, rep.density_i)
+        se = mean_stderr(block.j - p_k * block.iprime)[1]
         z = (rep.density_j - rep.density_i * p_k) / se
         assert abs(z) <= 3.0, f"E[J] = density_I * P(K) fails at (lam={lam}, d={d}): z = {z:.2f}"
         # the test has the power to see P(K) moved by 5 standard errors
         for shifted in (p_k - 5 * se / rep.density_i, p_k + 5 * se / rep.density_i):
             assert abs(rep.density_j - rep.density_i * shifted) > 3.0 * se
-        lines.append(f"{f.kind} (lam={lam:g}, d={d}): z={z:+.2f}")
+        lines.append(f"{f.kind} (lam={lam:g}, d={d}): z={z:+.2f}, se={se:.5f}")
     print(f"ACCEPTANCE 7 PASS: E[J] = density_I * P(K); {'; '.join(lines)}")
 
 

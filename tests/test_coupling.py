@@ -758,11 +758,16 @@ def test_er_copy_unions_stack_the_resampled_copies(monkeypatch, budget, size):
 
 def test_er_stability_passes_cap_the_union_graph():
     """At n = 20,000 and 200 inner trials the copies are explored around
-    their roots: about 0.8 MiB traced here, where the copies of whole
-    graphs would hold 200 graphs' edges."""
-    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(20_000, 2.0), trials=3,
+    their roots: about 4.8 MiB traced here, where the copies of whole
+    graphs would hold 200 graphs' edges.
+
+    The threshold factor accepts an outer trial with probability 0.435 at
+    n = 20,000 and 0.398 at n = 200 (+- 0.0035, 20,000 trials each), so
+    with 50 trials a call accepts none with probability below
+    (1 - 0.38)^50 = 4e-11."""
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(20_000, 2.0), trials=50,
                          inner_trials=200, seed=47)
-    estimate_stability(replace(cfg, host=ErdosRenyiHost(200, 2.0), trials=4, inner_trials=2))
+    estimate_stability(replace(cfg, host=ErdosRenyiHost(200, 2.0), trials=50, inner_trials=2))
     tracemalloc.start()
     try:
         est = estimate_stability(cfg)
@@ -796,28 +801,38 @@ def test_er_stability_block_holds_bounded_memory():
     copies are explored in unions of the copies of a few trials, about
     PASS_PAIRS vertices a union, so about 4.4 MiB traced here (2.2 MiB when
     the copies were drawn whole, a copy at a time, from one generator
-    each)."""
+    each).
+
+    The threshold factor accepts an outer trial with probability 0.398
+    +- 0.0035 at n = 200 (20,000 trials): at 0.38, 26 or fewer of 162
+    trials accept with probability 8e-10, and none of the warm-up's 50
+    with probability (1 - 0.38)^50 = 4e-11."""
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ErdosRenyiHost(200, 2.0), trials=162,
                          inner_trials=400, seed=48)
-    estimate_stability(replace(cfg, trials=4, inner_trials=2))
+    estimate_stability(replace(cfg, trials=50, inner_trials=2))
     tracemalloc.start()
     try:
         est = estimate_stability(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.accepted > 60
+    assert est.accepted > 26
     assert peak < 8 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_config_stability_holds_bounded_memory():
     """At n = 10^5 a pass explores the roots' balls alone, pairing their
     half-edges on demand, and the 200 inner copies are tiles of the
-    accepted roots' balls: 0.45 MiB traced here (7.5 MiB when each trial drew
-    its graph's half-edge permutation)."""
-    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ConfigModelHost(100_000, 3), trials=4,
+    accepted roots' balls: 2.3 MiB traced here for 100 trials (7.5 MiB for
+    4 trials when each trial drew its graph's half-edge permutation).
+
+    The threshold factor accepts an outer trial with probability 0.252 at
+    n = 10^5 and 0.203 at n = 200 (+- 0.003, 20,000 trials each), so a call
+    accepts none with probability below (1 - 0.236)^100 = 2e-12 for the
+    measured call and (1 - 0.189)^120 = 1e-11 for the warm-up."""
+    cfg = CouplingConfig(p=0.5, k=2, factor=F, host=ConfigModelHost(100_000, 3), trials=100,
                          inner_trials=200, seed=49)
-    estimate_stability(replace(cfg, host=ConfigModelHost(200, 3), trials=16, inner_trials=2))
+    estimate_stability(replace(cfg, host=ConfigModelHost(200, 3), trials=120, inner_trials=2))
     tracemalloc.start()
     try:
         est = estimate_stability(cfg)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import pickle
+import resource
 import tracemalloc
 
 import numpy as np
@@ -788,23 +791,78 @@ def test_resolver_mutants_but_the_frontier_one_change_the_bits(monkeypatch, muta
     assert same == (mutant in (None, "parent_only"))
 
 
-def test_one_level_call_holds_bounded_memory():
-    """The most pairs one rule call takes, PASS_PAIRS = 16384, on T20:
-    LEVEL_ROOTS bounds the nodes in flight.  This call traces 22 MiB; one
-    pass over all its roots at once traces 268 MiB."""
+def in_limited_child(fn, headroom: int):
+    """fn() run in a forked child whose address space may grow by
+    `headroom` bytes over its size at the fork (RLIMIT_AS, set in the child
+    alone), so a call that allocates without bound fails there at once: its
+    result, or the exception it raised, here."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns
+        try:
+            os.close(read)
+            try:
+                with open("/proc/self/statm") as statm:
+                    size = int(statm.read().split()[0]) * resource.getpagesize()
+                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+                soft = size + headroom
+                resource.setrlimit(resource.RLIMIT_AS, (
+                    soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+                out = True, fn()
+            except BaseException as exc:
+                out = False, exc
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(out, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            ok, out = pickle.load(pipe)
+    finally:
+        os.waitpid(pid, 0)
+    if not ok:
+        raise out
+    return out
+
+
+def traced_level_call() -> tuple:
+    """(bits, traced peak) of the most pairs one rule call takes,
+    PASS_PAIRS = 16384, on T20."""
     f, rows = lauer_wormald(0.01, 300), 16
     block = TreeBlock(f, RegularTreeHost(20), trial_state_np(63, np.arange(rows)), 0.5)
     copies = np.arange(1, PASS_PAIRS // rows + 1, dtype=np.uint64)
     round_bounds(0.01, 300)
     tracemalloc.start()
     try:
-        bits = block.bits(copies)
-        peak = tracemalloc.get_traced_memory()[1]
+        return block.bits(copies), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bits.shape == (PASS_PAIRS // rows, rows)
+
+
+# address space the level call may add in its child, where it adds about 25 MiB
+LEVEL_CALL_HEADROOM = 128 << 20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the process size")
+def test_one_level_call_holds_bounded_memory():
+    """LEVEL_ROOTS bounds the nodes in flight.  This call traces 22 MiB; one
+    pass over all its roots at once traces 268 MiB.  It runs in a child
+    that may add LEVEL_CALL_HEADROOM of address space, so a call that stops
+    pruning fails fast instead of allocating first."""
+    bits, peak = in_limited_child(traced_level_call, LEVEL_CALL_HEADROOM)
+    assert bits.shape == (PASS_PAIRS // 16, 16)
     assert 0 < bits.mean() < 0.3
     assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the process size")
+def test_one_level_call_limit_stops_the_frontier_mutant(monkeypatch):
+    # parent_only keeps every joined node in the frontier: its child hits
+    # the address-space limit at once
+    apply_mutant(monkeypatch, RESOLVER_MUTANTS, "parent_only")
+    with pytest.raises(MemoryError):
+        in_limited_child(traced_level_call, LEVEL_CALL_HEADROOM)
 
 
 def test_density_workers_deterministic():

@@ -20,8 +20,7 @@ from localis.pgw_transfer import (
     TREE_RADIUS,
     FilledForest,
     _AttachNode,
-    _Levels,
-    _removal_marks,
+    _star_marks,
     edge_removal_stage,
     event_E_lower_bound,
     event_E_probability,
@@ -242,7 +241,7 @@ def test_inclusion_no_removals_keeps_membership():
     for _ in range(20):
         trace = transfer_trace(f, 1.0, 8, int(rng.integers(1 << 30)))
         if not trace.root_removed.any():
-            assert trace.j_root == trace.iprime_root
+            assert trace.j[0] == trace.iprime[0]
 
 
 def test_inclusion_root_incident_removal_forces_zero():
@@ -253,9 +252,9 @@ def test_inclusion_root_incident_removal_forces_zero():
     seen_removed = False
     for _ in range(200):
         trace = transfer_trace(f, 6.0, 3, int(rng.integers(1 << 30)))
-        assert trace.iprime_root == 1
+        assert trace.iprime[0] == 1
         root_removed = bool(trace.root_removed.any())
-        assert trace.j_root == (0 if root_removed else 1)
+        assert trace.j[0] == (0 if root_removed else 1)
         seen_removed = seen_removed or root_removed
     assert seen_removed
 
@@ -298,7 +297,7 @@ def test_j_independent_within_window():
 
 
 # ---------------------------------------------------------------------------
-# equality gate: the block of level arrays against the per-node stages
+# equality gate: the block of root stars against the per-node stages
 # ---------------------------------------------------------------------------
 
 
@@ -314,7 +313,7 @@ def stage_trace(f, lam, d, state):
 
 
 def tree_of(kids, labels, radius):
-    """The per-node tree of level arrays: kids of every vertex at depth < radius."""
+    """The per-node tree of child counts: kids of every vertex at depth < radius."""
     return make_tree([-1] + np.repeat(np.arange(len(kids)), kids).tolist(), labels, radius)
 
 
@@ -346,7 +345,7 @@ def assert_trials_equal_the_stages(name, lam, d):
         assert (iprime, j, event_ok) == tuple(want)
         assert np.array_equal(root_removed, removed[:len(tree.adj[0])])  # edges to ids 1..kids[0]
         trace = transfer_trace(f, lam, d, state)
-        assert (trace.iprime_root, trace.j_root, trace.event_ok) == tuple(want)
+        assert (trace.iprime[0], trace.j[0], trace.event_ok[0]) == tuple(want)
         assert np.array_equal(trace.root_removed, root_removed)
         seen.update({"childless root"} if not tree.adj[0] else set())
         seen.update({"dies before radius 2"} if tree.depths.max() < 2 else set())
@@ -363,25 +362,46 @@ def test_transfer_trace_equals_the_per_node_stages(name, lam, d):
 
 
 HAND_BUILT = {
+    # (kids, labels, d) of a radius-2 tree: the root's child count, then its
+    # children's, and every vertex's label, by BFS id
     # all labels tied: the root marks its two highest ids
-    "tied_root": ([5, 0, 0, 0, 0, 0], [7] * 6, 3, 2),
-    # a depth-1 vertex of degree 6 ties its parent's label with three children
-    "tied_inner": ([1, 5, 0, 0, 0, 0, 0], [9, 3, 9, 9, 1, 9, 2], 3, 3),
-    "childless_root": ([0], [5], 3, 2),
-    # the root (degree 6) and vertex 3 (degree 6) are above d = 4
-    "root_above_d": ([6, 2, 0, 5, 0, 0, 1] + [0] * 8, [4, 1, 8, 3, 8, 2, 6] + [5, 0, 5, 7, 1, 9, 2, 3], 4, 3),
-    # a rim vertex (degree 5, boundary children) ties its parent's label with
-    # two children, which outrank the parent by id: the parent edge survives
-    "tied_rim": ([1, 4], [5, 3, 5, 5, 1, 9], 3, 2),
+    "tied_root": ([5, 0, 0, 0, 0, 0], [7] * 6, 3),
+    # a child of degree 6 ties its parent's label with two children, which
+    # outrank the parent by id: the parent is third, so the root edge goes
+    "tied_inner": ([1, 5], [9, 3, 9, 1, 9, 2, 0], 3),
+    "childless_root": ([0], [5], 3),
+    # the root (degree 6) marks children 2 and 4, and child 3 (degree 6) its
+    # root edge, with one child label above the root's
+    "root_above_d": ([6, 2, 0, 5, 0, 0, 1], [4, 1, 8, 3, 8, 2, 6] + [5, 0, 3, 0, 1, 9, 2, 3], 4),
+    # a child of degree 5 ties its parent's label with two children, which
+    # outrank the parent by id: the parent is fourth, so the root edge survives
+    "tied_rim": ([1, 4], [5, 3, 5, 5, 1, 9], 3),
 }
 
 
-def levels_of(kids, labels, d, radius):
-    """_pgw_levels' (kids, labels, rim) of a tree given by all its labels."""
-    kids = np.asarray(kids)
-    labels = np.asarray(labels, dtype=np.uint64)
-    last = kids[tree_of(kids, labels, radius).depths[:kids.size] == radius - 1]
-    return kids, labels[:kids.size], labels[kids.size:][np.repeat(last >= d, last)]
+class GivenDraws:
+    """A generator that draws a given radius-2 tree: the root's child count,
+    its children's, then all the labels, as _root_star asks for them."""
+
+    def __init__(self, kids, labels):
+        self.counts = [np.asarray(kids[:1]), np.asarray(kids[1:])]
+        self.labels = np.asarray(labels, dtype=np.uint64)
+        self.bit_generator = self
+
+    def poisson(self, lam, size):
+        assert self.counts[0].size == size
+        return self.counts.pop(0)
+
+    def random_raw(self, n):
+        assert n == self.labels.size
+        return self.labels
+
+
+def stacked_stars(trees, d):
+    """The root stars of radius-2 trees (kids, labels), as transfer_block
+    stacks them."""
+    stars = [pgw_transfer._root_star(1.0, GivenDraws(kids, labels), d) for kids, labels in trees]
+    return [np.concatenate(part) for part in zip(*stars)]
 
 
 def lazy_ball(d, radius, state):
@@ -398,22 +418,17 @@ def lazy_ball(d, radius, state):
 
 
 def assert_block_equals_the_stages(trees, d):
-    """A block of trees (kids, labels, radius) against the per-node stages:
-    the block's marks of the interior edges, the ones it keeps, against
-    edge_removal_stage, from the block of the trees deeper than r for every
-    r below the largest radius; and each root's filled ball of radius 0..3
-    against the lazy d-regular tree of the root's state, shape, labels and
-    order keys."""
-    for r in range(max(radius for *_, radius in trees)):
-        block = [tree for tree in trees if tree[2] > r]
-        tb = _Levels([levels_of(kids, labels, d, radius) for kids, labels, radius in block])
-        removed = pgw_transfer._removal_marks(tb, d)  # as a mutant binds it
-        for t, (kids, labels, radius) in enumerate(block):
-            tree = tree_of(kids, labels, radius)
-            marks = edge_removal_stage(tree, tree.labels, d)
-            assert np.array_equal(removed[tb.roots[t] + 1 : tb.stop[t]], marks[: len(kids) - 1])
-    for (kids, labels, radius), y in zip(trees, trial_state_np(d, np.arange(len(trees))).tolist()):
-        tree = tree_of(kids, labels, radius)
+    """A block of radius-2 trees (kids, labels) against the per-node stages:
+    the block's marks of the root edges against edge_removal_stage's, and
+    each root's filled ball of radius 0..3 against the lazy d-regular tree
+    of the root's state, shape, labels and order keys."""
+    removed = pgw_transfer._star_marks(*stacked_stars(trees, d), d)  # as a mutant binds it
+    cut = np.cumsum([kids[0] for kids, _ in trees])[:-1]
+    for (kids, labels), got in zip(trees, np.split(removed, cut)):
+        tree = tree_of(kids, labels, TREE_RADIUS)
+        assert np.array_equal(got, edge_removal_stage(tree, tree.labels, d)[: kids[0]])
+    for (kids, labels), y in zip(trees, trial_state_np(d, np.arange(len(trees))).tolist()):
+        tree = tree_of(kids, labels, TREE_RADIUS)
         forest = filling_out_stage(tree, edge_removal_stage(tree, tree.labels, d), d, y)
         for r in range(4):
             ball = forest.ball_view(0, r)
@@ -424,40 +439,36 @@ def assert_block_equals_the_stages(trees, d):
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_level_arrays_equal_the_stages_on_hand_built_trees(name):
     # in one block with the other hand-built trees of its d, first and last
-    kids, labels, d, radius = HAND_BUILT[name]
-    others = [(k, x, r) for other, (k, x, dd, r) in HAND_BUILT.items() if dd == d and other != name]
-    assert_block_equals_the_stages([(kids, labels, radius)] + others, d)
-    assert_block_equals_the_stages(others + [(kids, labels, radius)], d)
+    kids, labels, d = HAND_BUILT[name]
+    others = [(k, x) for other, (k, x, dd) in HAND_BUILT.items() if dd == d and other != name]
+    assert_block_equals_the_stages([(kids, labels)] + others, d)
+    assert_block_equals_the_stages(others + [(kids, labels)], d)
 
 
 def test_hand_built_marks():
     def marks(name):
-        kids, labels, d, radius = HAND_BUILT[name]
-        tb = _Levels([levels_of(kids, labels, d, radius)])
-        return np.flatnonzero(_removal_marks(tb, d)).tolist()
+        kids, labels, d = HAND_BUILT[name]
+        # the children whose root edge is marked, by vertex id
+        return (np.flatnonzero(_star_marks(*stacked_stars([(kids, labels)], d), d)) + 1).tolist()
 
-    assert marks("tied_root") == [4, 5]  # vertices 4 and 5: edge ids 3, 4
-    # vertex 1 keeps the root (the lowest id among the 9s) and children 4, 6
-    assert marks("tied_inner") == [2, 3, 5]
+    assert marks("tied_root") == [4, 5]
+    assert marks("tied_inner") == [1]
+    assert marks("root_above_d") == [2, 3, 4]
     assert marks("tied_rim") == []
     assert marks("childless_root") == []
 
 
 def test_level_arrays_equal_the_stages_on_tied_random_trees():
     # labels from {0, 1, 2}: most rankings meet ties, broken by vertex id;
-    # blocks of 1 to 6 trees of radius 2 or 3
+    # blocks of 1 to 6 trees
     rng = np.random.default_rng(41)
     for _ in range(20):
         d = int(rng.integers(2, 5))
         trees = []
         for _ in range(int(rng.integers(1, 7))):
-            radius = int(rng.integers(2, 4))
-            levels, size = [], 1
-            for _ in range(radius):
-                levels.append(rng.poisson(2.5, size=size))
-                size = int(levels[-1].sum())
-            kids = np.concatenate(levels)
-            trees.append((kids, rng.integers(0, 3, size=1 + int(kids.sum())), radius))
+            root = rng.poisson(2.5, size=1)
+            kids = np.concatenate([root, rng.poisson(2.5, size=int(root[0]))])
+            trees.append((kids, rng.integers(0, 3, size=1 + int(kids.sum()))))
         assert_block_equals_the_stages(trees, d)
 
 
@@ -557,18 +568,18 @@ def test_transfer_threshold_density_i_is_exact(lam, d):
 
 
 # source mutants of the transfer (conftest.apply_mutant): J taken as I' and
-# the degree event in place of K; the rim vertices' parent-edge rule
+# the degree event in place of K; the children's root-edge rule
 # inverted; a surviving child one slot further on in the filled forest; I'
 # read on T_(d+1); the root's own marks dropped
 TRANSFER_MUTANTS = {
     "j_is_event": [("pgw_transfer", "transfer_block", "iprime & ~cut",
                     "iprime & (root_kids <= d) & ~over")],
-    "rim_inverted": [("pgw_transfer", "_removal_marks", "higher < degree[v] - d",
-                      "higher >= degree[v] - d")],
+    "rim_inverted": [("pgw_transfer", "_star_marks", "higher < kids[above] + 1 - d",
+                      "higher >= kids[above] + 1 - d")],
     "slot_off_by_one": [("pgw_transfer.FilledForest", "state", ".index(v))", ".index(v) + 1)")],
     "wrong_degree": [("pgw_transfer", "transfer_block", "RegularTreeHost(d), tops",
                       "RegularTreeHost(d + 1), tops")],
-    "no_root_marks": [("pgw_transfer", "_removal_marks", "if not above.size:", "if True:")],
+    "no_root_marks": [("pgw_transfer", "_star_marks", "big = root_kids > d", "big = root_kids < 0")],
 }
 
 # the transfer's gates, each run on every mutant: the hand-built equality
