@@ -3,28 +3,26 @@
 A factor is a deterministic rule reading a rooted labelled neighbourhood of
 bounded radius and returning a {0, 1} inclusion bit.  Each factor carries
 its rule in three forms: `rule` over a rooted view, `array_rule` over the
-root stars of a block of trees, and `graph_rule` over a whole graph.  The
+roots of a block of trees, and `graph_rule` over a whole graph.  The
 view protocol (root, neighbors(v), label(v), order_key(v)) serves
 materialised neighbourhoods and lazily generated trees alike; it is the
 reference the other two forms equal bit for bit.
 
 On tree hosts every factor also carries its rule in array form,
-array_rule(host, s_density, states, valid, labels, copies), and TreeBlock,
-the one evaluator of a factor on tree hosts, runs it over a block of trials
-and coupled copies, at most PASS_PAIRS (copy, row) pairs a call.  The
-arrays are the root stars of the selected rows, the roots and their
-children (graphs.child_states), as `states` and `valid` of shape (R,
-columns) and their rng.CoupledLabels `labels` of shape (J, R, columns), one
-row of stars per copy: column 0 is the root, the other columns its children,
-and `valid` masks the columns that are no node.  `copies` is an int copy id
-(J = 1) or the J copy ids; the rule returns the (J, R) root bits.
-Threshold and constant factors (radius <= 1) read the stars alone.  The
-percolation-round rule grows deeper levels from them, the children of the
-nodes still unresolved, by the same child expansion and label rule.  Each
-returns what rule returns on each tree, bit for bit; the per-trial LazyTree
-and TreeLabels are the tests' reference for them.  The deeper levels are
-kept as they are made, append-only: a node resolved is flagged, never
-removed, and its subtree is not grown further.
+array_rule(host, s_density, roots, copies), and TreeBlock, the one
+evaluator of a factor on tree hosts, runs it over a block of trials and
+coupled copies, at most PASS_PAIRS (copy, row) pairs a call.  `roots` holds
+the root states of the R selected rows and `copies` is an int copy id
+(J = 1) or the J copy ids; the rule returns the (J, R) root bits.  Each rule
+reads what it needs from the roots itself: the constant fills, the
+threshold rule expands the roots' children (graphs.child_states), labels
+roots and children by one rng.CoupledLabels call and reduces each root's
+children to one bit, and the percolation-round rule grows levels from the
+roots, the children of the nodes still unresolved, by the same child
+expansion and label rule.  Each returns what rule returns on each tree, bit
+for bit; the per-trial LazyTree and TreeLabels are the tests' reference for
+them.  The levels are kept as they are made, append-only: a node resolved
+is flagged, never removed, and its subtree is not grown further.
 
 Radius contract: a rule of radius r calls neighbors(v) only for vertices v
 at depth < r, so it reads labels and structure at depth <= r and nothing
@@ -72,7 +70,6 @@ from .graphs import (
 )
 from .parallel import mean_stderr, run_trials
 from .rng import (
-    MASK64,
     CoupledLabels,
     first_success_round,
     first_success_rounds,
@@ -87,10 +84,11 @@ class Factor:
 
     The rule reads only vertices within `radius` of the root and is invariant
     under vertex-id relabelling; ids enter only as tie-breaks for the
-    measure-zero event of equal labels.  array_rule is the rule's array
-    form over root stars, which TreeBlock evaluates, and graph_rule(g,
-    labels) its whole-graph form, the rule's bit at every vertex of a
-    MultiGraph (see the module docstring).
+    measure-zero event of equal labels.  array_rule(host, s_density, roots,
+    copies) is the rule's array form over the roots of a block of trees,
+    which TreeBlock evaluates, and graph_rule(g, labels) its whole-graph
+    form, the rule's bit at every vertex of a MultiGraph (see the module
+    docstring).
     """
 
     kind: str
@@ -123,8 +121,8 @@ def constant_factor(bit: int) -> Factor:
         raise ValueError("bit must be 0 or 1")
     return Factor(
         "const", 0, {"bit": bit}, rule=lambda view: bit,
-        array_rule=lambda host, s_density, states, valid, labels, copies: np.full(
-            labels.shape[:-1], bool(bit)
+        array_rule=lambda host, s_density, roots, copies: np.full(
+            (np.size(copies), roots.size), bool(bit)
         ),
         graph_rule=lambda g, labels: np.full(g.n, bool(bit)),
     )
@@ -139,14 +137,32 @@ def _threshold_rule(view) -> int:
     return 1
 
 
-def _threshold_array(host, s_density, states, valid, labels, copies) -> np.ndarray:
-    """_threshold_rule over stars: the root survives unless a neighbour's
-    (label, key) is lexicographically at most the root's; a node's key is
-    its state."""
-    root_label, root_key = labels[..., :1], states[:, :1]
-    nbr_label, nbr_key = labels[..., 1:], states[:, 1:]
-    below = (nbr_label < root_label) | ((nbr_label == root_label) & (nbr_key <= root_key))
-    return ~(below & valid[:, 1:]).any(axis=-1)
+def _threshold_array(host, s_density, roots, copies) -> np.ndarray:
+    """_threshold_rule over the roots: their children by child_states, and
+    the labels of roots and children by one CoupledLabels call."""
+    parent, _, kids = child_states(host, 0, roots)
+    labels = CoupledLabels(np.concatenate((roots, kids)), s_density)(_column(copies))
+    return _threshold_bits(roots, kids, parent, labels)
+
+
+def _threshold_bits(roots, kids, parent, labels) -> np.ndarray:
+    """Root i survives unless a child's (label, state) is lexicographically
+    at most its own.  The children are listed root by root, kid j a child of
+    root parent[j]; labels[..., :R] are the R roots' labels and the rest the
+    kids', one row per copy.  Each root's children are one segment of a
+    row's running count of the children below their root."""
+    mine, theirs = labels[..., parent], labels[..., roots.size :]
+    below = (theirs < mine) | ((theirs == mine) & (kids <= roots[parent]))
+    # int32 counts: a pass holds far fewer than 2^31 children
+    seen = np.zeros(below.shape[:-1] + (below.shape[-1] + 1,), dtype=np.int32)
+    np.cumsum(below, axis=-1, out=seen[..., 1:])
+    ends = parent.searchsorted(np.arange(roots.size + 1))  # root i's: ends[i]..ends[i + 1] - 1
+    return seen[..., ends[1:]] == seen[..., ends[:-1]]
+
+
+def _column(copies):
+    """Copy ids as CoupledLabels broadcasts them to one row per copy."""
+    return copies if isinstance(copies, int) else copies[:, None]
 
 
 def _threshold_graph(g: MultiGraph, labels: np.ndarray) -> np.ndarray:
@@ -213,47 +229,27 @@ def _lw_rule(p: float, k: int) -> Callable:
     return rule
 
 
-LEVEL_ROOTS = 1 << 10  # most roots whose levels one _lw_levels pass holds
+LEVEL_ROOTS = 1 << 10  # most roots whose levels one _joins call holds
 
 
 def _lw_levels(p: float, k: int) -> Callable:
     """_lw_rule's array form on tree hosts (see TreeBlock): its recursion run
-    breadth-first over the levels of all (copy, row) pairs given, pruned.
-
-    A node's kept children are its children of lower round (at the root, of
-    round at most the root's).  A kept node with no kept child joins, round 1
-    included; one with a joining kept child is blocked; one whose kept
-    children are all blocked joins.  The root's bit is r(root) <= k and that
-    the root joins.  Each level is expanded from the frontier, the nodes not
-    yet resolved whose ancestors are none of them resolved (graphs.child_states,
-    one flat expansion a level); after each level the new outcomes go up the
-    levels (_joins), which are kept as they were made, and the next frontier
-    leaves out every kid under a node resolved in that step.  So a pair
-    generates about the nodes the recursion reads.  At most LEVEL_ROOTS
-    roots go through the levels at once, which bounds the nodes held by one
-    call.  The root stars' rounds are read only where needed: the roots', and
-    their children's where the children are kept.
+    breadth-first over the levels of all (copy, row) pairs given, pruned by
+    _joins.  The root's bit is r(root) <= k and that the root joins.  The
+    roots' rounds are read here, and the roots of round at most k go to
+    _joins, at most LEVEL_ROOTS a call, which bounds the nodes held at once.
     """
 
-    def rule(host, s_density, states, valid, labels, copies) -> np.ndarray:
-        # round <= r iff label <= tops[r - 1], for r = 1..len(round_bounds) + 1
-        tops = np.append(round_bounds(p, k) - np.uint64(1), np.uint64(MASK64))
-        shape = labels.shape[:-1]
-        labels = labels.reshape(-1, labels.shape[-1])  # row i: pair i's star
-        rows = np.arange(len(labels)) % len(states)
-        if not isinstance(copies, int):
-            copies = np.repeat(copies, len(states))
-        top = first_success_rounds(labels[:, 0], p, k)
+    def rule(host, s_density, roots, copies) -> np.ndarray:
+        labels = CoupledLabels(roots, s_density)(_column(copies))  # pair i: copy i // R, row i % R
+        top = first_success_rounds(labels.reshape(-1), p, k)
         bits = top <= k
         alive = np.flatnonzero(bits)
         for lo in range(0, alive.size, LEVEL_ROOTS):
-            roots = alive[lo : lo + LEVEL_ROOTS]
-            cut = tops[top[roots] - 1, None]
-            parent, slot = np.nonzero(valid[rows[roots], 1:] & (labels[roots, 1:] <= cut))
-            kids = (parent, first_success_rounds(labels[roots[parent], 1 + slot], p, k),
-                    states[rows[roots[parent]], 1 + slot], _pick(copies, roots[parent]))
-            bits[roots] = _joins(roots.size, kids, host, s_density, p, k)
-        return bits.reshape(shape)
+            at = alive[lo : lo + LEVEL_ROOTS]
+            nodes = top[at] + 1, roots[at % roots.size], _pick(copies, at // roots.size)
+            bits[at] = _joins(nodes, host, s_density, p, k)
+        return bits.reshape(labels.shape)
 
     return rule
 
@@ -262,24 +258,40 @@ def _pick(copies, at):
     return copies if isinstance(copies, int) else copies[at]
 
 
-def _joins(n: int, kids: tuple, host, s_density: float, p: float, k: int) -> np.ndarray:
-    """Whether each of n roots joins, given their kept children as arrays
-    (parent, round, state, copy).  Level j holds, per node, its parent index
-    into level j - 1 (up[j]), its count of kept children not yet resolved
-    (pending[j], exact while the node is unresolved) and whether it is
-    resolved (done[j]) and joined (joined[j]); level 0 is the roots.  Levels
-    are never compacted: a step's outcomes go up from the frontier, each
-    level passing on only the nodes it resolved in that step, and the next
-    frontier keeps no kid under a node resolved in it, so nothing under a
-    resolved node resolves later."""
-    bounds = round_bounds(p, k)
-    up, pending, done, joined = [None], [], [], []
+def _joins(roots: tuple, host, s_density: float, p: float, k: int) -> np.ndarray:
+    """Whether each root joins, given the roots as arrays (cap, state, copy).
+    A node keeps its children of round below its cap: the root's round + 1
+    at the root, so it keeps those of round at most its own, and the node's
+    own round below it.  A kept node with no kept child joins, round 1
+    included; one with a joining kept child is blocked; one whose kept
+    children are all blocked joins.
+
+    Each step expands the frontier, the nodes not yet resolved none of whose
+    ancestors is resolved (graphs.child_states, one flat expansion a level,
+    the roots first).  Level j holds, per node, its parent index into level
+    j - 1 (up[j]), its count of kept children not yet resolved (pending[j],
+    exact while the node is unresolved) and whether it is resolved (done[j])
+    and joined (joined[j]).  Levels are never compacted: a step's outcomes
+    go up from the frontier, each level passing on only the nodes it
+    resolved in that step, and the next frontier keeps no kid under a node
+    resolved in it, so nothing under a resolved node resolves later.  So a
+    root generates about the nodes the recursion reads."""
+    cap, state, copy = roots
+    bounds, up, pending, done, joined = round_bounds(p, k), [None], [], [], []
     while True:
-        parent, rnd, state, copy = kids
-        depth = len(pending)  # of the frontier, the parents of `kids`
+        depth = len(pending)  # of the frontier, the parents of the kids
+        # round < cap iff label < B[cap - 2], but at a root of the saturated
+        # top round (cap = len(B) + 2), which keeps every child
+        cut, every = bounds.take(cap - 2, mode="clip"), cap > bounds.size + 1
+        parent, _, state = child_states(host, depth, state)
+        copy = _pick(copy, parent)
+        labels = CoupledLabels(state, s_density)(copy)
+        keep = (labels < cut[parent]) | every[parent]
+        parent, state, copy = parent[keep], state[keep], _pick(copy, keep)
+        rnd = first_success_rounds(labels[keep], p, k)
         join = rnd == 1  # no child has a lower round
-        pending.append(np.bincount(parent, minlength=len(up[-1]) if depth else n))
-        blocked = np.zeros(pending[-1].size, dtype=bool)
+        pending.append(np.bincount(parent, minlength=cap.size))
+        blocked = np.zeros(cap.size, dtype=bool)
         blocked[parent[join]] = True
         joined.append(pending[-1] == 0)
         done.append(blocked | joined[-1])
@@ -302,13 +314,7 @@ def _joins(n: int, kids: tuple, host, s_density: float, p: float, k: int) -> np.
         up.append(parent[keep])
         if not up[-1].size:
             return joined[0]
-        rnd, state, copy = rnd[keep], state[keep], _pick(copy, keep)
-        parent, _, state = child_states(host, depth + 1, state)
-        copy = _pick(copy, parent)
-        labels = CoupledLabels(state, s_density)(copy)
-        keep = labels < bounds[rnd[parent] - 2]  # round < r iff label < B[r - 2]; r >= 2 here
-        labels = labels[keep]
-        kids = (parent[keep], first_success_rounds(labels, p, k), state[keep], _pick(copy, keep))
+        cap, state, copy = rnd[keep], state[keep], _pick(copy, keep)
 
 
 def _lw_process(p: float, k: int) -> Callable:
@@ -489,11 +495,8 @@ class TreeBlock:
     Row t is the tree LazyTree(host, f.radius, roots[t]); bits(copies, rows)
     gives f.rule(TreeLabels(tree, copy=c, p=p)) for each copy c and row, bit
     for bit, by f.array_rule over the (copy, row) pairs.  The block holds
-    its root stars, built once: `states` (column 0 the root, column 1 + j
-    its child j, from graphs.child_states; 0 in a column that is no node),
-    `valid` (which columns are nodes: PGW stars are ragged) and `labels`,
-    their rng.CoupledLabels, which give with labels(copy, at) what
-    TreeLabels(tree, copy, p).label gives over the rows `at`.  A graph host
+    only its root states: each rule call expands the children it reads
+    (graphs.child_states) and labels them (rng.CoupledLabels).  A graph host
     raises TypeError.
     """
 
@@ -501,13 +504,7 @@ class TreeBlock:
         if not host.tree:
             raise TypeError(f"unsupported tree host: {host!r}")
         self.f, self.host, self.p = f, host, p
-        roots = np.asarray(roots, dtype=np.uint64)
-        parent, slot, kids = child_states(host, 0, roots)
-        shape = (roots.size, 2 + int(slot.max(initial=-1)))
-        self.states, self.valid = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=bool)
-        self.states[:, 0], self.states[parent, 1 + slot] = roots, kids
-        self.valid[:, 0], self.valid[parent, 1 + slot] = True, True
-        self.labels = CoupledLabels(self.states, p)
+        self.roots = np.asarray(roots, dtype=np.uint64)
 
     def bits(self, copies, rows=None) -> np.ndarray:
         """Root bits of `copies`, an int copy id or a 1-D array of copy ids,
@@ -515,23 +512,19 @@ class TreeBlock:
         Bool array of shape (R,) or (J, R) for R selected rows and J copies.
         The rule runs in passes of at most PASS_PAIRS (copy, row) pairs:
         whole copies over all R rows, or one copy over PASS_PAIRS rows."""
-        n = len(self.states) if rows is None else len(rows)
+        roots = self.roots if rows is None else self.roots[rows]
         one = isinstance(copies, int)
         if not one:
             copies = np.asarray(copies, dtype=np.uint64)
             if copies.ndim != 1:
                 raise ValueError("copies must be an int or a 1-D array of copy ids")
-        out = np.empty((1 if one else copies.size, n), dtype=bool)
-        width = min(n, PASS_PAIRS) or 1  # rows per pass
+        out = np.empty((1 if one else copies.size, roots.size), dtype=bool)
+        width = min(roots.size, PASS_PAIRS) or 1  # rows per pass
         step = PASS_PAIRS // width  # copies per pass
-        for j, i in itertools.product(range(0, len(out), step), range(0, n, width)):
-            # with rows=None a pass takes a slice, which copies nothing
-            at = slice(i, i + width) if rows is None else rows[i : i + width]
+        for j, i in itertools.product(range(0, len(out), step), range(0, roots.size, width)):
             copy = copies if one else copies[j : j + step]
             out[j : j + step, i : i + width] = self.f.array_rule(
-                self.host, self.p, self.states[at], self.valid[at],
-                self.labels(copy, at)[None] if one else self.labels(copy[:, None, None], at),
-                copy,
+                self.host, self.p, roots[i : i + width], copy
             )
         return out[0] if one else out
 

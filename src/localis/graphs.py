@@ -53,9 +53,11 @@ on the two tree hosts, `offspring(depth, state)`, the child count of a lazy
 tree node (of each node, given an array of states).
 
 child_states gives the children of any level of lazy-tree nodes as flat
-arrays (parent, slot, state), one entry a child; factors.TreeBlock grows
-from it the root stars and deeper levels of a block of trees, and evaluates
-every factor on tree hosts there.  LazyTree and TreeLabels are the
+arrays (parent, slot, state), one entry a child, listed parent by parent:
+the one child expansion of the tree rules.  factors.TreeBlock holds only
+the root states of a block of trees, and each factor's array rule expands
+from them by child_states the children it reads, the roots' (threshold) or
+level after level (percolation rounds).  LazyTree and TreeLabels are the
 per-trial form of the same trees, one node at a time: the tests' reference
 for the arrays, which they equal bit for bit.
 Tree nodes and graph vertices take their labels from their states by one

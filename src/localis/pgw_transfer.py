@@ -401,38 +401,24 @@ def poisson_tail(lam: float, m: int) -> float:
     return acc
 
 
-def event_E_probability(
-    lam: float, d: int, mode: str = "exact", trials: int = 100000, seed: int = 0
-) -> float:
+def event_E_probability(lam: float, d: int) -> float:
     """Probability that the PGW root and all its neighbours have degree <= d.
 
     The root's degree is its offspring count X ~ Poisson(lam); conditioned on
-    X, each neighbour needs at most d-1 offspring of its own.  Exact mode
-    evaluates sum_{j<=d} P(X=j) * P(Poisson <= d-1)^j; mc mode samples trees.
+    X, each neighbour needs at most d-1 offspring of its own, so the
+    probability is sum_{j<=d} P(X=j) * P(Poisson <= d-1)^j.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
     check_poisson_lam(lam)
     if d < 1:
         raise ValueError("need d >= 1")
-    if mode == "exact":
-        inner = poisson_cdf(lam, d - 1)
-        acc = 0.0
-        for j, pmf in _poisson_pmf_iter(lam):
-            acc += pmf * inner**j
-            if j == d:
-                return acc
-    if mode == "mc":
-        rng = np.random.default_rng(seed)
-        roots = rng.poisson(lam, size=trials)
-        kept = np.flatnonzero(roots <= d)
-        ends = np.cumsum(roots[kept])
-        # one draw for every kept root's neighbours; a root fails when the
-        # largest of its neighbours' offspring counts exceeds d - 1
-        over = np.flatnonzero(rng.poisson(lam, size=int(ends[-1]) if ends.size else 0) > d - 1)
-        failed = np.unique(np.searchsorted(ends, over, side="right"))
-        return (kept.size - failed.size) / trials
-    raise ValueError(f"unknown mode {mode!r}")
+    inner = poisson_cdf(lam, d - 1)
+    acc = 0.0
+    for j, pmf in _poisson_pmf_iter(lam):
+        acc += pmf * inner**j
+        if j == d:
+            return acc
 
 
 def event_K_probability(lam: float, d: int) -> float:

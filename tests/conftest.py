@@ -58,6 +58,20 @@ def unit_to_label(u: float) -> np.uint64:
     return np.uint64(int(u * 2.0**64))
 
 
+def event_E_monte_carlo(lam: float, d: int, trials: int, seed: int) -> float:
+    """Monte Carlo estimate of pgw_transfer.event_E_probability(lam, d) from
+    default_rng(seed): `trials` Poisson(lam) root degrees, then one draw of
+    the offspring counts of every neighbour of the roots of degree <= d; a
+    root fails when one of them exceeds d - 1."""
+    rng = np.random.default_rng(seed)
+    roots = rng.poisson(lam, size=trials)
+    kept = np.flatnonzero(roots <= d)
+    ends = np.cumsum(roots[kept])
+    over = np.flatnonzero(rng.poisson(lam, size=int(ends[-1]) if ends.size else 0) > d - 1)
+    failed = np.unique(np.searchsorted(ends, over, side="right"))
+    return (kept.size - failed.size) / trials
+
+
 def er_independent_triple_counts(n: int, lam: float, seed: int, trials: int, checked: int):
     """Independent 3-subsets of `trials` successive sample_er(n, lam, rng)
     graphs, rng = default_rng(seed), counted on a (trials, pairs) presence

@@ -53,7 +53,7 @@ from localis.profiles import (
 )
 from localis.rng import trial_state_np, uniform_labels
 
-from conftest import binomial_se, er_independent_triple_counts
+from conftest import binomial_se, er_independent_triple_counts, event_E_monte_carlo
 
 # densities of independent sets simulated on d=3 hosts, checked by criterion 9
 D3_DENSITIES = []
@@ -248,7 +248,7 @@ def test_criterion_7_transfer_sandwich():
         assert rep.lower - 3 * rep.stderr_j <= rep.density_j <= rep.upper + 3 * rep.stderr_j, (
             f"sandwich violated at (lam={lam}, d={d})"
         )
-        mc = event_E_probability(lam, d, mode="mc", trials=100_000, seed=seed + 7)
+        mc = event_E_monte_carlo(lam, d, 100_000, seed=seed + 7)
         se_mc = binomial_se(rep.p_event_exact, 100_000)
         assert abs(mc - rep.p_event_exact) <= 3 * se_mc, f"event mc mismatch at {lam},{d}"
         assert event_E_lower_bound(lam, d) <= rep.p_event_exact

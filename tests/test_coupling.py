@@ -137,7 +137,7 @@ def test_binom_stats_at_endpoints():
 
 
 # The per-trial LazyTree/TreeLabels evaluation, kept as the reference for
-# factors.TreeBlock (star arrays at radius <= 1, level arrays beyond).
+# factors.TreeBlock (the roots' children at radius <= 1, level arrays beyond).
 
 
 def _scalar_prefix_rows(cfg, streams) -> list:
@@ -166,8 +166,8 @@ def _scalar_stability_rows(cfg) -> list:
 
 BATCH_HOSTS = [RegularTreeHost(d) for d in range(2, 7)] + [PGWTreeHost(0.5), PGWTreeHost(3.0)]
 LW = lauer_wormald(0.3, 2)
-# one factor per path and radius: threshold (1) and constant (0) on star
-# arrays, LW (3) on the lazy-tree walk
+# one factor per path and radius: threshold (1) on the roots' children,
+# constant (0) on the roots alone, LW (3) on the level arrays
 ROW_FACTORS = [F, constant_factor(1), LW]
 
 
@@ -214,9 +214,9 @@ def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(factors, "PASS_PAIRS", 5)
 
     def bounded(rule):
-        def call(host, s_density, states, valid, labels, copies):
-            assert labels.shape[0] * labels.shape[1] <= 5, labels.shape
-            return rule(host, s_density, states, valid, labels, copies)
+        def call(host, s_density, roots, copies):
+            assert roots.size * np.size(copies) <= 5, (roots.size, copies)
+            return rule(host, s_density, roots, copies)
 
         return call
 
@@ -229,8 +229,8 @@ def test_tree_rows_do_not_depend_on_the_block_size(monkeypatch):
 
 def test_tree_stability_holds_bounded_memory():
     """Stability counts inner successes BLOCK copies a call, so the bits it
-    holds stay bounded: 1.6 MiB traced here, where one call over all 20,000
-    inner copies of a block's accepted rows traces 6.2 MiB."""
+    holds stay bounded: 1.7 MiB traced here, where one call over all 20,000
+    inner copies of a block's accepted rows traces 6.3 MiB."""
     cfg = CouplingConfig(p=0.5, k=2, factor=F, host=RegularTreeHost(3), trials=1024,
                          inner_trials=20_000, seed=46)
     estimate_stability(replace(cfg, trials=4, inner_trials=2))  # one-time allocations

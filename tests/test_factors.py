@@ -179,10 +179,10 @@ class _KeyedStar:
 
 
 def test_threshold_star_rule_matches_the_rule_on_hand_built_stars():
-    # every star with up to 2 leaves over labels and keys in {0, 1, MASK64}:
-    # tied labels are broken by the key, a leafless root survives, and the
-    # padding of shorter stars (labels 0 and keys 0, below every root) is
-    # masked out
+    # every star with up to 2 leaves over labels and keys in {0, 1, MASK64},
+    # flat as child_states lists them: tied labels are broken by the key
+    # (the state), and a leafless root survives.  Copy c takes each star's
+    # labels rotated c places, against the same states.
     values = (0, 1, MASK64)
     stars = [
         (labels, keys)
@@ -190,35 +190,36 @@ def test_threshold_star_rule_matches_the_rule_on_hand_built_stars():
         for labels in itertools.product(values, repeat=m + 1)
         for keys in itertools.product(values, repeat=m + 1)
     ]
-    width = 3
-    lab = np.zeros((len(stars), width), dtype=np.uint64)
-    key = np.zeros((len(stars), width), dtype=np.uint64)
-    valid = np.zeros((len(stars), width), dtype=bool)
-    for i, (labels, keys) in enumerate(stars):
-        lab[i, : len(labels)] = labels
-        key[i, : len(keys)] = keys
-        valid[i, : len(labels)] = True
-    got = threshold_factor().array_rule(None, 0.0, key, valid, lab[None], 0)[0]
-    want = [_threshold_rule(_KeyedStar(*star)) == 1 for star in stars]
-    assert got.tolist() == want
-    assert got[0] and want[0]  # the leafless star
-    # a tie on the label goes to the smaller key
-    tie = threshold_factor().array_rule(
-        None, 0.0, np.array([[2, 3]], dtype=np.uint64), np.ones((1, 2), dtype=bool),
-        np.array([[[5, 5]]], dtype=np.uint64), 0,
+    roots = np.array([keys[0] for _, keys in stars], dtype=np.uint64)
+    kids = np.array([key for _, keys in stars for key in keys[1:]], dtype=np.uint64)
+    parent = np.array([i for i, (_, keys) in enumerate(stars) for _ in keys[1:]])
+    rows, want = [], []
+    for c in range(3):
+        turned = [(labels[c % len(labels):] + labels[: c % len(labels)], keys)
+                  for labels, keys in stars]
+        rows.append([labels[0] for labels, _ in turned]
+                    + [label for labels, _ in turned for label in labels[1:]])
+        want.append([_threshold_rule(_KeyedStar(*star)) == 1 for star in turned])
+    labels = np.array(rows, dtype=np.uint64)
+    got = factors._threshold_bits(roots, kids, parent, labels[0])
+    assert got.tolist() == want[0]
+    assert got[0] and want[0][0]  # the leafless star
+    assert factors._threshold_bits(roots, kids, parent, labels).tolist() == want
+    assert want[0] != want[1] != want[2]
+    # a tie on the label goes to the smaller state, also after a leafless root
+    tie = factors._threshold_bits(
+        np.array([9, 2, 4], dtype=np.uint64), np.array([3, 3], dtype=np.uint64),
+        np.array([1, 2]), np.array([5, 5, 5, 5, 5], dtype=np.uint64),
     )
-    assert tie.tolist() == [[True]]
-    # one row of stars per copy, against the same states
-    both = threshold_factor().array_rule(None, 0.0, key, valid, np.stack([lab, lab]), np.arange(2))
-    assert both.tolist() == [want, want]
+    assert tie.tolist() == [True, True, False]
 
 
 def test_constant_star_rule():
-    lab = np.zeros((2, 4, 3), dtype=np.uint64)
-    valid = np.ones((4, 3), dtype=bool)
+    roots = np.arange(4, dtype=np.uint64)
     for bit in (0, 1):
-        got = constant_factor(bit).array_rule(None, 0.0, lab[0], valid, lab, np.arange(2))
+        got = constant_factor(bit).array_rule(None, 0.0, roots, np.arange(2, dtype=np.uint64))
         assert got.tolist() == [[bool(bit)] * 4] * 2
+        assert constant_factor(bit).array_rule(None, 0.0, roots, 3).tolist() == [[bool(bit)] * 4]
 
 
 def test_factor_spec_roundtrip():
@@ -674,6 +675,9 @@ LEVEL_GRID = {
     "T3-one-round": (RegularTreeHost(3), (0.5, 1), 300, 300),
     "T5-top-round": (RegularTreeHost(5), (0.5, 100), 200, 200),
     "PGW3-top-round": (PGWTreeHost(3.0), (0.5, 100), 200, 200),
+    # p < 2^-64: round_bounds is [0], so every label has round 2, the
+    # saturated top round; a root with a child is blocked, a leafless one joins
+    "PGW-half-tiny-p": (PGWTreeHost(0.5), (1e-20, 3), 300, 300),
 }
 
 
@@ -730,14 +734,15 @@ def test_level_arrays_in_many_passes_match_one_pass(monkeypatch, host, rows, pi)
     assert 0 < whole.sum() < whole.size
 
 
-# the nodes expanded per child_states call (the root stars, then each
-# level's frontier) by TreeBlock's copy-0 bits on LEVEL_GRID rows at seed
-# 61, recorded from the resolver that compacted its levels after each step
+# the nodes expanded per child_states call (the roots of round at most k,
+# then each level's frontier) by TreeBlock's copy-0 bits on LEVEL_GRID rows
+# at seed 61; the deeper entries recorded from the resolver that compacted
+# its levels after each step
 LEVEL_SIZES = {
-    "T3": [300, 432, 137, 37, 4, 1],
-    "T5": [150, 352, 236, 115, 16],
-    "PGW3": [300, 441, 160, 29, 5, 1],
-    "T6-short": [200, 44, 6, 5],
+    "T3": [298, 432, 137, 37, 4, 1],
+    "T5": [149, 352, 236, 115, 16],
+    "PGW3": [298, 441, 160, 29, 5, 1],
+    "T6-short": [174, 44, 6, 5],
 }
 
 # source mutants of factors._joins (conftest.apply_mutant): nodes resolved
@@ -752,8 +757,7 @@ RESOLVER_MUTANTS = {
     ],
     "parent_only": [("factors", "_joins", "~(join | gone[parent])",
                      "~(join | done[depth][parent])")],
-    "cut_off_by_one": [("factors", "_joins", "bounds[rnd[parent] - 2]",
-                        "bounds[rnd[parent] - 1]")],
+    "cut_off_by_one": [("factors", "_joins", "bounds.take(cap - 2", "bounds.take(cap - 1")],
 }
 
 
@@ -789,6 +793,51 @@ def test_resolver_mutants_but_the_frontier_one_change_the_bits(monkeypatch, muta
     monkeypatch.undo()
     same = {name: run[1] for name, run in level_runs(monkeypatch, mutant).items()} == bits
     assert same == (mutant in (None, "parent_only"))
+
+
+# source mutants of the flat tree rules (conftest.apply_mutant): a tie on
+# the label no longer goes to the smaller state; the root keeps only its
+# children of lower round, not those of its own; each root reads the next
+# root's children; a root of the saturated top round keeps its children
+# by the last bound, which no top-round child is below
+FLAT_MUTANTS = {
+    "tie_strict": [("factors", "_threshold_bits", "(kids <= roots[parent])",
+                    "(kids < roots[parent])")],
+    "root_below_own_round": [("factors", "_lw_levels", "top[at] + 1", "top[at]")],
+    "segment_shifted": [("factors", "_threshold_bits", "np.arange(roots.size + 1)",
+                         "np.arange(1, roots.size + 2)")],
+    "top_round_cut": [("factors", "_joins", "(labels < cut[parent]) | every[parent]",
+                       "labels < cut[parent]")],
+}
+# the checks run on every flat mutant, and the ones each mutant fails (ties
+# have probability 2^-64 on sampled trees, so only the hand-built stars see
+# tie_strict)
+FLAT_CHECKS = {
+    "hand-built stars": test_threshold_star_rule_matches_the_rule_on_hand_built_stars,
+    "threshold rows": lambda: test_density_rows_match_the_lazy_tree_rows(
+        PGWTreeHost(3.0), threshold_factor()),
+    "level walk": lambda: [test_level_arrays_match_the_lazy_tree_walk(*LEVEL_GRID[name])
+                           for name in ("T3-one-round", "T3", "PGW-half-tiny-p")],
+}
+FLAT_KILLS = {
+    None: set(),
+    "tie_strict": {"hand-built stars"},
+    "root_below_own_round": {"level walk"},
+    "segment_shifted": {"hand-built stars", "threshold rows"},
+    "top_round_cut": {"level walk"},
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *FLAT_MUTANTS])
+def test_flat_rule_checks_kill_the_mutants(monkeypatch, mutant):
+    apply_mutant(monkeypatch, FLAT_MUTANTS, mutant)
+    failed = set()
+    for name, check in FLAT_CHECKS.items():
+        try:
+            check()
+        except AssertionError:
+            failed.add(name)
+    assert failed == FLAT_KILLS[mutant]
 
 
 def in_limited_child(fn, headroom: int):
@@ -846,8 +895,8 @@ LEVEL_CALL_HEADROOM = 128 << 20
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the process size")
 def test_one_level_call_holds_bounded_memory():
-    """LEVEL_ROOTS bounds the nodes in flight.  This call traces 22 MiB; one
-    pass over all its roots at once traces 268 MiB.  It runs in a child
+    """LEVEL_ROOTS bounds the nodes in flight.  This call traces 20 MiB; one
+    pass over all its roots at once traces 264 MiB.  It runs in a child
     that may add LEVEL_CALL_HEADROOM of address space, so a call that stops
     pruning fails fast instead of allocating first."""
     bits, peak = in_limited_child(traced_level_call, LEVEL_CALL_HEADROOM)

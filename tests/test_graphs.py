@@ -20,6 +20,7 @@ from localis.graphs import (
     TreeLabels,
     ball_is_tree,
     bernoulli_pairs,
+    child_states,
     er_edge_arrays,
     neighborhood,
     non_tree_ball_mask,
@@ -44,6 +45,7 @@ from localis.pgw_transfer import edge_removal_stage, filling_out_stage
 from localis.rng import (
     LABEL_TAG,
     PERC_TAG,
+    CoupledLabels,
     fold,
     fold_np,
     percolation_cut,
@@ -500,31 +502,33 @@ def test_tree_labels_match_the_formula_in_any_read_order(host, p, state, copies)
     "host", [RegularTreeHost(2), RegularTreeHost(5), PGWTreeHost(0.5), PGWTreeHost(3.0)]
 )
 def test_tree_stars_match_the_lazy_trees(host, radius, p):
-    # a TreeBlock holds the root stars (roots and children, child_states) of
-    # its trees at every radius; the bits of a factor of this radius are its
-    # rule on the lazy trees
+    # the roots' children by child_states, root by root and in child order,
+    # and one CoupledLabels over roots and children are the lazy trees' nodes
+    # and labels, for any copy; TreeBlock's bits of a factor of this radius
+    # are its rule on the lazy trees
     f = (constant_factor(1), threshold_factor())[radius]
     roots = np.array([trial_state(3, t) for t in range(200)], dtype=np.uint64)
-    block = TreeBlock(f, host, roots, p)
+    parent, slot, kids = child_states(host, 0, roots)
+    labels = CoupledLabels(np.concatenate((roots, kids)), p)
     copies = np.arange(1, 5, dtype=np.uint64)
-    bits = block.bits(copies)
+    inner = labels(copies[:, None])
+    bits = TreeBlock(f, host, roots, p).bits(copies)
     for i, state in enumerate(roots.tolist()):
         tree = LazyTree(host, 1, state)
         nodes = [tree.root] + tree.children(tree.root)
-        width = len(nodes)
-        assert block.valid[i].tolist() == [True] * width + [False] * (
-            block.states.shape[1] - width
-        )
-        assert block.states[i, :width].tolist() == [v.state for v in nodes]
+        mine = np.flatnonzero(parent == i)
+        assert slot[mine].tolist() == list(range(len(nodes) - 1))
+        assert kids[mine].tolist() == [v.state for v in nodes[1:]]
+        at = np.concatenate(([i], roots.size + mine))
         for c in (0, 1, 3):
             view = TreeLabels(tree, copy=c, p=p)
-            assert block.labels(c)[i, :width].tolist() == [view.label(v) for v in nodes]
-        inner = block.labels(copies[:, None], i)
+            assert labels(c, at).tolist() == [view.label(v) for v in nodes]
         for j, c in enumerate(copies.tolist()):
             view = TreeLabels(tree, copy=c, p=p)
-            assert inner[j, :width].tolist() == [view.label(v) for v in nodes]
+            assert inner[j, at].tolist() == [view.label(v) for v in nodes]
             own = TreeLabels(LazyTree(host, radius, state), copy=c, p=p)
             assert bits[j, i] == bool(f.rule(own))
+    assert np.array_equal(parent, np.sort(parent))
 
 
 def test_tree_stars_reject_graph_hosts():

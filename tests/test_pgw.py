@@ -37,7 +37,7 @@ from localis.pgw_transfer import (
 )
 from localis.rng import CHILD_TAG, POISSON_LAM_MAX, fold, trial_state, trial_state_np
 
-from conftest import apply_mutant, assert_within_sigma, binomial_se
+from conftest import apply_mutant, assert_within_sigma, binomial_se, event_E_monte_carlo
 
 
 def make_tree(parents, labels, radius):
@@ -694,7 +694,7 @@ def test_exact_poisson_sums_reject_lam_above_the_limit():
 def test_event_exact_vs_mc():
     lam, d, trials = 5.0, 8, 100_000
     exact = event_E_probability(lam, d)
-    mc = event_E_probability(lam, d, mode="mc", trials=trials, seed=11)
+    mc = event_E_monte_carlo(lam, d, trials, seed=11)
     assert_within_sigma(mc, exact, binomial_se(exact, trials), context="event")
 
 
