@@ -42,7 +42,9 @@ model the accepted roots' balls of g, tiled once a copy, by the rule alone
 Erdos-Renyi host the copies explored too (_ErCopies), all k of a trial
 level by level together, their pairs outside SxS read from g, which reveals
 further vertices as the copies reach them, and their pairs inside SxS
-drawn afresh.  No stability trial costs O(n).
+drawn afresh.  No stability trial costs O(n).  When S is empty
+(percolation_cut(p) == 0, _empty_s) every copy is copy 0, so the tree-host
+intersections and the stability on every host evaluate copy 0 alone.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from .rng import (
     fold,
     fold_np,
     percolated,
+    percolation_cut,
     state_rng,
     trial_state,
     trial_state_np,
@@ -158,6 +161,13 @@ class StabilityEstimate:
         return self.moments[m]
 
 
+def _empty_s(p: float) -> bool:
+    """Whether S is empty at density p: percolation_cut(p) == 0, which
+    holds at p = 0 and below about 2^-65.  Every copy is then copy 0, on
+    every host."""
+    return percolation_cut(p) == 0
+
+
 # ---------------------------------------------------------------------------
 # Tree host
 # ---------------------------------------------------------------------------
@@ -171,9 +181,12 @@ def coupled_tree_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
     products.  TreeBlock raises TypeError on a graph host.
     """
     copies = np.arange(1, cfg.k + 1)
+    empty = _empty_s(cfg.p)
 
     def block(lo: int, hi: int):
         trees = TreeBlock(cfg.factor, cfg.host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
+        if empty:  # every copy is copy 0
+            return np.repeat(trees.bits(0)[:, None], cfg.k, axis=1)
         return trees.bits(copies).cumprod(axis=0).T
 
     rows = run_trials(block, cfg.trials, cfg.workers)
@@ -181,12 +194,9 @@ def coupled_tree_intersections(cfg: CouplingConfig) -> IntersectionEstimate:
 
 
 def _prefix_estimate(cfg: CouplingConfig, prefix: np.ndarray) -> IntersectionEstimate:
-    """Means and standard errors of per-trial prefix-intersection rows."""
-    # column-major like the tree blocks' cumprod(...).T: mean(axis=0) then sums
-    # each column pairwise, not row by row, and so rounds the same last bits
-    prefix = np.asfortranarray(prefix)
-    means = prefix.mean(axis=0)
-    ses = np.array([mean_stderr(prefix[:, i])[1] for i in range(cfg.k)])
+    """Means and standard errors of per-trial prefix-intersection rows, each
+    column summed pairwise (mean_stderr), whatever the rows' memory order."""
+    means, ses = np.array([mean_stderr(prefix[:, i]) for i in range(cfg.k)]).T
     return IntersectionEstimate(
         cfg.k, cfg.trials, means, ses, host_scale(cfg.host), cfg.p, prefix_rows=prefix
     )
@@ -343,10 +353,11 @@ def estimate_stability(cfg: CouplingConfig) -> StabilityEstimate:
         )
     counts = rows[accepted, 1].astype(np.int64)
     q_values = counts / cfg.inner_trials
+    distinct, at = np.unique(counts, return_inverse=True)  # a moment per distinct count
     out = {}
     for m in range(cfg.k):
-        g = np.array([_jackknife_moment(int(c), cfg.inner_trials, m) for c in counts])
-        out[m] = mean_stderr(g)
+        g = np.array([_jackknife_moment(c, cfg.inner_trials, m) for c in distinct.tolist()])
+        out[m] = mean_stderr(g[at])
     density = mean_stderr(rows[:, 0])
     return StabilityEstimate(
         cfg.trials, n_acc, cfg.inner_trials, out, density, q_values=q_values
@@ -360,12 +371,16 @@ def _stability_trial_fn(cfg: CouplingConfig):
     host = cfg.host
     if host.tree:
         copies = np.arange(1, cfg.inner_trials + 1, dtype=np.uint64)
+        empty = _empty_s(cfg.p)
 
         def block(lo: int, hi: int):
             trees = TreeBlock(f, host, trial_state_np(cfg.seed, np.arange(lo, hi)), cfg.p)
             rows = np.tile([0.0, -1.0], (hi - lo, 1))
             acc = np.flatnonzero(trees.bits(0))
             rows[acc] = 1.0, 0.0
+            if empty:  # every copy is copy 0
+                rows[acc, 1] = cfg.inner_trials
+                return rows
             for j in range(0, cfg.inner_trials, BLOCK):  # inner successes, BLOCK copies a call
                 rows[acc, 1] += np.count_nonzero(trees.bits(copies[j : j + BLOCK], acc), axis=0)
             return rows
@@ -501,7 +516,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
     rows[acc] = 1.0, 0.0
     if not acc.size:
         return rows
-    if cfg.p == 0.0:  # S is empty: every copy is copy 0
+    if _empty_s(cfg.p):  # every copy is copy 0
         rows[acc, 1] = k
         return rows
     # inner trial j takes copy j, a union of copies a call

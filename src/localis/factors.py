@@ -359,6 +359,35 @@ def lauer_wormald(p: float, k: int) -> Factor:
     )
 
 
+def lw_density_exact(p: float, k: int, d: int | None = None, lam: float | None = None) -> float:
+    """Exact root density of lauer_wormald(p, k) on the d-regular tree (d
+    given) or on PGW(lam) (lam given): the value estimate_tree_density
+    estimates, by an O(k) recursion over the rounds.
+
+    A node below the root has round t with probability p_t = (1-p)^(t-1) p
+    and joins iff none of its children joins with a lower round.  With S_t
+    the chance that a child joins with round below t (S_1 = 0), a round-t
+    node joins with probability q_t = (1 - S_t)^(d-1) on T_d, each of its
+    d - 1 subtrees independent, and q_t = exp(-lam S_t) on PGW(lam), its
+    children a Poisson(lam) count thinned; then S_{t+1} = S_t + p_t q_t.
+    The root of round t <= k is included iff no child joins with round <= t:
+    sum_t p_t (1 - S_t - p_t q_t)^d, resp. sum_t p_t exp(-lam (S_t + p_t q_t)).
+    """
+    if (d is None) == (lam is None):
+        raise ValueError("give exactly one of d and lam")
+    below, terms = 0.0, []
+    for t in range(1, k + 1):
+        pt = (1.0 - p) ** (t - 1) * p
+        if d is not None:
+            qt = (1.0 - below) ** (d - 1)
+            terms.append(pt * (1.0 - below - pt * qt) ** d)
+        else:
+            qt = math.exp(-lam * below)
+            terms.append(pt * math.exp(-lam * (below + pt * qt)))
+        below += pt * qt
+    return math.fsum(terms)
+
+
 # ---------------------------------------------------------------------------
 # Applying factors
 # ---------------------------------------------------------------------------

@@ -82,11 +82,14 @@ def _fork_available() -> bool:
 
 
 def mean_stderr(values: np.ndarray) -> tuple:
-    """Sample mean and standard error of a 1-D array."""
+    """Sample mean and standard error of a 1-D array: values.mean() and
+    sqrt(values.var(ddof=1) / n) bit for bit, by the reductions those make
+    (one pairwise sum, then the sum of the squared deviations), without
+    their Python wrappers."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    mean = float(values.mean())
+    mean = float(np.add.reduce(values, axis=None) / n)
     if n < 2:
         return mean, 0.0
-    var = float(values.var(ddof=1))
+    var = float(np.add.reduce(np.square(values - mean), axis=None) / (n - 1))
     return mean, (var / n) ** 0.5

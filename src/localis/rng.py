@@ -5,9 +5,10 @@ of (seed, trial, position).  Results are therefore reproducible bit-for-bit,
 and trials can be generated independently, in any order, across processes.
 
 `fold` caches the mix of its integer tag in a bounded LRU table (1024
-entries): the hot loops fold a few constant tags (label, percolation, copy
-ids) millions of times, while trial indices pass through once each and
-must not grow the table without bound.
+entries), and fold_np the mix of an int tag as a np.uint64 in another: the
+hot loops fold a few constant tags (label, percolation, copy ids) millions
+of times, while trial indices pass through once each and must not grow the
+tables without bound.
 
 fold_np and trial_state_np are their array forms over uint64 arrays, equal
 to the scalar functions element by element; the trial-batched tree paths
@@ -317,25 +318,34 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
     return _mixed(z.astype(np.uint64, copy=True))
 
 
+_NP_30, _NP_27, _NP_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _mixed(z: np.ndarray) -> np.ndarray:
     """mix64_np of a fresh uint64 array, which it overwrites."""
-    z ^= z >> np.uint64(30)
+    z ^= z >> _NP_30
     z *= _NP_M1
-    z ^= z >> np.uint64(27)
+    z ^= z >> _NP_27
     z *= _NP_M2
-    z ^= z >> np.uint64(31)
+    z ^= z >> _NP_31
     return z
 
 
 _NP_GOLDEN = np.uint64(GOLDEN)
 
 
+@functools.lru_cache(maxsize=1024)
+def _np_tag_mix(data: int) -> np.uint64:
+    """_tag_mix(data) as a np.uint64, made once per tag value."""
+    return np.uint64(_tag_mix(data))
+
+
 def fold_np(state, data) -> np.ndarray:
     """Array form of fold: fold(s, x) for each pair of the broadcast uint64
     arrays `state` and `data`.  `data` may also be a Python int of any size,
-    as in fold."""
+    as in fold; its mix is cached as fold's is."""
     if isinstance(data, int):
-        tag = np.uint64(_tag_mix(data))
+        tag = _np_tag_mix(data)
     else:
         tag = _mixed(np.asarray(data, dtype=np.uint64) + _NP_GOLDEN)
     return _mixed(np.asarray(state, dtype=np.uint64) ^ tag)

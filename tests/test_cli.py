@@ -66,13 +66,17 @@ def test_consecutive_main_calls_leak_no_flag_values(tmp_path):
     assert run(["density", "--host", "pgw", "--lam", "3", "--trials", "10",
                 "--out", first]) == 0
     assert load_manifest(first + ".manifest.json")["params"]["lam"] == 3.0
-    for args in (["stability", "--p", "0.5", "--k", "2", "--inner-trials", "5"],
+    # const1 includes every root of regular-tree, so the stability call is
+    # never refused for want of an accepted outer trial
+    for args in (["stability", "--factor", "const1", "--p", "0.5", "--k", "2",
+                  "--inner-trials", "5"],
                  ["density"]):
         out = str(tmp_path / (args[0] + ".csv"))
         assert run(args + ["--host", "regular-tree", "--d", "3", "--trials", "10",
                            "--out", out]) == 0
         params = load_manifest(out + ".manifest.json")["params"]
         assert params["lam"] is None and params["host"] == "regular-tree", args
+    assert params["factor"] == "threshold"  # the default again after const1
 
 
 BAD_MANIFESTS = {

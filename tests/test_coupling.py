@@ -49,9 +49,17 @@ from localis.graphs import (
     sample_er,
 )
 from localis import coupling, factors, parallel
-from localis.parallel import run_trials
+from localis.parallel import mean_stderr, run_trials
 from localis.profiles import binom_sum
-from localis.rng import CoupledLabels, fold, fold_np, state_rng, trial_state, trial_state_np
+from localis.rng import (
+    CoupledLabels,
+    fold,
+    fold_np,
+    percolation_cut,
+    state_rng,
+    trial_state,
+    trial_state_np,
+)
 
 import exploration_reference as reference
 from conftest import assert_within_sigma, binomial_se
@@ -171,9 +179,15 @@ LW = lauer_wormald(0.3, 2)
 ROW_FACTORS = [F, constant_factor(1), LW]
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+# at p = 1e-30, as at p = 0, S is empty (percolation_cut(p) == 0): the rows
+# take copy 0 for every copy, and the reference evaluates each copy
+EMPTY_S = [0.0, 1e-30]
+
+
+@pytest.mark.parametrize("p", [*EMPTY_S, 0.3, 1.0])
 @pytest.mark.parametrize("host", BATCH_HOSTS)
 def test_tree_prefix_rows_match_the_lazy_tree_rows(host, p):
+    assert (percolation_cut(p) == 0) == (p in EMPTY_S)
     for f in ROW_FACTORS:
         cfg = CouplingConfig(p=p, k=3, factor=f, host=host, trials=300, seed=42)
         est = coupled_tree_intersections(cfg)
@@ -183,7 +197,7 @@ def test_tree_prefix_rows_match_the_lazy_tree_rows(host, p):
             assert rows.tolist() == _scalar_prefix_rows(cfg, copies), (f.kind, copies)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p", [*EMPTY_S, 0.3, 1.0])
 @pytest.mark.parametrize("host", BATCH_HOSTS)
 def test_tree_stability_rows_match_the_lazy_tree_rows(host, p):
     for f in ROW_FACTORS:
@@ -551,6 +565,26 @@ def test_stability_moment_consistency():
         )
 
 
+def test_stability_moments_per_distinct_count_equal_the_per_trial_loop():
+    cfg = tree_cfg(0.5, trials=600, inner=30, seed=24)
+    rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
+    counts = rows[rows[:, 0] == 1.0, 1].astype(int).tolist()
+    assert len(set(counts)) > 5
+    est = estimate_stability(cfg)
+    for m in range(cfg.k):
+        g = np.array([_jackknife_moment(c, cfg.inner_trials, m) for c in counts])
+        assert est.moments[m] == mean_stderr(g), m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 10**5])
+def test_mean_stderr_is_numpys_mean_and_var_bit_for_bit(n):
+    rows = np.random.default_rng(n).random((n, 3))
+    rows[:, 2] = rows[:, 2] < 0.3  # a Bernoulli column
+    for values in (rows[:, 0], rows[:, 2], rows[::-1, 1], rows[:, 1].copy()):
+        want = (float(values.mean()), (float(values.var(ddof=1)) / n) ** 0.5 if n > 1 else 0.0)
+        assert mean_stderr(values) == want
+
+
 def test_stability_conditioning_failure():
     cfg = CouplingConfig(p=0.5, k=2, factor=constant_factor(0), host=T3,
                          trials=30, inner_trials=10, seed=23)
@@ -648,7 +682,7 @@ def test_config_stability_past_32_bit_half_edge_ids(f):
 
 @pytest.mark.parametrize("budget", [None, 180], ids=["one-union", "three-copies-a-union"])
 @pytest.mark.parametrize("f", [F, LW, constant_factor(1)], ids=["threshold", "lw", "const1"])
-@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("p", [*EMPTY_S, 0.25, 0.5, 1.0])
 def test_er_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, budget):
     # the copies of a pass's accepted trials in one union graph, or, with
     # the pass budget at 180, passes of a few outer trials and unions of
@@ -662,21 +696,27 @@ def test_er_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, bud
     assert rows[:, 0].sum() > 0
 
 
+# The threshold factor accepts an outer trial on ConfigModelHost(60, 3) with
+# probability 0.116 (0.1154 and 0.1167, se 0.0016, over 4 x 10^4 trials at
+# seeds 36 and 1000): at 180 outer trials none is accepted with probability
+# below (1 - 0.11)^180 = 7.8e-10.
 @pytest.mark.parametrize("inner", [1, 8])
 @pytest.mark.parametrize(
-    "f, host",
-    [(F, ConfigModelHost(60, 3)), (LW, ConfigModelHost(2000, 3)),
-     (constant_factor(1), ConfigModelHost(60, 3))],
+    "f, host, trials",
+    [(F, ConfigModelHost(60, 3), 180), (LW, ConfigModelHost(2000, 3), 40),
+     (constant_factor(1), ConfigModelHost(60, 3), 40)],
     ids=["threshold", "lw", "const1"],
 )
-@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
-def test_config_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, host, inner):
+@pytest.mark.parametrize("p", [*EMPTY_S, 0.25, 0.5, 1.0])
+def test_config_stability_unions_equal_the_per_copy_reference(monkeypatch, p, f, host, trials,
+                                                              inner):
     # a pass budget of 120: passes of 3 outer trials (threshold), 1 (LW,
     # whose 5-balls are about 100 vertices) or 60 (const1), and unions of
     # 120 // m copies of the accepted roots' m ball vertices; against the
     # scalar exploration
     monkeypatch.setattr(coupling, "PASS_PAIRS", 120)
-    cfg = CouplingConfig(p=p, k=2, factor=f, host=host, trials=40, inner_trials=inner, seed=36)
+    cfg = CouplingConfig(p=p, k=2, factor=f, host=host, trials=trials, inner_trials=inner,
+                         seed=36)
     rows = run_trials(_stability_trial_fn(cfg), cfg.trials)
     assert rows.tolist() == reference.stability_rows(cfg)
     assert rows[:, 0].sum() > 0

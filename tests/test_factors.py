@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import os
@@ -22,6 +23,7 @@ from localis.factors import (
     factor_spec,
     graph_bits,
     lauer_wormald,
+    lw_density_exact,
     project_to_graph,
     threshold_factor,
 )
@@ -639,6 +641,72 @@ def test_density_lw_below_limit():
     assert est.mean < 0.375 + 3 * est.stderr
     assert est.mean > 0.3
     assert est.mean < 0.456  # known ceiling for any independent set density at d=3
+
+
+def _bench_oracles():
+    """benchmarks/bench_oracles.py, which keeps its own copy of the LW
+    recursion as an independent check, loaded from its path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_oracles.py")
+    spec = importlib.util.spec_from_file_location("bench_oracles_copy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lw_density_exact_is_the_benchmark_recursion():
+    bench = _bench_oracles()
+    for p, k in itertools.product((0.02, 0.1, 0.3, 0.7), (1, 2, 6, 40, 250)):
+        for where in ({"d": 2}, {"d": 3}, {"d": 4}, {"d": 7}, {"lam": 0.5}, {"lam": 3.0},
+                      {"lam": 20.0}):
+            ours, theirs = lw_density_exact(p, k, **where), bench.lw_density_exact(p, k, **where)
+            assert abs(ours - theirs) <= 1e-12, (p, k, where)
+    # one round: the root is in round 1 and none of its d children is
+    assert lw_density_exact(0.3, 1, d=3) == pytest.approx(0.3 * 0.7**3, abs=1e-15)
+    for where in ({}, {"d": 3, "lam": 3.0}):
+        with pytest.raises(ValueError):
+            lw_density_exact(0.3, 2, **where)
+
+
+# z-tests of estimate_tree_density against lw_density_exact: each fails
+# beyond LW_Z_FAIL = 4.75 standard errors, a two-sided nominal false-alarm
+# rate of erfc(4.75 / sqrt 2) = 2.0e-6 by the normal limit, 8.1e-6 over the
+# four cases.  Each case has its own seed, so the four estimates are
+# independent (one seed on two hosts would share the roots' labels).
+LW_Z_FAIL = 4.75
+LW_Z_TRIALS = 100_000
+LW_EXACT_CASES = {  # id: (p, k, host, the host's argument of lw_density_exact, seed)
+    "lw250-T3": (0.02, 250, RegularTreeHost(3), {"d": 3}, 48),
+    "lw250-T5": (0.02, 250, RegularTreeHost(5), {"d": 5}, 49),
+    "lw250-PGW3": (0.02, 250, PGWTreeHost(3.0), {"lam": 3.0}, 50),
+    "lw6-T4": (0.3, 6, RegularTreeHost(4), {"d": 4}, 51),
+}
+
+
+@pytest.fixture(scope="module")
+def lw_z_scores():
+    """Per case: (estimate, its standard error, the exact density)."""
+    out = {}
+    for name, (p, k, host, where, seed) in LW_EXACT_CASES.items():
+        est = estimate_tree_density(lauer_wormald(p, k), host, LW_Z_TRIALS, seed=seed)
+        out[name] = est.mean, est.stderr, lw_density_exact(p, k, **where)
+    return out
+
+
+@pytest.mark.parametrize("name", list(LW_EXACT_CASES))
+def test_lw_density_matches_the_exact_recursion(lw_z_scores, name):
+    mean, se, exact = lw_z_scores[name]
+    assert abs(mean - exact) <= LW_Z_FAIL * se, (mean, exact, se)
+
+
+def test_lw_density_z_test_sees_references_shifted_by_five_standard_errors(lw_z_scores):
+    # One case alone sees a 5-se shift with probability P(|N(5, 1)| > 4.75),
+    # about 0.6.  Shifted on all four cases at once, the pooled z
+    # (sum of the four z-scores) / 2 moves by 10: it stays within 4.75 only
+    # if the unshifted pooled z is beyond 5.25 the other way (p < 1e-7).
+    z = [(mean - exact) / se for mean, se, exact in lw_z_scores.values()]
+    assert abs(sum(z)) / 2 <= LW_Z_FAIL
+    for shift in (-5.0, 5.0):
+        assert abs(sum(zi - shift for zi in z)) / 2 > LW_Z_FAIL, (z, shift)
 
 
 def _scalar_density_rows(f, host, seed: int, trials: int) -> list:

@@ -593,18 +593,20 @@ MUTANT_CHECKS = {
        for name in ("const1", "lw2", "threshold")},
     "density_i": lambda: assert_threshold_density_i(law_block("threshold", 3.0, 3), 3),
 }
-# the checks each mutant fails at these seeds (on the whole law grid and
-# gate grid: j_is_event fails the paired test of every factor with I' > 0
-# but LW(0.3, 2) at d >= 28; rim_inverted and no_root_marks fail nearly all;
+# checks that fail on each mutant at the trial root and at the 8 roots after
+# it (tests/stream_sweep.py's moved roots; on the whole law grid and gate
+# grid: j_is_event fails the paired test of every factor with I' > 0 but
+# LW(0.3, 2) at d >= 28; rim_inverted and no_root_marks fail nearly all;
 # slot_off_by_one only the equality gates; wrong_degree the density_I test
-# at (3, 3) and the per-node stages, and no paired test)
+# at (3, 3), and no paired test).  On some of those roots j_is_event,
+# slot_off_by_one and wrong_degree fail "stages threshold" as well, which
+# is a stream's outcome and not pinned.
 KILLS = {
-    None: set(),
     "j_is_event": {"stages const1", "paired const1", "paired lw2", "paired threshold"},
     "rim_inverted": {"hand-built", "stages threshold", "stages const1", "paired const1",
                      "paired lw2", "paired threshold"},
     "slot_off_by_one": {"hand-built"},
-    "wrong_degree": {"stages threshold", "density_i"},
+    "wrong_degree": {"density_i"},
     "no_root_marks": set(MUTANT_CHECKS),
 }
 
@@ -618,7 +620,10 @@ def test_transfer_gates_kill_the_mutants(monkeypatch, mutant):
             check()
         except AssertionError:
             failed.add(name)
-    assert failed == KILLS[mutant]
+    if mutant is None:
+        assert failed == set()
+    else:
+        assert KILLS[mutant] and KILLS[mutant] <= failed, failed
 
 
 # ---------------------------------------------------------------------------

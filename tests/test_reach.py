@@ -53,6 +53,7 @@ ALLOWED = {
     "pgw_transfer.schedule_tail_bound": "paper quantity",
     "pgw_transfer.event_E_lower_bound": "paper quantity",
     "pgw_transfer.event_K_probability": "oracle",  # of transfer_density: E[J] = density_I P(K)
+    "factors.lw_density_exact": "oracle",  # of estimate_tree_density on lauer_wormald
     "graphs.sample_regular_tree": "test reference",
     # the per-node transfer stages, the reference of transfer_block's root stars
     "graphs.sample_pgw_tree": "benchmark binding",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import localis
 
 from localis.rng import (
+    CHILD_TAG,
     GOLDEN,
     MASK64,
     SEED_SLICE,
@@ -88,6 +89,13 @@ def test_fold_np_matches_fold():
     # an int tag of any size, as fold takes it
     for x in (0, 2, -1, -GOLDEN, 1 << 64, 1 << 80):
         assert fold_np(states, x).tolist() == [fold(s, x) for s in states.tolist()]
+
+
+def test_fold_np_int_tags_are_the_cached_scalar_mixes():
+    for x in (0, 1, 0xA77, CHILD_TAG, -1, MASK64, 1 << 64, 1 << 80):
+        tag = localis.rng._np_tag_mix(x)
+        assert type(tag) is np.uint64 and tag == np.uint64(localis.rng._tag_mix(x))
+        assert localis.rng._np_tag_mix(x) is tag  # mixed once
 
 
 @pytest.mark.parametrize("seed", [0, 7, -3, 1 << 70])
