@@ -43,7 +43,7 @@ Erdos-Renyi host the copies explored too (_ErCopies), all k of a trial
 level by level together, their pairs outside SxS read from g, which reveals
 further vertices as the copies reach them, and their pairs inside SxS
 drawn afresh.  No stability trial costs O(n).  When S is empty
-(percolation_cut(p) == 0, _empty_s) every copy is copy 0, so the tree-host
+(percolation_cut(p) == 0, _empty_s) every copy is copy 0, so the
 intersections and the stability on every host evaluate copy 0 alone.
 """
 
@@ -272,17 +272,21 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> IntersectionEstimate:
     have walked (MultiGraph.balls), so the configuration-model copies, which
     all read g, walk the mask once per vertex at most, and each Erdos-Renyi
     copy walks it from its own rule's 1-bits.  A row is the k
-    prefix-intersection densities.
+    prefix-intersection densities.  When S is empty every copy is copy 0 on
+    g, so a row repeats copy 0's density k times.
     """
     host = cfg.host
     if not isinstance(host, host_type):
         raise TypeError(f"expected {host_type.__name__}, got {host!r}")
     f, k, n = cfg.factor, cfg.k, host.n
+    empty = _empty_s(cfg.p)
 
     def one(t: int):
         st = trial_state(cfg.seed, t)
         g = _sample_graph(host, fold(st, 1))
         labels = CoupledLabels(vertex_states(st, n), cfg.p)
+        if empty:  # every copy is copy 0
+            return np.repeat(graph_bits(f, g, labels(0)).sum() / n, k)
         row, alive = np.empty(k), np.ones(n, dtype=bool)
         for j, g_j in enumerate(copy_graphs(host, g, st, cfg.p, k), 1):
             alive &= graph_bits(f, g_j, labels(j))

@@ -54,7 +54,9 @@ tree node (of each node, given an array of states).
 
 child_states gives the children of any level of lazy-tree nodes as flat
 arrays (parent, slot, state), one entry a child, listed parent by parent:
-the one child expansion of the tree rules.  factors.TreeBlock holds only
+the one child expansion of the tree rules.  child_slots lists the parents
+and slots alone, given the child counts; the PGW transfer places its
+removal labels by it.  factors.TreeBlock holds only
 the root states of a block of trees, and each factor's array rule expands
 from them by child_states the children it reads, the roots' (threshold) or
 level after level (percolation rounds).  LazyTree and TreeLabels are the
@@ -1057,7 +1059,13 @@ def child_states(host, depth: int, states: np.ndarray) -> tuple:
     fold(states[parent[i]], CHILD_TAG + slot[i]).  Child counts come from
     one host.offspring call, and the child tags are mixed once and kept
     (rng.fold_offsets)."""
-    counts = np.full(states.size, host.offspring(depth, states))
-    parent = np.repeat(np.arange(states.size), counts)
-    slot = np.arange(parent.size) - (counts.cumsum() - counts)[parent]
+    parent, slot = child_slots(np.full(states.size, host.offspring(depth, states)))
     return parent, slot, fold_offsets(states[parent], CHILD_TAG, slot)
+
+
+def child_slots(counts: np.ndarray) -> tuple:
+    """(parent, slot) of the children of nodes with these child counts, flat
+    in node order and child order: entry i is child slot[i] of node
+    parent[i]."""
+    parent = np.repeat(np.arange(counts.size), counts)
+    return parent, np.arange(parent.size) - (counts.cumsum() - counts)[parent]

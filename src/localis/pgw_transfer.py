@@ -18,11 +18,16 @@ node on a sampled tree (graphs.sample_pgw_tree) at any vertex.  A trial
 needs J at the root alone, which reads the root's star: the root's and its
 children's child counts and labels, and the labels of the children of the
 children above degree d.  transfer_block gets J for a block of trials at
-once: each trial's star from its own draws, the same as sample_pgw_tree's
-to radius 2, the root-edge marks of all the stars by one pure function,
-and I' from one factors.TreeBlock on the d-regular tree, the one tree
-evaluator.  It equals the per-node stages bit for bit; they are its
-reference.  transfer_trace is its one-trial call.
+once: each trial's child counts from its own generator, by
+sample_pgw_tree's two Poisson draws, and the removal labels it reads by
+position, as the lazy trees label their nodes (a vertex's state is its
+parent's folded with CHILD_TAG + its slot, its label the copy-0 label of
+its state), for the root, its children and the children of the children
+with at least d of them only; the root-edge marks of all the stars by one
+pure function; and I' from one factors.TreeBlock on the d-regular tree, the
+one tree evaluator.  It equals bit for bit the per-node stages run on
+sample_pgw_tree's tree with every vertex labelled by its position; they
+are its reference.  transfer_trace is its one-trial call.
 
 The resulting density is sandwiched between density(I) * P(root and all its
 neighbours have degree <= d) and density(I), and equals density(I) * P(K),
@@ -39,11 +44,11 @@ from collections import namedtuple
 import numpy as np
 
 from .factors import Factor, TreeBlock, apply_factor
-from .graphs import RegularTreeHost, RootedNeighborhood
+from .graphs import RegularTreeHost, RootedNeighborhood, child_slots
 from .parallel import mean_stderr, run_trials
 from .rng import (
-    CHILD_TAG, CoupledLabels, check_poisson_lam, fold, fold_np, state_rngs, trial_state_np,
-    uniform_labels,
+    CHILD_TAG, CoupledLabels, check_poisson_lam, fold, fold_np, fold_offsets, state_rngs,
+    trial_state_np,
 )
 
 TREE_RADIUS = 2  # a transfer trial's tree: the root's and its neighbours' degrees
@@ -237,20 +242,6 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
 # kids >= d, child by child in id order.
 
 
-def _root_star(lam: float, rng, d: int) -> tuple:
-    """(root_kids, root_labels, kids, labels, rim) of the tree
-    sample_pgw_tree(lam, TREE_RADIUS, state) draws, from the same draws,
-    given rng = state_rng(state): rng.poisson for the root, rng.poisson for
-    its children when it has any, then one uniform_labels over every
-    vertex."""
-    root = rng.poisson(lam, size=1)
-    kids = rng.poisson(lam, size=int(root[0])) if root[0] else root[:0]
-    labels = uniform_labels(rng, 1 + kids.size + int(kids.sum()))
-    # copies, not views: a block holds no trial's other labels
-    return (root, labels[:1].copy(), kids, labels[1 : kids.size + 1].copy(),
-            labels[kids.size + 1 :][np.repeat(kids >= d, kids)])
-
-
 def _star_marks(root_kids, root_labels, kids, labels, rim, d: int) -> np.ndarray:
     """edge_removal_stage's marks on the root edges of a block of stars:
     removed[c] marks the edge from child c to its root.
@@ -287,27 +278,40 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
     marks of the root-incident edges, root_kids[t] of them for trial t, in
     child order, concatenated.
 
-    Bit for bit, a trial of state s is sample_pgw_tree(lam, TREE_RADIUS,
-    fold(s, 1)), edge_removal_stage on its labels, filling_out_stage with
-    y_state fold(s, 2) and inclusion_stage at the root.  The marks and the
-    degree event read the root star alone, and I' reads no tree: it is one
-    TreeBlock's copy-0 bits on RegularTreeHost(d) at the root states
-    fold(fold(y, 0xA77), 0).  AssertionError if a root keeps more than d
-    edges.
+    Bit for bit, a trial of state s is the tree sample_pgw_tree(lam,
+    TREE_RADIUS, fold(s, 1)), of the child counts its generator draws,
+    labelled by position: the root at state fold(s, 3) and every other
+    vertex at its parent's state folded with CHILD_TAG + its slot, each with
+    the copy-0 label of its state; then edge_removal_stage on those labels,
+    filling_out_stage with y_state fold(s, 2) and inclusion_stage at the
+    root.  The generator gives the two Poisson draws alone.  The marks and
+    the degree event read the root star alone, so the labels are folded
+    for the root, its children and the children of the children with kids
+    >= d only, 1 + root_kids + the sum of those kids a trial.  I' reads no
+    tree: it is one TreeBlock's copy-0 bits on RegularTreeHost(d) at the
+    root states fold(fold(y, 0xA77), 0).  AssertionError if a root keeps
+    more than d edges.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
-    root_kids, root_labels, kids, labels, rim = (np.concatenate(part) for part in zip(
-        *[_root_star(lam, rng, d) for rng in state_rngs(fold_np(states, 1))]))
-    removed = _star_marks(root_kids, root_labels, kids, labels, rim, d)
-    trial = np.repeat(np.arange(states.size), root_kids)
+    draws = [rng.poisson(lam, size=rng.poisson(lam)) for rng in state_rngs(fold_np(states, 1))]
+    root_kids, kids = np.array([k.size for k in draws]), np.concatenate(draws)
+    roots = fold_np(states, 3)
+    trial, slot = child_slots(root_kids)
+    children = fold_offsets(roots[trial], CHILD_TAG, slot)
+    above = np.flatnonzero(kids >= d)
+    owner, slot = child_slots(kids[above])
+    grandkids = fold_offsets(children[above[owner]], CHILD_TAG, slot)
+    labels = CoupledLabels(np.concatenate((roots, children, grandkids))).x0
+    first, last = states.size, states.size + kids.size
+    removed = _star_marks(root_kids, labels[:first], kids, labels[first:last], labels[last:], d)
     if (np.bincount(trial[~removed], minlength=states.size) > d).any():
         raise AssertionError(f"filled forest not {d}-regular at depth 0")
     tops = fold_np(fold_np(fold_np(states, 2), 0xA77), 0)
     iprime = TreeBlock(f, RegularTreeHost(d), tops).bits(0)
     cut = np.bincount(trial[removed], minlength=states.size) > 0
-    over = np.bincount(trial[kids >= d], minlength=states.size) > 0
+    over = np.bincount(trial[above], minlength=states.size) > 0
     return TransferBlock(iprime, iprime & ~cut, (root_kids <= d) & ~over, root_kids, removed)
 
 

@@ -104,7 +104,7 @@ def state_rng(state: int) -> np.random.Generator:
     np.random.default_rng(state & MASK64) gives, built without its
     argument dispatch.  The Erdos-Renyi copies that er_resample_graphs
     yields one at a time draw from it; its array form state_rngs seeds the
-    PGW transfer's trees.  No coupled label comes from either."""
+    PGW transfer's child counts.  No label comes from either."""
     return np.random.Generator(np.random.PCG64(state & MASK64))
 
 

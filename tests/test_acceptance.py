@@ -237,6 +237,10 @@ def test_criterion_6_stability_moment_consistency():
 
 
 def test_criterion_7_transfer_sandwich():
+    # nominal false-alarm rate, by the normal limit: at most 6 x 0.13% = 0.8%
+    # for the three points' one-sided 3-se sandwich bounds (E[J] = density_I
+    # P(K) lies inside each), and 3 x 0.27% = 0.8% for the two-sided 3-se
+    # event checks
     factor = threshold_factor()
     lines = []
     for (lam, d), trials, seed in (
@@ -262,7 +266,10 @@ def test_criterion_7_transfer_sandwich():
 def test_criterion_7_exact_transfer_density():
     # E[J] = density(I) * P(K): the root's filled ball is a d-regular ball
     # with fresh labels, independent of K, the event that no root-incident
-    # edge is removed (ROADMAP item 12)
+    # edge is removed (ROADMAP item 12).  Nominal false-alarm rate of the z
+    # bound 1 - (1 - 0.27%)^4 = 1.1%: four two-sided 3-se z-tests, by the
+    # normal limit.  The power check below reads the same z, and |z -+ 5| > 3
+    # fails whenever |z| >= 2: 4.6% a point, so up to 17% for the test
     lines = []
     for f, (lam, d), trials, seed in (
         (threshold_factor(), (3.0, 3), 10_000, 120),

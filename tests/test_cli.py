@@ -542,6 +542,8 @@ def test_oracle_check_guard_on_impossible_tolerance(tmp_path):
 
 
 def test_pgw_transfer_schedule(tmp_path):
+    # nominal false-alarm rate at most 2 x 0.13% = 0.27%: the two one-sided
+    # 3-se sandwich bounds, by the normal limit
     out = str(tmp_path / "pgw.csv")
     assert run(["pgw-transfer", "--factor", "threshold", "--lam", "10",
                 "--schedule-u", "0.75", "--trials", "4000",

@@ -337,6 +337,41 @@ def test_er_copies_each_walk_their_own_members(mask_walks):
         assert np.array_equal(at, np.flatnonzero(on))
 
 
+def _per_copy_rows(cfg: CouplingConfig) -> list:
+    """The graph-host prefix rows with every copy projected on its copy
+    graph, copies 1..k of each trial one by one."""
+    rows = []
+    for t in range(cfg.trials):
+        st = trial_state(cfg.seed, t)
+        g = coupling._sample_graph(cfg.host, fold(st, 1))
+        labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
+        alive, row = np.ones(g.n, dtype=bool), []
+        for j, g_j in enumerate(copy_graphs(cfg.host, g, st, cfg.p, cfg.k), 1):
+            alive &= factors.graph_bits(cfg.factor, g_j, labels(j))
+            row.append(alive.sum() / g.n)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", EMPTY_S)
+@pytest.mark.parametrize("host", [ConfigModelHost(2000, 3), ErdosRenyiHost(2000, 3.0)],
+                         ids=["config", "er"])
+def test_graph_intersections_project_one_copy_when_s_is_empty(monkeypatch, host, p):
+    # every copy is copy 0 on g: one graph_bits call a trial, and the rows
+    # of the per-copy loop, bit for bit
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return factors.graph_bits(*args)
+
+    monkeypatch.setattr(coupling, "graph_bits", counted)
+    cfg = CouplingConfig(p=p, k=3, factor=F, host=host, trials=50, seed=19)
+    rows = run_intersections(cfg).prefix_rows
+    assert len(calls) == cfg.trials
+    assert rows.tolist() == _per_copy_rows(cfg)
+
+
 def test_graph_coupling_p0_equal_copies():
     cfg = CouplingConfig(p=0.0, k=2, factor=F, host=ConfigModelHost(120, 3),
                          trials=40, seed=11)
@@ -365,8 +400,8 @@ def test_er_copy_graphs_are_g_without_a_pair_to_redraw(p):
 
 
 def test_er_scan_at_p0_equals_the_rebuilt_copies(monkeypatch):
-    # at p = 0 copy_graphs hands out g itself: the outputs are those of the
-    # copies rebuilt by er_resample_graphs
+    # at p = 0 S is empty, and the scan reads copy 0 alone: the outputs are
+    # those of every copy read, on the copies rebuilt by er_resample_graphs
     cfg = CouplingConfig(p=0.0, k=3, factor=F, host=ErdosRenyiHost(60, 2.0), trials=30,
                          inner_trials=6, seed=11)
     fast = scan_p(cfg, [0.0]).rows[0]
@@ -376,6 +411,7 @@ def test_er_scan_at_p0_equals_the_rebuilt_copies(monkeypatch):
         return er_resample_graphs(g, S, host.lam, count, fold(st, 3))
 
     monkeypatch.setattr(coupling, "copy_graphs", rebuilt)
+    monkeypatch.setattr(coupling, "_empty_s", lambda p: False)
     slow = scan_p(cfg, [0.0]).rows[0]
     assert np.array_equal(fast.intersections.prefix_rows, slow.intersections.prefix_rows)
     assert fast.stability.moments == slow.stability.moments

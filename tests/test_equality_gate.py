@@ -56,7 +56,12 @@ when the filled forest took its labels by position, so that I' is read from
 one tree evaluator on the d-regular tree and density_I from the same trials,
 and the transfer's trees were drawn to radius 2 for every factor, which
 moved the LW commands' removal labels too; the laws of those draws are
-checked in tests/test_pgw.py.  A refactor that moves any random stream or
+checked in tests/test_pgw.py.  They were re-recorded again when the
+transfer took its removal labels by position (the root at fold(s, 3), each
+other vertex at its parent's state folded with CHILD_TAG + its slot), for
+the vertices the removal stage reads alone, and kept each trial's
+generator for its two Poisson child counts: density_J and its standard
+error moved, while density_I, P_E and every degree event did not.  A refactor that moves any random stream or
 changes any output byte fails here.
 """
 
@@ -70,12 +75,12 @@ GOLDEN = {
     "transfer_threshold": (
         ["pgw-transfer", "--factor", "threshold", "--lam", "20", "--d", "28",
          "--trials", "300", "--seed", "3"],
-        "0b55374654412d0a8edfaad5c02021884e05d754405217e5bdab2c24d6c1f09b",
+        "8b74466a1935ccb705423efda19e8767e29db18c6c1f8ec47527425b97d99513",
     ),
     "transfer_lw": (
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--lam", "4", "--d", "6", "--trials", "200", "--seed", "4"],
-        "fec8f54ef0b4662dab66572b0cd59be452dd88eea3f9f83c9a63827445d5aca2",
+        "ff378dd70d3bdf7c3df725623f350a3e65153a152eb56b2ede115f0e38f83f0c",
     ),
     "density_config_threshold": (
         ["density", "--factor", "threshold", "--host", "config-model",
@@ -213,7 +218,7 @@ GOLDEN = {
     "transfer_lw_removals": (
         ["pgw-transfer", "--factor", "lw", "--lw-p", "0.3", "--lw-k", "2",
          "--lam", "6", "--d", "5", "--trials", "150", "--seed", "25"],
-        "965a4d7ca6147fc4d19177c2da1e280696160817b28424f9478fd047ff0ddbcd",
+        "97f274da77ae736d4403ac1f29739ec5c1d81d549d085074f3bc337d82eb84be",
     ),
     "density_tree_lw_deep": (
         ["density", "--factor", "lw", "--lw-p", "0.02", "--lw-k", "250",

@@ -33,7 +33,7 @@ from localis.coupling import (
     estimate_stability,
     vertex_states,
 )
-from localis.factors import threshold_factor
+from localis.factors import graph_bits, threshold_factor
 from localis.graphs import (
     ConfigModelHost,
     MultiGraph,
@@ -203,10 +203,20 @@ def test_independent_copies_intersect_as_powers_of_a_quarter(fixed_graph, monkey
 
 @pytest.mark.parametrize("mutant", [None, "all_s"])
 def test_copies_at_p0_equal_copy_one(fixed_graph, monkeypatch, mutant):
+    # at p = 0 S is empty and the intersections project copy 0 alone, which
+    # is right iff every copy's labels are copy 0's: each copy's own density
+    # must equal the row's
     fixed_graph(CONFIG)
     apply_mutant(monkeypatch, mutant)
-    rows = coupled_graph_intersections(config_cfg(0.0, 3, 40)).prefix_rows
-    assert (rows == rows[:, :1]).all() == (mutant is None)
+    cfg = config_cfg(0.0, 3, 40)
+    rows = coupled_graph_intersections(cfg).prefix_rows
+    assert (rows == rows[:, :1]).all()
+    per_copy = [
+        [graph_bits(F, CONFIG, labels(j)).sum() / CONFIG.n for j in (1, 2, 3)]
+        for labels in (CoupledLabels(vertex_states(trial_state(cfg.seed, t), CONFIG.n), cfg.p)
+                       for t in range(cfg.trials))
+    ]
+    assert np.array_equal(per_copy, rows) == (mutant is None)
 
 
 @pytest.mark.parametrize("mutant", [None, "copy0"])

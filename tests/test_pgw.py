@@ -35,7 +35,9 @@ from localis.pgw_transfer import (
     transfer_density,
     transfer_trace,
 )
-from localis.rng import CHILD_TAG, POISSON_LAM_MAX, fold, trial_state, trial_state_np
+from localis.rng import (
+    CHILD_TAG, LABEL_TAG, POISSON_LAM_MAX, fold, state_rng, trial_state, trial_state_np,
+)
 
 from conftest import apply_mutant, assert_within_sigma, binomial_se, event_E_monte_carlo
 
@@ -301,11 +303,24 @@ def test_j_independent_within_window():
 # ---------------------------------------------------------------------------
 
 
+def position_labels(tree, state):
+    """The copy-0 labels of a tree's vertices by position, by BFS id: the
+    root at state fold(state, 3), each other vertex at its parent's state
+    folded with CHILD_TAG + its slot among the parent's children."""
+    states = [fold(state, 3)]
+    for v in range(tree.n):
+        for slot, w in enumerate(w for w in tree.adj[v] if w > v):
+            assert w == len(states)  # BFS ids
+            states.append(fold(states[v], CHILD_TAG + slot))
+    return np.array([fold(fold(s, LABEL_TAG), 0) for s in states], dtype=np.uint64)
+
+
 def stage_trace(f, lam, d, state):
     """The per-node stages at the root, the reference transfer_block equals:
-    (tree, removed, I', J, event_ok)."""
+    (tree, removed, I', J, event_ok).  The tree is sample_pgw_tree's, whose
+    two Poisson draws transfer_block makes, labelled by position."""
     tree = sample_pgw_tree(lam, TREE_RADIUS, fold(state, 1))
-    removed = edge_removal_stage(tree, tree.labels, d)
+    removed = edge_removal_stage(tree, position_labels(tree, state), d)
     forest = filling_out_stage(tree, removed, d, fold(state, 2))
     iprime, j = inclusion_stage(f, forest)
     event_ok = all(len(tree.adj[w]) <= d for w in [0] + tree.adj[0])
@@ -331,10 +346,11 @@ GATE_GRID = [(1.0, 8), (3.0, 3), (6.0, 3), (6.0, 5), (20.0, 28), (50.0, 60)]
 GATE_TRIALS = {("lw1", 20.0): 4, ("lw1", 50.0): 1, ("lw2", 20.0): 1, ("lw2", 50.0): 1}
 
 
-def assert_trials_equal_the_stages(name, lam, d):
+def assert_trials_equal_the_stages(name, lam, d, trials=None):
     # the pinned trials as one transfer_block, and one by one through transfer_trace
     f = GATE_FACTORS[name]
-    states = [trial_state(int(lam) * 1000 + d, t) for t in range(GATE_TRIALS.get((name, lam), 20))]
+    trials = trials or GATE_TRIALS.get((name, lam), 20)
+    states = [trial_state(int(lam) * 1000 + d, t) for t in range(trials)]
     block = pgw_transfer.transfer_block(f, lam, d, states)  # as a mutant binds it
     cut = np.cumsum(block.root_kids)[:-1]
     seen = set()
@@ -379,28 +395,14 @@ HAND_BUILT = {
 }
 
 
-class GivenDraws:
-    """A generator that draws a given radius-2 tree: the root's child count,
-    its children's, then all the labels, as _root_star asks for them."""
-
-    def __init__(self, kids, labels):
-        self.counts = [np.asarray(kids[:1]), np.asarray(kids[1:])]
-        self.labels = np.asarray(labels, dtype=np.uint64)
-        self.bit_generator = self
-
-    def poisson(self, lam, size):
-        assert self.counts[0].size == size
-        return self.counts.pop(0)
-
-    def random_raw(self, n):
-        assert n == self.labels.size
-        return self.labels
-
-
 def stacked_stars(trees, d):
     """The root stars of radius-2 trees (kids, labels), as transfer_block
-    stacks them."""
-    stars = [pgw_transfer._root_star(1.0, GivenDraws(kids, labels), d) for kids, labels in trees]
+    stacks them: (root_kids, root_labels, kids, labels, rim)."""
+    stars = []
+    for kids, labels in trees:
+        kids, labels = np.asarray(kids, dtype=np.int64), np.asarray(labels, dtype=np.uint64)
+        rim = labels[1 + kids[0] :][np.repeat(kids[1:] >= d, kids[1:])]
+        stars.append((kids[:1], labels[:1], kids[1:], labels[1 : 1 + kids[0]], rim))
     return [np.concatenate(part) for part in zip(*stars)]
 
 
@@ -512,6 +514,30 @@ def test_transfer_memory_is_bounded_by_the_run_blocks():
     assert peak(4096) <= 1.25 * peak(1024)
 
 
+@pytest.mark.parametrize("lam,d,trials", [(20.0, 28, 20), (500.0, 560, 6)])
+def test_transfer_labels_only_the_root_star(monkeypatch, lam, d, trials):
+    # one label for the root, one a child and one a child of each child with
+    # kids >= d: 1 + root_kids + sum of those kids a trial, not 1 + lam + lam^2
+    labelled = []
+
+    class Spy(pgw_transfer.CoupledLabels):
+        def __init__(self, states, p=0.0):
+            labelled.append(np.size(states))
+            super().__init__(states, p)
+
+    monkeypatch.setattr(pgw_transfer, "CoupledLabels", Spy)
+    rims = 0
+    for state in trial_state_np(23, np.arange(trials)).tolist():
+        draws = state_rng(fold(state, 1))
+        kids = draws.poisson(lam, size=draws.poisson(lam))
+        rims += int(kids[kids >= d].sum())
+        labelled.clear()
+        trace = transfer_trace(threshold_factor(), lam, d, state)
+        assert trace.root_kids[0] == kids.size
+        assert labelled == [1 + kids.size + int(kids[kids >= d].sum())]
+    assert rims > 0
+
+
 def test_transfer_block_guards_the_root_degree(monkeypatch):
     # the root is the one vertex all of whose marks a block computes; with
     # its own marks dropped, a root above d keeps more than d edges
@@ -570,7 +596,8 @@ def test_transfer_threshold_density_i_is_exact(lam, d):
 # source mutants of the transfer (conftest.apply_mutant): J taken as I' and
 # the degree event in place of K; the children's root-edge rule
 # inverted; a surviving child one slot further on in the filled forest; I'
-# read on T_(d+1); the root's own marks dropped
+# read on T_(d+1); the root's own marks dropped; the rim labels one slot
+# further on; the rim labels taken from the children's own states
 TRANSFER_MUTANTS = {
     "j_is_event": [("pgw_transfer", "transfer_block", "iprime & ~cut",
                     "iprime & (root_kids <= d) & ~over")],
@@ -580,15 +607,25 @@ TRANSFER_MUTANTS = {
     "wrong_degree": [("pgw_transfer", "transfer_block", "RegularTreeHost(d), tops",
                       "RegularTreeHost(d + 1), tops")],
     "no_root_marks": [("pgw_transfer", "_star_marks", "big = root_kids > d", "big = root_kids < 0")],
+    # labels of the same law, so only the bit-exact gate against the
+    # per-node stages can kill it
+    "rim_slot_shifted": [("pgw_transfer", "transfer_block", "children[above[owner]], CHILD_TAG,",
+                          "children[above[owner]], CHILD_TAG + 1,")],
+    "rim_from_children": [("pgw_transfer", "transfer_block",
+                           "fold_offsets(children[above[owner]], CHILD_TAG, slot)",
+                           "children[above[owner]]")],
 }
 
 # the transfer's gates, each run on every mutant: the hand-built equality
-# gate, the per-node stages at (6, 5), and the law gate at (3, 3)
+# gate, the per-node stages at (6, 5), and the law gate at (3, 3).  The
+# const1 stages take 100 trials: a rim label one slot off changes the root
+# marks of about 15% of the trials at (6, 5), so 20 would miss it at about
+# 4% of the trial roots
 MUTANT_CHECKS = {
     "hand-built": lambda: [test_level_arrays_equal_the_stages_on_hand_built_trees(name)
                            for name in HAND_BUILT],
     "stages threshold": lambda: assert_trials_equal_the_stages("threshold", 6.0, 5),
-    "stages const1": lambda: assert_trials_equal_the_stages("const1", 6.0, 5),
+    "stages const1": lambda: assert_trials_equal_the_stages("const1", 6.0, 5, trials=100),
     **{f"paired {name}": lambda name=name: assert_paired_mean_zero(law_block(name, 3.0, 3), 3.0, 3)
        for name in ("const1", "lw2", "threshold")},
     "density_i": lambda: assert_threshold_density_i(law_block("threshold", 3.0, 3), 3),
@@ -598,9 +635,12 @@ MUTANT_CHECKS = {
 # grid: j_is_event fails the paired test of every factor with I' > 0 but
 # LW(0.3, 2) at d >= 28; rim_inverted and no_root_marks fail nearly all;
 # slot_off_by_one only the equality gates; wrong_degree the density_I test
-# at (3, 3), and no paired test).  On some of those roots j_is_event,
-# slot_off_by_one and wrong_degree fail "stages threshold" as well, which
-# is a stream's outcome and not pinned.
+# at (3, 3), and no paired test; rim_slot_shifted only the per-node stages,
+# changing the root marks of 12-17% of the trials at (3, 3), (6, 3) and
+# (6, 5) and of 0.3-0.6% at (20, 28) and (50, 60)).  On some of those roots
+# j_is_event, slot_off_by_one, wrong_degree and rim_slot_shifted fail
+# "stages threshold" as well, and rim_from_children the paired threshold
+# and LW(0.3, 2) tests, which is a stream's outcome and not pinned.
 KILLS = {
     "j_is_event": {"stages const1", "paired const1", "paired lw2", "paired threshold"},
     "rim_inverted": {"hand-built", "stages threshold", "stages const1", "paired const1",
@@ -608,6 +648,8 @@ KILLS = {
     "slot_off_by_one": {"hand-built"},
     "wrong_degree": {"density_i"},
     "no_root_marks": set(MUTANT_CHECKS),
+    "rim_slot_shifted": {"stages const1"},
+    "rim_from_children": {"stages const1", "paired const1"},
 }
 
 
@@ -632,6 +674,9 @@ def test_transfer_gates_kill_the_mutants(monkeypatch, mutant):
 
 
 def test_transfer_sandwich_small():
+    # nominal false-alarm rate, by the normal limit: at most 0.13% for each
+    # one-sided 3-se sandwich bound (E[J] = density_I P(K) lies inside it),
+    # and 0.27% for the two-sided 3-se event check
     rep = transfer_density(threshold_factor(), 5.0, 8, 20_000, seed=8)
     assert rep.lower - 3 * rep.stderr_j <= rep.density_j
     assert rep.density_j <= rep.upper + 3 * rep.stderr_j
@@ -641,7 +686,10 @@ def test_transfer_sandwich_small():
 
 
 def test_transfer_near_lossless_when_degrees_small():
-    # degrees rarely exceed d: removal is rare and J matches I closely
+    # degrees rarely exceed d: removal is rare and J matches I closely.
+    # Nominal false-alarm rate at most 0.27% (two-sided 3 se, by the normal
+    # limit): J and I' differ only where K fails, and the unpaired se is
+    # larger than the paired one
     rep = transfer_density(threshold_factor(), 1.0, 10, 20_000, seed=9)
     assert rep.p_event_exact > 0.999999
     assert_within_sigma(
@@ -654,7 +702,9 @@ def test_transfer_efficiency_trend_on_schedule():
     # along d = ceil(lam + lam^(3/4)) the degree event probability rises
     # towards 1 (exact values on the reference grid), so the transfer keeps a
     # growing share of the tree density; the share itself is verified by
-    # Monte Carlo at the feasible scales
+    # Monte Carlo at the feasible scales.  Nominal false-alarm rate at most
+    # 4 x 0.13% = 0.54%: two points, each ratio's two one-sided 3-se bounds,
+    # by the normal limit (the delta-method se of the ratio)
     probs = [
         event_E_probability(lam, math.ceil(lam + lam**0.75))
         for lam in (20.0, 50.0, 100.0)

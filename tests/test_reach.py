@@ -59,6 +59,7 @@ ALLOWED = {
     "graphs.sample_pgw_tree": "benchmark binding",
     "pgw_transfer.transfer_trace": "benchmark binding",  # transfer_block of one trial
     "graphs._build_tree": "test reference",
+    "rng.uniform_labels": "test reference",  # the eager trees' labels, by _build_tree
     "graphs.RootedNeighborhood.n": "test reference",
     "pgw_transfer.edge_removal_stage": "benchmark binding",
     "pgw_transfer.filling_out_stage": "benchmark binding",
