@@ -76,7 +76,6 @@ from .profiles import (
     jensen_equality_profile,
     log_expected_Z,
     max_entropy_check,
-    mean_brute_force_Z,
     pi_to_rho,
     profile_from_sets,
     rate_bound,

@@ -408,14 +408,15 @@ def er_edge_arrays(n: int, lam: float, seed) -> tuple:
     return bernoulli_pairs(np.random.default_rng(seed), n, lam / n)
 
 
-def enumerate_config_graphs(n: int, d: int):
-    """Yield every configuration-model outcome ((nd-1)!! pairings) as a MultiGraph.
+def enumerate_config_pairings(n: int, d: int):
+    """Yield the edge list of every configuration-model outcome: each of the
+    (nd-1)!! pairings of the n*d half-edges (half-edge h at vertex h // d)
+    once, as a list of (u, v) with u <= v.
 
     Exponential; intended for exact small-case oracles only.
     """
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even")
-    m = n * d
 
     def rec(remaining, acc):
         if not remaining:
@@ -423,15 +424,13 @@ def enumerate_config_graphs(n: int, d: int):
             return
         a = remaining[0]
         for idx in range(1, len(remaining)):
-            b = remaining[idx]
             rest = remaining[1:idx] + remaining[idx + 1 :]
-            acc.append((a, b))
+            acc.append((a, remaining[idx]))
             yield from rec(rest, acc)
             acc.pop()
 
-    for pairing in rec(list(range(m)), []):
-        edges = sorted((min(a // d, b // d), max(a // d, b // d)) for a, b in pairing)
-        yield MultiGraph(n, edges, model="config", params={"d": d})
+    # the half-edges by their vertices, in increasing order, so u <= v
+    yield from rec([h // d for h in range(n * d)], [])
 
 
 # ---------------------------------------------------------------------------

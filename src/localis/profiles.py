@@ -12,7 +12,9 @@ vanishes on intersecting index pairs (no edge joins two cells sharing an
 independent set).  This module provides the transforms, the entropies and
 their maximum-entropy bound, the exact expected-count formulas for the
 configuration model and the Erdos-Renyi model, their asymptotic rate
-decomposition, and exhaustive brute-force oracles for tiny instances.
+decomposition, and exhaustive oracles for tiny instances: every set size
+over all configuration-model pairings in one pass (config_set_size_totals,
+read by oracle-check) and brute_force_Z on given graphs.
 
 Bitmask layout: subset T of [k] is the integer with bit i set for i in T; a
 lattice function is a dense array indexed by T, a cell-pair function a
@@ -26,13 +28,14 @@ whose order fixes their last bits (Hhat in entropies, log_expected_Z).
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .graphs import MultiGraph, enumerate_config_graphs
+from .graphs import MultiGraph, enumerate_config_pairings
 
 
 class ProfileError(ValueError):
@@ -602,32 +605,36 @@ def intersection_edge_count(sets, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _adjacency_masks(g: MultiGraph) -> list:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u  # a loop sets the vertex's own bit
-    return masks
-
-
-def independent_subsets(g: MultiGraph) -> list:
-    """Bitmasks of all independent vertex subsets (exhaustive, n <= 20)."""
-    if g.n > 20:
+def independent_subsets(n: int, edges) -> np.ndarray:
+    """Bitmasks, ascending, of the independent vertex subsets of the
+    multigraph on 0..n-1 with these (u, v) edges.  One sweep over all 2^n
+    masks, an AND per edge; a loop drops the masks holding its vertex.
+    Exhaustive, n <= 20."""
+    if n > 20:
         raise ProfileError("exhaustive enumeration limited to n <= 20")
-    masks = _adjacency_masks(g)
-    out = []
-    for m in range(1 << g.n):
-        sub = m
-        ok = True
-        while sub:
-            v = (sub & -sub).bit_length() - 1
-            if masks[v] & m:
-                ok = False
-                break
-            sub &= sub - 1
-        if ok:
-            out.append(m)
-    return out
+    masks = np.arange(1 << n)
+    ok = np.ones(1 << n, dtype=bool)
+    for u, v in edges:
+        pair = (1 << u) | (1 << v)
+        ok &= (masks & pair) != pair
+    return masks[ok]
+
+
+def config_set_size_totals(n: int, d: int):
+    """(totals, pairings): totals[m] sums the independent m-sets of every
+    configuration-model pairing in exact integers, and pairings, (nd - 1)!!,
+    counts them; totals[m] / pairings is the enumeration oracle of
+    expected_Z_total at k = 1.  Independence reads only which pairs are
+    joined, so each distinct edge set is swept once, weighted by its pairings."""
+    outcomes = collections.Counter(map(frozenset, enumerate_config_pairings(n, d)))
+    pairings = sum(outcomes.values())
+    if pairings != math.prod(range(1, n * d, 2)):
+        raise ProfileError(f"enumerated {pairings} pairings, not ({n * d} - 1)!!")
+    size = popcounts(n)
+    totals = np.zeros(n + 1, dtype=np.int64)
+    for edges, count in outcomes.items():
+        totals += count * np.bincount(size[independent_subsets(n, edges)], minlength=n + 1)
+    return totals.tolist(), pairings
 
 
 def brute_force_Z(graphs, profile: DensityProfile) -> int:
@@ -647,7 +654,7 @@ def brute_force_Z(graphs, profile: DensityProfile) -> int:
     if n > 14 or k > 2:
         raise ProfileError("brute force guarded to n <= 14 and k <= 2")
     targets = _integral(n * profile.rho, "n*rho({:#b})").tolist()
-    pools = [independent_subsets(g) for g in gs]
+    pools = [independent_subsets(n, g.edges).tolist() for g in gs]
     if k == 1:
         return sum(1 for m in pools[0] if bin(m).count("1") == targets[1])
     count = 0
@@ -659,17 +666,6 @@ def brute_force_Z(graphs, profile: DensityProfile) -> int:
             if bin(m2).count("1") == targets[2] and bin(m1 & m2).count("1") == targets[3]:
                 count += 1
     return count
-
-
-def mean_brute_force_Z(profile: DensityProfile, n: int, d: int) -> float:
-    """Average of brute_force_Z over every configuration-model pairing: the
-    enumeration oracle matching expected_Z_total."""
-    total = 0
-    outcomes = 0
-    for g in enumerate_config_graphs(n, d):
-        total += brute_force_Z(g, profile)
-        outcomes += 1
-    return total / outcomes
 
 
 # ---------------------------------------------------------------------------

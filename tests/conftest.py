@@ -93,7 +93,7 @@ def er_independent_triple_counts(n: int, lam: float, seed: int, trials: int, che
     counts = (~present[:, triples].any(axis=2)).sum(axis=1)
     rng = np.random.default_rng(seed)
     for t in range(checked):
-        subsets = independent_subsets(sample_er(n, lam, rng))
+        subsets = independent_subsets(n, sample_er(n, lam, rng).edges).tolist()
         assert counts[t] == sum(1 for s in subsets if bin(s).count("1") == 3), t
     return counts.astype(np.float64)
 

@@ -49,8 +49,9 @@ from localis.factors import constant_factor, graph_bits_at, threshold_factor
 from localis.graphs import (
     ConfigModelHost,
     ErdosRenyiHost,
+    MultiGraph,
     ball_is_tree,
-    enumerate_config_graphs,
+    enumerate_config_pairings,
     sample_config_model,
     sample_er,
 )
@@ -227,7 +228,8 @@ def test_tree_ball_probability_matches_enumeration():
     # every pairing of n = 4, d = 3 (11!! = 10395 of them), n = 6 and 5, d = 2
     for n, d in ((4, 3), (6, 2), (5, 2)):
         for radius in (1, 2):
-            outcomes = [ball_is_tree(g, 0, radius) for g in enumerate_config_graphs(n, d)]
+            outcomes = [ball_is_tree(MultiGraph(n, edges), 0, radius)
+                        for edges in enumerate_config_pairings(n, d)]
             assert math.isclose(sum(outcomes) / len(outcomes), tree_ball_probability(n, d, radius),
                                 abs_tol=1e-12), (n, d, radius)
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from localis.factors import project_to_graph, threshold_factor
-from localis.graphs import MultiGraph, sample_config_model
+from localis.graphs import MultiGraph, enumerate_config_pairings, sample_config_model
 from localis.profiles import (
     DensityProfile,
     EdgeProfile,
@@ -18,16 +19,17 @@ from localis.profiles import (
     binom_sum,
     brute_force_Z,
     compatible_edge_profiles,
+    config_set_size_totals,
     density_row,
     entropies,
     er_log_expected_Z,
     expected_Z_total,
     forced_pairs,
+    independent_subsets,
     intersection_edge_count,
     jensen_equality_profile,
     log_expected_Z,
     max_entropy_check,
-    mean_brute_force_Z,
     pi_to_rho,
     popcounts,
     profile_from_sets,
@@ -311,11 +313,18 @@ def test_expected_Z_hand_values():
 
 def test_expected_Z_matches_enumeration():
     for n, d in ((2, 2), (4, 2), (4, 3)):
+        totals, pairings = config_set_size_totals(n, d)
         for m in range(n + 1):
             prof = DensityProfile(1, np.array([1.0, m / n]))
             exact = expected_Z_total(prof, n, d)
-            brute = mean_brute_force_Z(prof, n, d)
+            brute = totals[m] / pairings
             assert abs(exact - brute) <= 1e-9 * max(1.0, brute), (n, d, m)
+
+
+def config_graphs(n, d):
+    """Each configuration-model pairing's MultiGraph, in enumeration order."""
+    for edges in enumerate_config_pairings(n, d):
+        yield MultiGraph(n, edges, model="config", params={"d": d})
 
 
 def test_expected_Z_k2_matches_enumeration():
@@ -330,7 +339,8 @@ def test_expected_Z_k2_matches_enumeration():
         except ProfileError:
             continue
         exact = expected_Z_total(prof, n, d)
-        brute = mean_brute_force_Z(prof, n, d)
+        counts = [brute_force_Z(g, prof) for g in config_graphs(n, d)]
+        brute = sum(counts) / len(counts)
         assert abs(exact - brute) <= 1e-9 * max(1.0, brute), sizes
 
 
@@ -467,6 +477,65 @@ def test_brute_force_guard():
     g = MultiGraph(15, [])
     with pytest.raises(ProfileError):
         brute_force_Z(g, DensityProfile(1, np.array([1.0, 0.2])))
+
+
+def ref_independent_subsets(n, edges):
+    """The per-subset bit loop independent_subsets ran before its sweep."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u  # a loop sets the vertex's own bit
+    out = []
+    for m in range(1 << n):
+        sub = m
+        ok = True
+        while sub:
+            v = (sub & -sub).bit_length() - 1
+            if masks[v] & m:
+                ok = False
+                break
+            sub &= sub - 1
+        if ok:
+            out.append(m)
+    return out
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs on n <= 12 vertices, loops, parallel edges and isolated
+    vertices allowed."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(graph=multigraphs())
+@example(graph=(5, [(0, 1), (1, 0), (2, 2), (3, 1)]))  # parallel pair, loop, isolated 4
+def test_independent_subsets_sweep_equals_the_subset_loop(graph):
+    n, edges = graph
+    assert independent_subsets(n, edges).tolist() == ref_independent_subsets(n, edges)
+
+
+# every n*d <= 10, and the README's oracle-check size; the per-size
+# composition takes about 26 s at (12, 1), where a pairing's perfect matching
+# has up to 729 independent sets and each is counted once per set size
+COMPOSITION_SIZES = [(n, d) for n in range(1, 11) for d in range(1, 11)
+                     if n * d % 2 == 0 and n * d <= 10] + [(6, 2)]
+
+
+@pytest.mark.parametrize("n, d", COMPOSITION_SIZES)
+def test_set_size_totals_equal_the_per_size_composition(n, d):
+    # brute_force_Z once per set size and pairing, summed, as the per-size
+    # oracle composed it, against the one-pass totals
+    profiles = [DensityProfile(1, np.array([1.0, m / n])) for m in range(n + 1)]
+    want = [0] * (n + 1)
+    pairings = 0
+    for g in config_graphs(n, d):
+        for m, prof in enumerate(profiles):
+            want[m] += brute_force_Z(g, prof)
+        pairings += 1
+    assert config_set_size_totals(n, d) == (want, pairings)
 
 
 # ---------------------------------------------------------------------------

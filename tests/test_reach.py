@@ -33,20 +33,23 @@ REASONS = {
 }
 
 ALLOWED = {
-    "profiles.profile_from_sets": "oracle",
-    "profiles.intersection_edge_count": "oracle",
-    "profiles.jensen_equality_profile": "oracle",
+    # of rate_bound: the Jensen step H(M) <= 2 H(pi) + Hhat(pi) it rests on,
+    # on the edge profiles of real tuples
     "profiles.max_entropy_check": "oracle",
-    "profiles.er_log_expected_Z": "oracle",
-    "profiles.forced_pairs": "oracle",
-    "profiles.signatures": "oracle",
-    "profiles.density_row": "oracle",
-    "profiles.alpha_to_beta": "oracle",
-    "profiles._cardinality_sum": "oracle",
-    "profiles.EdgeProfile.marginal": "oracle",
-    "profiles.beta_to_alpha": "oracle",
-    "profiles.s_k": "oracle",
-    "profiles.pi_to_rho": "oracle",
+    "profiles.profile_from_sets": "oracle",  # of rate_bound: max_entropy_check's real tuples
+    "profiles.EdgeProfile.marginal": "oracle",  # of rate_bound: entropies of an EdgeProfile
+    "profiles.density_row": "oracle",  # of rate_bound: profile_from_sets' rho
+    "profiles.signatures": "oracle",  # of rate_bound and forced_pairs: the cells of a tuple
+    "profiles.jensen_equality_profile": "oracle",  # of entropies: the bound at equality
+    "profiles.er_log_expected_Z": "oracle",  # of sample_er: E[Z] over its graphs
+    "profiles.forced_pairs": "oracle",  # of sample_er: er_log_expected_Z's edge exponent
+    "profiles.intersection_edge_count": "oracle",  # of forced_pairs: the pairs one by one
+    "profiles.brute_force_Z": "oracle",  # of expected_Z_total at k = 2
+    "profiles.alpha_to_beta": "oracle",  # of binom_sum: its quadratic form in beta
+    "profiles._cardinality_sum": "oracle",  # of binom_sum: alpha_to_beta's sum
+    "profiles.beta_to_alpha": "oracle",  # of alpha_to_beta only: its inverse
+    "profiles.s_k": "oracle",  # of nothing in src/: both forms of its identity are tests'
+    "profiles.pi_to_rho": "oracle",  # of rho_to_pi: its inverse
     "factors.beta_formula": "paper quantity",
     "pgw_transfer.poisson_tail": "paper quantity",
     "pgw_transfer.poisson_tail_bound": "paper quantity",
@@ -108,6 +111,8 @@ ALLOWED = {
     "graphs.TreeLabels.label": "benchmark binding",
     "graphs.TreeLabels.order_key": "test reference",
     "graphs.MultiGraph.neighbors": "benchmark binding",
+    # the threshold reference's edge list; oracle-check builds no MultiGraph
+    "graphs.MultiGraph.edges": "benchmark binding",
     "factors.project_to_graph": "benchmark binding",
     "graphs.non_tree_ball_mask": "benchmark binding",
     "parallel._run_block": "fork child",
