@@ -65,7 +65,6 @@ from .profiles import (
     ProfileError,
     alpha_to_beta,
     asymptotic_rate,
-    beta_to_alpha,
     binom_sum,
     brute_force_Z,
     compatible_edge_profiles,
@@ -80,5 +79,4 @@ from .profiles import (
     profile_from_sets,
     rate_bound,
     rho_to_pi,
-    s_k,
 )

@@ -48,13 +48,9 @@ from .profiles import (
     DensityProfile,
     ProfileError,
     asymptotic_rate,
-    binom_sum,
     check_alpha,
     config_set_size_totals,
-    entropies,
     expected_Z_total,
-    rate_bound,
-    rho_to_pi,
 )
 from .pgw_transfer import transfer_density
 from .rng import CoupledLabels, fold, trial_state
@@ -250,21 +246,17 @@ def cmd_bounds(params: dict):
     d = params["d"]
     if d < 1:
         raise UsageError("bounds requires --d >= 1")
-    scale = math.log(d) / d
-    profile = DensityProfile.symmetric(k, alpha, scale)
-    measure = rho_to_pi(profile)
-    rep = entropies(measure)
-    leading, gap = asymptotic_rate(alpha, k, d)
+    rate = asymptotic_rate(alpha, k, d)
     report = {
         "k": k,
         "d": d,
         "alpha": alpha,
-        "binom_sum": binom_sum(alpha),
-        "H_pi": rep.h_pi,
-        "H_hat": rep.h_hat,
-        "rate_bound": rate_bound(measure, d),
-        "leading_term": leading,
-        "gap": gap,
+        "binom_sum": rate.binom_sum,
+        "H_pi": rate.h_pi,
+        "H_hat": rate.h_hat,
+        "rate_bound": rate.rate_bound,
+        "leading_term": rate.leading,
+        "gap": rate.gap,
     }
     if params["self_test"]:
         dp = DensityProfile(1, np.array([1.0, 0.5]))

@@ -65,8 +65,7 @@ from .graphs import (
     MultiGraph,
     bernoulli_pairs,
     bernoulli_reveal,
-    er_multigraph,
-    incidence_arrays,
+    edge_graph,
     members,
     neighborhood,  # unused here; benchmarks/test_bench.py reads this binding
     sample_config_model,
@@ -236,7 +235,7 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
         a, b = bernoulli_pairs(state_rng(fold(streams, i)), S.size, lam / n)
         merged = np.concatenate((kept, S[a] * n + S[b]))
         merged.sort()
-        yield er_multigraph(n, lam, *np.divmod(merged, n))
+        yield edge_graph(n, *np.divmod(merged, n), model="er")
 
 
 def vertex_states(st, n: int) -> np.ndarray:
@@ -413,12 +412,6 @@ def _graphs(host, st: np.ndarray) -> Exploration:
     return ErExploration(host.n, host.lam, fold_np(st, 1))
 
 
-def _cut_graph(n: int, us: np.ndarray, vs: np.ndarray) -> MultiGraph:
-    """The MultiGraph on 0..n-1 whose edge i is us[i] - vs[i]."""
-    start, nbr, eid = incidence_arrays(n, us, vs)
-    return MultiGraph(n, start=start, nbr=nbr, eid=eid)
-
-
 class _ErCopies(Exploration):
     """Copies 1..k of Erdos-Renyi trials, explored like their graph g (an
     ErExploration): copy j of trial t is group c = i * k + j - 1 for
@@ -515,7 +508,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
     g.explore(roots, hops)
     kept, us, vs, at = g.cut(roots)
     labels = CoupledLabels(fold_np(key[kept // n], kept % n), cfg.p)
-    acc = np.flatnonzero(graph_bits_at(f, _cut_graph(kept.size, us, vs), labels(0), at))
+    acc = np.flatnonzero(graph_bits_at(f, edge_graph(kept.size, us, vs), labels(0), at))
     rows = np.tile([0.0, -1.0], (st.size, 1))
     rows[acc] = 1.0, 0.0
     if not acc.size:
@@ -535,7 +528,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
             c, v = np.divmod(kept, n)
             union_labels = CoupledLabels(fold_np(key[part[c // k]], v), cfg.p)(
                 (c % k + 1).astype(np.uint64))
-            bits = graph_bits_at(f, _cut_graph(kept.size, us, vs), union_labels, at)
+            bits = graph_bits_at(f, edge_graph(kept.size, us, vs), union_labels, at)
             rows[part, 1] += np.count_nonzero(bits.reshape(part.size, k), axis=1)
         return rows
     # every copy's graph is g: the accepted roots' balls, tiled once a copy
@@ -550,7 +543,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
     for lo in range(0, k, width):
         copies = np.arange(lo + 1, min(k, lo + width) + 1, dtype=np.uint64)[:, None]
         shift = m * np.arange(copies.size)[:, None]  # copies[i]'s ball at i * m
-        union = _cut_graph(copies.size * m, (us + shift).ravel(), (vs + shift).ravel())
+        union = edge_graph(copies.size * m, (us + shift).ravel(), (vs + shift).ravel())
         union_labels = labels(copies, np.broadcast_to(ball, (copies.size, m)))
         bits = f.graph_rule(union, union_labels.ravel())[(ball_roots + shift).ravel()]
         rows[acc, 1] += np.count_nonzero(bits.reshape(copies.size, -1), axis=0)

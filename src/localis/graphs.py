@@ -15,9 +15,9 @@ per vertex, is its reference.
 MultiGraph is the one graph type, and a MultiGraph is its grouped incidence
 arrays (start, nbr, eid), made once per graph: by incidence_arrays (a radix
 sort of the ends) from an edge list (explicit graphs, and through
-er_multigraph er_edge_arrays' graphs and Erdos-Renyi copies, and the
-explored balls of stability) or straight from the configuration model's
-half-edge permutation.  Either way a whole graph costs O(n + edges) to
+edge_graph er_edge_arrays' graphs, Erdos-Renyi copies and the explored
+balls of stability) or straight from the configuration model's half-edge
+permutation.  Either way a whole graph costs O(n + edges) to
 draw: bernoulli_pairs, the one whole-graph Erdos-Renyi pair draw
 (er_edge_arrays and the copies' SxS redraw), draws a Binomial edge count
 and one uniform set of pair positions, never one variate per absent pair,
@@ -55,8 +55,9 @@ tree node (of each node, given an array of states).
 child_states gives the children of any level of lazy-tree nodes as flat
 arrays (parent, slot, state), one entry a child, listed parent by parent:
 the one child expansion of the tree rules.  child_slots lists the parents
-and slots alone, given the child counts; the PGW transfer places its
-removal labels by it.  factors.TreeBlock holds only
+and slots alone, given the child counts: every ragged range of the package
+(a vertex's incidences, a stream's gap positions, the PGW transfer's
+removal labels) is expanded by it.  factors.TreeBlock holds only
 the root states of a block of trees, and each factor's array rule expands
 from them by child_states the children it reads, the roots' (threshold) or
 level after level (percolation rounds).  LazyTree and TreeLabels are the
@@ -68,14 +69,13 @@ scalar form.  The graph samplers draw no labels; neighborhood restricts a
 labelling it is given.
 
 All samplers are pure functions of (seed, parameters): identical inputs
-produce byte-identical structures under serialisation.
+produce identical arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import InitVar, dataclass, field, replace
@@ -223,7 +223,7 @@ class MultiGraph:
     arrays when first read:
 
     - adj[v], v's (neighbour, edge id) pairs sorted for deterministic
-      traversal, per vertex (read_all makes every list in one pass);
+      traversal, per vertex;
     - edge_array and edges, each edge once as (u, v) with u <= v, in edge-id
       order, except that a configuration-model graph lists them sorted;
     - pairing, the half-edge matching: each edge's two positions (h, h'),
@@ -234,14 +234,15 @@ class MultiGraph:
       fills it in by tree_ball_mask at the vertices it asks about.
 
     MultiGraph(n, edges) takes an explicit edge list, edge i with id i, and
-    raises ValueError when an endpoint lies outside 0..n-1; the samplers
-    pass `start`, `nbr` and `eid`.
+    raises ValueError when an endpoint lies outside 0..n-1; edge_graph
+    builds one from edge arrays, and sample_config_model passes `start`,
+    `nbr` and `eid`.  `model` ("explicit", "er" or "config") is the
+    sampler's name; edge_array reads it.
     """
 
     n: int
     edge_list: InitVar[list | None] = None
     model: str = "explicit"
-    params: dict = field(default_factory=dict)
     start: Sequence = field(default=None, repr=False)
     nbr: np.ndarray = field(default=None, repr=False)
     eid: np.ndarray = field(default=None, repr=False)
@@ -272,7 +273,7 @@ class MultiGraph:
     @functools.cached_property
     def tail(self) -> np.ndarray:
         """tail[h]: the vertex whose incidence position h is."""
-        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+        return child_slots(np.diff(self.offsets))[0]
 
     @functools.cached_property
     def edge_array(self) -> np.ndarray:
@@ -291,27 +292,8 @@ class MultiGraph:
         pairs = self._halves()
         return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
-    def read_all(self) -> list:
-        """Read every vertex from one tolist of the arrays; adj becomes the
-        list of their incidence lists, which a whole-graph pass indexes
-        faster than the dict."""
-        if isinstance(self.adj, list):
-            return self.adj
-        pairs = list(zip(self.nbr.tolist(), self.eid.tolist()))
-        self.adj = [sorted(pairs[lo:hi]) for lo, hi in zip(self.start, self.start[1:])]
-        return self.adj
-
     def neighbors(self, v: int) -> list:
         return [w for w, _ in self.adj[v]]
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "edges": [[int(u), int(v)] for u, v in self.edges],
-            "model": self.model,
-            "params": self.params,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def incidence_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> tuple:
@@ -328,6 +310,13 @@ def incidence_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> tuple:
     start = np.zeros(n + 1, dtype=np.int64)
     np.bincount(src, minlength=n).cumsum(out=start[1:])
     return start, np.concatenate((vs, us))[order], order % max(us.size, 1)
+
+
+def edge_graph(n: int, us: np.ndarray, vs: np.ndarray, model: str = "explicit") -> MultiGraph:
+    """The MultiGraph on 0..n-1 whose edge i is us[i] - vs[i], by
+    incidence_arrays."""
+    start, nbr, eid = incidence_arrays(n, us, vs)
+    return MultiGraph(n, model=model, start=start, nbr=nbr, eid=eid)
 
 
 def sample_config_model(n: int, d: int, seed) -> MultiGraph:
@@ -355,20 +344,13 @@ def sample_config_model(n: int, d: int, seed) -> MultiGraph:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     return MultiGraph(
-        n, model="config", params={"d": d}, start=range(0, n * d + 1, d),
-        nbr=perm[inv ^ 1] // d, eid=inv >> 1,
+        n, model="config", start=range(0, n * d + 1, d), nbr=perm[inv ^ 1] // d, eid=inv >> 1
     )
 
 
 def sample_er(n: int, lam: float, seed) -> MultiGraph:
     """Erdos-Renyi graph: each pair independently present with probability lam/n."""
-    return er_multigraph(n, lam, *er_edge_arrays(n, lam, seed))
-
-
-def er_multigraph(n: int, lam: float, us: np.ndarray, vs: np.ndarray) -> MultiGraph:
-    """The Erdos-Renyi-model MultiGraph on 0..n-1 whose edge i is us[i] - vs[i]."""
-    start, nbr, eid = incidence_arrays(n, us, vs)
-    return MultiGraph(n, model="er", params={"lambda": lam}, start=start, nbr=nbr, eid=eid)
+    return edge_graph(n, *er_edge_arrays(n, lam, seed), model="er")
 
 
 def triangle_pairs(m: int, flat: np.ndarray) -> tuple:
@@ -443,7 +425,7 @@ class RootedNeighborhood:
     """Rooted labelled graph of radius <= r with BFS-canonical vertex ids.
 
     Vertex 0 is the root and ids follow BFS discovery order (adjacency sorted
-    by original id), which makes serialisation stable and factor evaluation
+    by original id), which makes the ball's arrays stable and factor evaluation
     independent of the host graph's labelling of vertices up to label ties.
     Ties are broken by order_key, read from source_vertices where it is
     given: the graph vertex id on a ball extracted from a graph, so the
@@ -489,17 +471,6 @@ class RootedNeighborhood:
     def with_labels(self, labels: np.ndarray) -> "RootedNeighborhood":
         """The same ball, its structure shared, carrying `labels`."""
         return replace(self, labels=np.asarray(labels, dtype=np.uint64))
-
-    def to_json(self) -> str:
-        payload = {
-            "root": 0,
-            "n": self.n,
-            "radius": self.radius,
-            "edges": [[int(u), int(v)] for u, v in self.edges],
-            "labels": [int(x) for x in self.labels],
-            "depths": [int(x) for x in self.depths],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def neighborhood(g, v: int, r: int, labels: np.ndarray | None) -> RootedNeighborhood:
@@ -562,7 +533,6 @@ def ball_is_tree(g, v: int, radius: int) -> bool:
 def non_tree_ball_mask(g: MultiGraph, radius: int) -> np.ndarray:
     """Boolean mask of vertices whose radius-ball is not a tree, by
     ball_is_tree at each vertex: the reference of tree_ball_mask."""
-    g.read_all()
     return np.array([not ball_is_tree(g, v, radius) for v in range(g.n)], dtype=bool)
 
 
@@ -580,9 +550,8 @@ def incidences(g: MultiGraph, vs: np.ndarray) -> tuple:
         slots = np.arange(s.start, s.start + s.step)[:, None]
         return (vs * s.step + slots).reshape(-1), np.concatenate([np.arange(vs.size)] * s.step)
     lo = g.offsets[vs]
-    counts = g.offsets[vs + 1] - lo
-    i = np.repeat(np.arange(vs.size), counts)
-    return np.arange(i.size) + (lo - counts.cumsum() + counts)[i], i
+    i, pos = child_slots(g.offsets[vs + 1] - lo, lo)
+    return pos, i
 
 
 MASK_OWNERS = 1 << 10  # most owners whose walks one tree_ball_mask pass holds
@@ -722,9 +691,8 @@ class Exploration:
             self._index = (heads.size, src[order], np.concatenate((tails, heads))[order])
         _, src, dst = self._index
         lo = src.searchsorted(keys)
-        counts = src.searchsorted(keys, side="right") - lo
-        i = np.repeat(np.arange(keys.size), counts)
-        return i, dst[np.arange(i.size) + (lo - counts.cumsum() + counts)[i]]
+        i, pos = child_slots(src.searchsorted(keys, side="right") - lo, lo)
+        return i, dst[pos]
 
     def explore(self, roots: np.ndarray, radius: int) -> None:
         """Reveal the vertices within `radius` of the roots (sorted keys, one
@@ -870,8 +838,7 @@ def gap_positions(streams: np.ndarray, count: np.ndarray, q: float) -> tuple:
     if q <= 0.0 or not count.size:
         return _EMPTY, _EMPTY
     if q >= 1.0:
-        i = np.repeat(np.arange(count.size), count)
-        return i, np.arange(i.size) - (count.cumsum() - count)[i]
+        return child_slots(count)
     log_fail = math.log1p(-q)
     width = 4 + int(2.0 * q * count.max())
     parts_i, parts_pos = [_EMPTY], [_EMPTY]
@@ -1062,9 +1029,11 @@ def child_states(host, depth: int, states: np.ndarray) -> tuple:
     return parent, slot, fold_offsets(states[parent], CHILD_TAG, slot)
 
 
-def child_slots(counts: np.ndarray) -> tuple:
+def child_slots(counts: np.ndarray, first=0) -> tuple:
     """(parent, slot) of the children of nodes with these child counts, flat
     in node order and child order: entry i is child slot[i] of node
-    parent[i]."""
+    parent[i].  Given `first` (an int array, one entry a node), node p's
+    slots run from first[p] in place of 0: the positions of ragged ranges
+    that start there."""
     parent = np.repeat(np.arange(counts.size), counts)
-    return parent, np.arange(parent.size) - (counts.cumsum() - counts)[parent]
+    return parent, np.arange(parent.size) - (counts.cumsum() - counts - first)[parent]

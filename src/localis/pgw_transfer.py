@@ -23,11 +23,12 @@ sample_pgw_tree's two Poisson draws, and the removal labels it reads by
 position, as the lazy trees label their nodes (a vertex's state is its
 parent's folded with CHILD_TAG + its slot, its label the copy-0 label of
 its state), for the root, its children and the children of the children
-with at least d of them only; the root-edge marks of all the stars by one
-pure function; and I' from one factors.TreeBlock on the d-regular tree, the
-one tree evaluator.  It equals bit for bit the per-node stages run on
-sample_pgw_tree's tree with every vertex labelled by its position; they
-are its reference.  transfer_trace is its one-trial call.
+with at least d of them only, the stars expanded once (root_stars); the
+root-edge marks of all the stars by one pure function; and I' from one
+factors.TreeBlock on the d-regular tree, the one tree evaluator.  It
+equals bit for bit the per-node stages run on sample_pgw_tree's tree with
+every vertex labelled by its position; they are its reference.
+transfer_trace is its one-trial call.
 
 The resulting density is sandwiched between density(I) * P(root and all its
 neighbours have degree <= d) and density(I), and equals density(I) * P(K),
@@ -241,8 +242,20 @@ def inclusion_stage(f: Factor, forest: FilledForest, v: int = 0) -> tuple:
 # trial in id order, and rim the labels of the children of the children with
 # kids >= d, child by child in id order.
 
+Stars = namedtuple("Stars", ["root_kids", "kids", "trial", "pos", "above", "owner", "slot"])
 
-def _star_marks(root_kids, root_labels, kids, labels, rim, d: int) -> np.ndarray:
+
+def root_stars(root_kids, kids, d: int) -> Stars:
+    """A block of root stars of these child counts, expanded once (by
+    child_slots): child c is child pos[c] of trial trial[c]'s root, above
+    lists the children with kids >= d, and rim entry r is child slot[r] of
+    child above[owner[r]]."""
+    trial, pos = child_slots(root_kids)
+    above = np.flatnonzero(kids >= d)
+    return Stars(root_kids, kids, trial, pos, above, *child_slots(kids[above]))
+
+
+def _star_marks(star: Stars, root_labels, labels, rim, d: int) -> np.ndarray:
     """edge_removal_stage's marks on the root edges of a block of stars:
     removed[c] marks the edge from child c to its root.
 
@@ -252,19 +265,15 @@ def _star_marks(root_kids, root_labels, kids, labels, rim, d: int) -> np.ndarray
     rim labels are at least the root's.  A root above degree d marks its top
     root_kids - d children by (label, id), by one lexsort over the children
     of those roots only."""
-    trial = np.repeat(np.arange(root_kids.size), root_kids)
-    above = np.flatnonzero(kids >= d)
-    row = np.repeat(np.arange(above.size), kids[above])
-    higher = np.bincount(row[rim >= root_labels[trial[above]][row]], minlength=above.size)
+    root_kids, kids, trial, pos, above, owner, _ = star
+    higher = np.bincount(owner[rim >= root_labels[trial[above]][owner]], minlength=above.size)
     removed = np.zeros(kids.size, dtype=bool)
     removed[above[higher < kids[above] + 1 - d]] = True
     big = root_kids > d
-    size = root_kids[big]
     child = np.flatnonzero(big[trial])
-    pos = np.arange(child.size) - np.repeat(np.cumsum(size) - size, size)
     # ascending (label, id) within each root, the lexsort being stable: its
     # top root_kids - d come last, from position d on
-    removed[child[np.lexsort((labels[child], trial[child]))[pos >= d]]] = True
+    removed[child[np.lexsort((labels[child], trial[child]))[pos[child] >= d]]] = True
     return removed
 
 
@@ -296,16 +305,14 @@ def transfer_block(f: Factor, lam: float, d: int, states) -> TransferBlock:
         raise ValueError("need lam > 0")
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
     draws = [rng.poisson(lam, size=rng.poisson(lam)) for rng in state_rngs(fold_np(states, 1))]
-    root_kids, kids = np.array([k.size for k in draws]), np.concatenate(draws)
+    star = root_stars(np.array([k.size for k in draws]), np.concatenate(draws), d)
+    root_kids, kids, trial, pos, above, owner, slot = star
     roots = fold_np(states, 3)
-    trial, slot = child_slots(root_kids)
-    children = fold_offsets(roots[trial], CHILD_TAG, slot)
-    above = np.flatnonzero(kids >= d)
-    owner, slot = child_slots(kids[above])
+    children = fold_offsets(roots[trial], CHILD_TAG, pos)
     grandkids = fold_offsets(children[above[owner]], CHILD_TAG, slot)
     labels = CoupledLabels(np.concatenate((roots, children, grandkids))).x0
     first, last = states.size, states.size + kids.size
-    removed = _star_marks(root_kids, labels[:first], kids, labels[first:last], labels[last:], d)
+    removed = _star_marks(star, labels[:first], labels[first:last], labels[last:], d)
     if (np.bincount(trial[~removed], minlength=states.size) > d).any():
         raise AssertionError(f"filled forest not {d}-regular at depth 0")
     tops = fold_np(fold_np(fold_np(states, 2), 0xA77), 0)

@@ -283,26 +283,16 @@ def pi_to_rho(measure: PartitionMeasure) -> DensityProfile:
     return DensityProfile(measure.k, superset_sum(measure.pi))
 
 
-def _cardinality_sum(values, sign: int) -> np.ndarray:
-    """superset_sum of a symmetric profile, indexed by |T| = 1..k:
-    out_j = sum_{i >= j} sign^(i-j) C(k-j, i-j) values_i."""
-    v = list(values)
-    k = len(v)
+def alpha_to_beta(alpha) -> np.ndarray:
+    """Cardinality-indexed Moebius transform for symmetric profiles, the
+    superset_sum of a symmetric profile indexed by |T|:
+    beta_j = sum_{i >= j} (-1)^(i-j) C(k-j, i-j) alpha_i, j = 1..k."""
+    a = list(alpha)
+    k = len(a)
     return np.array([
-        sum(sign ** (i - j) * math.comb(k - j, i - j) * v[i - 1] for i in range(j, k + 1))
+        sum((-1) ** (i - j) * math.comb(k - j, i - j) * a[i - 1] for i in range(j, k + 1))
         for j in range(1, k + 1)
     ])
-
-
-def alpha_to_beta(alpha) -> np.ndarray:
-    """Cardinality-indexed Moebius transform for symmetric profiles:
-    beta_j = sum_{i >= j} (-1)^(i-j) C(k-j, i-j) alpha_i, j = 1..k."""
-    return _cardinality_sum(alpha, -1)
-
-
-def beta_to_alpha(beta) -> np.ndarray:
-    """Inverse transform: alpha_j = sum_{i >= j} C(k-j, i-j) beta_i."""
-    return _cardinality_sum(beta, 1)
 
 
 def beta_on_subsets(beta, k: int) -> np.ndarray:
@@ -312,23 +302,8 @@ def beta_on_subsets(beta, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scalar identities
+# The binomial sum
 # ---------------------------------------------------------------------------
-
-
-def s_k(x: float, k: int) -> float:
-    """Partial geometric series 1 + (1-x) + ... + (1-x)^(k-1), the stable form
-    of (1 - (1-x)^k) / x; s_k(0) = k and s_k(1) = 1."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    q = 1.0 - x
-    total, power = 0.0, 1.0
-    for _ in range(k):
-        total += power
-        power *= q
-    return total
 
 
 def binom_sum(alpha) -> float:
@@ -391,15 +366,15 @@ def max_entropy_check(profile: EdgeProfile) -> float:
     return residual
 
 
-def rate_bound(measure: PartitionMeasure, d: int) -> float:
+def rate_bound(rep: EntropyReport, d: int) -> float:
     """Exponential growth rate bound H(pi) + (d/2) Hhat(pi) for the expected
-    number of k-tuples with the given cell masses on d-regular pairings.
+    number of k-tuples with the given cell masses on d-regular pairings,
+    from the measure's entropies(pi).
 
     Hhat <= 0, so the second term only ever shrinks the rate; combining the
     maximum-entropy bound with the exact count gives
     (d/2) H(M) - (d-1) H(pi) <= rate_bound for every compatible M.
     """
-    rep = entropies(measure)
     return rep.h_pi + 0.5 * d * rep.h_hat
 
 
@@ -413,15 +388,20 @@ def check_alpha(alpha) -> None:
         raise ValueError("alpha must be non-negative and non-increasing")
 
 
-def asymptotic_rate(alpha, k: int, d: int):
+RateReport = collections.namedtuple(
+    "RateReport", ["binom_sum", "h_pi", "h_hat", "rate_bound", "leading", "gap"])
+
+
+def asymptotic_rate(alpha, k: int, d: int) -> RateReport:
     """Leading term binom_sum(alpha) * log(d)^2 / (2d) of the rate bound for a
     symmetric profile at scale log(d)/d, and the remainder.
 
-    Returns (leading, gap) with gap = rate_bound - leading.  From d =
-    GAP_CALIBRATED_D on, where the constants were calibrated, it raises
-    ProfileError unless gap <= c_k * log(d)/d for c_k =
-    DEFAULT_GAP_CONSTANTS[k] (k without a constant is not checked).  Below
-    that d the pair is reported unguarded: no constant was calibrated
+    Returns the RateReport of the profile's measure, from one profile and
+    one entropies pass: binom_sum(alpha), H(pi), Hhat(pi), rate_bound, the
+    leading term and gap = rate_bound - leading.  From d = GAP_CALIBRATED_D
+    on, where the constants were calibrated, it raises ProfileError unless
+    gap <= c_k * log(d)/d for c_k = DEFAULT_GAP_CONSTANTS[k] (k without a
+    constant is not checked).  Below that d the gap is reported unguarded: no constant was calibrated
     there, and at small d the gap exceeds the large-d constants (at d = 3
     and alpha = 1 it is 0.56 log(d)/d, above c_1 = 0.5).
     """
@@ -430,16 +410,16 @@ def asymptotic_rate(alpha, k: int, d: int):
         raise ValueError("need one alpha per cardinality 1..k")
     check_alpha(alpha)
     scale = math.log(d) / d
-    profile = DensityProfile.symmetric(k, alpha, scale)
-    measure = rho_to_pi(profile)
-    leading = binom_sum(alpha) * math.log(d) ** 2 / (2.0 * d)
-    gap = rate_bound(measure, d) - leading
+    rep = entropies(rho_to_pi(DensityProfile.symmetric(k, alpha, scale)))
+    total, bound = binom_sum(alpha), rate_bound(rep, d)
+    leading = total * math.log(d) ** 2 / (2.0 * d)
+    gap = bound - leading
     c_k = DEFAULT_GAP_CONSTANTS.get(k)
     if d >= GAP_CALIBRATED_D and c_k is not None and gap > c_k * scale:
         raise ProfileError(
             f"rate gap {gap:.3e} exceeds {c_k} * log(d)/d = {c_k * scale:.3e}"
         )
-    return leading, gap
+    return RateReport(total, rep.h_pi, rep.h_hat, bound, leading, gap)
 
 
 # Calibrated on alpha families alpha_i = a * q^(i-1), a in [0, 2], q in [0, 1],

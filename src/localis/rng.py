@@ -23,7 +23,7 @@ round boundaries (round_bounds), which first_success_round and its array
 form first_success_rounds both search, so the two agree label for label by
 construction.  state_rngs is the array form of state_rng: numpy's
 SeedSequence hash run over a uint64 array of states at once (seed_words),
-each generator built from its words only when it is read.
+then one generator a state, as a list.
 
 The coupled family of labels is one rule over node states, the same on
 every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
@@ -104,41 +104,20 @@ def state_rng(state: int) -> np.random.Generator:
     np.random.default_rng(state & MASK64) gives, built without its
     argument dispatch.  The Erdos-Renyi copies that er_resample_graphs
     yields one at a time draw from it; its array form state_rngs seeds the
-    PGW transfer's child counts.  No label comes from either."""
+    PGW transfer's child counts.  No label comes from either.  The copies
+    keep one state_rng call each because a seed_words call has a fixed cost
+    of about 64 us (numpy 2.4, 2-core x86 VM), so one state_rngs call for a
+    trial's k copies was slower than k calls of this at k = 2 and 4."""
     return np.random.Generator(np.random.PCG64(state & MASK64))
 
 
-def state_rngs(states) -> "StateRngs":
+def state_rngs(states) -> list:
     """Array form of state_rng: state_rng(s) for each s of a uint64 array,
-    as a lazy sequence.  The seed words of every state are hashed at once
-    (seed_words); a generator is built only when its entry is read."""
-    return StateRngs(seed_words(states))
-
-
-class StateRngs:
-    """Generators over the rows of a (B, 4) C-contiguous uint64 array of
-    PCG64 seed words: entry i is Generator(PCG64(seq)), where seq is a seed
-    sequence whose generate_state returns row i, built on each read; a slice
-    is the StateRngs of those rows.  PCG64 reads the words' raw buffer, so
-    the rows must be contiguous."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return StateRngs(self.words[i])
-        words_sequence = _seed_sequence()[2]
-        return np.random.Generator(np.random.PCG64(words_sequence(self.words[i])))
-
-
-SEED_SLICE = 1 << 12  # most states seed_words hashes at once
+    as a list.  The seed words of every state are hashed at once
+    (seed_words), and each generator is handed its row; PCG64 reads the
+    row's raw buffer, which the C-contiguous words keep contiguous."""
+    words_sequence = _seed_sequence()[2]
+    return [np.random.Generator(np.random.PCG64(words_sequence(row))) for row in seed_words(states)]
 
 
 def seed_words(states) -> np.ndarray:
@@ -152,24 +131,18 @@ def seed_words(states) -> np.ndarray:
     word then hashes into the other three, which is one (3, B) step, since
     the source word is not among them; the output hashes the pool twice
     round into 8 words, joined little-endian in pairs.  The hash constants
-    depend on the call count alone (_seed_sequence).  At most SEED_SLICE
-    states are hashed at once, each slice written into the output, so the
-    hash's temporaries stay under 1 MiB whatever B is."""
+    depend on the call count alone (_seed_sequence)."""
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
     mix_a, mix_b, _ = _seed_sequence()
-    words = np.empty((states.size, 4), dtype=np.uint64)
-    for lo in range(0, states.size, SEED_SLICE):
-        part = states[lo : lo + SEED_SLICE]
-        pool = np.zeros((4, part.size), dtype=np.uint32)
-        pool[0], pool[1] = part, part >> np.uint64(32)  # the casts keep the low words
-        pool = _hashmix(pool, mix_a[0:5, None])
-        for src, k in zip(range(4), range(4, 16, 3)):
-            dst = [i for i in range(4) if i != src]
-            mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], mix_a[k : k + 4, None])
-            pool[dst] = mixed ^ mixed >> np.uint32(16)
-        out = _hashmix(np.concatenate((pool, pool)), mix_b[:, None]).astype(np.uint64)
-        words[lo : lo + part.size] = (out[0::2] | out[1::2] << np.uint64(32)).T
-    return words
+    pool = np.zeros((4, states.size), dtype=np.uint32)
+    pool[0], pool[1] = states, states >> np.uint64(32)  # the casts keep the low words
+    pool = _hashmix(pool, mix_a[0:5, None])
+    for src, k in zip(range(4), range(4, 16, 3)):
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], mix_a[k : k + 4, None])
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    out = _hashmix(np.concatenate((pool, pool)), mix_b[:, None]).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
 
 _MIX_L = np.uint32(0xCA01F9DD)

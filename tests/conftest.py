@@ -36,6 +36,32 @@ def apply_mutant(monkeypatch, mutants: dict, mutant) -> None:
                 monkeypatch.setattr(holder, name, space[name])
 
 
+def s_k(x: float, k: int) -> float:
+    """Partial geometric series 1 + (1-x) + ... + (1-x)^(k-1), the stable form
+    of (1 - (1-x)^k) / x; s_k(0) = k and s_k(1) = 1."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    q = 1.0 - x
+    total, power = 0.0, 1.0
+    for _ in range(k):
+        total += power
+        power *= q
+    return total
+
+
+def graph_arrays(g) -> list:
+    """A MultiGraph as lists: its grouped incidence arrays start, nbr, eid."""
+    return [np.asarray(g.start).tolist(), g.nbr.tolist(), g.eid.tolist()]
+
+
+def ball_arrays(ball) -> tuple:
+    """A rooted ball as lists: its adjacency, labels, depths and order keys."""
+    return (ball.adj, ball.labels.tolist(), ball.depths.tolist(),
+            [ball.order_key(v) for v in range(ball.n)])
+
+
 def combined_sigma(*ses) -> float:
     return math.sqrt(sum(se * se for se in ses))
 

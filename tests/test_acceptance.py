@@ -49,11 +49,10 @@ from localis.profiles import (
     pi_to_rho,
     profile_from_sets,
     rho_to_pi,
-    s_k,
 )
 from localis.rng import trial_state_np, uniform_labels
 
-from conftest import binomial_se, er_independent_triple_counts, event_E_monte_carlo
+from conftest import binomial_se, er_independent_triple_counts, event_E_monte_carlo, s_k
 
 # densities of independent sets simulated on d=3 hosts, checked by criterion 9
 D3_DENSITIES = []

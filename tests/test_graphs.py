@@ -53,7 +53,7 @@ from localis.rng import (
     uniform_labels,
 )
 
-from conftest import GivenGraph, assert_within_sigma, binomial_se
+from conftest import GivenGraph, assert_within_sigma, ball_arrays, binomial_se, graph_arrays
 
 
 def cycle(n: int) -> MultiGraph:
@@ -91,7 +91,7 @@ def test_config_endpoint_degrees():
 def test_config_determinism():
     a = sample_config_model(20, 3, 12345)
     b = sample_config_model(20, 3, 12345)
-    assert a.to_json() == b.to_json()
+    assert graph_arrays(a) == graph_arrays(b)
     assert np.array_equal(a.pairing, b.pairing)
 
 
@@ -203,7 +203,7 @@ def test_er_no_loops_or_multi():
 
 
 def test_er_determinism():
-    assert sample_er(30, 2.0, 5).to_json() == sample_er(30, 2.0, 5).to_json()
+    assert graph_arrays(sample_er(30, 2.0, 5)) == graph_arrays(sample_er(30, 2.0, 5))
 
 
 def _er_edges_by_triu(n: int, lam: float, seed) -> tuple:
@@ -457,7 +457,7 @@ def test_pgw_offspring_chi_square():
 def test_tree_determinism():
     a = sample_pgw_tree(2.5, 3, 999)
     b = sample_pgw_tree(2.5, 3, 999)
-    assert a.to_json() == b.to_json()
+    assert ball_arrays(a) == ball_arrays(b)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +594,7 @@ def test_neighborhood_stable_and_relabelling_equivalent():
     nb1 = neighborhood(g1, 0, 2, labels1)
     nb1_again = neighborhood(g1, 0, 2, labels1)
     nb2 = neighborhood(g2, 0, 2, labels2)
-    assert nb1.to_json() == nb1_again.to_json()
+    assert ball_arrays(nb1) == ball_arrays(nb1_again)
     assert sorted(zip(nb1.depths, nb1.labels)) == sorted(zip(nb2.depths, nb2.labels))
     assert len(nb1.edges) == len(nb2.edges)
 
@@ -761,7 +761,7 @@ def test_filled_forest_balls_match_the_two_pass_construction(lam, d):
 def ball_readings(g, labels) -> list:
     """Per vertex and radius 1..3: the tree verdict and the rooted ball."""
     return [
-        (ball_is_tree(g, v, r), neighborhood(g, v, r, labels).to_json())
+        (ball_is_tree(g, v, r), ball_arrays(neighborhood(g, v, r, labels)))
         for v in range(g.n)
         for r in (1, 2, 3)
     ]
@@ -921,7 +921,7 @@ def test_explicit_edges_need_endpoints_in_range(edges, bad):
     assert MultiGraph(3, [(0, 2), (2, 2)]).edges == [(0, 2), (2, 2)]
 
 
-def test_reads_equal_read_all_edges_pairing_and_every_ball():
+def test_reads_equal_edges_pairing_and_every_ball():
     loops = multi = 0
     for name, make in _graph_cases():
         g = make()
@@ -941,25 +941,8 @@ def test_reads_equal_read_all_edges_pairing_and_every_ball():
         owner = np.repeat(np.arange(g.n), [len(inc) for inc in reads])
         assert sorted(map(tuple, owner[g.pairing].tolist())) == sorted(g.edges), name
         assert np.array_equal(np.sort(g.pairing.ravel()), np.arange(2 * len(g.edges))), name
-        # read_all, from one tolist, on a fresh copy and after a first read
-        assert make().read_all() == reads, name
-        h = make()
-        h.adj[0]
-        assert h.read_all() == reads and h.read_all() is h.adj, name
         labels = np.random.default_rng(len(name)).integers(0, 1 << 64, size=g.n, dtype=np.uint64)
         assert ball_readings(g, labels) == ball_readings(MultiGraph(g.n, g.edges), labels), name
-        loops += any(u == v for u, v in g.edges)
-        multi += len(set(g.edges)) < len(g.edges)
-    assert loops and multi
-
-
-def test_read_all_equals_the_per_vertex_reads():
-    # read_all builds every incidence list in one pass; each list must equal
-    # the vertex's own read on a fresh copy, loops and parallel edges included
-    loops = multi = 0
-    for name, make in _graph_cases():
-        g = make()
-        assert g.read_all() == [make().adj[v] for v in range(g.n)], name
         loops += any(u == v for u, v in g.edges)
         multi += len(set(g.edges)) < len(g.edges)
     assert loops and multi

@@ -30,6 +30,7 @@ from localis.pgw_transfer import (
     poisson_cdf,
     poisson_tail,
     poisson_tail_bound,
+    root_stars,
     schedule_tail_bound,
     transfer_block,
     transfer_density,
@@ -397,13 +398,15 @@ HAND_BUILT = {
 
 def stacked_stars(trees, d):
     """The root stars of radius-2 trees (kids, labels), as transfer_block
-    stacks them: (root_kids, root_labels, kids, labels, rim)."""
+    stacks them and _star_marks reads them: (root_stars(root_kids, kids,
+    d), root_labels, labels, rim)."""
     stars = []
     for kids, labels in trees:
         kids, labels = np.asarray(kids, dtype=np.int64), np.asarray(labels, dtype=np.uint64)
         rim = labels[1 + kids[0] :][np.repeat(kids[1:] >= d, kids[1:])]
-        stars.append((kids[:1], labels[:1], kids[1:], labels[1 : 1 + kids[0]], rim))
-    return [np.concatenate(part) for part in zip(*stars)]
+        stars.append((kids[:1], kids[1:], labels[:1], labels[1 : 1 + kids[0]], rim))
+    root_kids, kids, *labels = [np.concatenate(part) for part in zip(*stars)]
+    return root_stars(root_kids, kids, d), *labels
 
 
 def lazy_ball(d, radius, state):

@@ -15,7 +15,6 @@ from localis.profiles import (
     alpha_to_beta,
     asymptotic_rate,
     beta_on_subsets,
-    beta_to_alpha,
     binom_sum,
     brute_force_Z,
     compatible_edge_profiles,
@@ -35,13 +34,12 @@ from localis.profiles import (
     profile_from_sets,
     rate_bound,
     rho_to_pi,
-    s_k,
     signatures,
     superset_sum,
 )
 from localis.rng import uniform_labels
 
-from conftest import er_independent_triple_counts
+from conftest import er_independent_triple_counts, s_k
 
 
 def random_density_profile(rng, k):
@@ -144,6 +142,13 @@ def test_alpha_beta_hand():
     assert np.allclose(alpha_to_beta([0.7]), [0.7])
     a, b = 0.9, 0.4
     assert np.allclose(alpha_to_beta([a, b]), [a - b, b], atol=1e-15)
+
+
+def beta_to_alpha(beta) -> np.ndarray:
+    """The inverse of alpha_to_beta: alpha_j = sum_{i >= j} C(k-j, i-j) beta_i."""
+    k = len(beta)
+    return np.array([sum(math.comb(k - j, i - j) * beta[i - 1] for i in range(j, k + 1))
+                     for j in range(1, k + 1)])
 
 
 def test_alpha_beta_round_trip_and_bound():
@@ -324,7 +329,7 @@ def test_expected_Z_matches_enumeration():
 def config_graphs(n, d):
     """Each configuration-model pairing's MultiGraph, in enumeration order."""
     for edges in enumerate_config_pairings(n, d):
-        yield MultiGraph(n, edges, model="config", params={"d": d})
+        yield MultiGraph(n, edges, model="config")
 
 
 def test_expected_Z_k2_matches_enumeration():
@@ -362,9 +367,9 @@ def test_log_expected_Z_named_errors():
 def test_rate_bound_degenerate():
     point = np.zeros(2)
     point[0] = 1.0
-    assert rate_bound(PartitionMeasure(1, point), 5) == 0.0
+    assert rate_bound(entropies(PartitionMeasure(1, point)), 5) == 0.0
     for eps in (1e-3, 1e-6, 1e-9):
-        val = rate_bound(PartitionMeasure(1, np.array([1 - eps, eps])), 5)
+        val = rate_bound(entropies(PartitionMeasure(1, np.array([1 - eps, eps]))), 5)
         assert abs(val) <= 20 * eps * math.log(1 / eps)
 
 
@@ -374,23 +379,21 @@ def test_rate_bound_dominates_compatible_profiles():
     n, d = 6, 3
     for m in range(0, n + 1):
         prof = DensityProfile(1, np.array([1.0, m / n]))
-        measure = rho_to_pi(prof)
-        bound = rate_bound(measure, d)
-        h_pi = entropies(measure).h_pi
+        rep = entropies(rho_to_pi(prof))
+        bound, h_pi = rate_bound(rep, d), rep.h_pi
         for ep in compatible_edge_profiles(prof, n, d):
             h_m = entropies(ep).h_m
             assert 0.5 * d * h_m - (d - 1) * h_pi <= bound + 1e-10
 
 
 def test_asymptotic_rate_zero_and_scaling():
-    lead, gap = asymptotic_rate([0.0, 0.0], 2, 1000)
-    assert lead == 0.0
-    lead1, _ = asymptotic_rate([1.0, 1.0], 2, 1000)
+    assert asymptotic_rate([0.0, 0.0], 2, 1000).leading == 0.0
+    lead1 = asymptotic_rate([1.0, 1.0], 2, 1000).leading
     assert abs(lead1 - math.log(1000) ** 2 / 2000) <= 1e-15
     # halving the binomial sum halves the leading term: alpha=(1,1) gives 1,
     # and the leading term is linear in it
     assert abs(lead1 / binom_sum([1.0, 1.0]) * binom_sum([0.5, 0.75 * 0.5])
-               - asymptotic_rate([0.5, 0.375], 2, 1000)[0]) <= 1e-15
+               - asymptotic_rate([0.5, 0.375], 2, 1000).leading) <= 1e-15
 
 
 def test_asymptotic_rate_rejects_bad_alpha():
@@ -403,8 +406,9 @@ def test_asymptotic_rate_rejects_bad_alpha():
 def test_asymptotic_rate_gap_calibrated():
     for d in (10**3, 10**4, 10**5):
         for k, alpha in ((2, [1.0, 1.0]), (3, [1.2, 0.8, 0.5]), (1, [1.5])):
-            lead, gap = asymptotic_rate(alpha, k, d)  # asserts internally
-            assert gap <= 16.0 * math.log(d) / d
+            rate = asymptotic_rate(alpha, k, d)  # asserts internally
+            assert rate.gap <= 16.0 * math.log(d) / d
+            assert rate.gap == rate.rate_bound - rate.leading
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ ALLOWED = {
     "profiles.intersection_edge_count": "oracle",  # of forced_pairs: the pairs one by one
     "profiles.brute_force_Z": "oracle",  # of expected_Z_total at k = 2
     "profiles.alpha_to_beta": "oracle",  # of binom_sum: its quadratic form in beta
-    "profiles._cardinality_sum": "oracle",  # of binom_sum: alpha_to_beta's sum
-    "profiles.beta_to_alpha": "oracle",  # of alpha_to_beta only: its inverse
-    "profiles.s_k": "oracle",  # of nothing in src/: both forms of its identity are tests'
     "profiles.pi_to_rho": "oracle",  # of rho_to_pi: its inverse
     "factors.beta_formula": "paper quantity",
     "pgw_transfer.poisson_tail": "paper quantity",
@@ -95,11 +92,8 @@ ALLOWED = {
     "rng.coupled_label": "test reference",  # CoupledLabels for one node, read by TreeLabels
     "factors.IndependentSetSample.members": "test reference",
     "factors.IndependentSetSample.violations": "test reference",
-    "graphs.MultiGraph.read_all": "test reference",
     "graphs.MultiGraph.pairing": "test reference",
-    "graphs.MultiGraph.to_json": "test reference",
     "graphs.RootedNeighborhood.edges": "test reference",
-    "graphs.RootedNeighborhood.to_json": "test reference",
     "graphs._LazyNode.__init__": "test reference",
     "graphs.LazyTree.__init__": "benchmark binding",
     "graphs.LazyTree.children": "benchmark binding",
