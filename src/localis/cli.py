@@ -246,7 +246,7 @@ def cmd_bounds(params: dict):
     d = params["d"]
     if d < 1:
         raise UsageError("bounds requires --d >= 1")
-    rate = asymptotic_rate(alpha, k, d)
+    rate = asymptotic_rate(alpha, d)
     report = {
         "k": k,
         "d": d,

@@ -40,11 +40,11 @@ read about PASS_PAIRS vertices a union of copies: on the configuration
 model the accepted roots' balls of g, tiled once a copy, by the rule alone
 (copy 0's mask found them trees, and every copy's graph is g); on the
 Erdos-Renyi host the copies explored too (_ErCopies), all k of a trial
-level by level together, their pairs outside SxS read from g, which reveals
-further vertices as the copies reach them, and their pairs inside SxS
-drawn afresh.  No stability trial costs O(n).  When S is empty
-(percolation_cut(p) == 0, _empty_s) every copy is copy 0, so the
-intersections and the stability on every host evaluate copy 0 alone.
+level by level together, their pairs outside SxS read from g through its
+reveal and neighbours, and their pairs inside SxS drawn afresh by a
+bernoulli_reveal call of their own.  No stability trial costs O(n).  When
+S is empty (percolation_cut(p) == 0, _empty_s) every copy is copy 0, so
+the intersections and the stability on every host evaluate copy 0 alone.
 """
 
 from __future__ import annotations
@@ -238,23 +238,21 @@ def er_resample_graphs(g: MultiGraph, S, lam: float, k: int, seed):
         yield edge_graph(n, *np.divmod(merged, n), model="er")
 
 
-def vertex_states(st, n: int) -> np.ndarray:
+def vertex_states(st: int, n: int) -> np.ndarray:
     """The node states of the vertices 0..n-1 of a graph-host trial of state
-    st: fold(fold(st, 2), v) for vertex v; one row per trial when st is an
-    array of trial states."""
-    key = fold(st, 2) if isinstance(st, int) else fold_np(st, 2)[:, None]
-    return fold_np(key, np.arange(n, dtype=np.uint64))
+    st: fold(fold(st, 2), v) for vertex v."""
+    return fold_np(fold(st, 2), np.arange(n, dtype=np.uint64))
 
 
-def copy_graphs(host, g: MultiGraph, st: int, p: float, count: int):
+def copy_graphs(host, g: MultiGraph, st: int, labels: CoupledLabels, count: int):
     """The graphs of copies 1..count of the graph-host trial of state st,
-    whose graph is g, one at a time: g itself on the configuration model;
-    on the Erdos-Renyi host, er_resample_graphs from fold(st, 3) over S, the
-    trial's vertices in S at density p, or g again when S holds fewer than
-    2 vertices and so no pair to redraw."""
+    whose graph is g and whose vertex labels are `labels`, one at a time: g
+    itself on the configuration model; on the Erdos-Renyi host,
+    er_resample_graphs from fold(st, 3) over S (labels.in_s), or g again
+    when S holds fewer than 2 vertices and so no pair to redraw."""
     if not isinstance(host, ErdosRenyiHost):
         return itertools.repeat(g, count)
-    S = np.flatnonzero(CoupledLabels(vertex_states(st, g.n), p).in_s)
+    S = np.flatnonzero(labels.in_s)
     if S.size < 2:
         return itertools.repeat(g, count)
     return er_resample_graphs(g, S, host.lam, count, fold(st, 3))
@@ -287,7 +285,7 @@ def _coupled_graph(cfg: CouplingConfig, host_type) -> IntersectionEstimate:
         if empty:  # every copy is copy 0
             return np.repeat(graph_bits(f, g, labels(0)).sum() / n, k)
         row, alive = np.empty(k), np.ones(n, dtype=bool)
-        for j, g_j in enumerate(copy_graphs(host, g, st, cfg.p, k), 1):
+        for j, g_j in enumerate(copy_graphs(host, g, st, labels, k), 1):
             alive &= graph_bits(f, g_j, labels(j))
             row[j - 1] = alive.sum() / n
         return row
@@ -425,14 +423,14 @@ class _ErCopies(Exploration):
     v), and kept when its other end is in S.  Revealing all k copies of a
     trial together fixes the order in which g reveals its vertices for the
     trial, whatever other trials share the batch.  At p = 1 no pair is g's,
-    and g is not read.  g's reveal and the copies' SxS draws share one
-    bernoulli_reveal call a level, the copies' groups numbered after g's."""
+    and g is not read.  The copies read g through its reveal, revealed and
+    neighbours alone, and draw their SxS pairs at g's q by a
+    bernoulli_reveal call of their own."""
 
     def __init__(self, g: ErExploration, trials: np.ndarray, k: int, key: np.ndarray, p: float,
-                 keys: np.ndarray, q: float):
+                 keys: np.ndarray):
         super().__init__(g.n)
-        self.g, self.trials, self.k, self.key, self.p, self.keys, self.q = (
-            g, trials, k, key, p, keys, q)
+        self.g, self.trials, self.k, self.key, self.p, self.keys = g, trials, k, key, p, keys
         self._reached = None  # (sorted keys, in S) of the vertices the last batch reached
 
     def _in_s(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -448,20 +446,16 @@ class _ErCopies(Exploration):
             keys, flags = self._reached
             in_s = flags[keys.searchsorted(batch)]
         drawers = np.flatnonzero(in_s)
-        need = sorted_set(t * n + v) if self.p < 1.0 else batch[:0]  # at p = 1 all is SxS
-        need = need[~members(g.revealed, need)]
-        g.revealed = np.sort(np.concatenate((g.revealed, need)))
-        shift = g.keys.size * n  # the copies' groups after g's
-        i, ends = bernoulli_reveal(
-            np.concatenate((g.streams(need), fold_np(self.keys[c[drawers]], v[drawers]))),
-            np.concatenate((need, batch + shift)),
-            np.concatenate((np.arange(need.size), need.size + drawers)),
-            np.concatenate((g.revealed, self.revealed + shift)), n, self.q)
-        mine = i >= need.size
-        g.add(need[i[~mine]], ends[~mine])
-        j, fresh = drawers[i[mine] - need.size], ends[mine] - shift
-        i, ends = g.neighbours(t * n + v) if self.p < 1.0 else (batch[:0], batch[:0])
-        ends += (c[i] - t[i]) * n  # as keys of the copy
+        hit, fresh = bernoulli_reveal(fold_np(self.keys[c[drawers]], v[drawers]), batch, drawers,
+                                      self.revealed, n, g.q)
+        j = drawers[hit]
+        if self.p < 1.0:
+            need = sorted_set(t * n + v)
+            g.reveal(need[~members(g.revealed, need)])
+            i, ends = g.neighbours(t * n + v)
+            ends += (c[i] - t[i]) * n  # as keys of the copy
+        else:  # all is SxS
+            i, ends = batch[:0], batch[:0]
         s_ends = self._in_s(np.concatenate((t[i], t[j])), np.concatenate((ends, fresh)) % n)
         own = s_ends[i.size:]
         # g's pairs outside SxS, each from the end the copy reveals first
@@ -521,7 +515,7 @@ def _graph_stability_pass(cfg: CouplingConfig, st: np.ndarray) -> np.ndarray:
         sizes = k * (kept.searchsorted((acc + 1) * n) - kept.searchsorted(acc * n))
         for part in _union_parts(acc, sizes):
             streams = fold_np(fold_np(st[part], 3)[:, None], np.arange(1, k + 1, dtype=np.uint64))
-            copies = _ErCopies(g, part, k, key, cfg.p, streams.ravel(), host.lam / n)
+            copies = _ErCopies(g, part, k, key, cfg.p, streams.ravel())
             copy_roots = np.arange(part.size * k) * n + np.repeat(roots[part] - part * n, k)
             copies.explore(copy_roots, hops)
             kept, us, vs, at = copies.cut(copy_roots)

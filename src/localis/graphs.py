@@ -93,7 +93,6 @@ from .rng import (
     fold,
     fold_np,
     fold_offsets,
-    fold_range,
     label_unit,
     percolation_cut,
     poisson_from_unit,
@@ -666,10 +665,7 @@ class Exploration:
             return _EMPTY, _EMPTY
         prior = self.revealed
         self.revealed = np.sort(np.concatenate((prior, batch)))
-        return self.add(*self._draw(batch, prior))
-
-    def add(self, heads: np.ndarray, tails: np.ndarray) -> tuple:
-        """Record the edges a reveal drew."""
+        heads, tails = self._draw(batch, prior)
         self._heads.append(heads)
         self._tails.append(tails)
         return heads, tails
@@ -795,12 +791,9 @@ class ErExploration(Exploration):
         super().__init__(n)
         self.q, self.keys = lam / n, keys
 
-    def streams(self, batch: np.ndarray) -> np.ndarray:
-        group = batch // self.n
-        return fold_np(self.keys[group], batch - group * self.n)
-
     def _draw(self, batch: np.ndarray, prior: np.ndarray) -> tuple:
-        i, ends = bernoulli_reveal(self.streams(batch), batch, np.arange(batch.size),
+        group, v = np.divmod(batch, self.n)
+        i, ends = bernoulli_reveal(fold_np(self.keys[group], v), batch, np.arange(batch.size),
                                    self.revealed, self.n, self.q)
         return batch[i], ends
 
@@ -847,7 +840,7 @@ def gap_positions(streams: np.ndarray, count: np.ndarray, q: float) -> tuple:
     for c in itertools.count(0, width):
         if not active.size:
             break
-        u = fold_range(streams[active], c, c + width)  # row r: gap c + r of each stream
+        u = fold_offsets(streams[active], c, np.arange(width)[:, None])  # row r: gap c + r
         pos = np.log(((u >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
         pos /= log_fail
         np.floor(pos, out=pos)

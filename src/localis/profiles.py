@@ -392,7 +392,7 @@ RateReport = collections.namedtuple(
     "RateReport", ["binom_sum", "h_pi", "h_hat", "rate_bound", "leading", "gap"])
 
 
-def asymptotic_rate(alpha, k: int, d: int) -> RateReport:
+def asymptotic_rate(alpha, d: int) -> RateReport:
     """Leading term binom_sum(alpha) * log(d)^2 / (2d) of the rate bound for a
     symmetric profile at scale log(d)/d, and the remainder.
 
@@ -400,14 +400,13 @@ def asymptotic_rate(alpha, k: int, d: int) -> RateReport:
     one entropies pass: binom_sum(alpha), H(pi), Hhat(pi), rate_bound, the
     leading term and gap = rate_bound - leading.  From d = GAP_CALIBRATED_D
     on, where the constants were calibrated, it raises ProfileError unless
-    gap <= c_k * log(d)/d for c_k = DEFAULT_GAP_CONSTANTS[k] (k without a
-    constant is not checked).  Below that d the gap is reported unguarded: no constant was calibrated
-    there, and at small d the gap exceeds the large-d constants (at d = 3
-    and alpha = 1 it is 0.56 log(d)/d, above c_1 = 0.5).
+    gap <= c_k * log(d)/d for c_k = DEFAULT_GAP_CONSTANTS[k], k = len(alpha)
+    (k without a constant is not checked).  Below that d the gap is
+    reported unguarded: no constant was calibrated there, and at small d the
+    gap exceeds the large-d constants (at d = 3 and alpha = 1 it is
+    0.56 log(d)/d, above c_1 = 0.5).
     """
-    alpha = list(alpha)
-    if len(alpha) != k:
-        raise ValueError("need one alpha per cardinality 1..k")
+    alpha, k = list(alpha), len(alpha)
     check_alpha(alpha)
     scale = math.log(d) / d
     rep = entropies(rho_to_pi(DensityProfile.symmetric(k, alpha, scale)))

@@ -12,18 +12,18 @@ tables without bound.
 
 fold_np and trial_state_np are their array forms over uint64 arrays, equal
 to the scalar functions element by element; the trial-batched tree paths
-fold whole blocks of trials with them.  fold_range folds each of a set of
-streams with a range of counters, and below(s, m) = s * m >> 64 maps a
-state to an integer below m: the graph explorations of graph-host
-stability draw from these counters alone.  fold_offsets folds each state
+fold whole blocks of trials with them.  fold_offsets folds each state
 with its own counter of a range (a lazy-tree node with CHILD_TAG + slot
-for its children); like fold_range it mixes the range's tags once and
-keeps them.  A label's percolation round is defined by an integer table of
+for its children; with a column of offsets, each of a set of streams
+with each counter of the range), mixing the range's tags once and keeping
+them, and below(s, m) = s * m >> 64 maps a state to an integer below m:
+the graph explorations of graph-host stability draw from these counters
+alone.  A label's percolation round is defined by an integer table of
 round boundaries (round_bounds), which first_success_round and its array
 form first_success_rounds both search, so the two agree label for label by
 construction.  state_rngs is the array form of state_rng: numpy's
 SeedSequence hash run over a uint64 array of states at once (seed_words),
-then one generator a state, as a list.
+then one generator a state, each built as it is read.
 
 The coupled family of labels is one rule over node states, the same on
 every host: a lazy-tree node's state, or fold(fold(st, 2), v) for vertex v
@@ -44,6 +44,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -111,13 +112,14 @@ def state_rng(state: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(state & MASK64))
 
 
-def state_rngs(states) -> list:
+def state_rngs(states) -> Iterator[np.random.Generator]:
     """Array form of state_rng: state_rng(s) for each s of a uint64 array,
-    as a list.  The seed words of every state are hashed at once
-    (seed_words), and each generator is handed its row; PCG64 reads the
-    row's raw buffer, which the C-contiguous words keep contiguous."""
+    each built as it is read, so a reader that drops each holds one.  The
+    seed words of every state are hashed at once (seed_words), and each
+    generator is handed its row; PCG64 reads the row's raw buffer, which
+    the C-contiguous words keep contiguous."""
     words_sequence = _seed_sequence()[2]
-    return [np.random.Generator(np.random.PCG64(words_sequence(row))) for row in seed_words(states)]
+    return (np.random.Generator(np.random.PCG64(words_sequence(row))) for row in seed_words(states))
 
 
 def seed_words(states) -> np.ndarray:
@@ -324,16 +326,11 @@ def fold_np(state, data) -> np.ndarray:
     return _mixed(np.asarray(state, dtype=np.uint64) ^ tag)
 
 
-def fold_range(states: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """fold(s, c) for each s of a uint64 array and c = lo..hi-1, one row per
-    c; the tags of the range are mixed once and kept."""
-    return _mixed(_range_tags(lo, hi)[:, None] ^ states)
-
-
 def fold_offsets(states: np.ndarray, lo: int, offsets: np.ndarray) -> np.ndarray:
     """fold(s, lo + o) for each pair of a uint64 array `states` and a
-    non-negative int array `offsets`; the tags of the range lo..lo+max(o)
-    are mixed once and kept, as fold_range's."""
+    non-negative int array `offsets`, broadcast against each other (offsets
+    of shape (w, 1) give fold(s, lo + r) in row r); the tags of the range
+    lo..lo+max(o) are mixed once and kept."""
     hi = lo + 1 + int(offsets.max(initial=-1))
     return _mixed(states ^ _range_tags(lo, hi)[offsets])
 

@@ -291,8 +291,8 @@ def test_graph_coupling_profiles():
     for t in range(cfg.trials):
         st = trial_state(cfg.seed, t)
         g = coupling._sample_graph(cfg.host, fold(st, 1))
-        (g1,) = copy_graphs(cfg.host, g, st, cfg.p, 1)
         labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
+        (g1,) = copy_graphs(cfg.host, g, st, labels, 1)
         bad = non_tree_ball_mask(g1, 2)
         bfracs.append(bad.mean())
         other.append(_project_bits(F, g1, ~bad, labels(2)).mean())
@@ -311,7 +311,7 @@ def _trial_copies(cfg: CouplingConfig) -> list:
     st = trial_state(cfg.seed, 0)
     g = coupling._sample_graph(cfg.host, fold(st, 1))
     labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
-    copies = copy_graphs(cfg.host, g, st, cfg.p, cfg.k)
+    copies = copy_graphs(cfg.host, g, st, labels, cfg.k)
     return [(g_j, F.graph_rule(g_j, labels(j))) for j, g_j in enumerate(copies, 1)]
 
 
@@ -346,7 +346,7 @@ def _per_copy_rows(cfg: CouplingConfig) -> list:
         g = coupling._sample_graph(cfg.host, fold(st, 1))
         labels = CoupledLabels(vertex_states(st, g.n), cfg.p)
         alive, row = np.ones(g.n, dtype=bool), []
-        for j, g_j in enumerate(copy_graphs(cfg.host, g, st, cfg.p, cfg.k), 1):
+        for j, g_j in enumerate(copy_graphs(cfg.host, g, st, labels, cfg.k), 1):
             alive &= factors.graph_bits(cfg.factor, g_j, labels(j))
             row.append(alive.sum() / g.n)
         rows.append(row)
@@ -391,8 +391,9 @@ def test_er_copy_graphs_are_g_without_a_pair_to_redraw(p):
     for t in range(40):
         st = trial_state(3, t)
         g = coupling._sample_graph(host, fold(st, 1))
-        size = int(CoupledLabels(vertex_states(st, host.n), p).in_s.sum())
-        copies = list(copy_graphs(host, g, st, p, 3))
+        labels = CoupledLabels(vertex_states(st, host.n), p)
+        size = int(labels.in_s.sum())
+        copies = list(copy_graphs(host, g, st, labels, 3))
         assert len(copies) == 3
         assert all(c is g for c in copies) == (size < 2), (t, size)
         sizes.add(min(size, 2))
@@ -406,8 +407,8 @@ def test_er_scan_at_p0_equals_the_rebuilt_copies(monkeypatch):
                          inner_trials=6, seed=11)
     fast = scan_p(cfg, [0.0]).rows[0]
 
-    def rebuilt(host, g, st, p, count):
-        S = np.flatnonzero(CoupledLabels(vertex_states(st, g.n), p).in_s)
+    def rebuilt(host, g, st, labels, count):
+        S = np.flatnonzero(labels.in_s)
         return er_resample_graphs(g, S, host.lam, count, fold(st, 3))
 
     monkeypatch.setattr(coupling, "copy_graphs", rebuilt)
@@ -813,7 +814,7 @@ def test_er_copy_unions_stack_the_resampled_copies(monkeypatch, budget, size):
     copies = {}
     for part in coupling._union_parts(np.arange(3), sizes):
         keys = fold_np(fold_np(st[part], 3)[:, None], np.arange(1, k + 1, dtype=np.uint64))
-        union = _GivenS(g, part, k, None, 0.5, keys.ravel(), lam / n)
+        union = _GivenS(g, part, k, None, 0.5, keys.ravel())
         union.explore(np.arange(part.size * k) * n + np.repeat(roots[part] - part * n, k), hops)
         heads, tails = union.edges()
         for c in range(part.size * k):

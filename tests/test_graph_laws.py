@@ -318,7 +318,7 @@ def whole_graph_rows(cfg: CouplingConfig) -> np.ndarray:
         labels = CoupledLabels(coupling.vertex_states(st, host.n), cfg.p)
         if not graph_bits_at(f, g, labels(0), root)[0]:
             return [0.0, -1.0]
-        copies = copy_graphs(host, g, st, cfg.p, cfg.inner_trials)
+        copies = copy_graphs(host, g, st, labels, cfg.inner_trials)
         return [1.0, float(sum(graph_bits_at(f, g_j, labels(j), root)[0]
                                for j, g_j in enumerate(copies, 1)))]
 

@@ -387,26 +387,26 @@ def test_rate_bound_dominates_compatible_profiles():
 
 
 def test_asymptotic_rate_zero_and_scaling():
-    assert asymptotic_rate([0.0, 0.0], 2, 1000).leading == 0.0
-    lead1 = asymptotic_rate([1.0, 1.0], 2, 1000).leading
+    assert asymptotic_rate([0.0, 0.0], 1000).leading == 0.0
+    lead1 = asymptotic_rate([1.0, 1.0], 1000).leading
     assert abs(lead1 - math.log(1000) ** 2 / 2000) <= 1e-15
     # halving the binomial sum halves the leading term: alpha=(1,1) gives 1,
     # and the leading term is linear in it
     assert abs(lead1 / binom_sum([1.0, 1.0]) * binom_sum([0.5, 0.75 * 0.5])
-               - asymptotic_rate([0.5, 0.375], 2, 1000).leading) <= 1e-15
+               - asymptotic_rate([0.5, 0.375], 1000).leading) <= 1e-15
 
 
 def test_asymptotic_rate_rejects_bad_alpha():
     for alpha, match in (([math.nan], "finite"), ([1.0, math.inf], "finite"),
                          ([-0.1], "non-negative"), ([0.5, 1.0], "non-increasing")):
         with pytest.raises(ValueError, match=match):
-            asymptotic_rate(alpha, len(alpha), 1000)
+            asymptotic_rate(alpha, 1000)
 
 
 def test_asymptotic_rate_gap_calibrated():
     for d in (10**3, 10**4, 10**5):
         for k, alpha in ((2, [1.0, 1.0]), (3, [1.2, 0.8, 0.5]), (1, [1.5])):
-            rate = asymptotic_rate(alpha, k, d)  # asserts internally
+            rate = asymptotic_rate(alpha, d)  # asserts internally
             assert rate.gap <= 16.0 * math.log(d) / d
             assert rate.gap == rate.rate_bound - rate.leading
 
